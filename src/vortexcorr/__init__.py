@@ -21,8 +21,8 @@ from .fock import (Basis, Correlators, QuantumState, Statistics,
 from .modes import (DIPOLE_PAIR, DIPOLE_X, DIPOLE_Y, VORTEX_CCW, VORTEX_CW,
                     VORTEX_PAIR, Mode, Point2D, hermite_mode, mode_eval,
                     overlap, rotate_xy)
-from .density import (DensityField, PairDensity, density_grid, rho1,
-                      rho1_closed, rho2, rho2_closed, rho2_polar)
+from .density import (DensityField, density_grid, rho1, rho1_closed, rho2,
+                      rho2_closed, rho2_polar)
 from .pairstats import (DistSummary, PairDistribution, PairVariable,
                         analytic_distance, angle_distribution,
                         closed_form_angle, closed_form_distance,
@@ -48,7 +48,7 @@ __all__ = [
     "Correlators", "DIPOLE_PAIR", "DIPOLE_X", "DIPOLE_Y", "DensityField",
     "DiscrepancyReport", "DistSummary", "EmptyFramesError", "Frame",
     "FrameSet", "FrameStream", "KINDS", "Mode", "NoPairsError",
-    "OrderLimitError", "PairDensity", "PairDistribution", "PairVariable",
+    "OrderLimitError", "PairDistribution", "PairVariable",
     "PauliViolationError", "Point2D", "QuadratureError", "QuantumState",
     "SamplerMethodError", "SpecError", "StateSpec", "Statistics",
     "TruncationError", "UnsupportedStateError", "VERSION", "VORTEX_CCW",

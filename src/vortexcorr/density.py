@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlgebraInconsistencyError
-from .fock import Basis, pair_moment
+from .fock import Basis
 from .modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
-from .states import StateSpec, build_state
 
 IMAG_TOL = 1e-12
 
@@ -59,17 +58,6 @@ def rho2(state, x1, y1, x2, y2):
     return _real_checked(np.asarray(values), "rho2")
 
 
-class PairDensity:
-    """Callable rho2 for one state, with the pair normalization attached."""
-
-    def __init__(self, state):
-        self.state = state
-        self.pair_norm = pair_moment(state)
-
-    def __call__(self, x1, y1, x2, y2):
-        return rho2(self.state, x1, y1, x2, y2)
-
-
 @dataclass
 class DensityField:
     """rho1 sampled on a uniform grid; values[i, j] = rho1(x[i], y[j])."""
@@ -78,12 +66,6 @@ class DensityField:
     values: np.ndarray
     total: float
     meta: dict
-
-    def interpolate(self, x, y):
-        """Bilinear lookup, handy for spot checks."""
-        from scipy.interpolate import RegularGridInterpolator
-        interp = RegularGridInterpolator((self.x, self.y), self.values)
-        return interp(np.stack([np.atleast_1d(x), np.atleast_1d(y)], axis=-1))
 
 
 def density_grid(state, extent=6.0, step=0.05, meta=None):
@@ -200,7 +182,3 @@ def rho2_polar(spec, r, s, theta, vartheta, variant=CORRECTED):
     x2, y2 = s * np.cos(vartheta), s * np.sin(vartheta)
     return rho2_closed(spec, x1, y1, x2, y2, variant=variant)
 
-
-def engine_state(spec):
-    """Build the density-matrix state for a spec (engine route)."""
-    return build_state(spec if isinstance(spec, StateSpec) else spec)

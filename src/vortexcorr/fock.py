@@ -1,27 +1,29 @@
-"""Two-mode Fock-space states and their normally ordered correlators.
+"""Two-mode states as their normally ordered correlators.
 
-States live on a truncated occupation lattice (n_a, n_b), 0 <= n <= cutoff,
-stored as dense density matrices. Mode a comes before mode b in the fermionic
-ordering convention, i.e. |1,1> = adag_a adag_b |vac>; the antisymmetry sign
-bookkeeping follows from that choice.
-
-The density engine only ever consumes the first- and second-order normally
-ordered correlators <adag_p a_q> and <adag_p adag_p' a_q' a_q>, so those are
-computed here once per state and cached.
+Every density of the library sees a two-mode state only through the first-
+and second-order normally ordered correlators <adag_p a_q> and
+<adag_p adag_p' a_q' a_q>, so a state is stored as those 20 numbers. Each
+constructor computes them directly: product states from single-mode moments
+of truncated single-mode density matrices, Fock and NOON states from their
+occupations and amplitudes. Mode a comes before mode b in the fermionic
+ordering convention, i.e. |1,1> = adag_a adag_b |vac>; the antisymmetry
+sign bookkeeping follows from that choice.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import PauliViolationError, TruncationError
 
 # Constructors refuse truncations that drop more than this much probability.
 TAIL_TOL = 1e-12
+
+# The cothermal cutoff search stops here: a build at a higher cutoff would
+# need a single-mode matrix above 2049 x 2049 complex (67 MB).
+_MAX_SEARCH_CUTOFF = 2048
 
 
 class Statistics(Enum):
@@ -34,35 +36,6 @@ class Basis(Enum):
     DIPOLE = "dipole"   # (x, y) Cartesian dipole modes
 
 
-@dataclass
-class QuantumState:
-    """Density matrix of a two-mode state.
-
-    matrix is indexed by flattened occupation pairs, (n_a, n_b) -> n_a*dim+n_b
-    with dim = cutoff+1. flags carries provenance markers that serializers
-    propagate into output files.
-    """
-    statistics: Statistics
-    cutoff: int
-    matrix: np.ndarray
-    basis: Basis
-    flags: tuple = ()
-    _corr: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def dim(self):
-        return self.cutoff + 1
-
-    def as4d(self):
-        d = self.dim
-        return self.matrix.reshape(d, d, d, d)
-
-    def correlators(self):
-        if self._corr is None:
-            self._corr = _compute_correlators(self)
-        return self._corr
-
-
 @dataclass(frozen=True)
 class Correlators:
     """first[p, q] = <adag_p a_q>; second[p, p', q', q] in that index order."""
@@ -70,53 +43,19 @@ class Correlators:
     second: np.ndarray
 
 
-def _ladder_left(rho4, mode, dagger, statistics, cutoff):
-    """Left-multiply rho by a ladder operator of the given mode.
+@dataclass(frozen=True)
+class QuantumState:
+    """A two-mode state, held as its normally ordered correlators.
 
-    Acts on the ket-side occupation axes of the 4D view. Fermionic mode-b
-    operators pick up the Jordan-Wigner parity of mode a.
+    flags carries provenance markers such as "supplement-approximated".
     """
-    dim = cutoff + 1
-    out = np.zeros_like(rho4)
-    coeff = np.sqrt(np.arange(1, dim, dtype=float))
-    if mode == 0:
-        if dagger:
-            out[1:] = coeff[:, None, None, None] * rho4[:-1]
-        else:
-            out[:-1] = coeff[:, None, None, None] * rho4[1:]
-    else:
-        if dagger:
-            out[:, 1:] = coeff[None, :, None, None] * rho4[:, :-1]
-        else:
-            out[:, :-1] = coeff[None, :, None, None] * rho4[:, 1:]
-        if statistics is Statistics.FERMI:
-            parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-            out *= parity[:, None, None, None]
-    return out
+    statistics: Statistics
+    basis: Basis
+    corr: Correlators
+    flags: tuple = ()
 
-
-def _trace4(rho4):
-    return np.einsum("abab->", rho4)
-
-
-def _compute_correlators(state):
-    rho4 = state.as4d()
-    stats, cut = state.statistics, state.cutoff
-    first = np.zeros((2, 2), dtype=complex)
-    second = np.zeros((2, 2, 2, 2), dtype=complex)
-    for q in range(2):
-        # a_q rho, reused by every (p, p', q') on top of it
-        aq = _ladder_left(rho4, q, False, stats, cut)
-        for p in range(2):
-            first[p, q] = _trace4(_ladder_left(aq, p, True, stats, cut))
-        for qp in range(2):
-            aqq = _ladder_left(aq, qp, False, stats, cut)
-            for pp in range(2):
-                app = _ladder_left(aqq, pp, True, stats, cut)
-                for p in range(2):
-                    second[p, pp, qp, q] = _trace4(
-                        _ladder_left(app, p, True, stats, cut))
-    return Correlators(first=first, second=second)
+    def correlators(self):
+        return self.corr
 
 
 def mean_number(state):
@@ -141,6 +80,50 @@ def mode_occupations(state):
 # constructors
 # ---------------------------------------------------------------------------
 
+def _single_mode_moments(rho):
+    """m[k, l] = Tr(adag^k a^l rho) for k, l <= 2 of a truncated matrix.
+
+    <j+k| adag^k a^l |j+l> = sqrt((j+1)...(j+l) * (j+1)...(j+k)), and
+    adag^k lifting past the cutoff gives zero, as on the truncated lattice.
+    """
+    dim = rho.shape[0]
+    moments = np.zeros((3, 3), dtype=complex)
+    for k in range(3):
+        for l in range(3):
+            j = np.arange(dim - max(k, l))
+            weight = np.ones(j.size)
+            for t in range(1, l + 1):
+                weight *= j + t
+            for t in range(1, k + 1):
+                weight *= j + t
+            moments[k, l] = np.sum(np.sqrt(weight) * rho[j + l, j + k])
+    return moments
+
+
+def _product_correlators(moments_a, moments_b):
+    """Correlators of a bosonic product state from single-mode moments.
+
+    Operators of different modes commute, so each normally ordered product
+    factors into one moment per mode, indexed by how many creators and
+    annihilators of that mode it holds.
+    """
+    moments = (moments_a, moments_b)
+
+    def expect(create, annihilate):
+        out = 1.0 + 0.0j
+        for mode in range(2):
+            out *= moments[mode][create.count(mode), annihilate.count(mode)]
+        return out
+
+    first = np.zeros((2, 2), dtype=complex)
+    second = np.zeros((2, 2, 2, 2), dtype=complex)
+    for p, q in np.ndindex(2, 2):
+        first[p, q] = expect((p,), (q,))
+    for p, pp, qp, q in np.ndindex(2, 2, 2, 2):
+        second[p, pp, qp, q] = expect((p, pp), (qp, q))
+    return Correlators(first=first, second=second)
+
+
 def make_fock(n_a, n_b, statistics, basis=Basis.VORTEX):
     """Pure Fock state |n_a, n_b>."""
     if n_a < 0 or n_b < 0:
@@ -148,11 +131,15 @@ def make_fock(n_a, n_b, statistics, basis=Basis.VORTEX):
     if statistics is Statistics.FERMI and (n_a > 1 or n_b > 1):
         raise PauliViolationError(
             f"fermionic occupations must be 0 or 1, got ({n_a}, {n_b})")
-    cutoff = max(n_a, n_b, 1)
-    dim = cutoff + 1
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[n_a * dim + n_b] = 1.0
-    return QuantumState(statistics, cutoff, np.outer(vec, vec.conj()), basis)
+    # Tr(adag^k a^l |n><n|) = n (n-1) ... (n-k+1) when k == l
+    moments = [np.diag([math.perm(n, k) for k in range(3)]).astype(complex)
+               for n in (n_a, n_b)]
+    corr = _product_correlators(*moments)
+    if statistics is Statistics.FERMI:
+        # <adag_p adag_p' a_p a_p'> = -n_a n_b: the annihilators are swapped
+        for p in range(2):
+            corr.second[p, 1 - p, p, 1 - p] *= -1.0
+    return QuantumState(statistics, basis, corr)
 
 
 def _coherent_vector(alpha, cutoff):
@@ -193,11 +180,13 @@ def make_coherent(alpha_a, alpha_b, cutoff, basis=Basis.DIPOLE):
                 f"coherent tail mass {tail:.3e} above {TAIL_TOL:.0e} at "
                 f"cutoff {cutoff}; cutoff {need} suffices",
                 required_cutoff=need)
-    vec = np.kron(_coherent_vector(alpha_a, cutoff),
-                  _coherent_vector(alpha_b, cutoff))
-    rho = np.outer(vec, vec.conj())
-    rho /= np.real(np.trace(rho))
-    return QuantumState(Statistics.BOSE, cutoff, rho, basis)
+    moments = []
+    for alpha in (alpha_a, alpha_b):
+        vec = _coherent_vector(alpha, cutoff)
+        rho = np.outer(vec, vec.conj())
+        moments.append(_single_mode_moments(rho / np.real(np.trace(rho))))
+    return QuantumState(Statistics.BOSE, basis,
+                        _product_correlators(*moments))
 
 
 def _thermal_diag(nbar, cutoff):
@@ -220,31 +209,48 @@ def _thermal_diag(nbar, cutoff):
 
 def make_thermal(nbar_a, nbar_b, cutoff, basis=Basis.VORTEX):
     """Product of truncated geometric (thermal) states, renormalized."""
-    rho = np.kron(np.diag(_thermal_diag(nbar_a, cutoff)),
-                  np.diag(_thermal_diag(nbar_b, cutoff))).astype(complex)
-    return QuantumState(Statistics.BOSE, cutoff, rho, basis)
+    moments = [_single_mode_moments(np.diag(_thermal_diag(nbar, cutoff)))
+               for nbar in (nbar_a, nbar_b)]
+    return QuantumState(Statistics.BOSE, basis,
+                        _product_correlators(*moments))
 
 
-def _displaced_thermal(alpha, nbar, cutoff):
-    """Single-mode displaced thermal matrix, built at a working cutoff and
-    truncated down with an explicit tail check."""
-    work = cutoff + 24
-    diag = np.zeros(work + 1)
-    if nbar == 0.0:
-        diag[0] = 1.0
-    else:
-        tau = nbar / (1.0 + nbar)
-        diag[:] = (1.0 - tau) * tau ** np.arange(work + 1)
-    a = np.diag(np.sqrt(np.arange(1, work + 1, dtype=float)), k=1)
-    disp = expm(alpha * a.conj().T - np.conj(alpha) * a)
-    rho = disp @ np.diag(diag).astype(complex) @ disp.conj().T
-    kept = rho[:cutoff + 1, :cutoff + 1]
-    deficit = 1.0 - float(np.real(np.trace(kept)))
-    if deficit > TAIL_TOL:
-        raise TruncationError(
-            f"displaced-thermal tail mass {deficit:.3e} above "
-            f"{TAIL_TOL:.0e} at cutoff {cutoff}", required_cutoff=None)
-    return kept / np.real(np.trace(kept))
+def _displaced_thermal_rows(alpha, nbar, size):
+    """Rows <i|rho|0..size-1>, i = 0..size-1, of a single-mode displaced
+    thermal state.
+
+    With tau = nbar/(1+nbar) and alpha' = (1-tau) alpha, the P-function
+    (a Gaussian around alpha) gives <0|rho|j> = (1-tau)
+    exp(-(1-tau)|alpha|^2) conj(alpha')^j / sqrt(j!) and, by Wick's theorem,
+    <i+1|rho|j> = (alpha' <i|rho|j> + tau sqrt(j) <i|rho|j-1>) / sqrt(i+1).
+    Both terms share one phase, so the recursion never cancels and stays
+    stable at any displacement and cutoff. The (i, j) entry depends on
+    columns <= j only, so every size yields the same leading block.
+    """
+    tau = nbar / (1.0 + nbar)
+    shrunk = (1.0 - tau) * alpha
+    lift = np.sqrt(np.arange(1, size, dtype=float))
+    row = np.cumprod(np.concatenate((
+        [(1.0 - tau) * math.exp(-(1.0 - tau) * abs(alpha) ** 2)],
+        np.conj(shrunk) / lift)))
+    for i in range(size - 1):
+        yield row
+        nxt = shrunk * row
+        nxt[1:] += tau * lift * row[:-1]
+        row = nxt / lift[i]
+    yield row
+
+
+def _required_displaced_cutoff(alpha, nbar):
+    """Smallest cutoff whose displaced-thermal tail is below TAIL_TOL, or
+    None if none up to _MAX_SEARCH_CUTOFF is. Holds one row at a time."""
+    mass = 0.0
+    rows = _displaced_thermal_rows(alpha, nbar, _MAX_SEARCH_CUTOFF + 1)
+    for n, row in enumerate(rows):
+        mass += row[n].real
+        if 1.0 - mass <= TAIL_TOL:
+            return n
+    return None
 
 
 def make_cothermal(alpha, nbar_th, cutoff, basis=Basis.DIPOLE):
@@ -256,38 +262,43 @@ def make_cothermal(alpha, nbar_th, cutoff, basis=Basis.DIPOLE):
     (alpha=0). Flagged supplement-approximated: the construction follows the
     supplementary description rather than a closed-form in the main text.
     """
-    rho = np.kron(_displaced_thermal(alpha, nbar_th, cutoff),
-                  _displaced_thermal(-1.0j * alpha, nbar_th, cutoff))
-    rho /= np.real(np.trace(rho))
-    return QuantumState(Statistics.BOSE, cutoff, rho, basis,
+    moments = []
+    for displacement in (alpha, -1.0j * alpha):
+        rho = np.array(list(
+            _displaced_thermal_rows(displacement, nbar_th, cutoff + 1)))
+        # summed in row order, as the cutoff search sums it
+        deficit = 1.0 - np.cumsum(np.real(np.diag(rho)))[-1]
+        if deficit > TAIL_TOL:
+            need = _required_displaced_cutoff(displacement, nbar_th)
+            hint = (f"cutoff {need} suffices" if need is not None else
+                    f"no cutoff up to {_MAX_SEARCH_CUTOFF} suffices")
+            raise TruncationError(
+                f"displaced-thermal tail mass {deficit:.3e} above "
+                f"{TAIL_TOL:.0e} at cutoff {cutoff}; {hint}",
+                required_cutoff=need)
+        moments.append(_single_mode_moments(rho / np.real(np.trace(rho))))
+    return QuantumState(Statistics.BOSE, basis,
+                        _product_correlators(*moments),
                         flags=("supplement-approximated",))
 
 
 def make_noon(basis=Basis.VORTEX):
-    """Two-particle NOON state (|2,0> - |0,2>)/sqrt(2) up to a global phase."""
-    dim = 3
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[2 * dim + 0] = 1.0j / math.sqrt(2.0)
-    vec[0 * dim + 2] = -1.0j / math.sqrt(2.0)
-    return QuantumState(Statistics.BOSE, 2, np.outer(vec, vec.conj()), basis)
+    """Two-particle NOON state (|2,0> - |0,2>)/sqrt(2) up to a global phase.
+
+    For a two-boson state psi, lowered[q', q] = <vac| a_q' a_q |psi> fixes
+    both correlators, because <1_r| a_q |psi> = lowered[r, q] as well.
+    """
+    c20, c02 = 1.0j / math.sqrt(2.0), -1.0j / math.sqrt(2.0)
+    lowered = math.sqrt(2.0) * np.diag([c20, c02])
+    first = lowered.conj().T @ lowered
+    second = np.einsum("bp,cq->pbcq", lowered.conj(), lowered)
+    return QuantumState(Statistics.BOSE, basis,
+                        Correlators(first=first, second=second))
 
 
 # ---------------------------------------------------------------------------
 # basis rotation
 # ---------------------------------------------------------------------------
-
-def _ladder_matrices(statistics, cutoff):
-    dim = cutoff + 1
-    if statistics is Statistics.FERMI:
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        parity = np.diag([1.0, -1.0])
-        eye = np.eye(2)
-        return np.kron(a, eye).astype(complex), \
-            np.kron(parity, a).astype(complex)
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-    eye = np.eye(dim)
-    return np.kron(a, eye).astype(complex), np.kron(eye, a).astype(complex)
-
 
 # Single-particle map from dipole to vortex annihilation operators:
 # a_ccw = (a_x - i a_y)/sqrt2, a_cw = (a_x + i a_y)/sqrt2. Note det = i: the
@@ -296,71 +307,26 @@ def _ladder_matrices(statistics, cutoff):
 _DIPOLE_TO_VORTEX = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / math.sqrt(2.0)
 
 
-def _mixer(statistics, cutoff):
-    """Fock-space unitary U with U a_p U^dag = sum_q u[p, q] a_q.
-
-    Built as exp(i sum_{rs} K[r,s] adag_r a_s) with K = i log(u); number
-    conserving, so exact on every complete total-N block of the truncated
-    lattice.
-    """
-    from scipy.linalg import logm
-    kmat = 1.0j * logm(_DIPOLE_TO_VORTEX)
-    ops = _ladder_matrices(statistics, cutoff)
-    dim_full = ops[0].shape[0]
-    gen = np.zeros((dim_full, dim_full), dtype=complex)
-    for r in range(2):
-        for s in range(2):
-            gen += kmat[r, s] * (ops[r].conj().T @ ops[s])
-    return expm(1.0j * gen)
-
-
-def _embed(state, cutoff):
-    if cutoff < state.cutoff:
-        raise ValueError("cannot shrink cutoff")
-    if cutoff == state.cutoff:
-        return state.matrix.copy()
-    old, new = state.dim, cutoff + 1
-    rho4 = np.zeros((new, new, new, new), dtype=complex)
-    rho4[:old, :old, :old, :old] = state.as4d()
-    return rho4.reshape(new * new, new * new)
-
-
-def _significant_total(state, tol=1e-13):
-    """Largest total occupation carrying more than tol of block mass."""
-    rho4 = state.as4d()
-    dim = state.dim
-    totals = np.add.outer(np.arange(dim), np.arange(dim))
-    mass = np.zeros(2 * dim - 1)
-    diag = np.real(np.einsum("abab->ab", rho4))
-    for t in range(2 * dim - 1):
-        mass[t] = diag[totals == t].sum()
-    keep = np.nonzero(mass > tol)[0]
-    return int(keep.max()) if keep.size else 0
+def _rotate(corr, u):
+    """Correlators in the mode basis b_p = sum_q u[p, q] a_q."""
+    uc = u.conj()
+    first = np.einsum("pr,qs,rs->pq", uc, u, corr.first)
+    second = np.einsum("pa,qb,rc,sd,abcd->pqrs", uc, uc, u, u, corr.second)
+    return Correlators(first=first, second=second)
 
 
 def change_basis(state):
     """Re-express the state in the other mode basis (dipole <-> vortex).
 
-    The physical state is unchanged; only the occupation labels rotate. The
-    transform redistributes quanta within each total-N block, so the state is
-    first embedded at a cutoff that makes every populated block complete.
-    For truncated indefinite-number states the (sub-1e-12) tail above the
-    embedding cutoff is the only source of error.
+    The physical state is unchanged; only the mode labels rotate, which acts
+    on the correlators as a tensor rotation by the single-particle map.
     """
-    if state.statistics is Statistics.FERMI:
-        work = state.cutoff
-    else:
-        work = max(state.cutoff, _significant_total(state))
-    rho = _embed(state, work)
-    mixer = _mixer(state.statistics, work)
     if state.basis is Basis.DIPOLE:
-        rotated = mixer.conj().T @ rho @ mixer
-        new_basis = Basis.VORTEX
+        u, basis = _DIPOLE_TO_VORTEX, Basis.VORTEX
     else:
-        rotated = mixer @ rho @ mixer.conj().T
-        new_basis = Basis.DIPOLE
-    return QuantumState(state.statistics, work, rotated, new_basis,
-                        flags=state.flags)
+        u, basis = _DIPOLE_TO_VORTEX.conj().T, Basis.DIPOLE
+    return QuantumState(state.statistics, basis,
+                        _rotate(state.correlators(), u), flags=state.flags)
 
 
 def pair_isotropy_defect(state):
@@ -371,8 +337,9 @@ def pair_isotropy_defect(state):
     one- and two-body densities are isotropic iff every entry with unbalanced
     circulation vanishes. Returns the largest unbalanced magnitude.
     """
-    s = state if state.basis is Basis.VORTEX else change_basis(state)
-    corr = s.correlators()
+    corr = state.correlators()
+    if state.basis is Basis.DIPOLE:
+        corr = _rotate(corr, _DIPOLE_TO_VORTEX)
     ell = np.array([1, -1])
     defect = 0.0
     for p in range(2):
@@ -384,32 +351,3 @@ def pair_isotropy_defect(state):
         if ell[p] + ell[pp] != ell[q] + ell[qp]:
             defect = max(defect, abs(corr.second[idx]))
     return float(defect)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def state_to_json(state):
-    """Dense JSON form with complex entries as [re, im] pairs."""
-    mat = [[[float(z.real), float(z.imag)] for z in row]
-           for row in state.matrix]
-    return json.dumps({
-        "format": "vortexcorr.quantum-state",
-        "statistics": state.statistics.value,
-        "cutoff": state.cutoff,
-        "basis": state.basis.value,
-        "flags": list(state.flags),
-        "matrix": mat,
-    })
-
-
-def state_from_json(text):
-    data = json.loads(text)
-    if data.get("format") != "vortexcorr.quantum-state":
-        raise ValueError("not a serialized quantum state")
-    raw = np.asarray(data["matrix"], dtype=float)
-    matrix = raw[..., 0] + 1.0j * raw[..., 1]
-    return QuantumState(Statistics(data["statistics"]), int(data["cutoff"]),
-                        matrix, Basis(data["basis"]),
-                        flags=tuple(data.get("flags", ())))

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .density import basis_modes, rho2
+from .density import CORRECTED, VERBATIM, basis_modes, rho2
 from .errors import AnisotropicStateError, NoPairsError
 from .fock import pair_isotropy_defect, pair_moment
 from .modes import mode_eval
@@ -39,9 +39,6 @@ ANGLE_COUNT = 16
 
 PAIR_WEIGHT_TOL = 1e-14
 ISOTROPY_TOL = 1e-10
-
-CORRECTED = "corrected"
-VERBATIM = "verbatim"
 
 
 class PairVariable(Enum):

@@ -8,8 +8,6 @@ states.
 
 import numpy as np
 
-from .errors import QuadratureError
-
 # Mode functions are numerically zero beyond this box (exp(-18) ~ 1.5e-8 on
 # the amplitude, squared in any density), so [-EXTENT, EXTENT]^2 is the
 # integration domain for Cartesian quadratures.
@@ -48,20 +46,3 @@ def periodic_angles(count):
     w = np.full(count, 2.0 * np.pi / count)
     return theta, w
 
-
-def integrate_plane(fn, order=DEFAULT_ORDER, extent=EXTENT, check=False,
-                    tol=1e-10):
-    """Integrate fn(x, y) over the plane box, optionally with a convergence
-    check against a lower-order rule."""
-    x, y, w = plane_grid(order, extent)
-    value = np.sum(fn(x, y) * w)
-    if check:
-        order2 = max(8, order - 16)
-        x2, y2, w2 = plane_grid(order2, extent)
-        ref = np.sum(fn(x2, y2) * w2)
-        residual = abs(value - ref)
-        if residual > tol * max(1.0, abs(value)):
-            raise QuadratureError(
-                f"plane integral did not converge (order {order2}->{order} "
-                f"moved by {residual:.3e})", residual=float(residual))
-    return value

@@ -2,11 +2,12 @@
 
 A StateSpec is the plain-data description used by the CLI, the closed-form
 evaluators, the oracle and output provenance; build_state turns it into a
-density matrix. Defaults follow the canonical configurations: the coherent
+state. Defaults follow the canonical configurations: the coherent
 state obeys alpha_x = i*alpha_y with unit intensity (ring-shaped one-body
 density) and thermal/cothermal default to unit mean occupancy per mode.
 """
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, replace
@@ -46,6 +47,17 @@ class StateSpec:
         basis = self.basis or _DEFAULT_BASIS.get(kind, "vortex")
         if basis not in ("vortex", "dipole"):
             raise SpecError(f"unknown basis {basis!r}")
+        if self.n < 0 or self.m < 0:
+            raise SpecError(f"occupations must be >= 0, got n={self.n}, "
+                            f"m={self.m}")
+        for name in ("nbar_a", "nbar_b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise SpecError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("alpha_a", "alpha_b"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise SpecError(f"{name} must be finite, got {value}")
         cutoff = self.cutoff
         if cutoff < 0:
             cutoff = _DEFAULT_CUTOFF.get(kind, max(self.n, self.m, 1))
@@ -81,7 +93,7 @@ def noon():
 
 
 def build_state(spec):
-    """Construct the density matrix a StateSpec describes."""
+    """Construct the state a StateSpec describes."""
     spec = spec.normalized()
     basis = Basis(spec.basis)
     if spec.kind == "fermi-fock":

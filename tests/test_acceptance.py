@@ -28,7 +28,8 @@ import pytest
 
 from vortexcorr.cli import main as cli_main
 from vortexcorr.density import rho1, rho2
-from vortexcorr.fock import Basis, Statistics, change_basis, make_fock
+from vortexcorr.fock import (Basis, Statistics, change_basis, make_fock,
+                             make_noon)
 from vortexcorr.oracle import (
     BOSE_DISTANCE_MEAN,
     FERMI_DISTANCE_MEAN,
@@ -203,21 +204,26 @@ def test_criterion_07_noon(states, distances):
                     f"{sup_dist:.3e} (tol 1e-06 each)")
 
 
+def _correlator_deviation(a, b):
+    ca, cb = a.correlators(), b.correlators()
+    return max(float(np.max(np.abs(ca.first - cb.first))),
+               float(np.max(np.abs(ca.second - cb.second))))
+
+
 def test_criterion_08_basis_identities():
+    # For a two-particle state every projector entry is a pair correlator
+    # divided by 1, sqrt2 or 2, so correlator deviations bound projector
+    # deviations.
     bose = change_basis(make_fock(1, 1, Statistics.BOSE, Basis.DIPOLE))
-    d = bose.dim
-    vec = np.zeros(d * d, dtype=complex)
-    vec[2 * d + 0] = 1.0j / math.sqrt(2.0)
-    vec[0 * d + 2] = -1.0j / math.sqrt(2.0)
-    dev_b = float(np.max(np.abs(bose.matrix - np.outer(vec, vec.conj()))))
+    dev_b = _correlator_deviation(bose, make_noon(Basis.VORTEX))
 
     fermi_dipole = make_fock(1, 1, Statistics.FERMI, Basis.DIPOLE)
     fermi = change_basis(fermi_dipole)
-    # i |1,1> has the same projector as |1,1>
-    dev_f = float(np.max(np.abs(fermi.matrix - fermi_dipole.matrix)))
+    # i |1,1> has the same correlators as |1,1>
+    dev_f = _correlator_deviation(fermi, fermi_dipole)
     ok = dev_b < 1e-12 and dev_f < 1e-12
     assert _verdict(8, ok, "basis identities (i/sqrt2)(|2,0>-|0,2>) and "
-                    f"i|1,1>, projector devs {dev_b:.3e} / {dev_f:.3e} "
+                    f"i|1,1>, correlator devs {dev_b:.3e} / {dev_f:.3e} "
                     "(tol 1e-12; global phase is unobservable)")
 
 

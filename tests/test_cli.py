@@ -111,15 +111,36 @@ def test_exit_codes(tmp_path, capsys):
     # unparseable complex amplitude
     assert main(["profile", "--state", "coherent", "--alpha-x", "nope"]
                 + out) == 2
+    # negative occupation, and thermal occupancies that are negative or not
+    # finite
+    assert main(["profile", "--state", "bose-fock", "--n", "-1"] + out) == 2
+    for nbar in ("-1", "inf", "nan"):
+        assert main(["profile", "--state", "thermal", "--nbar-a", nbar]
+                    + out) == 2
     # verify resolution floor
     assert main(["verify", "--resolution", "4"] + out) == 2
     # default coherent cutoff cannot hold |alpha|^2 = 9
     assert main(["profile", "--state", "coherent", "--alpha-x", "3+0i",
                  "--alpha-y", "0+0i"] + out) == 3
     capsys.readouterr()
+    # default cothermal cutoff cannot hold |alpha|^2 = 16; the message says
+    # which cutoff would
+    assert main(["profile", "--state", "cothermal", "--alpha", "4"]
+                + out) == 3
+    assert "cutoff 79 suffices" in capsys.readouterr().err
     # relative-angle marginal is not defined for an anisotropic state
     assert main(["pairangle", "--state", "noon"] + out) == 4
     assert "--two-angle" in capsys.readouterr().err
+
+
+def test_pairangle_large_fock_occupation(tmp_path):
+    # 300 quanta in one mode: the state is its 20 correlators, so nothing
+    # grows with the occupation
+    rc = main(["pairangle", "--state", "bose-fock", "--n", "300", "--m", "1",
+               "--points", "64", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "pairangle_summary.json").read_text())
+    assert summary["pair_normalization"] == pytest.approx(300 * 299 + 600)
 
 
 def test_noon_two_angle_outputs(tmp_path):

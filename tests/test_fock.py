@@ -1,17 +1,31 @@
 """Second-quantized layer: correlators, basis changes, state families."""
 
-import json
 import math
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vortexcorr.density import rho1, rho2
 from vortexcorr.errors import PauliViolationError, TruncationError
 from vortexcorr.fock import (Basis, Statistics, change_basis, make_coherent,
                              make_cothermal, make_fock, make_noon,
                              make_thermal, mean_number, mode_occupations,
-                             pair_isotropy_defect, pair_moment,
-                             state_from_json, state_to_json)
+                             pair_isotropy_defect, pair_moment)
+from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
+                               fermi_fock, noon, thermal)
+
+SHIPPED = (fermi_fock(), bose_fock(), bose_fock(2, 1), coherent(), thermal(),
+           cothermal(), noon())
+
+
+def _assert_same_correlators(got, want, atol):
+    np.testing.assert_allclose(got.correlators().first,
+                               want.correlators().first, atol=atol)
+    np.testing.assert_allclose(got.correlators().second,
+                               want.correlators().second, atol=atol)
 
 
 def test_mean_numbers():
@@ -44,6 +58,17 @@ def test_coherent_cutoff_guard():
     with pytest.raises(TruncationError) as err:
         make_coherent(3.0, 3.0j, 2)
     assert err.value.required_cutoff > 2
+
+
+def test_cothermal_cutoff_guard_reports_sufficient_cutoff():
+    with pytest.raises(TruncationError) as err:
+        make_cothermal(4.0, 0.5, 40)
+    need = err.value.required_cutoff
+    assert need > 40
+    assert f"cutoff {need} suffices" in str(err.value)
+    make_cothermal(4.0, 0.5, need)
+    with pytest.raises(TruncationError):
+        make_cothermal(4.0, 0.5, need - 1)
 
 
 def test_fock_correlators_exact():
@@ -96,12 +121,13 @@ def test_bose_basis_identity():
     state = make_fock(1, 1, Statistics.BOSE, Basis.DIPOLE)
     rotated = change_basis(state)
     assert rotated.basis is Basis.VORTEX
-    d = rotated.dim
-    vec = np.zeros(d * d, dtype=complex)
-    vec[2 * d + 0] = 1.0 / math.sqrt(2)
-    vec[0 * d + 2] = -1.0 / math.sqrt(2)
-    want = np.outer(vec, vec.conj())
-    np.testing.assert_allclose(rotated.matrix, want, atol=1e-12)
+    # <adag_p a_q> = delta_pq; <adag_p^2 a_q^2> = +1 for p == q, else -1
+    want_second = np.zeros((2, 2, 2, 2))
+    want_second[0, 0, 0, 0] = want_second[1, 1, 1, 1] = 1.0
+    want_second[0, 0, 1, 1] = want_second[1, 1, 0, 0] = -1.0
+    corr = rotated.correlators()
+    np.testing.assert_allclose(corr.first, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(corr.second, want_second, atol=1e-12)
 
 
 def test_fermi_basis_identity():
@@ -109,7 +135,7 @@ def test_fermi_basis_identity():
     state = make_fock(1, 1, Statistics.FERMI, Basis.DIPOLE)
     rotated = change_basis(state)
     assert rotated.basis is Basis.VORTEX
-    np.testing.assert_allclose(rotated.matrix, state.matrix, atol=1e-12)
+    _assert_same_correlators(rotated, state, atol=1e-12)
 
 
 def test_basis_round_trip():
@@ -119,13 +145,7 @@ def test_basis_round_trip():
         state = build()
         back = change_basis(change_basis(state))
         assert back.basis is state.basis
-        d = state.dim
-        np.testing.assert_allclose(back.matrix[:d * d, :d * d]
-                                   .reshape(d, d, d, d)[:d, :d, :d, :d]
-                                   .reshape(d * d, d * d)
-                                   if back.dim == d else
-                                   back.as4d()[:d, :d, :d, :d].reshape(d * d, d * d),
-                                   state.matrix, atol=1e-11)
+        _assert_same_correlators(back, state, atol=1e-11)
 
 
 def test_correlators_basis_covariant():
@@ -138,12 +158,47 @@ def test_correlators_basis_covariant():
 
 def test_noon_is_rotated_bose11():
     # the bosonic |1,1> dipole state IS the (|2,0>-|0,2>)/sqrt(2) vortex state
-    noon = make_noon(Basis.VORTEX)
+    noon_state = make_noon(Basis.VORTEX)
     rotated = change_basis(make_fock(1, 1, Statistics.BOSE, Basis.DIPOLE))
-    d = min(noon.dim, rotated.dim)
-    a = noon.as4d()[:d, :d, :d, :d]
-    b = rotated.as4d()[:d, :d, :d, :d]
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    assert rotated.basis is noon_state.basis
+    _assert_same_correlators(rotated, noon_state, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
+@pytest.mark.parametrize("basis", ["vortex", "dipole"])
+def test_change_basis_keeps_densities(spec, basis):
+    state = build_state(replace(spec, basis=basis))
+    rotated = change_basis(state)
+    assert rotated.basis is not state.basis
+    axis = np.linspace(-2.5, 2.5, 6)
+    x1, y1, x2, y2 = np.meshgrid(axis, axis, axis[::-1], axis + 0.3,
+                                 indexing="ij")
+    np.testing.assert_allclose(rho1(rotated, x1, y1), rho1(state, x1, y1),
+                               atol=1e-12)
+    np.testing.assert_allclose(rho2(rotated, x1, y1, x2, y2),
+                               rho2(state, x1, y1, x2, y2), atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
+def test_correlators_hermitian(spec):
+    state = build_state(spec)
+    for s in (state, change_basis(state)):
+        corr = s.correlators()
+        # <adag_p a_q>* = <adag_q a_p>, <adag_p adag_p' a_q' a_q>* =
+        # <adag_q adag_q' a_p' a_p>
+        np.testing.assert_allclose(corr.first, corr.first.conj().T,
+                                   atol=1e-14)
+        np.testing.assert_allclose(
+            corr.second, corr.second.transpose(3, 2, 1, 0).conj(),
+            atol=1e-14)
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    code = ("import sys, vortexcorr.cli; "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_mode_occupations():
@@ -155,14 +210,3 @@ def test_isotropy_defect_flags_noon():
     assert pair_isotropy_defect(make_fock(1, 1, Statistics.FERMI)) < 1e-12
     assert pair_isotropy_defect(make_thermal(1.0, 1.0, 40)) < 1e-10
     assert pair_isotropy_defect(make_noon()) > 0.5
-
-
-def test_json_round_trip():
-    state = make_coherent(1.0j, 1.0, 16)
-    text = state_to_json(state)
-    back = state_from_json(text)
-    assert back.statistics is state.statistics
-    assert back.basis is state.basis
-    assert back.cutoff == state.cutoff
-    np.testing.assert_allclose(back.matrix, state.matrix, atol=0)
-    json.loads(text)  # valid JSON document

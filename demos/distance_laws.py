@@ -1,8 +1,8 @@
 """Pair-distance laws across the state family.
 
 Builds the five canonical two-particle configurations, computes the
-distance density of the detected pair by quadrature, and compares each
-against its closed form.  The punchline: all five share E[d^2] = 4 and
+distance density of the detected pair from the exact kernel, and compares
+each against its closed form.  The punchline: all five share E[d^2] = 4 and
 the ring diameter d = 2 sits between the two shared crossing radii of
 the fermionic, bosonic, and coherent curves.
 
@@ -39,7 +39,7 @@ CLOSED = ("fermi-fock", "bose-fock", "coherent")
 
 def main():
     os.makedirs("demo_output", exist_ok=True)
-    print("pair-distance densities (quadrature, 801 points)")
+    print("pair-distance densities (kernel, 801 points)")
     print(f"{'state':<12} {'mean':>10} {'E[d^2]':>10} {'maxima':>24}")
     series = []
     for name, spec in FAMILIES:

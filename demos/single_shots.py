@@ -1,7 +1,7 @@
 """Single-shot detection frames and what they average to.
 
 Draws reproducible position pairs for the fermionic and bosonic Fock
-states, then checks that per-frame statistics recover the quadrature
+states, then checks that per-frame statistics recover the engine
 laws: the near-coincidence fraction separates the two statistics, the
 empirical mean distance lands within a few standard errors, and the
 chi-square fit against the exact law passes.  The counter-based RNG

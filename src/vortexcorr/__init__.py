@@ -11,8 +11,7 @@ the detected pair), `sampler` (reproducible single-shot frames),
 
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      EmptyFramesError, NoPairsError, OrderLimitError,
-                     PauliViolationError, QuadratureError,
-                     SamplerMethodError, TruncationError,
+                     PauliViolationError, SamplerMethodError, TruncationError,
                      UnsupportedStateError, VortexError)
 from .fock import (Basis, Correlators, QuantumState, Statistics,
                    change_basis, make_coherent, make_cothermal, make_fock,
@@ -49,7 +48,7 @@ __all__ = [
     "DiscrepancyReport", "DistSummary", "EmptyFramesError", "Frame",
     "FrameSet", "FrameStream", "KINDS", "Mode", "NoPairsError",
     "OrderLimitError", "PairDistribution", "PairVariable",
-    "PauliViolationError", "Point2D", "QuadratureError", "QuantumState",
+    "PauliViolationError", "Point2D", "QuantumState",
     "SamplerMethodError", "SpecError", "StateSpec", "Statistics",
     "TruncationError", "UnsupportedStateError", "VERSION", "VORTEX_CCW",
     "VORTEX_CW", "VORTEX_PAIR", "VortexError", "all_engine_checks_confirmed",

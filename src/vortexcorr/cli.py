@@ -26,9 +26,8 @@ from . import pairstats
 from .density import density_grid, rho1, rho1_closed
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      EmptyFramesError, NoPairsError, OrderLimitError,
-                     PauliViolationError, QuadratureError,
-                     SamplerMethodError, TruncationError,
-                     UnsupportedStateError)
+                     PauliViolationError, SamplerMethodError,
+                     TruncationError, UnsupportedStateError)
 from .io import provenance, write_csv, write_json
 from .oracle import CONFIRMED, all_engine_checks_confirmed, full_report
 from .sampler import (FrameSet, chi_square_gof, empirical_pair_stats,
@@ -45,10 +44,9 @@ EXIT_NUMERIC = 3
 EXIT_STATE = 4
 
 _CONFIG_ERRORS = (SpecError, PauliViolationError)
-_NUMERIC_ERRORS = (QuadratureError, AlgebraInconsistencyError,
-                   TruncationError, SamplerMethodError, OrderLimitError,
-                   EmptyFramesError, FloatingPointError,
-                   np.linalg.LinAlgError)
+_NUMERIC_ERRORS = (AlgebraInconsistencyError, TruncationError,
+                   SamplerMethodError, OrderLimitError, EmptyFramesError,
+                   FloatingPointError, np.linalg.LinAlgError)
 _STATE_ERRORS = (AnisotropicStateError, NoPairsError, UnsupportedStateError)
 
 _FORMATS = ("csv", "json", "svg")
@@ -112,8 +110,9 @@ class RunConfig:
             data[key] = getattr(self, key)
         return data
 
-    def prov(self):
-        return provenance(config=self.payload(), seed=self.seed)
+    def prov(self, state=None):
+        flags = state.flags if state is not None else ()
+        return provenance(config=self.payload(), seed=self.seed, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +432,7 @@ def _path(cfg, name):
 def cmd_profile(cfg):
     state = build_state(cfg.spec)
     fld = density_grid(state, extent=cfg.extent, step=cfg.step)
-    prov = cfg.prov()
+    prov = cfg.prov(state)
 
     r_axis = np.arange(0.0, cfg.extent + 0.5 * cfg.step, cfg.step)
     cut = rho1(state, r_axis, np.zeros_like(r_axis))
@@ -472,7 +471,7 @@ def cmd_profile(cfg):
 def _two_angle_outputs(cfg):
     state = build_state(cfg.spec)
     dist = pairstats.two_angle_distribution(state, n_points=cfg.points)
-    prov = cfg.prov()
+    prov = cfg.prov(state)
     closure = _reference_two_angle_closure(cfg.spec)
 
     if "csv" in cfg.formats:
@@ -518,7 +517,7 @@ def cmd_pairdist(cfg):
     state = build_state(cfg.spec)
     dist = pairstats.distance_distribution(state, n_points=cfg.points)
     summary = pairstats.summarize(dist)
-    prov = cfg.prov()
+    prov = cfg.prov(state)
     fam, ref = _reference_distance(cfg.spec)
 
     if "csv" in cfg.formats:
@@ -550,7 +549,7 @@ def cmd_pairdist(cfg):
                 np.max(np.abs(dist.values - ref.value_at(dist.grid))))
         write_json(_path(cfg, "pairdist_summary.json"), payload)
     if "svg" in cfg.formats:
-        series = [{"label": "quadrature", "x": dist.grid, "y": dist.values}]
+        series = [{"label": "kernel", "x": dist.grid, "y": dist.values}]
         if ref is not None:
             series.append({"label": "closed form", "x": dist.grid,
                            "y": ref.value_at(dist.grid)})
@@ -565,7 +564,7 @@ def cmd_pairangle(cfg):
         return _two_angle_outputs(cfg)
     state = build_state(cfg.spec)
     dist = pairstats.angle_distribution(state, n_points=cfg.points)
-    prov = cfg.prov()
+    prov = cfg.prov(state)
     closure = _reference_angle_closure(cfg.spec)
 
     mean = float(np.trapezoid(dist.grid * dist.values, dist.grid))
@@ -647,11 +646,10 @@ def _generate_sharded(spec, count, seed, method, threads):
                     meta=meta)
 
 
-def _write_frame_stats(cfg, frames, prov):
+def _write_frame_stats(cfg, state, frames, prov):
     d_hist, a_hist = empirical_pair_stats(frames, bins=cfg.bins)
     distances = pair_separations(frames)
     angles = pair_angles(frames)
-    state = build_state(cfg.spec)
 
     fam, d_ref = _reference_distance(cfg.spec)
     if d_ref is None:
@@ -721,10 +719,11 @@ def _write_frame_stats(cfg, frames, prov):
 def cmd_frames(cfg):
     frames = _generate_sharded(cfg.spec, cfg.count, cfg.seed, cfg.method,
                                cfg.threads)
-    prov = cfg.prov()
+    state = build_state(cfg.spec)
+    prov = cfg.prov(state)
     save_frames(frames, _path(cfg, "frames.csv"), provenance=prov)
     if cfg.stats:
-        _write_frame_stats(cfg, frames, prov)
+        _write_frame_stats(cfg, state, frames, prov)
     return EXIT_OK
 
 

@@ -29,14 +29,6 @@ class AlgebraInconsistencyError(VortexError, RuntimeError):
     """A quantity that must be real came out with a large imaginary part."""
 
 
-class QuadratureError(VortexError, RuntimeError):
-    """Numerical integration failed to reach the requested accuracy."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NoPairsError(VortexError, ValueError):
     """State has no two-particle component, pair statistics are undefined."""
 

@@ -329,6 +329,13 @@ def change_basis(state):
                         _rotate(state.correlators(), u), flags=state.flags)
 
 
+def dipole_correlators(state):
+    """The state's correlators in the dipole basis."""
+    if state.basis is Basis.DIPOLE:
+        return state.correlators()
+    return _rotate(state.correlators(), _DIPOLE_TO_VORTEX.conj().T)
+
+
 def pair_isotropy_defect(state):
     """How strongly the pair density breaks rotation invariance.
 

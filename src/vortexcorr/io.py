@@ -1,17 +1,17 @@
 """Deterministic file writers with embedded provenance.
 
 Every artifact written by the command line carries the tool version, a hash
-of the resolved run configuration, the seed when one is involved, and the
-quadrature orders behind the numbers, so a file can always be traced back
-to the exact run that produced it. All floats are printed with 17
-significant digits (full round-trip precision); identical inputs produce
-byte-identical files.
+of the resolved run configuration, the seed when one is involved, the
+quadrature orders behind the angle laws and the state's flags, so a file
+can always be traced back to the exact run that produced it. All floats
+are printed with 17 significant digits (full round-trip precision);
+identical inputs produce byte-identical files.
 """
 
 import hashlib
 import json
 
-from .pairstats import ANGLE_COUNT, PLANE_ORDER, RADIAL_ORDER
+from .pairstats import ANGLE_COUNT, RADIAL_ORDER
 from .version import GENERATOR_VERSION, VERSION
 
 TOOL_NAME = "vortexcorr"
@@ -30,22 +30,23 @@ def config_hash(config):
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
-def provenance(config=None, seed=None, extra=None):
+def provenance(config=None, seed=None, flags=()):
+    """Provenance block; `flags` are the markers the state carries (for
+    example "supplement-approximated"), recorded only when present."""
     prov = {
         "tool": TOOL_NAME,
         "version": VERSION,
         "generator": GENERATOR_VERSION,
         "config_sha256": config_hash(config or {}),
         "quadrature": {
-            "plane_order": PLANE_ORDER,
             "radial_order": RADIAL_ORDER,
             "angle_count": ANGLE_COUNT,
         },
     }
     if seed is not None:
         prov["seed"] = int(seed)
-    if extra:
-        prov.update(extra)
+    if flags:
+        prov["flags"] = list(flags)
     return prov
 
 

@@ -9,10 +9,26 @@ binning a 4D lattice:
                        rho2((r, phi), (s, phi + D)),  folded to [0, pi)
   two angle  J(t, v) = (1 / N2) int r dr int s ds rho2((r, t), (s, v))
 
-with N2 = <:N^2:> so every distribution integrates to 1. The center-of-mass
-integrand decays like exp(-2|R|^2) and the angular dependence of every state
-in the family is a low-order trigonometric polynomial, so modest fixed-order
-Gauss-Legendre and periodic-trapezoid rules are exact to well below the 1e-6
+with N2 = <:N^2:> so every distribution integrates to 1.
+
+The distance law is an exact kernel contraction. Every mode is
+phi_v(x) = sqrt(2/pi) (v . x) exp(-|x|^2/2) with v = (1, 0), (0, 1) for the
+dipole pair and (1, +-i)/sqrt(2) for the vortex pair. For the correlator
+second[a, b, c, d] put u1 = conj(v_a), u2 = v_d, u3 = conj(v_b), u4 = v_c
+and (ij) = u_i . u_j (bilinear, no conjugation); the Gaussian integral over
+R and the average over gamma give
+
+  K_abcd(d) = (d exp(-d^2/2) / 4) [S_abcd (1 + d^4/8) + d^2 T_abcd]
+  S = (12)(34) + (13)(24) + (14)(23),   T = (12)(34) - (13)(24) - (14)(23)
+
+so D(d) = d exp(-d^2/2) [s (1 + d^4/8) + t d^2] / (4 N2) with the two state
+numbers s = sum second * S and t = sum second * T. Orthonormal modes give
+(12)(34) summed against second = N2, so s + t = 2 N2, hence int D = 1 and
+E[d^2] = 4 for every state.
+
+The angular dependence of every state in the family is a low-order
+trigonometric polynomial, so the angle laws use modest fixed-order
+Gauss-Legendre and periodic-trapezoid rules, exact to well below the 1e-6
 comparison tolerances used throughout.
 """
 
@@ -22,9 +38,10 @@ from enum import Enum
 
 import numpy as np
 
-from .density import CORRECTED, VERBATIM, basis_modes, rho2
-from .errors import AnisotropicStateError, NoPairsError
-from .fock import pair_isotropy_defect, pair_moment
+from .density import CORRECTED, VERBATIM, basis_modes
+from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
+                     NoPairsError)
+from .fock import dipole_correlators, pair_isotropy_defect, pair_moment
 from .modes import mode_eval
 from .quadrature import EXTENT, gauss_legendre, periodic_angles
 from .states import StateSpec
@@ -34,7 +51,6 @@ DEFAULT_DISTANCE_POINTS = 801
 DEFAULT_ANGLE_POINTS = 361
 DEFAULT_TWO_ANGLE_POINTS = 180
 RADIAL_ORDER = 40
-PLANE_ORDER = 48
 ANGLE_COUNT = 16
 
 PAIR_WEIGHT_TOL = 1e-14
@@ -107,7 +123,7 @@ def _require_pairs(state):
 
 
 def _clip_noise(values):
-    # quadrature round-off can leave ~ -1e-16 at exact zeros of the density
+    # round-off can leave ~ -1e-16 at exact zeros of the density
     floor = -1e-10 * max(1.0, float(np.max(values, initial=0.0)))
     if np.min(values, initial=0.0) < floor:
         raise AnisotropicStateError(
@@ -116,36 +132,44 @@ def _clip_noise(values):
     return np.maximum(values, 0.0)
 
 
-def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS,
-                          plane_order=PLANE_ORDER, angle_count=ANGLE_COUNT):
-    """Tabulated pair-distance density D(d) on [0, 8].
+def _distance_coefficients(state):
+    """The state numbers (s, t) of the distance kernel.
 
-    The delta constraint is removed by the center-of-mass / relative
-    coordinate change, leaving a smooth integral per grid point.
+    In the dipole basis v_a and v_b are the unit vectors, so every (ij) is
+    a Kronecker delta and s, t reduce to traces of the correlator.
+    """
+    second = dipole_correlators(state).second
+    direct = np.einsum("abba->", second)                # (12)(34)
+    exchange = (np.einsum("aacc->", second)             # (13)(24)
+                + np.einsum("abab->", second))          # (14)(23)
+    s = direct + exchange
+    t = direct - exchange
+    worst = max(abs(s.imag), abs(t.imag))
+    if worst > 1e-12 * max(1.0, abs(s.real), abs(t.real)):
+        raise AlgebraInconsistencyError(
+            f"distance kernel produced imaginary residue {worst:.3e}")
+    return float(s.real), float(t.real)
+
+
+def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
+    """Pair-distance density D(d) on [0, 8] from the exact kernel.
+
+    The closure evaluates the law anywhere; values tabulates it on the grid.
     """
     norm = _require_pairs(state)
-    nodes, weights = gauss_legendre(plane_order, -EXTENT, EXTENT)
-    rx = np.repeat(nodes, plane_order)
-    ry = np.tile(nodes, plane_order)
-    rw = np.repeat(weights, plane_order) * np.tile(weights, plane_order)
-    gam, _ = periodic_angles(angle_count)
-    dgam = 2.0 * math.pi / angle_count
-    cg = np.cos(gam)[:, None]
-    sg = np.sin(gam)[:, None]
+    s, t = _distance_coefficients(state)
+
+    def closure(d):
+        d = np.asarray(d, dtype=float)
+        d2 = d * d
+        return _clip_noise(d * np.exp(-0.5 * d2)
+                           * (s * (1.0 + d2 * d2 / 8.0) + t * d2)
+                           / (4.0 * norm))
 
     grid = np.linspace(0.0, DISTANCE_MAX, n_points)
-    values = np.empty(n_points)
-    for i, d in enumerate(grid):
-        hx = 0.5 * d * cg
-        hy = 0.5 * d * sg
-        dens = rho2(state, rx[None, :] + hx, ry[None, :] + hy,
-                    rx[None, :] - hx, ry[None, :] - hy)
-        values[i] = d * dgam * float(np.sum(dens @ rw)) / norm
-    values = _clip_noise(values)
-    meta = {"plane_order": plane_order, "angle_count": angle_count,
-            "extent": EXTENT}
-    return PairDistribution(PairVariable.DISTANCE, grid, values,
-                            normalization=norm, meta=meta)
+    return PairDistribution(PairVariable.DISTANCE, grid, closure(grid),
+                            normalization=norm, closure=closure,
+                            meta={"kernel_s": s, "kernel_t": t})
 
 
 def _angle_profiles(state, r_nodes, r_weights, thetas):
@@ -334,53 +358,22 @@ def _refine_maximum(fn, lo, hi, tol=1e-9):
     return 0.5 * (a + b)
 
 
-def _local_fit_vertex(x, v, i):
-    """Peak location from a quartic fit through the surrounding points."""
-    lo, hi = max(0, i - 3), min(len(x), i + 4)
-    if hi - lo < 5:
-        return x[i]
-    xs, vs = x[lo:hi], v[lo:hi]
-    # center for conditioning
-    coeffs = np.polyfit(xs - x[i], vs, 4)
-    crit = np.roots(np.polyder(coeffs))
-    crit = crit[np.abs(crit.imag) < 1e-12].real
-    h = x[1] - x[0]
-    crit = crit[np.abs(crit) <= 1.5 * h]
-    if crit.size == 0:
-        return x[i]
-    best = crit[np.argmin(np.abs(crit))]
-    return float(x[i] + best)
-
-
 def summarize(dist):
-    """Moments and interior maxima of a distance distribution."""
-    if dist.variable is not PairVariable.DISTANCE:
-        raise ValueError("summarize expects a distance distribution")
-    if dist.closure is not None:
-        nodes, weights = gauss_legendre(96, 0.0, DISTANCE_MAX)
-        dens = dist.closure(nodes)
-        mean = float(np.sum(weights * nodes * dens))
-        second = float(np.sum(weights * nodes * nodes * dens))
-    else:
-        from scipy.integrate import simpson
-        mean = float(simpson(dist.grid * dist.values, x=dist.grid))
-        second = float(simpson(dist.grid ** 2 * dist.values, x=dist.grid))
+    """Moments and interior maxima of a distance law with a closure."""
+    if dist.variable is not PairVariable.DISTANCE or dist.closure is None:
+        raise ValueError("summarize expects a distance law with a closure")
+    nodes, weights = gauss_legendre(96, 0.0, DISTANCE_MAX)
+    dens = dist.closure(nodes)
+    mean = float(np.sum(weights * nodes * dens))
+    second = float(np.sum(weights * nodes * nodes * dens))
 
     peak_floor = 1e-6 * float(np.max(dist.values))
-    maxima = []
-    if dist.closure is not None:
-        scan = np.arange(0.0, DISTANCE_MAX + 1e-12, 1e-3)
-        vals = dist.closure(scan)
-    else:
-        scan, vals = dist.grid, dist.values
+    scan = np.arange(0.0, DISTANCE_MAX + 1e-12, 1e-3)
+    vals = dist.closure(scan)
     interior = ((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
                 & (vals[1:-1] > peak_floor))
-    for i in np.nonzero(interior)[0] + 1:
-        if dist.closure is not None:
-            maxima.append(_refine_maximum(dist.closure, scan[i - 1],
-                                          scan[i + 1]))
-        else:
-            maxima.append(_local_fit_vertex(scan, vals, i))
+    maxima = [_refine_maximum(dist.closure, scan[i - 1], scan[i + 1])
+              for i in np.nonzero(interior)[0] + 1]
 
     meta = {"variance": second - mean * mean,
             "normalization": dist.normalization}

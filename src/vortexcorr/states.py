@@ -126,6 +126,8 @@ def parse_complex(text):
     omitted). Also accepts plain numbers."""
     if isinstance(text, (int, float, complex)):
         return complex(text)
+    if not isinstance(text, str):
+        raise SpecError(f"cannot parse complex literal {text!r}")
     s = text.strip()
     if not s:
         raise SpecError("empty complex literal")
@@ -168,6 +170,14 @@ def spec_to_dict(spec):
     return out
 
 
+def _number(data, key, cast):
+    try:
+        return cast(data[key])
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(f"{key} must be a number, got {data[key]!r}") \
+            from None
+
+
 def spec_from_dict(data):
     try:
         kind = data["kind"]
@@ -176,21 +186,18 @@ def spec_from_dict(data):
     kwargs = {"kind": kind}
     if "basis" in data:
         kwargs["basis"] = data["basis"]
-    if "cutoff" in data:
-        kwargs["cutoff"] = int(data["cutoff"])
-    for key in ("n", "m"):
+    for key in ("cutoff", "n", "m"):
         if key in data:
-            kwargs[key] = int(data[key])
+            kwargs[key] = _number(data, key, int)
     if "alpha_x" in data:
         kwargs["alpha_a"] = parse_complex(data["alpha_x"])
     if "alpha_y" in data:
         kwargs["alpha_b"] = parse_complex(data["alpha_y"])
     if "alpha" in data:
         kwargs["alpha_a"] = parse_complex(data["alpha"])
-    if "nbar_a" in data:
-        kwargs["nbar_a"] = float(data["nbar_a"])
-    if "nbar_b" in data:
-        kwargs["nbar_b"] = float(data["nbar_b"])
+    for key in ("nbar_a", "nbar_b"):
+        if key in data:
+            kwargs[key] = _number(data, key, float)
     if "nbar" in data:
-        kwargs["nbar_a"] = float(data["nbar"])
+        kwargs["nbar_a"] = _number(data, "nbar", float)
     return StateSpec(**kwargs).normalized()

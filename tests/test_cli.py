@@ -42,7 +42,8 @@ def test_profile_outputs(tmp_path):
     prov = summary["provenance"]
     assert prov["tool"] == "vortexcorr"
     assert len(prov["config_sha256"]) == 64
-    assert prov["quadrature"]["plane_order"] > 0
+    assert prov["quadrature"]["radial_order"] > 0
+    assert "flags" not in prov
     grid_prov = _provenance(tmp_path / "profile_grid.csv")
     assert grid_prov["config_sha256"] == prov["config_sha256"]
     header, rows = _data_rows(tmp_path / "profile_grid.csv")
@@ -117,6 +118,14 @@ def test_exit_codes(tmp_path, capsys):
     for nbar in ("-1", "inf", "nan"):
         assert main(["profile", "--state", "thermal", "--nbar-a", nbar]
                     + out) == 2
+    # non-numeric entries of a config file
+    for entry in ({"state": "bose-fock", "n": "x"},
+                  {"state": "thermal", "cutoff": "big"},
+                  {"state": "thermal", "nbar_a": "abc"},
+                  {"state": "coherent", "alpha_x": [1]}):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(entry))
+        assert main(["profile", "--config", str(cfg)] + out) == 2, entry
     # verify resolution floor
     assert main(["verify", "--resolution", "4"] + out) == 2
     # default coherent cutoff cannot hold |alpha|^2 = 9
@@ -131,6 +140,18 @@ def test_exit_codes(tmp_path, capsys):
     # relative-angle marginal is not defined for an anisotropic state
     assert main(["pairangle", "--state", "noon"] + out) == 4
     assert "--two-angle" in capsys.readouterr().err
+
+
+def test_state_flags_in_provenance(tmp_path):
+    rc = main(["pairdist", "--state", "cothermal", "--points", "32",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "pairdist_summary.json").read_text())
+    assert summary["provenance"]["flags"] == ["supplement-approximated"]
+    assert _provenance(tmp_path / "pairdist_distribution.csv") \
+        == summary["provenance"]
+    assert "supplement-approximated" in \
+        (tmp_path / "pairdist_overlay.svg").read_text()
 
 
 def test_pairangle_large_fock_occupation(tmp_path):

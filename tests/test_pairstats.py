@@ -1,19 +1,29 @@
-"""Distance and angle laws: quadrature vs closed forms, moments, peaks."""
+"""Distance and angle laws: kernel and quadrature vs closed forms, moments,
+peaks."""
 
 import math
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vortexcorr.density import rho2
 from vortexcorr.errors import AnisotropicStateError, NoPairsError
-from vortexcorr.pairstats import (VERBATIM, angle_distribution,
-                                  closed_form_angle, closed_form_distance,
-                                  closed_form_two_angle,
+from vortexcorr.fock import pair_moment
+from vortexcorr.pairstats import (VERBATIM, PairDistribution, PairVariable,
+                                  angle_distribution, closed_form_angle,
+                                  closed_form_distance, closed_form_two_angle,
                                   compose_distance_samples,
                                   distance_distribution, ring_radial_density,
                                   summarize, two_angle_distribution)
+from vortexcorr.quadrature import gauss_legendre
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
+
+SHIPPED = (fermi_fock(), bose_fock(), bose_fock(2, 1), coherent(), thermal(),
+           cothermal(), noon())
 
 FERMI_MEAN = math.sqrt(9.0 * math.pi / 8.0)      # 1.8799712059732503
 BOSE_MEAN = math.sqrt(121.0 * math.pi / 128.0)   # 1.7233069378059566
@@ -29,6 +39,87 @@ def engine_distance():
                  noon()):
         out[spec.kind] = distance_distribution(build_state(spec))
     return out
+
+
+def _plane_reference(state, d):
+    """D(d) by brute force: the center-of-mass plane [-6, 6]^2 on a 48^2
+    Gauss-Legendre grid times a 16-angle periodic rule for the direction."""
+    nodes, weights = gauss_legendre(48, -6.0, 6.0)
+    rx, ry = (a.ravel() for a in np.meshgrid(nodes, nodes, indexing="ij"))
+    rw = np.outer(weights, weights).ravel()
+    gamma = np.arange(16) * (2.0 * math.pi / 16)
+    hx = 0.5 * d[:, None, None] * np.cos(gamma)[None, :, None]
+    hy = 0.5 * d[:, None, None] * np.sin(gamma)[None, :, None]
+    dens = rho2(state, rx + hx, ry + hy, rx - hx, ry - hy)
+    return d * (2.0 * math.pi / 16) * np.sum(dens * rw, axis=(1, 2)) \
+        / pair_moment(state)
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
+@pytest.mark.parametrize("basis", ["vortex", "dipole"])
+def test_distance_kernel_matches_plane_quadrature(spec, basis):
+    state = build_state(replace(spec, basis=basis))
+    d = np.linspace(0.0, 8.0, 9)
+    got = distance_distribution(state).value_at(d)
+    np.testing.assert_allclose(got, _plane_reference(state, d), rtol=0,
+                               atol=2e-10)
+
+
+def test_distance_kernel_matches_closed_forms():
+    for spec in (fermi_fock(), fermi_fock("dipole"), bose_fock(1, 1),
+                 coherent(), noon()):
+        dist = distance_distribution(build_state(spec))
+        want = closed_form_distance(spec.kind, dist.grid)
+        assert np.max(np.abs(dist.values - want)) <= 1e-13, spec.kind
+
+
+def _random_spec(draw):
+    from hypothesis import strategies as st
+    kind = draw(st.sampled_from(("bose-fock", "fermi-fock", "coherent",
+                                 "thermal", "cothermal", "noon")))
+    basis = draw(st.sampled_from(("vortex", "dipole")))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "bose-fock":
+        n = draw(st.integers(0, 6))
+        spec = bose_fock(n, draw(st.integers(max(0, 2 - n), 6)))
+    elif kind == "coherent":
+        spec = coherent(complex(draw(unit), draw(unit)),
+                        complex(draw(unit), draw(unit)), cutoff=24)
+    elif kind == "thermal":
+        spec = thermal(draw(st.floats(0.05, 0.8)), draw(st.floats(0.05, 0.8)))
+    elif kind == "cothermal":
+        spec = cothermal(complex(draw(unit), draw(unit)) * 0.7,
+                         draw(st.floats(0.05, 0.5)))
+    else:
+        spec = fermi_fock() if kind == "fermi-fock" else noon()
+    return replace(spec, basis=basis)
+
+
+def test_distance_kernel_normalized_with_second_moment_four():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    nodes, weights = gauss_legendre(160, 0.0, 16.0)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        state = build_state(_random_spec(data.draw))
+        hypothesis.assume(pair_moment(state) > 1e-3)
+        dens = distance_distribution(state, n_points=8).value_at(nodes)
+        assert abs(np.sum(weights * dens) - 1.0) <= 1e-12
+        assert abs(np.sum(weights * nodes ** 2 * dens) - 4.0) <= 1e-12
+
+    check()
+
+
+def test_pairdist_leaves_out_scipy(tmp_path):
+    code = ("import sys; from vortexcorr.cli import main; "
+            "rc = main(['pairdist', '--state', 'thermal', '--points', '64', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0 False"
 
 
 def test_distance_laws_match_closed_forms(engine_distance):
@@ -146,6 +237,14 @@ def test_distance_crossings():
         b = float(closed_form_distance("bose-fock", d))
         c = float(closed_form_distance("coherent", d))
         assert abs(f - b) < 1e-14 and abs(f - c) < 1e-14
+
+
+def test_summarize_needs_closure():
+    grid = np.linspace(0.0, 8.0, 81)
+    table = PairDistribution(PairVariable.DISTANCE, grid,
+                             closed_form_distance("fermi-fock", grid))
+    with pytest.raises(ValueError):
+        summarize(table)
 
 
 def test_no_pairs_guard():

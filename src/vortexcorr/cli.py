@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +155,9 @@ def _add_output_flags(sp):
     grp.add_argument("--config", default=None, metavar="FILE",
                      help="JSON config file; explicit flags override its entries")
     grp.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="worker-parallelism cap; results do not depend on it")
+                     help="frames: generate shards in N threads and format "
+                          "frames.csv blocks in N processes; results do not "
+                          "depend on it")
 
 
 def build_parser():
@@ -721,7 +723,8 @@ def cmd_frames(cfg):
                                cfg.threads)
     state = build_state(cfg.spec)
     prov = cfg.prov(state)
-    save_frames(frames, _path(cfg, "frames.csv"), provenance=prov)
+    save_frames(frames, _path(cfg, "frames.csv"), provenance=prov,
+                workers=cfg.threads)
     if cfg.stats:
         _write_frame_stats(cfg, state, frames, prov)
     return EXIT_OK
@@ -784,6 +787,9 @@ def main(argv=None):
         return EXIT_STATE
     except _NUMERIC_ERRORS as exc:
         print(f"vortexcorr: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except BrokenExecutor as exc:
+        print(f"vortexcorr: a worker process died: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -359,10 +359,14 @@ def _refine_maximum(fn, lo, hi, tol=1e-9):
 
 
 def summarize(dist):
-    """Moments and interior maxima of a distance law with a closure."""
+    """Moments and interior maxima of a distance law with a closure.
+
+    Moments integrate the closure over [0, 2 DISTANCE_MAX], where the mass
+    beyond adds below 1e-45; maxima are scanned on [0, DISTANCE_MAX].
+    """
     if dist.variable is not PairVariable.DISTANCE or dist.closure is None:
         raise ValueError("summarize expects a distance law with a closure")
-    nodes, weights = gauss_legendre(96, 0.0, DISTANCE_MAX)
+    nodes, weights = gauss_legendre(160, 0.0, 2.0 * DISTANCE_MAX)
     dens = dist.closure(nodes)
     mean = float(np.sum(weights * nodes * dens))
     second = float(np.sum(weights * nodes * nodes * dens))

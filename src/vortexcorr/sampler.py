@@ -14,6 +14,7 @@ order or split across workers without changing a single sample.
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -457,6 +458,28 @@ class GofResult:
     bins: int
 
 
+def _chi2_sf(x, dof):
+    """Chi-square survival function Q(dof/2, x/2) for integer dof.
+
+    Even dof: e^-h sum_{j < dof/2} h^j / j!; odd dof: erfc(sqrt h) +
+    e^-h sum_{j=1}^{(dof-1)/2} h^(j-1/2) / Gamma(j+1/2), with h = x/2.
+    Each term is formed in logs, so e^-h never underflows on its own.
+    """
+    if dof < 1:
+        return math.nan
+    h = 0.5 * x
+    if h <= 0.0:
+        return 1.0
+    if dof % 2 == 0:
+        head, powers = 0.0, range(dof // 2)
+    else:
+        head, powers = math.erfc(math.sqrt(h)), \
+            [j - 0.5 for j in range(1, (dof + 1) // 2)]
+    log_h = math.log(h)
+    return math.fsum([head] + [math.exp(p * log_h - h - math.lgamma(p + 1.0))
+                               for p in powers])
+
+
 def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
                    min_expected=5.0):
     """Pearson chi-square of samples against a reference density.
@@ -465,7 +488,6 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
     bins with expected counts under `min_expected` merge rightward into
     their neighbor, deterministically.
     """
-    from scipy.stats import chi2
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n == 0:
@@ -507,7 +529,7 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
     stat = float(np.sum((counts - expected) ** 2 / expected))
     dof = len(counts) - 1
     return GofResult(statistic=stat, dof=dof,
-                     pvalue=float(chi2.sf(stat, dof)), bins=len(counts))
+                     pvalue=_chi2_sf(stat, dof), bins=len(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +537,50 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
 # ---------------------------------------------------------------------------
 
 _HEADER_PREFIX = "#vortexcorr-frames "
+_ROW_FORMAT = "%d,%.17g,%.17g,%.17g,%.17g\n"
+_WRITE_ROWS = 65536
 
 
-def save_frames(frames, path, provenance=None):
-    """Single-file format: one JSON header comment line, then a CSV body."""
+def _format_rows(start, points):
+    """CSV body rows of `points` (shape (k, 2, 2)), indexed from `start`.
+
+    One %-format call per block: the float column holding the frame index
+    is exact below 2**53 and prints through %d as the integer.
+    """
+    k = points.shape[0]
+    rows = np.empty((k, 5))
+    rows[:, 0] = np.arange(start, start + k)
+    rows[:, 1:] = points.reshape(k, 4)
+    return _ROW_FORMAT * k % tuple(rows.ravel().tolist())
+
+
+def _formatted_blocks(points, workers):
+    """Body text block by block, in order; forked processes format the
+    blocks when `workers` > 1, since %-formatting holds the GIL."""
+    starts = range(0, points.shape[0], _WRITE_ROWS)
+    blocks = (points[lo:lo + _WRITE_ROWS] for lo in starts)
+    if workers > 1 and len(starts) > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            # fork, not spawn: the children only run _format_rows on the
+            # blocks they are sent and touch no lock or BLAS thread state
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(min(workers, len(starts)),
+                                     mp_context=context) as pool:
+                yield from pool.map(_format_rows, starts, blocks)
+            return
+    for lo, block in zip(starts, blocks):
+        yield _format_rows(lo, block)
+
+
+def save_frames(frames, path, provenance=None, workers=1):
+    """Single-file format: one JSON header comment line, then a CSV body.
+
+    The body is written in blocks of `_WRITE_ROWS` rows; `workers` > 1
+    formats the blocks in up to that many forked processes. The bytes
+    never depend on `workers`.
+    """
     if frames.spec is None:
         raise ValueError("FrameSet has no state descriptor; build it from "
                          "a StateSpec to make it saveable")
@@ -534,15 +596,20 @@ def save_frames(frames, path, provenance=None):
     }
     if provenance:
         header["provenance"] = provenance
-    lines = [_HEADER_PREFIX + json.dumps(header, sort_keys=True,
-                                         separators=(",", ":"))]
-    lines.append("frame_index,x1,y1,x2,y2")
-    for i in range(frames.count):
-        p = frames.points[i]
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g"
-                     % (i, p[0, 0], p[0, 1], p[1, 0], p[1, 1]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # blocks reach the disk as they are formatted, so build the file
+    # beside its target and move it there only once it is whole
+    part = f"{path}.part"
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write(_HEADER_PREFIX + json.dumps(
+                header, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write("frame_index,x1,y1,x2,y2\n")
+            for text in _formatted_blocks(frames.points, workers):
+                fh.write(text)
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def load_frames(path):

@@ -7,9 +7,13 @@ subprocesses.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from vortexcorr import sampler
 from vortexcorr.cli import main
 from vortexcorr.oracle import BOSE_DISTANCE_MEAN, BOSE_DISTANCE_MODES
 
@@ -188,14 +192,17 @@ def test_formats_filter(tmp_path):
     assert not any(n.endswith(".json") or n.endswith(".svg") for n in names)
 
 
-def test_frames_deterministic_and_thread_invariant(tmp_path):
+def test_frames_deterministic_and_thread_invariant(tmp_path, monkeypatch):
+    # 1000-row write blocks, so --threads 2 and 3 format in processes
+    monkeypatch.setattr(sampler, "_WRITE_ROWS", 1000)
     argv = ["frames", "--state", "fermi-fock", "--seed", "11",
             "--count", "3000"]
-    for sub, extra in (("a", []), ("b", []), ("c", ["--threads", "3"])):
+    for sub, extra in (("a", []), ("b", []), ("c", ["--threads", "3"]),
+                       ("d", ["--threads", "2"])):
         assert main(argv + ["--out", str(tmp_path / sub)] + extra) == 0
     blob = (tmp_path / "a" / "frames.csv").read_bytes()
-    assert (tmp_path / "b" / "frames.csv").read_bytes() == blob
-    assert (tmp_path / "c" / "frames.csv").read_bytes() == blob
+    for sub in "bcd":
+        assert (tmp_path / sub / "frames.csv").read_bytes() == blob, sub
     head = blob.decode().splitlines()[0]
     assert head.startswith("#vortexcorr-frames ")
     meta = json.loads(head[len("#vortexcorr-frames "):])
@@ -203,6 +210,53 @@ def test_frames_deterministic_and_thread_invariant(tmp_path):
     assert meta["count"] == 3000
     assert 0.0 < meta["acceptance_rate"] <= 1.0
     assert meta["provenance"]["config_sha256"]
+
+
+_TEST_PID = os.getpid()
+
+
+def _die(start, points):
+    """Block formatter that kills the worker process running it."""
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("blocks were formatted in the test process")
+    os._exit(1)
+
+
+def test_frames_dead_worker_exit_code(tmp_path, monkeypatch, capsys):
+    # forked workers inherit the patched formatter and exit at once
+    monkeypatch.setattr(sampler, "_WRITE_ROWS", 1000)
+    monkeypatch.setattr(sampler, "_format_rows", _die)
+    assert main(["frames", "--state", "fermi-fock", "--seed", "1",
+                 "--count", "3000", "--threads", "2",
+                 "--out", str(tmp_path)]) == 3
+    assert "worker process died" in capsys.readouterr().err
+    # neither frames.csv nor its partial file is left behind
+    assert not list(tmp_path.glob("frames.csv*"))
+
+
+def _fresh_modules(code):
+    """Top-level package names in sys.modules after running `code` in a
+    fresh interpreter."""
+    code = ("import json, sys; " + code + "; "
+            "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_frames_stats_leaves_out_scipy(tmp_path):
+    loaded = _fresh_modules(
+        "from vortexcorr.cli import main; "
+        "assert main(['frames', '--state', 'fermi-fock', '--count', '2000', "
+        f"'--seed', '3', '--stats', '--out', {str(tmp_path)!r}]) == 0")
+    assert "scipy" not in loaded
+    assert "vortexcorr" in loaded
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    loaded = _fresh_modules("import vortexcorr.cli")
+    assert "multiprocessing" not in loaded
+    assert "vortexcorr" in loaded
 
 
 def test_frames_stats_outputs(tmp_path):

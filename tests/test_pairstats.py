@@ -152,6 +152,15 @@ def test_noon_distance_equals_coherent(engine_distance):
     assert np.max(np.abs(a.values - b.values)) < 1e-6
 
 
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
+def test_summary_second_moment_exact(spec):
+    # the moment rule reaches d = 16, so no mass beyond d = 8 is lost
+    summary = summarize(distance_distribution(build_state(spec), n_points=8))
+    assert abs(summary.second_moment - 4.0) < 1e-12
+    if spec.kind == "fermi-fock":
+        assert abs(summary.mean - FERMI_MEAN) < 1e-12
+
+
 def test_second_moment_is_four_for_family(engine_distance):
     # E[d^2] = 2 <r^2> holds across the family; includes thermal
     for kind, dist in engine_distance.items():

@@ -1,11 +1,13 @@
 """Frame sampler: counter RNG, inverse CDF, determinism, estimators."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from vortexcorr import sampler
 from vortexcorr.errors import (EmptyFramesError, NoPairsError,
                                SamplerMethodError)
 from vortexcorr.sampler import (FrameStream, chi_square_gof, counter_uniforms,
@@ -230,6 +232,53 @@ def test_save_zero_frames(tmp_path):
     save_frames(frames, path)
     back = load_frames(path)
     assert back.count == 0
+
+
+def _row_by_row_save(frames, path, provenance=None):
+    """The frame writer as it was before block streaming: one %-format per
+    row, joined into one string."""
+    header = {
+        "format": "vortexcorr.frames",
+        "version": sampler.VERSION,
+        "generator": sampler.GENERATOR_VERSION,
+        "state": sampler.spec_to_dict(frames.spec),
+        "seed": frames.seed,
+        "count": frames.count,
+        "method": frames.method,
+        "acceptance_rate": frames.acceptance_rate,
+    }
+    if provenance:
+        header["provenance"] = provenance
+    lines = ["#vortexcorr-frames " + json.dumps(header, sort_keys=True,
+                                               separators=(",", ":"))]
+    lines.append("frame_index,x1,y1,x2,y2")
+    for i in range(frames.count):
+        p = frames.points[i]
+        lines.append("%d,%.17g,%.17g,%.17g,%.17g"
+                     % (i, p[0, 0], p[0, 1], p[1, 0], p[1, 1]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("count", [0, 1, sampler._WRITE_ROWS + 1])
+def test_save_frames_matches_row_by_row_writer(tmp_path, count):
+    frames = generate_frames(fermi_fock(), count, seed=29)
+    want = tmp_path / "reference.csv"
+    _row_by_row_save(frames, want, provenance={"note": "blocks"})
+    for workers in (1, 3):
+        got = tmp_path / f"workers{workers}.csv"
+        save_frames(frames, got, provenance={"note": "blocks"},
+                    workers=workers)
+        assert got.read_bytes() == want.read_bytes(), workers
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    x = np.linspace(0.0, 400.0, 401)
+    for dof in range(1, 81):
+        got = [sampler._chi2_sf(float(v), dof) for v in x]
+        np.testing.assert_allclose(got, stats.chi2.sf(x, dof), rtol=1e-12,
+                                   atol=0.0, err_msg=f"dof {dof}")
 
 
 def test_empty_frames_guards():

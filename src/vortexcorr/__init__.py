@@ -18,7 +18,7 @@ from .fock import (Basis, Correlators, QuantumState, Statistics,
                    make_noon, make_thermal, mean_number, mode_occupations,
                    pair_moment)
 from .modes import (DIPOLE_PAIR, DIPOLE_X, DIPOLE_Y, VORTEX_CCW, VORTEX_CW,
-                    VORTEX_PAIR, Mode, Point2D, hermite_mode, mode_eval,
+                    VORTEX_PAIR, Mode, Point2D, mode_eval,
                     overlap, rotate_xy)
 from .density import (DensityField, density_grid, rho1, rho1_closed, rho2,
                       rho2_closed, rho2_polar)
@@ -58,7 +58,7 @@ __all__ = [
     "closed_form_two_angle", "coherent", "compose_distance_samples",
     "cothermal", "counter_uniforms", "cross_validate", "density_grid",
     "distance_distribution", "empirical_pair_stats", "empirical_profile",
-    "fermi_fock", "full_report", "generate_frames", "hermite_mode",
+    "fermi_fock", "full_report", "generate_frames",
     "invert_radial_cdf", "load_frames", "make_coherent", "make_cothermal",
     "make_fock", "make_noon", "make_thermal", "mean_number", "mode_eval",
     "mode_occupations", "noon", "overlap", "pair_angles", "pair_moment",

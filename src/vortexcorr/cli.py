@@ -60,8 +60,8 @@ _COMMAND_KEYS = {
     "profile": _STATE_KEYS + _OUTPUT_KEYS + ("step", "extent"),
     "pairdist": _STATE_KEYS + _OUTPUT_KEYS + ("points", "two_angle"),
     "pairangle": _STATE_KEYS + _OUTPUT_KEYS + ("points", "two_angle"),
-    "frames": _STATE_KEYS + _OUTPUT_KEYS + ("seed", "count", "method",
-                                            "stats", "bins"),
+    "frames": _STATE_KEYS + _OUTPUT_KEYS + ("seed", "count", "stats",
+                                            "bins"),
     "verify": _OUTPUT_KEYS + ("resolution",),
 }
 
@@ -69,8 +69,7 @@ _COMMAND_DEFAULTS = {
     "profile": {"step": 0.05, "extent": 6.0},
     "pairdist": {"points": None, "two_angle": False},
     "pairangle": {"points": None, "two_angle": False},
-    "frames": {"seed": None, "count": 1000, "method": "auto",
-               "stats": False, "bins": 64},
+    "frames": {"seed": None, "count": 1000, "stats": False, "bins": 64},
     "verify": {"resolution": 61},
 }
 
@@ -91,7 +90,6 @@ class RunConfig:
     step: float = 0.05
     extent: float = 6.0
     bins: int = 64
-    method: str = "auto"
     resolution: int = 61
     threads: int = 1
     two_angle: bool = False
@@ -236,8 +234,6 @@ def build_parser():
                     help="RNG seed; mandatory, there is no implicit entropy")
     sp.add_argument("--count", type=int, default=None,
                     help="number of frames (default 1000)")
-    sp.add_argument("--method", choices=("auto", "ring", "cartesian"),
-                    default=None, help="sampling strategy (default auto)")
     sp.add_argument("--stats", action="store_true", default=None,
                     help="also write empirical histograms and fit statistics")
     sp.add_argument("--bins", type=int, default=None,
@@ -345,7 +341,7 @@ def resolve_config(args):
 
     for key, caster in (("seed", int), ("count", int), ("points", int),
                         ("step", float), ("extent", float), ("bins", int),
-                        ("method", str), ("resolution", int),
+                        ("resolution", int),
                         ("two_angle", bool), ("stats", bool)):
         if key in cfg and cfg[key] is not None:
             try:
@@ -610,7 +606,7 @@ def cmd_pairangle(cfg):
                 np.max(np.abs(dist.values - closure(dist.grid))))
         write_json(_path(cfg, "pairangle_summary.json"), payload)
     if "svg" in cfg.formats:
-        series = [{"label": "quadrature", "x": dist.grid, "y": dist.values}]
+        series = [{"label": "kernel", "x": dist.grid, "y": dist.values}]
         if closure is not None:
             series.append({"label": "closed form", "x": dist.grid,
                            "y": closure(dist.grid)})
@@ -620,7 +616,7 @@ def cmd_pairangle(cfg):
     return EXIT_OK
 
 
-def _generate_sharded(spec, count, seed, method, threads):
+def _generate_sharded(spec, count, seed, threads):
     """Thread-sharded frame generation.
 
     The counter RNG keys every draw by absolute frame index, so disjoint
@@ -628,16 +624,12 @@ def _generate_sharded(spec, count, seed, method, threads):
     summed proposal counts reproduce the same acceptance rate.
     """
     if threads <= 1 or count < 2 * threads:
-        return generate_frames(spec, count, seed, method=method)
+        return generate_frames(spec, count, seed)
     shard = (count + threads - 1) // threads
     tasks = [(lo, min(shard, count - lo)) for lo in range(0, count, shard)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(
-            lambda t: generate_frames(spec, t[1], seed, method=method,
-                                      start=t[0]), tasks))
-    methods = {p.method for p in parts}
-    if len(methods) != 1:
-        raise SamplerMethodError(f"shards disagreed on method: {methods}")
+            lambda t: generate_frames(spec, t[1], seed, start=t[0]), tasks))
     points = np.concatenate([p.points for p in parts])
     proposals = sum(p.meta["proposals"] for p in parts)
     rate = count / proposals if proposals else 1.0
@@ -668,7 +660,9 @@ def _write_frame_stats(cfg, state, frames, prov):
             closure=a_closure)
 
     mean_d = float(np.mean(distances))
-    se_d = float(np.std(distances, ddof=1) / math.sqrt(distances.size))
+    # one frame has no spread; non-finite statistics are written as null
+    se_d = (float(np.std(distances, ddof=1) / math.sqrt(distances.size))
+            if distances.size > 1 else math.nan)
     d_gof = chi_square_gof(distances, d_ref, bins=40)
     a_gof = chi_square_gof(angles, a_ref, bins=40, lo=0.0, hi=math.pi)
 
@@ -694,7 +688,8 @@ def _write_frame_stats(cfg, state, frames, prov):
             "mean_distance": mean_d,
             "mean_distance_se": se_d,
             "reference_mean_distance": d_summary.mean,
-            "mean_distance_z": (mean_d - d_summary.mean) / se_d,
+            "mean_distance_z": ((mean_d - d_summary.mean) / se_d
+                                if se_d > 0.0 else math.nan),
             "distance_gof": {"statistic": d_gof.statistic, "dof": d_gof.dof,
                              "pvalue": d_gof.pvalue, "bins": d_gof.bins},
             "angle_gof": {"statistic": a_gof.statistic, "dof": a_gof.dof,
@@ -719,8 +714,7 @@ def _write_frame_stats(cfg, state, frames, prov):
 
 
 def cmd_frames(cfg):
-    frames = _generate_sharded(cfg.spec, cfg.count, cfg.seed, cfg.method,
-                               cfg.threads)
+    frames = _generate_sharded(cfg.spec, cfg.count, cfg.seed, cfg.threads)
     state = build_state(cfg.spec)
     prov = cfg.prov(state)
     save_frames(frames, _path(cfg, "frames.csv"), provenance=prov,

@@ -1,17 +1,16 @@
 """Deterministic file writers with embedded provenance.
 
 Every artifact written by the command line carries the tool version, a hash
-of the resolved run configuration, the seed when one is involved, the
-quadrature orders behind the angle laws and the state's flags, so a file
-can always be traced back to the exact run that produced it. All floats
-are printed with 17 significant digits (full round-trip precision);
-identical inputs produce byte-identical files.
+of the resolved run configuration, the seed when one is involved and the
+state's flags, so a file can always be traced back to the exact run that
+produced it. All floats are printed with 17 significant digits (full
+round-trip precision); identical inputs produce byte-identical files.
 """
 
 import hashlib
 import json
+import math
 
-from .pairstats import ANGLE_COUNT, RADIAL_ORDER
 from .version import GENERATOR_VERSION, VERSION
 
 TOOL_NAME = "vortexcorr"
@@ -38,10 +37,6 @@ def provenance(config=None, seed=None, flags=()):
         "version": VERSION,
         "generator": GENERATOR_VERSION,
         "config_sha256": config_hash(config or {}),
-        "quadrature": {
-            "radial_order": RADIAL_ORDER,
-            "angle_count": ANGLE_COUNT,
-        },
     }
     if seed is not None:
         prov["seed"] = int(seed)
@@ -74,9 +69,21 @@ def write_csv(path, columns, rows, prov=None, comments=()):
         fh.write("\n".join(lines) + "\n")
 
 
+def _strict(value):
+    """JSON has no NaN or infinity: such floats become null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(_strict(payload), fh, sort_keys=True, indent=2,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -62,22 +62,15 @@ def phi1d(n, x):
 class Mode:
     """A single-particle mode label.
 
-    kind is one of 'vortex-ccw', 'vortex-cw', 'dipole-x', 'dipole-y',
-    'hermite'; n, m are the Cartesian quantum numbers for 'hermite'.
+    kind is one of 'vortex-ccw', 'vortex-cw', 'dipole-x', 'dipole-y'.
     """
     kind: str
-    n: int = 0
-    m: int = 0
 
 
 VORTEX_CCW = Mode("vortex-ccw")
 VORTEX_CW = Mode("vortex-cw")
 DIPOLE_X = Mode("dipole-x")
 DIPOLE_Y = Mode("dipole-y")
-
-
-def hermite_mode(n, m):
-    return Mode("hermite", n, m)
 
 
 # Mode pair backing each two-mode basis tag, in (mode a, mode b) order.
@@ -89,8 +82,6 @@ def mode_eval(mode, x, y):
     """Complex mode amplitude at Cartesian points (vectorized)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if mode.kind == "hermite":
-        return phi1d(mode.n, x) * phi1d(mode.m, y) + 0.0j
     dx = phi1d(1, x) * phi1d(0, y)
     dy = phi1d(0, x) * phi1d(1, y)
     if mode.kind == "dipole-x":

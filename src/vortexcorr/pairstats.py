@@ -26,10 +26,19 @@ numbers s = sum second * S and t = sum second * T. Orthonormal modes give
 (12)(34) summed against second = N2, so s + t = 2 N2, hence int D = 1 and
 E[d^2] = 4 for every state.
 
-The angular dependence of every state in the family is a low-order
-trigonometric polynomial, so the angle laws use modest fixed-order
-Gauss-Legendre and periodic-trapezoid rules, exact to well below the 1e-6
-comparison tolerances used throughout.
+The angle laws rest on the same ring factorisation. Every mode is
+R(r) u_v(theta) with R(r) = r exp(-r^2/2) / sqrt(pi) and the angular
+factors u = exp(+-i theta) (vortex) or sqrt(2) cos theta, sqrt(2) sin theta
+(dipole), so all angular physics sits in the trigonometric polynomial
+
+  W(t, v) = sum second[a, b, c, d] conj(u_a(t)) u_d(t) conj(u_b(v)) u_c(v)
+
+and each radial integral int r dr R(r)^2 = 1/(2 pi) is a constant. Hence
+J(t, v) = W(t, v) / (4 pi^2 N2) and f(D) is the phi-average of
+W(phi, phi + D) over 2 pi N2. W(phi, phi + D) has degree <= 4 in phi, so
+five equally spaced phi average it exactly. Every mode is odd,
+u(theta + pi) = -u(theta), so f(D + pi) = f(D) and the law folded to
+[0, pi) is 2 f(D).
 """
 
 import math
@@ -38,20 +47,19 @@ from enum import Enum
 
 import numpy as np
 
-from .density import CORRECTED, VERBATIM, basis_modes
+from .density import CORRECTED, VERBATIM
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      NoPairsError)
-from .fock import dipole_correlators, pair_isotropy_defect, pair_moment
-from .modes import mode_eval
-from .quadrature import EXTENT, gauss_legendre, periodic_angles
+from .fock import Basis, dipole_correlators, pair_isotropy_defect, pair_moment
+from .quadrature import gauss_legendre
 from .states import StateSpec
 
 DISTANCE_MAX = 8.0
 DEFAULT_DISTANCE_POINTS = 801
 DEFAULT_ANGLE_POINTS = 361
 DEFAULT_TWO_ANGLE_POINTS = 180
-RADIAL_ORDER = 40
-ANGLE_COUNT = 16
+# phi nodes of the relative-angle average: exact for degree <= 4
+_PHI_NODES = np.arange(5) * (2.0 * math.pi / 5)
 
 PAIR_WEIGHT_TOL = 1e-14
 ISOTROPY_TOL = 1e-10
@@ -79,29 +87,24 @@ class PairDistribution:
     meta: dict = field(default_factory=dict)
 
     def value_at(self, x, y=None):
+        if self.closure is None:
+            return np.interp(x, self.grid, self.values)
         if self.variable is PairVariable.TWO_ANGLE:
-            if self.closure is not None:
-                return self.closure(x, y)
-            ii = np.searchsorted(self.grid, np.mod(x, 2.0 * math.pi)) - 1
-            jj = np.searchsorted(self.grid, np.mod(y, 2.0 * math.pi)) - 1
-            return self.values[np.clip(ii, 0, len(self.grid) - 1),
-                               np.clip(jj, 0, len(self.grid) - 1)]
-        if self.closure is not None:
-            return self.closure(x)
-        return np.interp(x, self.grid, self.values)
+            return self.closure(x, y)
+        return self.closure(x)
 
     def integral(self):
-        """Quadrature of the tabulated values over the domain."""
+        """Mass of the law: a distance closure on the moment rule, else
+        the tabulated values over the domain."""
+        step = self.grid[1] - self.grid[0]
         if self.variable is PairVariable.TWO_ANGLE:
-            step = self.grid[1] - self.grid[0]
             return float(np.sum(self.values) * step * step)
         if self.meta.get("estimator") == "histogram":
-            step = self.grid[1] - self.grid[0]
             return float(np.sum(self.values) * step)
-        if self.variable is PairVariable.REL_ANGLE:
-            return float(np.trapezoid(self.values, self.grid))
-        from scipy.integrate import simpson
-        return float(simpson(self.values, x=self.grid))
+        if self.variable is PairVariable.DISTANCE and self.closure is not None:
+            nodes, weights = _moment_rule()
+            return float(np.sum(weights * self.closure(nodes)))
+        return float(np.trapezoid(self.values, self.grid))
 
 
 @dataclass
@@ -172,24 +175,34 @@ def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
                             meta={"kernel_s": s, "kernel_t": t})
 
 
-def _angle_profiles(state, r_nodes, r_weights, thetas):
-    """Radially contracted mode-product profiles G[p, q, ...].
-
-    G[p, q, ...] = int r dr phi_p*(r, theta) phi_q(r, theta); thetas may be
-    any-dimensional, radial nodes are prepended for the contraction.
-    """
-    modes = basis_modes(state.basis)
-    th = np.asarray(thetas, dtype=float)
-    rr = r_nodes.reshape((-1,) + (1,) * th.ndim)
-    xx = rr * np.cos(th)[None, ...]
-    yy = rr * np.sin(th)[None, ...]
-    amps = np.stack([mode_eval(m, xx, yy) for m in modes])
-    wr = r_weights * r_nodes
-    return np.einsum("i,pi...,qi...->pq...", wr, np.conj(amps), amps)
+def _angular_factors(basis, theta):
+    """Angular parts u_p(theta) of the basis mode pair, normalized over
+    the circle; the ring profile R(r) carries the rest of each mode."""
+    theta = np.asarray(theta, dtype=float)
+    if basis is Basis.VORTEX:
+        return np.exp(1j * theta), np.exp(-1j * theta)
+    root2 = math.sqrt(2.0)
+    return (root2 * np.cos(theta)).astype(complex), \
+        (root2 * np.sin(theta)).astype(complex)
 
 
-def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS,
-                       radial_order=RADIAL_ORDER, angle_count=ANGLE_COUNT):
+def angular_weight(second, basis, theta, vartheta):
+    """W(theta, vartheta), complex, from the second-order correlators."""
+    f1 = np.stack(_angular_factors(basis, theta))
+    f2 = np.stack(_angular_factors(basis, vartheta))
+    return np.asarray(np.einsum("abcd,a...,d...,b...,c...->...", second,
+                                np.conj(f1), f1, np.conj(f2), f2))
+
+
+def _real_part(raw, name):
+    worst = float(np.max(np.abs(raw.imag)))
+    if worst > 1e-12 * max(1.0, float(np.max(np.abs(raw.real)))):
+        raise AnisotropicStateError(
+            f"{name} produced imaginary residue {worst:.3e}")
+    return raw.real
+
+
+def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS):
     """Density of the relative angle folded to [0, pi).
 
     Requires a rotation-invariant pair density; anisotropic states (NOON)
@@ -203,49 +216,38 @@ def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS,
             f"pair density is not rotation invariant (defect {defect:.3e}); "
             "use two_angle_distribution instead")
     second = state.correlators().second
-    r_nodes, r_weights = gauss_legendre(radial_order, 0.0, EXTENT)
-    phis, _ = periodic_angles(angle_count)
-    dphi = 2.0 * math.pi / angle_count
+
+    def closure(delta):
+        moved = np.asarray(delta, dtype=float)[..., None] + _PHI_NODES
+        raw = angular_weight(second, state.basis, _PHI_NODES, moved)
+        # folded: f(D) + f(D + pi) = 2 f(D), since the modes are odd
+        return _clip_noise(_real_part(np.mean(raw, axis=-1) / (math.pi * norm),
+                                      "angle law"))
 
     grid = np.linspace(0.0, math.pi, n_points)
-    # folded law: f(D) + f(D + pi), both sides in one batch
-    shifts = np.concatenate([grid, grid + math.pi])
-    base = _angle_profiles(state, r_nodes, r_weights, phis)
-    moved = _angle_profiles(state, r_nodes, r_weights,
-                            shifts[:, None] + phis[None, :])
-    raw = np.einsum("abcd,adj,bckj->k", second, base, moved) * dphi / norm
-    worst = float(np.max(np.abs(raw.imag)))
-    if worst > 1e-12 * max(1.0, float(np.max(np.abs(raw.real)))):
-        raise AnisotropicStateError(
-            f"angle law produced imaginary residue {worst:.3e}")
-    values = _clip_noise(raw.real[:n_points] + raw.real[n_points:])
-    meta = {"radial_order": radial_order, "angle_count": angle_count,
-            "extent": EXTENT, "isotropy_defect": defect}
-    return PairDistribution(PairVariable.REL_ANGLE, grid, values,
-                            normalization=norm, meta=meta)
+    return PairDistribution(PairVariable.REL_ANGLE, grid, closure(grid),
+                            normalization=norm, closure=closure,
+                            meta={"isotropy_defect": defect})
 
 
-def two_angle_distribution(state, n_points=DEFAULT_TWO_ANGLE_POINTS,
-                           radial_order=RADIAL_ORDER):
+def two_angle_distribution(state, n_points=DEFAULT_TWO_ANGLE_POINTS):
     """Joint density of the two detection angles on [0, 2pi)^2.
 
-    Radial coordinates are integrated out; the half-open periodic grid makes
-    the plain Riemann sum exact for the trigonometric-polynomial laws.
+    Tabulated on the half-open periodic grid, where the plain Riemann sum
+    is exact for the trigonometric-polynomial law.
     """
     norm = _require_pairs(state)
     second = state.correlators().second
-    r_nodes, r_weights = gauss_legendre(radial_order, 0.0, EXTENT)
+
+    def closure(theta, vartheta):
+        raw = angular_weight(second, state.basis, theta, vartheta)
+        return _clip_noise(_real_part(raw / (4.0 * math.pi ** 2 * norm),
+                                      "two-angle law"))
+
     axis = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    prof = _angle_profiles(state, r_nodes, r_weights, axis)
-    joint = np.einsum("abcd,adj,bck->jk", second, prof, prof) / norm
-    worst = float(np.max(np.abs(joint.imag)))
-    if worst > 1e-12 * max(1.0, float(np.max(np.abs(joint.real)))):
-        raise AnisotropicStateError(
-            f"two-angle law produced imaginary residue {worst:.3e}")
-    values = _clip_noise(joint.real)
-    meta = {"radial_order": radial_order, "extent": EXTENT}
-    return PairDistribution(PairVariable.TWO_ANGLE, axis, values,
-                            normalization=norm, meta=meta)
+    return PairDistribution(PairVariable.TWO_ANGLE, axis,
+                            closure(axis[:, None], axis[None, :]),
+                            normalization=norm, closure=closure)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +341,12 @@ def analytic_distance(kind, variant=CORRECTED, n_points=DEFAULT_DISTANCE_POINTS)
 # ---------------------------------------------------------------------------
 
 
+def _moment_rule():
+    """Gauss-Legendre rule on [0, 2 DISTANCE_MAX] for distance-law
+    moments; the mass beyond adds below 1e-45."""
+    return gauss_legendre(160, 0.0, 2.0 * DISTANCE_MAX)
+
+
 def _refine_maximum(fn, lo, hi, tol=1e-9):
     """Bisection on the (central-difference) derivative sign change."""
     delta = 1e-7
@@ -361,12 +369,12 @@ def _refine_maximum(fn, lo, hi, tol=1e-9):
 def summarize(dist):
     """Moments and interior maxima of a distance law with a closure.
 
-    Moments integrate the closure over [0, 2 DISTANCE_MAX], where the mass
-    beyond adds below 1e-45; maxima are scanned on [0, DISTANCE_MAX].
+    Moments integrate the closure on _moment_rule; maxima are scanned on
+    [0, DISTANCE_MAX].
     """
     if dist.variable is not PairVariable.DISTANCE or dist.closure is None:
         raise ValueError("summarize expects a distance law with a closure")
-    nodes, weights = gauss_legendre(160, 0.0, 2.0 * DISTANCE_MAX)
+    nodes, weights = _moment_rule()
     dens = dist.closure(nodes)
     mean = float(np.sum(weights * nodes * dens))
     second = float(np.sum(weights * nodes * nodes * dens))

@@ -1,9 +1,7 @@
 """Quadrature grids used throughout the library.
 
-Gauss-Legendre rules handle the Gaussian-weighted radial/Cartesian integrals;
-equally spaced (periodic trapezoid) grids handle angular integrals, where they
-are exact for the low-order trigonometric polynomials produced by two-mode
-states.
+Gauss-Legendre rules handle the Gaussian-weighted radial/Cartesian
+integrals.
 """
 
 import numpy as np
@@ -33,16 +31,3 @@ def plane_grid(order=DEFAULT_ORDER, extent=EXTENT):
     xx, yy = np.meshgrid(x1, x1, indexing="ij")
     ww = np.outer(w1, w1)
     return xx.ravel(), yy.ravel(), ww.ravel()
-
-
-def periodic_angles(count):
-    """Equally spaced angles on [0, 2*pi) with uniform weights.
-
-    The periodic trapezoid rule integrates trigonometric polynomials of
-    degree < count exactly, which covers every angular integrand produced by
-    two-mode states (degree <= 4).
-    """
-    theta = np.arange(count) * (2.0 * np.pi / count)
-    w = np.full(count, 2.0 * np.pi / count)
-    return theta, w
-

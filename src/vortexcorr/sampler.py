@@ -4,8 +4,9 @@ Every state in the two-mode family factorizes in polar coordinates: both
 radii follow the ring marginal p(r) = 2 r^3 exp(-r^2) independently of the
 angles, and all exchange physics sits in the joint angle law. Pairs are
 therefore drawn by exact inverse-CDF sampling of the radii plus constant-
-majorant rejection of the angle pair; a generic Cartesian rejection sampler
-against a Gaussian envelope backs up states outside the family.
+majorant rejection of the angle pair. The acceptance is never below
+1/(4 MAJORANT_SAFETY): in the vortex basis each pair amplitude has four
+orthogonal unit-modulus Fourier terms, so W <= 4 mean(W) for every state.
 
 Randomness comes from a counter-based generator: every uniform is a pure
 hash of (seed, frame_index, draw_index), so frames can be produced in any
@@ -19,18 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import rho2
 from .errors import (AlgebraInconsistencyError, EmptyFramesError,
                      NoPairsError, SamplerMethodError)
-from .fock import Basis, pair_moment
+from .fock import pair_moment
 from .modes import Point2D
+from .pairstats import PairDistribution, PairVariable, angular_weight
 from .quadrature import EXTENT
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
 from .version import GENERATOR_VERSION, VERSION
 
 RING_KNOTS = 10001
 BISECTION_STEPS = 34
-MIN_ACCEPTANCE = 0.01
 MAX_ATTEMPT_ROUNDS = 512
 MAJORANT_PROBE = 512
 MAJORANT_SAFETY = 1.001
@@ -99,20 +99,6 @@ def invert_radial_cdf(u):
 # ---------------------------------------------------------------------------
 
 
-def _angular_factors(basis, theta):
-    """Angular parts u_p(theta) of the basis mode pair.
-
-    Every mode in the family shares the radial ring profile; these are the
-    remaining angle-dependent factors, normalized over the circle.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if basis is Basis.VORTEX:
-        return np.exp(1j * theta), np.exp(-1j * theta)
-    root2 = math.sqrt(2.0)
-    return (root2 * np.cos(theta)).astype(complex), \
-        (root2 * np.sin(theta)).astype(complex)
-
-
 class AngularLaw:
     """Joint angle weight W(theta, vartheta) with a rigorous majorant."""
 
@@ -130,13 +116,7 @@ class AngularLaw:
         self.mean_weight = float(np.mean(w))
 
     def __call__(self, theta, vartheta):
-        ua1, ub1 = _angular_factors(self.basis, theta)
-        ua2, ub2 = _angular_factors(self.basis, vartheta)
-        f1 = np.stack([ua1, ub1])
-        f2 = np.stack([ua2, ub2])
-        w = np.einsum("abcd,a...,d...,b...,c...->...", self.second,
-                      np.conj(f1), f1, np.conj(f2), f2)
-        return np.asarray(w).real
+        return angular_weight(self.second, self.basis, theta, vartheta).real
 
     @property
     def acceptance_estimate(self):
@@ -194,7 +174,7 @@ def _require_state(state_or_spec):
     return state_or_spec, None
 
 
-def _sample_ring_block(state, seed, indices, law):
+def _sample_ring_block(seed, indices, law):
     """Radii by inverse CDF, angle pairs by constant-majorant rejection."""
     n = len(indices)
     r1 = invert_radial_cdf(counter_uniforms(seed, indices, 0))
@@ -231,105 +211,23 @@ def _sample_ring_block(state, seed, indices, law):
     return points, proposals
 
 
-def _gaussian_from_uniforms(u1, u2):
-    """Box-Muller pair from two uniforms."""
-    mag = np.sqrt(-2.0 * np.log(np.maximum(u1, 1e-300)))
-    return mag * np.cos(2.0 * math.pi * u2), \
-        mag * np.sin(2.0 * math.pi * u2)
-
-
-class CartesianEnvelope:
-    """rho2 bound against a product of unit Gaussians on the plane."""
-
-    def __init__(self, state):
-        self.state = state
-        probe = np.linspace(-EXTENT, EXTENT, 13)
-        g = np.stack(np.meshgrid(probe, probe, indexing="ij"), axis=-1)
-        g = g.reshape(-1, 2)
-        x1 = np.repeat(g[:, 0], len(g))
-        y1 = np.repeat(g[:, 1], len(g))
-        x2 = np.tile(g[:, 0], len(g))
-        y2 = np.tile(g[:, 1], len(g))
-        ratio = rho2(state, x1, y1, x2, y2) / self._envelope(x1, y1, x2, y2)
-        self.bound = float(np.max(ratio)) * 1.5 + 1e-300
-
-    @staticmethod
-    def _envelope(x1, y1, x2, y2):
-        norm = 1.0 / (2.0 * math.pi) ** 2
-        return norm * np.exp(-0.5 * (x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2))
-
-    def density_ratio(self, x1, y1, x2, y2):
-        return rho2(self.state, x1, y1, x2, y2) / \
-            (self._envelope(x1, y1, x2, y2) * self.bound)
-
-
-def _sample_cartesian_block(state, seed, indices, envelope):
-    """Plain 4D rejection for states outside the ring family."""
-    n = len(indices)
-    points = np.empty((n, 2, 2))
-    pending = np.arange(n)
-    proposals = 0
-    for attempt in range(MAX_ATTEMPT_ROUNDS):
-        if pending.size == 0:
-            break
-        idx = indices[pending]
-        base = 2 + 5 * attempt
-        x1, y1 = _gaussian_from_uniforms(
-            counter_uniforms(seed, idx, base),
-            counter_uniforms(seed, idx, base + 1))
-        x2, y2 = _gaussian_from_uniforms(
-            counter_uniforms(seed, idx, base + 2),
-            counter_uniforms(seed, idx, base + 3))
-        gate = counter_uniforms(seed, idx, base + 4)
-        ratio = envelope.density_ratio(x1, y1, x2, y2)
-        if np.any(ratio > 1.0):
-            raise AlgebraInconsistencyError(
-                "rho2 exceeded the Gaussian envelope bound")
-        inside = (np.abs(x1) <= EXTENT) & (np.abs(y1) <= EXTENT) \
-            & (np.abs(x2) <= EXTENT) & (np.abs(y2) <= EXTENT)
-        proposals += pending.size
-        ok = (gate <= ratio) & inside
-        sel = pending[ok]
-        points[sel, 0, 0] = x1[ok]
-        points[sel, 0, 1] = y1[ok]
-        points[sel, 1, 0] = x2[ok]
-        points[sel, 1, 1] = y2[ok]
-        pending = pending[~ok]
-    if pending.size:
-        raise SamplerMethodError(
-            f"{pending.size} frames unresolved after "
-            f"{MAX_ATTEMPT_ROUNDS} rejection rounds")
-    return points, proposals
-
-
 def sample_pair(state, stream):
     """Draw one position pair; advances the stream's frame cursor."""
-    state, _ = _require_state(state)
-    if pair_moment(state) <= 1e-14:
-        raise NoPairsError("state has no particle pairs to sample")
-    law = AngularLaw(state)
-    if law.acceptance_estimate < MIN_ACCEPTANCE:
-        raise SamplerMethodError(
-            "angular rejection acceptance below 1%; "
-            "state is outside the ring-factorizable family")
-    idx = np.array([stream.next_frame], dtype=np.uint64)
-    points, _used = _sample_ring_block(state, stream.seed, idx, law)
+    points = generate_frames(state, 1, stream.seed,
+                             start=stream.next_frame).points
     stream.next_frame += 1
     return (Point2D(float(points[0, 0, 0]), float(points[0, 0, 1])),
             Point2D(float(points[0, 1, 0]), float(points[0, 1, 1])))
 
 
-def generate_frames(state_or_spec, count, seed, method="auto",
-                    block=65536, start=0):
+def generate_frames(state_or_spec, count, seed, block=65536, start=0):
     """Reproducible FrameSet of `count` two-photon frames.
 
-    method: 'ring' (radial inverse CDF + angular rejection), 'cartesian'
-    (4D Gaussian-envelope rejection), or 'auto' which uses the ring sampler
-    and falls back to Cartesian when its angular acceptance estimate is
-    below 1%. Identical (state, count, seed, method) always reproduces the
-    identical array, independent of block or worker splits. `start` offsets
-    the frame indices, so disjoint shards [start, start+count) concatenate
-    into exactly the single-call result.
+    Radii by inverse CDF, angle pairs by rejection against the AngularLaw
+    majorant. Identical (state, count, seed) always reproduces the
+    identical array, independent of block or worker splits. `start`
+    offsets the frame indices, so disjoint shards [start, start+count)
+    concatenate into exactly the single-call result.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -337,43 +235,22 @@ def generate_frames(state_or_spec, count, seed, method="auto",
     if pair_moment(state) <= 1e-14:
         raise NoPairsError("state has no particle pairs to sample")
 
-    chosen = method
-    law = envelope = None
-    if method not in ("auto", "ring", "cartesian"):
-        raise SamplerMethodError(f"unknown sampler method {method!r}")
-    if method in ("auto", "ring"):
-        law = AngularLaw(state)
-        if law.acceptance_estimate < MIN_ACCEPTANCE:
-            if method == "ring":
-                raise SamplerMethodError(
-                    "angular rejection acceptance below 1%; use the "
-                    "cartesian fallback")
-            chosen = "cartesian"
-        else:
-            chosen = "ring"
-    if chosen == "cartesian":
-        envelope = CartesianEnvelope(state)
-
+    law = AngularLaw(state)
     points = np.empty((count, 2, 2))
     proposals = 0
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         idx = np.arange(start + lo, start + hi, dtype=np.uint64)
-        if chosen == "ring":
-            pts, used = _sample_ring_block(state, seed, idx, law)
-        else:
-            pts, used = _sample_cartesian_block(state, seed, idx, envelope)
+        pts, used = _sample_ring_block(seed, idx, law)
         points[lo:hi] = pts
         proposals += used
     # proposal counts are per-frame deterministic, so this rate is
     # independent of the block split
     rate = count / proposals if proposals else 1.0
     meta = {"generator_version": GENERATOR_VERSION, "block": "immaterial",
-            "proposals": int(proposals)}
-    if law is not None and chosen == "ring":
-        meta["majorant"] = law.majorant
-        meta["acceptance_estimate"] = law.acceptance_estimate
-    return FrameSet(spec=spec, seed=int(seed), points=points, method=chosen,
+            "proposals": int(proposals), "majorant": law.majorant,
+            "acceptance_estimate": law.acceptance_estimate}
+    return FrameSet(spec=spec, seed=int(seed), points=points, method="ring",
                     acceptance_rate=float(rate), meta=meta)
 
 
@@ -427,7 +304,6 @@ def empirical_pair_stats(frames, bins=64):
     points from different frames, which is what preserves the exchange
     signature that pooled averaging destroys.
     """
-    from .pairstats import PairDistribution, PairVariable
     dist = pair_separations(frames)
     ang = pair_angles(frames)
 
@@ -520,7 +396,10 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
             merged_counts.append(acc_c)
             merged_probs.append(acc_p)
             acc_c, acc_p = 0.0, 0.0
-    if acc_p > 0.0 and merged_probs:
+    if acc_p > 0.0:
+        if not merged_probs:  # too few samples: one bin, dof 0, no p-value
+            merged_counts.append(0.0)
+            merged_probs.append(0.0)
         merged_counts[-1] += acc_c
         merged_probs[-1] += acc_p
     counts = np.asarray(merged_counts)

@@ -46,7 +46,7 @@ def test_profile_outputs(tmp_path):
     prov = summary["provenance"]
     assert prov["tool"] == "vortexcorr"
     assert len(prov["config_sha256"]) == 64
-    assert prov["quadrature"]["radial_order"] > 0
+    assert set(prov) == {"tool", "version", "generator", "config_sha256"}
     assert "flags" not in prov
     grid_prov = _provenance(tmp_path / "profile_grid.csv")
     assert grid_prov["config_sha256"] == prov["config_sha256"]
@@ -144,6 +144,40 @@ def test_exit_codes(tmp_path, capsys):
     # relative-angle marginal is not defined for an anisotropic state
     assert main(["pairangle", "--state", "noon"] + out) == 4
     assert "--two-angle" in capsys.readouterr().err
+
+
+def test_frames_has_no_method_option(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(["frames", "--seed", "1", "--method", "ring"] + out)
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "method": "cartesian"}))
+    capsys.readouterr()
+    assert main(["frames", "--config", str(cfg)] + out) == 2
+    assert "method" in capsys.readouterr().err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_frames_stats_tiny_count_is_strict_json(tmp_path, count):
+    run = subprocess.run(
+        [sys.executable, "-m", "vortexcorr", "frames", "--count", str(count),
+         "--seed", "4", "--stats", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert run.returncode == 0
+    assert run.stderr == ""
+    stats = json.loads((tmp_path / "frames_stats.json").read_text(),
+                       parse_constant=_refuse_constant)
+    for fit in (stats["distance_gof"], stats["angle_gof"]):
+        assert fit["dof"] == 0 and fit["bins"] == 1
+        assert fit["pvalue"] is None
+    assert (stats["mean_distance_z"] is None) == (count == 1)
+    assert (stats["mean_distance_se"] is None) == (count == 1)
 
 
 def test_state_flags_in_provenance(tmp_path):

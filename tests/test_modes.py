@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from vortexcorr.modes import (DIPOLE_PAIR, DIPOLE_X, DIPOLE_Y, VORTEX_CCW,
-                              VORTEX_CW, VORTEX_PAIR, Point2D, hermite_mode,
-                              mode_eval, overlap, phi1d, rotate_xy)
+                              VORTEX_CW, VORTEX_PAIR, Point2D, mode_eval,
+                              overlap, phi1d, rotate_xy)
 
 # analytic anchors: phi0(0) = pi^(-1/4), phi1(1) = sqrt(2) pi^(-1/4) e^(-1/2)
 PHI0_AT_0 = math.pi ** -0.25
@@ -75,12 +75,6 @@ def test_cross_basis_overlaps():
     assert abs(overlap(DIPOLE_X, VORTEX_CCW) - 1 / math.sqrt(2)) < 1e-12
     assert abs(overlap(DIPOLE_Y, VORTEX_CCW) - 1j / math.sqrt(2)) < 1e-12
     assert abs(overlap(DIPOLE_Y, VORTEX_CW) + 1j / math.sqrt(2)) < 1e-12
-
-
-def test_hermite_mode_general():
-    got = mode_eval(hermite_mode(2, 3), 0.7, -0.4)
-    want = phi1d(2, 0.7) * phi1d(3, -0.4)
-    assert got == pytest.approx(want, abs=1e-14)
 
 
 def test_rotation_phase():

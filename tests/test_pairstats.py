@@ -1,5 +1,5 @@
-"""Distance and angle laws: kernel and quadrature vs closed forms, moments,
-peaks."""
+"""Distance and angle laws: kernels vs the former quadratures and closed
+forms, moments, peaks."""
 
 import math
 import subprocess
@@ -9,16 +9,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vortexcorr.density import rho2
+from vortexcorr.density import basis_modes, rho2
 from vortexcorr.errors import AnisotropicStateError, NoPairsError
-from vortexcorr.fock import pair_moment
-from vortexcorr.pairstats import (VERBATIM, PairDistribution, PairVariable,
+from vortexcorr.fock import pair_isotropy_defect, pair_moment
+from vortexcorr.modes import mode_eval
+from vortexcorr.pairstats import (ISOTROPY_TOL, VERBATIM, PairDistribution,
+                                  PairVariable,
                                   angle_distribution, closed_form_angle,
                                   closed_form_distance, closed_form_two_angle,
                                   compose_distance_samples,
                                   distance_distribution, ring_radial_density,
                                   summarize, two_angle_distribution)
 from vortexcorr.quadrature import gauss_legendre
+from vortexcorr.sampler import MAJORANT_SAFETY, AngularLaw
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
 
@@ -65,6 +68,91 @@ def test_distance_kernel_matches_plane_quadrature(spec, basis):
                                atol=2e-10)
 
 
+def _profiles_reference(state, thetas):
+    """The former angle-law route: G[p, q, ...] = int r dr phi_p* phi_q of
+    the mode functions on a 40-node radial Gauss-Legendre rule over
+    [0, 6]."""
+    nodes, weights = gauss_legendre(40, 0.0, 6.0)
+    th = np.asarray(thetas, dtype=float)
+    rr = nodes.reshape((-1,) + (1,) * th.ndim)
+    amps = np.stack([mode_eval(m, rr * np.cos(th), rr * np.sin(th))
+                     for m in basis_modes(state.basis)])
+    return np.einsum("i,pi...,qi...->pq...", weights * nodes, np.conj(amps),
+                     amps)
+
+
+def _angle_reference(state, delta):
+    """Folded relative-angle law from the profiles and a 16-angle
+    periodic rule over the common rotation."""
+    phis = np.arange(16) * (2.0 * math.pi / 16)
+    base = _profiles_reference(state, phis)
+    moved = _profiles_reference(
+        state, np.concatenate([delta, delta + math.pi])[:, None] + phis)
+    raw = np.einsum("abcd,adj,bckj->k", state.correlators().second, base,
+                    moved) * (2.0 * math.pi / 16) / pair_moment(state)
+    return raw.real[:len(delta)] + raw.real[len(delta):]
+
+
+def _two_angle_reference(state, theta, vartheta):
+    joint = np.einsum("abcd,adj,bck->jk", state.correlators().second,
+                      _profiles_reference(state, theta),
+                      _profiles_reference(state, vartheta))
+    return joint.real / pair_moment(state)
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
+@pytest.mark.parametrize("basis", ["vortex", "dipole"])
+def test_angle_laws_match_profile_quadrature(spec, basis):
+    state = build_state(replace(spec, basis=basis))
+    off_grid = np.array([0.05, 1.234, 2.5, 3.1])
+    two = two_angle_distribution(state)
+    np.testing.assert_allclose(
+        two.values, _two_angle_reference(state, two.grid, two.grid),
+        rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        two.value_at(off_grid[:, None], off_grid[None, :] + 2.0),
+        _two_angle_reference(state, off_grid, off_grid + 2.0),
+        rtol=0, atol=1e-13)
+    if pair_isotropy_defect(state) > ISOTROPY_TOL:
+        with pytest.raises(AnisotropicStateError):
+            angle_distribution(state)
+        return
+    rel = angle_distribution(state)
+    np.testing.assert_allclose(rel.values, _angle_reference(state, rel.grid),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(rel.value_at(off_grid),
+                               _angle_reference(state, off_grid),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
+def test_angle_closures_equal_tables(spec):
+    state = build_state(spec)
+    two = two_angle_distribution(state, n_points=64)
+    np.testing.assert_array_equal(
+        two.value_at(two.grid[:, None], two.grid[None, :]), two.values)
+    if pair_isotropy_defect(state) > ISOTROPY_TOL:
+        return
+    rel = angle_distribution(state, n_points=101)
+    np.testing.assert_array_equal(rel.value_at(rel.grid), rel.values)
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
+def test_distance_integral_is_one(spec):
+    dist = distance_distribution(build_state(spec), n_points=8)
+    assert abs(dist.integral() - 1.0) <= 1e-12
+
+
+def test_distance_integral_leaves_out_scipy():
+    code = ("import sys; from vortexcorr import build_state, fermi_fock, "
+            "distance_distribution; "
+            "distance_distribution(build_state(fermi_fock())).integral(); "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_distance_kernel_matches_closed_forms():
     for spec in (fermi_fock(), fermi_fock("dipole"), bose_fock(1, 1),
                  coherent(), noon()):
@@ -108,6 +196,23 @@ def test_distance_kernel_normalized_with_second_moment_four():
         dens = distance_distribution(state, n_points=8).value_at(nodes)
         assert abs(np.sum(weights * dens) - 1.0) <= 1e-12
         assert abs(np.sum(weights * nodes ** 2 * dens) - 4.0) <= 1e-12
+
+    check()
+
+
+def test_angular_acceptance_at_least_a_quarter():
+    # W <= 4 mean(W) for every state, so the ring sampler's rejection
+    # never accepts less than a quarter (up to the majorant's safety)
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    floor = 0.25 / MAJORANT_SAFETY * (1.0 - 1e-12)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        state = build_state(_random_spec(data.draw))
+        hypothesis.assume(pair_moment(state) > 1e-3)
+        assert AngularLaw(state).acceptance_estimate >= floor
 
     check()
 

@@ -8,8 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from vortexcorr import sampler
-from vortexcorr.errors import (EmptyFramesError, NoPairsError,
-                               SamplerMethodError)
+from vortexcorr.errors import EmptyFramesError, NoPairsError
 from vortexcorr.sampler import (FrameStream, chi_square_gof, counter_uniforms,
                                 empirical_pair_stats, empirical_profile,
                                 generate_frames, invert_radial_cdf,
@@ -118,27 +117,19 @@ def test_acceptance_rate_healthy():
         assert frames.acceptance_rate >= 0.25, spec.kind
 
 
-def test_unknown_method_rejected():
-    with pytest.raises(SamplerMethodError):
-        generate_frames(fermi_fock(), 10, seed=1, method="teleport")
-
-
 def test_no_pairs_guard():
     with pytest.raises(NoPairsError):
         generate_frames(coherent(alpha_a=0.0, alpha_b=0.0), 5, seed=1)
 
 
-def test_cartesian_matches_ring_statistically():
-    ring = generate_frames(fermi_fock(), 30000, seed=6, method="ring")
-    cart = generate_frames(fermi_fock(), 30000, seed=6, method="cartesian")
-    assert cart.method == "cartesian"
+def test_ring_frames_match_fermi_distance_law():
+    ring = generate_frames(fermi_fock(), 30000, seed=6)
     ref = PairDistribution(
         PairVariable.DISTANCE, np.linspace(0, 8, 401),
         closed_form_distance("fermi-fock", np.linspace(0, 8, 401)),
         closure=lambda d: closed_form_distance("fermi-fock", d))
-    for frames in (ring, cart):
-        gof = chi_square_gof(pair_separations(frames), ref, bins=30)
-        assert gof.pvalue > 1e-4
+    gof = chi_square_gof(pair_separations(ring), ref, bins=30)
+    assert gof.pvalue > 1e-4
 
 
 def test_per_frame_statistics_keep_exchange_signature():
@@ -206,6 +197,16 @@ def test_chi_square_gof_merges_thin_bins():
     # far tail bins hold << 5 expected counts and must have been merged
     assert gof.bins < 40
     assert gof.dof == gof.bins - 1
+
+
+def test_chi_square_gof_too_few_samples():
+    grid = np.linspace(0.0, 1.0, 101)
+    uniform = PairDistribution(PairVariable.DISTANCE, grid, np.ones(101),
+                               closure=lambda x: np.ones_like(np.asarray(x)))
+    # no bin reaches 5 expected counts: everything lands in one bin
+    gof = chi_square_gof([0.2, 0.7], uniform, bins=20, lo=0.0, hi=1.0)
+    assert (gof.bins, gof.dof, gof.statistic) == (1, 0, 0.0)
+    assert math.isnan(gof.pvalue)
 
 
 def test_save_load_round_trip(tmp_path):

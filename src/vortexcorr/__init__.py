@@ -11,7 +11,7 @@ the detected pair), `sampler` (reproducible single-shot frames),
 
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      EmptyFramesError, NoPairsError, OrderLimitError,
-                     PauliViolationError, SamplerMethodError, TruncationError,
+                     PauliViolationError, SamplerMethodError,
                      UnsupportedStateError, VortexError)
 from .fock import (Basis, Correlators, QuantumState, Statistics,
                    change_basis, make_coherent, make_cothermal, make_fock,
@@ -50,7 +50,7 @@ __all__ = [
     "OrderLimitError", "PairDistribution", "PairVariable",
     "PauliViolationError", "Point2D", "QuantumState",
     "SamplerMethodError", "SpecError", "StateSpec", "Statistics",
-    "TruncationError", "UnsupportedStateError", "VERSION", "VORTEX_CCW",
+    "UnsupportedStateError", "VERSION", "VORTEX_CCW",
     "VORTEX_CW", "VORTEX_PAIR", "VortexError", "all_engine_checks_confirmed",
     "analytic_distance",
     "angle_distribution", "bose_fock", "build_state", "change_basis",

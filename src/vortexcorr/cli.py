@@ -27,9 +27,10 @@ from .density import density_grid, rho1, rho1_closed
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      EmptyFramesError, NoPairsError, OrderLimitError,
                      PauliViolationError, SamplerMethodError,
-                     TruncationError, UnsupportedStateError)
+                     UnsupportedStateError)
 from .io import provenance, write_csv, write_json
-from .oracle import CONFIRMED, all_engine_checks_confirmed, full_report
+from .oracle import (CONFIRMED, _is_donut, all_engine_checks_confirmed,
+                     full_report)
 from .sampler import (FrameSet, chi_square_gof, empirical_pair_stats,
                       generate_frames, pair_angles, pair_separations,
                       save_frames)
@@ -44,15 +45,15 @@ EXIT_NUMERIC = 3
 EXIT_STATE = 4
 
 _CONFIG_ERRORS = (SpecError, PauliViolationError)
-_NUMERIC_ERRORS = (AlgebraInconsistencyError, TruncationError,
-                   SamplerMethodError, OrderLimitError, EmptyFramesError,
-                   FloatingPointError, np.linalg.LinAlgError)
+_NUMERIC_ERRORS = (AlgebraInconsistencyError, SamplerMethodError,
+                   OrderLimitError, EmptyFramesError, FloatingPointError,
+                   np.linalg.LinAlgError)
 _STATE_ERRORS = (AnisotropicStateError, NoPairsError, UnsupportedStateError)
 
 _FORMATS = ("csv", "json", "svg")
 
 _STATE_KEYS = ("state", "n", "m", "alpha_x", "alpha_y", "alpha", "nbar",
-               "nbar_a", "nbar_b", "cutoff", "basis")
+               "nbar_a", "nbar_b", "basis")
 _OUTPUT_KEYS = ("out", "formats", "threads")
 
 # flat key sets a JSON config file may provide, per command
@@ -138,8 +139,6 @@ def _add_state_flags(sp):
                      help="thermal occupancy of the first mode")
     grp.add_argument("--nbar-b", type=float, default=None,
                      help="thermal occupancy of the second mode")
-    grp.add_argument("--cutoff", type=int, default=None,
-                     help="per-mode Fock-space cutoff for indefinite-number states")
     grp.add_argument("--basis", choices=("vortex", "dipole"), default=None,
                      help="mode basis the correlators are expressed in")
 
@@ -287,8 +286,8 @@ def _parse_formats(value):
 
 def _build_spec(cfg):
     data = {"kind": cfg.get("state") or "fermi-fock"}
-    for key in ("n", "m", "cutoff", "basis", "alpha_x", "alpha_y", "alpha",
-                "nbar", "nbar_a", "nbar_b"):
+    for key in ("n", "m", "basis", "alpha_x", "alpha_y", "alpha", "nbar",
+                "nbar_a", "nbar_b"):
         if cfg.get(key) is not None:
             data[key] = cfg[key]
     # canonical parameter defaults for the indefinite-number families
@@ -355,6 +354,8 @@ def resolve_config(args):
                             "(reproducibility: no implicit entropy)")
         if run.count < 0:
             raise SpecError("--count must be >= 0")
+        if run.stats and run.count == 0:
+            raise SpecError("--stats needs --count >= 1")
         if run.bins < 4:
             raise SpecError("--bins must be >= 4")
     if command in ("pairdist", "pairangle") and run.points < 8:
@@ -374,19 +375,9 @@ def resolve_config(args):
 
 def _canonical_family(spec):
     """Catalog key of the printed laws when the spec matches the canonical
-    configuration those laws describe, else None."""
-    if spec.kind in ("fermi-fock", "noon"):
-        return spec.kind
-    if spec.kind == "bose-fock" and (spec.n, spec.m) == (1, 1):
-        return "bose-fock"
-    if spec.kind == "coherent":
-        a, b = spec.alpha_a, spec.alpha_b
-        if (abs(abs(a) - 1.0) < 1e-12
-                and (abs(a - 1j * b) < 1e-12 or abs(a + 1j * b) < 1e-12)):
-            return "coherent"
-    if spec.kind == "thermal" and spec.nbar_a == spec.nbar_b == 1.0:
-        return "thermal"
-    return None
+    configuration those laws describe, else None. Cothermal has no printed
+    law, although its canonical configuration is a donut."""
+    return spec.kind if spec.kind != "cothermal" and _is_donut(spec) else None
 
 
 def _reference_distance(spec):

@@ -17,14 +17,6 @@ class PauliViolationError(VortexError, ValueError):
     """Fermionic occupation outside {0, 1}."""
 
 
-class TruncationError(VortexError, ValueError):
-    """Requested cutoff would leave more than the allowed tail mass."""
-
-    def __init__(self, message, required_cutoff=None):
-        super().__init__(message)
-        self.required_cutoff = required_cutoff
-
-
 class AlgebraInconsistencyError(VortexError, RuntimeError):
     """A quantity that must be real came out with a large imaginary part."""
 
@@ -43,7 +35,8 @@ class EmptyFramesError(VortexError, ValueError):
 
 
 class SamplerMethodError(VortexError, RuntimeError):
-    """Rejection sampling acceptance collapsed below the usable threshold."""
+    """Rejection sampling left frames unresolved after MAX_ATTEMPT_ROUNDS
+    rounds."""
 
 
 class UnsupportedStateError(VortexError, ValueError):

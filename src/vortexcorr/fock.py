@@ -3,11 +3,12 @@
 Every density of the library sees a two-mode state only through the first-
 and second-order normally ordered correlators <adag_p a_q> and
 <adag_p adag_p' a_q' a_q>, so a state is stored as those 20 numbers. Each
-constructor computes them directly: product states from single-mode moments
-of truncated single-mode density matrices, Fock and NOON states from their
-occupations and amplitudes. Mode a comes before mode b in the fermionic
-ordering convention, i.e. |1,1> = adag_a adag_b |vac>; the antisymmetry
-sign bookkeeping follows from that choice.
+constructor computes them directly: coherent, thermal and cothermal states
+from the closed-form single-mode moments of displaced thermal modes, with no
+Fock-space truncation; Fock and NOON states from their occupations and
+amplitudes. Mode a comes before mode b in the fermionic ordering
+convention, i.e. |1,1> = adag_a adag_b |vac>; the antisymmetry sign
+bookkeeping follows from that choice.
 """
 
 import math
@@ -16,14 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PauliViolationError, TruncationError
-
-# Constructors refuse truncations that drop more than this much probability.
-TAIL_TOL = 1e-12
-
-# The cothermal cutoff search stops here: a build at a higher cutoff would
-# need a single-mode matrix above 2049 x 2049 complex (67 MB).
-_MAX_SEARCH_CUTOFF = 2048
+from .errors import PauliViolationError
 
 
 class Statistics(Enum):
@@ -80,23 +74,22 @@ def mode_occupations(state):
 # constructors
 # ---------------------------------------------------------------------------
 
-def _single_mode_moments(rho):
-    """m[k, l] = Tr(adag^k a^l rho) for k, l <= 2 of a truncated matrix.
+def _single_mode_moments(alpha, nbar):
+    """m[k, l] = <adag^k a^l> for k, l <= 2 of a displaced thermal mode.
 
-    <j+k| adag^k a^l |j+l> = sqrt((j+1)...(j+l) * (j+1)...(j+k)), and
-    adag^k lifting past the cutoff gives zero, as on the truncated lattice.
+    The mode's P-function is a Gaussian of variance nbar around alpha, so
+    (Cahill & Glauber, Phys. Rev. 177, 1882, 1969)
+    m[k, l] = sum_j C(k, j) C(l, j) j! nbar^j conj(alpha)^(k-j) alpha^(l-j).
+    Coherent modes have nbar = 0, thermal modes alpha = 0.
     """
-    dim = rho.shape[0]
+    alpha = complex(alpha)
+    powers = (1.0, alpha, alpha * alpha)
     moments = np.zeros((3, 3), dtype=complex)
-    for k in range(3):
-        for l in range(3):
-            j = np.arange(dim - max(k, l))
-            weight = np.ones(j.size)
-            for t in range(1, l + 1):
-                weight *= j + t
-            for t in range(1, k + 1):
-                weight *= j + t
-            moments[k, l] = np.sum(np.sqrt(weight) * rho[j + l, j + k])
+    for k, l in np.ndindex(3, 3):
+        moments[k, l] = sum(
+            math.comb(k, j) * math.comb(l, j) * math.factorial(j) * nbar ** j
+            * powers[k - j].conjugate() * powers[l - j]
+            for j in range(min(k, l) + 1))
     return moments
 
 
@@ -142,118 +135,21 @@ def make_fock(n_a, n_b, statistics, basis=Basis.VORTEX):
     return QuantumState(statistics, basis, corr)
 
 
-def _coherent_vector(alpha, cutoff):
-    n = np.arange(cutoff + 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in n])
-    amp = np.exp(-0.5 * abs(alpha) ** 2) * np.power(complex(alpha), n) \
-        * np.exp(-0.5 * log_fact)
-    return amp
+def make_coherent(alpha_a, alpha_b, basis=Basis.DIPOLE):
+    """Product of coherent states with amplitudes alpha_a, alpha_b."""
+    return QuantumState(Statistics.BOSE, basis, _product_correlators(
+        _single_mode_moments(alpha_a, 0.0),
+        _single_mode_moments(alpha_b, 0.0)))
 
 
-def _poisson_tail(intensity, cutoff):
-    if intensity == 0.0:
-        return 0.0
-    n = np.arange(cutoff + 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in n])
-    mass = np.exp(-intensity + n * math.log(intensity) - log_fact).sum()
-    return max(0.0, 1.0 - mass)
+def make_thermal(nbar_a, nbar_b, basis=Basis.VORTEX):
+    """Product of thermal (geometric) states with mean occupations nbar."""
+    return QuantumState(Statistics.BOSE, basis, _product_correlators(
+        _single_mode_moments(0.0, nbar_a),
+        _single_mode_moments(0.0, nbar_b)))
 
 
-def _required_poisson_cutoff(intensity):
-    n = max(1, int(intensity))
-    while _poisson_tail(intensity, n) > TAIL_TOL:
-        n += 1
-    return n
-
-
-def make_coherent(alpha_a, alpha_b, cutoff, basis=Basis.DIPOLE):
-    """Product of truncated coherent states, renormalized.
-
-    The truncation must leave Poisson tail mass below TAIL_TOL in each mode,
-    otherwise the constructor reports the cutoff that would suffice.
-    """
-    for alpha in (alpha_a, alpha_b):
-        tail = _poisson_tail(abs(alpha) ** 2, cutoff)
-        if tail > TAIL_TOL:
-            need = _required_poisson_cutoff(abs(alpha) ** 2)
-            raise TruncationError(
-                f"coherent tail mass {tail:.3e} above {TAIL_TOL:.0e} at "
-                f"cutoff {cutoff}; cutoff {need} suffices",
-                required_cutoff=need)
-    moments = []
-    for alpha in (alpha_a, alpha_b):
-        vec = _coherent_vector(alpha, cutoff)
-        rho = np.outer(vec, vec.conj())
-        moments.append(_single_mode_moments(rho / np.real(np.trace(rho))))
-    return QuantumState(Statistics.BOSE, basis,
-                        _product_correlators(*moments))
-
-
-def _thermal_diag(nbar, cutoff):
-    if nbar < 0:
-        raise ValueError("thermal occupancy must be non-negative")
-    if nbar == 0.0:
-        diag = np.zeros(cutoff + 1)
-        diag[0] = 1.0
-        return diag
-    tau = nbar / (1.0 + nbar)
-    tail = tau ** (cutoff + 1)
-    if tail > TAIL_TOL:
-        need = int(math.ceil(math.log(TAIL_TOL) / math.log(tau))) + 1
-        raise TruncationError(
-            f"thermal tail mass {tail:.3e} above {TAIL_TOL:.0e} at cutoff "
-            f"{cutoff}; cutoff {need} suffices", required_cutoff=need)
-    diag = (1.0 - tau) * tau ** np.arange(cutoff + 1)
-    return diag / diag.sum()
-
-
-def make_thermal(nbar_a, nbar_b, cutoff, basis=Basis.VORTEX):
-    """Product of truncated geometric (thermal) states, renormalized."""
-    moments = [_single_mode_moments(np.diag(_thermal_diag(nbar, cutoff)))
-               for nbar in (nbar_a, nbar_b)]
-    return QuantumState(Statistics.BOSE, basis,
-                        _product_correlators(*moments))
-
-
-def _displaced_thermal_rows(alpha, nbar, size):
-    """Rows <i|rho|0..size-1>, i = 0..size-1, of a single-mode displaced
-    thermal state.
-
-    With tau = nbar/(1+nbar) and alpha' = (1-tau) alpha, the P-function
-    (a Gaussian around alpha) gives <0|rho|j> = (1-tau)
-    exp(-(1-tau)|alpha|^2) conj(alpha')^j / sqrt(j!) and, by Wick's theorem,
-    <i+1|rho|j> = (alpha' <i|rho|j> + tau sqrt(j) <i|rho|j-1>) / sqrt(i+1).
-    Both terms share one phase, so the recursion never cancels and stays
-    stable at any displacement and cutoff. The (i, j) entry depends on
-    columns <= j only, so every size yields the same leading block.
-    """
-    tau = nbar / (1.0 + nbar)
-    shrunk = (1.0 - tau) * alpha
-    lift = np.sqrt(np.arange(1, size, dtype=float))
-    row = np.cumprod(np.concatenate((
-        [(1.0 - tau) * math.exp(-(1.0 - tau) * abs(alpha) ** 2)],
-        np.conj(shrunk) / lift)))
-    for i in range(size - 1):
-        yield row
-        nxt = shrunk * row
-        nxt[1:] += tau * lift * row[:-1]
-        row = nxt / lift[i]
-    yield row
-
-
-def _required_displaced_cutoff(alpha, nbar):
-    """Smallest cutoff whose displaced-thermal tail is below TAIL_TOL, or
-    None if none up to _MAX_SEARCH_CUTOFF is. Holds one row at a time."""
-    mass = 0.0
-    rows = _displaced_thermal_rows(alpha, nbar, _MAX_SEARCH_CUTOFF + 1)
-    for n, row in enumerate(rows):
-        mass += row[n].real
-        if 1.0 - mass <= TAIL_TOL:
-            return n
-    return None
-
-
-def make_cothermal(alpha, nbar_th, cutoff, basis=Basis.DIPOLE):
+def make_cothermal(alpha, nbar_th, basis=Basis.DIPOLE):
     """Cothermal state: coherent displacement on top of a thermal background.
 
     Mode a is displaced by alpha, mode b by -i*alpha (the phase relation that
@@ -262,24 +158,10 @@ def make_cothermal(alpha, nbar_th, cutoff, basis=Basis.DIPOLE):
     (alpha=0). Flagged supplement-approximated: the construction follows the
     supplementary description rather than a closed-form in the main text.
     """
-    moments = []
-    for displacement in (alpha, -1.0j * alpha):
-        rho = np.array(list(
-            _displaced_thermal_rows(displacement, nbar_th, cutoff + 1)))
-        # summed in row order, as the cutoff search sums it
-        deficit = 1.0 - np.cumsum(np.real(np.diag(rho)))[-1]
-        if deficit > TAIL_TOL:
-            need = _required_displaced_cutoff(displacement, nbar_th)
-            hint = (f"cutoff {need} suffices" if need is not None else
-                    f"no cutoff up to {_MAX_SEARCH_CUTOFF} suffices")
-            raise TruncationError(
-                f"displaced-thermal tail mass {deficit:.3e} above "
-                f"{TAIL_TOL:.0e} at cutoff {cutoff}; {hint}",
-                required_cutoff=need)
-        moments.append(_single_mode_moments(rho / np.real(np.trace(rho))))
-    return QuantumState(Statistics.BOSE, basis,
-                        _product_correlators(*moments),
-                        flags=("supplement-approximated",))
+    return QuantumState(Statistics.BOSE, basis, _product_correlators(
+        _single_mode_moments(alpha, nbar_th),
+        _single_mode_moments(-1.0j * alpha, nbar_th)),
+        flags=("supplement-approximated",))
 
 
 def make_noon(basis=Basis.VORTEX):

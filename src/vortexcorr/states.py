@@ -7,7 +7,6 @@ state obeys alpha_x = i*alpha_y with unit intensity (ring-shaped one-body
 density) and thermal/cothermal default to unit mean occupancy per mode.
 """
 
-import cmath
 import math
 import re
 from dataclasses import dataclass, replace
@@ -19,8 +18,16 @@ from .fock import (Basis, Statistics, make_cothermal, make_coherent,
 KINDS = ("fermi-fock", "bose-fock", "coherent", "thermal", "cothermal",
          "noon")
 
-_DEFAULT_CUTOFF = {"coherent": 16, "thermal": 40, "cothermal": 40}
 _DEFAULT_BASIS = {"coherent": "dipole", "cothermal": "dipole"}
+
+# Bound on nbar and |alpha|^2. A mode's largest moment is
+# <adag^2 a^2> <= 2 (|alpha|^2 + nbar)^2, so every correlator stays below
+# 1e301 and every law summed from them stays finite.
+MAX_OCCUPATION = 1e150
+
+# config-file names of the fields, where they differ
+_PARAMETER_NAMES = {"coherent": {"alpha_a": "alpha_x", "alpha_b": "alpha_y"},
+                    "cothermal": {"alpha_a": "alpha", "nbar_a": "nbar"}}
 
 
 class SpecError(VortexError, ValueError):
@@ -36,7 +43,6 @@ class StateSpec:
     alpha_b: complex = 0.0j
     nbar_a: float = 1.0
     nbar_b: float = 1.0
-    cutoff: int = -1       # -1 -> per-kind default
     basis: str = ""        # ""  -> per-kind default
 
     def normalized(self):
@@ -50,18 +56,18 @@ class StateSpec:
         if self.n < 0 or self.m < 0:
             raise SpecError(f"occupations must be >= 0, got n={self.n}, "
                             f"m={self.m}")
+        names = _PARAMETER_NAMES.get(kind, {})
         for name in ("nbar_a", "nbar_b"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise SpecError(f"{name} must be finite and >= 0, got {value}")
+            if not 0.0 <= value <= MAX_OCCUPATION:
+                raise SpecError(f"{names.get(name, name)} must be in "
+                                f"[0, {MAX_OCCUPATION:g}], got {value}")
         for name in ("alpha_a", "alpha_b"):
             value = getattr(self, name)
-            if not cmath.isfinite(value):
-                raise SpecError(f"{name} must be finite, got {value}")
-        cutoff = self.cutoff
-        if cutoff < 0:
-            cutoff = _DEFAULT_CUTOFF.get(kind, max(self.n, self.m, 1))
-        return replace(self, basis=basis, cutoff=cutoff)
+            if not abs(value) <= math.sqrt(MAX_OCCUPATION):
+                raise SpecError(f"|{names.get(name, name)}|^2 must be <= "
+                                f"{MAX_OCCUPATION:g}, got {value}")
+        return replace(self, basis=basis)
 
 
 def fermi_fock(basis=""):
@@ -72,20 +78,20 @@ def bose_fock(n=1, m=1, basis=""):
     return StateSpec(kind="bose-fock", n=n, m=m, basis=basis).normalized()
 
 
-def coherent(alpha_a=1.0j, alpha_b=1.0 + 0.0j, cutoff=-1):
-    return StateSpec(kind="coherent", alpha_a=alpha_a, alpha_b=alpha_b,
-                     cutoff=cutoff).normalized()
+def coherent(alpha_a=1.0j, alpha_b=1.0 + 0.0j):
+    return StateSpec(kind="coherent", alpha_a=alpha_a,
+                     alpha_b=alpha_b).normalized()
 
 
-def thermal(nbar_a=1.0, nbar_b=1.0, cutoff=-1):
-    return StateSpec(kind="thermal", nbar_a=nbar_a, nbar_b=nbar_b,
-                     cutoff=cutoff).normalized()
+def thermal(nbar_a=1.0, nbar_b=1.0):
+    return StateSpec(kind="thermal", nbar_a=nbar_a,
+                     nbar_b=nbar_b).normalized()
 
 
-def cothermal(alpha=math.sqrt(0.5), nbar=0.5, cutoff=-1):
+def cothermal(alpha=math.sqrt(0.5), nbar=0.5):
     # alpha_a is the displacement, nbar_a the thermal part of each mode
-    return StateSpec(kind="cothermal", alpha_a=alpha, nbar_a=nbar,
-                     cutoff=cutoff).normalized()
+    return StateSpec(kind="cothermal", alpha_a=alpha,
+                     nbar_a=nbar).normalized()
 
 
 def noon():
@@ -101,11 +107,11 @@ def build_state(spec):
     if spec.kind == "bose-fock":
         return make_fock(spec.n, spec.m, Statistics.BOSE, basis)
     if spec.kind == "coherent":
-        return make_coherent(spec.alpha_a, spec.alpha_b, spec.cutoff, basis)
+        return make_coherent(spec.alpha_a, spec.alpha_b, basis)
     if spec.kind == "thermal":
-        return make_thermal(spec.nbar_a, spec.nbar_b, spec.cutoff, basis)
+        return make_thermal(spec.nbar_a, spec.nbar_b, basis)
     if spec.kind == "cothermal":
-        return make_cothermal(spec.alpha_a, spec.nbar_a, spec.cutoff, basis)
+        return make_cothermal(spec.alpha_a, spec.nbar_a, basis)
     if spec.kind == "noon":
         return make_noon(Basis(spec.basis))
     raise SpecError(f"unknown state kind {spec.kind!r}")
@@ -157,7 +163,7 @@ def format_complex(z):
 
 def spec_to_dict(spec):
     spec = spec.normalized()
-    out = {"kind": spec.kind, "basis": spec.basis, "cutoff": spec.cutoff}
+    out = {"kind": spec.kind, "basis": spec.basis}
     if spec.kind in ("fermi-fock", "bose-fock"):
         out.update(n=spec.n, m=spec.m)
     elif spec.kind == "coherent":
@@ -186,7 +192,8 @@ def spec_from_dict(data):
     kwargs = {"kind": kind}
     if "basis" in data:
         kwargs["basis"] = data["basis"]
-    for key in ("cutoff", "n", "m"):
+    # other entries are ignored: older frames headers carry one more
+    for key in ("n", "m"):
         if key in data:
             kwargs[key] = _number(data, key, int)
     if "alpha_x" in data:

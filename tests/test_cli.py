@@ -73,6 +73,35 @@ def test_pairdist_bose_summary(tmp_path):
     assert len(rows) == 201
 
 
+# the laws whose CSV carries a closed_form column, per state family
+_CLOSED_FORMS = {
+    "fermi-fock": {"pairdist", "pairangle", "two-angle"},
+    "bose-fock": {"pairdist", "pairangle"},
+    "coherent": {"pairdist", "pairangle", "two-angle"},
+    "thermal": {"pairangle"},
+    "cothermal": set(),
+    "noon": {"pairdist", "two-angle"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CLOSED_FORMS))
+def test_closed_form_columns(tmp_path, kind):
+    for law, argv, name in (
+            ("pairdist", ["pairdist"], "pairdist_distribution.csv"),
+            ("pairangle", ["pairangle"], "pairangle_distribution.csv"),
+            ("two-angle", ["pairdist", "--two-angle"],
+             "two_angle_surface.csv")):
+        out = tmp_path / law
+        rc = main(argv + ["--state", kind, "--points", "16", "--formats",
+                          "csv", "--out", str(out)])
+        if (kind, law) == ("noon", "pairangle"):
+            assert rc == 4      # anisotropic: no relative-angle law
+            continue
+        assert rc == 0
+        header, _ = _data_rows(out / name)
+        assert ("closed_form" in header) == (law in _CLOSED_FORMS[kind])
+
+
 def test_flag_overrides_config_per_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"state": "coherent", "points": 64,
@@ -124,7 +153,7 @@ def test_exit_codes(tmp_path, capsys):
                     + out) == 2
     # non-numeric entries of a config file
     for entry in ({"state": "bose-fock", "n": "x"},
-                  {"state": "thermal", "cutoff": "big"},
+                  {"state": "bose-fock", "m": "big"},
                   {"state": "thermal", "nbar_a": "abc"},
                   {"state": "coherent", "alpha_x": [1]}):
         cfg = tmp_path / "bad.json"
@@ -132,18 +161,75 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["profile", "--config", str(cfg)] + out) == 2, entry
     # verify resolution floor
     assert main(["verify", "--resolution", "4"] + out) == 2
-    # default coherent cutoff cannot hold |alpha|^2 = 9
+    # large occupations need no Fock-space truncation
     assert main(["profile", "--state", "coherent", "--alpha-x", "3+0i",
-                 "--alpha-y", "0+0i"] + out) == 3
-    capsys.readouterr()
-    # default cothermal cutoff cannot hold |alpha|^2 = 16; the message says
-    # which cutoff would
+                 "--alpha-y", "0+0i"] + out) == 0
     assert main(["profile", "--state", "cothermal", "--alpha", "4"]
-                + out) == 3
-    assert "cutoff 79 suffices" in capsys.readouterr().err
+                + out) == 0
+    assert main(["pairdist", "--state", "thermal", "--nbar-a", "2",
+                 "--nbar-b", "2"] + out) == 0
+    capsys.readouterr()
     # relative-angle marginal is not defined for an anisotropic state
     assert main(["pairangle", "--state", "noon"] + out) == 4
     assert "--two-angle" in capsys.readouterr().err
+
+
+def test_no_cutoff_option(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(["pairdist", "--state", "thermal", "--cutoff", "40"] + out)
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"state": "thermal", "cutoff": 40}))
+    capsys.readouterr()
+    assert main(["pairdist", "--config", str(cfg)] + out) == 2
+    assert "cutoff" in capsys.readouterr().err
+
+
+def _assert_finite_outputs(directory):
+    for path in directory.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+        elif path.suffix == ".csv":
+            _, rows = _data_rows(path)
+            assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("command", [
+    ["pairdist", "--points", "64"], ["pairangle", "--points", "64"],
+    ["profile", "--step", "0.5"],
+    ["frames", "--seed", "2", "--count", "200", "--stats"]])
+def test_large_parameters(tmp_path, capsys, command):
+    # correlators that would overflow are refused, naming the parameter
+    cases = ((["--state", "thermal", "--nbar-a", "1e6"], 0),
+             (["--state", "thermal", "--nbar-a", "1e17"], 0),
+             (["--state", "thermal", "--nbar-a", "1e160"], 2),
+             (["--state", "coherent", "--alpha-x", "1e160", "--alpha-y", "0"],
+              2))
+    for i, (flags, code) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert main(command + flags + ["--out", str(out)]) == code, flags
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 2:
+            assert flags[2][2:].replace("-", "_") in err
+            assert not out.exists()
+        else:
+            _assert_finite_outputs(out)
+
+
+def test_frames_stats_refuses_zero_count(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["frames", "--count", "0", "--seed", "1", "--stats",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--stats" in err and "Traceback" not in err
+    # without --stats an empty run still writes its header-only file
+    assert main(["frames", "--count", "0", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["frames.csv"]
 
 
 def test_frames_has_no_method_option(tmp_path, capsys):

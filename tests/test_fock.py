@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from vortexcorr.density import rho1, rho2
-from vortexcorr.errors import PauliViolationError, TruncationError
-from vortexcorr.fock import (Basis, Statistics, change_basis, make_coherent,
-                             make_cothermal, make_fock, make_noon,
-                             make_thermal, mean_number, mode_occupations,
-                             pair_isotropy_defect, pair_moment)
+from vortexcorr.errors import PauliViolationError
+from vortexcorr.fock import (Basis, Statistics, _product_correlators,
+                             _single_mode_moments, change_basis,
+                             make_coherent, make_cothermal, make_fock,
+                             make_noon, make_thermal, mean_number,
+                             mode_occupations, pair_isotropy_defect,
+                             pair_moment)
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
 
@@ -31,9 +33,9 @@ def _assert_same_correlators(got, want, atol):
 def test_mean_numbers():
     assert mean_number(make_fock(1, 1, Statistics.FERMI)) == pytest.approx(2.0, abs=1e-13)
     assert mean_number(make_fock(2, 0, Statistics.BOSE)) == pytest.approx(2.0, abs=1e-13)
-    assert mean_number(make_coherent(1.0j, 1.0, 16)) == pytest.approx(2.0, abs=1e-12)
-    assert mean_number(make_thermal(1.0, 1.0, 40)) == pytest.approx(2.0, abs=1e-9)
-    assert mean_number(make_cothermal(math.sqrt(0.5), 0.5, 40)) == pytest.approx(2.0, abs=1e-9)
+    assert mean_number(make_coherent(1.0j, 1.0)) == pytest.approx(2.0, abs=1e-13)
+    assert mean_number(make_thermal(1.0, 1.0)) == pytest.approx(2.0, abs=1e-13)
+    assert mean_number(make_cothermal(math.sqrt(0.5), 0.5)) == pytest.approx(2.0, abs=1e-13)
     assert mean_number(make_noon()) == pytest.approx(2.0, abs=1e-13)
 
 
@@ -44,9 +46,9 @@ def test_pair_moments():
     assert pair_moment(make_fock(1, 1, Statistics.BOSE)) == pytest.approx(2.0, abs=1e-13)
     assert pair_moment(make_fock(2, 0, Statistics.BOSE)) == pytest.approx(2.0, abs=1e-13)
     assert pair_moment(make_noon()) == pytest.approx(2.0, abs=1e-13)
-    assert pair_moment(make_coherent(1.0j, 1.0, 16)) == pytest.approx(4.0, abs=1e-11)
-    assert pair_moment(make_thermal(1.0, 1.0, 40)) == pytest.approx(6.0, abs=1e-8)
-    assert pair_moment(make_cothermal(math.sqrt(0.5), 0.5, 40)) == pytest.approx(5.5, abs=1e-8)
+    assert pair_moment(make_coherent(1.0j, 1.0)) == pytest.approx(4.0, abs=1e-13)
+    assert pair_moment(make_thermal(1.0, 1.0)) == pytest.approx(6.0, abs=1e-13)
+    assert pair_moment(make_cothermal(math.sqrt(0.5), 0.5)) == pytest.approx(5.5, abs=1e-13)
 
 
 def test_fermi_pauli_guard():
@@ -54,21 +56,74 @@ def test_fermi_pauli_guard():
         make_fock(2, 0, Statistics.FERMI)
 
 
-def test_coherent_cutoff_guard():
-    with pytest.raises(TruncationError) as err:
-        make_coherent(3.0, 3.0j, 2)
-    assert err.value.required_cutoff > 2
+def _displaced_thermal_rho(alpha, nbar, size):
+    """<i|rho|j>, i, j < size, of a displaced thermal state.
+
+    With tau = nbar/(1+nbar) and alpha' = (1-tau) alpha, the rows follow
+    from <0|rho|j> = (1-tau) exp(-(1-tau)|alpha|^2) conj(alpha')^j / sqrt(j!)
+    and the Wick recursion
+    <i+1|rho|j> = (alpha' <i|rho|j> + tau sqrt(j) <i|rho|j-1>) / sqrt(i+1).
+    """
+    tau = nbar / (1.0 + nbar)
+    shrunk = (1.0 - tau) * alpha
+    lift = np.sqrt(np.arange(1, size, dtype=float))
+    rho = np.empty((size, size), dtype=complex)
+    rho[0] = np.cumprod(np.concatenate((
+        [(1.0 - tau) * math.exp(-(1.0 - tau) * abs(alpha) ** 2)],
+        np.conj(shrunk) / lift)))
+    for i in range(size - 1):
+        rho[i + 1] = shrunk * rho[i]
+        rho[i + 1, 1:] += tau * lift * rho[i, :-1]
+        rho[i + 1] /= lift[i]
+    return rho
 
 
-def test_cothermal_cutoff_guard_reports_sufficient_cutoff():
-    with pytest.raises(TruncationError) as err:
-        make_cothermal(4.0, 0.5, 40)
-    need = err.value.required_cutoff
-    assert need > 40
-    assert f"cutoff {need} suffices" in str(err.value)
-    make_cothermal(4.0, 0.5, need)
-    with pytest.raises(TruncationError):
-        make_cothermal(4.0, 0.5, need - 1)
+def _truncated_moments(alpha, nbar):
+    """Tr(adag^k a^l rho), k, l <= 2, of the displaced thermal state cut to
+    the Fock levels <= the smallest cutoff whose tail mass is below 1e-18,
+    and renormalised: the truncated route the closed form replaced."""
+    rho = _displaced_thermal_rho(alpha, nbar, 400)
+    tail = np.cumsum(np.real(np.diag(rho))[::-1])[::-1]
+    cutoff = int(np.argmax(tail < 1e-18)) - 1
+    assert cutoff > 0 and tail[cutoff + 1] < 1e-18
+    rho = rho[:cutoff + 1, :cutoff + 1]
+    rho /= np.real(np.trace(rho))
+    moments = np.zeros((3, 3), dtype=complex)
+    for k, l in np.ndindex(3, 3):
+        # <j+k| adag^k a^l |j+l> = sqrt((j+1)...(j+l) (j+1)...(j+k))
+        j = np.arange(cutoff + 1 - max(k, l))
+        weight = np.ones(j.size)
+        for t in range(1, l + 1):
+            weight *= j + t
+        for t in range(1, k + 1):
+            weight *= j + t
+        moments[k, l] = np.sum(np.sqrt(weight) * rho[j + l, j + k])
+    return moments
+
+
+def _random_modes():
+    """(alpha, nbar) of random displaced thermal modes, |alpha|, nbar <= 3."""
+    rng = np.random.default_rng(7)
+    return [(rng.uniform(0.0, 3.0) * np.exp(2j * math.pi * rng.uniform()),
+             rng.uniform(0.0, 3.0)) for _ in range(12)]
+
+
+@pytest.mark.parametrize("alpha, nbar", _random_modes())
+def test_closed_moments_match_truncated_route(alpha, nbar):
+    want = _truncated_moments(alpha, nbar)
+    got = _single_mode_moments(alpha, nbar)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_shipped_states_match_truncated_route():
+    alpha = math.sqrt(0.5)
+    for spec, modes in ((coherent(), [(1.0j, 0.0), (1.0, 0.0)]),
+                        (thermal(), [(0.0, 1.0), (0.0, 1.0)]),
+                        (cothermal(), [(alpha, 0.5), (-1.0j * alpha, 0.5)])):
+        got = build_state(spec).correlators()
+        want = _product_correlators(*(_truncated_moments(*m) for m in modes))
+        for g, w in ((got.first, want.first), (got.second, want.second)):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), spec
 
 
 def test_fock_correlators_exact():
@@ -96,7 +151,7 @@ def test_fermi_exchange_antisymmetry():
 
 
 def test_coherent_factorization():
-    corr = make_coherent(0.7j, -0.3 + 0.4j, 16).correlators()
+    corr = make_coherent(0.7j, -0.3 + 0.4j).correlators()
     alpha = np.array([0.7j, -0.3 + 0.4j])
     want_first = np.conj(alpha)[:, None] * alpha[None, :]
     np.testing.assert_allclose(corr.first, want_first, atol=1e-12)
@@ -108,12 +163,12 @@ def test_coherent_factorization():
 
 
 def test_thermal_correlators():
-    corr = make_thermal(1.0, 0.5, 42).correlators()
-    np.testing.assert_allclose(corr.first, np.diag([1.0, 0.5]), atol=1e-10)
+    corr = make_thermal(1.0, 0.5).correlators()
+    np.testing.assert_allclose(corr.first, np.diag([1.0, 0.5]), atol=1e-15)
     # <adag adag a a> = 2 nbar^2 per mode, cross terms nbar_a nbar_b
-    assert corr.second[0, 0, 0, 0] == pytest.approx(2.0, abs=1e-9)
-    assert corr.second[1, 1, 1, 1] == pytest.approx(0.5, abs=1e-10)
-    assert corr.second[0, 1, 1, 0] == pytest.approx(0.5, abs=1e-10)
+    assert corr.second[0, 0, 0, 0] == pytest.approx(2.0, abs=1e-15)
+    assert corr.second[1, 1, 1, 1] == pytest.approx(0.5, abs=1e-15)
+    assert corr.second[0, 1, 1, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_bose_basis_identity():
@@ -140,8 +195,8 @@ def test_fermi_basis_identity():
 
 def test_basis_round_trip():
     for build in (lambda: make_fock(1, 1, Statistics.BOSE, Basis.VORTEX),
-                  lambda: make_thermal(0.3, 0.3, 22),
-                  lambda: make_coherent(1.0j, 1.0, 16)):
+                  lambda: make_thermal(0.3, 0.3),
+                  lambda: make_coherent(1.0j, 1.0)):
         state = build()
         back = change_basis(change_basis(state))
         assert back.basis is state.basis
@@ -150,7 +205,7 @@ def test_basis_round_trip():
 
 def test_correlators_basis_covariant():
     # <N>, <:N^2:> and the isotropy defect do not depend on the basis labels
-    state = make_thermal(0.5, 0.5, 28)
+    state = make_thermal(0.5, 0.5)
     rotated = change_basis(state)
     assert mean_number(rotated) == pytest.approx(mean_number(state), abs=1e-10)
     assert pair_moment(rotated) == pytest.approx(pair_moment(state), abs=1e-9)
@@ -208,5 +263,5 @@ def test_mode_occupations():
 
 def test_isotropy_defect_flags_noon():
     assert pair_isotropy_defect(make_fock(1, 1, Statistics.FERMI)) < 1e-12
-    assert pair_isotropy_defect(make_thermal(1.0, 1.0, 40)) < 1e-10
+    assert pair_isotropy_defect(make_thermal(1.0, 1.0)) < 1e-10
     assert pair_isotropy_defect(make_noon()) > 0.5

@@ -66,7 +66,7 @@ def test_oracle_routes_match_engine():
         (bose_fock(2, 0), 1e-12, 2.0),
         (noon(), 1e-12, 2.0),
         (coherent(), 1e-12, 4.0),
-        (thermal(1.0, 1.0), 1e-9, 6.0),  # cutoff-40 series tail
+        (thermal(1.0, 1.0), 1e-12, 6.0),
         (cothermal(), 1e-12, 5.5),
     ]
     for spec, tol, pairs in cases:

@@ -1,6 +1,7 @@
 """Distance and angle laws: kernels vs the former quadratures and closed
 forms, moments, peaks."""
 
+import cmath
 import math
 import subprocess
 import sys
@@ -166,18 +167,20 @@ def _random_spec(draw):
     kind = draw(st.sampled_from(("bose-fock", "fermi-fock", "coherent",
                                  "thermal", "cothermal", "noon")))
     basis = draw(st.sampled_from(("vortex", "dipole")))
-    unit = st.floats(-1.0, 1.0)
+
+    def amplitude():
+        return cmath.rect(draw(st.floats(0.0, 3.0)),
+                          draw(st.floats(0.0, 2.0 * math.pi)))
+
     if kind == "bose-fock":
         n = draw(st.integers(0, 6))
         spec = bose_fock(n, draw(st.integers(max(0, 2 - n), 6)))
     elif kind == "coherent":
-        spec = coherent(complex(draw(unit), draw(unit)),
-                        complex(draw(unit), draw(unit)), cutoff=24)
+        spec = coherent(amplitude(), amplitude())
     elif kind == "thermal":
-        spec = thermal(draw(st.floats(0.05, 0.8)), draw(st.floats(0.05, 0.8)))
+        spec = thermal(draw(st.floats(0.05, 5.0)), draw(st.floats(0.05, 5.0)))
     elif kind == "cothermal":
-        spec = cothermal(complex(draw(unit), draw(unit)) * 0.7,
-                         draw(st.floats(0.05, 0.5)))
+        spec = cothermal(amplitude(), draw(st.floats(0.05, 3.0)))
     else:
         spec = fermi_fock() if kind == "fermi-fock" else noon()
     return replace(spec, basis=basis)

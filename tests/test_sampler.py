@@ -16,7 +16,8 @@ from vortexcorr.sampler import (FrameStream, chi_square_gof, counter_uniforms,
                                 radial_cdf, sample_pair, save_frames)
 from vortexcorr.pairstats import (PairDistribution, PairVariable,
                                   closed_form_angle, closed_form_distance)
-from vortexcorr.states import bose_fock, coherent, fermi_fock, noon
+from vortexcorr.states import (bose_fock, coherent, fermi_fock, noon,
+                               thermal)
 
 MASK = (1 << 64) - 1
 GOLD = 0x9E3779B97F4A7C15
@@ -225,6 +226,21 @@ def test_save_load_round_trip(tmp_path):
     text1 = path.read_text()
     save_frames(frames, path, provenance={"note": "round-trip"})
     assert path.read_text() == text1
+
+
+def test_load_frames_ignores_old_cutoff_entry(tmp_path):
+    # files written while product states were truncated carry a cutoff
+    frames = generate_frames(thermal(), 20, seed=8)
+    path = tmp_path / "frames.csv"
+    save_frames(frames, path)
+    first, rest = path.read_text().split("\n", 1)
+    header = json.loads(first[len(sampler._HEADER_PREFIX):])
+    header["state"]["cutoff"] = 40
+    path.write_text(sampler._HEADER_PREFIX
+                    + json.dumps(header, sort_keys=True) + "\n" + rest)
+    back = load_frames(path)
+    assert back.spec == frames.spec
+    np.testing.assert_array_equal(back.points, frames.points)
 
 
 def test_save_zero_frames(tmp_path):

@@ -15,9 +15,10 @@ import math
 import numpy as np
 
 from vortexcorr import (
-    analytic_distance,
     bose_fock,
+    build_state,
     chi_square_gof,
+    distance_distribution,
     fermi_fock,
     generate_frames,
     pair_separations,
@@ -34,7 +35,7 @@ def main():
                        ("bose-fock", bose_fock(1, 1))):
         frames = generate_frames(spec, COUNT, seed=SEED)
         d = pair_separations(frames)
-        law = analytic_distance(name)
+        law = distance_distribution(build_state(spec))
         ref = summarize(law)
         mean = float(np.mean(d))
         se = float(np.std(d, ddof=1)) / math.sqrt(d.size)

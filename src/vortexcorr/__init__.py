@@ -23,11 +23,10 @@ from .modes import (DIPOLE_PAIR, DIPOLE_X, DIPOLE_Y, VORTEX_CCW, VORTEX_CW,
 from .density import (DensityField, density_grid, rho1, rho1_closed, rho2,
                       rho2_closed, rho2_polar)
 from .pairstats import (DistSummary, PairDistribution, PairVariable,
-                        analytic_distance, angle_distribution,
+                        angle_distribution, bosonic_weight,
                         closed_form_angle, closed_form_distance,
-                        closed_form_two_angle, compose_distance_samples,
-                        distance_distribution, summarize,
-                        two_angle_distribution)
+                        closed_form_two_angle, distance_distribution,
+                        summarize, two_angle_distribution)
 from .sampler import (Frame, FrameSet, FrameStream, chi_square_gof,
                       counter_uniforms, empirical_pair_stats,
                       empirical_profile, generate_frames, invert_radial_cdf,
@@ -52,10 +51,9 @@ __all__ = [
     "SamplerMethodError", "SpecError", "StateSpec", "Statistics",
     "UnsupportedStateError", "VERSION", "VORTEX_CCW",
     "VORTEX_CW", "VORTEX_PAIR", "VortexError", "all_engine_checks_confirmed",
-    "analytic_distance",
-    "angle_distribution", "bose_fock", "build_state", "change_basis",
-    "chi_square_gof", "closed_form_angle", "closed_form_distance",
-    "closed_form_two_angle", "coherent", "compose_distance_samples",
+    "angle_distribution", "bose_fock", "bosonic_weight", "build_state",
+    "change_basis", "chi_square_gof", "closed_form_angle",
+    "closed_form_distance", "closed_form_two_angle", "coherent",
     "cothermal", "counter_uniforms", "cross_validate", "density_grid",
     "distance_distribution", "empirical_pair_stats", "empirical_profile",
     "fermi_fock", "full_report", "generate_frames",

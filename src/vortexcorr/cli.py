@@ -76,6 +76,10 @@ _COMMAND_DEFAULTS = {
 
 _DISTRIBUTION_POINTS = {"pairdist": 801, "pairangle": 361}
 _TWO_ANGLE_POINTS = 180
+# --points ceilings, checked before anything is allocated: at them the
+# relative-angle law peaks near 0.5 GB and the joint law near 0.2 GB
+_MAX_POINTS = 10 ** 6
+_MAX_TWO_ANGLE_POINTS = 2048
 
 
 @dataclass
@@ -187,13 +191,13 @@ def build_parser():
         "pairdist": ("outputs:\n"
                      "  pairdist_distribution.csv  d,density[,closed_form]\n"
                      "  pairdist_summary.json      mean, second moment, "
-                     "maxima\n"
+                     "maxima, bosonic weight\n"
                      "  pairdist_overlay.svg"),
         "pairangle": ("outputs:\n"
                       "  pairangle_distribution.csv  delta,density"
                       "[,closed_form]\n"
                       "  pairangle_summary.json      mean, second moment, "
-                      "maxima\n"
+                      "maxima, bosonic weight\n"
                       "  pairangle_overlay.svg"),
     }
     two_angle_note = ("\nwith --two-angle:\n"
@@ -358,8 +362,10 @@ def resolve_config(args):
             raise SpecError("--stats needs --count >= 1")
         if run.bins < 4:
             raise SpecError("--bins must be >= 4")
-    if command in ("pairdist", "pairangle") and run.points < 8:
-        raise SpecError("--points must be >= 8")
+    if command in ("pairdist", "pairangle"):
+        ceiling = _MAX_TWO_ANGLE_POINTS if run.two_angle else _MAX_POINTS
+        if not 8 <= run.points <= ceiling:
+            raise SpecError(f"--points must be between 8 and {ceiling}")
     if command == "profile":
         if run.step <= 0 or run.extent <= 0:
             raise SpecError("--step and --extent must be positive")
@@ -378,13 +384,6 @@ def _canonical_family(spec):
     configuration those laws describe, else None. Cothermal has no printed
     law, although its canonical configuration is a donut."""
     return spec.kind if spec.kind != "cothermal" and _is_donut(spec) else None
-
-
-def _reference_distance(spec):
-    fam = _canonical_family(spec)
-    if fam in ("fermi-fock", "bose-fock", "coherent", "noon"):
-        return fam, pairstats.analytic_distance(fam)
-    return None, None
 
 
 def _reference_angle_closure(spec):
@@ -507,11 +506,13 @@ def cmd_pairdist(cfg):
     dist = pairstats.distance_distribution(state, n_points=cfg.points)
     summary = pairstats.summarize(dist)
     prov = cfg.prov(state)
-    fam, ref = _reference_distance(cfg.spec)
+    fam = _canonical_family(cfg.spec)
+    closed = None
+    if fam in ("fermi-fock", "bose-fock", "coherent", "noon"):
+        closed = pairstats.closed_form_distance(fam, dist.grid)
 
     if "csv" in cfg.formats:
-        if ref is not None:
-            closed = ref.value_at(dist.grid)
+        if closed is not None:
             columns = ("d", "density", "closed_form")
             rows = zip(dist.grid, dist.values, closed)
         else:
@@ -527,21 +528,22 @@ def cmd_pairdist(cfg):
             "second_moment": summary.second_moment,
             "variance": summary.second_moment - summary.mean ** 2,
             "local_maxima": summary.local_maxima,
+            "bosonic_weight": summary.meta["bosonic_weight"],
             "pair_normalization": dist.normalization,
             # the overlaid Bose closed form carries the restored leading
             # d factor; the flag records that the corrected variant is used
             "bose-form-corrected": fam == "bose-fock",
             "provenance": prov,
         }
-        if ref is not None:
+        if closed is not None:
             payload["closed_form_sup_deviation"] = float(
-                np.max(np.abs(dist.values - ref.value_at(dist.grid))))
+                np.max(np.abs(dist.values - closed)))
         write_json(_path(cfg, "pairdist_summary.json"), payload)
     if "svg" in cfg.formats:
         series = [{"label": "kernel", "x": dist.grid, "y": dist.values}]
-        if ref is not None:
+        if closed is not None:
             series.append({"label": "closed form", "x": dist.grid,
-                           "y": ref.value_at(dist.grid)})
+                           "y": closed})
         svg_chart(_path(cfg, "pairdist_overlay.svg"), series,
                   title="pair-distance density", xlabel="d",
                   ylabel="D(d)", prov=prov)
@@ -553,22 +555,9 @@ def cmd_pairangle(cfg):
         return _two_angle_outputs(cfg)
     state = build_state(cfg.spec)
     dist = pairstats.angle_distribution(state, n_points=cfg.points)
+    summary = pairstats.summarize(dist)
     prov = cfg.prov(state)
     closure = _reference_angle_closure(cfg.spec)
-
-    mean = float(np.trapezoid(dist.grid * dist.values, dist.grid))
-    second = float(np.trapezoid(dist.grid ** 2 * dist.values, dist.grid))
-    spread = float(np.max(dist.values) - np.min(dist.values))
-    if spread <= 1e-9 * max(1.0, float(np.max(dist.values))):
-        maxima = []
-    else:
-        v = dist.values
-        inner = np.nonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]))[0] + 1
-        maxima = [float(dist.grid[i]) for i in inner]
-        if v[0] > v[1]:
-            maxima.insert(0, float(dist.grid[0]))
-        if v[-1] > v[-2]:
-            maxima.append(float(dist.grid[-1]))
 
     if "csv" in cfg.formats:
         if closure is not None:
@@ -584,9 +573,10 @@ def cmd_pairangle(cfg):
         payload = {
             "state": spec_to_dict(cfg.spec),
             "points": cfg.points,
-            "mean": mean,
-            "second_moment": second,
-            "local_maxima": maxima,
+            "mean": summary.mean,
+            "second_moment": summary.second_moment,
+            "local_maxima": summary.local_maxima,
+            "bosonic_weight": summary.meta["bosonic_weight"],
             "max_value": float(np.max(dist.values)),
             "min_value": float(np.min(dist.values)),
             "pair_normalization": dist.normalization,
@@ -631,24 +621,24 @@ def _generate_sharded(spec, count, seed, threads):
                     meta=meta)
 
 
-def _write_frame_stats(cfg, state, frames, prov):
+def _frame_references(cfg, state):
+    """Reference distance and angle laws of --stats. Built before any file
+    is written, so a state without an angle law leaves no output behind."""
+    d_ref = pairstats.distance_distribution(state)
+    a_closure = _reference_angle_closure(cfg.spec)
+    if a_closure is None:
+        return d_ref, pairstats.angle_distribution(state)
+    grid = np.linspace(0.0, math.pi, 361)
+    return d_ref, pairstats.PairDistribution(
+        pairstats.PairVariable.REL_ANGLE, grid, a_closure(grid),
+        closure=a_closure)
+
+
+def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
     d_hist, a_hist = empirical_pair_stats(frames, bins=cfg.bins)
     distances = pair_separations(frames)
     angles = pair_angles(frames)
-
-    fam, d_ref = _reference_distance(cfg.spec)
-    if d_ref is None:
-        d_ref = pairstats.distance_distribution(state)
     d_summary = pairstats.summarize(d_ref)
-
-    a_closure = _reference_angle_closure(cfg.spec)
-    if a_closure is None:
-        a_ref = pairstats.angle_distribution(state)
-    else:
-        grid = np.linspace(0.0, math.pi, 361)
-        a_ref = pairstats.PairDistribution(
-            pairstats.PairVariable.REL_ANGLE, grid, a_closure(grid),
-            closure=a_closure)
 
     mean_d = float(np.mean(distances))
     # one frame has no spread; non-finite statistics are written as null
@@ -705,13 +695,14 @@ def _write_frame_stats(cfg, state, frames, prov):
 
 
 def cmd_frames(cfg):
-    frames = _generate_sharded(cfg.spec, cfg.count, cfg.seed, cfg.threads)
     state = build_state(cfg.spec)
+    refs = _frame_references(cfg, state) if cfg.stats else None
+    frames = _generate_sharded(cfg.spec, cfg.count, cfg.seed, cfg.threads)
     prov = cfg.prov(state)
     save_frames(frames, _path(cfg, "frames.csv"), provenance=prov,
                 workers=cfg.threads)
     if cfg.stats:
-        _write_frame_stats(cfg, state, frames, prov)
+        _write_frame_stats(cfg, frames, prov, *refs)
     return EXIT_OK
 
 

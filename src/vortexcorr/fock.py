@@ -224,19 +224,23 @@ def pair_isotropy_defect(state):
     Rotating the plane by angle t multiplies vortex-basis correlator entries
     by exp(i t (l_q + l_q' - l_p - l_p')) with circulation l = +/-1, so the
     one- and two-body densities are isotropic iff every entry with unbalanced
-    circulation vanishes. Returns the largest unbalanced magnitude.
+    circulation vanishes. Returns the largest unbalanced magnitude relative
+    to the largest entry of the same order: the basis rotation rounds each
+    entry relative to that scale, so the result does not grow with the
+    occupation.
     """
     corr = state.correlators()
     if state.basis is Basis.DIPOLE:
         corr = _rotate(corr, _DIPOLE_TO_VORTEX)
-    ell = np.array([1, -1])
     defect = 0.0
-    for p in range(2):
-        for q in range(2):
-            if ell[p] != ell[q]:
-                defect = max(defect, abs(corr.first[p, q]))
-    for idx in np.ndindex(2, 2, 2, 2):
-        p, pp, qp, q = idx
-        if ell[p] + ell[pp] != ell[q] + ell[qp]:
-            defect = max(defect, abs(corr.second[idx]))
-    return float(defect)
+    for tensor in (corr.first, corr.second):
+        scale = float(np.max(np.abs(tensor)))
+        if scale == 0.0:
+            continue
+        # creation indices come first; index 0 is l = +1, index 1 is l = -1
+        ell = 1 - 2 * np.indices(tensor.shape)
+        half = tensor.ndim // 2
+        charge = ell[:half].sum(axis=0) - ell[half:].sum(axis=0)
+        defect = max(defect,
+                     float(np.max(np.abs(tensor[charge != 0]))) / scale)
+    return defect

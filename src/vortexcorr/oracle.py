@@ -51,7 +51,7 @@ BOSE_DISTANCE_MEAN = math.sqrt(121.0 * math.pi / 128.0)
 FERMI_DISTANCE_MODE = math.sqrt(3.0)
 # roots of 8 - 20 d^2 + 9 d^4 - d^6, the stationary points of the corrected
 # bosonic distance law
-BOSE_DISTANCE_MODES = (0.7146407690409673, 2.4038421558469611)
+BOSE_DISTANCE_MODES = (0.7146407686312902, 2.4038421575174999)
 CROSSING_DISTANCES = (math.sqrt(4.0 - 2.0 * math.sqrt(2.0)),
                       math.sqrt(4.0 + 2.0 * math.sqrt(2.0)))
 

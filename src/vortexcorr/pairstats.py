@@ -24,7 +24,10 @@ R and the average over gamma give
 so D(d) = d exp(-d^2/2) [s (1 + d^4/8) + t d^2] / (4 N2) with the two state
 numbers s = sum second * S and t = sum second * T. Orthonormal modes give
 (12)(34) summed against second = N2, so s + t = 2 N2, hence int D = 1 and
-E[d^2] = 4 for every state.
+E[d^2] = 4 for every state. With the bosonic weight w = s / (4 N2),
+D = w D_B + (1 - w) D_F is a mixture of the two-boson and two-fermion
+laws: w = 0 for fermions, w in [1/2, 1] for bosons, 1/2 for coherent
+states.
 
 The angle laws rest on the same ring factorisation. Every mode is
 R(r) u_v(theta) with R(r) = r exp(-r^2/2) / sqrt(pi) and the angular
@@ -38,7 +41,9 @@ J(t, v) = W(t, v) / (4 pi^2 N2) and f(D) is the phi-average of
 W(phi, phi + D) over 2 pi N2. W(phi, phi + D) has degree <= 4 in phi, so
 five equally spaced phi average it exactly. Every mode is odd,
 u(theta + pi) = -u(theta), so f(D + pi) = f(D) and the law folded to
-[0, pi) is 2 f(D).
+[0, pi) is 2 f(D). For a rotation-invariant state this folded law is
+(1 + (2w - 1) cos 2D) / pi with the same w, so one number summarises
+every distance and relative-angle law (see summarize).
 """
 
 import math
@@ -51,7 +56,6 @@ from .density import CORRECTED, VERBATIM
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      NoPairsError)
 from .fock import Basis, dipole_correlators, pair_isotropy_defect, pair_moment
-from .quadrature import gauss_legendre
 from .states import StateSpec
 
 DISTANCE_MAX = 8.0
@@ -77,7 +81,8 @@ class PairDistribution:
 
     values is 1D for DISTANCE / REL_ANGLE and 2D (grid x grid) for
     TWO_ANGLE. closure, when present, is the analytic density and takes
-    precedence in value_at.
+    precedence in value_at. The engine's distance and relative-angle laws
+    carry meta["bosonic_weight"], which summarize reads.
     """
     variable: PairVariable
     grid: np.ndarray
@@ -94,26 +99,21 @@ class PairDistribution:
         return self.closure(x)
 
     def integral(self):
-        """Mass of the law: a distance closure on the moment rule, else
-        the tabulated values over the domain."""
+        """Mass of the tabulated values over the domain."""
         step = self.grid[1] - self.grid[0]
         if self.variable is PairVariable.TWO_ANGLE:
             return float(np.sum(self.values) * step * step)
         if self.meta.get("estimator") == "histogram":
             return float(np.sum(self.values) * step)
-        if self.variable is PairVariable.DISTANCE and self.closure is not None:
-            nodes, weights = _moment_rule()
-            return float(np.sum(weights * self.closure(nodes)))
         return float(np.trapezoid(self.values, self.grid))
 
 
 @dataclass
 class DistSummary:
-    """Moments and peak locations of a distance distribution."""
+    """Moments and peak locations of a distance or relative-angle law."""
     mean: float
     second_moment: float
     local_maxima: list
-    value_at: object
     meta: dict = field(default_factory=dict)
 
 
@@ -154,6 +154,13 @@ def _distance_coefficients(state):
     return float(s.real), float(t.real)
 
 
+def bosonic_weight(state):
+    """w = s / (4 N2): the weight of the two-boson law in the state's
+    distance law D = w D_B + (1 - w) D_F."""
+    norm = _require_pairs(state)
+    return _distance_coefficients(state)[0] / (4.0 * norm)
+
+
 def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
     """Pair-distance density D(d) on [0, 8] from the exact kernel.
 
@@ -172,7 +179,8 @@ def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
     grid = np.linspace(0.0, DISTANCE_MAX, n_points)
     return PairDistribution(PairVariable.DISTANCE, grid, closure(grid),
                             normalization=norm, closure=closure,
-                            meta={"kernel_s": s, "kernel_t": t})
+                            meta={"kernel_s": s, "kernel_t": t,
+                                  "bosonic_weight": s / (4.0 * norm)})
 
 
 def _angular_factors(basis, theta):
@@ -227,7 +235,8 @@ def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS):
     grid = np.linspace(0.0, math.pi, n_points)
     return PairDistribution(PairVariable.REL_ANGLE, grid, closure(grid),
                             normalization=norm, closure=closure,
-                            meta={"isotropy_defect": defect})
+                            meta={"isotropy_defect": defect,
+                                  "bosonic_weight": bosonic_weight(state)})
 
 
 def two_angle_distribution(state, n_points=DEFAULT_TWO_ANGLE_POINTS):
@@ -324,138 +333,55 @@ def closed_form_two_angle(kind, theta, vartheta):
     raise ValueError(f"no closed two-angle form for kind {kind!r}")
 
 
-def analytic_distance(kind, variant=CORRECTED, n_points=DEFAULT_DISTANCE_POINTS):
-    """closed_form_distance wrapped as a PairDistribution with closure."""
-    grid = np.linspace(0.0, DISTANCE_MAX, n_points)
-
-    def closure(d, _kind=_kind_of(kind), _variant=variant):
-        return closed_form_distance(_kind, d, variant=_variant)
-
-    return PairDistribution(PairVariable.DISTANCE, grid, closure(grid),
-                            closure=closure,
-                            meta={"form": "analytic", "variant": variant})
-
-
 # ---------------------------------------------------------------------------
 # summaries
 # ---------------------------------------------------------------------------
 
 
-def _moment_rule():
-    """Gauss-Legendre rule on [0, 2 DISTANCE_MAX] for distance-law
-    moments; the mass beyond adds below 1e-45."""
-    return gauss_legendre(160, 0.0, 2.0 * DISTANCE_MAX)
-
-
-def _refine_maximum(fn, lo, hi, tol=1e-9):
-    """Bisection on the (central-difference) derivative sign change."""
-    delta = 1e-7
-
-    def slope(x):
-        return fn(x + delta) - fn(x - delta)
-
-    a, b = lo, hi
-    if slope(a) <= 0.0 or slope(b) >= 0.0:
-        return 0.5 * (lo + hi)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if slope(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def _distance_maxima(w):
+    """Maxima of w D_B + (1 - w) D_F: d = sqrt(u) at the positive roots u
+    where the cubic carrying the sign of D'(d) falls through zero."""
+    cubic = [-0.5 * w, 6.5 * w - 2.0, 6.0 - 16.0 * w, 4.0 * w]
+    slope = np.polyder(cubic)
+    # a real root comes out with imaginary part exactly 0; a double root
+    # (slope 0) is an inflection, not a maximum
+    return sorted(math.sqrt(u.real) for u in np.roots(cubic)
+                  if u.imag == 0.0 and u.real > 0.0
+                  and np.polyval(slope, u.real) < 0.0)
 
 
 def summarize(dist):
-    """Moments and interior maxima of a distance law with a closure.
+    """Moments and maxima of a distance or relative-angle law, in closed
+    form from its bosonic weight w = dist.meta["bosonic_weight"].
 
-    Moments integrate the closure on _moment_rule; maxima are scanned on
-    [0, DISTANCE_MAX].
+    Distance: D = w D_B + (1 - w) D_F, so E[d] = sqrt(pi/2) (3/2 - w/8)
+    and E[d^2] = 4; with u = d^2, D'(d) has the sign of
+    4w + (6 - 16w) u + (6.5w - 2) u^2 - (w/2) u^3, and the maxima are the
+    roots where it changes sign from + to -.
+    Angle: f = (1 + (2w - 1) cos 2D) / pi on [0, pi), so E[D] = pi/2 and
+    E[D^2] = pi^2/3 + (2w - 1)/2; the maxima are 0 and pi when 2w > 1,
+    pi/2 when 2w < 1, and none when the law is flat.
     """
-    if dist.variable is not PairVariable.DISTANCE or dist.closure is None:
-        raise ValueError("summarize expects a distance law with a closure")
-    nodes, weights = _moment_rule()
-    dens = dist.closure(nodes)
-    mean = float(np.sum(weights * nodes * dens))
-    second = float(np.sum(weights * nodes * nodes * dens))
+    w = dist.meta.get("bosonic_weight")
+    if w is None or dist.variable is PairVariable.TWO_ANGLE:
+        raise ValueError("summarize expects a distance or relative-angle "
+                         "law with meta['bosonic_weight']")
+    if dist.variable is PairVariable.DISTANCE:
+        mean = math.sqrt(0.5 * math.pi) * (1.5 - w / 8.0)
+        second = 4.0
+        maxima = _distance_maxima(w)
+    else:
+        contrast = 2.0 * w - 1.0
+        mean = 0.5 * math.pi
+        second = math.pi ** 2 / 3.0 + 0.5 * contrast
+        spread = 2.0 * abs(contrast) / math.pi
+        # flat: spread below 1e-9 max(1, peak), i.e. |2w - 1| <~ 1.6e-9
+        if spread <= 1e-9 * max(1.0, (1.0 + abs(contrast)) / math.pi):
+            maxima = []
+        elif contrast > 0.0:
+            maxima = [0.0, math.pi]
+        else:
+            maxima = [0.5 * math.pi]
 
-    peak_floor = 1e-6 * float(np.max(dist.values))
-    scan = np.arange(0.0, DISTANCE_MAX + 1e-12, 1e-3)
-    vals = dist.closure(scan)
-    interior = ((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-                & (vals[1:-1] > peak_floor))
-    maxima = [_refine_maximum(dist.closure, scan[i - 1], scan[i + 1])
-              for i in np.nonzero(interior)[0] + 1]
-
-    meta = {"variance": second - mean * mean,
-            "normalization": dist.normalization}
-    meta.update(dist.meta)
-    return DistSummary(mean=mean, second_moment=second,
-                       local_maxima=[float(m) for m in maxima],
-                       value_at=dist.value_at, meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# law-of-cosines composition
-# ---------------------------------------------------------------------------
-
-
-def _density_table(density):
-    """Coerce a 1D density (PairDistribution, (grid, values), callable)."""
-    if isinstance(density, PairDistribution):
-        return np.asarray(density.grid, float), np.asarray(density.values,
-                                                           float)
-    if callable(density):
-        grid = np.linspace(0.0, DISTANCE_MAX, 8001)
-        return grid, np.asarray(density(grid), float)
-    grid, values = density
-    return np.asarray(grid, float), np.asarray(values, float)
-
-
-def _inverse_cdf(grid, values):
-    """Inverse CDF of a tabulated density via a refined trapezoid CDF."""
-    fine = np.linspace(grid[0], grid[-1], max(4001, 4 * len(grid)))
-    dens = np.maximum(np.interp(fine, grid, values), 0.0)
-    mids = 0.5 * (dens[1:] + dens[:-1]) * np.diff(fine)
-    cdf = np.concatenate([[0.0], np.cumsum(mids)])
-    if cdf[-1] <= 0.0:
-        raise ValueError("density table has zero mass")
-    cdf /= cdf[-1]
-    # strictly increasing knots only, so interp is well defined
-    keep = np.concatenate([[True], np.diff(cdf) > 0.0])
-    keep[0] = keep[-1] = True
-    return cdf[keep], fine[keep]
-
-
-def compose_distance_samples(radial, angular, n, seed):
-    """Distance samples d = sqrt(r1^2 + r2^2 - 2 r1 r2 cos T).
-
-    Radii are drawn independently from the radial density and the relative
-    angle from the angular law. The folded angle is unfolded by a fair coin
-    between T and T + pi, exact for this family whose angular laws are
-    pi-periodic (harmonics 0 and +/-2 only).
-    """
-    if n < 1:
-        return np.empty(0)
-    r_grid, r_values = _density_table(radial)
-    r_cdf, r_knots = _inverse_cdf(r_grid, r_values)
-    if isinstance(angular, PairDistribution) and \
-            angular.variable is PairVariable.TWO_ANGLE:
-        raise ValueError("angular law must be a relative-angle density")
-    a_grid, a_values = _density_table(angular)
-    a_cdf, a_knots = _inverse_cdf(a_grid, a_values)
-
-    rng = np.random.default_rng(seed)
-    u = rng.random((4, int(n)))
-    r1 = np.interp(u[0], r_cdf, r_knots)
-    r2 = np.interp(u[1], r_cdf, r_knots)
-    theta = np.interp(u[2], a_cdf, a_knots)
-    cos_t = np.where(u[3] < 0.5, np.cos(theta), -np.cos(theta))
-    return np.sqrt(np.maximum(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * cos_t,
-                              0.0))
-
-
-def ring_radial_density(r):
-    """Radial marginal p(r) = 2 r^3 exp(-r^2) shared by the whole family."""
-    r = np.asarray(r, dtype=float)
-    return 2.0 * r ** 3 * np.exp(-r * r)
+    return DistSummary(mean=mean, second_moment=second, local_maxima=maxima,
+                       meta=dict(dist.meta))

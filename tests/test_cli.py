@@ -61,16 +61,65 @@ def test_pairdist_bose_summary(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "pairdist_summary.json").read_text())
     assert summary["bose-form-corrected"] is True
-    assert abs(summary["mean"] - BOSE_DISTANCE_MEAN) < 1e-6
-    assert abs(summary["second_moment"] - 4.0) < 1e-6
+    assert abs(summary["mean"] - BOSE_DISTANCE_MEAN) < 1e-12
+    assert summary["second_moment"] == 4.0
     maxima = summary["local_maxima"]
     assert len(maxima) == 2
-    assert abs(maxima[0] - BOSE_DISTANCE_MODES[0]) < 1e-2
-    assert abs(maxima[1] - BOSE_DISTANCE_MODES[1]) < 1e-2
+    assert abs(maxima[0] - BOSE_DISTANCE_MODES[0]) < 1e-12
+    assert abs(maxima[1] - BOSE_DISTANCE_MODES[1]) < 1e-12
     assert summary["closed_form_sup_deviation"] < 1e-6
     header, rows = _data_rows(tmp_path / "pairdist_distribution.csv")
     assert header == ["d", "density", "closed_form"]
     assert len(rows) == 201
+
+
+@pytest.mark.parametrize("flags, weight", [
+    (["--state", "fermi-fock"], 0.0),
+    (["--state", "bose-fock", "--n", "1", "--m", "1"], 1.0),
+    (["--state", "coherent"], 0.5),
+    (["--state", "thermal", "--nbar-a", "1", "--nbar-b", "1"], 2.0 / 3.0)])
+def test_summaries_report_bosonic_weight(tmp_path, flags, weight):
+    for command in ("pairdist", "pairangle"):
+        assert main([command] + flags + ["--points", "32", "--formats",
+                                         "json", "--out", str(tmp_path)]) == 0
+        summary = json.loads(
+            (tmp_path / f"{command}_summary.json").read_text())
+        assert summary["bosonic_weight"] == pytest.approx(weight, abs=1e-14)
+    # the angle summary is exact at any --points
+    assert summary["mean"] == math.pi / 2.0
+    assert summary["second_moment"] == pytest.approx(
+        math.pi ** 2 / 3.0 + weight - 0.5, rel=0, abs=1e-15)
+
+
+def test_pairangle_isotropy_is_relative(tmp_path, capsys):
+    # the isotropy defect is measured against the correlators' own scale,
+    # so large occupations of isotropic states pass
+    for flags, code in ((["--state", "cothermal", "--nbar", "1e6"], 0),
+                        (["--state", "cothermal", "--alpha", "1e70"], 0),
+                        (["--state", "thermal", "--nbar-a", "1e100",
+                          "--nbar-b", "1e100"], 0),
+                        (["--state", "noon"], 4),
+                        (["--state", "coherent", "--alpha-x", "2",
+                          "--alpha-y", "0"], 4)):
+        assert main(["pairangle"] + flags + ["--points", "16", "--formats",
+                                             "json", "--out",
+                                             str(tmp_path)]) == code, flags
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_points_ceiling_checked_before_allocation(tmp_path, capsys):
+    out = tmp_path / "out"
+    for argv in (["pairdist", "--points", "1000000000000000"],
+                 ["pairangle", "--points", "1000000000000000"],
+                 ["pairangle", "--two-angle", "--points", "1000000"]):
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert "--points" in err and "Traceback" not in err
+        assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 10 ** 15}))
+    assert main(["pairdist", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # the laws whose CSV carries a closed_form column, per state family
@@ -230,6 +279,19 @@ def test_frames_stats_refuses_zero_count(tmp_path, capsys):
     assert main(["frames", "--count", "0", "--seed", "1",
                  "--out", str(out)]) == 0
     assert [p.name for p in out.iterdir()] == ["frames.csv"]
+
+
+def test_frames_stats_refuses_anisotropic_state_up_front(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["frames", "--state", "coherent", "--alpha-x", "2", "--alpha-y",
+            "0", "--seed", "1", "--count", "100"]
+    assert main(argv + ["--stats", "--out", str(out)]) == 4
+    assert "--two-angle" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--out", str(out)]) == 0
+    # canonical NOON has a printed angle law to compare against
+    assert main(["frames", "--state", "noon", "--seed", "1", "--count",
+                 "100", "--stats", "--out", str(tmp_path / "noon")]) == 0
 
 
 def test_frames_has_no_method_option(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Distance and angle laws: kernels vs the former quadratures and closed
-forms, moments, peaks."""
+forms, the bosonic-weight identities, moments, peaks."""
 
 import cmath
 import math
@@ -15,12 +15,11 @@ from vortexcorr.errors import AnisotropicStateError, NoPairsError
 from vortexcorr.fock import pair_isotropy_defect, pair_moment
 from vortexcorr.modes import mode_eval
 from vortexcorr.pairstats import (ISOTROPY_TOL, VERBATIM, PairDistribution,
-                                  PairVariable,
-                                  angle_distribution, closed_form_angle,
+                                  PairVariable, angle_distribution,
+                                  bosonic_weight, closed_form_angle,
                                   closed_form_distance, closed_form_two_angle,
-                                  compose_distance_samples,
-                                  distance_distribution, ring_radial_density,
-                                  summarize, two_angle_distribution)
+                                  distance_distribution, summarize,
+                                  two_angle_distribution)
 from vortexcorr.quadrature import gauss_legendre
 from vortexcorr.sampler import MAJORANT_SAFETY, AngularLaw
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
@@ -33,7 +32,7 @@ FERMI_MEAN = math.sqrt(9.0 * math.pi / 8.0)      # 1.8799712059732503
 BOSE_MEAN = math.sqrt(121.0 * math.pi / 128.0)   # 1.7233069378059566
 FERMI_MODE = math.sqrt(3.0)
 # roots of the corrected-bose stationarity polynomial 8 - 20 d^2 + 9 d^4 - d^6
-BOSE_MODES = (0.7146407690409673, 2.4038421558469611)
+BOSE_MODES = (0.7146407686312902, 2.4038421575174999)
 
 
 @pytest.fixture(scope="module")
@@ -138,22 +137,6 @@ def test_angle_closures_equal_tables(spec):
     np.testing.assert_array_equal(rel.value_at(rel.grid), rel.values)
 
 
-@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
-def test_distance_integral_is_one(spec):
-    dist = distance_distribution(build_state(spec), n_points=8)
-    assert abs(dist.integral() - 1.0) <= 1e-12
-
-
-def test_distance_integral_leaves_out_scipy():
-    code = ("import sys; from vortexcorr import build_state, fermi_fock, "
-            "distance_distribution; "
-            "distance_distribution(build_state(fermi_fock())).integral(); "
-            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
-
-
 def test_distance_kernel_matches_closed_forms():
     for spec in (fermi_fock(), fermi_fock("dipole"), bose_fock(1, 1),
                  coherent(), noon()):
@@ -203,6 +186,42 @@ def test_distance_kernel_normalized_with_second_moment_four():
     check()
 
 
+def test_laws_follow_from_bosonic_weight():
+    # two independent routes: the distance kernel against the mixture of
+    # the printed laws, and the angular weight W against the cos 2D law
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    d = np.linspace(0.0, 8.0, 161)
+    bose = closed_form_distance("bose-fock", d)
+    fermi = closed_form_distance("fermi-fock", d)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        spec = _random_spec(data.draw)
+        state = build_state(spec)
+        hypothesis.assume(pair_moment(state) > 1e-3)
+        w = bosonic_weight(state)
+        if spec.kind == "fermi-fock":
+            assert abs(w) <= 1e-14
+        else:
+            assert 0.5 - 1e-14 <= w <= 1.0 + 1e-14
+        dist = distance_distribution(state, n_points=8)
+        assert dist.meta["bosonic_weight"] == w
+        np.testing.assert_allclose(dist.value_at(d),
+                                   w * bose + (1.0 - w) * fermi,
+                                   rtol=0, atol=1e-14)
+        if pair_isotropy_defect(state) > ISOTROPY_TOL:
+            return
+        rel = angle_distribution(state, n_points=91)
+        assert rel.meta["bosonic_weight"] == w
+        np.testing.assert_allclose(
+            rel.values, (1.0 + (2.0 * w - 1.0) * np.cos(2.0 * rel.grid))
+            / math.pi, rtol=0, atol=1e-13)
+
+    check()
+
+
 def test_angular_acceptance_at_least_a_quarter():
     # W <= 4 mean(W) for every state, so the ring sampler's rejection
     # never accepts less than a quarter (up to the majorant's safety)
@@ -239,19 +258,82 @@ def test_distance_laws_match_closed_forms(engine_distance):
 
 def test_fermi_distance_moments(engine_distance):
     summary = summarize(engine_distance["fermi-fock"])
-    assert abs(summary.mean - FERMI_MEAN) < 1e-6
-    assert abs(summary.second_moment - 4.0) < 1e-6
+    assert abs(summary.mean - FERMI_MEAN) < 1e-12
+    assert abs(summary.second_moment - 4.0) < 1e-12
     assert len(summary.local_maxima) == 1
-    assert abs(summary.local_maxima[0] - FERMI_MODE) < 1e-6
+    assert abs(summary.local_maxima[0] - FERMI_MODE) < 1e-12
 
 
 def test_bose_distance_moments(engine_distance):
     summary = summarize(engine_distance["bose-fock"])
-    assert abs(summary.mean - BOSE_MEAN) < 1e-6
-    assert abs(summary.second_moment - 4.0) < 1e-6
+    assert abs(summary.mean - BOSE_MEAN) < 1e-12
+    assert abs(summary.second_moment - 4.0) < 1e-12
     assert len(summary.local_maxima) == 2
-    assert abs(summary.local_maxima[0] - BOSE_MODES[0]) < 1e-3
-    assert abs(summary.local_maxima[1] - BOSE_MODES[1]) < 1e-3
+    assert abs(summary.local_maxima[0] - BOSE_MODES[0]) < 1e-12
+    assert abs(summary.local_maxima[1] - BOSE_MODES[1]) < 1e-12
+
+
+def _scanned_maxima(fn):
+    """Interior local maxima of fn on a 1e-4 grid over (0, 8)."""
+    d = np.arange(1, 80000) * 1e-4
+    v = fn(d)
+    return d[np.nonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:]))[0] + 1]
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
+def test_distance_maxima_match_dense_scan(spec):
+    dist = distance_distribution(build_state(spec))
+    got = summarize(dist).local_maxima
+    want = _scanned_maxima(dist.value_at)
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
+
+
+def test_distance_maxima_through_bimodal_transition():
+    # the law turns bimodal near w = 0.637; each step of 1/400 lands on one
+    # side of the fold, at least 6e-4 from it
+    grid = np.linspace(0.0, 8.0, 9)
+    counts = set()
+    for w in np.linspace(0.5, 1.0, 201):
+        def mixture(d, w=w):
+            return (w * closed_form_distance("bose-fock", d)
+                    + (1.0 - w) * closed_form_distance("fermi-fock", d))
+        law = PairDistribution(PairVariable.DISTANCE, grid, mixture(grid),
+                               closure=mixture, meta={"bosonic_weight": w})
+        got = summarize(law).local_maxima
+        want = _scanned_maxima(mixture)
+        assert len(got) == len(want), w
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
+        counts.add(len(got))
+    assert counts == {1, 2}
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
+def test_angle_summary_is_exact(spec):
+    state = build_state(spec)
+    if pair_isotropy_defect(state) > ISOTROPY_TOL:
+        return
+    dist = angle_distribution(state)
+    w = dist.meta["bosonic_weight"]
+    summary = summarize(dist)
+    assert summary.mean == math.pi / 2.0
+    assert summary.second_moment == pytest.approx(
+        math.pi ** 2 / 3.0 + (2.0 * w - 1.0) / 2.0, rel=0, abs=1e-15)
+    # a fine trapezoid over the tabulated law agrees to its own error
+    fine = angle_distribution(state, n_points=20001)
+    assert abs(np.trapezoid(fine.grid ** 2 * fine.values, fine.grid)
+               - summary.second_moment) < 1e-7
+    v = dist.values
+    inner = np.nonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]))[0] + 1
+    scanned = [float(dist.grid[i]) for i in inner]
+    if v[0] > v[1]:
+        scanned.insert(0, 0.0)
+    if v[-1] > v[-2]:
+        scanned.append(math.pi)
+    if np.ptp(v) <= 1e-9:
+        scanned = []
+    np.testing.assert_allclose(summary.local_maxima, scanned, rtol=0,
+                               atol=1e-15)
 
 
 def test_noon_distance_equals_coherent(engine_distance):
@@ -262,7 +344,7 @@ def test_noon_distance_equals_coherent(engine_distance):
 
 @pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
 def test_summary_second_moment_exact(spec):
-    # the moment rule reaches d = 16, so no mass beyond d = 8 is lost
+    # the closed form loses no mass beyond d = 8
     summary = summarize(distance_distribution(build_state(spec), n_points=8))
     assert abs(summary.second_moment - 4.0) < 1e-12
     if spec.kind == "fermi-fock":
@@ -356,38 +438,20 @@ def test_distance_crossings():
         assert abs(f - b) < 1e-14 and abs(f - c) < 1e-14
 
 
-def test_summarize_needs_closure():
+def test_summarize_needs_bosonic_weight():
     grid = np.linspace(0.0, 8.0, 81)
     table = PairDistribution(PairVariable.DISTANCE, grid,
                              closed_form_distance("fermi-fock", grid))
     with pytest.raises(ValueError):
         summarize(table)
+    law = distance_distribution(build_state(fermi_fock()))
+    del law.meta["bosonic_weight"]
+    with pytest.raises(ValueError):
+        summarize(law)
+    with pytest.raises(ValueError):
+        summarize(two_angle_distribution(build_state(fermi_fock())))
 
 
 def test_no_pairs_guard():
     with pytest.raises(NoPairsError):
         distance_distribution(build_state(coherent(alpha_a=0.0, alpha_b=0.0)))
-
-
-def test_composition_reproduces_fermi_law():
-    # independent ring radii + correlated angle reassemble the distance law
-    samples = compose_distance_samples(
-        ring_radial_density,
-        lambda t: closed_form_angle("fermi-fock", t),
-        200000, seed=5)
-    hist, edges = np.histogram(samples, bins=60, range=(0.0, 6.0),
-                               density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    want = closed_form_distance("fermi-fock", centers)
-    # Monte Carlo resolution: mean absolute error well under 2 percent
-    assert np.mean(np.abs(hist - want)) < 0.02
-
-
-def test_ring_radial_density_normalized():
-    from scipy.integrate import quad
-    total, _ = quad(lambda r: float(ring_radial_density(r)), 0.0, 10.0)
-    assert abs(total - 1.0) < 1e-10
-    # its mode sits at r = sqrt(3/2)
-    r = np.linspace(0.5, 2.0, 3001)
-    assert abs(r[np.argmax(ring_radial_density(r))]
-               - math.sqrt(1.5)) < 1e-3

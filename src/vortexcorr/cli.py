@@ -29,8 +29,8 @@ from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      PauliViolationError, SamplerMethodError,
                      UnsupportedStateError)
 from .io import provenance, write_csv, write_json
-from .oracle import (CONFIRMED, _is_donut, all_engine_checks_confirmed,
-                     full_report)
+from .oracle import (_CHUNK_TARGET, CONFIRMED, _is_donut,
+                     all_engine_checks_confirmed, full_report)
 from .sampler import (FrameSet, chi_square_gof, empirical_pair_stats,
                       generate_frames, pair_angles, pair_separations,
                       save_frames)
@@ -77,9 +77,12 @@ _COMMAND_DEFAULTS = {
 _DISTRIBUTION_POINTS = {"pairdist": 801, "pairangle": 361}
 _TWO_ANGLE_POINTS = 180
 # --points ceilings, checked before anything is allocated: at them the
-# relative-angle law peaks near 0.5 GB and the joint law near 0.2 GB
+# relative-angle law peaks near 0.35 GB and the joint law near 0.2 GB
 _MAX_POINTS = 10 ** 6
 _MAX_TWO_ANGLE_POINTS = 2048
+# --resolution ceiling: past it the pair sweep's chunk is stuck at one
+# column of the resolution^2 plane, so its arrays grow as resolution^2
+_MAX_RESOLUTION = math.isqrt(_CHUNK_TARGET)
 
 
 @dataclass
@@ -369,8 +372,9 @@ def resolve_config(args):
     if command == "profile":
         if run.step <= 0 or run.extent <= 0:
             raise SpecError("--step and --extent must be positive")
-    if command == "verify" and run.resolution < 8:
-        raise SpecError("--resolution must be >= 8")
+    if command == "verify" and not 8 <= run.resolution <= _MAX_RESOLUTION:
+        raise SpecError(
+            f"--resolution must be between 8 and {_MAX_RESOLUTION}")
     return run
 
 

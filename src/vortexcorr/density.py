@@ -46,15 +46,30 @@ def rho1(state, x, y):
     return _real_checked(np.asarray(values), "rho1")
 
 
+def _mode_products(modes, x, y):
+    """P[(p, q)] = phi_p*(x) phi_q(x), shape (4, ...)."""
+    amps = np.stack([mode_eval(m, x, y) for m in modes])
+    return (np.conj(amps)[:, None] * amps[None, :]).reshape(
+        (4,) + amps.shape[1:])
+
+
 def rho2(state, x1, y1, x2, y2):
-    """Two-body density at Cartesian point pairs (vectorized)."""
+    """Two-body density at Cartesian point pairs (vectorized).
+
+    rho2 is bilinear in the mode products: with S[(a, d), (b, c)] =
+    second[a, b, c, d] it is the 4x4 sandwich P(x1)^T S P(x2). S meets
+    P(x1) in one small matrix product, which then meets P(x2) in a
+    four-term broadcast sum.
+    """
     second = state.correlators().second
     modes = basis_modes(state.basis)
-    amp1 = np.stack([mode_eval(m, x1, y1) for m in modes])
-    amp2 = np.stack([mode_eval(m, x2, y2) for m in modes])
-    # second[p, p', q', q] contracted with phi_p*(1) phi_q(1) phi_p'*(2) phi_q'(2)
-    values = np.einsum("abcd,a...,d...,b...,c...->...", second,
-                       np.conj(amp1), amp1, np.conj(amp2), amp2)
+    p1 = _mode_products(modes, x1, y1)
+    p2 = _mode_products(modes, x2, y2)
+    # second[p, p', q', q] contracted with phi_p*(1) phi_q(1) phi_p'*(2) phi_q'(2);
+    # sandwich[(b, c), (a, d)] = second[a, b, c, d] is S transposed
+    sandwich = second.transpose(1, 2, 0, 3).reshape(4, 4)
+    left = (sandwich @ p1.reshape(4, -1)).reshape(p1.shape)
+    values = np.einsum("k...,k...->...", left, p2)
     return _real_checked(np.asarray(values), "rho2")
 
 

@@ -7,13 +7,17 @@ produced it. All floats are printed with 17 significant digits (full
 round-trip precision); identical inputs produce byte-identical files.
 """
 
+import contextlib
 import hashlib
+import itertools
 import json
 import math
+import os
 
 from .version import GENERATOR_VERSION, VERSION
 
 TOOL_NAME = "vortexcorr"
+_CSV_BLOCK = 65536
 
 
 def fmt_float(x):
@@ -55,18 +59,40 @@ def _format_cell(value):
     return fmt_float(value)
 
 
+@contextlib.contextmanager
+def whole_file(path):
+    """Text handle on `<path>.part`, moved onto `path` only when the block
+    completes, so a failure midway leaves no partial file behind."""
+    part = f"{path}.part"
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
+
+
 def write_csv(path, columns, rows, prov=None, comments=()):
-    """CSV with '#'-prefixed provenance and comment lines before the header."""
-    lines = []
+    """CSV with '#'-prefixed provenance and comment lines before the header.
+
+    Rows are formatted and written `_CSV_BLOCK` lines at a time.
+    """
+    head = []
     if prov is not None:
-        lines.append("# provenance: " + canonical_json(prov))
+        head.append("# provenance: " + canonical_json(prov))
     for comment in comments:
-        lines.append("# " + comment)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        head.append("# " + comment)
+    head.append(",".join(columns))
+    rows = iter(rows)
+    with whole_file(path) as fh:
+        fh.write("\n".join(head) + "\n")
+        while True:
+            lines = [",".join(_format_cell(cell) for cell in row)
+                     for row in itertools.islice(rows, _CSV_BLOCK)]
+            if not lines:
+                break
+            fh.write("\n".join(lines) + "\n")
 
 
 def _strict(value):

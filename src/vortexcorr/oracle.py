@@ -316,6 +316,28 @@ def _radial_rule():
     return nodes, weights * nodes  # carries the polar Jacobian
 
 
+def _radial_sums(spec, r_jac, f1, g1, f2, g2):
+    """sum_{r, s} r_jac[r] r_jac[s] 2 |Psi|^2 at every angle node.
+
+    f1, g1 hold the first particle's mode amplitudes and f2, g2 the
+    second's, with the radius on axis 0 and angle axes that broadcast
+    against each other. Psi is evaluated explicitly at every
+    (r, s, angles) node, one pair of radii at a time so that its
+    temporaries stay cache-sized; the s and then the r sum are
+    matrix-vector products with r_jac.
+    """
+    order = r_jac.size
+    shape = np.broadcast(f1[0], f2[0]).shape
+    dens = np.empty((order,) + shape)
+    rows = np.empty((order, dens[0].size))
+    for i in range(order):
+        for j in range(order):
+            psi = _two_particle_psi(spec, f1[i], g1[i], f2[j], g2[j])
+            dens[j] = 2.0 * np.abs(psi) ** 2
+        rows[i] = r_jac @ dens.reshape(order, -1)
+    return (r_jac @ rows).reshape(shape)
+
+
 def oracle_folded_angle_law(spec, n_points=CLAIM_ANGLE_POINTS):
     """Folded relative-angle density from the first-quantized pair density.
 
@@ -333,20 +355,11 @@ def oracle_folded_angle_law(spec, n_points=CLAIM_ANGLE_POINTS):
     cphi, sphi = np.cos(phi), np.sin(phi)
     f1, g1 = _eval_pair(spec, r_nodes[:, None] * cphi[None, :],
                         r_nodes[:, None] * sphi[None, :])
-    raw = np.empty(deltas.size)
-    chunk = 48
-    for j0 in range(0, deltas.size, chunk):
-        dc = deltas[j0:j0 + chunk]
-        second_angle = phi[None, :, None] - dc[None, None, :]
-        x2 = r_nodes[:, None, None] * np.cos(second_angle)
-        y2 = r_nodes[:, None, None] * np.sin(second_angle)
-        f2, g2 = _eval_pair(spec, x2, y2)
-        psi = _two_particle_psi(spec, f1[:, None, :, None],
-                                g1[:, None, :, None],
-                                f2[None, :, :, :], g2[None, :, :, :])
-        dens = 2.0 * np.abs(psi) ** 2
-        raw[j0:j0 + chunk] = np.einsum("r,s,rsfd->d", r_jac, r_jac,
-                                       dens) * dphi
+    second_angle = phi[:, None] - deltas[None, :]
+    f2, g2 = _eval_pair(spec, r_nodes[:, None, None] * np.cos(second_angle),
+                        r_nodes[:, None, None] * np.sin(second_angle))
+    raw = _radial_sums(spec, r_jac, f1[:, :, None], g1[:, :, None],
+                       f2, g2).sum(axis=0) * dphi
     mass = np.trapezoid(raw[:n_points], grid) \
         + np.trapezoid(raw[n_points:], grid + math.pi)
     folded = (raw[:n_points] + raw[n_points:]) / mass
@@ -362,17 +375,8 @@ def oracle_two_angle_law(spec, n_points=CLAIM_TWO_ANGLE_POINTS):
     f1, g1 = _eval_pair(spec,
                         r_nodes[:, None] * np.cos(angles)[None, :],
                         r_nodes[:, None] * np.sin(angles)[None, :])
-    joint = np.empty((n_points, n_points))
-    chunk = max(1, _CHUNK_TARGET // (ORACLE_RADIAL_ORDER ** 2 * n_points))
-    for j0 in range(0, n_points, chunk):
-        psi = _two_particle_psi(
-            spec,
-            f1[:, :, None, None], g1[:, :, None, None],
-            f1[None, None, :, j0:j0 + chunk],
-            g1[None, None, :, j0:j0 + chunk])
-        dens = 2.0 * np.abs(psi) ** 2
-        joint[:, j0:j0 + chunk] = np.einsum("r,s,rtsv->tv", r_jac, r_jac,
-                                            dens)
+    joint = _radial_sums(spec, r_jac, f1[:, :, None], g1[:, :, None],
+                         f1[:, None, :], g1[:, None, :])
     cell = (2.0 * math.pi / n_points) ** 2
     return angles, joint / (np.sum(joint) * cell)
 

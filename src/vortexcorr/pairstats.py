@@ -64,6 +64,9 @@ DEFAULT_ANGLE_POINTS = 361
 DEFAULT_TWO_ANGLE_POINTS = 180
 # phi nodes of the relative-angle average: exact for degree <= 4
 _PHI_NODES = np.arange(5) * (2.0 * math.pi / 5)
+# offsets per angular_weight call in the angle-law closure; bounds its
+# (2, block, 5) factor arrays whatever the grid size
+_ANGLE_BLOCK = 65536
 
 PAIR_WEIGHT_TOL = 1e-14
 ISOTROPY_TOL = 1e-10
@@ -226,11 +229,17 @@ def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS):
     second = state.correlators().second
 
     def closure(delta):
-        moved = np.asarray(delta, dtype=float)[..., None] + _PHI_NODES
-        raw = angular_weight(second, state.basis, _PHI_NODES, moved)
+        delta = np.asarray(delta, dtype=float)
+        flat = delta.ravel()
+        raw = np.empty(flat.size, dtype=complex)
+        for lo in range(0, flat.size, _ANGLE_BLOCK):
+            moved = flat[lo:lo + _ANGLE_BLOCK, None] + _PHI_NODES
+            raw[lo:lo + _ANGLE_BLOCK] = np.mean(
+                angular_weight(second, state.basis, _PHI_NODES, moved),
+                axis=-1)
         # folded: f(D) + f(D + pi) = 2 f(D), since the modes are odd
-        return _clip_noise(_real_part(np.mean(raw, axis=-1) / (math.pi * norm),
-                                      "angle law"))
+        return _clip_noise(_real_part(raw.reshape(delta.shape)
+                                      / (math.pi * norm), "angle law"))
 
     grid = np.linspace(0.0, math.pi, n_points)
     return PairDistribution(PairVariable.REL_ANGLE, grid, closure(grid),

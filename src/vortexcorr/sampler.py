@@ -15,7 +15,6 @@ order or split across workers without changing a single sample.
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .errors import (AlgebraInconsistencyError, EmptyFramesError,
                      NoPairsError, SamplerMethodError)
 from .fock import pair_moment
+from .io import whole_file
 from .modes import Point2D
 from .pairstats import PairDistribution, PairVariable, angular_weight
 from .quadrature import EXTENT
@@ -475,20 +475,13 @@ def save_frames(frames, path, provenance=None, workers=1):
     }
     if provenance:
         header["provenance"] = provenance
-    # blocks reach the disk as they are formatted, so build the file
-    # beside its target and move it there only once it is whole
-    part = f"{path}.part"
-    try:
-        with open(part, "w", encoding="utf-8") as fh:
-            fh.write(_HEADER_PREFIX + json.dumps(
-                header, sort_keys=True, separators=(",", ":")) + "\n")
-            fh.write("frame_index,x1,y1,x2,y2\n")
-            for text in _formatted_blocks(frames.points, workers):
-                fh.write(text)
-        os.replace(part, path)
-    finally:
-        if os.path.exists(part):
-            os.remove(part)
+    # blocks reach the disk as they are formatted
+    with whole_file(path) as fh:
+        fh.write(_HEADER_PREFIX + json.dumps(
+            header, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write("frame_index,x1,y1,x2,y2\n")
+        for text in _formatted_blocks(frames.points, workers):
+            fh.write(text)
 
 
 def load_frames(path):

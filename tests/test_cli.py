@@ -10,11 +10,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from vortexcorr import sampler
-from vortexcorr.cli import main
+from vortexcorr.cli import build_parser, main, resolve_config
 from vortexcorr.oracle import BOSE_DISTANCE_MEAN, BOSE_DISTANCE_MODES
 
 
@@ -120,6 +121,28 @@ def test_points_ceiling_checked_before_allocation(tmp_path, capsys):
     cfg.write_text(json.dumps({"points": 10 ** 15}))
     assert main(["pairdist", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_resolution_ceiling_checked_before_allocation(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    for value in (1025, 10 ** 6):
+        cfg.write_text(json.dumps({"resolution": value}))
+        for argv in (["verify", "--resolution", str(value)],
+                     ["verify", "--config", str(cfg)]):
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--out", str(out)]) == 2, argv
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, argv
+            err = capsys.readouterr().err
+            assert "--resolution" in err and "1024" in err
+            assert "Traceback" not in err
+            assert not out.exists()
+    args = build_parser().parse_args(["verify", "--resolution", "1024"])
+    assert resolve_config(args).resolution == 1024
 
 
 # the laws whose CSV carries a closed_form column, per state family

@@ -5,14 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from vortexcorr.density import (VERBATIM, density_grid, rho1, rho1_closed,
-                                rho2, rho2_closed, rho2_polar)
-from vortexcorr.fock import pair_moment
-from vortexcorr.modes import rotate_xy
+from vortexcorr.density import (VERBATIM, basis_modes, density_grid, rho1,
+                                rho1_closed, rho2, rho2_closed, rho2_polar)
+from vortexcorr.fock import change_basis, pair_moment
+from vortexcorr.modes import mode_eval, rotate_xy
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
 
 DONUT_SPECS = (fermi_fock(), bose_fock(1, 1), thermal(1.0, 1.0), coherent())
+SHIPPED = (fermi_fock(), bose_fock(1, 1), bose_fock(2, 0), coherent(),
+           thermal(1.0, 1.0), cothermal(), noon())
+
+
+def _rho2_einsum(state, x1, y1, x2, y2):
+    """Reference rho2: the correlators contracted with all four mode
+    amplitudes in one five-operand einsum."""
+    second = state.correlators().second
+    modes = basis_modes(state.basis)
+    amp1 = np.stack([mode_eval(m, x1, y1) for m in modes])
+    amp2 = np.stack([mode_eval(m, x2, y2) for m in modes])
+    return np.einsum("abcd,a...,d...,b...,c...->...", second,
+                     np.conj(amp1), amp1, np.conj(amp2), amp2).real
 
 
 def test_fermi_rho1_is_donut():
@@ -61,6 +74,21 @@ def test_rho2_engine_matches_closed_forms():
         got = rho2(state, *p1, *p2)
         want = rho2_closed(spec, *p1, *p2)
         assert got == pytest.approx(float(want), abs=2e-9), spec.kind
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
+def test_rho2_sandwich_matches_einsum(spec):
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-3.0, 3.0, size=(4, 300))
+    state = build_state(spec)
+    for st in (state, change_basis(state)):
+        for args in ((pts[0][:, None], pts[1][:, None],
+                      pts[2][None, :], pts[3][None, :]),     # outer product
+                     tuple(pts)):                            # matched pairs
+            got = rho2(st, *args)
+            want = _rho2_einsum(st, *args)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_rho2_symmetry_under_particle_swap():

@@ -6,15 +6,19 @@ amplitude factorization, Wick moments) and grades the printed closed
 forms.  These tests pin the route agreement and the verdict table.
 """
 
+import ast
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from vortexcorr import oracle
 from vortexcorr.oracle import (
     all_engine_checks_confirmed,
     cross_validate,
+    oracle_folded_angle_law,
     pair_grid_sweep,
     wavefunction_norm,
     _is_donut,
@@ -120,6 +124,71 @@ def test_noon_verdicts(noon_rows):
     # the superposition state really does peak the diameter density at
     # the quoted common value
     assert _row(noon_rows, "diameter-common-value").verdict == "Confirmed"
+
+
+def test_angle_laws_agree_to_rounding(fermi_rows, bose_rows, noon_rows):
+    # both sides are exact quadratures of the same trigonometric law, so
+    # what is left is floating-point summation
+    assert _row(fermi_rows, "angle-engine-vs-oracle").max_abs_deviation \
+        <= 1e-14
+    assert _row(bose_rows, "angle-engine-vs-oracle").max_abs_deviation \
+        <= 1e-14
+    assert _row(noon_rows, "two-angle-engine-vs-oracle").max_abs_deviation \
+        <= 1e-15
+
+
+def test_oracle_fermi_angle_law_at_right_angle():
+    # the quadrature is exact for the law (2/pi) sin^2; a short grid keeps
+    # the test quick
+    grid, folded = oracle_folded_angle_law(fermi_fock(), n_points=9)
+    mid = grid.size // 2
+    assert grid[mid] == math.pi / 2
+    assert abs(folded[mid] - 2.0 / math.pi) <= 1e-15
+
+
+# what oracle.py takes from the rest of the package, name by name: mode
+# evaluation, quadrature, state descriptors and the engine objects under
+# test. A new engine name here could let an oracle route lean on the
+# engine it is meant to check.
+_ORACLE_IMPORTS = {
+    ".density": {"CORRECTED", "VERBATIM", "rho1", "rho2", "rho2_closed"},
+    ".errors": {"UnsupportedStateError"},
+    ".fock": {"pair_moment"},
+    ".modes": {"DIPOLE_PAIR", "VORTEX_PAIR", "mode_eval"},
+    ".pairstats": {"angle_distribution", "closed_form_angle",
+                   "closed_form_distance", "distance_distribution",
+                   "summarize", "two_angle_distribution"},
+    ".quadrature": {"EXTENT", "gauss_legendre"},
+    ".states": {"StateSpec", "bose_fock", "build_state", "cothermal",
+                "coherent", "fermi_fock", "noon", "thermal"},
+}
+
+
+def _called_names(tree):
+    return {node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_oracle_stays_independent_of_engine():
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            key = "." * node.level + (node.module or "")
+            imported.setdefault(key, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert all(a.name in ("math", "numpy") for a in node.names)
+    assert imported == _ORACLE_IMPORTS
+    funcs = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    # the angle quadratures evaluate the explicit two-particle wavefunction
+    # at every node, through the shared radial sum or directly
+    for law in ("oracle_folded_angle_law", "oracle_two_angle_law"):
+        callees = _called_names(funcs[law])
+        if "_radial_sums" in callees:
+            callees = _called_names(funcs["_radial_sums"])
+        assert "_two_particle_psi" in callees, law
 
 
 def test_coherent_and_thermal_verdicts():

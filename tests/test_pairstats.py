@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vortexcorr import pairstats
 from vortexcorr.density import basis_modes, rho2
 from vortexcorr.errors import AnisotropicStateError, NoPairsError
 from vortexcorr.fock import pair_isotropy_defect, pair_moment
@@ -135,6 +136,18 @@ def test_angle_closures_equal_tables(spec):
         return
     rel = angle_distribution(state, n_points=101)
     np.testing.assert_array_equal(rel.value_at(rel.grid), rel.values)
+
+
+@pytest.mark.parametrize("spec", (fermi_fock(), thermal(1.0, 0.5),
+                                  cothermal()), ids=lambda s: s.kind)
+def test_angle_closure_blocks_change_no_value(spec, monkeypatch):
+    delta = np.random.default_rng(3).uniform(0.0, math.pi, 1000)
+    closure = angle_distribution(build_state(spec), n_points=8).closure
+    whole = closure(delta)
+    monkeypatch.setattr(pairstats, "_ANGLE_BLOCK", 7)
+    np.testing.assert_array_equal(closure(delta), whole)
+    np.testing.assert_array_equal(closure(delta.reshape(40, 25)),
+                                  whole.reshape(40, 25))
 
 
 def test_distance_kernel_matches_closed_forms():

@@ -10,28 +10,25 @@ the detected pair), `sampler` (reproducible single-shot frames),
 """
 
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
-                     EmptyFramesError, NoPairsError, OrderLimitError,
-                     PauliViolationError, SamplerMethodError,
-                     UnsupportedStateError, VortexError)
+                     EmptyFramesError, NoPairsError, PauliViolationError,
+                     SamplerMethodError, UnsupportedStateError, VortexError)
 from .fock import (Basis, Correlators, QuantumState, Statistics,
                    change_basis, make_coherent, make_cothermal, make_fock,
                    make_noon, make_thermal, mean_number, mode_occupations,
                    pair_moment)
 from .modes import (DIPOLE_PAIR, DIPOLE_X, DIPOLE_Y, VORTEX_CCW, VORTEX_CW,
-                    VORTEX_PAIR, Mode, Point2D, mode_eval,
-                    overlap, rotate_xy)
+                    VORTEX_PAIR, Mode, mode_eval)
 from .density import (DensityField, density_grid, rho1, rho1_closed, rho2,
-                      rho2_closed, rho2_polar)
+                      rho2_closed)
 from .pairstats import (DistSummary, PairDistribution, PairVariable,
                         angle_distribution, bosonic_weight,
                         closed_form_angle, closed_form_distance,
                         closed_form_two_angle, distance_distribution,
                         summarize, two_angle_distribution)
-from .sampler import (Frame, FrameSet, FrameStream, chi_square_gof,
-                      counter_uniforms, empirical_pair_stats,
-                      empirical_profile, generate_frames, invert_radial_cdf,
-                      load_frames, pair_angles, pair_separations,
-                      sample_pair, save_frames)
+from .sampler import (FrameSet, chi_square_gof, counter_uniforms,
+                      empirical_pair_stats, generate_frames,
+                      invert_radial_cdf, load_frames, pair_angles,
+                      pair_separations, save_frames)
 from .oracle import (DiscrepancyReport, all_engine_checks_confirmed,
                      cross_validate, full_report, reference_rho2)
 from .states import (KINDS, SpecError, StateSpec, bose_fock, build_state,
@@ -44,25 +41,21 @@ __version__ = VERSION
 __all__ = [
     "AlgebraInconsistencyError", "AnisotropicStateError", "Basis",
     "Correlators", "DIPOLE_PAIR", "DIPOLE_X", "DIPOLE_Y", "DensityField",
-    "DiscrepancyReport", "DistSummary", "EmptyFramesError", "Frame",
-    "FrameSet", "FrameStream", "KINDS", "Mode", "NoPairsError",
-    "OrderLimitError", "PairDistribution", "PairVariable",
-    "PauliViolationError", "Point2D", "QuantumState",
-    "SamplerMethodError", "SpecError", "StateSpec", "Statistics",
-    "UnsupportedStateError", "VERSION", "VORTEX_CCW",
-    "VORTEX_CW", "VORTEX_PAIR", "VortexError", "all_engine_checks_confirmed",
-    "angle_distribution", "bose_fock", "bosonic_weight", "build_state",
-    "change_basis", "chi_square_gof", "closed_form_angle",
-    "closed_form_distance", "closed_form_two_angle", "coherent",
-    "cothermal", "counter_uniforms", "cross_validate", "density_grid",
-    "distance_distribution", "empirical_pair_stats", "empirical_profile",
-    "fermi_fock", "full_report", "generate_frames",
-    "invert_radial_cdf", "load_frames", "make_coherent", "make_cothermal",
-    "make_fock", "make_noon", "make_thermal", "mean_number", "mode_eval",
-    "mode_occupations", "noon", "overlap", "pair_angles", "pair_moment",
-    "pair_separations", "parse_complex",
-    "reference_rho2", "rho1", "rho1_closed", "rho2", "rho2_closed",
-    "rho2_polar", "rotate_xy", "sample_pair", "save_frames",
-    "spec_from_dict", "spec_to_dict", "summarize", "thermal",
-    "two_angle_distribution",
+    "DiscrepancyReport", "DistSummary", "EmptyFramesError", "FrameSet",
+    "KINDS", "Mode", "NoPairsError", "PairDistribution", "PairVariable",
+    "PauliViolationError", "QuantumState", "SamplerMethodError",
+    "SpecError", "StateSpec", "Statistics", "UnsupportedStateError",
+    "VERSION", "VORTEX_CCW", "VORTEX_CW", "VORTEX_PAIR", "VortexError",
+    "all_engine_checks_confirmed", "angle_distribution", "bose_fock",
+    "bosonic_weight", "build_state", "change_basis", "chi_square_gof",
+    "closed_form_angle", "closed_form_distance", "closed_form_two_angle",
+    "coherent", "cothermal", "counter_uniforms", "cross_validate",
+    "density_grid", "distance_distribution", "empirical_pair_stats",
+    "fermi_fock", "full_report", "generate_frames", "invert_radial_cdf",
+    "load_frames", "make_coherent", "make_cothermal", "make_fock",
+    "make_noon", "make_thermal", "mean_number", "mode_eval",
+    "mode_occupations", "noon", "pair_angles", "pair_moment",
+    "pair_separations", "parse_complex", "reference_rho2", "rho1",
+    "rho1_closed", "rho2", "rho2_closed", "save_frames", "spec_from_dict",
+    "spec_to_dict", "summarize", "thermal", "two_angle_distribution",
 ]

@@ -25,9 +25,8 @@ import numpy as np
 from . import pairstats
 from .density import density_grid, rho1, rho1_closed
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
-                     EmptyFramesError, NoPairsError, OrderLimitError,
-                     PauliViolationError, SamplerMethodError,
-                     UnsupportedStateError)
+                     EmptyFramesError, NoPairsError, PauliViolationError,
+                     SamplerMethodError, UnsupportedStateError)
 from .io import provenance, write_csv, write_json
 from .oracle import (_CHUNK_TARGET, CONFIRMED, _is_donut,
                      all_engine_checks_confirmed, full_report)
@@ -46,7 +45,7 @@ EXIT_STATE = 4
 
 _CONFIG_ERRORS = (SpecError, PauliViolationError)
 _NUMERIC_ERRORS = (AlgebraInconsistencyError, SamplerMethodError,
-                   OrderLimitError, EmptyFramesError, FloatingPointError,
+                   EmptyFramesError, FloatingPointError,
                    np.linalg.LinAlgError)
 _STATE_ERRORS = (AnisotropicStateError, NoPairsError, UnsupportedStateError)
 
@@ -83,6 +82,15 @@ _MAX_TWO_ANGLE_POINTS = 2048
 # --resolution ceiling: past it the pair sweep's chunk is stuck at one
 # column of the resolution^2 plane, so its arrays grow as resolution^2
 _MAX_RESOLUTION = math.isqrt(_CHUNK_TARGET)
+# frames ceilings, checked before anything is allocated: at --count 10^7
+# `frames --stats --threads 2` peaks near 0.76 GB (each forked formatter
+# near 0.4 GB, mostly pages shared with the parent); at --bins 10^5 the
+# histograms and their charts stay under 0.1 GB (10^6 bins: 0.53 GB)
+_MAX_COUNT = 10 ** 7
+_MAX_BINS = 10 ** 5
+# profile grid points per axis, round(2 extent / step) + 1: at the ceiling
+# the grid, its mode amplitudes and the CSV blocks peak near 0.42 GB
+_MAX_PROFILE_AXIS = 2048
 
 
 @dataclass
@@ -359,19 +367,23 @@ def resolve_config(args):
         if cfg.get("seed") is None:
             raise SpecError("frames requires an explicit --seed "
                             "(reproducibility: no implicit entropy)")
-        if run.count < 0:
-            raise SpecError("--count must be >= 0")
+        if not 0 <= run.count <= _MAX_COUNT:
+            raise SpecError(f"--count must be between 0 and {_MAX_COUNT}")
         if run.stats and run.count == 0:
             raise SpecError("--stats needs --count >= 1")
-        if run.bins < 4:
-            raise SpecError("--bins must be >= 4")
+        if not 4 <= run.bins <= _MAX_BINS:
+            raise SpecError(f"--bins must be between 4 and {_MAX_BINS}")
     if command in ("pairdist", "pairangle"):
         ceiling = _MAX_TWO_ANGLE_POINTS if run.two_angle else _MAX_POINTS
         if not 8 <= run.points <= ceiling:
             raise SpecError(f"--points must be between 8 and {ceiling}")
     if command == "profile":
-        if run.step <= 0 or run.extent <= 0:
-            raise SpecError("--step and --extent must be positive")
+        if not (0.0 < run.step < math.inf and 0.0 < run.extent < math.inf):
+            raise SpecError("--step and --extent must be finite and positive")
+        # round(ratio) + 1 points per axis; an overflowing ratio is inf
+        if not 2.0 * run.extent / run.step < _MAX_PROFILE_AXIS - 0.5:
+            raise SpecError(f"--extent and --step give more than "
+                            f"{_MAX_PROFILE_AXIS} grid points per axis")
     if command == "verify" and not 8 <= run.resolution <= _MAX_RESOLUTION:
         raise SpecError(
             f"--resolution must be between 8 and {_MAX_RESOLUTION}")

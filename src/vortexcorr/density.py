@@ -184,16 +184,3 @@ def rho2_closed(spec, x1, y1, x2, y2, variant=CORRECTED):
     if spec.kind == "noon":
         return np.abs(a1 * a2 - b1 * b2) ** 2
     raise ValueError(f"no closed rho2 for kind {spec.kind!r}")
-
-
-def rho2_polar(spec, r, s, theta, vartheta, variant=CORRECTED):
-    """rho2 evaluated at polar coordinates, Cartesian measure.
-
-    No r*s Jacobian is applied here; integration routines supply it.
-    """
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    x1, y1 = r * np.cos(theta), r * np.sin(theta)
-    x2, y2 = s * np.cos(vartheta), s * np.sin(vartheta)
-    return rho2_closed(spec, x1, y1, x2, y2, variant=variant)
-

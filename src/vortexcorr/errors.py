@@ -9,10 +9,6 @@ class VortexError(Exception):
     """Base class for library-specific failures."""
 
 
-class OrderLimitError(VortexError, ValueError):
-    """Polynomial / oscillator order above the supported maximum."""
-
-
 class PauliViolationError(VortexError, ValueError):
     """Fermionic occupation outside {0, 1}."""
 

@@ -20,10 +20,6 @@ TOOL_NAME = "vortexcorr"
 _CSV_BLOCK = 65536
 
 
-def fmt_float(x):
-    return "%.17g" % float(x)
-
-
 def canonical_json(payload):
     """Stable compact JSON used for hashing and header lines."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -49,16 +45,6 @@ def provenance(config=None, seed=None, flags=()):
     return prov
 
 
-def _format_cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
-    return fmt_float(value)
-
-
 @contextlib.contextmanager
 def whole_file(path):
     """Text handle on `<path>.part`, moved onto `path` only when the block
@@ -76,7 +62,8 @@ def whole_file(path):
 def write_csv(path, columns, rows, prov=None, comments=()):
     """CSV with '#'-prefixed provenance and comment lines before the header.
 
-    Rows are formatted and written `_CSV_BLOCK` lines at a time.
+    Every cell is a float printed as %.17g. Rows are formatted and written
+    `_CSV_BLOCK` lines at a time, one %-format call per block.
     """
     head = []
     if prov is not None:
@@ -84,15 +71,17 @@ def write_csv(path, columns, rows, prov=None, comments=()):
     for comment in comments:
         head.append("# " + comment)
     head.append(",".join(columns))
+    width = len(columns)
+    row_format = ",".join(["%.17g"] * width) + "\n"
     rows = iter(rows)
     with whole_file(path) as fh:
         fh.write("\n".join(head) + "\n")
         while True:
-            lines = [",".join(_format_cell(cell) for cell in row)
-                     for row in itertools.islice(rows, _CSV_BLOCK)]
-            if not lines:
+            cells = tuple(itertools.chain.from_iterable(
+                itertools.islice(rows, _CSV_BLOCK)))
+            if not cells:
                 break
-            fh.write("\n".join(lines) + "\n")
+            fh.write(row_format * (len(cells) // width) % cells)
 
 
 def _strict(value):

@@ -23,7 +23,6 @@ import numpy as np
 
 from .density import CORRECTED, VERBATIM, rho1, rho2, rho2_closed
 from .errors import UnsupportedStateError
-from .fock import pair_moment
 from .modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
 from .pairstats import (angle_distribution, closed_form_angle,
                         closed_form_distance, distance_distribution,

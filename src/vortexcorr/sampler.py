@@ -23,7 +23,6 @@ from .errors import (AlgebraInconsistencyError, EmptyFramesError,
                      NoPairsError, SamplerMethodError)
 from .fock import pair_moment
 from .io import whole_file
-from .modes import Point2D
 from .pairstats import PairDistribution, PairVariable, angular_weight
 from .quadrature import EXTENT
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
@@ -129,14 +128,6 @@ class AngularLaw:
 
 
 @dataclass
-class Frame:
-    """One simultaneous two-photon detection."""
-    points: tuple
-    frame_index: int
-    rng_stream_id: int
-
-
-@dataclass
 class FrameSet:
     """Reproducible batch of frames; points has shape (count, 2, 2)."""
     spec: object
@@ -149,22 +140,6 @@ class FrameSet:
     @property
     def count(self):
         return int(self.points.shape[0])
-
-    def frame(self, i):
-        p = self.points[i]
-        return Frame(points=(Point2D(float(p[0, 0]), float(p[0, 1])),
-                             Point2D(float(p[1, 0]), float(p[1, 1]))),
-                     frame_index=i, rng_stream_id=i)
-
-    def __iter__(self):
-        return (self.frame(i) for i in range(self.count))
-
-
-@dataclass
-class FrameStream:
-    """Cursor handing out consecutive frame indices for one seed."""
-    seed: int
-    next_frame: int = 0
 
 
 def _require_state(state_or_spec):
@@ -211,15 +186,6 @@ def _sample_ring_block(seed, indices, law):
     return points, proposals
 
 
-def sample_pair(state, stream):
-    """Draw one position pair; advances the stream's frame cursor."""
-    points = generate_frames(state, 1, stream.seed,
-                             start=stream.next_frame).points
-    stream.next_frame += 1
-    return (Point2D(float(points[0, 0, 0]), float(points[0, 0, 1])),
-            Point2D(float(points[0, 1, 0]), float(points[0, 1, 1])))
-
-
 def generate_frames(state_or_spec, count, seed, block=65536, start=0):
     """Reproducible FrameSet of `count` two-photon frames.
 
@@ -257,27 +223,6 @@ def generate_frames(state_or_spec, count, seed, block=65536, start=0):
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
-
-
-def empirical_profile(frames, bins=120):
-    """2D histogram of all pooled points, normalized as a density.
-
-    Pooling the two detections of every frame estimates rho1 / <N>; the
-    per-frame pair structure is intentionally averaged away.
-    """
-    from .density import DensityField
-    if frames.count == 0:
-        raise EmptyFramesError("no frames to histogram")
-    pts = frames.points.reshape(-1, 2)
-    edges = np.linspace(-EXTENT, EXTENT, bins + 1)
-    hist, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=(edges, edges))
-    width = edges[1] - edges[0]
-    values = hist / (pts.shape[0] * width * width)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    total = float(np.sum(values) * width * width)
-    meta = {"estimator": "histogram", "bins": bins, "count": frames.count}
-    return DensityField(x=centers, y=centers, values=values, total=total,
-                        meta=meta)
 
 
 def pair_separations(frames):

@@ -145,6 +145,53 @@ def test_resolution_ceiling_checked_before_allocation(tmp_path, capsys):
     assert resolve_config(args).resolution == 1024
 
 
+# (command and fixed flags, key, refused value, flag the message names)
+_MEMORY_CEILINGS = [
+    (["frames", "--seed", "1"], "count", 10 ** 12, "--count"),
+    (["frames", "--seed", "1", "--stats"], "bins", 10 ** 12, "--bins"),
+    (["profile"], "step", 1e-5, "--step"),
+    (["profile"], "step", math.nan, "--step"),
+    (["profile"], "step", math.inf, "--step"),
+    (["profile"], "extent", math.nan, "--extent"),
+    (["profile"], "extent", math.inf, "--extent"),
+]
+
+
+@pytest.mark.parametrize("command, key, value, flag", _MEMORY_CEILINGS,
+                         ids=[f"{c[3]}={c[2]!r}" for c in _MEMORY_CEILINGS])
+def test_memory_ceilings_checked_before_allocation(tmp_path, capsys, command,
+                                                   key, value, flag):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))    # NaN / Infinity literals
+    for argv in (command + [flag, repr(value)],
+                 command + ["--config", str(cfg)]):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(out)]) == 2, argv
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, argv
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err, argv
+        assert not out.exists()
+
+
+def test_memory_ceilings_accept_their_limits(tmp_path):
+    parser = build_parser()
+    run = resolve_config(parser.parse_args(
+        ["frames", "--seed", "1", "--count", "10000000", "--bins", "100000"]))
+    assert (run.count, run.bins) == (10 ** 7, 10 ** 5)
+    # round(2 extent / step) + 1 grid points per axis: 2048 pass, 2049 not
+    run = resolve_config(parser.parse_args(
+        ["profile", "--extent", "1023.5", "--step", "1"]))
+    assert run.extent == 1023.5
+    assert main(["profile", "--extent", "1024", "--step", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 # the laws whose CSV carries a closed_form column, per state family
 _CLOSED_FORMS = {
     "fermi-fock": {"pairdist", "pairangle", "two-angle"},

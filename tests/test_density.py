@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from vortexcorr.density import (VERBATIM, basis_modes, density_grid, rho1,
-                                rho1_closed, rho2, rho2_closed, rho2_polar)
+                                rho1_closed, rho2, rho2_closed)
 from vortexcorr.fock import change_basis, pair_moment
-from vortexcorr.modes import mode_eval, rotate_xy
+from vortexcorr.modes import mode_eval
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
 
@@ -99,21 +99,22 @@ def test_rho2_symmetry_under_particle_swap():
 
 
 def test_rho2_rotation_invariance_isotropic():
-    beta = 0.9
+    c, s = math.cos(0.9), math.sin(0.9)
     for spec in (fermi_fock(), thermal(1.0, 1.0), coherent()):
         state = build_state(spec)
         x1, y1, x2, y2 = 0.8, -0.1, -0.4, 1.2
-        xr1, yr1 = rotate_xy(x1, y1, beta)
-        xr2, yr2 = rotate_xy(x2, y2, beta)
+        xr1, yr1 = c * x1 - s * y1, s * x1 + c * y1
+        xr2, yr2 = c * x2 - s * y2, s * x2 + c * y2
         assert rho2(state, xr1, yr1, xr2, yr2) == pytest.approx(
             float(rho2(state, x1, y1, x2, y2)), rel=1e-10), spec.kind
 
 
 def test_noon_rho2_not_rotation_invariant():
     state = build_state(noon())
+    c, s = math.cos(0.6), math.sin(0.6)
     x1, y1, x2, y2 = 1.0, 0.0, 0.0, 1.1
-    xr1, yr1 = rotate_xy(x1, y1, 0.6)
-    xr2, yr2 = rotate_xy(x2, y2, 0.6)
+    xr1, yr1 = c * x1 - s * y1, s * x1 + c * y1
+    xr2, yr2 = c * x2 - s * y2, s * x2 + c * y2
     a = float(rho2(state, x1, y1, x2, y2))
     b = float(rho2(state, xr1, yr1, xr2, yr2))
     assert abs(a - b) > 1e-3
@@ -149,15 +150,6 @@ def test_rho2_marginal_recovers_rho1():
             assert marginal == pytest.approx(want, abs=1e-10)
 
 
-def test_rho2_polar_consistent():
-    spec = bose_fock(1, 1)
-    r, s, th, vt = 1.2, 0.7, 0.5, 2.0
-    got = rho2_polar(spec, r, s, th, vt)
-    want = rho2_closed(spec, r * math.cos(th), r * math.sin(th),
-                       s * math.cos(vt), s * math.sin(vt))
-    assert float(got) == pytest.approx(float(want), rel=1e-12)
-
-
 def test_polar_factorization():
     # rho2 = (r s / pi)^2 e^{-r^2-s^2} W(theta, vartheta) for two-quanta
     # vortex-pair states; W depends only on the angles
@@ -169,11 +161,13 @@ def test_polar_factorization():
         vals = []
         for r, s in radii:
             scale = (r * s / math.pi) ** 2 * math.exp(-r * r - s * s)
-            vals.append(float(rho2_polar(spec, r, s, th, 0.0)) / scale)
+            rho = rho2_closed(spec, r * math.cos(th), r * math.sin(th),
+                              s, 0.0)
+            vals.append(float(rho) / scale)
         assert np.ptp(vals) < 1e-10
     # fermi angular factor is 4 sin^2(delta); its double-angle integral is
     # 8 pi^2 = 4 pi^2 N2 with N2 = 2 pairs
-    w = float(rho2_polar(spec, 1.0, 1.0, 0.9, 0.0)) \
+    w = float(rho2_closed(spec, math.cos(0.9), math.sin(0.9), 1.0, 0.0)) \
         / ((1.0 / math.pi) ** 2 * math.exp(-2.0))
     assert w == pytest.approx(4.0 * math.sin(0.9) ** 2, abs=1e-12)
 

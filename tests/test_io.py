@@ -1,5 +1,6 @@
 """File writers: block-streamed CSV output."""
 
+import math
 import os
 
 import numpy as np
@@ -10,7 +11,8 @@ from vortexcorr.io import canonical_json, write_csv
 
 
 def _write_csv_whole(path, columns, rows, prov=None, comments=()):
-    """Reference writer: every line formatted first, then one write."""
+    """Reference writer: every cell formatted on its own, every line
+    formatted first, then one write."""
     lines = []
     if prov is not None:
         lines.append("# provenance: " + canonical_json(prov))
@@ -18,14 +20,18 @@ def _write_csv_whole(path, columns, rows, prov=None, comments=()):
         lines.append("# " + comment)
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(io._format_cell(cell) for cell in row))
+        lines.append(",".join("%.17g" % float(cell) for cell in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _rows(count):
+    """Float cells as the command line passes them: numpy scalars and
+    python floats, with NaN and infinities among them."""
     values = np.random.default_rng(5).normal(size=count)
-    return [(i, float(v), v, i % 3 == 0, "tag") for i, v in enumerate(values)]
+    special = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300)
+    return [(float(i), float(v), v * 1e-9, special[i % len(special)])
+            for i, v in enumerate(values)]
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 50, 70000])
@@ -33,7 +39,7 @@ def test_block_stream_matches_whole_file_writer(tmp_path, monkeypatch, count):
     if count < 1000:
         monkeypatch.setattr(io, "_CSV_BLOCK", 7)
     rows = _rows(count)
-    args = (("i", "x", "y", "flag", "label"),)
+    args = (("i", "x", "y", "edge"),)
     kwargs = {"prov": {"tool": "t", "seed": 3}, "comments": ("a", "b")}
     _write_csv_whole(tmp_path / "whole.csv", *args, rows, **kwargs)
     write_csv(tmp_path / "blocks.csv", *args, iter(rows), **kwargs)
@@ -49,7 +55,7 @@ def test_failure_midway_leaves_no_partial_file(tmp_path, monkeypatch):
 
     def rows():
         for i in range(20):
-            yield (i, 0.5)
+            yield (float(i), 0.5)
         raise RuntimeError("source failed")
 
     with pytest.raises(RuntimeError):

@@ -1,4 +1,4 @@
-"""Mode functions: values, orthonormality, recurrence, rotation phases."""
+"""Mode functions: values, closed form, orthonormality, rotation phases."""
 
 import math
 
@@ -6,31 +6,45 @@ import numpy as np
 import pytest
 
 from vortexcorr.modes import (DIPOLE_PAIR, DIPOLE_X, DIPOLE_Y, VORTEX_CCW,
-                              VORTEX_CW, VORTEX_PAIR, Point2D, mode_eval,
-                              overlap, phi1d, rotate_xy)
-
-# analytic anchors: phi0(0) = pi^(-1/4), phi1(1) = sqrt(2) pi^(-1/4) e^(-1/2)
-PHI0_AT_0 = math.pi ** -0.25
-PHI1_AT_1 = math.sqrt(2.0) * math.pi ** -0.25 * math.exp(-0.5)
+                              VORTEX_CW, VORTEX_PAIR, mode_eval)
+from vortexcorr.quadrature import EXTENT, gauss_legendre
 
 
-def test_phi1d_anchor_values():
-    assert phi1d(0, 0.0) == pytest.approx(PHI0_AT_0, abs=1e-15)
-    assert phi1d(1, 1.0) == pytest.approx(PHI1_AT_1, abs=1e-15)
-    # even/odd parity
-    x = np.linspace(-3, 3, 31)
-    np.testing.assert_allclose(phi1d(2, -x), phi1d(2, x), atol=1e-15)
-    np.testing.assert_allclose(phi1d(3, -x), -phi1d(3, x), atol=1e-15)
+def _phi1d(n, x):
+    """Reference 1D oscillator eigenfunction of order 0 or 1:
+    (2^n n! sqrt(pi))^{-1/2} exp(-x^2/2) H_n(x), prefactor in logs."""
+    log_norm = -0.5 * (n * math.log(2.0) + math.lgamma(n + 1)) \
+        - 0.25 * math.log(math.pi)
+    hermite = 2.0 * x if n == 1 else np.ones_like(x)
+    return hermite * np.exp(log_norm - 0.5 * x * x)
 
 
-def test_recurrence():
-    # x phi_n = sqrt(n/2) phi_{n-1} + sqrt((n+1)/2) phi_{n+1}
-    x = np.linspace(-4.0, 4.0, 101)
-    for n in range(1, 8):
-        lhs = x * phi1d(n, x)
-        rhs = (math.sqrt(n / 2.0) * phi1d(n - 1, x)
-               + math.sqrt((n + 1) / 2.0) * phi1d(n + 1, x))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+def _product_route(mode, x, y):
+    """Reference modes as products of 1D eigenfunctions."""
+    dx = _phi1d(1, x) * _phi1d(0, y)
+    dy = _phi1d(0, x) * _phi1d(1, y)
+    return {"dipole-x": dx + 0.0j, "dipole-y": dy + 0.0j,
+            "vortex-ccw": (dx + 1.0j * dy) / math.sqrt(2.0),
+            "vortex-cw": (dx - 1.0j * dy) / math.sqrt(2.0)}[mode.kind]
+
+
+def _overlap(mode_a, mode_b, order=64):
+    """<a|b> by a tensor Gauss-Legendre rule over the mode box."""
+    nodes, weights = gauss_legendre(order, -EXTENT, EXTENT)
+    x, y = nodes[:, None], nodes[None, :]
+    w = weights[:, None] * weights[None, :]
+    return np.sum(np.conj(mode_eval(mode_a, x, y)) * mode_eval(mode_b, x, y)
+                  * w)
+
+
+def test_closed_form_matches_product_route():
+    x, y = np.random.default_rng(11).uniform(-EXTENT, EXTENT, (2, 20000))
+    for mode in VORTEX_PAIR + DIPOLE_PAIR:
+        got = mode_eval(mode, x, y)
+        want = _product_route(mode, x, y)
+        assert got.dtype == np.complex128
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0,
+                                   err_msg=mode.kind)
 
 
 def test_dipole_x_value():
@@ -67,34 +81,26 @@ def test_orthonormality():
     for pair in (VORTEX_PAIR, DIPOLE_PAIR):
         for i, a in enumerate(pair):
             for j, b in enumerate(pair):
-                assert abs(overlap(a, b) - (i == j)) < 1e-12
+                assert abs(_overlap(a, b) - (i == j)) < 1e-12
 
 
 def test_cross_basis_overlaps():
     # <dipole_x | vortex_ccw> = 1/sqrt(2), <dipole_y | vortex_ccw> = i/sqrt(2)
-    assert abs(overlap(DIPOLE_X, VORTEX_CCW) - 1 / math.sqrt(2)) < 1e-12
-    assert abs(overlap(DIPOLE_Y, VORTEX_CCW) - 1j / math.sqrt(2)) < 1e-12
-    assert abs(overlap(DIPOLE_Y, VORTEX_CW) + 1j / math.sqrt(2)) < 1e-12
+    assert abs(_overlap(DIPOLE_X, VORTEX_CCW) - 1 / math.sqrt(2)) < 1e-12
+    assert abs(_overlap(DIPOLE_Y, VORTEX_CCW) - 1j / math.sqrt(2)) < 1e-12
+    assert abs(_overlap(DIPOLE_Y, VORTEX_CW) + 1j / math.sqrt(2)) < 1e-12
 
 
 def test_rotation_phase():
     # moving a point ccw by beta multiplies the ccw vortex by e^(+i beta)
     beta = 0.77
+    c, s = math.cos(beta), math.sin(beta)
     x, y = 0.9, -0.5
-    xr, yr = rotate_xy(x, y, beta)
+    xr, yr = c * x - s * y, s * x + c * y
     before = complex(mode_eval(VORTEX_CCW, x, y))
     after = complex(mode_eval(VORTEX_CCW, xr, yr))
     assert abs(after - before * np.exp(1j * beta)) < 1e-14
     # dipole pair rotates as a 2-vector
     dxr = complex(mode_eval(DIPOLE_X, xr, yr))
-    want = (math.cos(beta) * mode_eval(DIPOLE_X, x, y)
-            - math.sin(beta) * mode_eval(DIPOLE_Y, x, y))
+    want = c * mode_eval(DIPOLE_X, x, y) - s * mode_eval(DIPOLE_Y, x, y)
     assert abs(dxr - want) < 1e-14
-
-
-def test_point2d_polar():
-    p = Point2D(-1.0, 0.0)
-    assert p.r == pytest.approx(1.0, abs=1e-15)
-    assert p.theta == pytest.approx(math.pi, abs=1e-15)
-    q = Point2D(1.0, -1.0)
-    assert q.theta == pytest.approx(2.0 * math.pi - math.pi / 4.0, abs=1e-14)

@@ -153,7 +153,6 @@ def test_oracle_fermi_angle_law_at_right_angle():
 _ORACLE_IMPORTS = {
     ".density": {"CORRECTED", "VERBATIM", "rho1", "rho2", "rho2_closed"},
     ".errors": {"UnsupportedStateError"},
-    ".fock": {"pair_moment"},
     ".modes": {"DIPOLE_PAIR", "VORTEX_PAIR", "mode_eval"},
     ".pairstats": {"angle_distribution", "closed_form_angle",
                    "closed_form_distance", "distance_distribution",

@@ -9,11 +9,10 @@ from scipy.optimize import brentq
 
 from vortexcorr import sampler
 from vortexcorr.errors import EmptyFramesError, NoPairsError
-from vortexcorr.sampler import (FrameStream, chi_square_gof, counter_uniforms,
-                                empirical_pair_stats, empirical_profile,
-                                generate_frames, invert_radial_cdf,
-                                load_frames, pair_angles, pair_separations,
-                                radial_cdf, sample_pair, save_frames)
+from vortexcorr.sampler import (chi_square_gof, counter_uniforms,
+                                empirical_pair_stats, generate_frames,
+                                invert_radial_cdf, load_frames, pair_angles,
+                                pair_separations, radial_cdf, save_frames)
 from vortexcorr.pairstats import (PairDistribution, PairVariable,
                                   closed_form_angle, closed_form_distance)
 from vortexcorr.states import (bose_fock, coherent, fermi_fock, noon,
@@ -99,18 +98,6 @@ def test_generate_frames_start_offset_shards():
     assert merged == whole.acceptance_rate
 
 
-def test_sample_pair_matches_stream():
-    stream = FrameStream(seed=9)
-    first = sample_pair(fermi_fock(), stream)
-    second = sample_pair(fermi_fock(), stream)
-    assert stream.next_frame == 2
-    batch = generate_frames(fermi_fock(), 2, seed=9)
-    np.testing.assert_allclose(
-        [[first[0].x, first[0].y], [first[1].x, first[1].y]],
-        batch.points[0], atol=0)
-    assert second[0].x == batch.points[1, 0, 0]
-
-
 def test_acceptance_rate_healthy():
     for spec in (fermi_fock(), bose_fock(1, 1), coherent(), noon()):
         frames = generate_frames(spec, 4000, seed=2)
@@ -145,22 +132,6 @@ def test_per_frame_statistics_keep_exchange_signature():
         frames.points[:-1, 0, 0] - frames.points[1:, 1, 0],
         frames.points[:-1, 0, 1] - frames.points[1:, 1, 1])
     assert np.mean(scrambled < 0.35) > 3.0 * near
-
-
-def test_empirical_profile_recovers_donut():
-    frames = generate_frames(fermi_fock(), 60000, seed=8)
-    field = empirical_profile(frames, bins=41)  # odd: one bin brackets 0
-    step = field.x[1] - field.x[0]
-    assert abs(field.total - 1.0) < 1e-6
-    xx, yy = np.meshgrid(field.x, field.y, indexing="ij")
-    rr2 = xx ** 2 + yy ** 2
-    want = rr2 * np.exp(-rr2) / math.pi  # rho1 / <N>
-    l1 = np.sum(np.abs(field.values - want)) * step * step
-    assert l1 < 0.05
-    # dark core: the origin bin sits far below the ring peak
-    mid = len(field.x) // 2
-    assert abs(field.x[mid]) < 1e-12
-    assert field.values[mid, mid] < 0.08 * np.max(field.values)
 
 
 def test_empirical_pair_stats_match_laws():
@@ -300,8 +271,6 @@ def test_chi2_sf_matches_scipy():
 
 def test_empty_frames_guards():
     frames = generate_frames(fermi_fock(), 0, seed=1)
-    with pytest.raises(EmptyFramesError):
-        empirical_profile(frames)
     with pytest.raises(EmptyFramesError):
         pair_separations(frames)
     with pytest.raises(EmptyFramesError):

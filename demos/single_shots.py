@@ -55,12 +55,10 @@ def main():
     first = generate_frames(fermi_fock(), COUNT, seed=SEED)
     print("rerun identical:", bool(np.array_equal(again.points,
                                                   first.points)))
-    shard = np.concatenate([
-        generate_frames(fermi_fock(), COUNT // 2, seed=SEED).points,
-        generate_frames(fermi_fock(), COUNT - COUNT // 2, seed=SEED,
-                        start=COUNT // 2).points])
-    print("sharded generation identical:",
-          bool(np.array_equal(shard, first.points)))
+    threaded = generate_frames(fermi_fock(), COUNT, seed=SEED,
+                               block=COUNT // 4, threads=2)
+    print("threaded generation identical:",
+          bool(np.array_equal(threaded.points, first.points)))
 
 
 if __name__ == "__main__":

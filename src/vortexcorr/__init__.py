@@ -5,7 +5,8 @@ mode pair in its vortex and dipole bases), `fock` (two-mode second
 quantization: states, correlators, basis changes), `density` (one- and
 two-particle position densities), `pairstats` (distance / angle laws of
 the detected pair), `sampler` (reproducible single-shot frames),
-`oracle` (independent reference implementation and claim cross-checks),
+`oracle` (independent reference implementation, the paper's closed forms
+and the claim cross-checks),
 `cli` (file-producing command line).
 """
 
@@ -18,19 +19,19 @@ from .fock import (Basis, Correlators, QuantumState, Statistics,
                    pair_moment)
 from .modes import (DIPOLE_PAIR, DIPOLE_X, DIPOLE_Y, VORTEX_CCW, VORTEX_CW,
                     VORTEX_PAIR, Mode, mode_eval)
-from .density import (DensityField, density_grid, rho1, rho1_closed, rho2,
-                      rho2_closed)
+from .density import DensityField, density_grid, rho1, rho2
 from .pairstats import (DistSummary, PairDistribution, PairVariable,
                         angle_distribution, bosonic_weight,
-                        closed_form_angle, closed_form_distance,
-                        closed_form_two_angle, distance_distribution,
-                        summarize, two_angle_distribution)
+                        distance_distribution, summarize,
+                        two_angle_distribution)
 from .sampler import (FrameSet, chi_square_gof, counter_uniforms,
                       empirical_pair_stats, generate_frames,
                       invert_radial_cdf, load_frames, pair_angles,
                       pair_separations, save_frames)
 from .oracle import (DiscrepancyReport, all_engine_checks_confirmed,
-                     cross_validate, full_report, reference_rho2)
+                     closed_form_angle, closed_form_distance,
+                     closed_form_two_angle, cross_validate, full_report,
+                     reference_rho2, rho1_closed)
 from .states import (KINDS, SpecError, StateSpec, bose_fock, build_state,
                      coherent, cothermal, fermi_fock, noon, parse_complex,
                      spec_from_dict, spec_to_dict, thermal)
@@ -56,6 +57,6 @@ __all__ = [
     "make_noon", "make_thermal", "mean_number", "mode_eval",
     "mode_occupations", "noon", "pair_angles", "pair_moment",
     "pair_separations", "parse_complex", "reference_rho2", "rho1",
-    "rho1_closed", "rho2", "rho2_closed", "save_frames", "spec_from_dict",
+    "rho1_closed", "rho2", "save_frames", "spec_from_dict",
     "spec_to_dict", "summarize", "thermal", "two_angle_distribution",
 ]

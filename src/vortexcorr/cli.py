@@ -17,22 +17,23 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import BrokenExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import pairstats
-from .density import density_grid, rho1, rho1_closed
+from .density import density_grid, rho1
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      EmptyFramesError, NoPairsError, PauliViolationError,
                      SamplerMethodError, UnsupportedStateError)
 from .io import provenance, write_csv, write_json
-from .oracle import (_CHUNK_TARGET, CONFIRMED, _is_donut,
-                     all_engine_checks_confirmed, full_report)
-from .sampler import (FrameSet, chi_square_gof, empirical_pair_stats,
-                      generate_frames, pair_angles, pair_separations,
-                      save_frames)
+from .oracle import (_CHUNK_TARGET, ANGLE_FORMS, CONFIRMED, DEFAULT_RESOLUTION,
+                     DISTANCE_FORMS, TWO_ANGLE_FORMS,
+                     all_engine_checks_confirmed, full_report,
+                     printed_family, rho1_closed)
+from .sampler import (chi_square_gof, empirical_pair_stats, generate_frames,
+                      pair_angles, pair_separations, save_frames)
 from .states import KINDS, SpecError, build_state, spec_from_dict, spec_to_dict
 from .svgplot import svg_chart, svg_heatmap
 from .version import VERSION
@@ -70,11 +71,11 @@ _COMMAND_DEFAULTS = {
     "pairdist": {"points": None, "two_angle": False},
     "pairangle": {"points": None, "two_angle": False},
     "frames": {"seed": None, "count": 1000, "stats": False, "bins": 64},
-    "verify": {"resolution": 61},
+    "verify": {"resolution": DEFAULT_RESOLUTION},
 }
 
-_DISTRIBUTION_POINTS = {"pairdist": 801, "pairangle": 361}
-_TWO_ANGLE_POINTS = 180
+_DISTRIBUTION_POINTS = {"pairdist": pairstats.DEFAULT_DISTANCE_POINTS,
+                        "pairangle": pairstats.DEFAULT_ANGLE_POINTS}
 # --points ceilings, checked before anything is allocated: at them the
 # relative-angle law peaks near 0.35 GB and the joint law near 0.2 GB
 _MAX_POINTS = 10 ** 6
@@ -102,17 +103,16 @@ class RunConfig:
     spec: object = None
     seed: int = None
     count: int = 1000
-    points: int = 801
+    points: int = pairstats.DEFAULT_DISTANCE_POINTS
     step: float = 0.05
     extent: float = 6.0
     bins: int = 64
-    resolution: int = 61
+    resolution: int = DEFAULT_RESOLUTION
     threads: int = 1
     two_angle: bool = False
     stats: bool = False
     out: str = "."
     formats: tuple = _FORMATS
-    raw: dict = field(default_factory=dict)
 
     def payload(self):
         data = {"command": self.command}
@@ -167,9 +167,9 @@ def _add_output_flags(sp):
     grp.add_argument("--config", default=None, metavar="FILE",
                      help="JSON config file; explicit flags override its entries")
     grp.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="frames: generate shards in N threads and format "
-                          "frames.csv blocks in N processes; results do not "
-                          "depend on it")
+                     help="frames: sample frame blocks in N threads and "
+                          "format frames.csv blocks in N processes; results "
+                          "do not depend on it")
 
 
 def build_parser():
@@ -266,7 +266,8 @@ def build_parser():
                             "Confirmed"))
     _add_output_flags(sp)
     sp.add_argument("--resolution", type=int, default=None,
-                    help="pair-grid points per axis (default 61)")
+                    help="pair-grid points per axis "
+                         f"(default {DEFAULT_RESOLUTION})")
     return parser
 
 
@@ -338,10 +339,11 @@ def resolve_config(args):
             cfg[key] = flag_value
 
     if command in _DISTRIBUTION_POINTS and cfg.get("points") is None:
-        cfg["points"] = (_TWO_ANGLE_POINTS if cfg.get("two_angle")
+        cfg["points"] = (pairstats.DEFAULT_TWO_ANGLE_POINTS
+                         if cfg.get("two_angle")
                          else _DISTRIBUTION_POINTS[command])
 
-    run = RunConfig(command=command, raw=dict(cfg))
+    run = RunConfig(command=command)
     if command != "verify":
         run.spec = _build_spec(cfg)
     run.out = str(cfg["out"])
@@ -388,36 +390,6 @@ def resolve_config(args):
         raise SpecError(
             f"--resolution must be between 8 and {_MAX_RESOLUTION}")
     return run
-
-
-# ---------------------------------------------------------------------------
-# closed-form references for overlays
-# ---------------------------------------------------------------------------
-
-
-def _canonical_family(spec):
-    """Catalog key of the printed laws when the spec matches the canonical
-    configuration those laws describe, else None. Cothermal has no printed
-    law, although its canonical configuration is a donut."""
-    return spec.kind if spec.kind != "cothermal" and _is_donut(spec) else None
-
-
-def _reference_angle_closure(spec):
-    fam = _canonical_family(spec)
-    if fam is None:
-        return None
-    def closure(delta, _fam=fam):
-        return pairstats.closed_form_angle(_fam, delta)
-    return closure
-
-
-def _reference_two_angle_closure(spec):
-    fam = _canonical_family(spec)
-    if fam in ("noon", "fermi-fock", "coherent"):
-        def closure(theta, vartheta, _fam=fam):
-            return pairstats.closed_form_two_angle(_fam, theta, vartheta)
-        return closure
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -472,28 +444,28 @@ def cmd_profile(cfg):
     return EXIT_OK
 
 
+def _write_columns(path, comment, prov, **columns):
+    """CSV of the named columns in order, leaving out those that are None
+    (a closed form the state has none of)."""
+    columns = {k: v for k, v in columns.items() if v is not None}
+    write_csv(path, tuple(columns), zip(*columns.values()), prov=prov,
+              comments=(comment,))
+
+
 def _two_angle_outputs(cfg):
     state = build_state(cfg.spec)
     dist = pairstats.two_angle_distribution(state, n_points=cfg.points)
     prov = cfg.prov(state)
-    closure = _reference_two_angle_closure(cfg.spec)
+    law = TWO_ANGLE_FORMS.get(printed_family(cfg.spec))
+    closed = law(dist.grid[:, None], dist.grid[None, :]) if law else None
 
     if "csv" in cfg.formats:
-        if closure is not None:
-            ref = closure(dist.grid[:, None], dist.grid[None, :])
-            columns = ("theta_1", "theta_2", "density", "closed_form")
-            rows = ((dist.grid[i], dist.grid[j], dist.values[i, j],
-                     ref[i, j])
-                    for i in range(len(dist.grid))
-                    for j in range(len(dist.grid)))
-        else:
-            columns = ("theta_1", "theta_2", "density")
-            rows = ((dist.grid[i], dist.grid[j], dist.values[i, j])
-                    for i in range(len(dist.grid))
-                    for j in range(len(dist.grid)))
-        write_csv(_path(cfg, "two_angle_surface.csv"), columns, rows,
-                  prov=prov,
-                  comments=("joint density of the two detection angles",))
+        tt, vv = np.meshgrid(dist.grid, dist.grid, indexing="ij")
+        _write_columns(_path(cfg, "two_angle_surface.csv"),
+                       "joint density of the two detection angles", prov,
+                       theta_1=tt.ravel(), theta_2=vv.ravel(),
+                       density=dist.values.ravel(),
+                       closed_form=None if closed is None else closed.ravel())
     if "json" in cfg.formats:
         payload = {
             "state": spec_to_dict(cfg.spec),
@@ -503,16 +475,22 @@ def _two_angle_outputs(cfg):
             "min_value": float(np.min(dist.values)),
             "provenance": prov,
         }
-        if closure is not None:
-            ref = closure(dist.grid[:, None], dist.grid[None, :])
+        if closed is not None:
             payload["closed_form_sup_deviation"] = float(
-                np.max(np.abs(dist.values - ref)))
+                np.max(np.abs(dist.values - closed)))
         write_json(_path(cfg, "two_angle_summary.json"), payload)
     if "svg" in cfg.formats:
         svg_heatmap(_path(cfg, "two_angle_heatmap.svg"), dist.grid,
                     dist.grid, dist.values.T, title="joint angle density",
                     xlabel="theta 1", ylabel="theta 2", prov=prov)
     return EXIT_OK
+
+
+def _overlay_chart(cfg, name, dist, closed, prov, **labels):
+    series = [{"label": "kernel", "x": dist.grid, "y": dist.values}]
+    if closed is not None:
+        series.append({"label": "closed form", "x": dist.grid, "y": closed})
+    svg_chart(_path(cfg, name), series, prov=prov, **labels)
 
 
 def cmd_pairdist(cfg):
@@ -522,20 +500,14 @@ def cmd_pairdist(cfg):
     dist = pairstats.distance_distribution(state, n_points=cfg.points)
     summary = pairstats.summarize(dist)
     prov = cfg.prov(state)
-    fam = _canonical_family(cfg.spec)
-    closed = None
-    if fam in ("fermi-fock", "bose-fock", "coherent", "noon"):
-        closed = pairstats.closed_form_distance(fam, dist.grid)
+    fam = printed_family(cfg.spec)
+    law = DISTANCE_FORMS.get(fam)
+    closed = law(dist.grid) if law else None
 
     if "csv" in cfg.formats:
-        if closed is not None:
-            columns = ("d", "density", "closed_form")
-            rows = zip(dist.grid, dist.values, closed)
-        else:
-            columns = ("d", "density")
-            rows = zip(dist.grid, dist.values)
-        write_csv(_path(cfg, "pairdist_distribution.csv"), columns, rows,
-                  prov=prov, comments=("pair-distance density D(d)",))
+        _write_columns(_path(cfg, "pairdist_distribution.csv"),
+                       "pair-distance density D(d)", prov, d=dist.grid,
+                       density=dist.values, closed_form=closed)
     if "json" in cfg.formats:
         payload = {
             "state": spec_to_dict(cfg.spec),
@@ -547,7 +519,7 @@ def cmd_pairdist(cfg):
             "bosonic_weight": summary.meta["bosonic_weight"],
             "pair_normalization": dist.normalization,
             # the overlaid Bose closed form carries the restored leading
-            # d factor; the flag records that the corrected variant is used
+            # d factor; the flag records that the corrected form is overlaid
             "bose-form-corrected": fam == "bose-fock",
             "provenance": prov,
         }
@@ -556,13 +528,9 @@ def cmd_pairdist(cfg):
                 np.max(np.abs(dist.values - closed)))
         write_json(_path(cfg, "pairdist_summary.json"), payload)
     if "svg" in cfg.formats:
-        series = [{"label": "kernel", "x": dist.grid, "y": dist.values}]
-        if closed is not None:
-            series.append({"label": "closed form", "x": dist.grid,
-                           "y": closed})
-        svg_chart(_path(cfg, "pairdist_overlay.svg"), series,
-                  title="pair-distance density", xlabel="d",
-                  ylabel="D(d)", prov=prov)
+        _overlay_chart(cfg, "pairdist_overlay.svg", dist, closed, prov,
+                       title="pair-distance density", xlabel="d",
+                       ylabel="D(d)")
     return EXIT_OK
 
 
@@ -573,18 +541,14 @@ def cmd_pairangle(cfg):
     dist = pairstats.angle_distribution(state, n_points=cfg.points)
     summary = pairstats.summarize(dist)
     prov = cfg.prov(state)
-    closure = _reference_angle_closure(cfg.spec)
+    law = ANGLE_FORMS.get(printed_family(cfg.spec))
+    closed = law(dist.grid) if law else None
 
     if "csv" in cfg.formats:
-        if closure is not None:
-            columns = ("delta", "density", "closed_form")
-            rows = zip(dist.grid, dist.values, closure(dist.grid))
-        else:
-            columns = ("delta", "density")
-            rows = zip(dist.grid, dist.values)
-        write_csv(_path(cfg, "pairangle_distribution.csv"), columns, rows,
-                  prov=prov,
-                  comments=("relative-angle density on [0, pi)",))
+        _write_columns(_path(cfg, "pairangle_distribution.csv"),
+                       "relative-angle density on [0, pi)", prov,
+                       delta=dist.grid, density=dist.values,
+                       closed_form=closed)
     if "json" in cfg.formats:
         payload = {
             "state": spec_to_dict(cfg.spec),
@@ -598,53 +562,25 @@ def cmd_pairangle(cfg):
             "pair_normalization": dist.normalization,
             "provenance": prov,
         }
-        if closure is not None:
+        if closed is not None:
             payload["closed_form_sup_deviation"] = float(
-                np.max(np.abs(dist.values - closure(dist.grid))))
+                np.max(np.abs(dist.values - closed)))
         write_json(_path(cfg, "pairangle_summary.json"), payload)
     if "svg" in cfg.formats:
-        series = [{"label": "kernel", "x": dist.grid, "y": dist.values}]
-        if closure is not None:
-            series.append({"label": "closed form", "x": dist.grid,
-                           "y": closure(dist.grid)})
-        svg_chart(_path(cfg, "pairangle_overlay.svg"), series,
-                  title="relative-angle density", xlabel="delta",
-                  ylabel="D(delta)", prov=prov)
+        _overlay_chart(cfg, "pairangle_overlay.svg", dist, closed, prov,
+                       title="relative-angle density", xlabel="delta",
+                       ylabel="D(delta)")
     return EXIT_OK
-
-
-def _generate_sharded(spec, count, seed, threads):
-    """Thread-sharded frame generation.
-
-    The counter RNG keys every draw by absolute frame index, so disjoint
-    shards concatenate into exactly the single-threaded result and the
-    summed proposal counts reproduce the same acceptance rate.
-    """
-    if threads <= 1 or count < 2 * threads:
-        return generate_frames(spec, count, seed)
-    shard = (count + threads - 1) // threads
-    tasks = [(lo, min(shard, count - lo)) for lo in range(0, count, shard)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda t: generate_frames(spec, t[1], seed, start=t[0]), tasks))
-    points = np.concatenate([p.points for p in parts])
-    proposals = sum(p.meta["proposals"] for p in parts)
-    rate = count / proposals if proposals else 1.0
-    meta = dict(parts[0].meta)
-    meta["proposals"] = proposals
-    return FrameSet(spec=parts[0].spec, seed=int(seed), points=points,
-                    method=parts[0].method, acceptance_rate=float(rate),
-                    meta=meta)
 
 
 def _frame_references(cfg, state):
     """Reference distance and angle laws of --stats. Built before any file
     is written, so a state without an angle law leaves no output behind."""
     d_ref = pairstats.distance_distribution(state)
-    a_closure = _reference_angle_closure(cfg.spec)
+    a_closure = ANGLE_FORMS.get(printed_family(cfg.spec))
     if a_closure is None:
         return d_ref, pairstats.angle_distribution(state)
-    grid = np.linspace(0.0, math.pi, 361)
+    grid = np.linspace(0.0, math.pi, pairstats.DEFAULT_ANGLE_POINTS)
     return d_ref, pairstats.PairDistribution(
         pairstats.PairVariable.REL_ANGLE, grid, a_closure(grid),
         closure=a_closure)
@@ -713,7 +649,8 @@ def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
 def cmd_frames(cfg):
     state = build_state(cfg.spec)
     refs = _frame_references(cfg, state) if cfg.stats else None
-    frames = _generate_sharded(cfg.spec, cfg.count, cfg.seed, cfg.threads)
+    frames = generate_frames(cfg.spec, cfg.count, cfg.seed,
+                             threads=cfg.threads)
     prov = cfg.prov(state)
     save_frames(frames, _path(cfg, "frames.csv"), provenance=prov,
                 workers=cfg.threads)

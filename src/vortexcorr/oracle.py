@@ -8,6 +8,12 @@ Wick moment algebra. Only mode evaluation and generic quadrature are shared
 with the rest of the library; the engine enters purely as the object under
 test.
 
+The module is also the one home of the paper's closed forms: the one-body
+density, the printed pair densities, and the distance, angle and
+two-angle laws, each as printed and, where the print is wrong, as
+corrected. printed_family decides which configuration a printed law
+describes.
+
 Every comparison is summarized as a DiscrepancyReport. Rows with
 ``gating=True`` are engine-vs-oracle consistency checks and must all come
 out Confirmed for a verification run to succeed; the remaining rows grade
@@ -21,11 +27,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .density import CORRECTED, VERBATIM, rho1, rho2, rho2_closed
+from .density import rho1, rho2
 from .errors import UnsupportedStateError
 from .modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
-from .pairstats import (angle_distribution, closed_form_angle,
-                        closed_form_distance, distance_distribution,
+from .pairstats import (angle_distribution, distance_distribution,
                         summarize, two_angle_distribution)
 from .quadrature import EXTENT, gauss_legendre
 from .states import (StateSpec, bose_fock, build_state, cothermal, coherent,
@@ -241,6 +246,159 @@ def reference_rho2(spec, x1, y1, x2, y2):
 
 
 # ---------------------------------------------------------------------------
+# the paper's closed forms
+# ---------------------------------------------------------------------------
+
+
+def printed_family(spec):
+    """Catalog key of the printed laws when `spec` is the canonical
+    one-quantum-per-mode configuration they describe, else None.
+
+    Cothermal has no printed law, although its canonical configuration is
+    the same donut.
+    """
+    kind = spec.kind
+    if kind == "bose-fock":
+        donut = (spec.n, spec.m) == (1, 1)
+    elif kind == "thermal":
+        donut = spec.nbar_a == spec.nbar_b == 1.0
+    elif kind == "coherent":
+        # ring profile needs the amplitude vector proportional to a vortex:
+        # equal magnitudes AND quadrature phase between the two components
+        a, b = spec.alpha_a, spec.alpha_b
+        donut = (abs(abs(a) - 1.0) < 1e-12
+                 and (abs(a - 1j * b) < 1e-12 or abs(a + 1j * b) < 1e-12))
+    else:
+        donut = kind in ("fermi-fock", "noon")
+    return kind if donut else None
+
+
+def rho1_closed(spec, x, y):
+    """Closed-form one-body density of every family."""
+    spec = spec.normalized()
+    fa, fb = _eval_pair(spec, x, y)
+    if spec.kind in ("fermi-fock", "noon"):
+        return np.abs(fa) ** 2 + np.abs(fb) ** 2
+    if spec.kind == "bose-fock":
+        return spec.n * np.abs(fa) ** 2 + spec.m * np.abs(fb) ** 2
+    if spec.kind == "coherent":
+        return np.abs(spec.alpha_a * fa + spec.alpha_b * fb) ** 2
+    if spec.kind == "thermal":
+        return spec.nbar_a * np.abs(fa) ** 2 + spec.nbar_b * np.abs(fb) ** 2
+    if spec.kind == "cothermal":
+        coh = np.abs(spec.alpha_a * fa - 1.0j * spec.alpha_a * fb) ** 2
+        return coh + spec.nbar_a * (np.abs(fa) ** 2 + np.abs(fb) ** 2)
+    raise ValueError(f"no closed rho1 for kind {spec.kind!r}")
+
+
+def printed_rho2(spec, x1, y1, x2, y2):
+    """The pair densities as printed, for the families in _PAIR_FORMS.
+
+    Fermi and Bose pair each mode with itself across the two particles
+    where reference_rho2 pairs the two modes; coherent is a product of
+    single-mode densities; the thermal sum agrees with reference_rho2.
+    """
+    spec = spec.normalized()
+    a1, b1 = _eval_pair(spec, x1, y1)
+    a2, b2 = _eval_pair(spec, x2, y2)
+    if spec.kind == "fermi-fock":
+        return np.abs(a1 * a2 - b1 * b2) ** 2
+    if spec.kind == "bose-fock":
+        n, m = spec.n, spec.m
+        return (n * m * np.abs(a1 * a2 + b1 * b2) ** 2
+                + n * (n - 1) * np.abs(a1 * a2) ** 2
+                + m * (m - 1) * np.abs(b1 * b2) ** 2)
+    if spec.kind == "coherent":
+        return (np.abs(spec.alpha_a * a1) ** 2
+                * np.abs(spec.alpha_b * b2) ** 2)
+    if spec.kind == "thermal":
+        nb, f1, f2 = (spec.nbar_a, spec.nbar_b), (a1, b1), (a2, b2)
+        out = np.zeros(np.broadcast(a1, a2).shape)
+        for p in range(2):
+            for pp in range(2):
+                direct = np.abs(f1[p]) ** 2 * np.abs(f2[pp]) ** 2
+                exch = (np.conj(f1[p]) * f2[p]
+                        * np.conj(f2[pp]) * f1[pp]).real
+                out = out + nb[p] * nb[pp] * (direct + exch)
+        return out
+    raise ValueError(f"no printed rho2 for kind {spec.kind!r}")
+
+
+def _flat_angle(delta):
+    return np.full_like(delta, 1.0 / math.pi)
+
+
+def _coherent_distance(d):
+    return d * (8.0 + d ** 4) * np.exp(-0.5 * d * d) / 16.0
+
+
+# The laws of each family's printed configuration (printed_family), keyed
+# by family; a family missing from a table has no closed form for that
+# law. Entries take float arrays. DISTANCE_FORMS and ANGLE_FORMS hold the
+# engine-confirmed laws, the _PRINTED_ tables the laws as printed.
+DISTANCE_FORMS = {
+    "fermi-fock": lambda d: 0.5 * d ** 3 * np.exp(-0.5 * d * d),
+    # the printed polynomial with its leading d restored
+    "bose-fock": lambda d: (d * (8.0 - 4.0 * d * d + d ** 4)
+                            * np.exp(-0.5 * d * d) / 8.0),
+    "coherent": _coherent_distance,
+    # NOON pair correlations carry no distance information
+    "noon": _coherent_distance,
+}
+# the printed Bose law lacks the leading d: it integrates to
+# (7/8) sqrt(pi/2), not 1, and does not vanish at contact
+_PRINTED_DISTANCE_FORMS = {
+    **DISTANCE_FORMS,
+    "bose-fock": lambda d: ((8.0 - 4.0 * d * d + d ** 4)
+                            * np.exp(-0.5 * d * d) / 8.0),
+}
+# folded relative angle on [0, pi); the NOON value is the
+# orientation-averaged marginal, which is uniform
+ANGLE_FORMS = {
+    "fermi-fock": lambda delta: (2.0 / math.pi) * np.sin(delta) ** 2,
+    "bose-fock": lambda delta: (2.0 / math.pi) * np.cos(delta) ** 2,
+    "coherent": _flat_angle,
+    "noon": _flat_angle,
+    "thermal": lambda delta: ((2.0 / (3.0 * math.pi))
+                              * (1.0 + np.cos(delta) ** 2)),
+}
+# printed with the fermion and boson labels swapped
+_PRINTED_ANGLE_FORMS = {**ANGLE_FORMS,
+                        "fermi-fock": ANGLE_FORMS["bose-fock"],
+                        "bose-fock": ANGLE_FORMS["fermi-fock"]}
+# joint density of both detection angles on [0, 2pi)^2
+TWO_ANGLE_FORMS = {
+    "noon": lambda t, v: np.sin(t + v) ** 2 / (2.0 * math.pi ** 2),
+    "fermi-fock": lambda t, v: np.sin(t - v) ** 2 / (2.0 * math.pi ** 2),
+    "coherent": lambda t, v: np.full(np.broadcast(t, v).shape,
+                                     1.0 / (4.0 * math.pi ** 2)),
+}
+
+
+def _form(forms, kind, law):
+    if kind not in forms:
+        raise ValueError(f"no closed {law} form for kind {kind!r}")
+    return forms[kind]
+
+
+def closed_form_distance(kind, d):
+    """Engine-confirmed pair-distance density D(d) of a family."""
+    return _form(DISTANCE_FORMS, kind, "distance")(np.asarray(d, dtype=float))
+
+
+def closed_form_angle(kind, delta):
+    """Engine-confirmed folded relative-angle density of a family: sin^2
+    for fermions, cos^2 for bosons."""
+    return _form(ANGLE_FORMS, kind, "angle")(np.asarray(delta, dtype=float))
+
+
+def closed_form_two_angle(kind, theta, vartheta):
+    """Joint two-angle density of a family."""
+    return _form(TWO_ANGLE_FORMS, kind, "two-angle")(
+        np.asarray(theta, dtype=float), np.asarray(vartheta, dtype=float))
+
+
+# ---------------------------------------------------------------------------
 # grid sweeps
 # ---------------------------------------------------------------------------
 
@@ -277,7 +435,7 @@ def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION,
         mass_engine += float(np.sum(eng))
         mass_oracle += float(np.sum(orc))
         if include_verbatim:
-            ver = rho2_closed(spec, x1, y1, x2, y2, variant=VERBATIM)
+            ver = printed_rho2(spec, x1, y1, x2, y2)
             dev_verbatim = max(dev_verbatim,
                                float(np.max(np.abs(eng - ver))))
     h4 = step ** 4
@@ -407,55 +565,29 @@ def polar_separability_deviation(state):
 # ---------------------------------------------------------------------------
 
 
-def _is_donut(spec):
-    """True for the canonical one-quantum-per-mode configuration the
-    printed distance/angle laws refer to."""
-    if spec.kind in ("fermi-fock", "noon"):
-        return True
-    if spec.kind == "bose-fock":
-        return (spec.n, spec.m) == (1, 1)
-    if spec.kind == "thermal":
-        return spec.nbar_a == spec.nbar_b == 1.0
-    if spec.kind == "coherent":
-        # ring profile needs the amplitude vector proportional to a vortex:
-        # equal magnitudes AND quadrature phase between the two components
-        a, b = spec.alpha_a, spec.alpha_b
-        return (abs(abs(a) - 1.0) < 1e-12
-                and (abs(a - 1j * b) < 1e-12 or abs(a + 1j * b) < 1e-12))
-    if spec.kind == "cothermal":
-        return abs(abs(spec.alpha_a) ** 2 + spec.nbar_a - 1.0) < 1e-12
-    return False
-
-
-_PRINTED_PAIR_FORMS = {
-    "fermi-fock": "|phi_a(r1) phi_a(r2) - phi_b(r1) phi_b(r2)|^2",
+# per family with a printed pair density: (printed form, resolved form,
+# verdict when the two differ)
+_PAIR_FORMS = {
+    "fermi-fock": ("|phi_a(r1) phi_a(r2) - phi_b(r1) phi_b(r2)|^2",
+                   "|phi_a(r1) phi_b(r2) - phi_b(r1) phi_a(r2)|^2", TYPO),
     "bose-fock": ("n m |phi_a(r1) phi_a(r2) + phi_b(r1) phi_b(r2)|^2"
-                  " + n(n-1)|phi_a phi_a'|^2 + m(m-1)|phi_b phi_b'|^2"),
-    "coherent": "rho1_a(r1) rho1_b(r2), a product of single-mode densities",
+                  " + n(n-1)|phi_a phi_a'|^2 + m(m-1)|phi_b phi_b'|^2",
+                  "n m |phi_a(r1) phi_b(r2) + phi_b(r1) phi_a(r2)|^2"
+                  " + n(n-1)|phi_a phi_a'|^2 + m(m-1)|phi_b phi_b'|^2",
+                  TYPO),
+    "coherent": ("rho1_a(r1) rho1_b(r2), a product of single-mode densities",
+                 "rho1(r1) rho1(r2) with the full one-body density",
+                 CONVENTION),
     "thermal": ("sum_{p,p'} nbar_p nbar_p' (|phi_p(r1)|^2 |phi_p'(r2)|^2"
-                " + phi_p*(r1) phi_p(r2) phi_p'*(r2) phi_p'(r1))"),
-}
-
-_RESOLVED_PAIR_FORMS = {
-    "fermi-fock": "|phi_a(r1) phi_b(r2) - phi_b(r1) phi_a(r2)|^2",
-    "bose-fock": ("n m |phi_a(r1) phi_b(r2) + phi_b(r1) phi_a(r2)|^2"
-                  " + n(n-1)|phi_a phi_a'|^2 + m(m-1)|phi_b phi_b'|^2"),
-    "coherent": "rho1(r1) rho1(r2) with the full one-body density",
-    "thermal": "printed direct + exchange sum (cross-paired, consistent)",
-}
-
-_PAIR_FORM_FALLBACK = {
-    "fermi-fock": TYPO,
-    "bose-fock": TYPO,
-    "coherent": CONVENTION,
-    "thermal": TYPO,
+                " + phi_p*(r1) phi_p(r2) phi_p'*(r2) phi_p'(r1))",
+                "printed direct + exchange sum (cross-paired, consistent)",
+                TYPO),
 }
 
 
 def _engine_vs_oracle_rows(spec, resolution):
-    sweep = pair_grid_sweep(
-        spec, resolution,
-        include_verbatim=spec.kind in _PRINTED_PAIR_FORMS)
+    sweep = pair_grid_sweep(spec, resolution,
+                            include_verbatim=spec.kind in _PAIR_FORMS)
     route = ORACLE_ROUTES[spec.kind]
     detail = (f"route={route}; pair mass engine {sweep['mass_engine']:.12f}"
               f" vs oracle {sweep['mass_oracle']:.12f}")
@@ -485,29 +617,30 @@ def _engine_vs_oracle_rows(spec, resolution):
             extra = ("; same-label pairing breaks rotation invariance of"
                      " the one-quantum-per-mode state, the cross pairing"
                      " restores it")
+        printed, resolved, fallback = _PAIR_FORMS[spec.kind]
         rows.append(DiscrepancyReport(
             claim_id="rho2-printed-pairing",
             kind=_label(spec),
-            printed_form=_PRINTED_PAIR_FORMS[spec.kind],
-            resolved_form=_RESOLVED_PAIR_FORMS[spec.kind],
+            printed_form=printed,
+            resolved_form=resolved,
             max_abs_deviation=dev,
-            verdict=_verdict(dev, _PAIR_FORM_FALLBACK[spec.kind]),
+            verdict=_verdict(dev, fallback),
             detail=f"sup over the resolution^4 pair grid{extra}"))
     return rows
 
 
 def _distance_rows(spec, state):
-    if not _is_donut(spec) or spec.kind == "cothermal":
+    kind = printed_family(spec)
+    if kind is None:
         return []
     rows = []
     dist = distance_distribution(state, n_points=CLAIM_DISTANCE_POINTS)
     summ = summarize(dist)
     grid = dist.grid
-    kind = spec.kind
 
     if kind in ("fermi-fock", "bose-fock", "coherent"):
-        printed = closed_form_distance(kind, grid, variant=VERBATIM)
-        corrected = closed_form_distance(kind, grid, variant=CORRECTED)
+        printed = _PRINTED_DISTANCE_FORMS[kind](grid)
+        corrected = DISTANCE_FORMS[kind](grid)
         dev = float(np.max(np.abs(dist.values - printed)))
         dev_corr = float(np.max(np.abs(dist.values - corrected)))
         detail = f"corrected-form deviation {dev_corr:.3e}"
@@ -566,7 +699,7 @@ def _distance_rows(spec, state):
             detail="engine maxima " + ", ".join(f"{v:.9f}" for v in found)))
 
     if kind == "noon":
-        coh = closed_form_distance("coherent", grid)
+        coh = DISTANCE_FORMS["coherent"](grid)
         dev = float(np.max(np.abs(dist.values - coh)))
         rows.append(DiscrepancyReport(
             claim_id="noon-distance-equals-coherent",
@@ -609,10 +742,10 @@ def _distance_rows(spec, state):
 
 
 def _angle_rows(spec, state):
-    if not _is_donut(spec) or spec.kind == "cothermal":
+    kind = printed_family(spec)
+    if kind is None:
         return []
     rows = []
-    kind = spec.kind
     if kind == "noon":
         engine = two_angle_distribution(state,
                                         n_points=CLAIM_TWO_ANGLE_POINTS)
@@ -626,8 +759,8 @@ def _angle_rows(spec, state):
             max_abs_deviation=dev,
             verdict=_verdict(dev, TYPO),
             gating=True))
-        tt = engine.grid[:, None] + engine.grid[None, :]
-        printed_shape = np.sin(tt) ** 2 / (2.0 * math.pi ** 2)
+        printed_shape = TWO_ANGLE_FORMS["noon"](engine.grid[:, None],
+                                                engine.grid[None, :])
         dev = float(np.max(np.abs(engine.values - printed_shape)))
         rows.append(DiscrepancyReport(
             claim_id="two-angle-printed-form",
@@ -654,8 +787,8 @@ def _angle_rows(spec, state):
             max_abs_deviation=dev,
             verdict=_verdict(dev, TYPO),
             gating=True))
-        printed = closed_form_angle(kind, engine.grid, variant=VERBATIM)
-        corrected = closed_form_angle(kind, engine.grid, variant=CORRECTED)
+        printed = _PRINTED_ANGLE_FORMS[kind](engine.grid)
+        corrected = ANGLE_FORMS[kind](engine.grid)
         dev = float(np.max(np.abs(engine.values - printed)))
         dev_corr = float(np.max(np.abs(engine.values - corrected)))
         label = ("(2/pi) cos^2(dtheta)" if kind == "fermi-fock"
@@ -683,7 +816,7 @@ def _angle_rows(spec, state):
             max_abs_deviation=dev,
             verdict=_verdict(dev, TYPO)))
     elif kind == "thermal":
-        reference = closed_form_angle("thermal", engine.grid)
+        reference = ANGLE_FORMS["thermal"](engine.grid)
         dev = float(np.max(np.abs(engine.values - reference)))
         rows.append(DiscrepancyReport(
             claim_id="angle-derived-form",

@@ -43,7 +43,8 @@ five equally spaced phi average it exactly. Every mode is odd,
 u(theta + pi) = -u(theta), so f(D + pi) = f(D) and the law folded to
 [0, pi) is 2 f(D). For a rotation-invariant state this folded law is
 (1 + (2w - 1) cos 2D) / pi with the same w, so one number summarises
-every distance and relative-angle law (see summarize).
+every distance and relative-angle law (see summarize). The paper's
+closed forms these laws are graded against live in oracle.py.
 """
 
 import math
@@ -52,11 +53,9 @@ from enum import Enum
 
 import numpy as np
 
-from .density import CORRECTED, VERBATIM
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      NoPairsError)
 from .fock import Basis, dipole_correlators, pair_isotropy_defect, pair_moment
-from .states import StateSpec
 
 DISTANCE_MAX = 8.0
 DEFAULT_DISTANCE_POINTS = 801
@@ -106,8 +105,6 @@ class PairDistribution:
         step = self.grid[1] - self.grid[0]
         if self.variable is PairVariable.TWO_ANGLE:
             return float(np.sum(self.values) * step * step)
-        if self.meta.get("estimator") == "histogram":
-            return float(np.sum(self.values) * step)
         return float(np.trapezoid(self.values, self.grid))
 
 
@@ -182,8 +179,7 @@ def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
     grid = np.linspace(0.0, DISTANCE_MAX, n_points)
     return PairDistribution(PairVariable.DISTANCE, grid, closure(grid),
                             normalization=norm, closure=closure,
-                            meta={"kernel_s": s, "kernel_t": t,
-                                  "bosonic_weight": s / (4.0 * norm)})
+                            meta={"bosonic_weight": s / (4.0 * norm)})
 
 
 def _angular_factors(basis, theta):
@@ -244,8 +240,7 @@ def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS):
     grid = np.linspace(0.0, math.pi, n_points)
     return PairDistribution(PairVariable.REL_ANGLE, grid, closure(grid),
                             normalization=norm, closure=closure,
-                            meta={"isotropy_defect": defect,
-                                  "bosonic_weight": bosonic_weight(state)})
+                            meta={"bosonic_weight": bosonic_weight(state)})
 
 
 def two_angle_distribution(state, n_points=DEFAULT_TWO_ANGLE_POINTS):
@@ -266,80 +261,6 @@ def two_angle_distribution(state, n_points=DEFAULT_TWO_ANGLE_POINTS):
     return PairDistribution(PairVariable.TWO_ANGLE, axis,
                             closure(axis[:, None], axis[None, :]),
                             normalization=norm, closure=closure)
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-# ---------------------------------------------------------------------------
-
-
-def _kind_of(kind):
-    if isinstance(kind, StateSpec):
-        return kind.normalized().kind
-    return str(kind)
-
-
-def closed_form_distance(kind, d, variant=CORRECTED):
-    """Analytic pair-distance densities of the cataloged families.
-
-    The Bose form is normalized with the leading d factor restored (the
-    printed form integrates to (7/8)sqrt(pi/2), not 1, and contradicts the
-    small-distance behavior D ~ d); variant='verbatim' keeps the
-    printed one for the comparison report. The NOON law coincides with the
-    coherent one: its pair correlations carry no distance information.
-    """
-    kind = _kind_of(kind)
-    d = np.asarray(d, dtype=float)
-    gauss = np.exp(-0.5 * d * d)
-    if kind == "fermi-fock":
-        return 0.5 * d ** 3 * gauss
-    if kind == "bose-fock":
-        poly = 8.0 - 4.0 * d * d + d ** 4
-        if variant == VERBATIM:
-            return poly * gauss / 8.0
-        return d * poly * gauss / 8.0
-    if kind in ("coherent", "noon"):
-        return d * (8.0 + d ** 4) * gauss / 16.0
-    raise ValueError(f"no printed closed distance form for kind {kind!r}")
-
-
-def closed_form_angle(kind, delta, variant=CORRECTED):
-    """Analytic folded relative-angle densities on [0, pi).
-
-    variant='corrected' carries the engine/oracle-backed statistics labels
-    (fermions sin^2, bosons cos^2); 'verbatim' keeps the printed,
-    swapped assignment for the comparison report. The NOON value is the
-    orientation-averaged marginal, which is uniform.
-    """
-    kind = _kind_of(kind)
-    delta = np.asarray(delta, dtype=float)
-    swap = variant == VERBATIM
-    if kind == "fermi-fock":
-        trig = np.cos(delta) if swap else np.sin(delta)
-        return (2.0 / math.pi) * trig ** 2
-    if kind == "bose-fock":
-        trig = np.sin(delta) if swap else np.cos(delta)
-        return (2.0 / math.pi) * trig ** 2
-    if kind in ("coherent", "noon"):
-        return np.full_like(delta, 1.0 / math.pi)
-    if kind == "thermal":
-        return (2.0 / (3.0 * math.pi)) * (1.0 + np.cos(delta) ** 2)
-    raise ValueError(f"no closed angle form for kind {kind!r}")
-
-
-def closed_form_two_angle(kind, theta, vartheta):
-    """Analytic joint two-angle densities on [0, 2pi)^2."""
-    kind = _kind_of(kind)
-    theta = np.asarray(theta, dtype=float)
-    vartheta = np.asarray(vartheta, dtype=float)
-    if kind == "noon":
-        return np.sin(theta + vartheta) ** 2 / (2.0 * math.pi ** 2)
-    if kind == "fermi-fock":
-        return np.sin(theta - vartheta) ** 2 / (2.0 * math.pi ** 2)
-    if kind == "coherent":
-        return np.full(np.broadcast(theta, vartheta).shape,
-                       1.0 / (4.0 * math.pi ** 2))
-    raise ValueError(f"no closed two-angle form for kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

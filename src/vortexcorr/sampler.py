@@ -15,6 +15,7 @@ order or split across workers without changing a single sample.
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,14 +187,14 @@ def _sample_ring_block(seed, indices, law):
     return points, proposals
 
 
-def generate_frames(state_or_spec, count, seed, block=65536, start=0):
+def generate_frames(state_or_spec, count, seed, block=65536, threads=1):
     """Reproducible FrameSet of `count` two-photon frames.
 
     Radii by inverse CDF, angle pairs by rejection against the AngularLaw
     majorant. Identical (state, count, seed) always reproduces the
-    identical array, independent of block or worker splits. `start`
-    offsets the frame indices, so disjoint shards [start, start+count)
-    concatenate into exactly the single-call result.
+    identical array, whatever `block` or `threads`: every draw is keyed by
+    its frame index, so the blocks of `block` frames may be sampled in any
+    order, in up to `threads` threads.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -203,13 +204,19 @@ def generate_frames(state_or_spec, count, seed, block=65536, start=0):
 
     law = AngularLaw(state)
     points = np.empty((count, 2, 2))
-    proposals = 0
-    for lo in range(0, count, block):
+
+    def sample(lo):
         hi = min(lo + block, count)
-        idx = np.arange(start + lo, start + hi, dtype=np.uint64)
-        pts, used = _sample_ring_block(seed, idx, law)
-        points[lo:hi] = pts
-        proposals += used
+        idx = np.arange(lo, hi, dtype=np.uint64)
+        points[lo:hi], used = _sample_ring_block(seed, idx, law)
+        return used
+
+    starts = range(0, count, block)
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(min(threads, len(starts))) as pool:
+            proposals = sum(pool.map(sample, starts))
+    else:
+        proposals = sum(map(sample, starts))
     # proposal counts are per-frame deterministic, so this rate is
     # independent of the block split
     rate = count / proposals if proposals else 1.0
@@ -264,7 +271,7 @@ def empirical_pair_stats(frames, bins=64):
     a_centers = 0.5 * (a_edges[:-1] + a_edges[1:])
     a_values = a_hist / (ang.size * a_width)
 
-    meta = {"estimator": "histogram", "bins": bins, "count": frames.count}
+    meta = {"bins": bins, "count": frames.count}
     return (PairDistribution(PairVariable.DISTANCE, d_centers, d_values,
                              meta=dict(meta)),
             PairDistribution(PairVariable.REL_ANGLE, a_centers, a_values,

@@ -27,6 +27,8 @@ _MARGIN_T = 30.0
 _MARGIN_B = 46.0
 
 MAX_HEATMAP_CELLS = 121
+# vertices or bars per chart series; longer series are drawn at a stride
+MAX_CHART_POINTS = 1024
 
 
 def _px(v):
@@ -149,19 +151,26 @@ def _frame_axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, title):
     return to_x, to_y
 
 
+def _strided(values):
+    values = np.asarray(values, dtype=float)
+    return values[::max(1, int(np.ceil(len(values) / MAX_CHART_POINTS)))]
+
+
 def svg_chart(path, series, title="", xlabel="", ylabel="",
-              width=720, height=480, prov=None, y_floor=0.0):
+              width=720, height=480, prov=None):
     """Overlay of line and bar series.
 
     series: iterable of dicts with keys "label", "x", "y" and optional
     "style" ("line" default, or "bar"). Bars are drawn first so lines stay
-    visible on top of histogram backgrounds.
+    visible on top of histogram backgrounds. A series longer than
+    MAX_CHART_POINTS is drawn at the stride that brings it under the cap.
     """
-    series = [dict(s) for s in series]
-    xs = np.concatenate([np.asarray(s["x"], dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s["y"], dtype=float) for s in series])
+    series = [dict(s, x=_strided(s["x"]), y=_strided(s["y"]))
+              for s in series]
+    xs = np.concatenate([s["x"] for s in series])
+    ys = np.concatenate([s["y"] for s in series])
     xlo, xhi = float(xs.min()), float(xs.max())
-    ylo = min(float(ys.min()), y_floor) if y_floor is not None else float(ys.min())
+    ylo = min(float(ys.min()), 0.0)
     yhi = float(ys.max())
     if yhi <= ylo:
         yhi = ylo + 1.0
@@ -177,8 +186,7 @@ def svg_chart(path, series, title="", xlabel="", ylabel="",
     for idx in order:
         s = series[idx]
         color = PALETTE[idx % len(PALETTE)]
-        x = np.asarray(s["x"], dtype=float)
-        y = np.asarray(s["y"], dtype=float)
+        x, y = s["x"], s["y"]
         if s.get("style") == "bar":
             if len(x) > 1:
                 half = 0.5 * float(np.min(np.diff(x)))

@@ -34,14 +34,14 @@ from vortexcorr.oracle import (
     BOSE_DISTANCE_MEAN,
     FERMI_DISTANCE_MEAN,
     FERMI_DISTANCE_MODE,
+    closed_form_angle,
+    closed_form_distance,
+    closed_form_two_angle,
     oracle_folded_angle_law,
     oracle_two_angle_law,
 )
 from vortexcorr.pairstats import (
     angle_distribution,
-    closed_form_angle,
-    closed_form_distance,
-    closed_form_two_angle,
     distance_distribution,
     summarize,
     two_angle_distribution,

@@ -511,6 +511,19 @@ def test_cli_import_leaves_out_multiprocessing():
     assert "vortexcorr" in loaded
 
 
+def test_long_series_charts_stay_small(tmp_path):
+    # charts draw a series longer than the cap at a stride, so their size
+    # does not grow with --points or --bins
+    assert main(["pairangle", "--points", "200000", "--formats", "svg",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["frames", "--seed", "1", "--count", "1000", "--stats",
+                 "--bins", "100000", "--formats", "svg",
+                 "--out", str(tmp_path / "b")]) == 0
+    for chart in ("a/pairangle_overlay.svg", "b/frames_distance.svg",
+                  "b/frames_angle.svg"):
+        assert (tmp_path / chart).stat().st_size < 256 * 1024, chart
+
+
 def test_frames_stats_outputs(tmp_path):
     rc = main(["frames", "--state", "fermi-fock", "--seed", "5",
                "--count", "8000", "--stats", "--bins", "24",

@@ -1,14 +1,15 @@
-"""Position densities: engine vs closed forms, invariances, normalization."""
+"""Position densities: engine vs the oracle's closed forms, invariances,
+normalization."""
 
 import math
 
 import numpy as np
 import pytest
 
-from vortexcorr.density import (VERBATIM, basis_modes, density_grid, rho1,
-                                rho1_closed, rho2, rho2_closed)
+from vortexcorr.density import basis_modes, density_grid, rho1, rho2
 from vortexcorr.fock import change_basis, pair_moment
 from vortexcorr.modes import mode_eval
+from vortexcorr.oracle import printed_rho2, reference_rho2, rho1_closed
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
 
@@ -72,7 +73,7 @@ def test_rho2_engine_matches_closed_forms():
                  thermal(1.0, 1.0), noon()):
         state = build_state(spec)
         got = rho2(state, *p1, *p2)
-        want = rho2_closed(spec, *p1, *p2)
+        want = reference_rho2(spec, *p1, *p2)
         assert got == pytest.approx(float(want), abs=2e-9), spec.kind
 
 
@@ -161,27 +162,26 @@ def test_polar_factorization():
         vals = []
         for r, s in radii:
             scale = (r * s / math.pi) ** 2 * math.exp(-r * r - s * s)
-            rho = rho2_closed(spec, r * math.cos(th), r * math.sin(th),
-                              s, 0.0)
+            rho = reference_rho2(spec, r * math.cos(th), r * math.sin(th),
+                                 s, 0.0)
             vals.append(float(rho) / scale)
         assert np.ptp(vals) < 1e-10
     # fermi angular factor is 4 sin^2(delta); its double-angle integral is
     # 8 pi^2 = 4 pi^2 N2 with N2 = 2 pairs
-    w = float(rho2_closed(spec, math.cos(0.9), math.sin(0.9), 1.0, 0.0)) \
+    w = float(reference_rho2(spec, math.cos(0.9), math.sin(0.9), 1.0, 0.0)) \
         / ((1.0 / math.pi) ** 2 * math.exp(-2.0))
     assert w == pytest.approx(4.0 * math.sin(0.9) ** 2, abs=1e-12)
 
 
 def test_verbatim_pairing_differs():
-    # the same-label pairing catalog entry is not the engine form
+    # the printed same-label pairing is not the engine form
     spec = fermi_fock()
     x = np.linspace(-2, 2, 21)
-    corrected = rho2_closed(spec, x[:, None], 0.2, x[None, :], -0.5)
-    verbatim = rho2_closed(spec, x[:, None], 0.2, x[None, :], -0.5,
-                           variant=VERBATIM)
+    corrected = reference_rho2(spec, x[:, None], 0.2, x[None, :], -0.5)
+    verbatim = printed_rho2(spec, x[:, None], 0.2, x[None, :], -0.5)
     assert np.max(np.abs(corrected - verbatim)) > 1e-3
 
 
 def test_cothermal_has_no_closed_rho2():
     with pytest.raises(ValueError):
-        rho2_closed(cothermal(), 0.1, 0.2, 0.3, 0.4)
+        printed_rho2(cothermal(), 0.1, 0.2, 0.3, 0.4)

@@ -20,8 +20,8 @@ from vortexcorr.oracle import (
     cross_validate,
     oracle_folded_angle_law,
     pair_grid_sweep,
+    printed_family,
     wavefunction_norm,
-    _is_donut,
 )
 from vortexcorr.states import (
     bose_fock,
@@ -151,11 +151,10 @@ def test_oracle_fermi_angle_law_at_right_angle():
 # test. A new engine name here could let an oracle route lean on the
 # engine it is meant to check.
 _ORACLE_IMPORTS = {
-    ".density": {"CORRECTED", "VERBATIM", "rho1", "rho2", "rho2_closed"},
+    ".density": {"rho1", "rho2"},
     ".errors": {"UnsupportedStateError"},
     ".modes": {"DIPOLE_PAIR", "VORTEX_PAIR", "mode_eval"},
-    ".pairstats": {"angle_distribution", "closed_form_angle",
-                   "closed_form_distance", "distance_distribution",
+    ".pairstats": {"angle_distribution", "distance_distribution",
                    "summarize", "two_angle_distribution"},
     ".quadrature": {"EXTENT", "gauss_legendre"},
     ".states": {"StateSpec", "bose_fock", "build_state", "cothermal",
@@ -231,10 +230,12 @@ def test_rows_reproducible():
 
 
 def test_donut_detection_requires_quadrature_phase():
-    assert _is_donut(coherent())
-    assert _is_donut(thermal(1.0, 1.0))
-    assert _is_donut(fermi_fock())
+    assert printed_family(coherent()) == "coherent"
+    assert printed_family(thermal(1.0, 1.0)) == "thermal"
+    assert printed_family(fermi_fock()) == "fermi-fock"
     # equal magnitudes alone give a lobed profile, not a ring
-    assert not _is_donut(coherent(alpha_a=1.0, alpha_b=1.0))
-    assert not _is_donut(thermal(1.0, 0.5))
-    assert not _is_donut(bose_fock(2, 0))
+    assert printed_family(coherent(alpha_a=1.0, alpha_b=1.0)) is None
+    assert printed_family(thermal(1.0, 0.5)) is None
+    assert printed_family(bose_fock(2, 0)) is None
+    # a donut, but the paper prints no cothermal law
+    assert printed_family(cothermal()) is None

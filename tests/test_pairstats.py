@@ -15,12 +15,12 @@ from vortexcorr.density import basis_modes, rho2
 from vortexcorr.errors import AnisotropicStateError, NoPairsError
 from vortexcorr.fock import pair_isotropy_defect, pair_moment
 from vortexcorr.modes import mode_eval
-from vortexcorr.pairstats import (ISOTROPY_TOL, VERBATIM, PairDistribution,
+from vortexcorr.oracle import (_PRINTED_DISTANCE_FORMS, closed_form_angle,
+                               closed_form_distance, closed_form_two_angle)
+from vortexcorr.pairstats import (ISOTROPY_TOL, PairDistribution,
                                   PairVariable, angle_distribution,
-                                  bosonic_weight, closed_form_angle,
-                                  closed_form_distance, closed_form_two_angle,
-                                  distance_distribution, summarize,
-                                  two_angle_distribution)
+                                  bosonic_weight, distance_distribution,
+                                  summarize, two_angle_distribution)
 from vortexcorr.quadrature import gauss_legendre
 from vortexcorr.sampler import MAJORANT_SAFETY, AngularLaw
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
@@ -377,9 +377,7 @@ def test_closed_distance_normalizations():
                         0.0, 12.0)
         assert abs(total - 1.0) < 1e-9, kind
     # the printed bose form (leading d dropped) is not normalized
-    verb, _ = quad(lambda d: float(closed_form_distance("bose-fock", d,
-                                                        variant=VERBATIM)),
-                   0.0, 12.0)
+    verb, _ = quad(_PRINTED_DISTANCE_FORMS["bose-fock"], 0.0, 12.0)
     assert abs(verb - 0.875 * math.sqrt(math.pi / 2.0)) < 1e-9
 
 
@@ -402,10 +400,6 @@ def test_fermi_bose_angle_shapes():
     assert fermi.values[mid] == pytest.approx(2.0 / math.pi, abs=1e-9)
     assert bose.values[mid] < 1e-10
     assert bose.values[0] == pytest.approx(2.0 / math.pi, abs=1e-9)
-    # verbatim catalog swaps the two labels
-    np.testing.assert_allclose(
-        closed_form_angle("fermi-fock", fermi.grid, variant=VERBATIM),
-        closed_form_angle("bose-fock", fermi.grid), atol=1e-14)
 
 
 def test_coherent_angle_flat():

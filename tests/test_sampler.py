@@ -13,10 +13,10 @@ from vortexcorr.sampler import (chi_square_gof, counter_uniforms,
                                 empirical_pair_stats, generate_frames,
                                 invert_radial_cdf, load_frames, pair_angles,
                                 pair_separations, radial_cdf, save_frames)
-from vortexcorr.pairstats import (PairDistribution, PairVariable,
-                                  closed_form_angle, closed_form_distance)
-from vortexcorr.states import (bose_fock, coherent, fermi_fock, noon,
-                               thermal)
+from vortexcorr.oracle import closed_form_angle, closed_form_distance
+from vortexcorr.pairstats import PairDistribution, PairVariable
+from vortexcorr.states import (bose_fock, build_state, coherent, fermi_fock,
+                               noon, thermal)
 
 MASK = (1 << 64) - 1
 GOLD = 0x9E3779B97F4A7C15
@@ -88,14 +88,26 @@ def test_generate_frames_block_split_invariant():
     assert a.acceptance_rate == b.acceptance_rate
 
 
-def test_generate_frames_start_offset_shards():
-    whole = generate_frames(fermi_fock(), 50, seed=21)
-    head = generate_frames(fermi_fock(), 30, seed=21)
-    tail = generate_frames(fermi_fock(), 20, seed=21, start=30)
-    np.testing.assert_array_equal(np.concatenate([head.points, tail.points]),
-                                  whole.points)
-    merged = 50 / (head.meta["proposals"] + tail.meta["proposals"])
-    assert merged == whole.acceptance_rate
+def test_generate_frames_thread_split_property():
+    # any block size and thread count reproduces the frames and the
+    # proposal count of one block holding every frame
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    state = build_state(fermi_fock())
+    law = sampler.AngularLaw(state)
+
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(count=st.integers(0, 200), block=st.integers(1, 64),
+                      threads=st.integers(1, 3))
+    def check(count, block, threads):
+        points, proposals = sampler._sample_ring_block(
+            21, np.arange(count, dtype=np.uint64), law)
+        frames = generate_frames(state, count, seed=21, block=block,
+                                 threads=threads)
+        np.testing.assert_array_equal(frames.points, points)
+        assert frames.meta["proposals"] == proposals
+
+    check()
 
 
 def test_acceptance_rate_healthy():

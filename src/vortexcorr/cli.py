@@ -33,7 +33,7 @@ from .oracle import (_CHUNK_TARGET, ANGLE_FORMS, CONFIRMED, DEFAULT_RESOLUTION,
                      all_engine_checks_confirmed, full_report,
                      printed_family, rho1_closed)
 from .sampler import (chi_square_gof, empirical_pair_stats, generate_frames,
-                      pair_angles, pair_separations, save_frames)
+                      save_frames)
 from .states import KINDS, SpecError, build_state, spec_from_dict, spec_to_dict
 from .svgplot import svg_chart, svg_heatmap
 from .version import VERSION
@@ -77,7 +77,7 @@ _COMMAND_DEFAULTS = {
 _DISTRIBUTION_POINTS = {"pairdist": pairstats.DEFAULT_DISTANCE_POINTS,
                         "pairangle": pairstats.DEFAULT_ANGLE_POINTS}
 # --points ceilings, checked before anything is allocated: at them the
-# relative-angle law peaks near 0.35 GB and the joint law near 0.2 GB
+# relative-angle law peaks near 0.09 GB and the joint law near 0.2 GB
 _MAX_POINTS = 10 ** 6
 _MAX_TWO_ANGLE_POINTS = 2048
 # --resolution ceiling: past it the pair sweep's chunk is stuck at one
@@ -350,7 +350,7 @@ def resolve_config(args):
     run.formats = _parse_formats(cfg["formats"])
     try:
         run.threads = int(cfg["threads"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SpecError(f"--threads needs an integer, got {cfg['threads']!r}")
     if run.threads < 1:
         raise SpecError("--threads must be >= 1")
@@ -362,7 +362,7 @@ def resolve_config(args):
         if key in cfg and cfg[key] is not None:
             try:
                 setattr(run, key, caster(cfg[key]))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise SpecError(f"bad value for {key}: {cfg[key]!r}")
 
     if command == "frames":
@@ -415,15 +415,13 @@ def cmd_profile(cfg):
     closed_cut = rho1_closed(cfg.spec, r_axis, np.zeros_like(r_axis))
 
     if "csv" in cfg.formats:
-        rows = ((fld.x[i], fld.y[j], fld.values[i, j])
-                for i in range(len(fld.x)) for j in range(len(fld.y)))
+        # values[i, j] sits at (x[i], y[j]); rows run over j within i
         write_csv(_path(cfg, "profile_grid.csv"), ("x", "y", "density"),
-                  rows, prov=prov,
+                  (fld.x[:, None], fld.y[None, :], fld.values), prov=prov,
                   comments=("one-body density rho1(x, y) on a uniform grid",))
         write_csv(_path(cfg, "profile_radial_cut.csv"),
-                  ("r", "density", "closed_form"),
-                  zip(r_axis, cut, closed_cut), prov=prov,
-                  comments=("cut along the radius at angle 0",))
+                  ("r", "density", "closed_form"), (r_axis, cut, closed_cut),
+                  prov=prov, comments=("cut along the radius at angle 0",))
     if "json" in cfg.formats:
         imax = int(np.argmax(cut))
         write_json(_path(cfg, "profile_summary.json"), {
@@ -445,10 +443,10 @@ def cmd_profile(cfg):
 
 
 def _write_columns(path, comment, prov, **columns):
-    """CSV of the named columns in order, leaving out those that are None
-    (a closed form the state has none of)."""
+    """CSV of the named column arrays in order, leaving out those that are
+    None (a closed form the state has none of)."""
     columns = {k: v for k, v in columns.items() if v is not None}
-    write_csv(path, tuple(columns), zip(*columns.values()), prov=prov,
+    write_csv(path, tuple(columns), tuple(columns.values()), prov=prov,
               comments=(comment,))
 
 
@@ -460,12 +458,10 @@ def _two_angle_outputs(cfg):
     closed = law(dist.grid[:, None], dist.grid[None, :]) if law else None
 
     if "csv" in cfg.formats:
-        tt, vv = np.meshgrid(dist.grid, dist.grid, indexing="ij")
         _write_columns(_path(cfg, "two_angle_surface.csv"),
                        "joint density of the two detection angles", prov,
-                       theta_1=tt.ravel(), theta_2=vv.ravel(),
-                       density=dist.values.ravel(),
-                       closed_form=None if closed is None else closed.ravel())
+                       theta_1=dist.grid[:, None], theta_2=dist.grid[None, :],
+                       density=dist.values, closed_form=closed)
     if "json" in cfg.formats:
         payload = {
             "state": spec_to_dict(cfg.spec),
@@ -588,8 +584,9 @@ def _frame_references(cfg, state):
 
 def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
     d_hist, a_hist = empirical_pair_stats(frames, bins=cfg.bins)
-    distances = pair_separations(frames)
-    angles = pair_angles(frames)
+    distances = d_hist.meta["samples"]
+    d_at = d_ref.value_at(d_hist.grid)
+    a_at = a_ref.value_at(a_hist.grid)
     d_summary = pairstats.summarize(d_ref)
 
     mean_d = float(np.mean(distances))
@@ -597,20 +594,17 @@ def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
     se_d = (float(np.std(distances, ddof=1) / math.sqrt(distances.size))
             if distances.size > 1 else math.nan)
     d_gof = chi_square_gof(distances, d_ref, bins=40)
-    a_gof = chi_square_gof(angles, a_ref, bins=40, lo=0.0, hi=math.pi)
+    a_gof = chi_square_gof(a_hist.meta["samples"], a_ref, bins=40, lo=0.0,
+                           hi=math.pi)
 
     if "csv" in cfg.formats:
         write_csv(_path(cfg, "frames_distance_hist.csv"),
                   ("d", "density", "reference"),
-                  zip(d_hist.grid, d_hist.values,
-                      d_ref.value_at(d_hist.grid)),
-                  prov=prov,
+                  (d_hist.grid, d_hist.values, d_at), prov=prov,
                   comments=("per-frame pair distances, histogram density",))
         write_csv(_path(cfg, "frames_angle_hist.csv"),
                   ("delta", "density", "reference"),
-                  zip(a_hist.grid, a_hist.values,
-                      a_ref.value_at(a_hist.grid)),
-                  prov=prov,
+                  (a_hist.grid, a_hist.values, a_at), prov=prov,
                   comments=("per-frame relative angles folded to [0, pi)",))
     if "json" in cfg.formats:
         write_json(_path(cfg, "frames_stats.json"), {
@@ -633,15 +627,13 @@ def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
         svg_chart(_path(cfg, "frames_distance.svg"),
                   [{"label": "frames", "x": d_hist.grid,
                     "y": d_hist.values, "style": "bar"},
-                   {"label": "reference", "x": d_hist.grid,
-                    "y": d_ref.value_at(d_hist.grid)}],
+                   {"label": "reference", "x": d_hist.grid, "y": d_at}],
                   title="empirical pair distance", xlabel="d",
                   ylabel="D(d)", prov=prov)
         svg_chart(_path(cfg, "frames_angle.svg"),
                   [{"label": "frames", "x": a_hist.grid,
                     "y": a_hist.values, "style": "bar"},
-                   {"label": "reference", "x": a_hist.grid,
-                    "y": a_ref.value_at(a_hist.grid)}],
+                   {"label": "reference", "x": a_hist.grid, "y": a_at}],
                   title="empirical relative angle", xlabel="delta",
                   ylabel="D(delta)", prov=prov)
 
@@ -649,8 +641,7 @@ def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
 def cmd_frames(cfg):
     state = build_state(cfg.spec)
     refs = _frame_references(cfg, state) if cfg.stats else None
-    frames = generate_frames(cfg.spec, cfg.count, cfg.seed,
-                             threads=cfg.threads)
+    frames = generate_frames(state, cfg.count, cfg.seed, threads=cfg.threads)
     prov = cfg.prov(state)
     save_frames(frames, _path(cfg, "frames.csv"), provenance=prov,
                 workers=cfg.threads)

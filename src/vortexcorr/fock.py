@@ -41,12 +41,14 @@ class Correlators:
 class QuantumState:
     """A two-mode state, held as its normally ordered correlators.
 
-    flags carries provenance markers such as "supplement-approximated".
+    flags carries provenance markers such as "supplement-approximated";
+    spec is the normalized StateSpec build_state made it from, else None.
     """
     statistics: Statistics
     basis: Basis
     corr: Correlators
     flags: tuple = ()
+    spec: object = None
 
     def correlators(self):
         return self.corr

@@ -9,15 +9,17 @@ round-trip precision); identical inputs produce byte-identical files.
 
 import contextlib
 import hashlib
-import itertools
 import json
 import math
 import os
 
+import numpy as np
+
 from .version import GENERATOR_VERSION, VERSION
 
 TOOL_NAME = "vortexcorr"
-_CSV_BLOCK = 65536
+# CSV rows per block: a block's Python floats and text stay near 4 MB
+_CSV_BLOCK = 16384
 
 
 def canonical_json(payload):
@@ -59,11 +61,19 @@ def whole_file(path):
             os.remove(part)
 
 
-def write_csv(path, columns, rows, prov=None, comments=()):
+def format_block(row_format, table):
+    """Rows of the 2-D array `table`, each through `row_format` (one line's
+    conversions), in a single %-format call."""
+    return row_format * table.shape[0] % tuple(table.ravel().tolist())
+
+
+def write_csv(path, columns, values, prov=None, comments=()):
     """CSV with '#'-prefixed provenance and comment lines before the header.
 
-    Every cell is a float printed as %.17g. Rows are formatted and written
-    `_CSV_BLOCK` lines at a time, one %-format call per block.
+    `values` holds one array per named column; the arrays broadcast against
+    each other and the rows run over their broadcast shape in C order.
+    Every cell is a float printed as %.17g. Rows are converted to Python
+    floats and written `_CSV_BLOCK` at a time, one %-format call per block.
     """
     head = []
     if prov is not None:
@@ -71,17 +81,13 @@ def write_csv(path, columns, rows, prov=None, comments=()):
     for comment in comments:
         head.append("# " + comment)
     head.append(",".join(columns))
-    width = len(columns)
-    row_format = ",".join(["%.17g"] * width) + "\n"
-    rows = iter(rows)
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with whole_file(path) as fh:
         fh.write("\n".join(head) + "\n")
-        while True:
-            cells = tuple(itertools.chain.from_iterable(
-                itertools.islice(rows, _CSV_BLOCK)))
-            if not cells:
-                break
-            fh.write(row_format * (len(cells) // width) % cells)
+        for lo in range(0, arrays[0].size, _CSV_BLOCK):
+            fh.write(format_block(row_format, np.column_stack(
+                [a.flat[lo:lo + _CSV_BLOCK] for a in arrays])))
 
 
 def _strict(value):
@@ -96,12 +102,7 @@ def _strict(value):
 
 
 def write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with whole_file(path) as fh:
         json.dump(_strict(payload), fh, sort_keys=True, indent=2,
                   allow_nan=False)
         fh.write("\n")
-
-
-def write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

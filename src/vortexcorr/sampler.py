@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (AlgebraInconsistencyError, EmptyFramesError,
                      NoPairsError, SamplerMethodError)
 from .fock import pair_moment
-from .io import whole_file
+from .io import format_block, whole_file
 from .pairstats import PairDistribution, PairVariable, angular_weight
 from .quadrature import EXTENT
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
@@ -143,13 +143,6 @@ class FrameSet:
         return int(self.points.shape[0])
 
 
-def _require_state(state_or_spec):
-    if isinstance(state_or_spec, StateSpec):
-        spec = state_or_spec.normalized()
-        return build_state(spec), spec
-    return state_or_spec, None
-
-
 def _sample_ring_block(seed, indices, law):
     """Radii by inverse CDF, angle pairs by constant-majorant rejection."""
     n = len(indices)
@@ -194,11 +187,13 @@ def generate_frames(state_or_spec, count, seed, block=65536, threads=1):
     majorant. Identical (state, count, seed) always reproduces the
     identical array, whatever `block` or `threads`: every draw is keyed by
     its frame index, so the blocks of `block` frames may be sampled in any
-    order, in up to `threads` threads.
+    order, in up to `threads` threads. The FrameSet is saveable when the
+    state carries its spec, as every state build_state makes does.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    state, spec = _require_state(state_or_spec)
+    state = (build_state(state_or_spec)
+             if isinstance(state_or_spec, StateSpec) else state_or_spec)
     if pair_moment(state) <= 1e-14:
         raise NoPairsError("state has no particle pairs to sample")
 
@@ -223,8 +218,8 @@ def generate_frames(state_or_spec, count, seed, block=65536, threads=1):
     meta = {"generator_version": GENERATOR_VERSION, "block": "immaterial",
             "proposals": int(proposals), "majorant": law.majorant,
             "acceptance_estimate": law.acceptance_estimate}
-    return FrameSet(spec=spec, seed=int(seed), points=points, method="ring",
-                    acceptance_rate=float(rate), meta=meta)
+    return FrameSet(spec=state.spec, seed=int(seed), points=points,
+                    method="ring", acceptance_rate=float(rate), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -249,33 +244,27 @@ def pair_angles(frames):
     return np.mod(th2 - th1, math.pi)
 
 
+def _density_histogram(variable, samples, hi, bins):
+    edges = np.linspace(0.0, hi, bins + 1)
+    counts, _ = np.histogram(samples, bins=edges)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    values = counts / (samples.size * (edges[1] - edges[0]))
+    meta = {"bins": bins, "count": samples.size, "samples": samples}
+    return PairDistribution(variable, centers, values, meta=meta)
+
+
 def empirical_pair_stats(frames, bins=64):
     """Histogram estimates of the distance and folded-angle laws.
 
     Statistics are strictly per frame: distances and angles never mix
     points from different frames, which is what preserves the exchange
-    signature that pooled averaging destroys.
+    signature that pooled averaging destroys. Each histogram keeps its
+    per-frame samples (pair_separations, pair_angles) as meta["samples"].
     """
-    dist = pair_separations(frames)
-    ang = pair_angles(frames)
-
-    d_edges = np.linspace(0.0, 8.0, bins + 1)
-    d_hist, _ = np.histogram(dist, bins=d_edges)
-    d_width = d_edges[1] - d_edges[0]
-    d_centers = 0.5 * (d_edges[:-1] + d_edges[1:])
-    d_values = d_hist / (dist.size * d_width)
-
-    a_edges = np.linspace(0.0, math.pi, bins + 1)
-    a_hist, _ = np.histogram(ang, bins=a_edges)
-    a_width = a_edges[1] - a_edges[0]
-    a_centers = 0.5 * (a_edges[:-1] + a_edges[1:])
-    a_values = a_hist / (ang.size * a_width)
-
-    meta = {"bins": bins, "count": frames.count}
-    return (PairDistribution(PairVariable.DISTANCE, d_centers, d_values,
-                             meta=dict(meta)),
-            PairDistribution(PairVariable.REL_ANGLE, a_centers, a_values,
-                             meta=dict(meta)))
+    return (_density_histogram(PairVariable.DISTANCE,
+                               pair_separations(frames), 8.0, bins),
+            _density_histogram(PairVariable.REL_ANGLE, pair_angles(frames),
+                               math.pi, bins))
 
 
 @dataclass
@@ -375,14 +364,14 @@ _WRITE_ROWS = 65536
 def _format_rows(start, points):
     """CSV body rows of `points` (shape (k, 2, 2)), indexed from `start`.
 
-    One %-format call per block: the float column holding the frame index
-    is exact below 2**53 and prints through %d as the integer.
+    The float column holding the frame index is exact below 2**53 and
+    prints through %d as the integer.
     """
     k = points.shape[0]
     rows = np.empty((k, 5))
     rows[:, 0] = np.arange(start, start + k)
     rows[:, 1:] = points.reshape(k, 4)
-    return _ROW_FORMAT * k % tuple(rows.ravel().tolist())
+    return format_block(_ROW_FORMAT, rows)
 
 
 def _formatted_blocks(points, workers):

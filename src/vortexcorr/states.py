@@ -20,9 +20,10 @@ KINDS = ("fermi-fock", "bose-fock", "coherent", "thermal", "cothermal",
 
 _DEFAULT_BASIS = {"coherent": "dipole", "cothermal": "dipole"}
 
-# Bound on nbar and |alpha|^2. A mode's largest moment is
-# <adag^2 a^2> <= 2 (|alpha|^2 + nbar)^2, so every correlator stays below
-# 1e301 and every law summed from them stays finite.
+# Bound on n, m, nbar and |alpha|^2. A mode's largest moment is
+# <adag^2 a^2> <= 2 (|alpha|^2 + nbar)^2, or n (n - 1) for a Fock mode, so
+# every correlator stays below 1e301 and every law summed from them stays
+# finite.
 MAX_OCCUPATION = 1e150
 
 # config-file names of the fields, where they differ
@@ -53,9 +54,10 @@ class StateSpec:
         basis = self.basis or _DEFAULT_BASIS.get(kind, "vortex")
         if basis not in ("vortex", "dipole"):
             raise SpecError(f"unknown basis {basis!r}")
-        if self.n < 0 or self.m < 0:
-            raise SpecError(f"occupations must be >= 0, got n={self.n}, "
-                            f"m={self.m}")
+        if not (0 <= self.n <= MAX_OCCUPATION
+                and 0 <= self.m <= MAX_OCCUPATION):
+            raise SpecError(f"occupations must be in [0, {MAX_OCCUPATION:g}]"
+                            f", got n={self.n}, m={self.m}")
         names = _PARAMETER_NAMES.get(kind, {})
         for name in ("nbar_a", "nbar_b"):
             value = getattr(self, name)
@@ -99,22 +101,23 @@ def noon():
 
 
 def build_state(spec):
-    """Construct the state a StateSpec describes."""
+    """Construct the state a StateSpec describes; the state keeps the
+    normalized spec as its `spec`."""
     spec = spec.normalized()
     basis = Basis(spec.basis)
     if spec.kind == "fermi-fock":
-        return make_fock(spec.n, spec.m, Statistics.FERMI, basis)
-    if spec.kind == "bose-fock":
-        return make_fock(spec.n, spec.m, Statistics.BOSE, basis)
-    if spec.kind == "coherent":
-        return make_coherent(spec.alpha_a, spec.alpha_b, basis)
-    if spec.kind == "thermal":
-        return make_thermal(spec.nbar_a, spec.nbar_b, basis)
-    if spec.kind == "cothermal":
-        return make_cothermal(spec.alpha_a, spec.nbar_a, basis)
-    if spec.kind == "noon":
-        return make_noon(Basis(spec.basis))
-    raise SpecError(f"unknown state kind {spec.kind!r}")
+        state = make_fock(spec.n, spec.m, Statistics.FERMI, basis)
+    elif spec.kind == "bose-fock":
+        state = make_fock(spec.n, spec.m, Statistics.BOSE, basis)
+    elif spec.kind == "coherent":
+        state = make_coherent(spec.alpha_a, spec.alpha_b, basis)
+    elif spec.kind == "thermal":
+        state = make_thermal(spec.nbar_a, spec.nbar_b, basis)
+    elif spec.kind == "cothermal":
+        state = make_cothermal(spec.alpha_a, spec.nbar_a, basis)
+    else:   # noon: normalized() admits no other kind
+        state = make_noon(basis)
+    return replace(state, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,10 @@ def parse_complex(text):
     """Parse 'a+bi' style complex literals ('i' or 'j', either part may be
     omitted). Also accepts plain numbers."""
     if isinstance(text, (int, float, complex)):
-        return complex(text)
+        try:
+            return complex(text)
+        except OverflowError:   # an int beyond the float range
+            raise SpecError(f"number out of range: {text!r}") from None
     if not isinstance(text, str):
         raise SpecError(f"cannot parse complex literal {text!r}")
     s = text.strip()

@@ -3,23 +3,23 @@
 Hand-rolled rather than delegated to a plotting library so the output is a
 pure function of the data: fixed palette, fixed layout, pixel coordinates
 rounded to 1/100 px. Two chart types cover everything the command line
-needs: overlaid line/bar series and a rectangular heatmap.
+needs: overlaid line/bar series and a rectangular heatmap. Cells, bars and
+path vertices are computed as arrays, one %-format call per block.
 """
+
+import itertools
 
 import numpy as np
 
-from .io import canonical_json
+from .io import canonical_json, whole_file
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
-# piecewise-linear approximation of a perceptually ordered colormap
-_CMAP_ANCHORS = (
-    (0.00, (68, 1, 84)),
-    (0.25, (59, 82, 139)),
-    (0.50, (33, 145, 140)),
-    (0.75, (94, 201, 98)),
-    (1.00, (253, 231, 37)),
-)
+# piecewise-linear approximation of a perceptually ordered colormap: the
+# colours at t = 0, 1/4, 1/2, 3/4, 1
+_ANCHOR_T = np.linspace(0.0, 1.0, 5)
+_ANCHOR_RGB = np.array([(68, 1, 84), (59, 82, 139), (33, 145, 140),
+                        (94, 201, 98), (253, 231, 37)], dtype=float)
 
 _MARGIN_L = 64.0
 _MARGIN_R = 18.0
@@ -30,10 +30,18 @@ MAX_HEATMAP_CELLS = 121
 # vertices or bars per chart series; longer series are drawn at a stride
 MAX_CHART_POINTS = 1024
 
+# heatmap cell or colour bar step; the fill is a 0xRRGGBB integer
+_MAP_RECT = '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#%06x"/>'
+
 
 def _px(v):
-    # fixed two-decimal pixels keep the files byte-stable across platforms
-    return "%.2f" % (round(float(v) * 100.0) / 100.0)
+    """Pixel values rounded to 1/100 px for a "%.2f" slot, exactly as
+    round(v * 100) / 100 rounds them: half to even, and -0.0 becomes 0.0.
+    Fixed two-decimal pixels keep the files byte-stable across platforms."""
+    scaled = np.asarray(v, dtype=float) * 100.0
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError("pixel coordinate is not finite")
+    return (np.rint(scaled) + 0.0) / 100.0
 
 
 def _esc(text):
@@ -51,14 +59,17 @@ def _fmt_tick(v):
     return "%.3g" % v
 
 
-def _color_at(t):
-    t = min(max(float(t), 0.0), 1.0)
-    for (t0, c0), (t1, c1) in zip(_CMAP_ANCHORS[:-1], _CMAP_ANCHORS[1:]):
-        if t <= t1:
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            rgb = tuple(int(round(a + w * (b - a))) for a, b in zip(c0, c1))
-            return "#%02x%02x%02x" % rgb
-    return "#%02x%02x%02x" % _CMAP_ANCHORS[-1][1]
+def _colors(t):
+    """Colormap fills at t (clamped to [0, 1], NaN drawn as 1) as 0xRRGGBB
+    integers: each channel interpolated within t's anchor segment and
+    rounded half to even."""
+    t = np.clip(np.nan_to_num(np.asarray(t, dtype=float), nan=1.0), 0.0, 1.0)
+    seg = np.searchsorted(_ANCHOR_T[1:], t)     # t0 < t <= t1
+    t0, t1 = _ANCHOR_T[seg], _ANCHOR_T[seg + 1]
+    c0, c1 = _ANCHOR_RGB[seg], _ANCHOR_RGB[seg + 1]
+    w = ((t - t0) / (t1 - t0))[..., None]
+    rgb = np.rint(c0 + w * (c1 - c0)).astype(np.int64)
+    return rgb @ np.array([1 << 16, 1 << 8, 1])
 
 
 def _axis_ticks(lo, hi, count=5):
@@ -80,41 +91,40 @@ class _Canvas:
     def desc(self, text):
         self.parts.insert(1, "<desc>%s</desc>" % _esc(text))
 
-    def line(self, x1, y1, x2, y2, stroke, width=1.0, dash=None):
-        extra = ' stroke-dasharray="%s"' % dash if dash else ""
+    def line(self, x1, y1, x2, y2, stroke, width=1.0):
         self.parts.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" '
-            'stroke-width="%s"%s/>'
-            % (_px(x1), _px(y1), _px(x2), _px(y2), stroke, _px(width), extra)
-        )
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" '
+            'stroke-width="%.2f"/>'
+            % (*_px([x1, y1, x2, y2]), stroke, _px(width)))
 
-    def rect(self, x, y, w, h, fill, opacity=None):
-        extra = ' fill-opacity="%s"' % _px(opacity) if opacity is not None else ""
-        self.parts.append(
-            '<rect x="%s" y="%s" width="%s" height="%s" fill="%s"%s/>'
-            % (_px(x), _px(y), _px(w), _px(h), fill, extra)
-        )
+    def rows(self, template, *columns):
+        """One `template` element per row of the broadcast `columns`, in C
+        order, formatted by a single %-format call. Float slots take `_px`
+        values."""
+        columns = [column.ravel().tolist() for column
+                   in np.broadcast_arrays(*map(np.asarray, columns))]
+        if columns[0]:
+            self.parts.append("\n".join([template] * len(columns[0])) % tuple(
+                itertools.chain.from_iterable(zip(*columns))))
 
-    def path(self, points, stroke, width=1.5):
-        if len(points) == 0:
+    def path(self, xs, ys, stroke, width=1.5):
+        if len(xs) == 0:
             return
-        cmds = ["M%s,%s" % (_px(points[0][0]), _px(points[0][1]))]
-        for x, y in points[1:]:
-            cmds.append("L%s,%s" % (_px(x), _px(y)))
+        vertices = np.column_stack([_px(xs), _px(ys)]).ravel().tolist()
+        d = ("M%.2f,%.2f" + " L%.2f,%.2f" * (len(xs) - 1)) % tuple(vertices)
         self.parts.append(
-            '<path d="%s" fill="none" stroke="%s" stroke-width="%s"/>'
-            % (" ".join(cmds), stroke, _px(width))
-        )
+            '<path d="%s" fill="none" stroke="%s" stroke-width="%.2f"/>'
+            % (d, stroke, _px(width)))
 
     def text(self, x, y, content, size=11, anchor="start", rotate=None, fill="#333333"):
+        x, y = _px([x, y])
         extra = ""
         if rotate is not None:
-            extra = ' transform="rotate(%s %s %s)"' % (_px(rotate), _px(x), _px(y))
+            extra = ' transform="rotate(%.2f %.2f %.2f)"' % (_px(rotate), x, y)
         self.parts.append(
-            '<text x="%s" y="%s" font-family="sans-serif" font-size="%s" '
-            'text-anchor="%s" fill="%s"%s>%s</text>'
-            % (_px(x), _px(y), _px(size), anchor, fill, extra, _esc(content))
-        )
+            '<text x="%.2f" y="%.2f" font-family="sans-serif" '
+            'font-size="%.2f" text-anchor="%s" fill="%s"%s>%s</text>'
+            % (x, y, _px(size), anchor, fill, extra, _esc(content)))
 
     def render(self):
         return "\n".join(self.parts + ["</svg>"]) + "\n"
@@ -193,13 +203,15 @@ def svg_chart(path, series, title="", xlabel="", ylabel="",
             else:
                 half = 0.5
             base = to_y(max(ylo, 0.0))
-            for xv, yv in zip(x, y):
-                top_px = to_y(yv)
-                canvas.rect(to_x(xv - half), min(top_px, base),
-                            to_x(xv + half) - to_x(xv - half),
-                            abs(base - top_px), color, opacity=0.35)
+            top_px = to_y(y)
+            left_px = to_x(x - half)
+            canvas.rows('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+                        'fill="%s" fill-opacity="0.35"/>',
+                        _px(left_px), _px(np.minimum(top_px, base)),
+                        _px(to_x(x + half) - left_px),
+                        _px(np.abs(base - top_px)), color)
         else:
-            canvas.path([(to_x(xv), to_y(yv)) for xv, yv in zip(x, y)], color)
+            canvas.path(to_x(x), to_y(y), color)
 
     legend_x = width - _MARGIN_R - 10.0
     legend_y = _MARGIN_T + 8.0
@@ -208,7 +220,7 @@ def svg_chart(path, series, title="", xlabel="", ylabel="",
         y_pos = legend_y + 16.0 * idx
         canvas.line(legend_x - 28, y_pos - 3.5, legend_x - 10, y_pos - 3.5, color, 3.0)
         canvas.text(legend_x - 34, y_pos, s["label"], anchor="end")
-    with open(path, "w", encoding="utf-8") as fh:
+    with whole_file(path) as fh:
         fh.write(canvas.render())
 
 
@@ -235,12 +247,11 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
     top, bottom = _MARGIN_T, height - _MARGIN_B
     cell_w = (right - left) / len(x)
     cell_h = (bottom - top) / len(y)
-    for iy in range(len(y)):
-        # y grid ascends upward while pixels ascend downward
-        py = bottom - (iy + 1) * cell_h
-        for ix in range(len(x)):
-            canvas.rect(left + ix * cell_w, py, cell_w + 0.01, cell_h + 0.01,
-                        _color_at((values[iy, ix] - vmin) / span))
+    # y grid ascends upward while pixels ascend downward
+    canvas.rows(_MAP_RECT, _px(left + np.arange(len(x)) * cell_w),
+                _px(bottom - (np.arange(len(y)) + 1) * cell_h)[:, None],
+                _px(cell_w + 0.01), _px(cell_h + 0.01),
+                _colors((values - vmin) / span))
 
     for tick in _axis_ticks(float(x[0]), float(x[-1])):
         frac = (tick - x[0]) / (x[-1] - x[0]) if x[-1] > x[0] else 0.0
@@ -258,10 +269,10 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
     bar_x = right + 14.0
     bar_w = 14.0
     steps = 64
-    for k in range(steps):
-        frac = k / (steps - 1.0)
-        py = bottom - (k + 1) / steps * (bottom - top)
-        canvas.rect(bar_x, py, bar_w, (bottom - top) / steps + 0.01, _color_at(frac))
+    k = np.arange(steps)
+    canvas.rows(_MAP_RECT, _px(bar_x),
+                _px(bottom - (k + 1) / steps * (bottom - top)), _px(bar_w),
+                _px((bottom - top) / steps + 0.01), _colors(k / (steps - 1.0)))
     for frac in (0.0, 0.5, 1.0):
         py = bottom - frac * (bottom - top)
         canvas.text(bar_x + bar_w + 4, py + 3.5, _fmt_tick(vmin + frac * span))
@@ -272,5 +283,5 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
         canvas.text((left + right) / 2.0, height - 10, xlabel, anchor="middle")
     if ylabel:
         canvas.text(16, (top + bottom) / 2.0, ylabel, anchor="middle", rotate=-90)
-    with open(path, "w", encoding="utf-8") as fh:
+    with whole_file(path) as fh:
         fh.write(canvas.render())

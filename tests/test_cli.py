@@ -10,13 +10,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
 
 from vortexcorr import sampler
-from vortexcorr.cli import build_parser, main, resolve_config
+from vortexcorr.cli import _COMMAND_KEYS, build_parser, main, resolve_config
 from vortexcorr.oracle import BOSE_DISTANCE_MEAN, BOSE_DISTANCE_MODES
+from vortexcorr.states import KINDS, build_state
 
 
 def _data_rows(path):
@@ -324,7 +326,8 @@ def test_large_parameters(tmp_path, capsys, command):
              (["--state", "thermal", "--nbar-a", "1e17"], 0),
              (["--state", "thermal", "--nbar-a", "1e160"], 2),
              (["--state", "coherent", "--alpha-x", "1e160", "--alpha-y", "0"],
-              2))
+              2),
+             (["--state", "bose-fock", "--n", str(10 ** 200)], 2))
     for i, (flags, code) in enumerate(cases):
         out = tmp_path / str(i)
         assert main(command + flags + ["--out", str(out)]) == code, flags
@@ -558,3 +561,69 @@ def test_verify_low_resolution(tmp_path, capsys):
     assert "engine-vs-reference: 11/11 confirmed -> PASS" in out
     # one printed table row per claim
     assert out.count("Confirmed") >= len(gating)
+
+
+def test_frames_builds_the_state_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build_state(spec):
+        calls.append(spec)
+        return build_state(spec)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("vortexcorr")
+                and getattr(module, "build_state", None) is build_state):
+            monkeypatch.setattr(module, "build_state", counting_build_state)
+    assert main(["frames", "--seed", "4", "--count", "300", "--stats",
+                 "--threads", "2", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+# numbers far outside every range a key accepts, and junk of other types
+_BAD_VALUES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0,
+               0, -1, 2 ** 63, -2 ** 63, 10 ** 400, -10 ** 30, 1e300,
+               None, True, False, "", "x", "1e400", "-2i", [], [1, 2], {},
+               {"a": 1})
+# valid values small enough that a configuration that passes runs fast
+_SMALL_VALUES = {"points": (8, 17, 33), "bins": (4, 16),
+                 "count": (1, 7, 40), "step": (0.5, 1.0),
+                 "extent": (1.0, 2.5), "seed": (0, 5), "threads": (1, 2)}
+
+
+def _fuzzed_config(draw, command):
+    """A small valid configuration with one to three keys set to junk or
+    to extreme numbers; the keys of _SMALL_VALUES only ever take values
+    from the fixed list, so an accepted size stays small."""
+    from hypothesis import strategies as st
+    keys = [k for k in _COMMAND_KEYS[command] if k not in ("out", "formats")]
+    cfg = {key: draw(st.sampled_from(_SMALL_VALUES[key]))
+           for key in keys if key in _SMALL_VALUES}
+    cfg["state"] = draw(st.sampled_from(KINDS))
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                             unique=True)):
+        bad = st.sampled_from(_BAD_VALUES)
+        if key not in _SMALL_VALUES:
+            bad = st.one_of(bad, st.floats(), st.text(max_size=4))
+        cfg[key] = draw(bad)
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["profile", "pairdist", "pairangle",
+                                     "frames"])
+def test_fuzzed_config_files_never_escape(command):
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        cfg = _fuzzed_config(data.draw, command)
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            rc = main([command, "--config", path, "--formats", "json",
+                       "--out", os.path.join(out, "run")])
+        assert rc in (0, 2, 3, 4), (cfg, rc)
+
+    check()

@@ -50,4 +50,6 @@ def mode_eval(mode, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     vx, vy = mode.v
-    return (vx * x + vy * y) * (_NORM * np.exp(-0.5 * (x * x + y * y)))
+    with np.errstate(over="ignore"):  # far out |x|^2 = inf, exp(-inf) = 0
+        gauss = _NORM * np.exp(-0.5 * (x * x + y * y))
+    return (vx * x + vy * y) * gauss

@@ -4,9 +4,10 @@ Everything on the checking side is built without the operator engine:
 definite two-particle states get explicit (anti)symmetrized first-quantized
 wavefunctions, thermal states a convex geometric mixture of Fock pair
 densities, coherent states an amplitude factorization, and cothermal states
-Wick moment algebra. Only mode evaluation and generic quadrature are shared
-with the rest of the library; the engine enters purely as the object under
-test.
+Wick moment algebra. The |Psi|^2 quadratures assume only that Psi is
+bilinear in the two particles' mode amplitudes (2x2 Gram matrices). Only
+mode evaluation and generic quadrature are shared with the rest of the
+library; the engine enters purely as the object under test.
 
 The module is also the one home of the paper's closed forms: the one-body
 density, the printed pair densities, and the distance, angle and
@@ -23,7 +24,7 @@ All verdicts are deterministic functions of (state, resolution).
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -138,17 +139,16 @@ def first_quantized_rho2(spec, x1, y1, x2, y2):
     return 2.0 * np.abs(psi) ** 2
 
 
-def fock_pair_density(n, m, f1, g1, f2, g2):
-    """Bosonic |n, m> pair density from mode amplitude arrays.
+def fock_pair_density(cross, same_a, same_b, f1, g1, f2, g2):
+    """Bosonic pair density from mode amplitude arrays.
 
     Reduction of the permanent expansion over an orthonormal mode pair:
-    only same-mode pairs and the symmetrized cross pair survive, weighted
-    by falling factorials of the occupations.
+    only the symmetrized cross pair and the same-mode pairs survive, which
+    |n, m> weights by n m, n(n-1) and m(m-1).
     """
-    cross = np.abs(f1 * g2 + g1 * f2) ** 2
-    return (n * m * cross
-            + n * (n - 1) * np.abs(f1 * f2) ** 2
-            + m * (m - 1) * np.abs(g1 * g2) ** 2)
+    return (cross * np.abs(f1 * g2 + g1 * f2) ** 2
+            + same_a * np.abs(f1 * f2) ** 2
+            + same_b * np.abs(g1 * g2) ** 2)
 
 
 def _geometric_factorial_moments(nbar):
@@ -159,17 +159,12 @@ def _geometric_factorial_moments(nbar):
     tau = nbar / (1.0 + nbar)
     weight = 1.0 / (1.0 + nbar)
     s1 = s2 = 0.0
-    n = 0
-    while True:
-        term1 = weight * n
-        s1 += term1
+    for n in range(100000):
+        s1 += weight * n
         s2 += weight * n * (n - 1)
         if n > 4 and weight * n * n < _SERIES_TAIL * max(s1, 1.0):
             break
         weight *= tau
-        n += 1
-        if n > 100000:
-            break
     return s1, s2
 
 
@@ -177,7 +172,7 @@ def geometric_mixture_rho2(spec, x1, y1, x2, y2):
     """Thermal pair density as a convex mixture of Fock pair densities.
 
     The double sum over occupations factorizes over the three spatial
-    templates of fock_pair_density, so the mixture reduces to geometric
+    templates of fock_pair_density, so the mixture weights them by geometric
     factorial moments; the truncated series tails are below 1e-12.
     """
     spec = spec.normalized()
@@ -185,10 +180,7 @@ def geometric_mixture_rho2(spec, x1, y1, x2, y2):
     f2, g2 = _eval_pair(spec, x2, y2)
     mean_a, fac_a = _geometric_factorial_moments(spec.nbar_a)
     mean_b, fac_b = _geometric_factorial_moments(spec.nbar_b)
-    cross = np.abs(f1 * g2 + g1 * f2) ** 2
-    return (mean_a * mean_b * cross
-            + fac_a * np.abs(f1 * f2) ** 2
-            + fac_b * np.abs(g1 * g2) ** 2)
+    return fock_pair_density(mean_a * mean_b, fac_a, fac_b, f1, g1, f2, g2)
 
 
 def factorized_coherent_rho2(spec, x1, y1, x2, y2):
@@ -235,7 +227,9 @@ def reference_rho2(spec, x1, y1, x2, y2):
             return first_quantized_rho2(spec, x1, y1, x2, y2)
         f1, g1 = _eval_pair(spec, x1, y1)
         f2, g2 = _eval_pair(spec, x2, y2)
-        return fock_pair_density(spec.n, spec.m, f1, g1, f2, g2)
+        n, m = spec.n, spec.m
+        return fock_pair_density(n * m, n * (n - 1), m * (m - 1),
+                                 f1, g1, f2, g2)
     if spec.kind == "thermal":
         return geometric_mixture_rho2(spec, x1, y1, x2, y2)
     if spec.kind == "coherent":
@@ -313,14 +307,10 @@ def printed_rho2(spec, x1, y1, x2, y2):
                 * np.abs(spec.alpha_b * b2) ** 2)
     if spec.kind == "thermal":
         nb, f1, f2 = (spec.nbar_a, spec.nbar_b), (a1, b1), (a2, b2)
-        out = np.zeros(np.broadcast(a1, a2).shape)
-        for p in range(2):
-            for pp in range(2):
-                direct = np.abs(f1[p]) ** 2 * np.abs(f2[pp]) ** 2
-                exch = (np.conj(f1[p]) * f2[p]
-                        * np.conj(f2[pp]) * f1[pp]).real
-                out = out + nb[p] * nb[pp] * (direct + exch)
-        return out
+        return sum(nb[p] * nb[pp] * (
+            np.abs(f1[p]) ** 2 * np.abs(f2[pp]) ** 2
+            + (np.conj(f1[p]) * f2[p] * np.conj(f2[pp]) * f1[pp]).real)
+            for p in range(2) for pp in range(2))
     raise ValueError(f"no printed rho2 for kind {spec.kind!r}")
 
 
@@ -448,19 +438,52 @@ def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION,
     }
 
 
+# ---------------------------------------------------------------------------
+# |Psi|^2 quadratures through one-particle Gram matrices
+# ---------------------------------------------------------------------------
+# Psi = sum_ab C[a, b] u_a(1) u_b(2) is bilinear in the two particles' mode
+# amplitudes, so a product quadrature of |Psi|^2 factorizes exactly through
+# each particle's 2x2 Gram matrix M[a, c] = sum_nodes w u_a conj(u_c):
+#     sum w1 w2 |Psi|^2 = sum_abcd C[a, b] conj(C[c, d]) M1[a, c] M2[b, d].
+# That is the only structure assumed; modes are still evaluated at every
+# node, and no correlator, ring factorization or engine call enters.
+
+
+def _psi_coefficients(spec):
+    """C[a, b]: Psi with particle 1 in mode a and particle 2 in mode b."""
+    unit = np.eye(2)
+    return np.array([[_two_particle_psi(spec, *unit[a], *unit[b])
+                      for b in range(2)] for a in range(2)], dtype=complex)
+
+
+def _gram(spec, nodes):
+    """M[a, c] = sum w u_a conj(u_c) over the (weight, x, y) node blocks,
+    one block at a time; M carries the blocks' common node shape."""
+    gram = [[0.0, 0.0], [0.0, 0.0]]
+    for w, x, y in nodes:
+        u = _eval_pair(spec, x, y)
+        for a in range(2):
+            wu = w * u[a]
+            for c in range(2):
+                gram[a][c] += wu * np.conj(u[c])
+    return np.array(gram)
+
+
+def _psi_mass(spec, gram1, gram2):
+    """Quadrature of |Psi|^2 from both particles' Gram matrices; their
+    trailing axes broadcast and label the unsummed nodes."""
+    c = _psi_coefficients(spec)
+    # T[b, d] = sum_ac C[a, b] M1[a, c] conj(C[c, d]), then T meets M2
+    t = np.einsum("ab,ac...,cd->bd...", c, gram1, np.conj(c))
+    return np.einsum("bd...,bd...->...", t, gram2).real
+
+
 def wavefunction_norm(spec, resolution=DEFAULT_RESOLUTION):
     """Four-dimensional Riemann norm of the explicit two-particle Psi."""
     spec = spec.normalized()
     px, py, step = _plane_points(resolution)
-    f, g = _eval_pair(spec, px, py)
-    total = 0.0
-    chunk = max(1, _CHUNK_TARGET // px.size)
-    for j0 in range(0, px.size, chunk):
-        psi = _two_particle_psi(spec, f[:, None], g[:, None],
-                                f[None, j0:j0 + chunk],
-                                g[None, j0:j0 + chunk])
-        total += float(np.sum(np.abs(psi) ** 2))
-    return total * step ** 4
+    gram = _gram(spec, [(step * step, px, py)]).sum(axis=-1)
+    return float(_psi_mass(spec, gram, gram))
 
 
 # ---------------------------------------------------------------------------
@@ -468,55 +491,30 @@ def wavefunction_norm(spec, resolution=DEFAULT_RESOLUTION):
 # ---------------------------------------------------------------------------
 
 
-def _radial_rule():
+def _radial_gram(spec, cos, sin):
+    """Gram matrices along the rays at angles (cos, sin): Gauss-Legendre
+    radii with the polar Jacobian, one radius at a time."""
     nodes, weights = gauss_legendre(ORACLE_RADIAL_ORDER, 0.0, EXTENT)
-    return nodes, weights * nodes  # carries the polar Jacobian
-
-
-def _radial_sums(spec, r_jac, f1, g1, f2, g2):
-    """sum_{r, s} r_jac[r] r_jac[s] 2 |Psi|^2 at every angle node.
-
-    f1, g1 hold the first particle's mode amplitudes and f2, g2 the
-    second's, with the radius on axis 0 and angle axes that broadcast
-    against each other. Psi is evaluated explicitly at every
-    (r, s, angles) node, one pair of radii at a time so that its
-    temporaries stay cache-sized; the s and then the r sum are
-    matrix-vector products with r_jac.
-    """
-    order = r_jac.size
-    shape = np.broadcast(f1[0], f2[0]).shape
-    dens = np.empty((order,) + shape)
-    rows = np.empty((order, dens[0].size))
-    for i in range(order):
-        for j in range(order):
-            psi = _two_particle_psi(spec, f1[i], g1[i], f2[j], g2[j])
-            dens[j] = 2.0 * np.abs(psi) ** 2
-        rows[i] = r_jac @ dens.reshape(order, -1)
-    return (r_jac @ rows).reshape(shape)
+    return _gram(spec, ((w * r, r * cos, r * sin)
+                        for r, w in zip(nodes, weights)))
 
 
 def oracle_folded_angle_law(spec, n_points=CLAIM_ANGLE_POINTS):
     """Folded relative-angle density from the first-quantized pair density.
 
-    Brute-force polar integration: radii by Gauss-Legendre, the mean angle
-    by a periodic trapezoid rule that is exact for the trigonometric
-    polynomials at hand. No factorization is assumed.
+    Polar integration of |Psi|^2 through Gram matrices (a bilinear Psi is
+    the only assumption): radii by Gauss-Legendre, the mean angle by a
+    periodic trapezoid rule, exact for the trigonometric polynomials here.
     """
     spec = spec.normalized()
     grid = np.linspace(0.0, math.pi, n_points)
     deltas = np.concatenate([grid, grid + math.pi])
-    r_nodes, r_jac = _radial_rule()
     phi = 2.0 * math.pi * np.arange(ORACLE_MEAN_ANGLES) / ORACLE_MEAN_ANGLES
     dphi = 2.0 * math.pi / ORACLE_MEAN_ANGLES
-
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    f1, g1 = _eval_pair(spec, r_nodes[:, None] * cphi[None, :],
-                        r_nodes[:, None] * sphi[None, :])
     second_angle = phi[:, None] - deltas[None, :]
-    f2, g2 = _eval_pair(spec, r_nodes[:, None, None] * np.cos(second_angle),
-                        r_nodes[:, None, None] * np.sin(second_angle))
-    raw = _radial_sums(spec, r_jac, f1[:, :, None], g1[:, :, None],
-                       f2, g2).sum(axis=0) * dphi
+    gram1 = _radial_gram(spec, np.cos(phi)[:, None], np.sin(phi)[:, None])
+    gram2 = _radial_gram(spec, np.cos(second_angle), np.sin(second_angle))
+    raw = _psi_mass(spec, gram1, gram2).sum(axis=0) * dphi
     mass = np.trapezoid(raw[:n_points], grid) \
         + np.trapezoid(raw[n_points:], grid + math.pi)
     folded = (raw[:n_points] + raw[n_points:]) / mass
@@ -528,12 +526,8 @@ def oracle_two_angle_law(spec, n_points=CLAIM_TWO_ANGLE_POINTS):
     density, on the half-open periodic grid."""
     spec = spec.normalized()
     angles = 2.0 * math.pi * np.arange(n_points) / n_points
-    r_nodes, r_jac = _radial_rule()
-    f1, g1 = _eval_pair(spec,
-                        r_nodes[:, None] * np.cos(angles)[None, :],
-                        r_nodes[:, None] * np.sin(angles)[None, :])
-    joint = _radial_sums(spec, r_jac, f1[:, :, None], g1[:, :, None],
-                         f1[:, None, :], g1[:, None, :])
+    gram = _radial_gram(spec, np.cos(angles), np.sin(angles))
+    joint = _psi_mass(spec, gram[..., :, None], gram[..., None, :])
     cell = (2.0 * math.pi / n_points) ** 2
     return angles, joint / (np.sum(joint) * cell)
 
@@ -877,9 +871,8 @@ def cross_validate(kind_or_spec, resolution=DEFAULT_RESOLUTION):
 def _family_identity_row(resolution):
     specs = [fermi_fock(), bose_fock(1, 1), thermal(1.0, 1.0), coherent(),
              cothermal(), noon()]
-    axis = np.linspace(-EXTENT, EXTENT, resolution)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    grids = [rho1(build_state(s), gx, gy) for s in specs]
+    px, py, _ = _plane_points(resolution)
+    grids = [rho1(build_state(s), px, py) for s in specs]
     dev = max(float(np.max(np.abs(a - grids[0]))) for a in grids[1:])
     return DiscrepancyReport(
         claim_id="one-body-family-identity",

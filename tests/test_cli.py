@@ -401,6 +401,21 @@ def test_frames_stats_tiny_count_is_strict_json(tmp_path, count):
     assert (stats["mean_distance_se"] is None) == (count == 1)
 
 
+def test_profile_far_grid_is_silent_zero(tmp_path):
+    # |x|^2 overflows on this grid; the Gaussian factor's limit is 0 and
+    # no warning may reach the user
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "vortexcorr", "profile",
+         "--extent", "1e300", "--step", "1e300", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert run.returncode == 0
+    assert run.stderr == ""
+    _, rows = _data_rows(tmp_path / "profile_grid.csv")
+    assert len(rows) == 9
+    assert all(float(row[2]) == 0.0 for row in rows)
+
+
 def test_state_flags_in_provenance(tmp_path):
     rc = main(["pairdist", "--state", "cothermal", "--points", "32",
                "--out", str(tmp_path)])

@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from vortexcorr.oracle import (
     all_engine_checks_confirmed,
     cross_validate,
     oracle_folded_angle_law,
+    oracle_two_angle_law,
     pair_grid_sweep,
     printed_family,
     wavefunction_norm,
 )
+from vortexcorr.quadrature import EXTENT, gauss_legendre
 from vortexcorr.states import (
     bose_fock,
     coherent,
@@ -167,6 +170,17 @@ def _called_names(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
+def _reachable(funcs, start):
+    """Module functions called from `start`, directly or through others."""
+    seen, todo = set(), [start]
+    while todo:
+        for name in _called_names(funcs[todo.pop()]) - seen:
+            seen.add(name)
+            if name in funcs:
+                todo.append(name)
+    return seen
+
+
 def test_oracle_stays_independent_of_engine():
     with open(oracle.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
@@ -180,13 +194,18 @@ def test_oracle_stays_independent_of_engine():
     assert imported == _ORACLE_IMPORTS
     funcs = {node.name: node for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef)}
-    # the angle quadratures evaluate the explicit two-particle wavefunction
-    # at every node, through the shared radial sum or directly
-    for law in ("oracle_folded_angle_law", "oracle_two_angle_law"):
-        callees = _called_names(funcs[law])
-        if "_radial_sums" in callees:
-            callees = _called_names(funcs["_radial_sums"])
-        assert "_two_particle_psi" in callees, law
+    # the |Psi|^2 quadratures contract one-particle Gram matrices with the
+    # coefficients of the explicit two-particle wavefunction: the Gram
+    # helper evaluates the modes at every quadrature node, and the
+    # coefficients come from _two_particle_psi itself
+    assert "_eval_pair" in _called_names(funcs["_gram"])
+    for law in ("oracle_folded_angle_law", "oracle_two_angle_law",
+                "wavefunction_norm"):
+        callees = _reachable(funcs, law)
+        assert {"_gram", "_two_particle_psi"} <= callees, law
+        assert not callees & {"rho1", "rho2", "build_state",
+                              "angle_distribution", "distance_distribution",
+                              "two_angle_distribution", "summarize"}, law
 
 
 def test_coherent_and_thermal_verdicts():
@@ -239,3 +258,129 @@ def test_donut_detection_requires_quadrature_phase():
     assert printed_family(bose_fock(2, 0)) is None
     # a donut, but the paper prints no cothermal law
     assert printed_family(cothermal()) is None
+
+
+# ---------------------------------------------------------------------------
+# order^2 references for the Gram-matrix quadratures: Psi evaluated at
+# every (r, s, angles) node and every plane point pair
+# ---------------------------------------------------------------------------
+
+FIRST_QUANTIZED = [fermi_fock(), bose_fock(1, 1), bose_fock(2, 0),
+                   bose_fock(0, 2), noon(), bose_fock(2, 0, basis="dipole")]
+
+
+def _reference_radial_sums(spec, r_jac, f1, g1, f2, g2):
+    order = r_jac.size
+    shape = np.broadcast(f1[0], f2[0]).shape
+    dens = np.empty((order,) + shape)
+    rows = np.empty((order, dens[0].size))
+    for i in range(order):
+        for j in range(order):
+            psi = oracle._two_particle_psi(spec, f1[i], g1[i], f2[j], g2[j])
+            dens[j] = 2.0 * np.abs(psi) ** 2
+        rows[i] = r_jac @ dens.reshape(order, -1)
+    return (r_jac @ rows).reshape(shape)
+
+
+def _reference_radial_rule():
+    nodes, weights = gauss_legendre(oracle.ORACLE_RADIAL_ORDER, 0.0, EXTENT)
+    return nodes, weights * nodes
+
+
+def _reference_folded_angle_law(spec, n_points):
+    grid = np.linspace(0.0, math.pi, n_points)
+    deltas = np.concatenate([grid, grid + math.pi])
+    r_nodes, r_jac = _reference_radial_rule()
+    count = oracle.ORACLE_MEAN_ANGLES
+    phi = 2.0 * math.pi * np.arange(count) / count
+    f1, g1 = oracle._eval_pair(spec, r_nodes[:, None] * np.cos(phi),
+                               r_nodes[:, None] * np.sin(phi))
+    second = phi[:, None] - deltas[None, :]
+    f2, g2 = oracle._eval_pair(spec, r_nodes[:, None, None] * np.cos(second),
+                               r_nodes[:, None, None] * np.sin(second))
+    raw = _reference_radial_sums(spec, r_jac, f1[:, :, None], g1[:, :, None],
+                                 f2, g2).sum(axis=0) * (2.0 * math.pi / count)
+    mass = np.trapezoid(raw[:n_points], grid) \
+        + np.trapezoid(raw[n_points:], grid + math.pi)
+    return grid, (raw[:n_points] + raw[n_points:]) / mass
+
+
+def _reference_two_angle_law(spec, n_points):
+    angles = 2.0 * math.pi * np.arange(n_points) / n_points
+    r_nodes, r_jac = _reference_radial_rule()
+    f, g = oracle._eval_pair(spec, r_nodes[:, None] * np.cos(angles),
+                             r_nodes[:, None] * np.sin(angles))
+    joint = _reference_radial_sums(spec, r_jac, f[:, :, None], g[:, :, None],
+                                   f[:, None, :], g[:, None, :])
+    cell = (2.0 * math.pi / n_points) ** 2
+    return angles, joint / (np.sum(joint) * cell)
+
+
+def _reference_wavefunction_norm(spec, resolution):
+    px, py, step = oracle._plane_points(resolution)
+    f, g = oracle._eval_pair(spec, px, py)
+    psi = oracle._two_particle_psi(spec, f[:, None], g[:, None],
+                                   f[None, :], g[None, :])
+    return float(np.sum(np.abs(psi) ** 2)) * step ** 4
+
+
+@pytest.mark.parametrize("spec", FIRST_QUANTIZED,
+                         ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
+def test_gram_angle_laws_match_node_by_node_reference(spec):
+    grid, folded = oracle_folded_angle_law(spec, n_points=13)
+    ref_grid, ref_folded = _reference_folded_angle_law(spec, 13)
+    assert np.array_equal(grid, ref_grid)
+    assert np.max(np.abs(folded - ref_folded)) <= 1e-15
+    angles, joint = oracle_two_angle_law(spec, n_points=12)
+    ref_angles, ref_joint = _reference_two_angle_law(spec, 12)
+    assert np.array_equal(angles, ref_angles)
+    assert np.max(np.abs(joint - ref_joint)) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", FIRST_QUANTIZED,
+                         ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
+def test_gram_norm_matches_point_pair_reference(spec):
+    assert abs(wavefunction_norm(spec, resolution=31)
+               - _reference_wavefunction_norm(spec, 31)) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", FIRST_QUANTIZED,
+                         ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
+def test_psi_is_bilinear_in_mode_amplitudes(spec):
+    # the Gram route is exact only for Psi = sum_ab C[a, b] u_a(1) u_b(2);
+    # a wavefunction of any other form must fail here
+    rng = np.random.default_rng(7)
+    f1, g1, f2, g2 = (rng.normal(size=50) + 1j * rng.normal(size=50)
+                      for _ in range(4))
+    psi = oracle._two_particle_psi(spec, f1, g1, f2, g2)
+    c = oracle._psi_coefficients(spec)
+    rebuilt = np.einsum("ab,an,bn->n", c, np.stack([f1, g1]),
+                        np.stack([f2, g2]))
+    assert np.max(np.abs(rebuilt - psi)) <= 1e-15 * np.max(np.abs(psi))
+
+
+def test_angle_row_sees_the_exchange_sign(monkeypatch):
+    # give fermions the bosonic sign: the oracle law turns cos^2 while the
+    # engine keeps sin^2, so the gating row must fail
+    original = oracle._two_particle_psi
+
+    def bosonic_sign(spec, f1, g1, f2, g2):
+        if spec.kind == "fermi-fock":
+            return (f1 * g2 + g1 * f2) / math.sqrt(2.0)
+        return original(spec, f1, g1, f2, g2)
+
+    monkeypatch.setattr(oracle, "_two_particle_psi", bosonic_sign)
+    rows = oracle._angle_rows(fermi_fock(), oracle.build_state(fermi_fock()))
+    row = _row(rows, "angle-engine-vs-oracle")
+    assert row.verdict != "Confirmed"
+    assert row.max_abs_deviation > 0.5
+
+
+def test_folded_angle_law_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        oracle_folded_angle_law(fermi_fock())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20

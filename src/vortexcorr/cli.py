@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +83,7 @@ _MAX_TWO_ANGLE_POINTS = 2048
 # column of the resolution^2 plane, so its arrays grow as resolution^2
 _MAX_RESOLUTION = math.isqrt(_CHUNK_TARGET)
 # frames ceilings, checked before anything is allocated: at --count 10^7
-# `frames --stats --threads 2` peaks near 0.76 GB (each forked formatter
-# near 0.4 GB, mostly pages shared with the parent); at --bins 10^5 the
+# `frames --stats --threads 2` peaks near 0.77 GB; at --bins 10^5 the
 # histograms and their charts stay under 0.1 GB (10^6 bins: 0.53 GB)
 _MAX_COUNT = 10 ** 7
 _MAX_BINS = 10 ** 5
@@ -167,9 +165,8 @@ def _add_output_flags(sp):
     grp.add_argument("--config", default=None, metavar="FILE",
                      help="JSON config file; explicit flags override its entries")
     grp.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="frames: sample frame blocks in N threads and "
-                          "format frames.csv blocks in N processes; results "
-                          "do not depend on it")
+                     help="frames: sample frame blocks in N threads; "
+                          "results do not depend on it")
 
 
 def build_parser():
@@ -643,8 +640,7 @@ def cmd_frames(cfg):
     refs = _frame_references(cfg, state) if cfg.stats else None
     frames = generate_frames(state, cfg.count, cfg.seed, threads=cfg.threads)
     prov = cfg.prov(state)
-    save_frames(frames, _path(cfg, "frames.csv"), provenance=prov,
-                workers=cfg.threads)
+    save_frames(frames, _path(cfg, "frames.csv"), provenance=prov)
     if cfg.stats:
         _write_frame_stats(cfg, frames, prov, *refs)
     return EXIT_OK
@@ -707,9 +703,6 @@ def main(argv=None):
         return EXIT_STATE
     except _NUMERIC_ERRORS as exc:
         print(f"vortexcorr: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except BrokenExecutor as exc:
-        print(f"vortexcorr: a worker process died: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

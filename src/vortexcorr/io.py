@@ -5,9 +5,14 @@ of the resolved run configuration, the seed when one is involved and the
 state's flags, so a file can always be traced back to the exact run that
 produced it. All floats are printed with 17 significant digits (full
 round-trip precision); identical inputs produce byte-identical files.
+
+CSV cells are the bytes of C's `%.17g`, formatted by a numpy kernel a
+block at a time; the few cells it cannot decide exactly go through
+Python's own `%.17g` one at a time.
 """
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -18,7 +23,8 @@ import numpy as np
 from .version import GENERATOR_VERSION, VERSION
 
 TOOL_NAME = "vortexcorr"
-# CSV rows per block: a block's Python floats and text stay near 4 MB
+# CSV rows per block: a block's stacked columns and text stay near 1 MB
+# per column
 _CSV_BLOCK = 16384
 
 
@@ -61,10 +67,165 @@ def whole_file(path):
             os.remove(part)
 
 
-def format_block(row_format, table):
-    """Rows of the 2-D array `table`, each through `row_format` (one line's
-    conversions), in a single %-format call."""
-    return row_format * table.shape[0] % tuple(table.ravel().tolist())
+# %.17g from numpy. A cell x != 0 with _TINY <= |x| <= _HUGE prints the
+# 17 digits of m, the integer nearest |x| 10**(16 - k) for its decimal
+# exponent k. The product is taken as hi + lo, within 5e-15 of the exact
+# value (Dekker's two-product against 10**(16 - k) held as a double-double),
+# so m is certain unless lo lies within 2**-30 of a half-integer. Those
+# cells, infinities, NaN and cells outside the range go through Python's
+# '%.17g' one at a time.
+#
+# Each cell fills a slot of four little-endian words, NUL where it has no
+# character: word 0 holds the sign and the "0.000" of fixed notation
+# below 1; words 1-3 hold the digits, those after the point shifted up a
+# byte to make room for it, then "e+dd" from byte 26 and the separator in
+# byte 31. Deleting the NULs leaves the text.
+_CELLS = 4096  # cells per kernel pass, so that its arrays stay in cache
+_TINY, _HUGE = 1e-270, 1e280  # no split or product under- or overflows
+_NEAR_HALF = 0.5 - 2.0 ** -30
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
+_EXPONENTS = 300  # the exponent tables span -300 <= k < 300
+_WORD = np.dtype("<u8")
+_U = np.uint64
+
+
+@functools.cache
+def _power_of_ten(p):
+    """10**p as hh + hl + low: hh + hl is the nearest double, split into
+    halves, and low the rounded remainder, both from exact integers."""
+    num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+    h = num / den
+    n, d = h.as_integer_ratio()
+    c = _SPLIT * h
+    hh = c - (c - h)
+    return hh, h - hh, (num * d - n * den) / (den * d)
+
+
+def _scaled(a, k):
+    """a 10**(16 - k) as the unevaluated sum hi + lo."""
+    k0 = int(k.min())
+    powers = np.array([_power_of_ten(16 - j)
+                       for j in range(k0, int(k.max()) + 1)]).T
+    hh, hl, low = (row.take(k - k0) for row in powers)
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    hi = a * (hh + hl)
+    return hi, (((ah * hh - hi) + ah * hl) + al * hh) + al * hl + a * low
+
+
+def _word(text):
+    return int.from_bytes(text.encode("ascii"), "little")
+
+
+@functools.cache
+def _slot_tables():
+    """Per exponent k: the prefix word, the exponent word and the first
+    row of k's layouts. Per layout row (digits before the point, last
+    non-zero digit): the masks of the digit bytes and of the shifted digit
+    bytes kept, and the '0' and '.' bits added, three words each."""
+    prefix = np.zeros(2 * _EXPONENTS, _WORD)
+    suffix = np.zeros(2 * _EXPONENTS, _WORD)
+    first = np.ones(2 * _EXPONENTS, np.int64)  # d.ddde+kk
+    for i, k in enumerate(range(-_EXPONENTS, _EXPONENTS)):
+        if -4 <= k < 0:  # 0.000ddd: every digit before the point slot
+            prefix[i] = _word("\0" + "0." + "0" * (-k - 1))
+            first[i] = 18 * 17 + 1
+        elif 0 <= k <= 16:  # k + 1 digits before the point
+            first[i] = 18 * k + 1
+        else:
+            suffix[i] = _word("\0\0e%+03d" % k)
+    last = np.arange(-1, 17)[:, None]
+    lead = np.r_[1:18, 0][:, None, None]
+    lead = np.where(lead == 0, last + 1, lead)
+    pos = np.arange(24)
+    head = pos < lead
+    tail = (pos > lead) & (pos <= last + 1)
+    fill = np.where(head | tail, 0x30,
+                    np.where((pos == lead) & (last >= lead), 0x2E, 0))
+    masks = np.stack([0xFF * head, 0xFF * tail, fill]).astype(np.uint8)
+    words = masks.reshape(3, 324, 24).view(_WORD).transpose(0, 2, 1)
+    return prefix, suffix, first, np.ascontiguousarray(words.reshape(9, 324).T)
+
+
+def _digits8(v):
+    """The 8 decimal digits of each v < 10**8, one per byte, the leading
+    digit in the lowest byte."""
+    a = v // _U(10000)
+    x = a | ((v - a * _U(10000)) << _U(32))
+    y = ((x * _U(10486)) >> _U(20)) & _U(0x0000007F0000007F)  # x // 100
+    x = y | ((x - _U(100) * y) << _U(16))
+    y = ((x * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)  # x // 10
+    return y | ((x - _U(10) * y) << _U(8))
+
+
+def _cells(x, slots):
+    """Fill the (n, 4) word `slots` of the float cells `x`, separators
+    left out; returns how many cells went through Python's %."""
+    a = np.abs(x)
+    fast = (a >= _TINY) & (a <= _HUGE)
+    a[~fast] = 1.0
+    # never below the decimal exponent, one above it next to a power of ten
+    k = np.floor(np.log10(a) + 1e-12).astype(np.int64)
+    hi, lo = _scaled(a, k)
+    high = np.flatnonzero((hi < 1e16) | (hi == 1e16) & (lo < 0.0))
+    if high.size:
+        k[high] -= 1
+        hi[high], lo[high] = _scaled(a[high], k[high])
+    r = np.rint(lo)
+    m = hi.astype(np.int64) + r.astype(np.int64)
+    carry = np.flatnonzero(m == 10 ** 17)
+    m[carry] = 10 ** 16
+    k[carry] += 1
+    zero = x == 0.0
+    m[zero] = 0
+    slow = np.flatnonzero(~(fast | zero) | (np.abs(lo - r) > _NEAR_HALF))
+
+    m = m.view(_U)
+    tens = m // _U(10)
+    d16 = m - _U(10) * tens
+    w = np.empty((2, x.size), _U)
+    np.floor_divide(tens, _U(10 ** 8), out=w[0])
+    w[1] = tens - w[0] * _U(10 ** 8)
+    w0, w1 = _digits8(w)
+    # index of the last non-zero digit (-1 for zero), from the exponent
+    # of the 136-bit digit string; every digit byte is below 16
+    top = (d16 * 2.0 ** 64 + w1) * 2.0 ** 64 + w0
+    last = np.maximum(((top.view(np.int64) >> 52) - 1023) >> 3, -1)
+    prefix, suffix, first, layouts = _slot_tables()
+    k += _EXPONENTS
+    lay = layouts.take(first.take(k) + last, axis=0).T
+    slots[:, 0] = prefix.take(k) | (x.view(_U) >> _U(63)) * _U(ord("-"))
+    slots[:, 1] = (w0 & lay[0]) | ((w0 << _U(8)) & lay[3]) | lay[6]
+    slots[:, 2] = (w1 & lay[1]) | (((w1 << _U(8)) | (w0 >> _U(56)))
+                                   & lay[4]) | lay[7]
+    slots[:, 3] = (d16 & lay[2]) | (((d16 << _U(8)) | (w1 >> _U(56)))
+                                    & lay[5]) | lay[8] | suffix.take(k)
+    if slow.size:
+        text = "".join(("%.17g" % v).ljust(32, "\0")
+                       for v in x[slow].tolist())
+        slots[slow] = np.frombuffer(text.encode("ascii"), _WORD).reshape(
+            -1, 4)
+    return slow.size
+
+
+def format_block(table):
+    """The rows of the 2-D float array `table` as CSV text: every cell as
+    C's %.17g (any NaN as nan), cells joined by ',' and each row ending
+    in a newline."""
+    table = np.asarray(table, dtype=np.float64)
+    rows, cols = table.shape
+    step = max(_CELLS // cols, 1)
+    text = []
+    for lo in range(0, rows, step):
+        part = table[lo:lo + step]
+        slots = np.empty((part.size, 4), _WORD)
+        _cells(part.ravel(), slots)
+        chars = slots.view(np.uint8).reshape(len(part), cols, 32)
+        chars[..., 31] = ord(",")
+        chars[:, -1, 31] = ord("\n")
+        text.append(slots.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)
 
 
 def write_csv(path, columns, values, prov=None, comments=()):
@@ -72,8 +233,8 @@ def write_csv(path, columns, values, prov=None, comments=()):
 
     `values` holds one array per named column; the arrays broadcast against
     each other and the rows run over their broadcast shape in C order.
-    Every cell is a float printed as %.17g. Rows are converted to Python
-    floats and written `_CSV_BLOCK` at a time, one %-format call per block.
+    Every cell is a float printed as %.17g. Rows are stacked and
+    formatted `_CSV_BLOCK` at a time.
     """
     head = []
     if prov is not None:
@@ -82,11 +243,10 @@ def write_csv(path, columns, values, prov=None, comments=()):
         head.append("# " + comment)
     head.append(",".join(columns))
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with whole_file(path) as fh:
         fh.write("\n".join(head) + "\n")
         for lo in range(0, arrays[0].size, _CSV_BLOCK):
-            fh.write(format_block(row_format, np.column_stack(
+            fh.write(format_block(np.column_stack(
                 [a.flat[lo:lo + _CSV_BLOCK] for a in arrays])))
 
 

@@ -34,6 +34,7 @@ BISECTION_STEPS = 34
 MAX_ATTEMPT_ROUNDS = 512
 MAJORANT_PROBE = 512
 MAJORANT_SAFETY = 1.001
+_BISECT_CHUNK = 8192
 
 _U64 = np.uint64
 _GOLD = _U64(0x9E3779B97F4A7C15)
@@ -80,15 +81,36 @@ def invert_radial_cdf(u):
     """Radius at CDF value u, bisected between table knots to 1e-12.
 
     u is rescaled by the in-box mass so samples never leave [0, 6]; the
-    discarded tail is below 1e-14, far under every tolerance in use.
+    discarded tail is below 1e-14, far under every tolerance in use. The
+    bisection runs over `_BISECT_CHUNK` values at a time, so that its
+    arrays stay in cache.
     """
     u = np.asarray(u, dtype=float) * _RING_TOTAL
+    r = np.empty_like(u)
+    flat_u, flat_r = u.reshape(-1), r.reshape(-1)
+    for lo in range(0, flat_u.size, _BISECT_CHUNK):
+        flat_r[lo:lo + _BISECT_CHUNK] = _bisect(flat_u[lo:lo + _BISECT_CHUNK])
+    return r
+
+
+def _bisect(u):
+    """radial_cdf^-1(u) for in-box u, each step in place with the same
+    floating-point operations as radial_cdf."""
     hi_idx = np.clip(np.searchsorted(_RING_F, u), 1, RING_KNOTS - 1)
     lo = _RING_R[hi_idx - 1]
     hi = _RING_R[hi_idx]
+    mid, cdf, gauss = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    below = np.empty(u.shape, dtype=bool)
     for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = radial_cdf(mid) < u
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.multiply(mid, mid, out=cdf)
+        np.negative(cdf, out=gauss)
+        np.exp(gauss, out=gauss)
+        cdf += 1.0
+        cdf *= gauss
+        np.subtract(1.0, cdf, out=cdf)  # 1 - (1 + r^2) exp(-r^2)
+        np.less(cdf, u, out=below)
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -357,49 +379,25 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
 # ---------------------------------------------------------------------------
 
 _HEADER_PREFIX = "#vortexcorr-frames "
-_ROW_FORMAT = "%d,%.17g,%.17g,%.17g,%.17g\n"
-_WRITE_ROWS = 65536
+_WRITE_ROWS = 16384
 
 
 def _format_rows(start, points):
     """CSV body rows of `points` (shape (k, 2, 2)), indexed from `start`.
 
-    The float column holding the frame index is exact below 2**53 and
-    prints through %d as the integer.
+    The frame index is a float, exact below 2**53, and %.17g prints it
+    as the integer.
     """
     k = points.shape[0]
     rows = np.empty((k, 5))
     rows[:, 0] = np.arange(start, start + k)
     rows[:, 1:] = points.reshape(k, 4)
-    return format_block(_ROW_FORMAT, rows)
+    return format_block(rows)
 
 
-def _formatted_blocks(points, workers):
-    """Body text block by block, in order; forked processes format the
-    blocks when `workers` > 1, since %-formatting holds the GIL."""
-    starts = range(0, points.shape[0], _WRITE_ROWS)
-    blocks = (points[lo:lo + _WRITE_ROWS] for lo in starts)
-    if workers > 1 and len(starts) > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            # fork, not spawn: the children only run _format_rows on the
-            # blocks they are sent and touch no lock or BLAS thread state
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(min(workers, len(starts)),
-                                     mp_context=context) as pool:
-                yield from pool.map(_format_rows, starts, blocks)
-            return
-    for lo, block in zip(starts, blocks):
-        yield _format_rows(lo, block)
-
-
-def save_frames(frames, path, provenance=None, workers=1):
-    """Single-file format: one JSON header comment line, then a CSV body.
-
-    The body is written in blocks of `_WRITE_ROWS` rows; `workers` > 1
-    formats the blocks in up to that many forked processes. The bytes
-    never depend on `workers`.
+def save_frames(frames, path, provenance=None):
+    """Single-file format: one JSON header comment line, then a CSV body
+    of %.17g cells, written `_WRITE_ROWS` rows at a time.
     """
     if frames.spec is None:
         raise ValueError("FrameSet has no state descriptor; build it from "
@@ -421,8 +419,8 @@ def save_frames(frames, path, provenance=None, workers=1):
         fh.write(_HEADER_PREFIX + json.dumps(
             header, sort_keys=True, separators=(",", ":")) + "\n")
         fh.write("frame_index,x1,y1,x2,y2\n")
-        for text in _formatted_blocks(frames.points, workers):
-            fh.write(text)
+        for lo in range(0, frames.count, _WRITE_ROWS):
+            fh.write(_format_rows(lo, frames.points[lo:lo + _WRITE_ROWS]))
 
 
 def load_frames(path):

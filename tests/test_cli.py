@@ -5,6 +5,8 @@ config-merge / dispatch / exit-code path is exercised without spawning
 subprocesses.
 """
 
+import functools
+import hashlib
 import json
 import math
 import os
@@ -15,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from vortexcorr import sampler
+from vortexcorr import cli, sampler
 from vortexcorr.cli import _COMMAND_KEYS, build_parser, main, resolve_config
 from vortexcorr.oracle import BOSE_DISTANCE_MEAN, BOSE_DISTANCE_MODES
 from vortexcorr.states import KINDS, build_state
@@ -462,9 +464,74 @@ def test_formats_filter(tmp_path):
     assert not any(n.endswith(".json") or n.endswith(".svg") for n in names)
 
 
+# Runs whose every output file is pinned by its sha256 in _PINNED_DIGESTS,
+# taken before the CSV cells moved from Python's %-operator to the numpy
+# kernel in io.py. A deliberate change of a format, of the version strings
+# or of a law re-pins them.
+_PINNED_RUNS = {
+    "profile": ["profile"],
+    "pairdist-thermal": ["pairdist", "--state", "thermal"],
+    "pairangle-cothermal": ["pairangle", "--state", "cothermal"],
+    "two-angle-noon": ["pairdist", "--state", "noon", "--two-angle"],
+    "frames-fermi": ["frames", "--state", "fermi-fock", "--count", "3000",
+                     "--seed", "5", "--stats"],
+}
+_PINNED_DIGESTS = {
+    "profile/profile_grid.csv":
+        "7f160f728936599ad433bccd5f77d7f8e93d84bca6e6325a4ef540edb8628dcf",
+    "profile/profile_heatmap.svg":
+        "3bb5639999cfe99eeada85133a605702abe3c4ab1e7511104ff90920bf893acd",
+    "profile/profile_radial_cut.csv":
+        "3cccf88b521fc8e0f3d14f3c57341e5beb6f54b72797637ed65bb40551e5b94c",
+    "profile/profile_summary.json":
+        "81d78c5454e2ab05d02e5ca80e9958f7b40f8794a02ee4b53780a6fa4760748d",
+    "pairdist-thermal/pairdist_distribution.csv":
+        "d86feb3b69294937c7980404f9123ae7b0233171c1d68401dc8307bbeaab354f",
+    "pairdist-thermal/pairdist_overlay.svg":
+        "6f9818d40ee9d93591fb8e0958cff5a3ab4b1ce703ae509d40e230d24c5336f0",
+    "pairdist-thermal/pairdist_summary.json":
+        "0df889318fe1f5cbe3e801f555287135adb57a4d347be922d0f8fcd89af7b27a",
+    "pairangle-cothermal/pairangle_distribution.csv":
+        "f706ef4384d7afd86eede1ff05e1855426cd1279a9a59d84088cd815369967f5",
+    "pairangle-cothermal/pairangle_overlay.svg":
+        "a54c5cfbedddb58b1f7423ae8cadac4a42a4f3824572b28aec472babf2d47958",
+    "pairangle-cothermal/pairangle_summary.json":
+        "4e3cd746380aef705e1a6d188d3831531d5b4e0dd69d773df262fc34f9d283ce",
+    "two-angle-noon/two_angle_heatmap.svg":
+        "310c5f50c800e43177bb46a20d908ddb1a71d3fd0ea2cf993b7f1849fd6de641",
+    "two-angle-noon/two_angle_summary.json":
+        "a7dceb427453a225abdd8eb0127083ef3b48d046ed79e2a48063d7dce529c93c",
+    "two-angle-noon/two_angle_surface.csv":
+        "e3a68a06d7691335964ba5e4b935b6a585721baf140518ebcbdcef43ef0db778",
+    "frames-fermi/frames.csv":
+        "c45cda51bc1233ad53961a4db6a1057518b5a4c83e53ec8812946cd356ad19f9",
+    "frames-fermi/frames_angle.svg":
+        "18bcc7514d086e2677ee292a4c845dd5f3c641bc667c874792303243bc2bd3d3",
+    "frames-fermi/frames_angle_hist.csv":
+        "0439e5a8e05159d825d5536d44f30156ba43b5d0770c93aab310227c42f83812",
+    "frames-fermi/frames_distance.svg":
+        "676efe455f9c7a46f846a12ff59568b2241919354457bb199c896cb93b9eec7c",
+    "frames-fermi/frames_distance_hist.csv":
+        "b4f468ee295957e68fdb8e201931b1c8cd8aaeffb0a3e093386e4354b25f8853",
+    "frames-fermi/frames_stats.json":
+        "2ce9c377f155517aa1a22caac224c589dbe98bcbb086438541850a19d80a5494",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_PINNED_RUNS))
+def test_output_bytes_are_pinned(tmp_path, run):
+    assert main(_PINNED_RUNS[run] + ["--out", str(tmp_path)]) == 0
+    written = {f"{run}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == {key: digest for key, digest in _PINNED_DIGESTS.items()
+                       if key.startswith(run + "/")}
+
 def test_frames_deterministic_and_thread_invariant(tmp_path, monkeypatch):
-    # 1000-row write blocks, so --threads 2 and 3 format in processes
+    # 1000-frame sampling and write blocks: --threads 2 and 3 sample in
+    # threads, and the body is formatted in three blocks
     monkeypatch.setattr(sampler, "_WRITE_ROWS", 1000)
+    monkeypatch.setattr(cli, "generate_frames", functools.partial(
+        sampler.generate_frames, block=1000))
     argv = ["frames", "--state", "fermi-fock", "--seed", "11",
             "--count", "3000"]
     for sub, extra in (("a", []), ("b", []), ("c", ["--threads", "3"]),
@@ -480,28 +547,6 @@ def test_frames_deterministic_and_thread_invariant(tmp_path, monkeypatch):
     assert meta["count"] == 3000
     assert 0.0 < meta["acceptance_rate"] <= 1.0
     assert meta["provenance"]["config_sha256"]
-
-
-_TEST_PID = os.getpid()
-
-
-def _die(start, points):
-    """Block formatter that kills the worker process running it."""
-    if os.getpid() == _TEST_PID:
-        raise AssertionError("blocks were formatted in the test process")
-    os._exit(1)
-
-
-def test_frames_dead_worker_exit_code(tmp_path, monkeypatch, capsys):
-    # forked workers inherit the patched formatter and exit at once
-    monkeypatch.setattr(sampler, "_WRITE_ROWS", 1000)
-    monkeypatch.setattr(sampler, "_format_rows", _die)
-    assert main(["frames", "--state", "fermi-fock", "--seed", "1",
-                 "--count", "3000", "--threads", "2",
-                 "--out", str(tmp_path)]) == 3
-    assert "worker process died" in capsys.readouterr().err
-    # neither frames.csv nor its partial file is left behind
-    assert not list(tmp_path.glob("frames.csv*"))
 
 
 def _fresh_modules(code):

@@ -1,4 +1,5 @@
-"""File writers: block-formatted CSV output and whole-file replacement."""
+"""File writers: the %.17g kernel, block-formatted CSV output and
+whole-file replacement."""
 
 import math
 import os
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from vortexcorr import io
-from vortexcorr.io import canonical_json, write_csv
+from vortexcorr.density import density_grid
+from vortexcorr.io import canonical_json, format_block, write_csv
+from vortexcorr.states import build_state, fermi_fock
 
 
 def _write_csv_whole(path, columns, rows, prov=None, comments=()):
@@ -32,6 +35,85 @@ def _rows(count):
     special = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300)
     return [(float(i), float(v), v * 1e-9, special[i % len(special)])
             for i, v in enumerate(values)]
+
+
+def _assert_percent_rows(table):
+    """format_block against every cell through Python's %.17g, one at a
+    time; a failure names the first rows that differ."""
+    got = format_block(table).split("\n")
+    want = [",".join("%.17g" % cell for cell in row)
+            for row in table.tolist()] + [""]
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:3]
+
+
+def _edge_values():
+    """Cells next to every rounding and notation boundary of %.17g."""
+    tens = np.array([10.0 ** k for k in range(-300, 300)]
+                    + [float(f"1e{k}") for k in range(-300, 300)])
+    # 17 nines and a half: rounding carries into the next power of ten
+    nines = np.array([float(f"9.99999999999999995e{k}")
+                      for k in range(-300, 300)])
+    near = np.concatenate([tens, nines])
+    near = np.concatenate([near, np.nextafter(near, 0.0),
+                           np.nextafter(near, np.inf)])
+    exact_ties = 1.0 + np.arange(1, 64) * 2.0 ** -17  # 1 + 2**-17 and kin
+    notation = np.array([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5,
+                         9.99999999999999955e-6, 99999999999999984.0,
+                         2.0 ** 53, 2.0 ** 53 + 2.0, 2.0 ** 63])
+    notation = np.concatenate([notation, np.nextafter(notation, 0.0),
+                               np.nextafter(notation, np.inf)])
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                         2.2250738585072014e-308, 1e-270, 1e280,
+                         1.7976931348623157e308, 1.5e-300, 1e100, 1e-100])
+    values = np.concatenate([near, exact_ties, notation, specials])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("cols", [1, 3, 5])
+def test_format_block_edge_table(cols):
+    values = _edge_values()
+    _assert_percent_rows(values[:values.size // cols * cols].reshape(-1, cols))
+
+
+def test_format_block_matches_percent_formatting():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=60),
+                      st.integers(1, 5))
+    def check(values, cols):
+        values += [0.0] * (-len(values) % cols)
+        _assert_percent_rows(np.array(values).reshape(-1, cols))
+
+    check()
+
+
+def test_format_block_random_bit_patterns():
+    bits = np.random.default_rng(11).integers(
+        0, 2 ** 64, size=60000, dtype=np.uint64, endpoint=False)
+    _assert_percent_rows(bits.view(np.float64).reshape(-1, 4))
+
+
+def _fallbacks(values):
+    values = np.ascontiguousarray(values, dtype=float).ravel()
+    slots = np.zeros((values.size, 4), np.dtype("<u8"))
+    return io._cells(values, slots)
+
+
+def test_kernel_decides_almost_every_cell():
+    # a kernel that sent every cell to Python's % would still print the
+    # right bytes; it would fail here
+    normal = np.random.default_rng(3).normal(size=100000)
+    assert _fallbacks(normal) <= 1e-6 * normal.size
+    fld = density_grid(build_state(fermi_fock()), extent=6.0, step=0.05)
+    x, y = np.meshgrid(fld.x, fld.y, indexing="ij")
+    grid = np.stack([x, y, fld.values])
+    assert _fallbacks(grid) <= 1e-6 * grid.size
+    # and the cases it must leave to Python do reach the fallback
+    assert _fallbacks([math.nan, math.inf, 5e-324, 1e300, 1.0 + 2.0 ** -17,
+                       0.5, 0.0, 1.0]) == 5
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 50, 70000])
@@ -72,13 +154,13 @@ def test_failure_midway_leaves_no_partial_file(tmp_path, monkeypatch):
     format_block = io.format_block
     blocks = []
 
-    def fails_on_third_block(row_format, table):
+    def fails_on_third_block(table):
         blocks.append(len(table))
         if len(blocks) == 3:
             # two blocks went to the partial file before this one
             assert (tmp_path / "out.csv.part").exists()
             raise RuntimeError("formatter failed")
-        return format_block(row_format, table)
+        return format_block(table)
 
     monkeypatch.setattr(io, "format_block", fails_on_third_block)
     with pytest.raises(RuntimeError):

@@ -72,6 +72,36 @@ def test_invert_radial_cdf_against_brentq():
     assert ends[0] < 1e-12 and ends[1] <= 6.0
 
 
+
+def _whole_array_bisection(u):
+    """Reference: the bisection over the whole array at once, each step
+    through radial_cdf, as it ran before it was split into chunks."""
+    u = np.asarray(u, dtype=float) * sampler._RING_TOTAL
+    hi_idx = np.clip(np.searchsorted(sampler._RING_F, u), 1,
+                     sampler.RING_KNOTS - 1)
+    lo = sampler._RING_R[hi_idx - 1]
+    hi = sampler._RING_R[hi_idx]
+    for _ in range(sampler.BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        below = radial_cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("chunk,size", [(7, 60), (None, 20000)])
+def test_chunked_bisection_matches_whole_array(monkeypatch, chunk, size):
+    if chunk is not None:
+        monkeypatch.setattr(sampler, "_BISECT_CHUNK", chunk)
+    edges = np.array([0.0, 2.0 ** -53, 1e-300, 1e-20, 1e-10, 0.5,
+                      1.0 - 2.0 ** -53])
+    streams = [counter_uniforms(seed, np.arange(size, dtype=np.uint64), draw)
+               for seed in (1, 5, 77) for draw in (0, 1)]
+    for u in streams + [edges, edges.reshape(7, 1)]:
+        got = invert_radial_cdf(u)
+        assert got.shape == u.shape
+        np.testing.assert_array_equal(got, _whole_array_bisection(u))
+
 def test_generate_frames_deterministic():
     a = generate_frames(fermi_fock(), 400, seed=11)
     b = generate_frames(fermi_fock(), 400, seed=11)
@@ -265,11 +295,9 @@ def test_save_frames_matches_row_by_row_writer(tmp_path, count):
     frames = generate_frames(fermi_fock(), count, seed=29)
     want = tmp_path / "reference.csv"
     _row_by_row_save(frames, want, provenance={"note": "blocks"})
-    for workers in (1, 3):
-        got = tmp_path / f"workers{workers}.csv"
-        save_frames(frames, got, provenance={"note": "blocks"},
-                    workers=workers)
-        assert got.read_bytes() == want.read_bytes(), workers
+    got = tmp_path / "blocks.csv"
+    save_frames(frames, got, provenance={"note": "blocks"})
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_chi2_sf_matches_scipy():

@@ -36,12 +36,18 @@ factors u = exp(+-i theta) (vortex) or sqrt(2) cos theta, sqrt(2) sin theta
 
   W(t, v) = sum second[a, b, c, d] conj(u_a(t)) u_d(t) conj(u_b(v)) u_c(v)
 
-and each radial integral int r dr R(r)^2 = 1/(2 pi) is a constant. Hence
-J(t, v) = W(t, v) / (4 pi^2 N2) and f(D) is the phi-average of
-W(phi, phi + D) over 2 pi N2. W(phi, phi + D) has degree <= 4 in phi, so
-five equally spaced phi average it exactly. Every mode is odd,
-u(theta + pi) = -u(theta), so f(D + pi) = f(D) and the law folded to
-[0, pi) is 2 f(D). For a rotation-invariant state this folded law is
+and each radial integral int r dr R(r)^2 = 1/(2 pi) is a constant. With
+g(x) = (1, cos 2x, sin 2x), conj(u_a(x)) u_d(x) = sum_j g_j(x) (A_j)_ad for
+A = (1, sigma_x, sigma_y) (vortex) or (1, sigma_z, sigma_x) (dipole), so W
+is nine real numbers (harmonic_matrix):
+
+  W(t, v) = g(t)^T M g(v),   M_jk = sum second[a, b, c, d] (A_j)_ad (A_k)_bc
+
+Hence J(t, v) = W(t, v) / (4 pi^2 N2), and f(D) is the phi-average of
+W(phi, phi + D) over 2 pi N2. Every mode is odd, u(theta + pi) = -u(theta),
+so f(D + pi) = f(D) and the law folded to [0, pi) is 2 f(D), three numbers:
+(M_00 + [(M_11 + M_22) cos 2D + (M_12 - M_21) sin 2D] / 2) / (pi N2), with
+M_00 = N2. For a rotation-invariant state this folded law is
 (1 + (2w - 1) cos 2D) / pi with the same w, so one number summarises
 every distance and relative-angle law (see summarize). The paper's
 closed forms these laws are graded against live in oracle.py.
@@ -61,11 +67,11 @@ DISTANCE_MAX = 8.0
 DEFAULT_DISTANCE_POINTS = 801
 DEFAULT_ANGLE_POINTS = 361
 DEFAULT_TWO_ANGLE_POINTS = 180
-# phi nodes of the relative-angle average: exact for degree <= 4
-_PHI_NODES = np.arange(5) * (2.0 * math.pi / 5)
-# offsets per angular_weight call in the angle-law closure; bounds its
-# (2, block, 5) factor arrays whatever the grid size
-_ANGLE_BLOCK = 65536
+# (A_0, A_1, A_2) per basis: conj(u_a(x)) u_d(x) = sum_j g_j(x) (A_j)_ad
+_HARMONICS = {Basis.VORTEX: np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                                      [[0, -1j], [1j, 0]]]),
+              Basis.DIPOLE: np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]],
+                                      [[0, 1], [1, 0]]])}
 
 PAIR_WEIGHT_TOL = 1e-14
 ISOTROPY_TOL = 1e-10
@@ -145,13 +151,9 @@ def _distance_coefficients(state):
     direct = np.einsum("abba->", second)                # (12)(34)
     exchange = (np.einsum("aacc->", second)             # (13)(24)
                 + np.einsum("abab->", second))          # (14)(23)
-    s = direct + exchange
-    t = direct - exchange
-    worst = max(abs(s.imag), abs(t.imag))
-    if worst > 1e-12 * max(1.0, abs(s.real), abs(t.real)):
-        raise AlgebraInconsistencyError(
-            f"distance kernel produced imaginary residue {worst:.3e}")
-    return float(s.real), float(t.real)
+    s, t = _real_part(np.array([direct + exchange, direct - exchange]),
+                      "distance kernel")
+    return float(s), float(t)
 
 
 def bosonic_weight(state):
@@ -182,29 +184,29 @@ def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
                             meta={"bosonic_weight": s / (4.0 * norm)})
 
 
-def _angular_factors(basis, theta):
-    """Angular parts u_p(theta) of the basis mode pair, normalized over
-    the circle; the ring profile R(r) carries the rest of each mode."""
-    theta = np.asarray(theta, dtype=float)
-    if basis is Basis.VORTEX:
-        return np.exp(1j * theta), np.exp(-1j * theta)
-    root2 = math.sqrt(2.0)
-    return (root2 * np.cos(theta)).astype(complex), \
-        (root2 * np.sin(theta)).astype(complex)
+def harmonic_matrix(state):
+    """The real 3x3 M with W(theta, vartheta) = g(theta)^T M g(vartheta),
+    g(x) = (1, cos 2x, sin 2x)."""
+    harmonics = _HARMONICS[state.basis]
+    raw = np.einsum("abcd,jad,kbc->jk", state.correlators().second,
+                    harmonics, harmonics)
+    return _real_part(raw, "angular weight")
 
 
-def angular_weight(second, basis, theta, vartheta):
-    """W(theta, vartheta), complex, from the second-order correlators."""
-    f1 = np.stack(_angular_factors(basis, theta))
-    f2 = np.stack(_angular_factors(basis, vartheta))
-    return np.asarray(np.einsum("abcd,a...,d...,b...,c...->...", second,
-                                np.conj(f1), f1, np.conj(f2), f2))
+def angular_weight(matrix, theta, vartheta):
+    """W(theta, vartheta) = g(theta)^T M g(vartheta) as a 9-term real sum,
+    broadcast over the angle arrays."""
+    v = 2.0 * np.asarray(vartheta, dtype=float)
+    cos_v, sin_v = np.cos(v), np.sin(v)
+    rows = [m0 + m1 * cos_v + m2 * sin_v for m0, m1, m2 in matrix]
+    t = 2.0 * np.asarray(theta, dtype=float)
+    return rows[0] + np.cos(t) * rows[1] + np.sin(t) * rows[2]
 
 
 def _real_part(raw, name):
     worst = float(np.max(np.abs(raw.imag)))
     if worst > 1e-12 * max(1.0, float(np.max(np.abs(raw.real)))):
-        raise AnisotropicStateError(
+        raise AlgebraInconsistencyError(
             f"{name} produced imaginary residue {worst:.3e}")
     return raw.real
 
@@ -222,20 +224,16 @@ def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS):
         raise AnisotropicStateError(
             f"pair density is not rotation invariant (defect {defect:.3e}); "
             "use two_angle_distribution instead")
-    second = state.correlators().second
+    m = harmonic_matrix(state)
+    mean = m[0, 0]
+    even = 0.5 * (m[1, 1] + m[2, 2])
+    odd = 0.5 * (m[1, 2] - m[2, 1])
 
     def closure(delta):
-        delta = np.asarray(delta, dtype=float)
-        flat = delta.ravel()
-        raw = np.empty(flat.size, dtype=complex)
-        for lo in range(0, flat.size, _ANGLE_BLOCK):
-            moved = flat[lo:lo + _ANGLE_BLOCK, None] + _PHI_NODES
-            raw[lo:lo + _ANGLE_BLOCK] = np.mean(
-                angular_weight(second, state.basis, _PHI_NODES, moved),
-                axis=-1)
+        delta = 2.0 * np.asarray(delta, dtype=float)
         # folded: f(D) + f(D + pi) = 2 f(D), since the modes are odd
-        return _clip_noise(_real_part(raw.reshape(delta.shape)
-                                      / (math.pi * norm), "angle law"))
+        return _clip_noise((mean + even * np.cos(delta) + odd * np.sin(delta))
+                           / (math.pi * norm))
 
     grid = np.linspace(0.0, math.pi, n_points)
     return PairDistribution(PairVariable.REL_ANGLE, grid, closure(grid),
@@ -250,12 +248,11 @@ def two_angle_distribution(state, n_points=DEFAULT_TWO_ANGLE_POINTS):
     is exact for the trigonometric-polynomial law.
     """
     norm = _require_pairs(state)
-    second = state.correlators().second
+    m = harmonic_matrix(state)
 
     def closure(theta, vartheta):
-        raw = angular_weight(second, state.basis, theta, vartheta)
-        return _clip_noise(_real_part(raw / (4.0 * math.pi ** 2 * norm),
-                                      "two-angle law"))
+        return _clip_noise(angular_weight(m, theta, vartheta)
+                           / (4.0 * math.pi ** 2 * norm))
 
     axis = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
     return PairDistribution(PairVariable.TWO_ANGLE, axis,

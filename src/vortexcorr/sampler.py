@@ -4,9 +4,11 @@ Every state in the two-mode family factorizes in polar coordinates: both
 radii follow the ring marginal p(r) = 2 r^3 exp(-r^2) independently of the
 angles, and all exchange physics sits in the joint angle law. Pairs are
 therefore drawn by exact inverse-CDF sampling of the radii plus constant-
-majorant rejection of the angle pair. The acceptance is never below
-1/(4 MAJORANT_SAFETY): in the vortex basis each pair amplitude has four
-orthogonal unit-modulus Fourier terms, so W <= 4 mean(W) for every state.
+majorant rejection of the angle pair against W = g(theta)^T M g(vartheta),
+the nine numbers of pairstats.harmonic_matrix. The majorant is the largest
+W on a MAJORANT_PROBE^2 grid, times MAJORANT_SAFETY. The acceptance is never
+below 1/(4 MAJORANT_SAFETY): in the vortex basis each pair amplitude has
+four orthogonal unit-modulus Fourier terms, so W <= 4 mean(W).
 
 Randomness comes from a counter-based generator: every uniform is a pure
 hash of (seed, frame_index, draw_index), so frames can be produced in any
@@ -24,7 +26,8 @@ from .errors import (AlgebraInconsistencyError, EmptyFramesError,
                      NoPairsError, SamplerMethodError)
 from .fock import pair_moment
 from .io import format_block, whole_file
-from .pairstats import PairDistribution, PairVariable, angular_weight
+from .pairstats import (PairDistribution, PairVariable, angular_weight,
+                        harmonic_matrix)
 from .quadrature import EXTENT
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
 from .version import GENERATOR_VERSION, VERSION
@@ -125,24 +128,23 @@ class AngularLaw:
     """Joint angle weight W(theta, vartheta) with a rigorous majorant."""
 
     def __init__(self, state):
-        self.second = state.correlators().second
-        self.basis = state.basis
-        probe = np.linspace(0.0, 2.0 * math.pi, MAJORANT_PROBE,
-                            endpoint=False)
-        tt, vv = np.meshgrid(probe, probe, indexing="ij")
-        w = self(tt, vv)
+        self.matrix = harmonic_matrix(state)
+        # rows g(theta) = (1, cos 2 theta, sin 2 theta) of the probe angles
+        twice = np.linspace(0.0, 4.0 * math.pi, MAJORANT_PROBE, endpoint=False)
+        g = np.stack([np.ones_like(twice), np.cos(twice), np.sin(twice)], 1)
+        w = g @ self.matrix @ g.T
         if np.min(w) < -1e-10 * max(1.0, float(np.max(w))):
             raise AlgebraInconsistencyError(
                 "angular weight is significantly negative")
         self.majorant = float(np.max(w)) * MAJORANT_SAFETY + 1e-300
-        self.mean_weight = float(np.mean(w))
 
     def __call__(self, theta, vartheta):
-        return angular_weight(self.second, self.basis, theta, vartheta).real
+        return angular_weight(self.matrix, theta, vartheta)
 
     @property
     def acceptance_estimate(self):
-        return self.mean_weight / self.majorant
+        # mean(W) over the angle pairs is M_00
+        return float(self.matrix[0, 0]) / self.majorant
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +434,7 @@ def load_frames(path):
         columns = fh.readline().strip()
         if columns != "frame_index,x1,y1,x2,y2":
             raise ValueError(f"unexpected column header {columns!r}")
-        body = np.loadtxt(fh, delimiter=",", ndmin=2) \
+        body = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None) \
             if header["count"] else np.empty((0, 5))
     if body.shape[0] != header["count"]:
         raise ValueError("frame count mismatch between header and body")

@@ -466,8 +466,10 @@ def test_formats_filter(tmp_path):
 
 # Runs whose every output file is pinned by its sha256 in _PINNED_DIGESTS,
 # taken before the CSV cells moved from Python's %-operator to the numpy
-# kernel in io.py. A deliberate change of a format, of the version strings
-# or of a law re-pins them.
+# kernel in io.py; the pairangle and two-angle files were re-pinned when the
+# angle laws moved to the harmonic matrix (last-digit moves, at most
+# 2.8e-16). A deliberate change of a format, of the version strings or of a
+# law re-pins them.
 _PINNED_RUNS = {
     "profile": ["profile"],
     "pairdist-thermal": ["pairdist", "--state", "thermal"],
@@ -492,17 +494,17 @@ _PINNED_DIGESTS = {
     "pairdist-thermal/pairdist_summary.json":
         "0df889318fe1f5cbe3e801f555287135adb57a4d347be922d0f8fcd89af7b27a",
     "pairangle-cothermal/pairangle_distribution.csv":
-        "f706ef4384d7afd86eede1ff05e1855426cd1279a9a59d84088cd815369967f5",
+        "1fe2b27456bcd4d41cc6edf83fcfb0e5db2a769d319ad1e3214f833bdda81768",
     "pairangle-cothermal/pairangle_overlay.svg":
         "a54c5cfbedddb58b1f7423ae8cadac4a42a4f3824572b28aec472babf2d47958",
     "pairangle-cothermal/pairangle_summary.json":
-        "4e3cd746380aef705e1a6d188d3831531d5b4e0dd69d773df262fc34f9d283ce",
+        "56f0b91c888aa9e351a5894656d345b93a9bc998743d5c21bdbdf7b3d91f69f8",
     "two-angle-noon/two_angle_heatmap.svg":
         "310c5f50c800e43177bb46a20d908ddb1a71d3fd0ea2cf993b7f1849fd6de641",
     "two-angle-noon/two_angle_summary.json":
-        "a7dceb427453a225abdd8eb0127083ef3b48d046ed79e2a48063d7dce529c93c",
+        "add4ce29d41fa5b5000ba16db8aa139f791380c2b206045c00e689d543da951b",
     "two-angle-noon/two_angle_surface.csv":
-        "e3a68a06d7691335964ba5e4b935b6a585721baf140518ebcbdcef43ef0db778",
+        "27eeea7db88ded4c6c5707c127dbc080b850457a3e42b7da6e387e725b078390",
     "frames-fermi/frames.csv":
         "c45cda51bc1233ad53961a4db6a1057518b5a4c83e53ec8812946cd356ad19f9",
     "frames-fermi/frames_angle.svg":

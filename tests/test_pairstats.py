@@ -6,21 +6,23 @@ import math
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from vortexcorr import pairstats
 from vortexcorr.density import basis_modes, rho2
-from vortexcorr.errors import AnisotropicStateError, NoPairsError
-from vortexcorr.fock import pair_isotropy_defect, pair_moment
+from vortexcorr.errors import (AlgebraInconsistencyError,
+                               AnisotropicStateError, NoPairsError)
+from vortexcorr.fock import Basis, pair_isotropy_defect, pair_moment
 from vortexcorr.modes import mode_eval
 from vortexcorr.oracle import (_PRINTED_DISTANCE_FORMS, closed_form_angle,
                                closed_form_distance, closed_form_two_angle)
 from vortexcorr.pairstats import (ISOTROPY_TOL, PairDistribution,
                                   PairVariable, angle_distribution,
                                   bosonic_weight, distance_distribution,
-                                  summarize, two_angle_distribution)
+                                  harmonic_matrix, summarize,
+                                  two_angle_distribution)
 from vortexcorr.quadrature import gauss_legendre
 from vortexcorr.sampler import MAJORANT_SAFETY, AngularLaw
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
@@ -140,14 +142,23 @@ def test_angle_closures_equal_tables(spec):
 
 @pytest.mark.parametrize("spec", (fermi_fock(), thermal(1.0, 0.5),
                                   cothermal()), ids=lambda s: s.kind)
-def test_angle_closure_blocks_change_no_value(spec, monkeypatch):
+def test_angle_closure_shape_changes_no_value(spec):
     delta = np.random.default_rng(3).uniform(0.0, math.pi, 1000)
     closure = angle_distribution(build_state(spec), n_points=8).closure
-    whole = closure(delta)
-    monkeypatch.setattr(pairstats, "_ANGLE_BLOCK", 7)
-    np.testing.assert_array_equal(closure(delta), whole)
     np.testing.assert_array_equal(closure(delta.reshape(40, 25)),
-                                  whole.reshape(40, 25))
+                                  closure(delta).reshape(40, 25))
+
+
+def test_harmonic_matrix_rejects_imaginary_weight():
+    # a non-Hermitian second-order tensor gives a complex M
+    second = np.zeros((2, 2, 2, 2), dtype=complex)
+    second[0, 1, 1, 0] = 1.0 + 0.5j
+    state = SimpleNamespace(basis=Basis.VORTEX, correlators=lambda: (
+        SimpleNamespace(second=second)))
+    with pytest.raises(AlgebraInconsistencyError, match="imaginary"):
+        harmonic_matrix(state)
+    with pytest.raises(AlgebraInconsistencyError, match="imaginary"):
+        AngularLaw(state)
 
 
 def test_distance_kernel_matches_closed_forms():
@@ -231,6 +242,31 @@ def test_laws_follow_from_bosonic_weight():
         np.testing.assert_allclose(
             rel.values, (1.0 + (2.0 * w - 1.0) * np.cos(2.0 * rel.grid))
             / math.pi, rtol=0, atol=1e-13)
+
+    check()
+
+
+def test_harmonic_matrix_closed_form_laws():
+    # from M alone: the folded angle law integrates to 1 (M_00 = N2), is
+    # non-negative (its cos 2D, sin 2D amplitude is at most M_00) and, for
+    # rotation-invariant states, has contrast 2w - 1
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        state = build_state(_random_spec(data.draw))
+        norm = pair_moment(state)
+        hypothesis.assume(norm > 1e-3)
+        m = harmonic_matrix(state)
+        assert abs(m[0, 0] - norm) <= 1e-12 * norm
+        amplitude = 0.5 * math.hypot(m[1, 1] + m[2, 2], m[1, 2] - m[2, 1])
+        assert m[0, 0] - amplitude >= -1e-12 * m[0, 0]
+        if pair_isotropy_defect(state) > ISOTROPY_TOL:
+            return
+        contrast = 2.0 * bosonic_weight(state) - 1.0
+        assert abs((m[1, 1] + m[2, 2]) / (2.0 * m[0, 0]) - contrast) <= 1e-12
 
     check()
 

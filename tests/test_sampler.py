@@ -1,5 +1,6 @@
 """Frame sampler: counter RNG, inverse CDF, determinism, estimators."""
 
+import hashlib
 import json
 import math
 
@@ -15,8 +16,8 @@ from vortexcorr.sampler import (chi_square_gof, counter_uniforms,
                                 pair_separations, radial_cdf, save_frames)
 from vortexcorr.oracle import closed_form_angle, closed_form_distance
 from vortexcorr.pairstats import PairDistribution, PairVariable
-from vortexcorr.states import (bose_fock, build_state, coherent, fermi_fock,
-                               noon, thermal)
+from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
+                               fermi_fock, noon, thermal)
 
 MASK = (1 << 64) - 1
 GOLD = 0x9E3779B97F4A7C15
@@ -140,6 +141,39 @@ def test_generate_frames_thread_split_property():
     check()
 
 
+# sha256 of generate_frames(spec, 2000, seed=17).points.tobytes() and its
+# proposal count for every shipped state, taken when W was still the
+# five-operand einsum over the mode factors; a change of GENERATOR_VERSION
+# re-pins them
+_FRAME_PINS = {
+    "fermi-fock": (fermi_fock(), "cf9612ecc3d869fb5e58556a1340357e"
+                   "ac283b340da8f57eb83f888026c49cf6", 3945),
+    "fermi-fock-dipole": (fermi_fock("dipole"), "cf9612ecc3d869fb5e58556a"
+                          "1340357eac283b340da8f57eb83f888026c49cf6", 3945),
+    "bose-fock-1-1": (bose_fock(1, 1), "197406b16d938c8e4b296a4a4aafc289"
+                      "df5f8473247500907ba98cb24a3d29c1", 4017),
+    "bose-fock-2-1": (bose_fock(2, 1), "b4660cbc645a3010d05240a9b653d3ec"
+                      "4355a76da3326b9ddecf3e8cbc4a60fd", 3389),
+    "coherent": (coherent(), "7f9bb7751033a9a366ea55c09ebe359e"
+                 "492604a50b98457e6e84f4abaaa97b50", 2002),
+    "thermal": (thermal(), "904e005b4adb23e446c8ed09debcf3ec"
+                "ff30eb5c28ebc72480bcef8fbc2f28d7", 2689),
+    "cothermal": (cothermal(), "d4c42226bafff12b2d8e1a7b6f2ebd3a"
+                  "b00c240e9a7fba96a204088adf6fd7de", 2577),
+    "noon": (noon(), "16616b93716836156663a0b6ccd9c6f3"
+             "16e465fab28a3a1ceca37e7376f31214", 3979),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FRAME_PINS))
+def test_frame_bytes_are_pinned(name):
+    spec, digest, proposals = _FRAME_PINS[name]
+    frames = generate_frames(spec, 2000, seed=17)
+    assert frames.meta["generator_version"] == sampler.GENERATOR_VERSION
+    assert hashlib.sha256(frames.points.tobytes()).hexdigest() == digest
+    assert frames.meta["proposals"] == proposals
+
+
 def test_acceptance_rate_healthy():
     for spec in (fermi_fock(), bose_fock(1, 1), coherent(), noon()):
         frames = generate_frames(spec, 4000, seed=2)
@@ -254,6 +288,18 @@ def test_load_frames_ignores_old_cutoff_entry(tmp_path):
     back = load_frames(path)
     assert back.spec == frames.spec
     np.testing.assert_array_equal(back.points, frames.points)
+
+
+def test_load_frames_rejects_comment_lines_in_body(tmp_path):
+    # only line 1 of a frames file is a comment; the body is parsed with
+    # no comment character, so a '#' row is a malformed row
+    frames = generate_frames(fermi_fock(), 4, seed=8)
+    path = tmp_path / "frames.csv"
+    save_frames(frames, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + ["# note\n"] + lines[3:]))
+    with pytest.raises(ValueError):
+        load_frames(path)
 
 
 def test_save_zero_frames(tmp_path):

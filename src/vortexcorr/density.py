@@ -7,6 +7,8 @@ contracts mode products with the normally ordered correlators:
     rho2(x, x') = sum_{p,p',q,q'} <adag_p adag_p' a_q' a_q> phi_p*(x)
                   phi_p'*(x') phi_q(x) phi_q'(x')
 
+In the real mode products q = (|phi_a|^2, |phi_b|^2, Re phi_a* phi_b,
+Im phi_a* phi_b), rho2 is a real form q(x)^T K q(x') with a real 4x4 K.
 rho1 integrates to <N>, rho2 to <:N^2:>. Both are Cartesian-measure
 densities; polar Jacobians appear only inside integration routines. The
 per-family closed forms they are checked against live in oracle.py.
@@ -45,31 +47,35 @@ def rho1(state, x, y):
     return _real_checked(np.asarray(values), "rho1")
 
 
-def _mode_products(modes, x, y):
-    """P[(p, q)] = phi_p*(x) phi_q(x), shape (4, ...)."""
-    amps = np.stack([mode_eval(m, x, y) for m in modes])
-    return (np.conj(amps)[:, None] * amps[None, :]).reshape(
-        (4,) + amps.shape[1:])
+# T[p, q, i] with phi_p* phi_q = sum_i T[p, q, i] q_i
+_REAL_PRODUCTS = np.array([[[1, 0, 0, 0], [0, 0, 1, 1j]],
+                           [[0, 0, 1, -1j], [0, 1, 0, 0]]])
+
+
+def _real_products(modes, x, y):
+    """The real mode products q, shape (4, ...)."""
+    a, b = (mode_eval(m, x, y) for m in modes)
+    cross = np.conj(a) * b
+    return np.stack([a.real ** 2 + a.imag ** 2, b.real ** 2 + b.imag ** 2,
+                     cross.real, cross.imag])
 
 
 def rho2(state, x1, y1, x2, y2):
     """Two-body density at Cartesian point pairs (vectorized).
 
-    rho2 is bilinear in the mode products: with S[(a, d), (b, c)] =
-    second[a, b, c, d] it is the 4x4 sandwich P(x1)^T S P(x2). S meets
-    P(x1) in one small matrix product, which then meets P(x2) in a
-    four-term broadcast sum.
+    rho2 = sum second[a, b, c, d] phi_a*(x1) phi_d(x1) phi_b*(x2) phi_c(x2)
+    = q(x1)^T K q(x2) with K_ij = sum second[a, b, c, d] T[a, d, i]
+    T[b, c, j]. K is real for Hermitian correlators and is checked once;
+    the point pairs meet only in one real four-term broadcast sum.
     """
-    second = state.correlators().second
+    kernel = _real_checked(np.einsum(
+        "abcd,adi,bcj->ij", state.correlators().second, _REAL_PRODUCTS,
+        _REAL_PRODUCTS), "rho2")
     modes = basis_modes(state.basis)
-    p1 = _mode_products(modes, x1, y1)
-    p2 = _mode_products(modes, x2, y2)
-    # second[p, p', q', q] contracted with phi_p*(1) phi_q(1) phi_p'*(2) phi_q'(2);
-    # sandwich[(b, c), (a, d)] = second[a, b, c, d] is S transposed
-    sandwich = second.transpose(1, 2, 0, 3).reshape(4, 4)
-    left = (sandwich @ p1.reshape(4, -1)).reshape(p1.shape)
-    values = np.einsum("k...,k...->...", left, p2)
-    return _real_checked(np.asarray(values), "rho2")
+    q1 = _real_products(modes, x1, y1)
+    q2 = _real_products(modes, x2, y2)
+    left = (kernel.T @ q1.reshape(4, -1)).reshape(q1.shape)
+    return np.asarray(np.einsum("k...,k...->...", left, q2))
 
 
 @dataclass

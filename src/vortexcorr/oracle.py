@@ -5,8 +5,9 @@ definite two-particle states get explicit (anti)symmetrized first-quantized
 wavefunctions, thermal states a convex geometric mixture of Fock pair
 densities, coherent states an amplitude factorization, and cothermal states
 Wick moment algebra. The |Psi|^2 quadratures assume only that Psi is
-bilinear in the two particles' mode amplitudes (2x2 Gram matrices). Only
-mode evaluation and generic quadrature are shared with the rest of the
+bilinear in the two particles' mode amplitudes (2x2 Gram matrices); pair
+densities are sums of products of real per-particle factors. Only the
+modes' unit vectors and generic quadrature are shared with the rest of the
 library; the engine enters purely as the object under test.
 
 The module is also the one home of the paper's closed forms: the one-body
@@ -30,7 +31,7 @@ import numpy as np
 
 from .density import rho1, rho2
 from .errors import UnsupportedStateError
-from .modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
+from .modes import DIPOLE_PAIR, VORTEX_PAIR
 from .pairstats import (angle_distribution, distance_distribution,
                         summarize, two_angle_distribution)
 from .quadrature import EXTENT, gauss_legendre
@@ -100,8 +101,23 @@ def _pair_modes(spec):
 
 
 def _eval_pair(spec, x, y):
-    mode_a, mode_b = _pair_modes(spec)
-    return mode_eval(mode_a, x, y), mode_eval(mode_b, x, y)
+    """Both mode amplitudes sqrt(2/pi) (v . x) exp(-|x|^2 / 2)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):  # far out |x|^2 = inf, exp(-inf) = 0
+        gauss = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * (x * x + y * y))
+    return tuple((vx * x + vy * y) * gauss
+                 for vx, vy in (mode.v for mode in _pair_modes(spec)))
+
+
+def _pair_sum(first, second):
+    """sum_k A_k(r1) B_k(r2) over real per-particle factors: the one
+    contraction of a pair density that spans all point pairs."""
+    return np.einsum("k...,k...->...", np.stack(first), np.stack(second))
+
+
+def _intensities(f, g):
+    """|f|^2, |g|^2 and f conj(g) of one particle's mode amplitudes."""
+    return f.real ** 2 + f.imag ** 2, g.real ** 2 + g.imag ** 2, f * np.conj(g)
 
 
 def _two_particle_psi(spec, f1, g1, f2, g2):
@@ -130,13 +146,12 @@ def first_quantized_rho2(spec, x1, y1, x2, y2):
     Supports the Fock-sector kinds with exactly two particles; states with
     indefinite particle number have no first-quantized wavefunction and
     raise UnsupportedStateError (they are cross-checked through mixture,
-    factorization, or moment identities instead).
+    factorization, or moment identities instead). Each point is a
+    one-node Gram matrix of the |Psi|^2 quadratures below.
     """
     spec = spec.normalized()
-    f1, g1 = _eval_pair(spec, x1, y1)
-    f2, g2 = _eval_pair(spec, x2, y2)
-    psi = _two_particle_psi(spec, f1, g1, f2, g2)
-    return 2.0 * np.abs(psi) ** 2
+    return 2.0 * _psi_mass(spec, _gram(spec, [(1.0, x1, y1)]),
+                           _gram(spec, [(1.0, x2, y2)]))
 
 
 def fock_pair_density(cross, same_a, same_b, f1, g1, f2, g2):
@@ -144,11 +159,14 @@ def fock_pair_density(cross, same_a, same_b, f1, g1, f2, g2):
 
     Reduction of the permanent expansion over an orthonormal mode pair:
     only the symmetrized cross pair and the same-mode pairs survive, which
-    |n, m> weights by n m, n(n-1) and m(m-1).
+    |n, m> weights by n m, n(n-1) and m(m-1). With c = f conj(g),
+    |f1 g2 + g1 f2|^2 = |f1|^2 |g2|^2 + |g1|^2 |f2|^2 + 2 Re(c1 conj(c2)).
     """
-    return (cross * np.abs(f1 * g2 + g1 * f2) ** 2
-            + same_a * np.abs(f1 * f2) ** 2
-            + same_b * np.abs(g1 * g2) ** 2)
+    ff1, gg1, c1 = _intensities(f1, g1)
+    ff2, gg2, c2 = _intensities(f2, g2)
+    return _pair_sum([same_a * ff1 + cross * gg1, cross * ff1 + same_b * gg1,
+                      2.0 * cross * c1.real, 2.0 * cross * c1.imag],
+                     [ff2, gg2, c2.real, c2.imag])
 
 
 def _geometric_factorial_moments(nbar):
@@ -190,7 +208,7 @@ def factorized_coherent_rho2(spec, x1, y1, x2, y2):
     f2, g2 = _eval_pair(spec, x2, y2)
     amp1 = spec.alpha_a * f1 + spec.alpha_b * g1
     amp2 = spec.alpha_a * f2 + spec.alpha_b * g2
-    return np.abs(amp1) ** 2 * np.abs(amp2) ** 2
+    return _pair_sum([np.abs(amp1) ** 2], [np.abs(amp2) ** 2])
 
 
 def wick_rho2(spec, x1, y1, x2, y2):
@@ -198,23 +216,25 @@ def wick_rho2(spec, x1, y1, x2, y2):
 
     A(r) is the displacement field, kappa(r, r') the thermal coherence
     kernel; the normally ordered four-point moment expands into their
-    pairings, with no anomalous terms because nothing is squeezed.
+    pairings, with no anomalous terms because nothing is squeezed:
+    (|A1|^2 + k11)(|A2|^2 + k22) + 2 Re(k12 conj(A2) A1) + |k12|^2 with
+    k12 = nu (conj(f1) f2 + conj(g1) g2), expanded per particle.
     """
     spec = spec.normalized()
-    f1, g1 = _eval_pair(spec, x1, y1)
-    f2, g2 = _eval_pair(spec, x2, y2)
     beta_a, beta_b = spec.alpha_a, -1.0j * spec.alpha_a
     nu = spec.nbar_a
-    amp1 = beta_a * f1 + beta_b * g1
-    amp2 = beta_a * f2 + beta_b * g2
-    k11 = nu * (np.abs(f1) ** 2 + np.abs(g1) ** 2)
-    k22 = nu * (np.abs(f2) ** 2 + np.abs(g2) ** 2)
-    k12 = nu * (np.conj(f1) * f2 + np.conj(g1) * g2)
-    dens1 = np.abs(amp1) ** 2
-    dens2 = np.abs(amp2) ** 2
-    return (dens1 * dens2 + k11 * dens2 + k22 * dens1
-            + 2.0 * (k12 * np.conj(amp2) * amp1).real
-            + np.abs(k12) ** 2 + k11 * k22)
+
+    def factors(x, y):
+        f, g = _eval_pair(spec, x, y)
+        amp = beta_a * f + beta_b * g
+        ff, gg, c = _intensities(f, g)
+        pf, pg = amp * np.conj(f), amp * np.conj(g)
+        return [np.abs(amp) ** 2 + nu * (ff + gg), pf.real, pf.imag,
+                pg.real, pg.imag, ff, gg, c.real, c.imag]
+
+    weights = (1.0,) + (2.0 * nu,) * 4 + (nu * nu,) * 2 + (2.0 * nu * nu,) * 2
+    return _pair_sum([w * a for w, a in zip(weights, factors(x1, y1))],
+                     factors(x2, y2))
 
 
 def reference_rho2(spec, x1, y1, x2, y2):
@@ -291,26 +311,31 @@ def printed_rho2(spec, x1, y1, x2, y2):
     Fermi and Bose pair each mode with itself across the two particles
     where reference_rho2 pairs the two modes; coherent is a product of
     single-mode densities; the thermal sum agrees with reference_rho2.
+    Each is expanded into per-particle factors of |a|^2, |b|^2 and
+    c = a conj(b), e.g. |a1 a2 -+ b1 b2|^2 = |a1 a2|^2 + |b1 b2|^2 -+
+    2 Re(c1 c2).
     """
     spec = spec.normalized()
     a1, b1 = _eval_pair(spec, x1, y1)
     a2, b2 = _eval_pair(spec, x2, y2)
+    if spec.kind == "coherent":
+        return _pair_sum([np.abs(spec.alpha_a * a1) ** 2],
+                         [np.abs(spec.alpha_b * b2) ** 2])
+    aa1, bb1, c1 = _intensities(a1, b1)
+    aa2, bb2, c2 = _intensities(a2, b2)
+    right = [aa2, bb2, c2.real, c2.imag]
     if spec.kind == "fermi-fock":
-        return np.abs(a1 * a2 - b1 * b2) ** 2
+        return _pair_sum([aa1, bb1, -2.0 * c1.real, 2.0 * c1.imag], right)
     if spec.kind == "bose-fock":
         n, m = spec.n, spec.m
-        return (n * m * np.abs(a1 * a2 + b1 * b2) ** 2
-                + n * (n - 1) * np.abs(a1 * a2) ** 2
-                + m * (m - 1) * np.abs(b1 * b2) ** 2)
-    if spec.kind == "coherent":
-        return (np.abs(spec.alpha_a * a1) ** 2
-                * np.abs(spec.alpha_b * b2) ** 2)
+        return _pair_sum([n * (m + n - 1) * aa1, m * (n + m - 1) * bb1,
+                          2.0 * n * m * c1.real, -2.0 * n * m * c1.imag],
+                         right)
     if spec.kind == "thermal":
-        nb, f1, f2 = (spec.nbar_a, spec.nbar_b), (a1, b1), (a2, b2)
-        return sum(nb[p] * nb[pp] * (
-            np.abs(f1[p]) ** 2 * np.abs(f2[pp]) ** 2
-            + (np.conj(f1[p]) * f2[p] * np.conj(f2[pp]) * f1[pp]).real)
-            for p in range(2) for pp in range(2))
+        na, nb = spec.nbar_a, spec.nbar_b
+        return _pair_sum([na * aa1 + nb * bb1, na * na * aa1, nb * nb * bb1,
+                          2.0 * na * nb * c1.real, 2.0 * na * nb * c1.imag],
+                         [na * aa2 + nb * bb2] + right)
     raise ValueError(f"no printed rho2 for kind {spec.kind!r}")
 
 
@@ -399,6 +424,12 @@ def _plane_points(resolution):
     return gx.ravel(), gy.ravel(), axis[1] - axis[0]
 
 
+def _sup_gap(values, reference):
+    """max |values - reference|, overwriting values."""
+    np.subtract(values, reference, out=values)
+    return float(np.max(np.abs(values, out=values)))
+
+
 def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION,
                     include_verbatim=True):
     """Engine vs oracle (and verbatim closed form) over all point pairs of
@@ -421,13 +452,12 @@ def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION,
         y2 = py[j0:j0 + chunk][None, :]
         eng = rho2(state, x1, y1, x2, y2)
         orc = reference_rho2(spec, x1, y1, x2, y2)
-        dev_oracle = max(dev_oracle, float(np.max(np.abs(eng - orc))))
         mass_engine += float(np.sum(eng))
         mass_oracle += float(np.sum(orc))
+        dev_oracle = max(dev_oracle, _sup_gap(orc, eng))
         if include_verbatim:
-            ver = printed_rho2(spec, x1, y1, x2, y2)
-            dev_verbatim = max(dev_verbatim,
-                               float(np.max(np.abs(eng - ver))))
+            dev_verbatim = max(dev_verbatim, _sup_gap(
+                printed_rho2(spec, x1, y1, x2, y2), eng))
     h4 = step ** 4
     return {
         "dev_oracle": dev_oracle,
@@ -473,9 +503,13 @@ def _psi_mass(spec, gram1, gram2):
     """Quadrature of |Psi|^2 from both particles' Gram matrices; their
     trailing axes broadcast and label the unsummed nodes."""
     c = _psi_coefficients(spec)
-    # T[b, d] = sum_ac C[a, b] M1[a, c] conj(C[c, d]), then T meets M2
+    # T[b, d] = sum_ac C[a, b] M1[a, c] conj(C[c, d]), then T meets M2; both
+    # are Hermitian, so sum_bd T M2 = T00 M00 + T11 M11 + 2 Re(T01 M01)
     t = np.einsum("ab,ac...,cd->bd...", c, gram1, np.conj(c))
-    return np.einsum("bd...,bd...->...", t, gram2).real
+    return _pair_sum([t[0, 0].real, t[1, 1].real, 2.0 * t[0, 1].real,
+                      -2.0 * t[0, 1].imag],
+                     [gram2[0, 0].real, gram2[1, 1].real, gram2[0, 1].real,
+                      gram2[0, 1].imag])
 
 
 def wavefunction_norm(spec, resolution=DEFAULT_RESOLUTION):

@@ -649,7 +649,8 @@ _BAD_VALUES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0,
 # valid values small enough that a configuration that passes runs fast
 _SMALL_VALUES = {"points": (8, 17, 33), "bins": (4, 16),
                  "count": (1, 7, 40), "step": (0.5, 1.0),
-                 "extent": (1.0, 2.5), "seed": (0, 5), "threads": (1, 2)}
+                 "extent": (1.0, 2.5), "seed": (0, 5), "threads": (1, 2),
+                 "resolution": (8, 9, 12)}
 
 
 def _fuzzed_config(draw, command):
@@ -660,7 +661,8 @@ def _fuzzed_config(draw, command):
     keys = [k for k in _COMMAND_KEYS[command] if k not in ("out", "formats")]
     cfg = {key: draw(st.sampled_from(_SMALL_VALUES[key]))
            for key in keys if key in _SMALL_VALUES}
-    cfg["state"] = draw(st.sampled_from(KINDS))
+    if command != "verify":     # verify checks every shipped state
+        cfg["state"] = draw(st.sampled_from(KINDS))
     for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
                              unique=True)):
         bad = st.sampled_from(_BAD_VALUES)
@@ -671,7 +673,7 @@ def _fuzzed_config(draw, command):
 
 
 @pytest.mark.parametrize("command", ["profile", "pairdist", "pairangle",
-                                     "frames"])
+                                     "frames", "verify"])
 def test_fuzzed_config_files_never_escape(command):
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st

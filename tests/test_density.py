@@ -2,12 +2,15 @@
 normalization."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from vortexcorr.density import basis_modes, density_grid, rho1, rho2
-from vortexcorr.fock import change_basis, pair_moment
+from vortexcorr.errors import AlgebraInconsistencyError
+from vortexcorr.fock import Basis, change_basis, pair_moment
 from vortexcorr.modes import mode_eval
 from vortexcorr.oracle import printed_rho2, reference_rho2, rho1_closed
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
@@ -90,6 +93,31 @@ def test_rho2_sandwich_matches_einsum(spec):
             want = _rho2_einsum(st, *args)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_rho2_rejects_imaginary_kernel():
+    # a non-Hermitian second-order tensor gives a complex kernel
+    second = np.zeros((2, 2, 2, 2), dtype=complex)
+    second[0, 1, 1, 0] = 1.0 + 0.5j
+    state = SimpleNamespace(basis=Basis.VORTEX, correlators=lambda: (
+        SimpleNamespace(second=second)))
+    with pytest.raises(AlgebraInconsistencyError, match="imaginary"):
+        rho2(state, 0.3, 0.4, -1.0, 0.2)
+
+
+@pytest.mark.parametrize("basis", ["vortex", "dipole"])
+def test_rho2_matches_einsum_off_the_shipped_states(basis):
+    # lobed and unbalanced states, whose kernels couple Im phi_a* phi_b to
+    # the other mode products in the vortex basis
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-3.0, 3.0, size=(4, 200))
+    for spec in (coherent(alpha_a=1.0, alpha_b=0.5j), coherent(0.3, -1.2),
+                 cothermal(alpha=0.8 - 0.4j, nbar=0.3), thermal(0.4, 2.5),
+                 bose_fock(2, 1)):
+        state = build_state(replace(spec, basis=basis))
+        got = rho2(state, *pts)
+        want = _rho2_einsum(state, *pts)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_rho2_symmetry_under_particle_swap():

@@ -8,6 +8,7 @@ forms.  These tests pin the route agreement and the verdict table.
 
 import ast
 import dataclasses
+from dataclasses import replace
 import json
 import math
 import tracemalloc
@@ -15,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vortexcorr import oracle
+from vortexcorr import density, modes, oracle
+from vortexcorr.modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
 from vortexcorr.oracle import (
     all_engine_checks_confirmed,
     cross_validate,
@@ -149,14 +151,15 @@ def test_oracle_fermi_angle_law_at_right_angle():
     assert abs(folded[mid] - 2.0 / math.pi) <= 1e-15
 
 
-# what oracle.py takes from the rest of the package, name by name: mode
-# evaluation, quadrature, state descriptors and the engine objects under
-# test. A new engine name here could let an oracle route lean on the
-# engine it is meant to check.
+# what oracle.py takes from the rest of the package, name by name: the
+# mode pairs' unit vectors, quadrature, state descriptors and the engine
+# objects under test. A new engine name here could let an oracle route
+# lean on the engine it is meant to check; the oracle evaluates the modes
+# itself, so it shares no evaluation code with the engine.
 _ORACLE_IMPORTS = {
     ".density": {"rho1", "rho2"},
     ".errors": {"UnsupportedStateError"},
-    ".modes": {"DIPOLE_PAIR", "VORTEX_PAIR", "mode_eval"},
+    ".modes": {"DIPOLE_PAIR", "VORTEX_PAIR"},
     ".pairstats": {"angle_distribution", "distance_distribution",
                    "summarize", "two_angle_distribution"},
     ".quadrature": {"EXTENT", "gauss_legendre"},
@@ -199,13 +202,19 @@ def test_oracle_stays_independent_of_engine():
     # helper evaluates the modes at every quadrature node, and the
     # coefficients come from _two_particle_psi itself
     assert "_eval_pair" in _called_names(funcs["_gram"])
+    engine = {"rho1", "rho2", "build_state", "angle_distribution",
+              "distance_distribution", "two_angle_distribution", "summarize"}
     for law in ("oracle_folded_angle_law", "oracle_two_angle_law",
-                "wavefunction_norm"):
+                "wavefunction_norm", "first_quantized_rho2"):
         callees = _reachable(funcs, law)
         assert {"_gram", "_two_particle_psi"} <= callees, law
-        assert not callees & {"rho1", "rho2", "build_state",
-                              "angle_distribution", "distance_distribution",
-                              "two_angle_distribution", "summarize"}, law
+        assert not callees & engine, law
+    # the pair-density routes of the grid sweep contract per-particle
+    # factors of amplitudes the oracle evaluates itself
+    for route in ("reference_rho2", "printed_rho2"):
+        callees = _reachable(funcs, route)
+        assert {"_eval_pair", "_pair_sum"} <= callees, route
+        assert not callees & engine, route
 
 
 def test_coherent_and_thermal_verdicts():
@@ -359,9 +368,7 @@ def test_psi_is_bilinear_in_mode_amplitudes(spec):
     assert np.max(np.abs(rebuilt - psi)) <= 1e-15 * np.max(np.abs(psi))
 
 
-def test_angle_row_sees_the_exchange_sign(monkeypatch):
-    # give fermions the bosonic sign: the oracle law turns cos^2 while the
-    # engine keeps sin^2, so the gating row must fail
+def _give_fermions_the_bosonic_sign(monkeypatch):
     original = oracle._two_particle_psi
 
     def bosonic_sign(spec, f1, g1, f2, g2):
@@ -370,6 +377,12 @@ def test_angle_row_sees_the_exchange_sign(monkeypatch):
         return original(spec, f1, g1, f2, g2)
 
     monkeypatch.setattr(oracle, "_two_particle_psi", bosonic_sign)
+
+
+def test_angle_row_sees_the_exchange_sign(monkeypatch):
+    # give fermions the bosonic sign: the oracle law turns cos^2 while the
+    # engine keeps sin^2, so the gating row must fail
+    _give_fermions_the_bosonic_sign(monkeypatch)
     rows = oracle._angle_rows(fermi_fock(), oracle.build_state(fermi_fock()))
     row = _row(rows, "angle-engine-vs-oracle")
     assert row.verdict != "Confirmed"
@@ -384,3 +397,128 @@ def test_folded_angle_law_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# elementwise references for the separable pair-density routes: the former
+# route formulas, one complex array per point pair, on amplitudes from the
+# engine's mode_eval
+# ---------------------------------------------------------------------------
+
+SHIPPED = (fermi_fock(), bose_fock(1, 1), bose_fock(2, 0), coherent(),
+           thermal(1.0, 1.0), cothermal(), noon())
+ROUTE_SPECS = [replace(spec, basis=basis) for spec in SHIPPED
+               for basis in ("vortex", "dipole")] \
+    + [bose_fock(2, 1), bose_fock(3, 2, basis="dipole"), thermal(0.4, 2.5)]
+
+
+def _reference_pair(spec, x, y):
+    modes = VORTEX_PAIR if spec.basis == "vortex" else DIPOLE_PAIR
+    return tuple(mode_eval(mode, x, y) for mode in modes)
+
+
+def _reference_fock(cross, same_a, same_b, f1, g1, f2, g2):
+    return (cross * np.abs(f1 * g2 + g1 * f2) ** 2
+            + same_a * np.abs(f1 * f2) ** 2
+            + same_b * np.abs(g1 * g2) ** 2)
+
+
+def _reference_rho2(spec, x1, y1, x2, y2):
+    f1, g1 = _reference_pair(spec, x1, y1)
+    f2, g2 = _reference_pair(spec, x2, y2)
+    kind, n, m = spec.kind, spec.n, spec.m
+    if kind in ("fermi-fock", "noon") or (kind == "bose-fock"
+                                          and n + m == 2):
+        psi = oracle._two_particle_psi(spec, f1, g1, f2, g2)
+        return 2.0 * np.abs(psi) ** 2
+    if kind == "bose-fock":
+        return _reference_fock(n * m, n * (n - 1), m * (m - 1),
+                               f1, g1, f2, g2)
+    if kind == "thermal":
+        mean_a, fac_a = oracle._geometric_factorial_moments(spec.nbar_a)
+        mean_b, fac_b = oracle._geometric_factorial_moments(spec.nbar_b)
+        return _reference_fock(mean_a * mean_b, fac_a, fac_b, f1, g1, f2, g2)
+    if kind == "coherent":
+        amp1 = spec.alpha_a * f1 + spec.alpha_b * g1
+        amp2 = spec.alpha_a * f2 + spec.alpha_b * g2
+        return np.abs(amp1) ** 2 * np.abs(amp2) ** 2
+    assert kind == "cothermal"
+    beta_a, beta_b = spec.alpha_a, -1.0j * spec.alpha_a
+    nu = spec.nbar_a
+    amp1 = beta_a * f1 + beta_b * g1
+    amp2 = beta_a * f2 + beta_b * g2
+    k11 = nu * (np.abs(f1) ** 2 + np.abs(g1) ** 2)
+    k22 = nu * (np.abs(f2) ** 2 + np.abs(g2) ** 2)
+    k12 = nu * (np.conj(f1) * f2 + np.conj(g1) * g2)
+    dens1 = np.abs(amp1) ** 2
+    dens2 = np.abs(amp2) ** 2
+    return (dens1 * dens2 + k11 * dens2 + k22 * dens1
+            + 2.0 * (k12 * np.conj(amp2) * amp1).real
+            + np.abs(k12) ** 2 + k11 * k22)
+
+
+def _reference_printed_rho2(spec, x1, y1, x2, y2):
+    a1, b1 = _reference_pair(spec, x1, y1)
+    a2, b2 = _reference_pair(spec, x2, y2)
+    if spec.kind == "fermi-fock":
+        return np.abs(a1 * a2 - b1 * b2) ** 2
+    if spec.kind == "bose-fock":
+        n, m = spec.n, spec.m
+        return (n * m * np.abs(a1 * a2 + b1 * b2) ** 2
+                + n * (n - 1) * np.abs(a1 * a2) ** 2
+                + m * (m - 1) * np.abs(b1 * b2) ** 2)
+    if spec.kind == "coherent":
+        return (np.abs(spec.alpha_a * a1) ** 2
+                * np.abs(spec.alpha_b * b2) ** 2)
+    assert spec.kind == "thermal"
+    nb, f1, f2 = (spec.nbar_a, spec.nbar_b), (a1, b1), (a2, b2)
+    return sum(nb[p] * nb[pp] * (
+        np.abs(f1[p]) ** 2 * np.abs(f2[pp]) ** 2
+        + (np.conj(f1[p]) * f2[p] * np.conj(f2[pp]) * f1[pp]).real)
+        for p in range(2) for pp in range(2))
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS,
+                         ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
+def test_separable_routes_match_elementwise_formulas(spec):
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-3.0, 3.0, size=(4, 40))
+    outer = (pts[0][:, None], pts[1][:, None], pts[2][None, :],
+             pts[3][None, :])
+    shapes = [outer,
+              tuple(pts),                                  # matched pairs
+              tuple(float(p[0]) for p in pts),             # scalars
+              (pts[0][:, None], 0.3, pts[2][None, :], -0.7)]
+    routes = [(oracle.reference_rho2, _reference_rho2)]
+    if spec.kind in oracle._PAIR_FORMS:
+        routes.append((oracle.printed_rho2, _reference_printed_rho2))
+    for route, reference in routes:
+        scale = np.max(np.abs(reference(spec, *outer)))
+        for args in shapes:
+            got = route(spec, *args)
+            want = reference(spec, *args)
+            assert np.shape(got) == np.shape(want)
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale, route
+
+
+def test_sweep_sees_a_wrong_exchange_sign(monkeypatch):
+    _give_fermions_the_bosonic_sign(monkeypatch)
+    sweep = pair_grid_sweep(fermi_fock(), resolution=15,
+                            include_verbatim=False)
+    assert sweep["dev_oracle"] > oracle.CONFIRM_TOL
+
+
+@pytest.mark.parametrize("where", ["density.mode_eval", "modes._NORM"])
+def test_engine_rows_see_a_wrong_mode_normalisation(monkeypatch, where):
+    # the oracle evaluates its modes itself, so a wrong normalisation in
+    # the engine's mode evaluation cannot cancel out of the
+    # engine-vs-oracle rows, not even one inside modes.py
+    if where == "modes._NORM":
+        monkeypatch.setattr(modes, "_NORM", 1.01 * modes._NORM)
+    else:
+        original = density.mode_eval
+        monkeypatch.setattr(density, "mode_eval",
+                            lambda mode, x, y: 1.01 * original(mode, x, y))
+    for spec in SHIPPED:
+        rows = oracle._engine_vs_oracle_rows(spec, 15)
+        assert _row(rows, "rho2-engine-vs-oracle").verdict != "Confirmed"

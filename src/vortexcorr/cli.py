@@ -579,6 +579,16 @@ def _frame_references(cfg, state):
         closure=a_closure)
 
 
+def _mean_se_z(samples, reference):
+    """Sample mean, its standard error and its z-score against
+    `reference`. One frame has no spread; non-finite statistics are
+    written as null."""
+    mean = float(np.mean(samples))
+    se = (float(np.std(samples, ddof=1) / math.sqrt(samples.size))
+          if samples.size > 1 else math.nan)
+    return mean, se, (mean - reference) / se if se > 0.0 else math.nan
+
+
 def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
     d_hist, a_hist = empirical_pair_stats(frames, bins=cfg.bins)
     distances = d_hist.meta["samples"]
@@ -586,10 +596,12 @@ def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
     a_at = a_ref.value_at(a_hist.grid)
     d_summary = pairstats.summarize(d_ref)
 
-    mean_d = float(np.mean(distances))
-    # one frame has no spread; non-finite statistics are written as null
-    se_d = (float(np.std(distances, ddof=1) / math.sqrt(distances.size))
-            if distances.size > 1 else math.nan)
+    mean_d, se_d, z_d = _mean_se_z(distances, d_summary.mean)
+    # E[cos 2 delta] = (2w - 1)/2 for every state, so 1/2 + cos 2 delta
+    # estimates the bosonic weight w per frame
+    weight = d_ref.meta["bosonic_weight"]
+    w_hat, se_w, z_w = _mean_se_z(
+        0.5 + np.cos(2.0 * a_hist.meta["samples"]), weight)
     d_gof = chi_square_gof(distances, d_ref, bins=40)
     a_gof = chi_square_gof(a_hist.meta["samples"], a_ref, bins=40, lo=0.0,
                            hi=math.pi)
@@ -612,8 +624,11 @@ def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
             "mean_distance": mean_d,
             "mean_distance_se": se_d,
             "reference_mean_distance": d_summary.mean,
-            "mean_distance_z": ((mean_d - d_summary.mean) / se_d
-                                if se_d > 0.0 else math.nan),
+            "mean_distance_z": z_d,
+            "bosonic_weight": weight,
+            "bosonic_weight_estimate": w_hat,
+            "bosonic_weight_estimate_se": se_w,
+            "bosonic_weight_z": z_w,
             "distance_gof": {"statistic": d_gof.statistic, "dof": d_gof.dof,
                              "pvalue": d_gof.pvalue, "bins": d_gof.bins},
             "angle_gof": {"statistic": a_gof.statistic, "dof": a_gof.dof,

@@ -3,16 +3,21 @@
 Every state in the two-mode family factorizes in polar coordinates: both
 radii follow the ring marginal p(r) = 2 r^3 exp(-r^2) independently of the
 angles, and all exchange physics sits in the joint angle law. Pairs are
-therefore drawn by exact inverse-CDF sampling of the radii plus constant-
-majorant rejection of the angle pair against W = g(theta)^T M g(vartheta),
-the nine numbers of pairstats.harmonic_matrix. The majorant is the largest
-W on a MAJORANT_PROBE^2 grid, times MAJORANT_SAFETY. The acceptance is never
+therefore drawn with exact radii plus constant-majorant rejection of the
+angle pair against W = g(theta)^T M g(vartheta), the nine numbers of
+pairstats.harmonic_matrix. Under the ring marginal r^2 is Gamma(2, 1), the
+sum of two Exp(1) variables, so a radius costs two uniforms, two logs and
+a square root, with no table or iteration (Devroye, Non-Uniform Random
+Variate Generation, 1986, ch. IX). The majorant is the largest W on a
+MAJORANT_PROBE^2 grid, times MAJORANT_SAFETY. The acceptance is never
 below 1/(4 MAJORANT_SAFETY): in the vortex basis each pair amplitude has
 four orthogonal unit-modulus Fourier terms, so W <= 4 mean(W).
 
 Randomness comes from a counter-based generator: every uniform is a pure
 hash of (seed, frame_index, draw_index), so frames can be produced in any
-order or split across workers without changing a single sample.
+order or split across workers without changing a single sample. Draws 0-1
+give the first radius, 2-3 the second, and rejection round k uses draws
+4 + 3k (theta), 5 + 3k (vartheta) and 6 + 3k (the gate).
 """
 
 import json
@@ -28,16 +33,12 @@ from .fock import pair_moment
 from .io import format_block, whole_file
 from .pairstats import (PairDistribution, PairVariable, angular_weight,
                         harmonic_matrix)
-from .quadrature import EXTENT
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
 from .version import GENERATOR_VERSION, VERSION
 
-RING_KNOTS = 10001
-BISECTION_STEPS = 34
 MAX_ATTEMPT_ROUNDS = 512
 MAJORANT_PROBE = 512
 MAJORANT_SAFETY = 1.001
-_BISECT_CHUNK = 8192
 
 _U64 = np.uint64
 _GOLD = _U64(0x9E3779B97F4A7C15)
@@ -65,7 +66,7 @@ def counter_uniforms(seed, frame_indices, draw_index):
 
 
 # ---------------------------------------------------------------------------
-# radial inverse CDF
+# radial law
 # ---------------------------------------------------------------------------
 
 
@@ -75,48 +76,16 @@ def radial_cdf(r):
     return 1.0 - (1.0 + r * r) * np.exp(-r * r)
 
 
-_RING_R = np.linspace(0.0, EXTENT, RING_KNOTS)
-_RING_F = radial_cdf(_RING_R)
-_RING_TOTAL = float(_RING_F[-1])  # 1 - 8.7e-15: mass inside the r <= 6 box
+def invert_radial_cdf(u1, u2):
+    """Ring-marginal radius from the two uniforms u1, u2 in [0, 1) of one
+    radius.
 
-
-def invert_radial_cdf(u):
-    """Radius at CDF value u, bisected between table knots to 1e-12.
-
-    u is rescaled by the in-box mass so samples never leave [0, 6]; the
-    discarded tail is below 1e-14, far under every tolerance in use. The
-    bisection runs over `_BISECT_CHUNK` values at a time, so that its
-    arrays stay in cache.
+    r^2 is Gamma(2, 1), so it inverts two Exp(1) CDFs and adds them:
+    r = sqrt(-ln(1 - u1) - ln(1 - u2)). 1 - u lies in (0, 1], so the
+    logarithm never sees 0, and log1p keeps small u accurate.
     """
-    u = np.asarray(u, dtype=float) * _RING_TOTAL
-    r = np.empty_like(u)
-    flat_u, flat_r = u.reshape(-1), r.reshape(-1)
-    for lo in range(0, flat_u.size, _BISECT_CHUNK):
-        flat_r[lo:lo + _BISECT_CHUNK] = _bisect(flat_u[lo:lo + _BISECT_CHUNK])
-    return r
-
-
-def _bisect(u):
-    """radial_cdf^-1(u) for in-box u, each step in place with the same
-    floating-point operations as radial_cdf."""
-    hi_idx = np.clip(np.searchsorted(_RING_F, u), 1, RING_KNOTS - 1)
-    lo = _RING_R[hi_idx - 1]
-    hi = _RING_R[hi_idx]
-    mid, cdf, gauss = np.empty_like(u), np.empty_like(u), np.empty_like(u)
-    below = np.empty(u.shape, dtype=bool)
-    for _ in range(BISECTION_STEPS):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.multiply(mid, mid, out=cdf)
-        np.negative(cdf, out=gauss)
-        np.exp(gauss, out=gauss)
-        cdf += 1.0
-        cdf *= gauss
-        np.subtract(1.0, cdf, out=cdf)  # 1 - (1 + r^2) exp(-r^2)
-        np.less(cdf, u, out=below)
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    return np.sqrt(-np.log1p(-np.asarray(u1, dtype=float))
+                   - np.log1p(-np.asarray(u2, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +137,12 @@ class FrameSet:
 
 
 def _sample_ring_block(seed, indices, law):
-    """Radii by inverse CDF, angle pairs by constant-majorant rejection."""
+    """Gamma(2) radii, angle pairs by constant-majorant rejection."""
     n = len(indices)
-    r1 = invert_radial_cdf(counter_uniforms(seed, indices, 0))
-    r2 = invert_radial_cdf(counter_uniforms(seed, indices, 1))
+    r1 = invert_radial_cdf(counter_uniforms(seed, indices, 0),
+                           counter_uniforms(seed, indices, 1))
+    r2 = invert_radial_cdf(counter_uniforms(seed, indices, 2),
+                           counter_uniforms(seed, indices, 3))
     th = np.empty(n)
     vt = np.empty(n)
     pending = np.arange(n)
@@ -180,9 +151,9 @@ def _sample_ring_block(seed, indices, law):
         if pending.size == 0:
             break
         idx = indices[pending]
-        cand_t = 2.0 * math.pi * counter_uniforms(seed, idx, 2 + 3 * attempt)
-        cand_v = 2.0 * math.pi * counter_uniforms(seed, idx, 3 + 3 * attempt)
-        gate = counter_uniforms(seed, idx, 4 + 3 * attempt) * law.majorant
+        cand_t = 2.0 * math.pi * counter_uniforms(seed, idx, 4 + 3 * attempt)
+        cand_v = 2.0 * math.pi * counter_uniforms(seed, idx, 5 + 3 * attempt)
+        gate = counter_uniforms(seed, idx, 6 + 3 * attempt) * law.majorant
         w = law(cand_t, cand_v)
         if np.any(w > law.majorant):
             raise AlgebraInconsistencyError(
@@ -207,15 +178,18 @@ def _sample_ring_block(seed, indices, law):
 def generate_frames(state_or_spec, count, seed, block=65536, threads=1):
     """Reproducible FrameSet of `count` two-photon frames.
 
-    Radii by inverse CDF, angle pairs by rejection against the AngularLaw
-    majorant. Identical (state, count, seed) always reproduces the
-    identical array, whatever `block` or `threads`: every draw is keyed by
-    its frame index, so the blocks of `block` frames may be sampled in any
-    order, in up to `threads` threads. The FrameSet is saveable when the
-    state carries its spec, as every state build_state makes does.
+    Radii are exact and unbounded (invert_radial_cdf); angle pairs come by
+    rejection against the AngularLaw majorant. Identical (state, count,
+    seed) always reproduces the identical array, whatever `block` (>= 1)
+    or `threads`: every draw is keyed by its frame index, so the blocks of
+    `block` frames may be sampled in any order, in up to `threads`
+    threads. The FrameSet is saveable when the state carries its spec, as
+    every state build_state makes does.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if block < 1:
+        raise ValueError("block must be >= 1")
     state = (build_state(state_or_spec)
              if isinstance(state_or_spec, StateSpec) else state_or_spec)
     if pair_moment(state) <= 1e-14:

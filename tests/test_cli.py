@@ -401,6 +401,8 @@ def test_frames_stats_tiny_count_is_strict_json(tmp_path, count):
         assert fit["pvalue"] is None
     assert (stats["mean_distance_z"] is None) == (count == 1)
     assert (stats["mean_distance_se"] is None) == (count == 1)
+    assert (stats["bosonic_weight_z"] is None) == (count == 1)
+    assert (stats["bosonic_weight_estimate_se"] is None) == (count == 1)
 
 
 def test_profile_far_grid_is_silent_zero(tmp_path):
@@ -464,12 +466,11 @@ def test_formats_filter(tmp_path):
     assert not any(n.endswith(".json") or n.endswith(".svg") for n in names)
 
 
-# Runs whose every output file is pinned by its sha256 in _PINNED_DIGESTS,
-# taken before the CSV cells moved from Python's %-operator to the numpy
-# kernel in io.py; the pairangle and two-angle files were re-pinned when the
-# angle laws moved to the harmonic matrix (last-digit moves, at most
-# 2.8e-16). A deliberate change of a format, of the version strings or of a
-# law re-pins them.
+# Runs whose every output file is pinned by its sha256 in _PINNED_DIGESTS.
+# Every file's provenance carries GENERATOR_VERSION, so all of them were
+# re-pinned at ring-sampler-2; outside the frames-fermi run the files differ
+# from the ring-sampler-1 ones in that string only. A deliberate change of a
+# format, of the version strings or of a law re-pins them.
 _PINNED_RUNS = {
     "profile": ["profile"],
     "pairdist-thermal": ["pairdist", "--state", "thermal"],
@@ -480,43 +481,43 @@ _PINNED_RUNS = {
 }
 _PINNED_DIGESTS = {
     "profile/profile_grid.csv":
-        "7f160f728936599ad433bccd5f77d7f8e93d84bca6e6325a4ef540edb8628dcf",
+        "6e6bf05c620d43b98e1e6b9ed0fafcb43d87fdadca956da757fe6d5eca182732",
     "profile/profile_heatmap.svg":
-        "3bb5639999cfe99eeada85133a605702abe3c4ab1e7511104ff90920bf893acd",
+        "ac60e42da4f74f9deb9f4d8f016a00dfdf1d37e7d89c3483b2eaf4a20e44df7a",
     "profile/profile_radial_cut.csv":
-        "3cccf88b521fc8e0f3d14f3c57341e5beb6f54b72797637ed65bb40551e5b94c",
+        "12e2119361c7bd386043a2f88990ad51939c02cde20fb1b7a41b4806032381a6",
     "profile/profile_summary.json":
-        "81d78c5454e2ab05d02e5ca80e9958f7b40f8794a02ee4b53780a6fa4760748d",
+        "9299c46c291296de57296e3ca3fcf8a7a59dcfe8961f813928a8d9d11beeacdc",
     "pairdist-thermal/pairdist_distribution.csv":
-        "d86feb3b69294937c7980404f9123ae7b0233171c1d68401dc8307bbeaab354f",
+        "5f61e5990283ed4b0f3fa7710e24d7173ab348cad1ec9c90b8e6b01ed06543bb",
     "pairdist-thermal/pairdist_overlay.svg":
-        "6f9818d40ee9d93591fb8e0958cff5a3ab4b1ce703ae509d40e230d24c5336f0",
+        "233768477f24fa291914da73a114fb59385447180b9bfead885337caaed25ceb",
     "pairdist-thermal/pairdist_summary.json":
-        "0df889318fe1f5cbe3e801f555287135adb57a4d347be922d0f8fcd89af7b27a",
+        "db9f59308960ab50982b1cf9b7b09862ccfbe51b23323071479a90ea5733da56",
     "pairangle-cothermal/pairangle_distribution.csv":
-        "1fe2b27456bcd4d41cc6edf83fcfb0e5db2a769d319ad1e3214f833bdda81768",
+        "093da039b9c1aba81eb901c46b601d02ffbaeea320b17b3d0fe125142e8bb12a",
     "pairangle-cothermal/pairangle_overlay.svg":
-        "a54c5cfbedddb58b1f7423ae8cadac4a42a4f3824572b28aec472babf2d47958",
+        "440200f65b9760f68223e7c1a1ab0743a6bd8aae3a98ed3b1b6adc6545a73110",
     "pairangle-cothermal/pairangle_summary.json":
-        "56f0b91c888aa9e351a5894656d345b93a9bc998743d5c21bdbdf7b3d91f69f8",
+        "2672235df6669601e821c602345ed7f1e7bcd540277bec986ddccc5bca44bf83",
     "two-angle-noon/two_angle_heatmap.svg":
-        "310c5f50c800e43177bb46a20d908ddb1a71d3fd0ea2cf993b7f1849fd6de641",
+        "c3795b9b7fec46742c954850584b028fde4ec65541d6ccc36bbbbb21b4b64edc",
     "two-angle-noon/two_angle_summary.json":
-        "add4ce29d41fa5b5000ba16db8aa139f791380c2b206045c00e689d543da951b",
+        "5ef737c3253bbe8f56395bb82e4145e6d17d972680ac336e1863f928fc779e10",
     "two-angle-noon/two_angle_surface.csv":
-        "27eeea7db88ded4c6c5707c127dbc080b850457a3e42b7da6e387e725b078390",
+        "087d305e15d2b2b1661f3f73c5d520d27ecec51fdc715ca59a0cf90963173345",
     "frames-fermi/frames.csv":
-        "c45cda51bc1233ad53961a4db6a1057518b5a4c83e53ec8812946cd356ad19f9",
+        "fd375f3cbeccbe7c7b10d6d4521d8bffe57ada22a66ba996b8a1d180114eecb4",
     "frames-fermi/frames_angle.svg":
-        "18bcc7514d086e2677ee292a4c845dd5f3c641bc667c874792303243bc2bd3d3",
+        "a4a64748494bec8fc8cefa8ebd9203e9e50fdc0ce343bf75994c98bf97c6ab58",
     "frames-fermi/frames_angle_hist.csv":
-        "0439e5a8e05159d825d5536d44f30156ba43b5d0770c93aab310227c42f83812",
+        "9357de1b6404912b83308a4d0d42867c8b413f953c611221ed876b3199ea496c",
     "frames-fermi/frames_distance.svg":
-        "676efe455f9c7a46f846a12ff59568b2241919354457bb199c896cb93b9eec7c",
+        "9619c80828a541e0273ccb298e98353f471f0c681b3637e6f55cdabfb1b7755d",
     "frames-fermi/frames_distance_hist.csv":
-        "b4f468ee295957e68fdb8e201931b1c8cd8aaeffb0a3e093386e4354b25f8853",
+        "6ebfa782fd65188bed863b24ab4c92c1036871eac242fb16a0aefe726b337bdb",
     "frames-fermi/frames_stats.json":
-        "2ce9c377f155517aa1a22caac224c589dbe98bcbb086438541850a19d80a5494",
+        "55e4efaf7472d9e8eba6075c18f250377571b1ca7b5ef077260b636accbc1993",
 }
 
 
@@ -598,6 +599,12 @@ def test_frames_stats_outputs(tmp_path):
     assert stats["count"] == 8000
     assert stats["method"] == "ring"
     assert abs(stats["mean_distance_z"]) < 5.0
+    # 1/2 + mean cos 2 delta estimates the engine's bosonic weight, 0 here
+    assert stats["bosonic_weight"] == 0.0
+    assert abs(stats["bosonic_weight_z"]) < 5.0
+    assert stats["bosonic_weight_z"] == pytest.approx(
+        stats["bosonic_weight_estimate"]
+        / stats["bosonic_weight_estimate_se"], rel=1e-12)
     assert stats["distance_gof"]["pvalue"] > 1e-6
     assert stats["angle_gof"]["pvalue"] > 1e-6
     for name in ("frames_distance_hist.csv", "frames_angle_hist.csv",

@@ -1,4 +1,4 @@
-"""Frame sampler: counter RNG, inverse CDF, determinism, estimators."""
+"""Frame sampler: counter RNG, Gamma(2) radii, determinism, estimators."""
 
 import hashlib
 import json
@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from vortexcorr import sampler
 from vortexcorr.errors import EmptyFramesError, NoPairsError
@@ -15,7 +14,8 @@ from vortexcorr.sampler import (chi_square_gof, counter_uniforms,
                                 invert_radial_cdf, load_frames, pair_angles,
                                 pair_separations, radial_cdf, save_frames)
 from vortexcorr.oracle import closed_form_angle, closed_form_distance
-from vortexcorr.pairstats import PairDistribution, PairVariable
+from vortexcorr.pairstats import (PairDistribution, PairVariable,
+                                  bosonic_weight)
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
 
@@ -58,50 +58,44 @@ def test_radial_cdf_closed_form():
     np.testing.assert_allclose(radial_cdf(r), want, atol=1e-15)
 
 
-def test_invert_radial_cdf_against_brentq():
-    cap = 1.0 - 37.0 * math.exp(-36.0)  # cdf at the r = 6 support edge
-    for u in (0.001, 0.2, 0.5, 0.9, 0.999, 0.9999999):
-        got = float(invert_radial_cdf(np.array([u]))[0])
-        want = brentq(lambda r: 1.0 - (1.0 + r * r) * math.exp(-r * r)
-                      - u * cap, 0.0, 6.0, xtol=1e-14)
-        # inversion error is limited by the conditioning 1/F'(r), which
-        # blows up in the far tail where the density is ~ 1e-7
-        slack = 1e-12 + 1e-15 / (2.0 * want ** 3 * math.exp(-want * want))
-        assert abs(got - want) < slack
-    # endpoints stay inside the support
-    ends = invert_radial_cdf(np.array([0.0, 1.0 - 1e-16]))
-    assert ends[0] < 1e-12 and ends[1] <= 6.0
+def _gamma_radii(n, seed):
+    idx = np.arange(n, dtype=np.uint64)
+    return invert_radial_cdf(counter_uniforms(seed, idx, 0),
+                             counter_uniforms(seed, idx, 1))
 
 
-
-def _whole_array_bisection(u):
-    """Reference: the bisection over the whole array at once, each step
-    through radial_cdf, as it ran before it was split into chunks."""
-    u = np.asarray(u, dtype=float) * sampler._RING_TOTAL
-    hi_idx = np.clip(np.searchsorted(sampler._RING_F, u), 1,
-                     sampler.RING_KNOTS - 1)
-    lo = sampler._RING_R[hi_idx - 1]
-    hi = sampler._RING_R[hi_idx]
-    for _ in range(sampler.BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = radial_cdf(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+def test_radii_have_the_gamma_moments():
+    # r^2 ~ Gamma(2, 1): E r^2 = 2 and E r^4 = 6, with variances
+    # E r^4 - 4 = 2 and E r^8 - 36 = 120 - 36 = 84
+    n = 1_000_000
+    r2 = _gamma_radii(n, 23) ** 2
+    assert abs(r2.mean() - 2.0) < 4.0 * math.sqrt(2.0 / n)
+    assert abs((r2 * r2).mean() - 6.0) < 4.0 * math.sqrt(84.0 / n)
 
 
-@pytest.mark.parametrize("chunk,size", [(7, 60), (None, 20000)])
-def test_chunked_bisection_matches_whole_array(monkeypatch, chunk, size):
-    if chunk is not None:
-        monkeypatch.setattr(sampler, "_BISECT_CHUNK", chunk)
-    edges = np.array([0.0, 2.0 ** -53, 1e-300, 1e-20, 1e-10, 0.5,
-                      1.0 - 2.0 ** -53])
-    streams = [counter_uniforms(seed, np.arange(size, dtype=np.uint64), draw)
-               for seed in (1, 5, 77) for draw in (0, 1)]
-    for u in streams + [edges, edges.reshape(7, 1)]:
-        got = invert_radial_cdf(u)
-        assert got.shape == u.shape
-        np.testing.assert_array_equal(got, _whole_array_bisection(u))
+def test_radii_follow_radial_cdf():
+    n = 1_000_000
+    cdf = radial_cdf(np.sort(_gamma_radii(n, 31)))
+    steps = np.arange(1, n + 1) / n
+    kolmogorov = max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n)))
+    assert kolmogorov < 2e-3
+
+
+def test_radii_at_the_uniform_ends():
+    # counter uniforms run from 0 to 1 - 2^-53; 1 - u never reaches 0
+    ends = np.array([0.0, 1.0 - 2.0 ** -53])
+    r = invert_radial_cdf(ends[:, None], ends[None, :])
+    assert np.all(np.isfinite(r)) and np.all(r >= 0.0)
+    assert r[0, 0] == 0.0
+    np.testing.assert_allclose(r[1, 1], math.sqrt(106.0 * math.log(2.0)),
+                               rtol=1e-15)
+
+
+def test_generate_frames_rejects_bad_block():
+    for block in (0, -3):
+        with pytest.raises(ValueError, match="block must be >= 1"):
+            generate_frames(fermi_fock(), 10, seed=1, block=block)
+
 
 def test_generate_frames_deterministic():
     a = generate_frames(fermi_fock(), 400, seed=11)
@@ -142,26 +136,26 @@ def test_generate_frames_thread_split_property():
 
 
 # sha256 of generate_frames(spec, 2000, seed=17).points.tobytes() and its
-# proposal count for every shipped state, taken when W was still the
-# five-operand einsum over the mode factors; a change of GENERATOR_VERSION
-# re-pins them
+# proposal count for every shipped state, taken at ring-sampler-2 (Gamma(2)
+# radii from draws 0-3, angle rounds from draw 4); a change of
+# GENERATOR_VERSION re-pins them
 _FRAME_PINS = {
-    "fermi-fock": (fermi_fock(), "cf9612ecc3d869fb5e58556a1340357e"
-                   "ac283b340da8f57eb83f888026c49cf6", 3945),
-    "fermi-fock-dipole": (fermi_fock("dipole"), "cf9612ecc3d869fb5e58556a"
-                          "1340357eac283b340da8f57eb83f888026c49cf6", 3945),
-    "bose-fock-1-1": (bose_fock(1, 1), "197406b16d938c8e4b296a4a4aafc289"
-                      "df5f8473247500907ba98cb24a3d29c1", 4017),
-    "bose-fock-2-1": (bose_fock(2, 1), "b4660cbc645a3010d05240a9b653d3ec"
-                      "4355a76da3326b9ddecf3e8cbc4a60fd", 3389),
-    "coherent": (coherent(), "7f9bb7751033a9a366ea55c09ebe359e"
-                 "492604a50b98457e6e84f4abaaa97b50", 2002),
-    "thermal": (thermal(), "904e005b4adb23e446c8ed09debcf3ec"
-                "ff30eb5c28ebc72480bcef8fbc2f28d7", 2689),
-    "cothermal": (cothermal(), "d4c42226bafff12b2d8e1a7b6f2ebd3a"
-                  "b00c240e9a7fba96a204088adf6fd7de", 2577),
-    "noon": (noon(), "16616b93716836156663a0b6ccd9c6f3"
-             "16e465fab28a3a1ceca37e7376f31214", 3979),
+    "fermi-fock": (fermi_fock(), "c0643b5b8cbaf5a35bc53a41bc33c99b"
+                   "3eefa4e8228c4378f403bbc9c00e499b", 3992),
+    "fermi-fock-dipole": (fermi_fock("dipole"), "c0643b5b8cbaf5a35bc53a41"
+                          "bc33c99b3eefa4e8228c4378f403bbc9c00e499b", 3992),
+    "bose-fock-1-1": (bose_fock(1, 1), "cfc27921595dcd325c5a76d7f4c0d9ba"
+                      "292ef055bb6b741a2744b7d46fa7f265", 4029),
+    "bose-fock-2-1": (bose_fock(2, 1), "405ee25f3ab034db28733e7bafd286fd"
+                      "6ecd05aa37bc78e28721330da4274251", 3351),
+    "coherent": (coherent(), "c8b91dd51abdba1a1bb3de26e815540a"
+                 "41fceb5cde1fe58f734456f70fd99d9b", 2002),
+    "thermal": (thermal(), "c129d1a2dab597af2000f79b3e145b4f"
+                "3c89e72c2eaef0a730a30466a971dc18", 2652),
+    "cothermal": (cothermal(), "fae46a240256ee2223730370fee97248"
+                  "e93465b064ed8d93f3b04042d2579933", 2521),
+    "noon": (noon(), "6b860a435f99861c21266065047c51a0"
+             "e04f1f2fd6c92920bcc90ecd5b7fae8a", 3939),
 }
 
 
@@ -370,3 +364,24 @@ def test_pair_angles_folded():
     frames = generate_frames(fermi_fock(), 3000, seed=19)
     ang = pair_angles(frames)
     assert np.all((0.0 <= ang) & (ang < math.pi))
+
+
+def test_bosons_farther_apart_than_fermions_in_seven_of_sixteen():
+    # independent pairs: P(d_B > d_F) = 1/2 - (w_B - w_F)/16 = 7/16
+    n = 100_000
+    fermi = pair_separations(generate_frames(fermi_fock(), n, seed=41))
+    bose = pair_separations(generate_frames(bose_fock(1, 1), n, seed=42))
+    share = np.mean(bose > fermi)
+    p = 7.0 / 16.0
+    assert abs(share - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("spec", [fermi_fock(), bose_fock(1, 1), coherent(),
+                                  thermal()], ids=lambda s: s.kind)
+def test_mean_cos_twice_relative_angle_is_the_bosonic_weight(spec):
+    # the folded law (1 + (2w - 1) cos 2 delta)/pi has E[cos 2 delta] =
+    # (2w - 1)/2
+    n = 100_000
+    cos2 = np.cos(2.0 * pair_angles(generate_frames(spec, n, seed=43)))
+    want = (2.0 * bosonic_weight(build_state(spec)) - 1.0) / 2.0
+    assert abs(cos2.mean() - want) < 4.0 * cos2.std(ddof=1) / math.sqrt(n)

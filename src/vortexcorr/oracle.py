@@ -60,6 +60,11 @@ FERMI_DISTANCE_MODE = math.sqrt(3.0)
 BOSE_DISTANCE_MODES = (0.7146407686312902, 2.4038421575174999)
 CROSSING_DISTANCES = (math.sqrt(4.0 - 2.0 * math.sqrt(2.0)),
                       math.sqrt(4.0 + 2.0 * math.sqrt(2.0)))
+# coherent alpha = (1, 0.5i) in the vortex basis: unlike the canonical
+# states, its pair density has sin 2theta harmonics, which a mirror error
+# of the engine (y -> -y, a wrong sign of Im phi_a* phi_b) flips
+TILTED_COHERENT = StateSpec(kind="coherent", alpha_a=1.0, alpha_b=0.5j,
+                            basis="vortex")
 
 
 @dataclass
@@ -476,7 +481,10 @@ def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION,
 # each particle's 2x2 Gram matrix M[a, c] = sum_nodes w u_a conj(u_c):
 #     sum w1 w2 |Psi|^2 = sum_abcd C[a, b] conj(C[c, d]) M1[a, c] M2[b, d].
 # That is the only structure assumed; modes are still evaluated at every
-# node, and no correlator, ring factorization or engine call enters.
+# node, and no correlator, ring factorization or engine call enters. The
+# folded angle law's rays share their angles (all are whole multiples of
+# one grid unit), so it takes one Gram per distinct angle and gathers them
+# back per ray: exact grid bookkeeping, no property of the state.
 
 
 def _psi_coefficients(spec):
@@ -533,22 +541,46 @@ def _radial_gram(spec, cos, sin):
                         for r, w in zip(nodes, weights)))
 
 
+def _check_grid(n_points):
+    """Both angle laws divide by their own trapezoid mass. The pair
+    density carries angular harmonics up to order 2, which a periodic rule
+    of fewer than 3 nodes aliases: on such a grid fermions and NOON vanish
+    at every node and the mass is 0 or rounding noise."""
+    if n_points < 3:
+        raise ValueError(f"n_points must be >= 3, got {n_points}")
+
+
 def oracle_folded_angle_law(spec, n_points=CLAIM_ANGLE_POINTS):
     """Folded relative-angle density from the first-quantized pair density.
 
     Polar integration of |Psi|^2 through Gram matrices (a bilinear Psi is
     the only assumption): radii by Gauss-Legendre, the mean angle by a
     periodic trapezoid rule, exact for the trigonometric polynomials here.
+
+    Particle 2 sits on the rays phi_i - delta_k for the M mean angles
+    phi_i = 2 pi i / M and the 2 n relative angles delta_k of grid and
+    grid + pi. Each ray is a whole number of units pi / (M (n - 1)), so
+    the M x 2n rays repeat few distinct angles (2880 of 46208 at the
+    default grid): the Gram matrices are taken once per distinct angle,
+    formed exactly from its integer unit count, and gathered back per ray.
+    This is bookkeeping of the grid, not an assumption about the state:
+    every distinct ray still gets the full radial quadrature of the modes.
     """
+    _check_grid(n_points)
     spec = spec.normalized()
     grid = np.linspace(0.0, math.pi, n_points)
-    deltas = np.concatenate([grid, grid + math.pi])
-    phi = 2.0 * math.pi * np.arange(ORACLE_MEAN_ANGLES) / ORACLE_MEAN_ANGLES
-    dphi = 2.0 * math.pi / ORACLE_MEAN_ANGLES
-    second_angle = phi[:, None] - deltas[None, :]
-    gram1 = _radial_gram(spec, np.cos(phi)[:, None], np.sin(phi)[:, None])
-    gram2 = _radial_gram(spec, np.cos(second_angle), np.sin(second_angle))
-    raw = _psi_mass(spec, gram1, gram2).sum(axis=0) * dphi
+    count, span = ORACLE_MEAN_ANGLES, n_points - 1
+    # delta_k = pi k' / span with k' = k on grid and k - 1 on grid + pi
+    k = np.concatenate([np.arange(n_points), np.arange(n_points) + span])
+    units = (2 * span * np.arange(count)[:, None] - count * k[None, :]) \
+        % (2 * count * span)
+    distinct, ray = np.unique(units, return_inverse=True)
+    angles = math.pi * distinct / (count * span)
+    table = _radial_gram(spec, np.cos(angles), np.sin(angles))
+    gram2 = table[:, :, ray.reshape(units.shape)]
+    # column k = 0 is delta = 0, the ray of particle 1 itself
+    raw = _psi_mass(spec, gram2[..., :1], gram2).sum(axis=0) \
+        * (2.0 * math.pi / count)
     mass = np.trapezoid(raw[:n_points], grid) \
         + np.trapezoid(raw[n_points:], grid + math.pi)
     folded = (raw[:n_points] + raw[n_points:]) / mass
@@ -558,6 +590,7 @@ def oracle_folded_angle_law(spec, n_points=CLAIM_ANGLE_POINTS):
 def oracle_two_angle_law(spec, n_points=CLAIM_TWO_ANGLE_POINTS):
     """Joint (theta, vartheta) density from the first-quantized pair
     density, on the half-open periodic grid."""
+    _check_grid(n_points)
     spec = spec.normalized()
     angles = 2.0 * math.pi * np.arange(n_points) / n_points
     gram = _radial_gram(spec, np.cos(angles), np.sin(angles))
@@ -871,9 +904,20 @@ def _polar_row(spec, state):
         detail="sup over radius pairs of the rescaled angular surface")
 
 
+def _amplitude(z):
+    """1, 0.5i or 1+0.5i."""
+    z = complex(z)
+    if z.imag == 0.0:
+        return f"{z.real:g}"
+    return f"{z.real:g}{z.imag:+g}i" if z.real else f"{z.imag:g}i"
+
+
 def _label(spec):
     if spec.kind == "bose-fock" and (spec.n, spec.m) != (1, 1):
         return f"bose-fock({spec.n},{spec.m})"
+    if spec.kind == "coherent" and spec != coherent():
+        return (f"coherent({_amplitude(spec.alpha_a)},"
+                f"{_amplitude(spec.alpha_b)},{spec.basis})")
     return spec.kind
 
 
@@ -938,9 +982,10 @@ def _crossings_row():
 
 
 def full_report(resolution=DEFAULT_RESOLUTION):
-    """Cross-check rows for every shipped state plus the family claims."""
+    """Cross-check rows for every shipped state, the tilted coherent state
+    and the family claims."""
     shipped = [fermi_fock(), bose_fock(1, 1), bose_fock(2, 0), coherent(),
-               thermal(1.0, 1.0), cothermal(), noon()]
+               thermal(1.0, 1.0), cothermal(), noon(), TILTED_COHERENT]
     rows = []
     for spec in shipped:
         rows.extend(cross_validate(spec, resolution))

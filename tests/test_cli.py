@@ -624,10 +624,13 @@ def test_verify_low_resolution(tmp_path, capsys):
     rows = report["reports"]
     assert len(rows) >= 40
     gating = [r for r in rows if r["gating"]]
-    assert len(gating) == 11
+    assert len(gating) == 12
     assert all(r["verdict"] == "Confirmed" for r in gating)
+    # the tilted coherent state is told apart from the canonical one
+    assert {"coherent", "coherent(1,0.5i,vortex)"} <= {r["kind"]
+                                                      for r in gating}
     out = capsys.readouterr().out
-    assert "engine-vs-reference: 11/11 confirmed -> PASS" in out
+    assert "engine-vs-reference: 12/12 confirmed -> PASS" in out
     # one printed table row per claim
     assert out.count("Confirmed") >= len(gating)
 

@@ -346,6 +346,54 @@ def test_gram_angle_laws_match_node_by_node_reference(spec):
     assert np.max(np.abs(joint - ref_joint)) <= 1e-15
 
 
+@pytest.mark.parametrize("n_points", [9, 181, 361])
+@pytest.mark.parametrize("spec", FIRST_QUANTIZED,
+                         ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
+def test_folded_ray_table_matches_node_by_node_reference(spec, n_points):
+    # the reference evaluates Psi on every ray phi_i - delta_k, each angle
+    # formed in floating point; the law takes one Gram per distinct ray
+    # (13 points are compared in the test above)
+    grid, folded = oracle_folded_angle_law(spec, n_points=n_points)
+    ref_grid, ref_folded = _reference_folded_angle_law(spec, n_points)
+    assert np.array_equal(grid, ref_grid)
+    assert np.max(np.abs(folded - ref_folded)) <= 1e-15
+
+
+def test_folded_law_evaluates_each_distinct_ray_once(monkeypatch):
+    # the default grid's 64 x 722 rays hold 2880 distinct angles; the
+    # first particle's 64 rays are among them, so a law that evaluates
+    # the modes per ray again (46208 rays) fails the budget
+    points = []
+    original = oracle._eval_pair
+
+    def counting(spec, x, y):
+        points.append(np.broadcast(x, y).size)
+        return original(spec, x, y)
+
+    monkeypatch.setattr(oracle, "_eval_pair", counting)
+    oracle_folded_angle_law(fermi_fock())
+    assert sum(points) <= (2880 + 64) * oracle.ORACLE_RADIAL_ORDER
+
+
+@pytest.mark.parametrize("law, n_points", [
+    (oracle_folded_angle_law, 1), (oracle_folded_angle_law, 2),
+    (oracle_two_angle_law, 0), (oracle_two_angle_law, 1),
+    (oracle_two_angle_law, 2)])
+def test_angle_laws_reject_degenerate_grids(law, n_points):
+    with pytest.raises(ValueError, match="n_points must be >= 3"):
+        law(noon(), n_points=n_points)
+
+
+def test_angle_laws_normalise_exactly_on_the_smallest_grid():
+    # three nodes already integrate the order-2 angular harmonics exactly
+    grid, folded = oracle_folded_angle_law(fermi_fock(), n_points=3)
+    assert np.allclose(folded, 2.0 / math.pi * np.sin(grid) ** 2,
+                       rtol=0.0, atol=1e-15)
+    angles, joint = oracle_two_angle_law(noon(), n_points=3)
+    assert abs(np.sum(joint) * (2.0 * math.pi / 3) ** 2 - 1.0) <= 1e-15
+    assert np.all(np.isfinite(joint))
+
+
 @pytest.mark.parametrize("spec", FIRST_QUANTIZED,
                          ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
 def test_gram_norm_matches_point_pair_reference(spec):
@@ -506,6 +554,20 @@ def test_sweep_sees_a_wrong_exchange_sign(monkeypatch):
     sweep = pair_grid_sweep(fermi_fock(), resolution=15,
                             include_verbatim=False)
     assert sweep["dev_oracle"] > oracle.CONFIRM_TOL
+
+
+def test_tilted_row_sees_a_mirrored_engine(monkeypatch):
+    # y -> -y flips the sign of Im phi_a* phi_b in the engine's real mode
+    # products; only the tilted state's sin 2theta harmonics carry it
+    original = density._real_products
+
+    def mirrored(modes, x, y):
+        q = original(modes, x, y)
+        return np.stack([q[0], q[1], q[2], -q[3]])
+
+    monkeypatch.setattr(density, "_real_products", mirrored)
+    rows = oracle._engine_vs_oracle_rows(oracle.TILTED_COHERENT, 15)
+    assert _row(rows, "rho2-engine-vs-oracle").verdict != "Confirmed"
 
 
 @pytest.mark.parametrize("where", ["density.mode_eval", "modes._NORM"])

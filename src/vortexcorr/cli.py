@@ -366,6 +366,8 @@ def resolve_config(args):
         if cfg.get("seed") is None:
             raise SpecError("frames requires an explicit --seed "
                             "(reproducibility: no implicit entropy)")
+        if not 0 <= run.seed < 2 ** 64:
+            raise SpecError("--seed must lie in [0, 2**64)")
         if not 0 <= run.count <= _MAX_COUNT:
             raise SpecError(f"--count must be between 0 and {_MAX_COUNT}")
         if run.stats and run.count == 0:

@@ -8,7 +8,10 @@ round-trip precision); identical inputs produce byte-identical files.
 
 CSV cells are the bytes of C's `%.17g`, formatted by a numpy kernel a
 block at a time; the few cells it cannot decide exactly go through
-Python's own `%.17g` one at a time.
+Python's own `%.17g` one at a time. parse_block reads such text back the
+same way: a numpy kernel turns each plain decimal cell into the nearest
+double, and the few cells it cannot decide, or that are not plain
+decimals, go through Python's float().
 """
 
 import contextlib
@@ -226,6 +229,148 @@ def format_block(table):
         chars[:, -1, 31] = ord("\n")
         text.append(slots.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(text)
+
+
+# Reading a CSV block back: every cell equals Python's float() of it. A
+# cell is taken as the 24 bytes that end at its separator, three
+# little-endian words with the cell right-aligned in them. With a leading
+# '-' and one '.' left out, the digits give an integer m of at most 19
+# digits (leading zeros aside) and m 10**-f, for f digits after the point,
+# is rounded from hi + lo as in _scaled. That is the double nearest the
+# cell unless the cell lies within 2**-60 (relative) of a rounding
+# midpoint; those cells, cells that are not such plain decimals
+# (exponents, '+', spaces, inf, nan, longer cells) and empty cells go
+# through float() one at a time.
+_WINDOW = 24
+_COMMA, _NEWLINE = ord(","), ord("\n")
+_DOT = ord(".") ^ 0x30  # a '.' once the digit bits are flipped
+_ZEROS = _U(0x3030303030303030)
+_TOO_BIG = _U(0x7676767676767676)  # pushes a byte above 9 into bit 7
+_BIT7 = _U(0x8080808080808080)
+_PAIRS = _U(10 * 2 ** 8 + 1), _U(100 * 2 ** 16 + 1), _U(10000 * 2 ** 32 + 1)
+_LANES = _U(0x00FF00FF00FF00FF), _U(0x0000FFFF0000FFFF), _U(2 ** 32 - 1)
+_SHIFTS = _U(8), _U(16), _U(32)
+_TOP, _SIGN = _U(56), _U(63)
+_E8, _E16 = _U(10 ** 8), _U(10 ** 16)
+
+
+@functools.cache
+def _read_tables():
+    """Per cell length l <= 24: the words masking its bytes. Per dot code
+    (the '.' position + 1, 0 for none; codes above 24 mean several '.'):
+    the words keeping the bytes after and before the '.', then 10**-f for
+    the f digits after it, as _power_of_ten gives it. And per word w, the
+    multiplier whose top byte turns a '.' flag at byte b into the dot code
+    8 w + b + 1."""
+    pos = np.arange(_WINDOW)
+    lengths = np.arange(_WINDOW + 1)[:, None]
+    field = ((pos >= _WINDOW - lengths) * 0xFF).astype(np.uint8)
+    dot = np.arange(3 * 256)[:, None] - 1
+    one = dot < _WINDOW
+    sides = np.concatenate([(pos > dot) & one, (pos < dot) & one], 1)
+    frac = np.where(dot < 0, 0, _WINDOW - 1 - np.minimum(dot, _WINDOW - 1))
+    powers = np.array([_power_of_ten(-f) for f in range(_WINDOW)])
+    magic = [sum((8 * w + 8 - i) << (8 * i) for i in range(8))
+             for w in range(3)]
+    return (field.view(_WORD).T.copy(),
+            (sides * 0xFF).astype(np.uint8).view(_WORD).T.copy(),
+            powers.take(frac.ravel(), axis=0).T.copy(),
+            np.array(magic, _WORD)[:, None])
+
+
+def _value8(v):
+    """The inverse of _digits8: the number whose 8 decimal digits are the
+    bytes of v, the leading digit in the lowest byte."""
+    for pair, lane, shift in zip(_PAIRS, _LANES, _SHIFTS):
+        v = ((v * pair) >> shift) & lane
+    return v
+
+
+def _separators(b, cols):
+    """Positions of the ',' and newline bytes of `b` when every line
+    holds `cols` cells, else None."""
+    def regular(sep):
+        kinds = b[sep]
+        return (sep.size % cols == 0
+                and bool((kinds[cols - 1::cols] == _NEWLINE).all())
+                and np.count_nonzero(kinds == _COMMA)
+                == sep.size - sep.size // cols)
+    # every byte of a plain decimal lies above ','
+    sep = np.flatnonzero(b <= _COMMA)
+    if regular(sep):
+        return sep
+    sep = np.flatnonzero((b == _COMMA) | (b == _NEWLINE))
+    return sep if regular(sep) else None
+
+
+def _cell(text):
+    """float() of one cell, refusing what numpy's text reader refuses as
+    well: characters beyond ASCII and '_' between digits."""
+    cell = text.strip()
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(cell)
+
+
+def parse_block(text, cols):
+    """The rows of CSV `text` as a (rows, cols) float array, the inverse
+    of format_block: every cell equals float() of it, blank lines are
+    skipped and the last line may lack its newline. A row of another
+    number of cells, or a cell that is not a number, raises ValueError."""
+    if text and not text.endswith("\n"):
+        text += "\n"
+    data = text.encode("utf-8")
+    b = np.frombuffer(data, np.uint8)
+    sep = _separators(b, cols)
+    if sep is None:
+        rows = [line for line in text.split("\n") if line]
+        if len(rows) < text.count("\n"):
+            return parse_block("\n".join(rows), cols)
+        raise ValueError(f"a row does not hold {cols} cells")
+    n = sep.size
+    field, sides, powers, magic = _read_tables()
+    u = np.zeros(_WINDOW + b.size, np.uint8)
+    u[_WINDOW:] = b
+    start = np.full(n, _WINDOW)
+    np.add(sep[:-1], _WINDOW + 1, out=start[1:])
+    negative = u.take(start) == ord("-")
+    size = sep + _WINDOW - start - negative
+    window = np.ndarray((b.size + 1,), f"V{_WINDOW}", u, strides=(1,))
+    words = np.ascontiguousarray(window[sep].view(_WORD).reshape(n, 3).T)
+    # the cell's bytes with the '0' bits flipped, digits now 0-9; 0 outside
+    flipped = (words ^ _ZEROS) & field.take(np.minimum(size, _WINDOW), 1)
+    dots = (flipped.view(np.uint8) == _DOT).view(_WORD) * magic >> _TOP
+    code = dots[0] + dots[1] + dots[2]
+    after, before = np.split(sides.take(code, axis=1), 2)
+    # the digits before the '.' move up a byte, onto it
+    moved = flipped & before
+    digits = (flipped & after) | (moved << _SHIFTS[0])
+    digits[1:] |= moved[:-1] >> _TOP
+    wrong = ((digits + _TOO_BIG) | digits) & _BIT7
+    digits = _value8(digits)
+    slow = (wrong[0] | wrong[1] | wrong[2]) != 0
+    slow |= (digits[0] >= 1000) | (code > _WINDOW)
+    slow |= (size > _WINDOW) | (size <= (code > 0))  # no digit at all
+    m = digits[0] * _E16 + digits[1] * _E8 + digits[2]
+    mh = m.astype(np.float64)
+    ml = (m - mh.astype(_U)).view(np.int64).astype(np.float64)
+    hh, hl, low = powers.take(code, axis=1)
+    c = _SPLIT * mh
+    ah = c - (c - mh)
+    al = mh - ah
+    p = hh + hl
+    hi = mh * p
+    lo = ((((ah * hh - hi) + ah * hl) + al * hh) + al * hl
+          + (mh * low + ml * p))
+    # the cell is certain when both ends of hi + lo +- 2**-60 hi round alike
+    e = hi * 2.0 ** -60
+    x = hi + (lo - e)
+    slow |= x != hi + (lo + e)
+    bits = x.view(_U)
+    bits |= negative.astype(_U) << _SIGN
+    for i in np.flatnonzero(slow).tolist():
+        x[i] = _cell(data[start[i] - _WINDOW:sep[i]].decode("utf-8"))
+    return x.reshape(-1, cols)
 
 
 def write_csv(path, columns, values, prov=None, comments=()):

@@ -22,6 +22,7 @@ give the first radius, 2-3 the second, and rejection round k uses draws
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import (AlgebraInconsistencyError, EmptyFramesError,
                      NoPairsError, SamplerMethodError)
 from .fock import pair_moment
-from .io import format_block, whole_file
+from .io import format_block, parse_block, whole_file
 from .pairstats import (PairDistribution, PairVariable, angular_weight,
                         harmonic_matrix)
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
@@ -184,10 +185,13 @@ def generate_frames(state_or_spec, count, seed, block=65536, threads=1):
     or `threads`: every draw is keyed by its frame index, so the blocks of
     `block` frames may be sampled in any order, in up to `threads`
     threads. The FrameSet is saveable when the state carries its spec, as
-    every state build_state makes does.
+    every state build_state makes does. The seed lies in [0, 2**64); the
+    generator reads it modulo 2**64, so any other raises ValueError.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must lie in [0, 2**64)")
     if block < 1:
         raise ValueError("block must be >= 1")
     state = (build_state(state_or_spec)
@@ -356,6 +360,7 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
 
 _HEADER_PREFIX = "#vortexcorr-frames "
 _WRITE_ROWS = 16384
+_READ_CHARS = 131072  # characters of body text per parse_block call
 
 
 def _format_rows(start, points):
@@ -400,6 +405,9 @@ def save_frames(frames, path, provenance=None):
 
 
 def load_frames(path):
+    """The FrameSet of a frames file. The body is read `_READ_CHARS` at a
+    time into points allocated once from the header's count, every cell
+    as Python's float() reads it."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith(_HEADER_PREFIX):
@@ -408,11 +416,29 @@ def load_frames(path):
         columns = fh.readline().strip()
         if columns != "frame_index,x1,y1,x2,y2":
             raise ValueError(f"unexpected column header {columns!r}")
-        body = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None) \
-            if header["count"] else np.empty((0, 5))
-    if body.shape[0] != header["count"]:
+        count = header["count"]
+        if not isinstance(count, int) or count < 0:
+            raise ValueError(f"frame count {count!r} is not an integer >= 0")
+        # a row takes at least 10 characters, the last one 9
+        if 10 * count > os.fstat(fh.fileno()).st_size - fh.tell() + 1:
+            raise ValueError("frame count exceeds what the body can hold")
+        points = np.empty((count, 2, 2))
+        row, rest = 0, ""
+        while count:  # a file of no frames has no body to read
+            chunk = fh.read(_READ_CHARS)
+            text = rest + chunk
+            cut = text.rfind("\n") + 1 if chunk else len(text)
+            rest = text[cut:]
+            rows = parse_block(text[:cut], 5)
+            if row + len(rows) > count:
+                raise ValueError("more frames in the body than its header "
+                                 "counts")
+            points[row:row + len(rows)] = rows[:, 1:].reshape(-1, 2, 2)
+            row += len(rows)
+            if not chunk:
+                break
+    if row != count:
         raise ValueError("frame count mismatch between header and body")
-    points = body[:, 1:].reshape(-1, 2, 2)
     return FrameSet(spec=spec_from_dict(header["state"]),
                     seed=int(header["seed"]), points=points,
                     method=header["method"],

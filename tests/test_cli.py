@@ -182,6 +182,18 @@ def test_memory_ceilings_checked_before_allocation(tmp_path, capsys, command,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("seed, rc", [("-1", 2), (str(2 ** 64), 2),
+                                      ("0", 0), (str(2 ** 64 - 1), 0)])
+def test_frames_seed_lies_in_64_bits(tmp_path, capsys, seed, rc):
+    # the generator reads the seed modulo 2**64; outside, seeds alias
+    out = tmp_path / "out"
+    assert main(["frames", "--seed", seed, "--count", "5",
+                 "--out", str(out)]) == rc
+    assert out.exists() == (rc == 0)
+    if rc:
+        assert "--seed" in capsys.readouterr().err
+
+
 def test_memory_ceilings_accept_their_limits(tmp_path):
     parser = build_parser()
     run = resolve_config(parser.parse_args(

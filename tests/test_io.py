@@ -1,6 +1,8 @@
-"""File writers: the %.17g kernel, block-formatted CSV output and
-whole-file replacement."""
+"""File writers and reader: the %.17g kernel and its inverse,
+block-formatted CSV output and whole-file replacement."""
 
+import decimal
+import fractions
 import math
 import os
 
@@ -9,7 +11,8 @@ import pytest
 
 from vortexcorr import io
 from vortexcorr.density import density_grid
-from vortexcorr.io import canonical_json, format_block, write_csv
+from vortexcorr.io import (canonical_json, format_block, parse_block,
+                          write_csv)
 from vortexcorr.states import build_state, fermi_fock
 
 
@@ -114,6 +117,128 @@ def test_kernel_decides_almost_every_cell():
     # and the cases it must leave to Python do reach the fallback
     assert _fallbacks([math.nan, math.inf, 5e-324, 1e300, 1.0 + 2.0 ** -17,
                        0.5, 0.0, 1.0]) == 5
+
+
+def _assert_reads_back(table):
+    """parse_block of format_block's text returns every cell bit for bit,
+    NaN as NaN."""
+    got = parse_block(format_block(table), table.shape[1])
+    nan = np.isnan(table)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64),
+                          table[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("cols", [1, 3, 5])
+def test_parse_block_reads_back_edge_table(cols):
+    values = _edge_values()
+    _assert_reads_back(values[:values.size // cols * cols].reshape(-1, cols))
+
+
+def test_parse_block_reads_back_bit_patterns():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    special = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308,
+                               1e300, -1e-300, 1e300 * 10.0 ** 8, 12345.0,
+                               -7.0, 2.0 ** 53, math.inf, -math.inf,
+                               math.nan])
+    bits = st.integers(0, 2 ** 64 - 1).map(
+        lambda b: float(np.array(b, np.uint64).view(np.float64)))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(st.one_of(bits, special), min_size=1,
+                               max_size=40), st.integers(1, 5))
+    def check(values, cols):
+        values += [0.0] * (-len(values) % cols)
+        _assert_reads_back(np.array(values).reshape(-1, cols))
+
+    check()
+
+
+def _assert_float(cells):
+    """parse_block against Python's float() of every cell."""
+    got = parse_block("\n".join(cells), 1).ravel()
+    want = np.array([float(cell) for cell in cells])
+    bad = [c for c, g, w in zip(cells, got.view(np.uint64),
+                                want.view(np.uint64)) if g != w]
+    assert got.size == len(cells) and not bad, bad[:3]
+
+
+def test_parse_block_matches_float_on_decimal_strings():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def decimal_cell(draw):
+        digits = draw(st.text("0123456789", min_size=1, max_size=20))
+        point = draw(st.integers(-1, len(digits)))
+        cell = draw(st.sampled_from(["", "-"])) + (
+            digits if point < 0 else digits[:point] + "." + digits[point:])
+        if draw(st.booleans()):
+            cell += draw(st.sampled_from("eE")) + str(draw(
+                st.integers(-40, 40)))
+        return cell
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(decimal_cell(), min_size=1, max_size=30))
+    def check(cells):
+        _assert_float(cells)
+
+    check()
+
+
+def test_parse_block_matches_float_next_to_midpoints():
+    # decimals next to the midpoint of two neighbouring doubles: 17 digits
+    # the kernel decides, 19 and 20 digits fall within 2**-60 of it; the
+    # midpoints of doubles in [2**50, 2**54) are exact in 19 digits
+    rng = np.random.default_rng(19)
+    xs = np.abs(rng.normal(size=400)) * 10.0 ** rng.integers(-3, 12, 400)
+    xs = np.concatenate([xs, np.ldexp(rng.uniform(1.0, 2.0, 200),
+                                      rng.integers(50, 54, 200))])
+    cells = []
+    for x in xs.tolist():
+        mid = (fractions.Fraction(x)
+               + fractions.Fraction(math.nextafter(x, math.inf))) / 2
+        exact = decimal.Context(prec=60).divide(
+            decimal.Decimal(mid.numerator), decimal.Decimal(mid.denominator))
+        for digits in (17, 19, 20, 60):
+            cells.append(format(decimal.Context(prec=digits).plus(exact),
+                                "f"))
+    _assert_float(cells)
+
+
+def test_parse_block_reads_almost_every_cell_itself(monkeypatch):
+    # a reader that sent every cell to float() would still be exact; it
+    # would fail here
+    calls = []
+    cell = io._cell
+    monkeypatch.setattr(io, "_cell", lambda text: calls.append(text)
+                        or cell(text))
+    values = np.random.default_rng(3).normal(size=(20000, 5))
+    values[:, 0] = np.arange(20000)
+    _assert_reads_back(values)
+    assert len(calls) <= 1e-3 * values.size
+    # and what it must leave to float() does reach it
+    calls.clear()
+    assert parse_block("1e3,+2, 3,inf\n", 4).tolist() == [
+        [1000.0, 2.0, 3.0, math.inf]]
+    assert calls == ["1e3", "+2", " 3", "inf"]
+
+
+def test_parse_block_lines():
+    assert parse_block("", 5).shape == (0, 5)
+    assert parse_block("\n\n", 2).shape == (0, 2)
+    # blank lines are skipped and the last line may lack its newline
+    assert parse_block("\n1,2\n\n\n-3.5,.5\n\n7,8", 2).tolist() == [
+        [1.0, 2.0], [-3.5, 0.5], [7.0, 8.0]]
+    for text in ("1,2\n3\n", "1,2,3\n", " \n1,2\n", "1,2\r3,4\n"):
+        with pytest.raises(ValueError, match="cells"):
+            parse_block(text, 2)
+    # what numpy's text reader refuses, although float() takes it
+    for cell in ("1_0", "\u0661", "", "-", ".", "-.", "1.2.3", "1-2",
+                 "--1", "0x10", "abc", "1e", "#1"):
+        with pytest.raises(ValueError):
+            parse_block(cell + ",0\n", 2)
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 50, 70000])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,15 @@ def test_generate_frames_rejects_bad_block():
     for block in (0, -3):
         with pytest.raises(ValueError, match="block must be >= 1"):
             generate_frames(fermi_fock(), 10, seed=1, block=block)
+
+
+def test_generate_frames_rejects_seeds_outside_64_bits():
+    # the generator reads the seed modulo 2**64: -1 would alias 2**64 - 1
+    for seed in (-1, 2 ** 64, -2 ** 63, 10 ** 400):
+        with pytest.raises(ValueError, match="seed"):
+            generate_frames(fermi_fock(), 5, seed=seed)
+    for seed in (0, 2 ** 64 - 1):
+        assert generate_frames(fermi_fock(), 5, seed=seed).seed == seed
 
 
 def test_generate_frames_deterministic():
@@ -294,6 +304,101 @@ def test_load_frames_rejects_comment_lines_in_body(tmp_path):
     path.write_text("".join(lines[:3] + ["# note\n"] + lines[3:]))
     with pytest.raises(ValueError):
         load_frames(path)
+
+
+def _frames_file(tmp_path, body, count):
+    """A frames file of the given header count and body text, written
+    byte for byte (no newline translation)."""
+    frames = generate_frames(fermi_fock(), 1, seed=8)
+    path = tmp_path / "frames.csv"
+    save_frames(frames, path)
+    first = path.read_text().split("\n", 1)[0]
+    header = json.loads(first[len(sampler._HEADER_PREFIX):])
+    header["count"] = count
+    path.write_text(sampler._HEADER_PREFIX + json.dumps(header)
+                    + "\nframe_index,x1,y1,x2,y2\n" + body, newline="")
+    return path
+
+
+def _loadtxt_points(path):
+    """The frames' points as np.loadtxt parsed the body before parse_block
+    replaced it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        fh.readline()
+        body = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    return body[:, 1:].reshape(-1, 2, 2)
+
+
+_ROWS = ["0,0.5,-1.25,2,3.0000000000000004",
+         "1,-0.0012345678901234567,5e-324,1e+300,-7",
+         "2,0.1,0.2,0.30000000000000004,-0"]
+# bodies the parse with np.loadtxt accepted, each one departure from the
+# plain rows
+_ACCEPTED = {
+    "crlf": "\r\n".join(_ROWS) + "\r\n",
+    "comma-space": "\n".join(r.replace(",", ", ") for r in _ROWS) + "\n",
+    "blank-trailing-line": "\n".join(_ROWS) + "\n\n",
+    "blank-middle-line": "\n\n".join(_ROWS) + "\n",
+    "exponents": "\n".join(_ROWS).replace("0.5", "1.5e-3").replace(
+        "-7", "2E+1") + "\n",
+    "nan-inf": "\n".join(_ROWS).replace("0.5", "nan").replace(
+        "-1.25", "inf").replace("-7", "-inf") + "\n",
+    "plus-sign": "\n".join(_ROWS).replace("0.5", "+1.5") + "\n",
+    "no-final-newline": "\n".join(_ROWS),
+    "long-cell": "\n".join(_ROWS).replace(
+        "0.5", "0.50000000000000011102230246251565404") + "\n",
+}
+_REJECTED = {
+    "extra-column": "\n".join(r + ",1" for r in _ROWS) + "\n",
+    "word": "\n".join(_ROWS).replace("-7", "abc") + "\n",
+    "empty-cell": "\n".join(_ROWS).replace("-7", "") + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ACCEPTED))
+def test_load_frames_reads_what_loadtxt_read(tmp_path, name):
+    path = _frames_file(tmp_path, _ACCEPTED[name], 3)
+    want = _loadtxt_points(path)
+    got = load_frames(path).points
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED))
+def test_load_frames_rejects_what_loadtxt_rejected(tmp_path, name):
+    path = _frames_file(tmp_path, _REJECTED[name], 3)
+    with pytest.raises(ValueError):
+        load_frames(path)
+
+
+def test_load_frames_streams_blocks(tmp_path, monkeypatch):
+    # blocks of 100 characters end inside rows and meet blank lines
+    monkeypatch.setattr(sampler, "_READ_CHARS", 100)
+    frames = generate_frames(fermi_fock(), 60, seed=8)
+    path = tmp_path / "frames.csv"
+    save_frames(frames, path)
+    head, body = path.read_text().split("frame_index,x1,y1,x2,y2\n")
+    lines = body.split("\n")
+    body = "\n".join(lines[:20] + [""] * 3 + lines[20:])
+    path.write_text(head + "frame_index,x1,y1,x2,y2\n" + body)
+    np.testing.assert_array_equal(load_frames(path).points, frames.points)
+    for count in (59, 61):
+        bad = _frames_file(tmp_path, body, count)
+        with pytest.raises(ValueError, match="frame"):
+            load_frames(bad)
+
+
+@pytest.mark.parametrize("count", [10 ** 12, 2.5, "x", -1, None])
+def test_load_frames_checks_count_before_allocation(tmp_path, count):
+    path = _frames_file(tmp_path, "\n".join(_ROWS) + "\n", count)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="frame count"):
+            load_frames(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_save_zero_frames(tmp_path):

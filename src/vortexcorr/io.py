@@ -350,7 +350,8 @@ def parse_block(text, cols):
     digits = _value8(digits)
     slow = (wrong[0] | wrong[1] | wrong[2]) != 0
     slow |= (digits[0] >= 1000) | (code > _WINDOW)
-    slow |= (size > _WINDOW) | (size <= (code > 0))  # no digit at all
+    # too long, or no digit at all
+    slow |= (size > _WINDOW) | (size <= (code > 0))
     m = digits[0] * _E16 + digits[1] * _E8 + digits[2]
     mh = m.astype(np.float64)
     ml = (m - mh.astype(_U)).view(np.int64).astype(np.float64)

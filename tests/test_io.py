@@ -50,6 +50,16 @@ def _assert_percent_rows(table):
     assert len(got) == len(want) and not bad, bad[:3]
 
 
+def _assert_reads_back(table):
+    """parse_block of format_block's text returns every cell bit for bit,
+    NaN as NaN."""
+    got = parse_block(format_block(table), table.shape[1])
+    nan = np.isnan(table)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64),
+                          table[~nan].view(np.uint64))
+
+
 def _edge_values():
     """Cells next to every rounding and notation boundary of %.17g."""
     tens = np.array([10.0 ** k for k in range(-300, 300)]
@@ -76,7 +86,9 @@ def _edge_values():
 @pytest.mark.parametrize("cols", [1, 3, 5])
 def test_format_block_edge_table(cols):
     values = _edge_values()
-    _assert_percent_rows(values[:values.size // cols * cols].reshape(-1, cols))
+    table = values[:values.size // cols * cols].reshape(-1, cols)
+    _assert_percent_rows(table)
+    _assert_reads_back(table)
 
 
 def test_format_block_matches_percent_formatting():
@@ -97,6 +109,7 @@ def test_format_block_random_bit_patterns():
     bits = np.random.default_rng(11).integers(
         0, 2 ** 64, size=60000, dtype=np.uint64, endpoint=False)
     _assert_percent_rows(bits.view(np.float64).reshape(-1, 4))
+    _assert_reads_back(bits.view(np.float64).reshape(-1, 4))
 
 
 def _fallbacks(values):
@@ -117,22 +130,6 @@ def test_kernel_decides_almost_every_cell():
     # and the cases it must leave to Python do reach the fallback
     assert _fallbacks([math.nan, math.inf, 5e-324, 1e300, 1.0 + 2.0 ** -17,
                        0.5, 0.0, 1.0]) == 5
-
-
-def _assert_reads_back(table):
-    """parse_block of format_block's text returns every cell bit for bit,
-    NaN as NaN."""
-    got = parse_block(format_block(table), table.shape[1])
-    nan = np.isnan(table)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.uint64),
-                          table[~nan].view(np.uint64))
-
-
-@pytest.mark.parametrize("cols", [1, 3, 5])
-def test_parse_block_reads_back_edge_table(cols):
-    values = _edge_values()
-    _assert_reads_back(values[:values.size // cols * cols].reshape(-1, cols))
 
 
 def test_parse_block_reads_back_bit_patterns():

@@ -194,13 +194,18 @@ def harmonic_matrix(state):
 
 
 def angular_weight(matrix, theta, vartheta):
-    """W(theta, vartheta) = g(theta)^T M g(vartheta) as a 9-term real sum,
-    broadcast over the angle arrays."""
-    v = 2.0 * np.asarray(vartheta, dtype=float)
-    cos_v, sin_v = np.cos(v), np.sin(v)
-    rows = [m0 + m1 * cos_v + m2 * sin_v for m0, m1, m2 in matrix]
+    """W(theta, vartheta) = g(theta)^T M g(vartheta), broadcast over the
+    angle arrays."""
     t = 2.0 * np.asarray(theta, dtype=float)
-    return rows[0] + np.cos(t) * rows[1] + np.sin(t) * rows[2]
+    v = 2.0 * np.asarray(vartheta, dtype=float)
+    return harmonic_weight(matrix, np.cos(t), np.sin(t), np.cos(v), np.sin(v))
+
+
+def harmonic_weight(matrix, cos2t, sin2t, cos2v, sin2v):
+    """W = g(theta)^T M g(vartheta) as a 9-term real sum, from the cosines
+    and sines of 2 theta and 2 vartheta."""
+    rows = [m0 + m1 * cos2v + m2 * sin2v for m0, m1, m2 in matrix]
+    return rows[0] + cos2t * rows[1] + sin2t * rows[2]
 
 
 def _real_part(raw, name):

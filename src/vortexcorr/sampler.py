@@ -6,12 +6,12 @@ angles, and all exchange physics sits in the joint angle law. Pairs are
 therefore drawn with exact radii plus constant-majorant rejection of the
 angle pair against W = g(theta)^T M g(vartheta), the nine numbers of
 pairstats.harmonic_matrix. Under the ring marginal r^2 is Gamma(2, 1), the
-sum of two Exp(1) variables, so a radius costs two uniforms, two logs and
-a square root, with no table or iteration (Devroye, Non-Uniform Random
-Variate Generation, 1986, ch. IX). The majorant is the largest W on a
-MAJORANT_PROBE^2 grid, times MAJORANT_SAFETY. The acceptance is never
-below 1/(4 MAJORANT_SAFETY): in the vortex basis each pair amplitude has
-four orthogonal unit-modulus Fourier terms, so W <= 4 mean(W).
+sum of two Exp(1) variables, so a radius costs two uniforms, one log and a
+square root, with no table or iteration (Devroye, Non-Uniform Random
+Variate Generation, 1986, ch. IX). An angle 2 pi u is drawn as its unit
+vector, formed from tan(pi u) with no cosine or sine. The majorant is
+exact (AngularLaw), and the acceptance is never below a quarter, less a
+rounding allowance.
 
 Randomness comes from a counter-based generator: every uniform is a pure
 hash of (seed, frame_index, draw_index), so frames can be produced in any
@@ -33,13 +33,13 @@ from .errors import (AlgebraInconsistencyError, EmptyFramesError,
 from .fock import pair_moment
 from .io import format_block, parse_block, whole_file
 from .pairstats import (PairDistribution, PairVariable, angular_weight,
-                        harmonic_matrix)
+                        harmonic_matrix, harmonic_weight)
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
 from .version import GENERATOR_VERSION, VERSION
 
 MAX_ATTEMPT_ROUNDS = 512
-MAJORANT_PROBE = 512
-MAJORANT_SAFETY = 1.001
+MAJORANT_NODES = 4096
+ROUNDING_ALLOWANCE = 2.0 ** -40
 
 _U64 = np.uint64
 _GOLD = _U64(0x9E3779B97F4A7C15)
@@ -55,15 +55,23 @@ def _mix64(z):
     return z ^ (z >> _U64(31))
 
 
-def counter_uniforms(seed, frame_indices, draw_index):
-    """Uniforms in [0, 1) as a pure function of (seed, frame, draw)."""
+def _frame_keys(seed, frame_indices):
+    """Hashed (seed, frame) keys; each draw of a frame hashes its key."""
     idx = np.atleast_1d(np.asarray(frame_indices, dtype=np.uint64))
+    return _mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLD)
+
+
+def _keyed_uniforms(keys, draw_index):
+    """Uniforms in [0, 1) of draw `draw_index` of the frames with `keys`."""
     # scalar uint64 products warn on wraparound; do them in python ints
     offset = _U64((int(draw_index) * 0x9E3779B97F4A7C15)
                   & 0xFFFFFFFFFFFFFFFF)
-    key = _mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLD)
-    value = _mix64(key + offset)
-    return (value >> _U64(11)).astype(np.float64) * _TO_UNIT
+    return (_mix64(keys + offset) >> _U64(11)).astype(np.float64) * _TO_UNIT
+
+
+def counter_uniforms(seed, frame_indices, draw_index):
+    """Uniforms in [0, 1) as a pure function of (seed, frame, draw)."""
+    return _keyed_uniforms(_frame_keys(seed, frame_indices), draw_index)
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +89,14 @@ def invert_radial_cdf(u1, u2):
     """Ring-marginal radius from the two uniforms u1, u2 in [0, 1) of one
     radius.
 
-    r^2 is Gamma(2, 1), so it inverts two Exp(1) CDFs and adds them:
-    r = sqrt(-ln(1 - u1) - ln(1 - u2)). 1 - u lies in (0, 1], so the
-    logarithm never sees 0, and log1p keeps small u accurate.
+    r^2 is Gamma(2, 1), the sum of two inverted Exp(1) CDFs:
+    r = sqrt(-ln((1 - u1)(1 - u2))). 1 - u is exact for counter uniforms,
+    and the product, in [2^-106, 1], moves r^2 by at most 1.1e-16 by its
+    rounding. -ln is taken as |ln|, so that u1 = u2 = 0 gives +0.0.
     """
-    return np.sqrt(-np.log1p(-np.asarray(u1, dtype=float))
-                   - np.log1p(-np.asarray(u2, dtype=float)))
+    product = ((1.0 - np.asarray(u1, dtype=float))
+               * (1.0 - np.asarray(u2, dtype=float)))
+    return np.sqrt(np.abs(np.log(product)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,26 +105,55 @@ def invert_radial_cdf(u1, u2):
 
 
 class AngularLaw:
-    """Joint angle weight W(theta, vartheta) with a rigorous majorant."""
+    """Joint angle weight W(theta, vartheta) with an exact majorant.
+
+    With theta fixed, W = c0 + c1 cos 2 vartheta + c2 sin 2 vartheta, c =
+    M^T g(theta), peaks at c0 + |(c1, c2)|, which moves by at most
+    |(M10, M20)| + ||M[1:, 1:]||_2 per radian of 2 theta: its maximum on
+    MAJORANT_NODES nodes, plus that slope times half the node spacing,
+    bounds W. So does 4 mean(W) = 4 M00, as in the vortex basis each pair
+    amplitude has four orthogonal unit-modulus Fourier terms. The majorant
+    is the smaller bound plus ROUNDING_ALLOWANCE sum|M_jk|, over 100 times
+    the rounding error of either evaluation of W.
+    """
 
     def __init__(self, state):
-        self.matrix = harmonic_matrix(state)
-        # rows g(theta) = (1, cos 2 theta, sin 2 theta) of the probe angles
-        twice = np.linspace(0.0, 4.0 * math.pi, MAJORANT_PROBE, endpoint=False)
-        g = np.stack([np.ones_like(twice), np.cos(twice), np.sin(twice)], 1)
-        w = g @ self.matrix @ g.T
-        if np.min(w) < -1e-10 * max(1.0, float(np.max(w))):
+        m = self.matrix = harmonic_matrix(state)
+        phi = np.linspace(0.0, 2.0 * math.pi, MAJORANT_NODES, endpoint=False)
+        c = m.T @ np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
+        spread = np.hypot(c[1], c[2])
+        top = float(np.max(c[0] + spread))
+        if np.min(c[0] - spread) < -1e-10 * max(1.0, top):
             raise AlgebraInconsistencyError(
                 "angular weight is significantly negative")
-        self.majorant = float(np.max(w)) * MAJORANT_SAFETY + 1e-300
+        slope = math.hypot(m[1, 0], m[2, 0]) + np.linalg.norm(m[1:, 1:], 2)
+        self.allowance = ROUNDING_ALLOWANCE * float(np.sum(np.abs(m)))
+        self.majorant = float(min(top + slope * math.pi / MAJORANT_NODES,
+                                  4.0 * m[0, 0]) + self.allowance + 1e-300)
 
     def __call__(self, theta, vartheta):
         return angular_weight(self.matrix, theta, vartheta)
+
+    def from_unit_vectors(self, cos_t, sin_t, cos_v, sin_v):
+        """W at the angles of the unit vectors (cos_t, sin_t) and (cos_v,
+        sin_v), from cos 2x = c^2 - s^2 and sin 2x = 2cs."""
+        return harmonic_weight(self.matrix, cos_t * cos_t - sin_t * sin_t,
+                               2.0 * cos_t * sin_t,
+                               cos_v * cos_v - sin_v * sin_v,
+                               2.0 * cos_v * sin_v)
 
     @property
     def acceptance_estimate(self):
         # mean(W) over the angle pairs is M_00
         return float(self.matrix[0, 0]) / self.majorant
+
+
+def _unit_vectors(u):
+    """(cos, sin) of the angles 2 pi u from tau = tan(pi u), which stays
+    below 1.7e16 for u in [0, 1): ((1 - tau^2), 2 tau) / (1 + tau^2)."""
+    tau = np.tan(math.pi * u)
+    square = tau * tau
+    return (1.0 - square) / (1.0 + square), 2.0 * tau / (1.0 + square)
 
 
 # ---------------------------------------------------------------------------
@@ -139,40 +178,35 @@ class FrameSet:
 
 def _sample_ring_block(seed, indices, law):
     """Gamma(2) radii, angle pairs by constant-majorant rejection."""
-    n = len(indices)
-    r1 = invert_radial_cdf(counter_uniforms(seed, indices, 0),
-                           counter_uniforms(seed, indices, 1))
-    r2 = invert_radial_cdf(counter_uniforms(seed, indices, 2),
-                           counter_uniforms(seed, indices, 3))
-    th = np.empty(n)
-    vt = np.empty(n)
-    pending = np.arange(n)
+    keys = _frame_keys(seed, indices)
+    radii = np.stack([
+        invert_radial_cdf(_keyed_uniforms(keys, 0), _keyed_uniforms(keys, 1)),
+        invert_radial_cdf(_keyed_uniforms(keys, 2), _keyed_uniforms(keys, 3)),
+    ], 1)
+    points = np.empty((len(indices), 2, 2))  # unit vectors until the end
+    pending = np.arange(len(indices))
     proposals = 0
     for attempt in range(MAX_ATTEMPT_ROUNDS):
         if pending.size == 0:
             break
-        idx = indices[pending]
-        cand_t = 2.0 * math.pi * counter_uniforms(seed, idx, 4 + 3 * attempt)
-        cand_v = 2.0 * math.pi * counter_uniforms(seed, idx, 5 + 3 * attempt)
-        gate = counter_uniforms(seed, idx, 6 + 3 * attempt) * law.majorant
-        w = law(cand_t, cand_v)
+        cos_t, sin_t = _unit_vectors(_keyed_uniforms(keys, 4 + 3 * attempt))
+        cos_v, sin_v = _unit_vectors(_keyed_uniforms(keys, 5 + 3 * attempt))
+        gate = _keyed_uniforms(keys, 6 + 3 * attempt) * law.majorant
+        w = law.from_unit_vectors(cos_t, sin_t, cos_v, sin_v)
         if np.any(w > law.majorant):
             raise AlgebraInconsistencyError(
                 "angular weight exceeded its majorant")
         proposals += pending.size
         ok = gate <= w
-        th[pending[ok]] = cand_t[ok]
-        vt[pending[ok]] = cand_v[ok]
-        pending = pending[~ok]
+        hit = pending[ok]
+        points[hit, 0, 0], points[hit, 0, 1] = cos_t[ok], sin_t[ok]
+        points[hit, 1, 0], points[hit, 1, 1] = cos_v[ok], sin_v[ok]
+        pending, keys = pending[~ok], keys[~ok]
     if pending.size:
         raise SamplerMethodError(
             f"{pending.size} frames unresolved after "
             f"{MAX_ATTEMPT_ROUNDS} rejection rounds")
-    points = np.empty((n, 2, 2))
-    points[:, 0, 0] = r1 * np.cos(th)
-    points[:, 0, 1] = r1 * np.sin(th)
-    points[:, 1, 0] = r2 * np.cos(vt)
-    points[:, 1, 1] = r2 * np.sin(vt)
+    points *= radii[:, :, None]
     return points, proposals
 
 
@@ -407,7 +441,8 @@ def save_frames(frames, path, provenance=None):
 def load_frames(path):
     """The FrameSet of a frames file. The body is read `_READ_CHARS` at a
     time into points allocated once from the header's count, every cell
-    as Python's float() reads it."""
+    as Python's float() reads it; the frame_index column must count 0, 1,
+    2, ... row by row."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith(_HEADER_PREFIX):
@@ -433,6 +468,9 @@ def load_frames(path):
             if row + len(rows) > count:
                 raise ValueError("more frames in the body than its header "
                                  "counts")
+            if np.any(rows[:, 0] != np.arange(row, row + len(rows))):
+                raise ValueError(f"frame_index out of sequence in rows "
+                                 f"{row} to {row + len(rows) - 1}")
             points[row:row + len(rows)] = rows[:, 1:].reshape(-1, 2, 2)
             row += len(rows)
             if not chunk:

@@ -1,2 +1,2 @@
 VERSION = "0.1.0"
-GENERATOR_VERSION = "ring-sampler-2"
+GENERATOR_VERSION = "ring-sampler-3"

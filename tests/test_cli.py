@@ -480,8 +480,8 @@ def test_formats_filter(tmp_path):
 
 # Runs whose every output file is pinned by its sha256 in _PINNED_DIGESTS.
 # Every file's provenance carries GENERATOR_VERSION, so all of them were
-# re-pinned at ring-sampler-2; outside the frames-fermi run the files differ
-# from the ring-sampler-1 ones in that string only. A deliberate change of a
+# re-pinned at ring-sampler-3; outside the frames-fermi run the files differ
+# from the ring-sampler-2 ones in that string only. A deliberate change of a
 # format, of the version strings or of a law re-pins them.
 _PINNED_RUNS = {
     "profile": ["profile"],
@@ -493,43 +493,43 @@ _PINNED_RUNS = {
 }
 _PINNED_DIGESTS = {
     "profile/profile_grid.csv":
-        "6e6bf05c620d43b98e1e6b9ed0fafcb43d87fdadca956da757fe6d5eca182732",
+        "5e8c50550bf4b8033ecf9322871b59503e8f098a9996db20c1f536f1bde108fa",
     "profile/profile_heatmap.svg":
-        "ac60e42da4f74f9deb9f4d8f016a00dfdf1d37e7d89c3483b2eaf4a20e44df7a",
+        "d65be13dd8a057c7ae3131f5b9877cff2f7a6d51c357bc9d629461a6bab4bc9c",
     "profile/profile_radial_cut.csv":
-        "12e2119361c7bd386043a2f88990ad51939c02cde20fb1b7a41b4806032381a6",
+        "c2956816bd2e8017b4e28c439df82a52cfecd299aff89c8c231c4ce7718c79a0",
     "profile/profile_summary.json":
-        "9299c46c291296de57296e3ca3fcf8a7a59dcfe8961f813928a8d9d11beeacdc",
+        "78ffb69d22c2759426ab8533ec44f972d4544ca3127eda9434910383df1d7663",
     "pairdist-thermal/pairdist_distribution.csv":
-        "5f61e5990283ed4b0f3fa7710e24d7173ab348cad1ec9c90b8e6b01ed06543bb",
+        "b847f34746634212a429d614ad6c15d664ce9290ae61ef07476ff898700ada0e",
     "pairdist-thermal/pairdist_overlay.svg":
-        "233768477f24fa291914da73a114fb59385447180b9bfead885337caaed25ceb",
+        "8fcf5fb03cff9c76201ba407617ed10754d0df8ec5dfcf417b2cd65ceb37bc35",
     "pairdist-thermal/pairdist_summary.json":
-        "db9f59308960ab50982b1cf9b7b09862ccfbe51b23323071479a90ea5733da56",
+        "0665db3d5a724c172a5cfb274f807d053c5ca5bf15502f618e3c9a2d497d0c53",
     "pairangle-cothermal/pairangle_distribution.csv":
-        "093da039b9c1aba81eb901c46b601d02ffbaeea320b17b3d0fe125142e8bb12a",
+        "fc9e9e129f7e8b03d18e6c3ad70077b6c5ecf15431dc77c4268ac51c2134daa2",
     "pairangle-cothermal/pairangle_overlay.svg":
-        "440200f65b9760f68223e7c1a1ab0743a6bd8aae3a98ed3b1b6adc6545a73110",
+        "fc8cc2b97d2ba8b72d520a16b7a0bd604a8626e9f28205c42e0be4be93e912ae",
     "pairangle-cothermal/pairangle_summary.json":
-        "2672235df6669601e821c602345ed7f1e7bcd540277bec986ddccc5bca44bf83",
+        "16a36b7b396b13b59a5b4fdd30201f1b772b541b36ded7bd49b8ca66ba259ca3",
     "two-angle-noon/two_angle_heatmap.svg":
-        "c3795b9b7fec46742c954850584b028fde4ec65541d6ccc36bbbbb21b4b64edc",
+        "220e72c6014474463d282e0db75c1875a55a131c264d31b0dbdfdd34e55cfd94",
     "two-angle-noon/two_angle_summary.json":
-        "5ef737c3253bbe8f56395bb82e4145e6d17d972680ac336e1863f928fc779e10",
+        "8787aefbfd50932d8ee0565ee76ae8dbee88da52a42463a87e789ab0f26d6e0a",
     "two-angle-noon/two_angle_surface.csv":
-        "087d305e15d2b2b1661f3f73c5d520d27ecec51fdc715ca59a0cf90963173345",
+        "7ab11c0c33b89abd32edd8d5fe04c9a5befb17db6a6c5b8e6fe867a440f0810c",
     "frames-fermi/frames.csv":
-        "fd375f3cbeccbe7c7b10d6d4521d8bffe57ada22a66ba996b8a1d180114eecb4",
+        "83b61e385a96ed87c7331ad016e5f5bfb38a805978ab35a443f4a465fcdaa0d8",
     "frames-fermi/frames_angle.svg":
-        "a4a64748494bec8fc8cefa8ebd9203e9e50fdc0ce343bf75994c98bf97c6ab58",
+        "50b26c14285341eb43834e82cb45e8206e86f2ae3e04f30b068d23246551bab8",
     "frames-fermi/frames_angle_hist.csv":
-        "9357de1b6404912b83308a4d0d42867c8b413f953c611221ed876b3199ea496c",
+        "93896a06b3f9a3a504f8c659e484737826372f04d83292ce095201c8ae4529ad",
     "frames-fermi/frames_distance.svg":
-        "9619c80828a541e0273ccb298e98353f471f0c681b3637e6f55cdabfb1b7755d",
+        "caa0c57353570cf7510249b27209e42c7b9d83c5af67da5b34b2736c00040da5",
     "frames-fermi/frames_distance_hist.csv":
-        "6ebfa782fd65188bed863b24ab4c92c1036871eac242fb16a0aefe726b337bdb",
+        "dac37f8c6e9d387c33ca7ec571796ecdabd94b258b75ad90d5d99ff639299d84",
     "frames-fermi/frames_stats.json":
-        "55e4efaf7472d9e8eba6075c18f250377571b1ca7b5ef077260b636accbc1993",
+        "7e8d649524e4d8d6efdca19f2dea01f0c9b0c7df8c5e563b958239c7d824ebc1",
 }
 
 

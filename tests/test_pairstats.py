@@ -24,7 +24,8 @@ from vortexcorr.pairstats import (ISOTROPY_TOL, PairDistribution,
                                   harmonic_matrix, summarize,
                                   two_angle_distribution)
 from vortexcorr.quadrature import gauss_legendre
-from vortexcorr.sampler import MAJORANT_SAFETY, AngularLaw
+from vortexcorr import sampler
+from vortexcorr.sampler import ROUNDING_ALLOWANCE, AngularLaw
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
 
@@ -272,11 +273,13 @@ def test_harmonic_matrix_closed_form_laws():
 
 
 def test_angular_acceptance_at_least_a_quarter():
-    # W <= 4 mean(W) for every state, so the ring sampler's rejection
-    # never accepts less than a quarter (up to the majorant's safety)
+    # W <= 4 mean(W) = 4 M_00 for every state, so the majorant is at most
+    # 4 M_00 plus its rounding allowance ROUNDING_ALLOWANCE sum|M_jk|; as
+    # |M_0k|, |M_k0| <= 2 M_00 and |M_jk| <= 4 M_00 otherwise, sum|M_jk| <=
+    # 25 M_00, and the acceptance is at least 1 / (4 + 25 ROUNDING_ALLOWANCE)
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
-    floor = 0.25 / MAJORANT_SAFETY * (1.0 - 1e-12)
+    floor = 0.25 - 2.0 * ROUNDING_ALLOWANCE
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(st.data())
@@ -284,6 +287,45 @@ def test_angular_acceptance_at_least_a_quarter():
         state = build_state(_random_spec(data.draw))
         hypothesis.assume(pair_moment(state) > 1e-3)
         assert AngularLaw(state).acceptance_estimate >= floor
+
+    check()
+
+
+def test_majorant_is_exact():
+    # the majorant bounds W as the sampler evaluates it, from half-angle
+    # tangents, on a dense random probe and at the peak of W; and it
+    # exceeds the true maximum by at most its Lipschitz term plus the
+    # rounding allowance
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        state = build_state(_random_spec(data.draw))
+        hypothesis.assume(pair_moment(state) > 1e-3)
+        law = AngularLaw(state)
+        m = law.matrix
+        # with theta fixed, W peaks at c0 + |(c1, c2)| where 2 vartheta
+        # points along (c1, c2), c = M^T g(theta); 2 theta on 2^16 nodes
+        phi = np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False)
+        c = m.T @ np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
+        peak = int(np.argmax(c[0] + np.hypot(c[1], c[2])))
+        top = float(c[0, peak] + math.hypot(c[1, peak], c[2, peak]))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        u = np.random.default_rng(seed).random((2, 20000))
+        u[:, 0] = (phi[peak] / (4.0 * math.pi),
+                   math.atan2(c[2, peak], c[1, peak]) / (4.0 * math.pi) % 1.0)
+        w = law.from_unit_vectors(*sampler._unit_vectors(u[0]),
+                                  *sampler._unit_vectors(u[1]))
+        assert np.max(w) <= law.majorant
+        assert abs(w[0] - top) <= 1e-9 * m[0, 0]
+        lipschitz = (math.hypot(m[1, 0], m[2, 0])
+                     + float(np.linalg.norm(m[1:, 1:], 2)))
+        # the true maximum is at most top + lipschitz * pi / 2^16
+        assert law.majorant <= (top + lipschitz * math.pi / 4096
+                                + law.allowance)
+        assert law.allowance == ROUNDING_ALLOWANCE * np.sum(np.abs(m))
 
     check()
 

@@ -87,7 +87,8 @@ def test_radii_at_the_uniform_ends():
     ends = np.array([0.0, 1.0 - 2.0 ** -53])
     r = invert_radial_cdf(ends[:, None], ends[None, :])
     assert np.all(np.isfinite(r)) and np.all(r >= 0.0)
-    assert r[0, 0] == 0.0
+    # +0.0, not the -0.0 of a bare -ln(1.0), which a frame prints as "-0"
+    assert r[0, 0] == 0.0 and not np.any(np.signbit(r))
     np.testing.assert_allclose(r[1, 1], math.sqrt(106.0 * math.log(2.0)),
                                rtol=1e-15)
 
@@ -145,27 +146,61 @@ def test_generate_frames_thread_split_property():
     check()
 
 
+def _reference_frames(spec, count, seed):
+    """The draw table of ring-sampler-3, one frame at a time in plain
+    python floats with libm cos and sin: the points and the proposals."""
+    law = sampler.AngularLaw(build_state(spec))
+    points, proposals = np.empty((count, 2, 2)), 0
+    for frame in range(count):
+        u = [_uniform_ref(seed, frame, draw) for draw in range(4)]
+        radii = [math.sqrt(-math.log((1.0 - u[0]) * (1.0 - u[1]))),
+                 math.sqrt(-math.log((1.0 - u[2]) * (1.0 - u[3])))]
+        for attempt in range(sampler.MAX_ATTEMPT_ROUNDS):
+            theta, vartheta, gate = (
+                _uniform_ref(seed, frame, 4 + 3 * attempt + k)
+                for k in range(3))
+            angles = 2.0 * math.pi * theta, 2.0 * math.pi * vartheta
+            proposals += 1
+            if gate * law.majorant <= float(law(*angles)):
+                break
+        for p, (r, a) in enumerate(zip(radii, angles)):
+            points[frame, p] = r * math.cos(a), r * math.sin(a)
+    return points, proposals
+
+
+@pytest.mark.parametrize("spec", (fermi_fock(), cothermal(), noon()),
+                         ids=lambda s: s.kind)
+def test_frames_follow_the_draw_table(spec):
+    # the tangent unit vectors and the one-log radii agree with libm to a
+    # few ulps, and no gate lies that close to its weight in 300 frames
+    frames = generate_frames(spec, 300, seed=29)
+    points, proposals = _reference_frames(spec, 300, 29)
+    np.testing.assert_allclose(frames.points, points, rtol=0, atol=1e-14)
+    assert frames.meta["proposals"] == proposals
+
+
 # sha256 of generate_frames(spec, 2000, seed=17).points.tobytes() and its
-# proposal count for every shipped state, taken at ring-sampler-2 (Gamma(2)
-# radii from draws 0-3, angle rounds from draw 4); a change of
+# proposal count for every shipped state, taken at ring-sampler-3 (one-log
+# Gamma(2) radii from draws 0-3, half-angle-tangent unit vectors and the
+# exact majorant in the angle rounds from draw 4); a change of
 # GENERATOR_VERSION re-pins them
 _FRAME_PINS = {
-    "fermi-fock": (fermi_fock(), "c0643b5b8cbaf5a35bc53a41bc33c99b"
-                   "3eefa4e8228c4378f403bbc9c00e499b", 3992),
-    "fermi-fock-dipole": (fermi_fock("dipole"), "c0643b5b8cbaf5a35bc53a41"
-                          "bc33c99b3eefa4e8228c4378f403bbc9c00e499b", 3992),
-    "bose-fock-1-1": (bose_fock(1, 1), "cfc27921595dcd325c5a76d7f4c0d9ba"
-                      "292ef055bb6b741a2744b7d46fa7f265", 4029),
-    "bose-fock-2-1": (bose_fock(2, 1), "405ee25f3ab034db28733e7bafd286fd"
-                      "6ecd05aa37bc78e28721330da4274251", 3351),
-    "coherent": (coherent(), "c8b91dd51abdba1a1bb3de26e815540a"
-                 "41fceb5cde1fe58f734456f70fd99d9b", 2002),
-    "thermal": (thermal(), "c129d1a2dab597af2000f79b3e145b4f"
-                "3c89e72c2eaef0a730a30466a971dc18", 2652),
-    "cothermal": (cothermal(), "fae46a240256ee2223730370fee97248"
-                  "e93465b064ed8d93f3b04042d2579933", 2521),
-    "noon": (noon(), "6b860a435f99861c21266065047c51a0"
-             "e04f1f2fd6c92920bcc90ecd5b7fae8a", 3939),
+    "fermi-fock": (fermi_fock(), "552a7ce85513133ff6f11917a53a49a2"
+                   "bc875445b43c56c42ec085b0c96d4e5f", 3991),
+    "fermi-fock-dipole": (fermi_fock("dipole"), "552a7ce85513133ff6f11917"
+                          "a53a49a2bc875445b43c56c42ec085b0c96d4e5f", 3991),
+    "bose-fock-1-1": (bose_fock(1, 1), "c5adbd04bbf69413401e164e7f3b7071"
+                      "17dc5ee1c3871504528aa657b8450137", 4028),
+    "bose-fock-2-1": (bose_fock(2, 1), "86a68f261a579b83f573f2165697c713"
+                      "0f53744e2aaf993129325165669e8837", 3350),
+    "coherent": (coherent(), "d0403e8eaba7cacca3209ae90d2d1aa0"
+                 "4e8713b7ced237d582627e3f9e7cc097", 2000),
+    "thermal": (thermal(), "76f4313879a4b595b09e80abfd42a61d"
+                "5ccf47310f6bbe88964ddd32a843f58b", 2647),
+    "cothermal": (cothermal(), "6c02efddfed198037349b624d047d55a"
+                  "68e7728abe0589237ab34c0ccafa5571", 2518),
+    "noon": (noon(), "8ff9a79bcf98a129b28c95bb66182fc4"
+             "4c6d004124cf4da41b47e8075efd184a", 3937),
 }
 
 
@@ -386,6 +421,21 @@ def test_load_frames_streams_blocks(tmp_path, monkeypatch):
         bad = _frames_file(tmp_path, body, count)
         with pytest.raises(ValueError, match="frame"):
             load_frames(bad)
+
+
+@pytest.mark.parametrize("change", ["wrong-index", "swapped-rows"])
+def test_load_frames_checks_the_frame_index(tmp_path, change):
+    frames = generate_frames(fermi_fock(), 3, seed=8)
+    path = tmp_path / "frames.csv"
+    save_frames(frames, path)
+    lines = path.read_text().splitlines(keepends=True)
+    if change == "wrong-index":
+        lines[2] = "7" + lines[2][1:]
+    else:
+        lines[3], lines[4] = lines[4], lines[3]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="frame_index"):
+        load_frames(path)
 
 
 @pytest.mark.parametrize("count", [10 ** 12, 2.5, "x", -1, None])

@@ -127,9 +127,9 @@ class AngularLaw:
             raise AlgebraInconsistencyError(
                 "angular weight is significantly negative")
         slope = math.hypot(m[1, 0], m[2, 0]) + np.linalg.norm(m[1:, 1:], 2)
-        self.allowance = ROUNDING_ALLOWANCE * float(np.sum(np.abs(m)))
+        allowance = ROUNDING_ALLOWANCE * np.sum(np.abs(m))
         self.majorant = float(min(top + slope * math.pi / MAJORANT_NODES,
-                                  4.0 * m[0, 0]) + self.allowance + 1e-300)
+                                  4.0 * m[0, 0]) + allowance + 1e-300)
 
     def __call__(self, theta, vartheta):
         return angular_weight(self.matrix, theta, vartheta)
@@ -153,7 +153,8 @@ def _unit_vectors(u):
     below 1.7e16 for u in [0, 1): ((1 - tau^2), 2 tau) / (1 + tau^2)."""
     tau = np.tan(math.pi * u)
     square = tau * tau
-    return (1.0 - square) / (1.0 + square), 2.0 * tau / (1.0 + square)
+    norm = 1.0 + square
+    return (1.0 - square) / norm, 2.0 * tau / norm
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +198,14 @@ def _sample_ring_block(seed, indices, law):
             raise AlgebraInconsistencyError(
                 "angular weight exceeded its majorant")
         proposals += pending.size
-        ok = gate <= w
+        # integer positions: a random boolean mask indexes several times
+        # slower, as its branches mispredict
+        accept = gate <= w
+        ok, miss = np.flatnonzero(accept), np.flatnonzero(~accept)
         hit = pending[ok]
         points[hit, 0, 0], points[hit, 0, 1] = cos_t[ok], sin_t[ok]
         points[hit, 1, 0], points[hit, 1, 1] = cos_v[ok], sin_v[ok]
-        pending, keys = pending[~ok], keys[~ok]
+        pending, keys = pending[miss], keys[miss]
     if pending.size:
         raise SamplerMethodError(
             f"{pending.size} frames unresolved after "

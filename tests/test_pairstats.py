@@ -324,8 +324,7 @@ def test_majorant_is_exact():
                      + float(np.linalg.norm(m[1:, 1:], 2)))
         # the true maximum is at most top + lipschitz * pi / 2^16
         assert law.majorant <= (top + lipschitz * math.pi / 4096
-                                + law.allowance)
-        assert law.allowance == ROUNDING_ALLOWANCE * np.sum(np.abs(m))
+                                + ROUNDING_ALLOWANCE * np.sum(np.abs(m)))
 
     check()
 

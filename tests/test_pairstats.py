@@ -322,7 +322,7 @@ def test_majorant_is_exact():
         assert abs(w[0] - top) <= 1e-9 * m[0, 0]
         lipschitz = (math.hypot(m[1, 0], m[2, 0])
                      + float(np.linalg.norm(m[1:, 1:], 2)))
-        # the true maximum is at most top + lipschitz * pi / 2^16
+        # top is at most the true maximum of W
         assert law.majorant <= (top + lipschitz * math.pi / 4096
                                 + ROUNDING_ALLOWANCE * np.sum(np.abs(m)))
 

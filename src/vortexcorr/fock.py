@@ -2,7 +2,8 @@
 
 Every density of the library sees a two-mode state only through the first-
 and second-order normally ordered correlators <adag_p a_q> and
-<adag_p adag_p' a_q' a_q>, so a state is stored as those 20 numbers. Each
+<adag_p adag_p' a_q' a_q>, so a state is stored as those 20 numbers, and
+the densities read them as the twelve real numbers (m, M) of harmonics. Each
 constructor computes them directly: coherent, thermal and cothermal states
 from the closed-form single-mode moments of displaced thermal modes, with no
 Fock-space truncation; Fock and NOON states from their occupations and
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PauliViolationError
+from .errors import AlgebraInconsistencyError, PauliViolationError
 
 
 class Statistics(Enum):
@@ -213,36 +214,52 @@ def change_basis(state):
                         _rotate(state.correlators(), u), flags=state.flags)
 
 
-def dipole_correlators(state):
-    """The state's correlators in the dipole basis."""
-    if state.basis is Basis.DIPOLE:
-        return state.correlators()
-    return _rotate(state.correlators(), _DIPOLE_TO_VORTEX.conj().T)
+# (A_0, A_1, A_2) per basis: phi_p* phi_q = sum_j h_j (A_j)_pq (harmonics)
+_HARMONICS = {Basis.VORTEX: np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                                      [[0, -1j], [1j, 0]]]),
+              Basis.DIPOLE: np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]],
+                                      [[0, 1], [1, 0]]])}
+
+
+def harmonics(state):
+    """The state as twelve real numbers (m, M).
+
+    Every mode product is phi_p* phi_q = sum_j h_j (A_j)_pq in the shell
+    harmonics h(x) = exp(-|x|^2) (|x|^2, x^2 - y^2, 2xy) / pi, so with
+    m_j = sum first[p, q] (A_j)_pq and M_jk = sum second[a, b, c, d]
+    (A_j)_ad (A_k)_bc, rho1(x) = m . h(x) and rho2(x, x') = h(x)^T M h(x').
+    An imaginary residue above 1e-12 of the largest entry of m or of M
+    raises AlgebraInconsistencyError.
+    """
+    a = _HARMONICS[state.basis]
+    corr = state.correlators()
+    raw = (np.einsum("pq,jpq->j", corr.first, a),
+           np.einsum("abcd,jad,kbc->jk", corr.second, a, a))
+    for part in raw:
+        worst = float(np.max(np.abs(part.imag)))
+        if worst > 1e-12 * max(1.0, float(np.max(np.abs(part.real)))):
+            raise AlgebraInconsistencyError(
+                f"correlators produced imaginary residue {worst:.3e}")
+    return raw[0].real, raw[1].real
 
 
 def pair_isotropy_defect(state):
-    """How strongly the pair density breaks rotation invariance.
+    """How strongly the densities break rotation invariance.
 
-    Rotating the plane by angle t multiplies vortex-basis correlator entries
-    by exp(i t (l_q + l_q' - l_p - l_p')) with circulation l = +/-1, so the
-    one- and two-body densities are isotropic iff every entry with unbalanced
-    circulation vanishes. Returns the largest unbalanced magnitude relative
-    to the largest entry of the same order: the basis rotation rounds each
-    entry relative to that scale, so the result does not grow with the
-    occupation.
+    A rotation by t turns h_1 + i h_2 by exp(2it), so rho1 and rho2 are
+    isotropic iff m_1 = m_2 = 0, M_01 = M_02 = M_10 = M_20 = 0, M_11 = M_22
+    and M_12 = -M_21. Returns the largest violation relative to the largest
+    entry of m or of M, the scale each rounds at, so the result does not
+    grow with the occupation.
     """
-    corr = state.correlators()
-    if state.basis is Basis.DIPOLE:
-        corr = _rotate(corr, _DIPOLE_TO_VORTEX)
+    m, matrix = harmonics(state)
     defect = 0.0
-    for tensor in (corr.first, corr.second):
-        scale = float(np.max(np.abs(tensor)))
-        if scale == 0.0:
-            continue
-        # creation indices come first; index 0 is l = +1, index 1 is l = -1
-        ell = 1 - 2 * np.indices(tensor.shape)
-        half = tensor.ndim // 2
-        charge = ell[:half].sum(axis=0) - ell[half:].sum(axis=0)
-        defect = max(defect,
-                     float(np.max(np.abs(tensor[charge != 0]))) / scale)
+    for entries, broken in (
+            (m, m[1:]),
+            (matrix, (matrix[0, 1], matrix[0, 2], matrix[1, 0], matrix[2, 0],
+                      matrix[1, 1] - matrix[2, 2],
+                      matrix[1, 2] + matrix[2, 1]))):
+        scale = float(np.max(np.abs(entries)))
+        if scale > 0.0:
+            defect = max(defect, float(np.max(np.abs(broken))) / scale)
     return defect

@@ -14,8 +14,8 @@ for a unit vector v in C^2:
     vortex_cw  v = (1, -i) / sqrt(2)   (circulation -1)
 
 The two vortex modes have identical ring-shaped intensity; only their phase
-winding differs. Everything downstream (densities, pair statistics, the
-cross-check oracle) evaluates modes through this module.
+winding differs. The engine evaluates no mode, only the shell harmonics of
+density.py, and the cross-check oracle evaluates the closed form itself.
 """
 
 import math

@@ -11,46 +11,38 @@ binning a 4D lattice:
 
 with N2 = <:N^2:> so every distribution integrates to 1.
 
-The distance law is an exact kernel contraction. Every mode is
-phi_v(x) = sqrt(2/pi) (v . x) exp(-|x|^2/2) with v = (1, 0), (0, 1) for the
-dipole pair and (1, +-i)/sqrt(2) for the vortex pair. For the correlator
-second[a, b, c, d] put u1 = conj(v_a), u2 = v_d, u3 = conj(v_b), u4 = v_c
-and (ij) = u_i . u_j (bilinear, no conjugation); the Gaussian integral over
-R and the average over gamma give
+All three rest on rho2(x, x') = h(x)^T M h(x') (density.py), with the shell
+harmonics h(x) = exp(-|x|^2) (|x|^2, x^2 - y^2, 2xy) / pi and the real
+3x3 M of fock.harmonics; N2 = M_00.
 
-  K_abcd(d) = (d exp(-d^2/2) / 4) [S_abcd (1 + d^4/8) + d^2 T_abcd]
-  S = (12)(34) + (13)(24) + (14)(23),   T = (12)(34) - (13)(24) - (14)(23)
+The distance law is an exact kernel contraction: the Gaussian integral
+over R and the average over gamma pair each harmonic with itself only,
 
-so D(d) = d exp(-d^2/2) [s (1 + d^4/8) + t d^2] / (4 N2) with the two state
-numbers s = sum second * S and t = sum second * T. Orthonormal modes give
-(12)(34) summed against second = N2, so s + t = 2 N2, hence int D = 1 and
-E[d^2] = 4 for every state. With the bosonic weight w = s / (4 N2),
-D = w D_B + (1 - w) D_F is a mixture of the two-boson and two-fermion
-laws: w = 0 for fermions, w in [1/2, 1] for bosons, 1/2 for coherent
-states.
+  D(d) = d exp(-d^2/2) [M_00 (2 + d^4/4) + (M_11 + M_22)(1 - d^2 + d^4/8)]
+         / (4 N2)
+       = d exp(-d^2/2) [s (1 + d^4/8) + t d^2] / (4 N2)
 
-The angle laws rest on the same ring factorisation. Every mode is
-R(r) u_v(theta) with R(r) = r exp(-r^2/2) / sqrt(pi) and the angular
-factors u = exp(+-i theta) (vortex) or sqrt(2) cos theta, sqrt(2) sin theta
-(dipole), so all angular physics sits in the trigonometric polynomial
+with the two state numbers s = 2 M_00 + M_11 + M_22 and t = -(M_11 +
+M_22). s + t = 2 N2, hence int D = 1 and E[d^2] = 4 for every state. With
+the bosonic weight w = s / (4 N2), D = w D_B + (1 - w) D_F is a mixture of
+the two-boson and two-fermion laws: w = 0 for fermions, w in [1/2, 1] for
+bosons, 1/2 for coherent states.
 
-  W(t, v) = sum second[a, b, c, d] conj(u_a(t)) u_d(t) conj(u_b(v)) u_c(v)
+The angle laws rest on the ring factorisation. In polar coordinates
+h(r, theta) = r^2 exp(-r^2) g(theta) / pi with g(x) = (1, cos 2x, sin 2x),
+so all angular physics sits in the nine real numbers of M,
 
-and each radial integral int r dr R(r)^2 = 1/(2 pi) is a constant. With
-g(x) = (1, cos 2x, sin 2x), conj(u_a(x)) u_d(x) = sum_j g_j(x) (A_j)_ad for
-A = (1, sigma_x, sigma_y) (vortex) or (1, sigma_z, sigma_x) (dipole), so W
-is nine real numbers (harmonic_matrix):
+  W(t, v) = g(t)^T M g(v),
 
-  W(t, v) = g(t)^T M g(v),   M_jk = sum second[a, b, c, d] (A_j)_ad (A_k)_bc
-
-Hence J(t, v) = W(t, v) / (4 pi^2 N2), and f(D) is the phi-average of
-W(phi, phi + D) over 2 pi N2. Every mode is odd, u(theta + pi) = -u(theta),
-so f(D + pi) = f(D) and the law folded to [0, pi) is 2 f(D), three numbers:
-(M_00 + [(M_11 + M_22) cos 2D + (M_12 - M_21) sin 2D] / 2) / (pi N2), with
-M_00 = N2. For a rotation-invariant state this folded law is
-(1 + (2w - 1) cos 2D) / pi with the same w, so one number summarises
-every distance and relative-angle law (see summarize). The paper's
-closed forms these laws are graded against live in oracle.py.
+and each radial integral int r dr r^2 exp(-r^2) / pi = 1/(2 pi) is a
+constant. Hence J(t, v) = W(t, v) / (4 pi^2 N2), and f(D) is the
+phi-average of W(phi, phi + D) over 2 pi N2. g has period pi, so
+f(D + pi) = f(D) and the law folded to [0, pi) is 2 f(D), three numbers:
+(M_00 + [(M_11 + M_22) cos 2D + (M_12 - M_21) sin 2D] / 2) / (pi N2). For
+a rotation-invariant state this folded law is (1 + (2w - 1) cos 2D) / pi
+with the same w, so one number summarises every distance and
+relative-angle law (see summarize). The paper's closed forms these laws
+are graded against live in oracle.py.
 """
 
 import math
@@ -59,19 +51,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
-                     NoPairsError)
-from .fock import Basis, dipole_correlators, pair_isotropy_defect, pair_moment
+from .errors import AnisotropicStateError, NoPairsError
+from .fock import harmonics, pair_isotropy_defect
 
 DISTANCE_MAX = 8.0
 DEFAULT_DISTANCE_POINTS = 801
 DEFAULT_ANGLE_POINTS = 361
 DEFAULT_TWO_ANGLE_POINTS = 180
-# (A_0, A_1, A_2) per basis: conj(u_a(x)) u_d(x) = sum_j g_j(x) (A_j)_ad
-_HARMONICS = {Basis.VORTEX: np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                                      [[0, -1j], [1j, 0]]]),
-              Basis.DIPOLE: np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]],
-                                      [[0, 1], [1, 0]]])}
 
 PAIR_WEIGHT_TOL = 1e-14
 ISOTROPY_TOL = 1e-10
@@ -123,9 +109,15 @@ class DistSummary:
     meta: dict = field(default_factory=dict)
 
 
-def _require_pairs(state):
-    norm = pair_moment(state)
-    if norm <= PAIR_WEIGHT_TOL:
+def require_pairs(matrix):
+    """N2 = <:N^2:> = M_00 of the state's harmonic matrix M.
+
+    Every |M_jk| is at most 4 N2, so an N2 of at most PAIR_WEIGHT_TOL
+    times the largest |M_jk| is rounding noise, whatever the occupation:
+    such a state has no pairs and raises NoPairsError.
+    """
+    norm = float(matrix[0, 0])
+    if norm <= PAIR_WEIGHT_TOL * float(np.max(np.abs(matrix))):
         raise NoPairsError(
             "state has <:N^2:> ~ 0; no particle pairs to correlate")
     return norm
@@ -141,26 +133,20 @@ def _clip_noise(values):
     return np.maximum(values, 0.0)
 
 
-def _distance_coefficients(state):
-    """The state numbers (s, t) of the distance kernel.
-
-    In the dipole basis v_a and v_b are the unit vectors, so every (ij) is
-    a Kronecker delta and s, t reduce to traces of the correlator.
-    """
-    second = dipole_correlators(state).second
-    direct = np.einsum("abba->", second)                # (12)(34)
-    exchange = (np.einsum("aacc->", second)             # (13)(24)
-                + np.einsum("abab->", second))          # (14)(23)
-    s, t = _real_part(np.array([direct + exchange, direct - exchange]),
-                      "distance kernel")
-    return float(s), float(t)
+def _distance_kernel(state):
+    """(N2, s, t): the distance law is
+    D(d) = d exp(-d^2/2) [s (1 + d^4/8) + t d^2] / (4 N2)."""
+    matrix = harmonics(state)[1]
+    norm = require_pairs(matrix)
+    trace = float(matrix[1, 1] + matrix[2, 2])
+    return norm, 2.0 * norm + trace, -trace
 
 
 def bosonic_weight(state):
     """w = s / (4 N2): the weight of the two-boson law in the state's
     distance law D = w D_B + (1 - w) D_F."""
-    norm = _require_pairs(state)
-    return _distance_coefficients(state)[0] / (4.0 * norm)
+    norm, s, _ = _distance_kernel(state)
+    return s / (4.0 * norm)
 
 
 def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
@@ -168,8 +154,7 @@ def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
 
     The closure evaluates the law anywhere; values tabulates it on the grid.
     """
-    norm = _require_pairs(state)
-    s, t = _distance_coefficients(state)
+    norm, s, t = _distance_kernel(state)
 
     def closure(d):
         d = np.asarray(d, dtype=float)
@@ -182,15 +167,6 @@ def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
     return PairDistribution(PairVariable.DISTANCE, grid, closure(grid),
                             normalization=norm, closure=closure,
                             meta={"bosonic_weight": s / (4.0 * norm)})
-
-
-def harmonic_matrix(state):
-    """The real 3x3 M with W(theta, vartheta) = g(theta)^T M g(vartheta),
-    g(x) = (1, cos 2x, sin 2x)."""
-    harmonics = _HARMONICS[state.basis]
-    raw = np.einsum("abcd,jad,kbc->jk", state.correlators().second,
-                    harmonics, harmonics)
-    return _real_part(raw, "angular weight")
 
 
 def angular_weight(matrix, theta, vartheta):
@@ -208,14 +184,6 @@ def harmonic_weight(matrix, cos2t, sin2t, cos2v, sin2v):
     return rows[0] + cos2t * rows[1] + sin2t * rows[2]
 
 
-def _real_part(raw, name):
-    worst = float(np.max(np.abs(raw.imag)))
-    if worst > 1e-12 * max(1.0, float(np.max(np.abs(raw.real)))):
-        raise AlgebraInconsistencyError(
-            f"{name} produced imaginary residue {worst:.3e}")
-    return raw.real
-
-
 def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS):
     """Density of the relative angle folded to [0, pi).
 
@@ -223,13 +191,13 @@ def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS):
     have no orientation-free relative-angle law and are redirected to
     two_angle_distribution.
     """
-    norm = _require_pairs(state)
+    m = harmonics(state)[1]
+    norm = require_pairs(m)
     defect = pair_isotropy_defect(state)
     if defect > ISOTROPY_TOL:
         raise AnisotropicStateError(
             f"pair density is not rotation invariant (defect {defect:.3e}); "
             "use two_angle_distribution instead")
-    m = harmonic_matrix(state)
     mean = m[0, 0]
     even = 0.5 * (m[1, 1] + m[2, 2])
     odd = 0.5 * (m[1, 2] - m[2, 1])
@@ -252,8 +220,8 @@ def two_angle_distribution(state, n_points=DEFAULT_TWO_ANGLE_POINTS):
     Tabulated on the half-open periodic grid, where the plain Riemann sum
     is exact for the trigonometric-polynomial law.
     """
-    norm = _require_pairs(state)
-    m = harmonic_matrix(state)
+    m = harmonics(state)[1]
+    norm = require_pairs(m)
 
     def closure(theta, vartheta):
         return _clip_noise(angular_weight(m, theta, vartheta)

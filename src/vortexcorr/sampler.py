@@ -5,10 +5,10 @@ radii follow the ring marginal p(r) = 2 r^3 exp(-r^2) independently of the
 angles, and all exchange physics sits in the joint angle law. Pairs are
 therefore drawn with exact radii plus constant-majorant rejection of the
 angle pair against W = g(theta)^T M g(vartheta), the nine numbers of
-pairstats.harmonic_matrix. Under the ring marginal r^2 is Gamma(2, 1), the
-sum of two Exp(1) variables, so a radius costs two uniforms, one log and a
-square root, with no table or iteration (Devroye, Non-Uniform Random
-Variate Generation, 1986, ch. IX). An angle 2 pi u is drawn as its unit
+fock.harmonics. Under the ring marginal r^2 is Gamma(2, 1), the sum of two
+Exp(1) variables, so a radius costs two uniforms, one log and a square
+root, with no table or iteration (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. IX). An angle 2 pi u is drawn as its unit
 vector, formed from tan(pi u) with no cosine or sine. The majorant is
 exact (AngularLaw), and the acceptance is never below a quarter, less a
 rounding allowance.
@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AlgebraInconsistencyError, EmptyFramesError,
-                     NoPairsError, SamplerMethodError)
-from .fock import pair_moment
+                     SamplerMethodError)
+from .fock import harmonics
 from .io import format_block, parse_block, whole_file
 from .pairstats import (PairDistribution, PairVariable, angular_weight,
-                        harmonic_matrix, harmonic_weight)
+                        harmonic_weight, require_pairs)
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
 from .version import GENERATOR_VERSION, VERSION
 
@@ -114,11 +114,13 @@ class AngularLaw:
     bounds W. So does 4 mean(W) = 4 M00, as in the vortex basis each pair
     amplitude has four orthogonal unit-modulus Fourier terms. The majorant
     is the smaller bound plus ROUNDING_ALLOWANCE sum|M_jk|, over 100 times
-    the rounding error of either evaluation of W.
+    the rounding error of either evaluation of W. A state without pairs
+    has no angle law and raises NoPairsError.
     """
 
     def __init__(self, state):
-        m = self.matrix = harmonic_matrix(state)
+        m = self.matrix = harmonics(state)[1]
+        require_pairs(m)
         phi = np.linspace(0.0, 2.0 * math.pi, MAJORANT_NODES, endpoint=False)
         c = m.T @ np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
         spread = np.hypot(c[1], c[2])
@@ -234,9 +236,6 @@ def generate_frames(state_or_spec, count, seed, block=65536, threads=1):
         raise ValueError("block must be >= 1")
     state = (build_state(state_or_spec)
              if isinstance(state_or_spec, StateSpec) else state_or_spec)
-    if pair_moment(state) <= 1e-14:
-        raise NoPairsError("state has no particle pairs to sample")
-
     law = AngularLaw(state)
     points = np.empty((count, 2, 2))
 

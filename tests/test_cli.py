@@ -112,6 +112,31 @@ def test_pairangle_isotropy_is_relative(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_no_pairs_refusal_is_relative(tmp_path, capsys):
+    # <:N^2:> is refused only as rounding noise of the harmonic matrix M,
+    # so weak states keep the laws of their strong counterparts: a
+    # coherent state in one dipole mode has w = 3/4 at any amplitude
+    weak = ((["pairdist", "--state", "coherent", "--alpha-x", "1e-4",
+              "--alpha-y", "0"], "pairdist_summary.json", 0.75),
+            (["frames", "--state", "thermal", "--nbar-a", "1e-8",
+              "--nbar-b", "1e-8", "--seed", "1", "--count", "200",
+              "--stats"], "frames_stats.json", 2.0 / 3.0))
+    for i, (argv, name, weight) in enumerate(weak):
+        out = tmp_path / str(i)
+        assert main(argv + ["--formats", "json", "--out", str(out)]) == 0
+        summary = json.loads((out / name).read_text())
+        assert summary["bosonic_weight"] == pytest.approx(weight, abs=1e-15)
+    for flags in (["--state", "bose-fock", "--n", "1", "--m", "0"],
+                  ["--state", "coherent", "--alpha-x", "0", "--alpha-y", "0"],
+                  ["--state", "thermal", "--nbar-a", "0", "--nbar-b", "0"]):
+        for command in (["pairdist"], ["pairangle"],
+                        ["frames", "--seed", "1", "--count", "10"]):
+            out = tmp_path / "none"
+            assert main(command + flags + ["--out", str(out)]) == 4, flags
+            err = capsys.readouterr().err
+            assert "no particle pairs" in err and "Traceback" not in err
+
+
 def test_points_ceiling_checked_before_allocation(tmp_path, capsys):
     out = tmp_path / "out"
     for argv in (["pairdist", "--points", "1000000000000000"],
@@ -482,7 +507,10 @@ def test_formats_filter(tmp_path):
 # Every file's provenance carries GENERATOR_VERSION, so all of them were
 # re-pinned at ring-sampler-3; outside the frames-fermi run the files differ
 # from the ring-sampler-2 ones in that string only. A deliberate change of a
-# format, of the version strings or of a law re-pins them.
+# format, of the version strings or of a law re-pins them. The densities
+# from (m, M) moved last digits of the profile files, of the thermal
+# distance law and of the fermi distance histogram's reference column and
+# chi-square, which were re-pinned then; frames.csv kept its bytes.
 _PINNED_RUNS = {
     "profile": ["profile"],
     "pairdist-thermal": ["pairdist", "--state", "thermal"],
@@ -493,19 +521,19 @@ _PINNED_RUNS = {
 }
 _PINNED_DIGESTS = {
     "profile/profile_grid.csv":
-        "5e8c50550bf4b8033ecf9322871b59503e8f098a9996db20c1f536f1bde108fa",
+        "abe539418f52d88db994bf0673f76e29e8f65dd1104fc049ca15094996bd6d8d",
     "profile/profile_heatmap.svg":
         "d65be13dd8a057c7ae3131f5b9877cff2f7a6d51c357bc9d629461a6bab4bc9c",
     "profile/profile_radial_cut.csv":
-        "c2956816bd2e8017b4e28c439df82a52cfecd299aff89c8c231c4ce7718c79a0",
+        "108588351c7442238325083b27d22726ec94b5f8ed9fa985df9643983d76dbac",
     "profile/profile_summary.json":
-        "78ffb69d22c2759426ab8533ec44f972d4544ca3127eda9434910383df1d7663",
+        "2c111c463011e097bbdf69a706f59d1291b8b61bda975d454a529aec9f20a1ed",
     "pairdist-thermal/pairdist_distribution.csv":
-        "b847f34746634212a429d614ad6c15d664ce9290ae61ef07476ff898700ada0e",
+        "027d29ecd90a955b0bf287e43780d6888dc305382c0f6a091f8533f16891f05a",
     "pairdist-thermal/pairdist_overlay.svg":
         "8fcf5fb03cff9c76201ba407617ed10754d0df8ec5dfcf417b2cd65ceb37bc35",
     "pairdist-thermal/pairdist_summary.json":
-        "0665db3d5a724c172a5cfb274f807d053c5ca5bf15502f618e3c9a2d497d0c53",
+        "4a1b86a7aa047cf925c8e7258fe39cd5e4231c542e6c979cc802fa79094b09a7",
     "pairangle-cothermal/pairangle_distribution.csv":
         "fc9e9e129f7e8b03d18e6c3ad70077b6c5ecf15431dc77c4268ac51c2134daa2",
     "pairangle-cothermal/pairangle_overlay.svg":
@@ -527,9 +555,9 @@ _PINNED_DIGESTS = {
     "frames-fermi/frames_distance.svg":
         "caa0c57353570cf7510249b27209e42c7b9d83c5af67da5b34b2736c00040da5",
     "frames-fermi/frames_distance_hist.csv":
-        "dac37f8c6e9d387c33ca7ec571796ecdabd94b258b75ad90d5d99ff639299d84",
+        "0770f53be840cfa55b3d220aa89bf82f75a4db6ae92ecb4052d5da261f3aa944",
     "frames-fermi/frames_stats.json":
-        "7e8d649524e4d8d6efdca19f2dea01f0c9b0c7df8c5e563b958239c7d824ebc1",
+        "e50a0e9fafdd76b143076857caed7beea33afb1518da17482dc9a1b7df832e49",
 }
 
 

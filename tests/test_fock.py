@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from vortexcorr.density import rho1, rho2
-from vortexcorr.errors import PauliViolationError
-from vortexcorr.fock import (Basis, Statistics, _product_correlators,
-                             _single_mode_moments, change_basis,
+from vortexcorr.errors import AlgebraInconsistencyError, PauliViolationError
+from vortexcorr.fock import (Basis, Correlators, QuantumState, Statistics,
+                             _product_correlators, _rotate,
+                             _single_mode_moments, change_basis, harmonics,
                              make_coherent, make_cothermal, make_fock,
                              make_noon, make_thermal, mean_number,
                              mode_occupations, pair_isotropy_defect,
                              pair_moment)
+from vortexcorr.pairstats import distance_distribution
+from vortexcorr.sampler import AngularLaw
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
 
@@ -261,7 +264,36 @@ def test_mode_occupations():
     assert (na, nb) == pytest.approx((2.0, 0.0), abs=1e-13)
 
 
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_harmonics_reject_an_imaginary_residue(order):
+    # non-Hermitian correlators give a complex m or M; the densities, the
+    # laws and the sampler read the state only through harmonics, which
+    # checks both once
+    first = np.eye(2, dtype=complex)
+    second = np.zeros((2, 2, 2, 2), dtype=complex)
+    second[0, 1, 1, 0] = 1.0
+    if order == "first":
+        first[0, 1] = 0.5j
+    else:
+        second[0, 1, 1, 0] += 0.5j
+    state = QuantumState(Statistics.BOSE, Basis.VORTEX,
+                         Correlators(first=first, second=second))
+    for read in (harmonics, lambda s: rho1(s, 0.3, 0.4),
+                 lambda s: rho2(s, 0.3, 0.4, -1.0, 0.2),
+                 distance_distribution, AngularLaw):
+        with pytest.raises(AlgebraInconsistencyError, match="imaginary"):
+            read(state)
+
+
 def test_isotropy_defect_flags_noon():
     assert pair_isotropy_defect(make_fock(1, 1, Statistics.FERMI)) < 1e-12
     assert pair_isotropy_defect(make_thermal(1.0, 1.0)) < 1e-10
     assert pair_isotropy_defect(make_noon()) > 0.5
+    # NOON turned by pi/8 has M_11 = M_22, and only M_12 + M_21 shows its
+    # anisotropy; one dipole quantum has no pairs, and only m_1 shows it
+    turn = np.diag(np.exp([0.125j * math.pi, -0.125j * math.pi]))
+    turned = QuantumState(Statistics.BOSE, Basis.VORTEX,
+                          _rotate(make_noon().correlators(), turn))
+    assert pair_isotropy_defect(turned) > 0.5
+    assert pair_isotropy_defect(
+        make_fock(1, 0, Statistics.BOSE, Basis.DIPOLE)) > 0.5

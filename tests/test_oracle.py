@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vortexcorr import density, modes, oracle
+from vortexcorr import density, oracle
 from vortexcorr.modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
 from vortexcorr.oracle import (
     all_engine_checks_confirmed,
@@ -449,8 +449,8 @@ def test_folded_angle_law_memory_is_bounded():
 
 # ---------------------------------------------------------------------------
 # elementwise references for the separable pair-density routes: the former
-# route formulas, one complex array per point pair, on amplitudes from the
-# engine's mode_eval
+# route formulas, one complex array per point pair, on amplitudes from
+# modes.mode_eval
 # ---------------------------------------------------------------------------
 
 SHIPPED = (fermi_fock(), bose_fock(1, 1), bose_fock(2, 0), coherent(),
@@ -557,30 +557,26 @@ def test_sweep_sees_a_wrong_exchange_sign(monkeypatch):
 
 
 def test_tilted_row_sees_a_mirrored_engine(monkeypatch):
-    # y -> -y flips the sign of Im phi_a* phi_b in the engine's real mode
-    # products; only the tilted state's sin 2theta harmonics carry it
-    original = density._real_products
+    # y -> -y flips the sign of the 2xy component of the engine's shell
+    # harmonics h; only the tilted state's sin 2theta harmonics carry it
+    original = density.shell_harmonics
 
-    def mirrored(modes, x, y):
-        q = original(modes, x, y)
-        return np.stack([q[0], q[1], q[2], -q[3]])
+    def mirrored(x, y):
+        h = original(x, y)
+        return np.stack([h[0], h[1], -h[2]])
 
-    monkeypatch.setattr(density, "_real_products", mirrored)
+    monkeypatch.setattr(density, "shell_harmonics", mirrored)
     rows = oracle._engine_vs_oracle_rows(oracle.TILTED_COHERENT, 15)
     assert _row(rows, "rho2-engine-vs-oracle").verdict != "Confirmed"
 
 
-@pytest.mark.parametrize("where", ["density.mode_eval", "modes._NORM"])
-def test_engine_rows_see_a_wrong_mode_normalisation(monkeypatch, where):
-    # the oracle evaluates its modes itself, so a wrong normalisation in
-    # the engine's mode evaluation cannot cancel out of the
-    # engine-vs-oracle rows, not even one inside modes.py
-    if where == "modes._NORM":
-        monkeypatch.setattr(modes, "_NORM", 1.01 * modes._NORM)
-    else:
-        original = density.mode_eval
-        monkeypatch.setattr(density, "mode_eval",
-                            lambda mode, x, y: 1.01 * original(mode, x, y))
+def test_engine_rows_see_a_wrong_mode_normalisation(monkeypatch):
+    # the oracle evaluates its modes itself, so a wrong 1/pi in the
+    # engine's shell harmonics cannot cancel out of the engine-vs-oracle
+    # rows
+    original = density.shell_harmonics
+    monkeypatch.setattr(density, "shell_harmonics",
+                        lambda x, y: 1.01 * original(x, y))
     for spec in SHIPPED:
         rows = oracle._engine_vs_oracle_rows(spec, 15)
         assert _row(rows, "rho2-engine-vs-oracle").verdict != "Confirmed"

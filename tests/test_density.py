@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from vortexcorr.density import density_grid, rho1, rho2
-from vortexcorr.fock import Basis, change_basis
+from vortexcorr.errors import AlgebraInconsistencyError
+from vortexcorr.fock import (Basis, Correlators, QuantumState, Statistics,
+                             change_basis)
 from vortexcorr.modes import DIPOLE_PAIR, VORTEX_PAIR
 from vortexcorr.oracle import printed_rho2, reference_rho2, rho1_closed
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
@@ -105,6 +107,17 @@ def test_rho2_sandwich_matches_einsum(spec):
             want = _rho2_einsum(st, *args)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_rho2_rejects_imaginary_kernel():
+    # a non-Hermitian second-order tensor gives a complex M
+    second = np.zeros((2, 2, 2, 2), dtype=complex)
+    second[0, 1, 1, 0] = 1.0 + 0.5j
+    state = QuantumState(Statistics.BOSE, Basis.VORTEX,
+                         Correlators(first=np.eye(2, dtype=complex),
+                                     second=second))
+    with pytest.raises(AlgebraInconsistencyError, match="imaginary"):
+        rho2(state, 0.3, 0.4, -1.0, 0.2)
 
 
 @pytest.mark.parametrize("basis", ["vortex", "dipole"])

@@ -17,8 +17,6 @@ from vortexcorr.fock import (Basis, Correlators, QuantumState, Statistics,
                              make_noon, make_thermal, mean_number,
                              mode_occupations, pair_isotropy_defect,
                              pair_moment)
-from vortexcorr.pairstats import distance_distribution
-from vortexcorr.sampler import AngularLaw
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
 
@@ -266,9 +264,8 @@ def test_mode_occupations():
 
 @pytest.mark.parametrize("order", ["first", "second"])
 def test_harmonics_reject_an_imaginary_residue(order):
-    # non-Hermitian correlators give a complex m or M; the densities, the
-    # laws and the sampler read the state only through harmonics, which
-    # checks both once
+    # non-Hermitian correlators give a complex m or M; harmonics checks
+    # both at once, so even rho1 refuses a fault in the second order
     first = np.eye(2, dtype=complex)
     second = np.zeros((2, 2, 2, 2), dtype=complex)
     second[0, 1, 1, 0] = 1.0
@@ -278,9 +275,7 @@ def test_harmonics_reject_an_imaginary_residue(order):
         second[0, 1, 1, 0] += 0.5j
     state = QuantumState(Statistics.BOSE, Basis.VORTEX,
                          Correlators(first=first, second=second))
-    for read in (harmonics, lambda s: rho1(s, 0.3, 0.4),
-                 lambda s: rho2(s, 0.3, 0.4, -1.0, 0.2),
-                 distance_distribution, AngularLaw):
+    for read in (harmonics, lambda s: rho1(s, 0.3, 0.4)):
         with pytest.raises(AlgebraInconsistencyError, match="imaginary"):
             read(state)
 

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from vortexcorr.density import rho1, rho2
-from vortexcorr.errors import AnisotropicStateError, NoPairsError
-from vortexcorr.fock import (Basis, change_basis, harmonics,
+from vortexcorr.errors import (AlgebraInconsistencyError,
+                               AnisotropicStateError, NoPairsError)
+from vortexcorr.fock import (Basis, Correlators, QuantumState, Statistics,
+                             change_basis, harmonics,
                              pair_isotropy_defect, pair_moment)
 from vortexcorr.modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
 from vortexcorr.oracle import (_PRINTED_DISTANCE_FORMS, closed_form_angle,
@@ -150,6 +152,20 @@ def test_angle_closure_shape_changes_no_value(spec):
     closure = angle_distribution(build_state(spec), n_points=8).closure
     np.testing.assert_array_equal(closure(delta.reshape(40, 25)),
                                   closure(delta).reshape(40, 25))
+
+
+def test_harmonic_matrix_rejects_imaginary_weight():
+    # a non-Hermitian second-order tensor gives a complex M, which both
+    # pair laws refuse
+    second = np.zeros((2, 2, 2, 2), dtype=complex)
+    second[0, 1, 1, 0] = 1.0 + 0.5j
+    state = QuantumState(Statistics.BOSE, Basis.VORTEX,
+                         Correlators(first=np.eye(2, dtype=complex),
+                                     second=second))
+    with pytest.raises(AlgebraInconsistencyError, match="imaginary"):
+        distance_distribution(state)
+    with pytest.raises(AlgebraInconsistencyError, match="imaginary"):
+        AngularLaw(state)
 
 
 def test_distance_kernel_matches_closed_forms():

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -608,15 +608,16 @@ def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
     a_gof = chi_square_gof(a_hist.meta["samples"], a_ref, bins=40, lo=0.0,
                            hi=math.pi)
 
-    if "csv" in cfg.formats:
-        write_csv(_path(cfg, "frames_distance_hist.csv"),
-                  ("d", "density", "reference"),
-                  (d_hist.grid, d_hist.values, d_at), prov=prov,
-                  comments=("per-frame pair distances, histogram density",))
-        write_csv(_path(cfg, "frames_angle_hist.csv"),
-                  ("delta", "density", "reference"),
-                  (a_hist.grid, a_hist.values, a_at), prov=prov,
-                  comments=("per-frame relative angles folded to [0, pi)",))
+    outputs = (("distance", "d", d_hist, d_at, "pair distance",
+                "per-frame pair distances, histogram density"),
+               ("angle", "delta", a_hist, a_at, "relative angle",
+                "per-frame relative angles folded to [0, pi)"))
+    for name, x, hist, at, _, comment in outputs:
+        if "csv" in cfg.formats:
+            write_csv(_path(cfg, f"frames_{name}_hist.csv"),
+                      (x, "density", "reference"),
+                      (hist.grid, hist.values, at), prov=prov,
+                      comments=(comment,))
     if "json" in cfg.formats:
         write_json(_path(cfg, "frames_stats.json"), {
             "state": spec_to_dict(cfg.spec),
@@ -631,25 +632,18 @@ def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
             "bosonic_weight_estimate": w_hat,
             "bosonic_weight_estimate_se": se_w,
             "bosonic_weight_z": z_w,
-            "distance_gof": {"statistic": d_gof.statistic, "dof": d_gof.dof,
-                             "pvalue": d_gof.pvalue, "bins": d_gof.bins},
-            "angle_gof": {"statistic": a_gof.statistic, "dof": a_gof.dof,
-                          "pvalue": a_gof.pvalue, "bins": a_gof.bins},
+            "distance_gof": asdict(d_gof),
+            "angle_gof": asdict(a_gof),
             "provenance": prov,
         })
-    if "svg" in cfg.formats:
-        svg_chart(_path(cfg, "frames_distance.svg"),
-                  [{"label": "frames", "x": d_hist.grid,
-                    "y": d_hist.values, "style": "bar"},
-                   {"label": "reference", "x": d_hist.grid, "y": d_at}],
-                  title="empirical pair distance", xlabel="d",
-                  ylabel="D(d)", prov=prov)
-        svg_chart(_path(cfg, "frames_angle.svg"),
-                  [{"label": "frames", "x": a_hist.grid,
-                    "y": a_hist.values, "style": "bar"},
-                   {"label": "reference", "x": a_hist.grid, "y": a_at}],
-                  title="empirical relative angle", xlabel="delta",
-                  ylabel="D(delta)", prov=prov)
+    for name, x, hist, at, title, _ in outputs:
+        if "svg" in cfg.formats:
+            svg_chart(_path(cfg, f"frames_{name}.svg"),
+                      [{"label": "frames", "x": hist.grid,
+                        "y": hist.values, "style": "bar"},
+                       {"label": "reference", "x": hist.grid, "y": at}],
+                      title="empirical " + title, xlabel=x,
+                      ylabel=f"D({x})", prov=prov)
 
 
 def cmd_frames(cfg):

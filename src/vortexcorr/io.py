@@ -26,9 +26,9 @@ import numpy as np
 from .version import GENERATOR_VERSION, VERSION
 
 TOOL_NAME = "vortexcorr"
-# CSV rows per block: a block's stacked columns and text stay near 1 MB
-# per column
-_CSV_BLOCK = 16384
+# CSV rows per block: a block's stacked columns, slots and text stay
+# within a few MB
+_CSV_BLOCK = 8192
 
 
 def canonical_json(payload):
@@ -58,11 +58,11 @@ def provenance(config=None, seed=None, flags=()):
 
 @contextlib.contextmanager
 def whole_file(path):
-    """Text handle on `<path>.part`, moved onto `path` only when the block
-    completes, so a failure midway leaves no partial file behind."""
+    """Binary handle on `<path>.part`, moved onto `path` only when the
+    block completes, so a failure midway leaves no partial file behind."""
     part = f"{path}.part"
     try:
-        with open(part, "w", encoding="utf-8") as fh:
+        with open(part, "wb") as fh:
             yield fh
         os.replace(part, path)
     finally:
@@ -76,20 +76,19 @@ def whole_file(path):
 # value (Dekker's two-product against 10**(16 - k) held as a double-double),
 # so m is certain unless lo lies within 2**-30 of a half-integer. Those
 # cells, infinities, NaN and cells outside the range go through Python's
-# '%.17g' one at a time.
-#
-# Each cell fills a slot of four little-endian words, NUL where it has no
-# character: word 0 holds the sign and the "0.000" of fixed notation
-# below 1; words 1-3 hold the digits, those after the point shifted up a
-# byte to make room for it, then "e+dd" from byte 26 and the separator in
-# byte 31. Deleting the NULs leaves the text.
-_CELLS = 4096  # cells per kernel pass, so that its arrays stay in cache
+# '%.17g' one at a time. A cell's text, then ',', fills a slot of four
+# little-endian words: the sign, the "0.000" of fixed notation below 1,
+# the digits, those after the point shifted up a byte to make room for
+# it, and any "e+dd". format_block lays the slots end to end.
+_CELLS = 16384  # cells per kernel pass, so that its arrays stay in cache
 _TINY, _HUGE = 1e-270, 1e280  # no split or product under- or overflows
 _NEAR_HALF = 0.5 - 2.0 ** -30
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
 _EXPONENTS = 300  # the exponent tables span -300 <= k < 300
 _WORD = np.dtype("<u8")
 _U = np.uint64
+_COMMA, _NEWLINE = ord(","), ord("\n")
+_ZEROS = _U(0x3030303030303030)  # '0' in every byte
 
 
 @functools.cache
@@ -109,7 +108,7 @@ def _scaled(a, k):
     k0 = int(k.min())
     powers = np.array([_power_of_ten(16 - j)
                        for j in range(k0, int(k.max()) + 1)]).T
-    hh, hl, low = (row.take(k - k0) for row in powers)
+    hh, hl, low = powers.take(k - k0, axis=1)
     c = _SPLIT * a
     ah = c - (c - a)
     al = a - ah
@@ -117,38 +116,53 @@ def _scaled(a, k):
     return hi, (((ah * hh - hi) + ah * hl) + al * hh) + al * hl + a * low
 
 
-def _word(text):
-    return int.from_bytes(text.encode("ascii"), "little")
-
-
 @functools.cache
 def _slot_tables():
-    """Per exponent k: the prefix word, the exponent word and the first
-    row of k's layouts. Per layout row (digits before the point, last
-    non-zero digit): the masks of the digit bytes and of the shifted digit
-    bytes kept, and the '0' and '.' bits added, three words each."""
-    prefix = np.zeros(2 * _EXPONENTS, _WORD)
-    suffix = np.zeros(2 * _EXPONENTS, _WORD)
-    first = np.ones(2 * _EXPONENTS, np.int64)  # d.ddde+kk
-    for i, k in enumerate(range(-_EXPONENTS, _EXPONENTS)):
-        if -4 <= k < 0:  # 0.000ddd: every digit before the point slot
-            prefix[i] = _word("\0" + "0." + "0" * (-k - 1))
-            first[i] = 18 * 17 + 1
-        elif 0 <= k <= 16:  # k + 1 digits before the point
-            first[i] = 18 * k + 1
-        else:
-            suffix[i] = _word("\0\0e%+03d" % k)
-    last = np.arange(-1, 17)[:, None]
-    lead = np.r_[1:18, 0][:, None, None]
+    """Per sign and exponent k: the head word (the sign, then the "0.000"
+    of fixed notation below 1), its width in bits and k's first rows, in
+    blocks of 18 for the last digit -1 to 16. Per layout (block k for k +
+    1 digits before the point, 17 for 0.000ddd): masks of the digit bytes
+    and shifted digit bytes kept. Per fill (a layout, then block 17 + i
+    for the i-th exponent): the '0' and '.' bits, the exponent and the
+    ',', and the length of all that."""
+    k = np.arange(-_EXPONENTS, _EXPONENTS)
+    small = (k < 0) & (k >= -4)  # 0.000ddd: every digit before the point
+    wide = (k < -4) | (k > 16)  # d.ddde+kk
+    block = np.where(small, 17, np.where(wide, 0, k))
+    width = 8 * np.where(small, 1 - k, 0)
+    per_k = np.stack([0x303030302E30 & (1 << width) - 1, width,
+                      18 * block + 1, 18 * np.where(
+                          wide, 17 + np.cumsum(wide), block) + 1]).astype(_U)
+    signed = per_k.copy()
+    signed[:2] = per_k[0] << _U(8) | _U(ord("-")), per_k[1] + _U(8)
+    # "e+dd," or "e+ddd,", with the 'e' xor ','
+    e = np.abs(k[wide]).astype(_U)[:, None]
+    three = _U(8) * (e >= _U(100))
+    tails = (((_digits8(e) | _ZEROS) >> _U(48) - three
+              | _U(_COMMA) << _U(16) + three) << _U(16)
+             | _U(2) * (k[wide, None] < 0) + _U(ord("+")) << _U(8)
+             | _U(ord("e") ^ _COMMA))
+    last = np.arange(-1, 17)
+    lead = np.r_[1:18, 0][:, None]
     lead = np.where(lead == 0, last + 1, lead)
-    pos = np.arange(24)
-    head = pos < lead
-    tail = (pos > lead) & (pos <= last + 1)
-    fill = np.where(head | tail, 0x30,
-                    np.where((pos == lead) & (last >= lead), 0x2E, 0))
-    masks = np.stack([0xFF * head, 0xFF * tail, fill]).astype(np.uint8)
-    words = masks.reshape(3, 324, 24).view(_WORD).transpose(0, 2, 1)
-    return prefix, suffix, first, np.ascontiguousarray(words.reshape(9, 324).T)
+    size = np.where(last >= lead, last + 2, lead)
+    pos = np.arange(24)[:, None, None]
+    kept = pos < lead
+    moved = (pos > lead) & (pos <= last + 1)
+    fill = np.where(kept | moved, 0x30, np.where(
+        (pos == lead) & (last >= lead), 0x2E, (pos == size) * _COMMA))
+    masks = np.stack([0xFF * kept, 0xFF * moved, fill]).astype(np.uint8)
+    words = masks.reshape(9, 8, 324).transpose(0, 2, 1).copy().view(
+        _WORD)[..., 0]
+    # the exponent of a d.ddd row goes where its ',' was, at byte `size`
+    at = _U(8) * size[0].astype(_U)
+    wide_fills = [words[6 + j, :18] ^ (tails << np.maximum(at, _U(64 * j))
+                                       - _U(64 * j))
+                  >> (np.maximum(at, _U(64 * j)) - at) for j in range(3)]
+    return (np.concatenate([per_k, signed], 1), words[:6].copy(),
+            np.concatenate([words[6:], np.reshape(wide_fills, (3, -1))], 1),
+            np.concatenate([size.ravel() + 1, (size[0] + 5 + (three > 0))
+                            .ravel()]))
 
 
 def _digits8(v):
@@ -162,9 +176,10 @@ def _digits8(v):
     return y | ((x - _U(10) * y) << _U(8))
 
 
-def _cells(x, slots):
-    """Fill the (n, 4) word `slots` of the float cells `x`, separators
-    left out; returns how many cells went through Python's %."""
+def _cells(x, slots, sizes):
+    """Fill the (n, 4) word `slots` with the text and ',' of each float
+    cell of `x`, and `sizes` with their lengths in bytes; returns how many
+    cells went through Python's %."""
     a = np.abs(x)
     fast = (a >= _TINY) & (a <= _HUGE)
     a[~fast] = 1.0
@@ -183,6 +198,7 @@ def _cells(x, slots):
     zero = x == 0.0
     m[zero] = 0
     slow = np.flatnonzero(~(fast | zero) | (np.abs(lo - r) > _NEAR_HALF))
+    del a, hi, lo, r  # with the dels below, a pass's arrays stay under 3 MB
 
     m = m.view(_U)
     tens = m // _U(10)
@@ -195,40 +211,56 @@ def _cells(x, slots):
     # of the 136-bit digit string; every digit byte is below 16
     top = (d16 * 2.0 ** 64 + w1) * 2.0 ** 64 + w0
     last = np.maximum(((top.view(np.int64) >> 52) - 1023) >> 3, -1)
-    prefix, suffix, first, layouts = _slot_tables()
-    k += _EXPONENTS
-    lay = layouts.take(first.take(k) + last, axis=0).T
-    slots[:, 0] = prefix.take(k) | (x.view(_U) >> _U(63)) * _U(ord("-"))
-    slots[:, 1] = (w0 & lay[0]) | ((w0 << _U(8)) & lay[3]) | lay[6]
-    slots[:, 2] = (w1 & lay[1]) | (((w1 << _U(8)) | (w0 >> _U(56)))
-                                   & lay[4]) | lay[7]
-    slots[:, 3] = (d16 & lay[2]) | (((d16 << _U(8)) | (w1 >> _U(56)))
-                                    & lay[5]) | lay[8] | suffix.take(k)
-    if slow.size:
-        text = "".join(("%.17g" % v).ljust(32, "\0")
-                       for v in x[slow].tolist())
-        slots[slow] = np.frombuffer(text.encode("ascii"), _WORD).reshape(
-            -1, 4)
+    del m, tens, w, top
+    per_k, layouts, fills, lengths = _slot_tables()
+    # the tables of negative cells follow those of positive ones
+    k += _EXPONENTS + ((x.view(np.int64) >> 63) & 2 * _EXPONENTS)
+    head, shift, lay, row = per_k.take(k, axis=1)
+    row += last.view(_U)
+    lay = layouts.take(lay + last.view(_U), axis=1)
+    b0, b1, b2 = body = fills.take(row, axis=1)
+    body[0] |= (w0 & lay[0]) | ((w0 << _U(8)) & lay[3])
+    body[1] |= (w1 & lay[1]) | (((w1 << _U(8)) | (w0 >> _U(56))) & lay[4])
+    body[2] |= (d16 & lay[2]) | (((d16 << _U(8)) | (w1 >> _U(56))) & lay[5])
+    del lay
+    # the head goes first, shifting the rest up by its width
+    back = _U(64) - shift
+    np.bitwise_or(head, b0 << shift, out=slots[:, 0])
+    np.bitwise_or(b0 >> back, b1 << shift, out=slots[:, 1])
+    np.bitwise_or(b1 >> back, b2 << shift, out=slots[:, 2])
+    np.right_shift(b2, back, out=slots[:, 3])
+    np.add(lengths.take(row), shift >> _U(3), out=sizes, casting="unsafe")
+    text = ["%.17g," % v for v in x[slow].tolist()]
+    sizes[slow] = [len(t) for t in text]
+    slots[slow] = np.frombuffer("".join(t.ljust(32, "\0") for t in text)
+                                .encode("ascii"), _WORD).reshape(-1, 4)
     return slow.size
 
 
 def format_block(table):
-    """The rows of the 2-D float array `table` as CSV text: every cell as
+    """The rows of the 2-D float array `table` as CSV bytes: every cell as
     C's %.17g (any NaN as nan), cells joined by ',' and each row ending
     in a newline."""
     table = np.asarray(table, dtype=np.float64)
-    rows, cols = table.shape
-    step = max(_CELLS // cols, 1)
-    text = []
-    for lo in range(0, rows, step):
-        part = table[lo:lo + step]
-        slots = np.empty((part.size, 4), _WORD)
-        _cells(part.ravel(), slots)
-        chars = slots.view(np.uint8).reshape(len(part), cols, 32)
-        chars[..., 31] = ord(",")
-        chars[:, -1, 31] = ord("\n")
-        text.append(slots.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(text)
+    flat, cols = table.ravel(), table.shape[1]
+    # no cell takes more than 25 bytes; the pages past the text stay
+    # untouched
+    out = np.empty(25 * flat.size + 32, np.uint8)
+    window = np.ndarray((out.size - 31,), "V32", out, strides=(1,))
+    end = 0
+    for lo in range(0, flat.size, _CELLS):
+        cells = flat[lo:lo + _CELLS]
+        slots = np.empty((cells.size, 4), _WORD)
+        sizes = np.empty(cells.size, np.int64)
+        _cells(cells, slots, sizes)
+        ends = np.cumsum(sizes) + end
+        # slots land at their offsets in overlapping 32-byte windows; numpy
+        # assigns a 1-D index in order, so the cells after a slot overwrite
+        # its bytes past the text
+        window[ends - sizes] = slots.view("V32").ravel()
+        out[ends[(-1 - lo) % cols::cols] - 1] = _NEWLINE
+        end = ends[-1]
+    return out[:end].tobytes()
 
 
 # Reading a CSV block back: every cell equals Python's float() of it. A
@@ -242,9 +274,7 @@ def format_block(table):
 # (exponents, '+', spaces, inf, nan, longer cells) and empty cells go
 # through float() one at a time.
 _WINDOW = 24
-_COMMA, _NEWLINE = ord(","), ord("\n")
 _DOT = ord(".") ^ 0x30  # a '.' once the digit bits are flipped
-_ZEROS = _U(0x3030303030303030)
 _TOO_BIG = _U(0x7676767676767676)  # pushes a byte above 9 into bit 7
 _BIT7 = _U(0x8080808080808080)
 _PAIRS = _U(10 * 2 ** 8 + 1), _U(100 * 2 ** 16 + 1), _U(10000 * 2 ** 32 + 1)
@@ -312,20 +342,21 @@ def _cell(text):
     return float(cell)
 
 
-def parse_block(text, cols):
-    """The rows of CSV `text` as a (rows, cols) float array, the inverse
-    of format_block: every cell equals float() of it, blank lines are
-    skipped and the last line may lack its newline. A row of another
-    number of cells, or a cell that is not a number, raises ValueError."""
-    if text and not text.endswith("\n"):
-        text += "\n"
-    data = text.encode("utf-8")
+def parse_block(data, cols):
+    """The rows of CSV `data`, bytes or text, as a (rows, cols) float
+    array, the inverse of format_block: every cell equals float() of it,
+    blank lines are skipped and the last line may lack its newline. A row
+    of another number of cells, or a cell that is not a number, raises
+    ValueError."""
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
     b = np.frombuffer(data, np.uint8)
     sep = _separators(b, cols)
     if sep is None:
-        rows = [line for line in text.split("\n") if line]
-        if len(rows) < text.count("\n"):
-            return parse_block("\n".join(rows), cols)
+        rows = [line for line in data.split(b"\n") if line]
+        if len(rows) < data.count(b"\n"):
+            return parse_block(b"\n".join(rows), cols)
         raise ValueError(f"a row does not hold {cols} cells")
     n = sep.size
     field, sides, powers, magic = _read_tables()
@@ -390,7 +421,7 @@ def write_csv(path, columns, values, prov=None, comments=()):
     head.append(",".join(columns))
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
     with whole_file(path) as fh:
-        fh.write("\n".join(head) + "\n")
+        fh.write(("\n".join(head) + "\n").encode("utf-8"))
         for lo in range(0, arrays[0].size, _CSV_BLOCK):
             fh.write(format_block(np.column_stack(
                 [a.flat[lo:lo + _CSV_BLOCK] for a in arrays])))
@@ -408,7 +439,7 @@ def _strict(value):
 
 
 def write_json(path, payload):
+    text = json.dumps(_strict(payload), sort_keys=True, indent=2,
+                      allow_nan=False)
     with whole_file(path) as fh:
-        json.dump(_strict(payload), fh, sort_keys=True, indent=2,
-                  allow_nan=False)
-        fh.write("\n")
+        fh.write((text + "\n").encode("utf-8"))

@@ -179,9 +179,14 @@ def angular_weight(matrix, theta, vartheta):
 
 def harmonic_weight(matrix, cos2t, sin2t, cos2v, sin2v):
     """W = g(theta)^T M g(vartheta) as a 9-term real sum, from the cosines
-    and sines of 2 theta and 2 vartheta."""
-    rows = [m0 + m1 * cos2v + m2 * sin2v for m0, m1, m2 in matrix]
-    return rows[0] + cos2t * rows[1] + sin2t * rows[2]
+    and sines of 2 theta and 2 vartheta, a row of M at a time."""
+    part = np.empty(np.shape(sin2v))
+    for (m0, m1, m2), g in zip(matrix, (None, cos2t, sin2t)):
+        row = cos2v * m1
+        row += m0
+        row += np.multiply(sin2v, m2, out=part)
+        w = row if g is None else w + row * g
+    return w
 
 
 def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS):

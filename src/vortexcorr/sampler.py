@@ -138,11 +138,16 @@ class AngularLaw:
 
     def from_unit_vectors(self, cos_t, sin_t, cos_v, sin_v):
         """W at the angles of the unit vectors (cos_t, sin_t) and (cos_v,
-        sin_v), from cos 2x = c^2 - s^2 and sin 2x = 2cs."""
-        return harmonic_weight(self.matrix, cos_t * cos_t - sin_t * sin_t,
-                               2.0 * cos_t * sin_t,
-                               cos_v * cos_v - sin_v * sin_v,
-                               2.0 * cos_v * sin_v)
+        sin_v), from cos 2x = c^2 - s^2 and sin 2x = 2cs formed in one
+        buffer."""
+        harmonics = np.empty((4,) + np.shape(cos_t))
+        part = np.empty(np.shape(cos_t))
+        for c, s, cos2, sin2 in ((cos_t, sin_t, *harmonics[:2]),
+                                 (cos_v, sin_v, *harmonics[2:])):
+            np.subtract(np.multiply(c, c, out=cos2),
+                        np.multiply(s, s, out=part), out=cos2)
+            np.multiply(np.multiply(c, 2.0, out=sin2), s, out=sin2)
+        return harmonic_weight(self.matrix, *harmonics)
 
     @property
     def acceptance_estimate(self):
@@ -397,20 +402,7 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
 
 _HEADER_PREFIX = "#vortexcorr-frames "
 _WRITE_ROWS = 16384
-_READ_CHARS = 131072  # characters of body text per parse_block call
-
-
-def _format_rows(start, points):
-    """CSV body rows of `points` (shape (k, 2, 2)), indexed from `start`.
-
-    The frame index is a float, exact below 2**53, and %.17g prints it
-    as the integer.
-    """
-    k = points.shape[0]
-    rows = np.empty((k, 5))
-    rows[:, 0] = np.arange(start, start + k)
-    rows[:, 1:] = points.reshape(k, 4)
-    return format_block(rows)
+_READ_BYTES = 1 << 18  # bytes of body per parse_block call
 
 
 def save_frames(frames, path, provenance=None):
@@ -432,42 +424,47 @@ def save_frames(frames, path, provenance=None):
     }
     if provenance:
         header["provenance"] = provenance
-    # blocks reach the disk as they are formatted
+    # blocks reach the disk as they are formatted; the frame index is a
+    # float, exact below 2**53, that %.17g prints as the integer
     with whole_file(path) as fh:
-        fh.write(_HEADER_PREFIX + json.dumps(
-            header, sort_keys=True, separators=(",", ":")) + "\n")
-        fh.write("frame_index,x1,y1,x2,y2\n")
+        fh.write((_HEADER_PREFIX + json.dumps(
+            header, sort_keys=True, separators=(",", ":"))
+            + "\nframe_index,x1,y1,x2,y2\n").encode("utf-8"))
         for lo in range(0, frames.count, _WRITE_ROWS):
-            fh.write(_format_rows(lo, frames.points[lo:lo + _WRITE_ROWS]))
+            points = frames.points[lo:lo + _WRITE_ROWS].reshape(-1, 4)
+            fh.write(format_block(np.column_stack(
+                [np.arange(lo, lo + len(points)), points])))
 
 
 def load_frames(path):
-    """The FrameSet of a frames file. The body is read `_READ_CHARS` at a
+    """The FrameSet of a frames file. The body is read `_READ_BYTES` at a
     time into points allocated once from the header's count, every cell
     as Python's float() reads it; the frame_index column must count 0, 1,
     2, ... row by row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
+    with open(path, "rb") as fh:
+        first = fh.readline().decode("utf-8")
         if not first.startswith(_HEADER_PREFIX):
             raise ValueError(f"{path} is not a frames file")
         header = json.loads(first[len(_HEADER_PREFIX):])
-        columns = fh.readline().strip()
+        columns = fh.readline().decode("utf-8").strip()
         if columns != "frame_index,x1,y1,x2,y2":
             raise ValueError(f"unexpected column header {columns!r}")
         count = header["count"]
         if not isinstance(count, int) or count < 0:
             raise ValueError(f"frame count {count!r} is not an integer >= 0")
-        # a row takes at least 10 characters, the last one 9
+        # a row takes at least 10 bytes, the last one 9
         if 10 * count > os.fstat(fh.fileno()).st_size - fh.tell() + 1:
             raise ValueError("frame count exceeds what the body can hold")
         points = np.empty((count, 2, 2))
-        row, rest = 0, ""
+        row, rest = 0, b""
         while count:  # a file of no frames has no body to read
-            chunk = fh.read(_READ_CHARS)
-            text = rest + chunk
-            cut = text.rfind("\n") + 1 if chunk else len(text)
-            rest = text[cut:]
-            rows = parse_block(text[:cut], 5)
+            chunk = fh.read(_READ_BYTES)
+            if b"\r" in chunk:  # line ends as text mode reads them
+                chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            data = rest + chunk
+            cut = data.rfind(b"\n") + 1 if chunk else len(data)
+            rest = data[cut:]
+            rows = parse_block(data[:cut], 5)
             if row + len(rows) > count:
                 raise ValueError("more frames in the body than its header "
                                  "counts")

@@ -221,7 +221,7 @@ def svg_chart(path, series, title="", xlabel="", ylabel="",
         canvas.line(legend_x - 28, y_pos - 3.5, legend_x - 10, y_pos - 3.5, color, 3.0)
         canvas.text(legend_x - 34, y_pos, s["label"], anchor="end")
     with whole_file(path) as fh:
-        fh.write(canvas.render())
+        fh.write(canvas.render().encode("utf-8"))
 
 
 def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
@@ -284,4 +284,4 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
     if ylabel:
         canvas.text(16, (top + bottom) / 2.0, ylabel, anchor="middle", rotate=-90)
     with whole_file(path) as fh:
-        fh.write(canvas.render())
+        fh.write(canvas.render().encode("utf-8"))

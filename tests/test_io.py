@@ -5,6 +5,8 @@ import decimal
 import fractions
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ def _rows(count):
 def _assert_percent_rows(table):
     """format_block against every cell through Python's %.17g, one at a
     time; a failure names the first rows that differ."""
-    got = format_block(table).split("\n")
+    got = format_block(table).decode("ascii").split("\n")
     want = [",".join("%.17g" % cell for cell in row)
             for row in table.tolist()] + [""]
     bad = [(g, w) for g, w in zip(got, want) if g != w]
@@ -115,7 +117,97 @@ def test_format_block_random_bit_patterns():
 def _fallbacks(values):
     values = np.ascontiguousarray(values, dtype=float).ravel()
     slots = np.zeros((values.size, 4), np.dtype("<u8"))
-    return io._cells(values, slots)
+    return io._cells(values, slots, np.zeros(values.size, np.int64))
+
+
+def _varied_cells(size, seed):
+    """Cells of every length %.17g prints: signs, fixed and exponent
+    notation, trailing zeros, zeros and the cells Python's % prints."""
+    rng = np.random.default_rng(seed)
+    cells = rng.normal(size=size) * 10.0 ** rng.integers(-12, 24, size)
+    cells[::7] = np.round(cells[::7], rng.integers(0, 6))
+    cells[::11] = rng.choice([0.0, -0.0, math.nan, math.inf, 1e300, 5e-324,
+                              1.0 + 2.0 ** -17, 1e16, 1e-5], size=cells[::11]
+                             .size)
+    return cells
+
+
+@pytest.mark.parametrize("cols", range(1, 8))
+def test_format_block_at_kernel_block_edges(cols):
+    # rows of one kernel block of cells less one row, one block and one
+    # row more; every cell's slot is laid at its offset in one assignment
+    block = -(-io._CELLS // cols)
+    for rows in (block - 1, block, block + 1):
+        table = _varied_cells(rows * cols, rows).reshape(rows, cols)
+        _assert_percent_rows(table)
+        _assert_reads_back(table)
+
+
+@pytest.mark.parametrize("cols", range(1, 8))
+def test_write_csv_at_row_block_edges(tmp_path, monkeypatch, cols):
+    # one row block less one row, one block and one row more, against one
+    # Python %-format of the whole table; the file reads back bit for bit.
+    # A block of rows of 5 or more cells spans kernel passes.
+    monkeypatch.setattr(io, "_CSV_BLOCK", io._CELLS // 5 + 1)
+    path = tmp_path / "blocks.csv"
+    for rows in (io._CSV_BLOCK - 1, io._CSV_BLOCK, io._CSV_BLOCK + 1):
+        table = _varied_cells(rows * cols, cols).reshape(rows, cols)
+        names = ",".join(f"c{j}" for j in range(cols))
+        write_csv(path, names.split(","), tuple(table.T))
+        row = ",".join(["%.17g"] * cols) + "\n"
+        text = path.read_bytes()
+        assert text == (names + "\n" + row * rows
+                        % tuple(table.ravel().tolist())).encode()
+        back = parse_block(text.split(b"\n", 1)[1], cols)
+        nan = np.isnan(table)
+        assert np.array_equal(np.isnan(back), nan)
+        assert np.array_equal(back[~nan].view(np.uint64),
+                              table[~nan].view(np.uint64))
+
+
+_DISPATCH_DIGEST = """
+import hashlib, sys
+import numpy as np
+from vortexcorr.io import format_block, parse_block
+umath = getattr(np, "_core", None) or np.core
+features = umath._multiarray_umath.__cpu_features__
+digest = hashlib.sha256()
+for name in ("edge.npy", "bits.npy"):
+    table = np.load(sys.argv[1] + "/" + name)
+    text = format_block(table)
+    digest.update(text)
+    digest.update(parse_block(text, table.shape[1]).tobytes())
+print(digest.hexdigest(), sorted(name for name, on in features.items() if on))
+"""
+
+
+def test_text_kernels_do_not_depend_on_simd_dispatch(tmp_path):
+    # np.log10 only estimates a cell's exponent before it is corrected
+    # exactly, so the text of a double, and the double read back from it,
+    # must not change whichever SIMD targets numpy dispatches to; each
+    # run turns off one more of the host's targets, from the top
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    targets = [target for target in umath.__cpu_dispatch__
+               if umath.__cpu_features__.get(target)]
+    values = _edge_values()
+    np.save(tmp_path / "edge.npy", values[:values.size // 4 * 4]
+            .reshape(-1, 4))
+    bits = np.random.default_rng(11).integers(
+        0, 2 ** 64, size=60000, dtype=np.uint64, endpoint=False)
+    np.save(tmp_path / "bits.npy", bits.view(np.float64).reshape(-1, 4))
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(io.__file__)),
+                            os.environ.get("PYTHONPATH", "")])
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", _DISPATCH_DIGEST, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" "
+                 .join(targets[len(targets) - off:])),
+        stdout=subprocess.PIPE, text=True)
+        for off in range(len(targets) + 1)]
+    outputs = [run.communicate()[0].split(" ", 1) for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    # every run had other features on, and all wrote and read alike
+    assert len({features for _, features in outputs}) == len(runs)
+    assert len({digest for digest, _ in outputs}) == 1, outputs
 
 
 def test_kernel_decides_almost_every_cell():
@@ -295,7 +387,7 @@ def test_failure_midway_leaves_no_partial_file(tmp_path, monkeypatch):
 def test_json_failure_midway_leaves_earlier_file(tmp_path):
     path = tmp_path / "out.json"
     path.write_text("earlier run\n")
-    # the encoder has written the keys before "z" when it meets the object
+    # the encoder meets the object after the keys before "z"
     with pytest.raises(TypeError):
         io.write_json(path, {"a": 1.5, "b": [1, 2], "z": object()})
     assert path.read_text() == "earlier run\n"

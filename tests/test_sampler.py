@@ -407,8 +407,8 @@ def test_load_frames_rejects_what_loadtxt_rejected(tmp_path, name):
 
 
 def test_load_frames_streams_blocks(tmp_path, monkeypatch):
-    # blocks of 100 characters end inside rows and meet blank lines
-    monkeypatch.setattr(sampler, "_READ_CHARS", 100)
+    # blocks of 100 bytes end inside rows and meet blank lines
+    monkeypatch.setattr(sampler, "_READ_BYTES", 100)
     frames = generate_frames(fermi_fock(), 60, seed=8)
     path = tmp_path / "frames.csv"
     save_frames(frames, path)
@@ -496,6 +496,29 @@ def test_save_frames_matches_row_by_row_writer(tmp_path, count):
     got = tmp_path / "blocks.csv"
     save_frames(frames, got, provenance={"note": "blocks"})
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_frames_at_write_and_read_block_edges(tmp_path, monkeypatch,
+                                              offset):
+    # one write block of rows less one row, one block and one row more;
+    # read blocks that end one byte before, at and after a row end and the
+    # end of the body load every point bit for bit
+    count = sampler._WRITE_ROWS + offset
+    frames = generate_frames(fermi_fock(), count, seed=31)
+    want = tmp_path / "reference.csv"
+    _row_by_row_save(frames, want)
+    path = tmp_path / "blocks.csv"
+    save_frames(frames, path)
+    assert path.read_bytes() == want.read_bytes()
+    body = path.read_bytes().split(b"frame_index,x1,y1,x2,y2\n")[1]
+    row_end = body.index(b"\n", len(body) // 2) + 1
+    for size in (sampler._READ_BYTES, row_end - 1, row_end, row_end + 1,
+                 len(body) - 1, len(body), len(body) + 1):
+        monkeypatch.setattr(sampler, "_READ_BYTES", size)
+        points = load_frames(path).points
+        assert np.array_equal(points.view(np.uint64),
+                              frames.points.view(np.uint64)), size
 
 
 def test_chi2_sf_matches_scipy():

@@ -134,8 +134,8 @@ def _varied_cells(size, seed):
 
 @pytest.mark.parametrize("cols", range(1, 8))
 def test_format_block_at_kernel_block_edges(cols):
-    # rows of one kernel block of cells less one row, one block and one
-    # row more; every cell's slot is laid at its offset in one assignment
+    # rows of one kernel pass of cells less one row, one pass and one row
+    # more; each pass lays its slots at their offsets in one assignment
     block = -(-io._CELLS // cols)
     for rows in (block - 1, block, block + 1):
         table = _varied_cells(rows * cols, rows).reshape(rows, cols)

@@ -569,6 +569,52 @@ def test_output_bytes_are_pinned(tmp_path, run):
     assert written == {key: digest for key, digest in _PINNED_DIGESTS.items()
                        if key.startswith(run + "/")}
 
+
+_FERMI = {"kind": "fermi-fock", "basis": "vortex", "n": 1, "m": 1}
+# the resolved run of each command's defaults, and of the switches that
+# change a law's grid or the outputs: what provenance hashes, and its hash
+_PINNED_PAYLOADS = {
+    "profile": (
+        ["profile"], {"step": 0.05, "extent": 6.0},
+        "aba9260dbdbc2f646ee61d271c4ae0e4e7b7eb3813bb45f77780933d62e72c0a"),
+    "pairdist": (
+        ["pairdist"], {"points": 801, "two_angle": False},
+        "b177f4e650b69f763551ad9e86a5035b032c89ea68e1662984f9563d10d47b3a"),
+    "pairangle": (
+        ["pairangle"], {"points": 361, "two_angle": False},
+        "d693594fa3d70b6cf0f683976c43bd78ebcd41ed33aaec39cecc90a8d8640c97"),
+    "pairdist-two-angle": (
+        ["pairdist", "--two-angle"], {"points": 180, "two_angle": True},
+        "89787d6d5be1f76bb47d5b061b5894fd5aee8d85c77e281b37e8fed6fe728dcf"),
+    "pairangle-two-angle": (
+        ["pairangle", "--two-angle"], {"points": 180, "two_angle": True},
+        "8b0109a1b3204c799e26663195ed9377b49b5955e504072ae66d801a8d192f43"),
+    "frames": (
+        ["frames", "--seed", "1"],
+        {"seed": 1, "count": 1000, "stats": False, "bins": 64},
+        "359482f8d15e3a6afbd7d9e9178485e000c8c53daf2131e058dac3b90e361bff"),
+    "frames-stats": (
+        ["frames", "--seed", "1", "--stats"],
+        {"seed": 1, "count": 1000, "stats": True, "bins": 64},
+        "e3d155ddb2e49f2e11b6bb89a70f0f1ca0b21710496caed6e89b9c44e2eaf57e"),
+    "verify": (
+        ["verify"], {"resolution": 61},
+        "ed68700a60830d43f745d9f013d957ea96636d22ad080deeac6dba55fc918350"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_PINNED_PAYLOADS))
+def test_run_payloads_are_pinned(run):
+    argv, knobs, digest = _PINNED_PAYLOADS[run]
+    cfg = resolve_config(build_parser().parse_args(argv))
+    expected = {"command": argv[0]}
+    if argv[0] != "verify":
+        expected["state"] = _FERMI
+    expected.update(knobs)
+    assert cfg.payload() == expected
+    assert cfg.prov()["config_sha256"] == digest
+
+
 def test_frames_deterministic_and_thread_invariant(tmp_path, monkeypatch):
     # 1000-frame sampling and write blocks: --threads 2 and 3 sample in
     # threads, and the body is formatted in three blocks

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from .oracle import (_CHUNK_TARGET, ANGLE_FORMS, CONFIRMED, DEFAULT_RESOLUTION,
                      printed_family, rho1_closed)
 from .sampler import (chi_square_gof, empirical_pair_stats, generate_frames,
                       save_frames)
-from .states import KINDS, SpecError, build_state, spec_from_dict, spec_to_dict
+from .states import (KINDS, SpecError, build_state, spec_from_dict,
+                     spec_to_dict, strict_cast)
 from .svgplot import svg_chart, svg_heatmap
 from .version import VERSION
 
@@ -51,234 +53,13 @@ _STATE_ERRORS = (AnisotropicStateError, NoPairsError, UnsupportedStateError)
 
 _FORMATS = ("csv", "json", "svg")
 
-_STATE_KEYS = ("state", "n", "m", "alpha_x", "alpha_y", "alpha", "nbar",
-               "nbar_a", "nbar_b", "basis")
-_OUTPUT_KEYS = ("out", "formats", "threads")
-
-# flat key sets a JSON config file may provide, per command
-_COMMAND_KEYS = {
-    "profile": _STATE_KEYS + _OUTPUT_KEYS + ("step", "extent"),
-    "pairdist": _STATE_KEYS + _OUTPUT_KEYS + ("points", "two_angle"),
-    "pairangle": _STATE_KEYS + _OUTPUT_KEYS + ("points", "two_angle"),
-    "frames": _STATE_KEYS + _OUTPUT_KEYS + ("seed", "count", "stats",
-                                            "bins"),
-    "verify": _OUTPUT_KEYS + ("resolution",),
-}
-
-_COMMAND_DEFAULTS = {
-    "profile": {"step": 0.05, "extent": 6.0},
-    "pairdist": {"points": None, "two_angle": False},
-    "pairangle": {"points": None, "two_angle": False},
-    "frames": {"seed": None, "count": 1000, "stats": False, "bins": 64},
-    "verify": {"resolution": DEFAULT_RESOLUTION},
-}
-
-_DISTRIBUTION_POINTS = {"pairdist": pairstats.DEFAULT_DISTANCE_POINTS,
-                        "pairangle": pairstats.DEFAULT_ANGLE_POINTS}
 # --points ceilings, checked before anything is allocated: at them the
 # relative-angle law peaks near 0.09 GB and the joint law near 0.2 GB
 _MAX_POINTS = 10 ** 6
 _MAX_TWO_ANGLE_POINTS = 2048
-# --resolution ceiling: past it the pair sweep's chunk is stuck at one
-# column of the resolution^2 plane, so its arrays grow as resolution^2
-_MAX_RESOLUTION = math.isqrt(_CHUNK_TARGET)
-# frames ceilings, checked before anything is allocated: at --count 10^7
-# `frames --stats --threads 2` peaks near 0.77 GB; at --bins 10^5 the
-# histograms and their charts stay under 0.1 GB (10^6 bins: 0.53 GB)
-_MAX_COUNT = 10 ** 7
-_MAX_BINS = 10 ** 5
 # profile grid points per axis, round(2 extent / step) + 1: at the ceiling
 # the grid, its mode amplitudes and the CSV blocks peak near 0.42 GB
 _MAX_PROFILE_AXIS = 2048
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved run description; `payload` is what gets hashed into
-    provenance, so it deliberately excludes presentation-only knobs
-    (output directory, format selection, thread cap)."""
-    command: str
-    spec: object = None
-    seed: int = None
-    count: int = 1000
-    points: int = pairstats.DEFAULT_DISTANCE_POINTS
-    step: float = 0.05
-    extent: float = 6.0
-    bins: int = 64
-    resolution: int = DEFAULT_RESOLUTION
-    threads: int = 1
-    two_angle: bool = False
-    stats: bool = False
-    out: str = "."
-    formats: tuple = _FORMATS
-
-    def payload(self):
-        data = {"command": self.command}
-        if self.spec is not None:
-            data["state"] = spec_to_dict(self.spec)
-        for key in _COMMAND_KEYS[self.command]:
-            if key in _STATE_KEYS or key in _OUTPUT_KEYS:
-                continue
-            data[key] = getattr(self, key)
-        return data
-
-    def prov(self, state=None):
-        flags = state.flags if state is not None else ()
-        return provenance(config=self.payload(), seed=self.seed, flags=flags)
-
-
-# ---------------------------------------------------------------------------
-# argument parsing and config resolution
-# ---------------------------------------------------------------------------
-
-
-def _add_state_flags(sp):
-    grp = sp.add_argument_group("state selection")
-    grp.add_argument("--state", choices=KINDS, default=None,
-                     help="state family (default fermi-fock)")
-    grp.add_argument("--n", type=int, default=None,
-                     help="occupation of the first mode (Fock states)")
-    grp.add_argument("--m", type=int, default=None,
-                     help="occupation of the second mode (Fock states)")
-    grp.add_argument("--alpha-x", default=None, metavar="A+BI",
-                     help="coherent amplitude on the first dipole mode")
-    grp.add_argument("--alpha-y", default=None, metavar="A+BI",
-                     help="coherent amplitude on the second dipole mode")
-    grp.add_argument("--alpha", default=None, metavar="A+BI",
-                     help="cothermal displacement per mode")
-    grp.add_argument("--nbar", type=float, default=None,
-                     help="cothermal thermal occupancy per mode")
-    grp.add_argument("--nbar-a", type=float, default=None,
-                     help="thermal occupancy of the first mode")
-    grp.add_argument("--nbar-b", type=float, default=None,
-                     help="thermal occupancy of the second mode")
-    grp.add_argument("--basis", choices=("vortex", "dipole"), default=None,
-                     help="mode basis the correlators are expressed in")
-
-
-def _add_output_flags(sp):
-    grp = sp.add_argument_group("output")
-    grp.add_argument("--out", default=None, metavar="DIR",
-                     help="output directory (default: current directory)")
-    grp.add_argument("--formats", default=None, metavar="LIST",
-                     help="comma-separated subset of csv,json,svg (default: all)")
-    grp.add_argument("--config", default=None, metavar="FILE",
-                     help="JSON config file; explicit flags override its entries")
-    grp.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="frames: sample frame blocks in N threads; "
-                          "results do not depend on it")
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="vortexcorr",
-        description="Spatial one- and two-particle correlations of "
-                    "two-mode vortex states. CSV columns and file layouts "
-                    "are documented in FORMATS.md.")
-    parser.add_argument("--version", action="version",
-                        version="vortexcorr " + VERSION)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    raw = argparse.RawDescriptionHelpFormatter
-    sp = sub.add_parser("profile",
-                        help="one-body density grid, radial cut, heatmap",
-                        formatter_class=raw, epilog=(
-                            "outputs:\n"
-                            "  profile_grid.csv        x,y,density\n"
-                            "  profile_radial_cut.csv  r,density,closed_form\n"
-                            "  profile_summary.json    moments and peaks\n"
-                            "  profile_heatmap.svg"))
-    _add_state_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--step", type=float, default=None,
-                    help="grid spacing (default 0.05)")
-    sp.add_argument("--extent", type=float, default=None,
-                    help="half-width of the grid box (default 6.0)")
-
-    epilogs = {
-        "pairdist": ("outputs:\n"
-                     "  pairdist_distribution.csv  d,density[,closed_form]\n"
-                     "  pairdist_summary.json      mean, second moment, "
-                     "maxima, bosonic weight\n"
-                     "  pairdist_overlay.svg"),
-        "pairangle": ("outputs:\n"
-                      "  pairangle_distribution.csv  delta,density"
-                      "[,closed_form]\n"
-                      "  pairangle_summary.json      mean, second moment, "
-                      "maxima, bosonic weight\n"
-                      "  pairangle_overlay.svg"),
-    }
-    two_angle_note = ("\nwith --two-angle:\n"
-                      "  two_angle_surface.csv  theta_1,theta_2,density"
-                      "[,closed_form]\n"
-                      "  two_angle_summary.json\n"
-                      "  two_angle_heatmap.svg")
-    for name, blurb in (("pairdist", "pair-distance distribution"),
-                        ("pairangle", "relative-angle distribution")):
-        sp = sub.add_parser(name, help=blurb + " with closed-form overlay",
-                            formatter_class=raw,
-                            epilog=epilogs[name] + two_angle_note)
-        _add_state_flags(sp)
-        _add_output_flags(sp)
-        sp.add_argument("--points", type=int, default=None,
-                        help="tabulation grid size")
-        sp.add_argument("--two-angle", action="store_true", default=None,
-                        help="joint density of both detection angles "
-                             "(required for anisotropic states)")
-
-    sp = sub.add_parser("frames",
-                        help="reproducible single-shot detection frames",
-                        formatter_class=raw, epilog=(
-                            "outputs:\n"
-                            "  frames.csv  header line, then "
-                            "frame_index,x1,y1,x2,y2\n"
-                            "with --stats:\n"
-                            "  frames_distance_hist.csv  d,density,reference\n"
-                            "  frames_angle_hist.csv     delta,density,"
-                            "reference\n"
-                            "  frames_stats.json         mean, z-score, "
-                            "chi-square fits\n"
-                            "  frames_distance.svg, frames_angle.svg"))
-    _add_state_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--seed", type=int, default=None,
-                    help="RNG seed; mandatory, there is no implicit entropy")
-    sp.add_argument("--count", type=int, default=None,
-                    help="number of frames (default 1000)")
-    sp.add_argument("--stats", action="store_true", default=None,
-                    help="also write empirical histograms and fit statistics")
-    sp.add_argument("--bins", type=int, default=None,
-                    help="histogram bins for --stats (default 64)")
-
-    sp = sub.add_parser("verify",
-                        help="cross-check the engine against the independent "
-                             "reference implementation",
-                        formatter_class=raw, epilog=(
-                            "outputs:\n"
-                            "  verify_report.json  one row per cross-check "
-                            "claim\n"
-                            "  stdout table        state, claim, verdict, "
-                            "deviation, gating\n"
-                            "exit 0 iff every engine-vs-reference row is "
-                            "Confirmed"))
-    _add_output_flags(sp)
-    sp.add_argument("--resolution", type=int, default=None,
-                    help="pair-grid points per axis "
-                         f"(default {DEFAULT_RESOLUTION})")
-    return parser
-
-
-def _load_config_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise SpecError("config file must hold a single JSON object")
-    return data
 
 
 def _parse_formats(value):
@@ -297,12 +78,247 @@ def _parse_formats(value):
     return tuple(f for f in _FORMATS if f in items)
 
 
-def _build_spec(cfg):
-    data = {"kind": cfg.get("state") or "fermi-fock"}
-    for key in ("n", "m", "basis", "alpha_x", "alpha_y", "alpha", "nbar",
-                "nbar_a", "nbar_b"):
-        if cfg.get(key) is not None:
-            data[key] = cfg[key]
+# ---------------------------------------------------------------------------
+# the settings table: parser, config keys, defaults, casting and bounds
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One row of the settings table. The flag is `name` with dashes;
+    {default} in `help` stands for `default`. `group` titles the flag's
+    help section, and the command's own settings (None) are what
+    provenance hashes. `type` is the flag's argparse type and the config
+    value's JSON type (bool: a switch); other casters apply as they are.
+    `bounds` (lo, hi) give the message for a value outside; hi may be None."""
+    name: str
+    commands: tuple
+    help: str
+    group: str = None
+    type: object = str
+    default: object = None
+    bounds: tuple = None
+    metavar: str = None
+    choices: tuple = None
+
+    @property
+    def flag(self):
+        return "--" + self.name.replace("_", "-")
+
+
+_STATE = "state selection"
+_OUTPUT = "output"
+_LAWS = ("pairdist", "pairangle")
+_STATEFUL = ("profile",) + _LAWS + ("frames",)
+_ALL = _STATEFUL + ("verify",)
+
+SETTINGS = (
+    Setting("state", _STATEFUL, "state family (default {default})", _STATE,
+            default="fermi-fock", choices=KINDS),
+    Setting("n", _STATEFUL, "occupation of the first mode (Fock states)",
+            _STATE, int),
+    Setting("m", _STATEFUL, "occupation of the second mode (Fock states)",
+            _STATE, int),
+    Setting("alpha_x", _STATEFUL,
+            "coherent amplitude on the first dipole mode", _STATE,
+            metavar="A+BI"),
+    Setting("alpha_y", _STATEFUL,
+            "coherent amplitude on the second dipole mode", _STATE,
+            metavar="A+BI"),
+    Setting("alpha", _STATEFUL, "cothermal displacement per mode", _STATE,
+            metavar="A+BI"),
+    Setting("nbar", _STATEFUL, "cothermal thermal occupancy per mode",
+            _STATE, float),
+    Setting("nbar_a", _STATEFUL, "thermal occupancy of the first mode",
+            _STATE, float),
+    Setting("nbar_b", _STATEFUL, "thermal occupancy of the second mode",
+            _STATE, float),
+    Setting("basis", _STATEFUL, "mode basis the correlators are expressed in",
+            _STATE, choices=("vortex", "dipole")),
+    Setting("out", _ALL, "output directory (default: current directory)",
+            _OUTPUT, default=".", metavar="DIR"),
+    Setting("formats", _ALL,
+            "comma-separated subset of csv,json,svg (default: all)", _OUTPUT,
+            _parse_formats, _FORMATS, metavar="LIST"),
+    # a flag only: no config file names another one
+    Setting("config", _ALL,
+            "JSON config file; explicit flags override its entries", _OUTPUT,
+            metavar="FILE"),
+    Setting("threads", ("frames",),
+            "frames: sample frame blocks in N threads; results do not "
+            "depend on it", _OUTPUT, int, 1, (1, None), "N"),
+    Setting("step", ("profile",), "grid spacing (default {default})",
+            type=float, default=0.05),
+    Setting("extent", ("profile",),
+            "half-width of the grid box (default {default})", type=float,
+            default=6.0),
+    # default: the law's own grid size, set with the --points ceiling
+    Setting("points", _LAWS, "tabulation grid size", type=int),
+    Setting("two_angle", _LAWS, "joint density of both detection angles "
+            "(required for anisotropic states)", type=bool, default=False),
+    Setting("seed", ("frames",),
+            "RNG seed; mandatory, there is no implicit entropy", type=int),
+    # frames ceilings, checked before anything is allocated: at --count
+    # 10^7 `frames --stats --threads 2` peaks near 0.77 GB; at --bins 10^5
+    # the histograms and their charts stay under 0.1 GB (10^6 bins: 0.53 GB)
+    Setting("count", ("frames",), "number of frames (default {default})",
+            type=int, default=1000, bounds=(0, 10 ** 7)),
+    Setting("stats", ("frames",),
+            "also write empirical histograms and fit statistics", type=bool,
+            default=False),
+    Setting("bins", ("frames",),
+            "histogram bins for --stats (default {default})", type=int,
+            default=64, bounds=(4, 10 ** 5)),
+    # past its ceiling the pair sweep's chunk is stuck at one column of the
+    # resolution^2 plane, so its arrays grow as resolution^2
+    Setting("resolution", ("verify",),
+            "pair-grid points per axis (default {default})", type=int,
+            default=DEFAULT_RESOLUTION,
+            bounds=(8, math.isqrt(_CHUNK_TARGET))),
+)
+
+# the settings a JSON config file may give, per command
+KEYS = {command: tuple(s for s in SETTINGS
+                       if command in s.commands and s.name != "config")
+        for command in _ALL}
+
+
+class RunConfig(SimpleNamespace):
+    """Fully resolved run: `command`, the state `spec` (None for verify)
+    and one attribute per setting outside the state selection. `payload`
+    is what gets hashed into provenance, so it leaves out the output
+    group's presentation-only knobs."""
+
+    def payload(self):
+        data = {"command": self.command}
+        if self.spec is not None:
+            data["state"] = spec_to_dict(self.spec)
+        data.update((s.name, getattr(self, s.name))
+                    for s in KEYS[self.command] if s.group is None)
+        return data
+
+    def prov(self, state=None):
+        flags = state.flags if state is not None else ()
+        return provenance(config=self.payload(),
+                          seed=getattr(self, "seed", None), flags=flags)
+
+
+# ---------------------------------------------------------------------------
+# argument parsing and config resolution
+# ---------------------------------------------------------------------------
+
+_TWO_ANGLE_OUTPUTS = ("\nwith --two-angle:\n"
+                      "  two_angle_surface.csv  theta_1,theta_2,density"
+                      "[,closed_form]\n"
+                      "  two_angle_summary.json\n"
+                      "  two_angle_heatmap.svg")
+# each command's help line, and the outputs its --help lists
+_COMMANDS = {
+    "profile": ("one-body density grid, radial cut, heatmap",
+                "outputs:\n"
+                "  profile_grid.csv        x,y,density\n"
+                "  profile_radial_cut.csv  r,density,closed_form\n"
+                "  profile_summary.json    moments and peaks\n"
+                "  profile_heatmap.svg"),
+    "pairdist": ("pair-distance distribution with closed-form overlay",
+                 "outputs:\n"
+                 "  pairdist_distribution.csv  d,density[,closed_form]\n"
+                 "  pairdist_summary.json      mean, second moment, "
+                 "maxima, bosonic weight\n"
+                 "  pairdist_overlay.svg" + _TWO_ANGLE_OUTPUTS),
+    "pairangle": ("relative-angle distribution with closed-form overlay",
+                  "outputs:\n"
+                  "  pairangle_distribution.csv  delta,density"
+                  "[,closed_form]\n"
+                  "  pairangle_summary.json      mean, second moment, "
+                  "maxima, bosonic weight\n"
+                  "  pairangle_overlay.svg" + _TWO_ANGLE_OUTPUTS),
+    "frames": ("reproducible single-shot detection frames",
+               "outputs:\n"
+               "  frames.csv  header line, then frame_index,x1,y1,x2,y2\n"
+               "with --stats:\n"
+               "  frames_distance_hist.csv  d,density,reference\n"
+               "  frames_angle_hist.csv     delta,density,reference\n"
+               "  frames_stats.json         mean, z-score, chi-square fits\n"
+               "  frames_distance.svg, frames_angle.svg"),
+    "verify": ("cross-check the engine against the independent reference "
+               "implementation",
+               "outputs:\n"
+               "  verify_report.json  one row per cross-check claim\n"
+               "  stdout table        state, claim, verdict, deviation, "
+               "gating\n"
+               "exit 0 iff every engine-vs-reference row is Confirmed"),
+}
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="vortexcorr",
+        description="Spatial one- and two-particle correlations of "
+                    "two-mode vortex states. CSV columns and file layouts "
+                    "are documented in FORMATS.md.")
+    parser.add_argument("--version", action="version",
+                        version="vortexcorr " + VERSION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (blurb, epilog) in _COMMANDS.items():
+        sp = sub.add_parser(
+            command, help=blurb, epilog=epilog,
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        groups = {None: sp}
+        for s in SETTINGS:
+            if command not in s.commands:
+                continue
+            if s.group not in groups:
+                groups[s.group] = sp.add_argument_group(s.group)
+            # every flag defaults to None, so that it overrides a config
+            # file only where it is given
+            kind = ({"action": "store_true"} if s.type is bool else
+                    {"type": s.type if s.type in (int, float) else None,
+                     "metavar": s.metavar, "choices": s.choices})
+            groups[s.group].add_argument(
+                s.flag, default=None, help=s.help.format(default=s.default),
+                **kind)
+    return parser
+
+
+def _load_config_file(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise SpecError(f"cannot read config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SpecError("config file must hold a single JSON object")
+    return data
+
+
+def _value(setting, value):
+    """The setting's value, given by a flag or a config file, or None:
+    its default, or the value cast to its type and held to its bounds.
+    State entries are left to spec_from_dict."""
+    if value is None:
+        return setting.default
+    if setting.group == _STATE:
+        return value
+    if setting.type not in (bool, int, float):
+        return setting.type(value)  # a string, or the formats' own messages
+    try:
+        value = strict_cast(value, setting.type)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(f"bad value for {setting.name}: {value!r}") from None
+    if setting.bounds:
+        lo, hi = setting.bounds
+        if not lo <= value <= (math.inf if hi is None else hi):
+            raise SpecError(f"{setting.flag} must be " + (
+                f">= {lo}" if hi is None else f"between {lo} and {hi}"))
+    return value
+
+
+def _build_spec(state):
+    data = {key: value for key, value in state.items() if value is not None}
+    data["kind"] = data.pop("state")
     # canonical parameter defaults for the indefinite-number families
     if data["kind"] == "coherent":
         data.setdefault("alpha_x", "i")
@@ -314,67 +330,40 @@ def _build_spec(cfg):
 
 
 def resolve_config(args):
-    """Merge defaults, the optional JSON config file, and explicit flags."""
+    """Merge the table's defaults, the optional JSON config file, and
+    explicit flags (flags win); then the checks that tie settings
+    together or carry their own message."""
     command = args.command
-    cfg = {"out": ".", "formats": "csv,json,svg", "threads": 1}
-    cfg.update(_COMMAND_DEFAULTS[command])
+    file_cfg = _load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_cfg) - {s.name for s in KEYS[command]})
+    if unknown:
+        raise SpecError(f"config keys not understood by '{command}': "
+                        + ", ".join(unknown))
 
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config)
-        allowed = set(_COMMAND_KEYS[command])
-        unknown = sorted(set(file_cfg) - allowed)
-        if unknown:
-            raise SpecError(
-                f"config keys not understood by '{command}': "
-                + ", ".join(unknown))
-        cfg.update(file_cfg)
-
-    for key in _COMMAND_KEYS[command]:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            cfg[key] = flag_value
-
-    if command in _DISTRIBUTION_POINTS and cfg.get("points") is None:
-        cfg["points"] = (pairstats.DEFAULT_TWO_ANGLE_POINTS
-                         if cfg.get("two_angle")
-                         else _DISTRIBUTION_POINTS[command])
-
-    run = RunConfig(command=command)
-    if command != "verify":
-        run.spec = _build_spec(cfg)
-    run.out = str(cfg["out"])
-    run.formats = _parse_formats(cfg["formats"])
-    try:
-        run.threads = int(cfg["threads"])
-    except (TypeError, ValueError, OverflowError):
-        raise SpecError(f"--threads needs an integer, got {cfg['threads']!r}")
-    if run.threads < 1:
-        raise SpecError("--threads must be >= 1")
-
-    for key, caster in (("seed", int), ("count", int), ("points", int),
-                        ("step", float), ("extent", float), ("bins", int),
-                        ("resolution", int),
-                        ("two_angle", bool), ("stats", bool)):
-        if key in cfg and cfg[key] is not None:
-            try:
-                setattr(run, key, caster(cfg[key]))
-            except (TypeError, ValueError, OverflowError):
-                raise SpecError(f"bad value for {key}: {cfg[key]!r}")
+    given = {s: getattr(args, s.name) for s in KEYS[command]}
+    given = {s: file_cfg.get(s.name) if value is None else value
+             for s, value in given.items()}
+    state = {s.name: _value(s, v) for s, v in given.items()
+             if s.group == _STATE}
+    run = RunConfig(command=command,
+                    spec=_build_spec(state) if state else None,
+                    **{s.name: _value(s, v) for s, v in given.items()
+                       if s.group != _STATE})
 
     if command == "frames":
-        if cfg.get("seed") is None:
+        if run.seed is None:
             raise SpecError("frames requires an explicit --seed "
                             "(reproducibility: no implicit entropy)")
         if not 0 <= run.seed < 2 ** 64:
             raise SpecError("--seed must lie in [0, 2**64)")
-        if not 0 <= run.count <= _MAX_COUNT:
-            raise SpecError(f"--count must be between 0 and {_MAX_COUNT}")
         if run.stats and run.count == 0:
             raise SpecError("--stats needs --count >= 1")
-        if not 4 <= run.bins <= _MAX_BINS:
-            raise SpecError(f"--bins must be between 4 and {_MAX_BINS}")
-    if command in ("pairdist", "pairangle"):
+    if command in _LAWS:
+        if run.points is None:
+            run.points = (pairstats.DEFAULT_TWO_ANGLE_POINTS if run.two_angle
+                          else pairstats.DEFAULT_DISTANCE_POINTS
+                          if command == "pairdist"
+                          else pairstats.DEFAULT_ANGLE_POINTS)
         ceiling = _MAX_TWO_ANGLE_POINTS if run.two_angle else _MAX_POINTS
         if not 8 <= run.points <= ceiling:
             raise SpecError(f"--points must be between 8 and {ceiling}")
@@ -385,9 +374,6 @@ def resolve_config(args):
         if not 2.0 * run.extent / run.step < _MAX_PROFILE_AXIS - 0.5:
             raise SpecError(f"--extent and --step give more than "
                             f"{_MAX_PROFILE_AXIS} grid points per axis")
-    if command == "verify" and not 8 <= run.resolution <= _MAX_RESOLUTION:
-        raise SpecError(
-            f"--resolution must be between 8 and {_MAX_RESOLUTION}")
     return run
 
 

@@ -132,8 +132,8 @@ _COMPLEX_RE = re.compile(
 
 def parse_complex(text):
     """Parse 'a+bi' style complex literals ('i' or 'j', either part may be
-    omitted). Also accepts plain numbers."""
-    if isinstance(text, (int, float, complex)):
+    omitted). Also accepts plain numbers, but no boolean."""
+    if isinstance(text, (int, float, complex)) and not isinstance(text, bool):
         try:
             return complex(text)
         except OverflowError:   # an int beyond the float range
@@ -182,9 +182,20 @@ def spec_to_dict(spec):
     return out
 
 
+def strict_cast(value, kind):
+    """kind(value) for a value of the JSON type `kind` names: bool takes
+    only true and false, int and float no boolean, and int no fraction,
+    which int() would truncate."""
+    if (kind is bool) != isinstance(value, bool) or (
+            kind is int and isinstance(value, float)
+            and not value.is_integer()):
+        raise TypeError(f"{value!r} is not {kind.__name__}-valued")
+    return kind(value)
+
+
 def _number(data, key, cast):
     try:
-        return cast(data[key])
+        return strict_cast(data[key], cast)
     except (TypeError, ValueError, OverflowError):
         raise SpecError(f"{key} must be a number, got {data[key]!r}") \
             from None

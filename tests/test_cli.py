@@ -18,9 +18,10 @@ import tracemalloc
 import pytest
 
 from vortexcorr import cli, sampler
-from vortexcorr.cli import _COMMAND_KEYS, build_parser, main, resolve_config
+from vortexcorr.cli import (KEYS, SETTINGS, RunConfig, build_parser, main,
+                            resolve_config)
 from vortexcorr.oracle import BOSE_DISTANCE_MEAN, BOSE_DISTANCE_MODES
-from vortexcorr.states import KINDS, build_state
+from vortexcorr.states import KINDS, SpecError, build_state
 
 
 def _data_rows(path):
@@ -754,7 +755,7 @@ def _fuzzed_config(draw, command):
     to extreme numbers; the keys of _SMALL_VALUES only ever take values
     from the fixed list, so an accepted size stays small."""
     from hypothesis import strategies as st
-    keys = [k for k in _COMMAND_KEYS[command] if k not in ("out", "formats")]
+    keys = [s.name for s in KEYS[command] if s.name not in ("out", "formats")]
     cfg = {key: draw(st.sampled_from(_SMALL_VALUES[key]))
            for key in keys if key in _SMALL_VALUES}
     if command != "verify":     # verify checks every shipped state
@@ -785,5 +786,135 @@ def test_fuzzed_config_files_never_escape(command):
             rc = main([command, "--config", path, "--formats", "json",
                        "--out", os.path.join(out, "run")])
         assert rc in (0, 2, 3, 4), (cfg, rc)
+
+    check()
+
+
+# config values of the wrong JSON type, which were once read loosely (a
+# string as true, a fraction truncated, a boolean as 0 or 1): each exits 2
+# with the message that names its key
+_LOOSE_VALUES = [
+    (["pairdist"], {"two_angle": "false"}, "bad value for two_angle"),
+    (["frames", "--seed", "1"], {"stats": "no"}, "bad value for stats"),
+    (["frames"], {"seed": 1.9}, "bad value for seed"),
+    (["frames", "--seed", "1"], {"count": True}, "bad value for count"),
+    (["verify"], {"resolution": 8.9}, "bad value for resolution"),
+    (["pairdist"], {"state": "bose-fock", "n": 1.7, "m": True},
+     "n must be a number"),
+    (["pairdist"], {"state": "bose-fock", "m": True}, "m must be a number"),
+    (["pairangle"], {"points": 16.5}, "bad value for points"),
+    (["frames", "--seed", "1"], {"bins": 8.5}, "bad value for bins"),
+    (["frames", "--seed", "1"], {"threads": True}, "bad value for threads"),
+    (["profile"], {"step": True}, "bad value for step"),
+    (["profile"], {"state": "thermal", "nbar_a": False},
+     "nbar_a must be a number"),
+    (["profile"], {"state": "coherent", "alpha_x": True},
+     "cannot parse complex literal True"),
+]
+
+
+@pytest.mark.parametrize("argv, entry, message", _LOOSE_VALUES,
+                         ids=[json.dumps(c[1]) for c in _LOOSE_VALUES])
+def test_config_values_keep_their_json_type(tmp_path, capsys, argv, entry,
+                                            message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_integers_may_be_written_as_whole_floats(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 2.0, "count": 5.0, "n": 2.0,
+                               "state": "bose-fock"}))
+    run = resolve_config(build_parser().parse_args(
+        ["frames", "--config", str(cfg)]))
+    assert (run.seed, run.count, run.spec.n) == (2, 5, 2)
+    assert type(run.seed) is type(run.count) is type(run.spec.n) is int
+
+
+@pytest.mark.parametrize("command", ["profile", "pairdist", "pairangle",
+                                     "verify"])
+def test_threads_is_a_frames_setting(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "not understood" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _flag_values(setting):
+    """Values for one flag: inside its bounds, at and just past them, far
+    outside, and junk."""
+    from hypothesis import strategies as st
+    junk = st.one_of(st.sampled_from(("", "x", "--", "-1", "1.5", "1e400",
+                                      "nan", "inf", "0x10", "2i")),
+                     st.text(max_size=4))
+    if setting.type is int:
+        lo, hi = setting.bounds or (0, 2 ** 64)
+        hi = 2 ** 64 if hi is None else hi
+        edges = st.sampled_from((lo - 1, lo, hi, hi + 1, -2 ** 70, 2 ** 70))
+        values = st.one_of(st.integers(lo, hi), edges).map(str)
+    elif setting.type is float:
+        values = st.floats().map(repr)
+    elif setting.choices:
+        values = st.sampled_from(setting.choices)
+    else:   # amplitudes, the output directory and the format list
+        values = st.sampled_from(("1", "i", "1+2i", "1e160", "csv",
+                                  "json,svg", "gif", "run"))
+    return st.one_of(values, values, values, junk)
+
+
+_ALL_COMMANDS = ["profile", "pairdist", "pairangle", "frames", "verify"]
+
+
+@pytest.mark.parametrize("command", _ALL_COMMANDS)
+def test_fuzzed_flags_resolve_or_refuse(command):
+    # argv drawn from the settings table: each draw resolves to values the
+    # table's bounds and types admit, or is refused as a configuration error
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    parser = build_parser()
+    rows = [s for s in SETTINGS if command in s.commands
+            and s.name != "config"]
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        # frames runs need a seed; a drawn --seed overrides this one
+        argv = [command] + (["--seed", "1"] if command == "frames" else [])
+        for s in data.draw(st.lists(st.sampled_from(rows), max_size=6,
+                                    unique=True)):
+            argv.append(s.flag)
+            # a switch takes no value; now and then it gets a stray one
+            if s.type is not bool or data.draw(st.integers(0, 3)) == 0:
+                argv.append(data.draw(_flag_values(s)))
+        try:
+            run = resolve_config(parser.parse_args(argv))
+        except SpecError:
+            return
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+        assert isinstance(run, RunConfig)
+        for s in KEYS[command]:
+            if s.group == "state selection":
+                continue
+            value = getattr(run, s.name)
+            if s.type in (bool, int):
+                assert type(value) is s.type, (argv, s.name, value)
+            if s.bounds:
+                lo, hi = s.bounds
+                assert lo <= value and (hi is None or value <= hi), argv
+        if command == "frames":
+            assert 0 <= run.seed < 2 ** 64
 
     check()

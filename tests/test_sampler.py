@@ -17,8 +17,8 @@ from vortexcorr.sampler import (chi_square_gof, counter_uniforms,
 from vortexcorr.oracle import closed_form_angle, closed_form_distance
 from vortexcorr.pairstats import (PairDistribution, PairVariable,
                                   bosonic_weight)
-from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
-                               fermi_fock, noon, thermal)
+from vortexcorr.states import (SpecError, bose_fock, build_state, coherent,
+                               cothermal, fermi_fock, noon, thermal)
 
 MASK = (1 << 64) - 1
 GOLD = 0x9E3779B97F4A7C15
@@ -327,6 +327,22 @@ def test_load_frames_ignores_old_cutoff_entry(tmp_path):
     back = load_frames(path)
     assert back.spec == frames.spec
     np.testing.assert_array_equal(back.points, frames.points)
+
+
+@pytest.mark.parametrize("entry", [{"n": 1.5}, {"m": True}])
+def test_load_frames_refuses_loose_occupations(tmp_path, entry):
+    # a header's n and m are whole JSON numbers, checked as a config
+    # file's are: a fraction or a boolean is not read as 1
+    frames = generate_frames(fermi_fock(), 4, seed=8)
+    path = tmp_path / "frames.csv"
+    save_frames(frames, path)
+    first, rest = path.read_text().split("\n", 1)
+    header = json.loads(first[len(sampler._HEADER_PREFIX):])
+    header["state"].update(entry)
+    path.write_text(sampler._HEADER_PREFIX
+                    + json.dumps(header, sort_keys=True) + "\n" + rest)
+    with pytest.raises(SpecError, match="must be a number"):
+        load_frames(path)
 
 
 def test_load_frames_rejects_comment_lines_in_body(tmp_path):

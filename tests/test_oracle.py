@@ -9,6 +9,7 @@ forms.  These tests pin the route agreement and the verdict table.
 import ast
 import dataclasses
 from dataclasses import replace
+import hashlib
 import json
 import math
 import tracemalloc
@@ -257,6 +258,23 @@ def test_rows_reproducible():
     assert [r.as_dict() for r in first] == [r.as_dict() for r in second]
 
 
+# sha256 of the JSON list of every full_report(15) row's fields below, in
+# report order; deviations and details are left out, because their last
+# digits follow numpy's SIMD dispatch
+_REPORT_FIELDS = ("kind", "claim_id", "gating", "verdict", "printed_form",
+                  "resolved_form")
+_REPORT_DIGEST = \
+    "d66ea121516a24f64ffb89d68d509e6d43f3e7d161846f828a8d0dcb932d8f22"
+
+
+def test_full_report_rows_are_pinned():
+    rows = oracle.full_report(resolution=15)
+    assert (len(rows), sum(r.gating for r in rows)) == (50, 12)
+    pinned = [[getattr(r, key) for key in _REPORT_FIELDS] for r in rows]
+    digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
+    assert digest == _REPORT_DIGEST
+
+
 def test_donut_detection_requires_quadrature_phase():
     assert printed_family(coherent()) == "coherent"
     assert printed_family(thermal(1.0, 1.0)) == "thermal"
@@ -431,7 +449,7 @@ def test_angle_row_sees_the_exchange_sign(monkeypatch):
     # give fermions the bosonic sign: the oracle law turns cos^2 while the
     # engine keeps sin^2, so the gating row must fail
     _give_fermions_the_bosonic_sign(monkeypatch)
-    rows = oracle._angle_rows(fermi_fock(), oracle.build_state(fermi_fock()))
+    rows = cross_validate(fermi_fock(), 15)
     row = _row(rows, "angle-engine-vs-oracle")
     assert row.verdict != "Confirmed"
     assert row.max_abs_deviation > 0.5
@@ -566,7 +584,7 @@ def test_tilted_row_sees_a_mirrored_engine(monkeypatch):
         return np.stack([h[0], h[1], -h[2]])
 
     monkeypatch.setattr(density, "shell_harmonics", mirrored)
-    rows = oracle._engine_vs_oracle_rows(oracle.TILTED_COHERENT, 15)
+    rows = cross_validate(oracle.TILTED_COHERENT, 15)
     assert _row(rows, "rho2-engine-vs-oracle").verdict != "Confirmed"
 
 
@@ -578,5 +596,5 @@ def test_engine_rows_see_a_wrong_mode_normalisation(monkeypatch):
     monkeypatch.setattr(density, "shell_harmonics",
                         lambda x, y: 1.01 * original(x, y))
     for spec in SHIPPED:
-        rows = oracle._engine_vs_oracle_rows(spec, 15)
+        rows = cross_validate(spec, 15)
         assert _row(rows, "rho2-engine-vs-oracle").verdict != "Confirmed"

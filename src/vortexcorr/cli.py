@@ -145,8 +145,8 @@ SETTINGS = (
             "JSON config file; explicit flags override its entries", _OUTPUT,
             metavar="FILE"),
     Setting("threads", ("frames",),
-            "frames: sample frame blocks in N threads; results do not "
-            "depend on it", _OUTPUT, int, 1, (1, None), "N"),
+            "sample frame blocks in N threads; results do not depend on it",
+            _OUTPUT, int, 1, (1, None), "N"),
     Setting("step", ("profile",), "grid spacing (default {default})",
             type=float, default=0.05),
     Setting("extent", ("profile",),
@@ -302,8 +302,8 @@ def _value(setting, value):
         return setting.default
     if setting.group == _STATE:
         return value
-    if setting.type not in (bool, int, float):
-        return setting.type(value)  # a string, or the formats' own messages
+    if setting.type not in (bool, int, float, str):
+        return setting.type(value)  # the formats' own messages
     try:
         value = strict_cast(value, setting.type)
     except (TypeError, ValueError, OverflowError):

@@ -26,6 +26,7 @@ All verdicts are deterministic functions of (state, resolution).
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +146,12 @@ def _two_particle_psi(spec, f1, g1, f2, g2):
         f"kind {spec.kind!r} has no definite two-particle wavefunction")
 
 
+def _first_quantized(spec):
+    """True for the two-particle kinds with an explicit wavefunction."""
+    return spec.kind in ("fermi-fock", "noon") or (
+        spec.kind == "bose-fock" and spec.n + spec.m == 2)
+
+
 def first_quantized_rho2(spec, x1, y1, x2, y2):
     """Pair density 2|Psi|^2 of a definite two-particle state.
 
@@ -245,11 +252,9 @@ def wick_rho2(spec, x1, y1, x2, y2):
 def reference_rho2(spec, x1, y1, x2, y2):
     """Oracle pair density along the independent route for this kind."""
     spec = spec.normalized()
-    if spec.kind in ("fermi-fock", "noon"):
+    if _first_quantized(spec):
         return first_quantized_rho2(spec, x1, y1, x2, y2)
     if spec.kind == "bose-fock":
-        if spec.n + spec.m == 2:
-            return first_quantized_rho2(spec, x1, y1, x2, y2)
         f1, g1 = _eval_pair(spec, x1, y1)
         f2, g2 = _eval_pair(spec, x2, y2)
         n, m = spec.n, spec.m
@@ -429,10 +434,10 @@ def _plane_points(resolution):
     return gx.ravel(), gy.ravel(), axis[1] - axis[0]
 
 
-def _sup_gap(values, reference):
-    """max |values - reference|, overwriting values."""
-    np.subtract(values, reference, out=values)
-    return float(np.max(np.abs(values, out=values)))
+def _gap(values, reference, out=None):
+    """max |values - reference|; the difference goes to `out` if given."""
+    diff = np.subtract(values, reference, out=out)
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION,
@@ -459,10 +464,11 @@ def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION,
         orc = reference_rho2(spec, x1, y1, x2, y2)
         mass_engine += float(np.sum(eng))
         mass_oracle += float(np.sum(orc))
-        dev_oracle = max(dev_oracle, _sup_gap(orc, eng))
+        dev_oracle = max(dev_oracle, _gap(orc, eng, out=orc))
         if include_verbatim:
-            dev_verbatim = max(dev_verbatim, _sup_gap(
-                printed_rho2(spec, x1, y1, x2, y2), eng))
+            verbatim = printed_rho2(spec, x1, y1, x2, y2)
+            dev_verbatim = max(dev_verbatim,
+                               _gap(verbatim, eng, out=verbatim))
     h4 = step ** 4
     return {
         "dev_oracle": dev_oracle,
@@ -617,8 +623,7 @@ def polar_separability_deviation(state):
         dens = rho2(state, x1, y1, x2, y2)
         scale = math.pi ** 2 * math.exp(r * r + s * s) / (r * s) ** 2
         surfaces.append(dens * scale)
-    base = surfaces[0]
-    return max(float(np.max(np.abs(w - base))) for w in surfaces[1:])
+    return max(_gap(w, surfaces[0]) for w in surfaces[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -626,282 +631,300 @@ def polar_separability_deviation(state):
 # ---------------------------------------------------------------------------
 
 
-# per family with a printed pair density: (printed form, resolved form,
-# verdict when the two differ)
+def _listed(values):
+    return ", ".join(f"{v:.9f}" for v in values)
+
+
+class _Laws:
+    """What the claims read of one state (spec None: of the families),
+    each law computed on first use and shared by every claim that reads
+    it. The traced entry points are looked up by name at call time."""
+
+    def __init__(self, spec, resolution):
+        self.spec, self.resolution = spec, resolution
+
+    @cached_property
+    def state(self):
+        return build_state(self.spec)
+
+    @cached_property
+    def sweep(self):
+        return pair_grid_sweep(self.spec, self.resolution,
+                               include_verbatim=self.spec.kind in _PAIR_FORMS)
+
+    @cached_property
+    def norm(self):
+        return wavefunction_norm(self.spec, self.resolution)
+
+    @cached_property
+    def distance(self):
+        return distance_distribution(self.state,
+                                     n_points=CLAIM_DISTANCE_POINTS)
+
+    @cached_property
+    def summary(self):
+        return summarize(self.distance)
+
+    @cached_property
+    def angle(self):
+        """The engine's folded relative-angle law; NOON's two-angle law."""
+        if self.spec.kind == "noon":
+            return two_angle_distribution(self.state,
+                                          n_points=CLAIM_TWO_ANGLE_POINTS)
+        return angle_distribution(self.state, n_points=CLAIM_ANGLE_POINTS)
+
+    @cached_property
+    def oracle_angle(self):
+        """The oracle's values of the law in `angle`."""
+        if self.spec.kind == "noon":
+            return oracle_two_angle_law(self.spec)[1]
+        return oracle_folded_angle_law(self.spec)[1]
+
+    @cached_property
+    def polar(self):
+        return polar_separability_deviation(self.state)
+
+
+# the printed pair densities, per family that has one
 _PAIR_FORMS = {
-    "fermi-fock": ("|phi_a(r1) phi_a(r2) - phi_b(r1) phi_b(r2)|^2",
-                   "|phi_a(r1) phi_b(r2) - phi_b(r1) phi_a(r2)|^2", TYPO),
-    "bose-fock": ("n m |phi_a(r1) phi_a(r2) + phi_b(r1) phi_b(r2)|^2"
-                  " + n(n-1)|phi_a phi_a'|^2 + m(m-1)|phi_b phi_b'|^2",
-                  "n m |phi_a(r1) phi_b(r2) + phi_b(r1) phi_a(r2)|^2"
-                  " + n(n-1)|phi_a phi_a'|^2 + m(m-1)|phi_b phi_b'|^2",
-                  TYPO),
-    "coherent": ("rho1_a(r1) rho1_b(r2), a product of single-mode densities",
-                 "rho1(r1) rho1(r2) with the full one-body density",
-                 CONVENTION),
-    "thermal": ("sum_{p,p'} nbar_p nbar_p' (|phi_p(r1)|^2 |phi_p'(r2)|^2"
-                " + phi_p*(r1) phi_p(r2) phi_p'*(r2) phi_p'(r1))",
-                "printed direct + exchange sum (cross-paired, consistent)",
-                TYPO),
+    "fermi-fock": "|phi_a(r1) phi_a(r2) - phi_b(r1) phi_b(r2)|^2",
+    "bose-fock": "n m |phi_a(r1) phi_a(r2) + phi_b(r1) phi_b(r2)|^2"
+                 " + n(n-1)|phi_a phi_a'|^2 + m(m-1)|phi_b phi_b'|^2",
+    "coherent": "rho1_a(r1) rho1_b(r2), a product of single-mode densities",
+    "thermal": "sum_{p,p'} nbar_p nbar_p' (|phi_p(r1)|^2 |phi_p'(r2)|^2"
+               " + phi_p*(r1) phi_p(r2) phi_p'*(r2) phi_p'(r1))",
 }
 
 
-def _engine_vs_oracle_rows(spec, resolution):
-    sweep = pair_grid_sweep(spec, resolution,
-                            include_verbatim=spec.kind in _PAIR_FORMS)
-    route = ORACLE_ROUTES[spec.kind]
-    detail = (f"route={route}; pair mass engine {sweep['mass_engine']:.12f}"
-              f" vs oracle {sweep['mass_oracle']:.12f}")
-    if spec.kind in ("fermi-fock", "noon") or (
-            spec.kind == "bose-fock" and spec.n + spec.m == 2):
-        norm = wavefunction_norm(spec, resolution)
-        detail += f"; wavefunction norm {norm:.12f}"
-    rows = [DiscrepancyReport(
-        claim_id="rho2-engine-vs-oracle",
-        kind=_label(spec),
-        printed_form="operator-engine pair density",
-        resolved_form=f"independent {route} pair density",
-        max_abs_deviation=sweep["dev_oracle"],
-        verdict=_verdict(sweep["dev_oracle"], TYPO),
-        gating=True,
-        detail=detail)]
-    if sweep["dev_verbatim"] is not None:
-        dev = sweep["dev_verbatim"]
-        extra = ""
-        if spec.kind == "bose-fock" and min(spec.n, spec.m) == 0:
-            extra = ("; the cross term carries the pairing mismatch and"
-                     " vanishes when one mode is empty")
-        elif spec.kind == "coherent":
-            extra = ("; under the reading rho1_a rho1_b = rho1 x rho1 of"
-                     " the full one-body density the product form is exact")
-        elif spec.kind in ("fermi-fock", "bose-fock"):
-            extra = ("; same-label pairing breaks rotation invariance of"
-                     " the one-quantum-per-mode state, the cross pairing"
-                     " restores it")
-        printed, resolved, fallback = _PAIR_FORMS[spec.kind]
-        rows.append(DiscrepancyReport(
-            claim_id="rho2-printed-pairing",
-            kind=_label(spec),
-            printed_form=printed,
-            resolved_form=resolved,
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, fallback),
-            detail=f"sup over the resolution^4 pair grid{extra}"))
-    return rows
+def _engine_vs_oracle(laws):
+    sweep = laws.sweep
+    detail = (f"route={ORACLE_ROUTES[laws.spec.kind]}; pair mass engine"
+              f" {sweep['mass_engine']:.12f} vs oracle"
+              f" {sweep['mass_oracle']:.12f}")
+    if _first_quantized(laws.spec):
+        detail += f"; wavefunction norm {laws.norm:.12f}"
+    return sweep["dev_oracle"], detail
 
 
-def _distance_rows(spec, state):
-    kind = printed_family(spec)
-    if kind is None:
-        return []
-    rows = []
-    dist = distance_distribution(state, n_points=CLAIM_DISTANCE_POINTS)
-    summ = summarize(dist)
-    grid = dist.grid
-
-    if kind in ("fermi-fock", "bose-fock", "coherent"):
-        printed = _PRINTED_DISTANCE_FORMS[kind](grid)
-        corrected = DISTANCE_FORMS[kind](grid)
-        dev = float(np.max(np.abs(dist.values - printed)))
-        dev_corr = float(np.max(np.abs(dist.values - corrected)))
-        detail = f"corrected-form deviation {dev_corr:.3e}"
-        if kind == "bose-fock":
-            detail += ("; the printed polynomial lacks the leading factor d"
-                       " and does not vanish at contact; the text's own"
-                       " small-distance statement D_B(d) ~ d matches the"
-                       " corrected form")
-        rows.append(DiscrepancyReport(
-            claim_id="distance-printed-form",
-            kind=_label(spec),
-            printed_form={
-                "fermi-fock": "D_F(d) = (1/2) d^3 exp(-d^2/2)",
-                "bose-fock": "D_B(d) = (1/8)(8 - 4d^2 + d^4) exp(-d^2/2)",
-                "coherent": "D_Coh(d) = (1/16) d (8 + d^4) exp(-d^2/2)",
-            }[kind],
-            resolved_form={
-                "fermi-fock": "same form, engine-confirmed",
-                "bose-fock": "D_B(d) = (d/8)(8 - 4d^2 + d^4) exp(-d^2/2)",
-                "coherent": "same form, engine-confirmed",
-            }[kind],
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, TYPO),
-            detail=detail))
-
-    if kind in ("fermi-fock", "bose-fock"):
-        printed_mean = (FERMI_DISTANCE_MEAN if kind == "fermi-fock"
-                        else BOSE_DISTANCE_MEAN)
-        dev = abs(summ.mean - printed_mean)
-        rows.append(DiscrepancyReport(
-            claim_id="distance-printed-mean",
-            kind=_label(spec),
-            printed_form=("mean separation sqrt(9 pi/8)" if
-                          kind == "fermi-fock"
-                          else "mean separation sqrt(121 pi/128)"),
-            resolved_form=f"engine mean {summ.mean:.9f}",
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, TYPO)))
-        if kind == "fermi-fock":
-            exact = (FERMI_DISTANCE_MODE,)
-            printed_modes = "single peak at sqrt(3) ~ 1.73"
-        else:
-            exact = BOSE_DISTANCE_MODES
-            printed_modes = "local maxima near 0.71 and 2.4"
-        found = summ.local_maxima
-        dev = (max(abs(a - b) for a, b in zip(sorted(found), exact))
-               if len(found) == len(exact) else math.inf)
-        rows.append(DiscrepancyReport(
-            claim_id="distance-maxima",
-            kind=_label(spec),
-            printed_form=printed_modes,
-            resolved_form="stationary points of the corrected law: "
-                          + ", ".join(f"{v:.9f}" for v in exact),
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, TYPO),
-            detail="engine maxima " + ", ".join(f"{v:.9f}" for v in found)))
-
-    if kind == "noon":
-        coh = DISTANCE_FORMS["coherent"](grid)
-        dev = float(np.max(np.abs(dist.values - coh)))
-        rows.append(DiscrepancyReport(
-            claim_id="noon-distance-equals-coherent",
-            kind=_label(spec),
-            printed_form="the distribution of distances of uncorrelated"
-                         " particles, D_Coh(d)",
-            resolved_form="engine NOON distance law vs D_Coh(d)",
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, TYPO)))
-
-    value_at_2 = float(np.interp(2.0, grid, dist.values))
-    target = 3.0 * math.exp(-2.0)
-    dev = abs(value_at_2 - target)
-    rows.append(DiscrepancyReport(
-        claim_id="diameter-common-value",
-        kind=_label(spec),
-        printed_form="all these states share the value 3/e^2 at d = 2",
-        resolved_form=f"D(2) = {value_at_2:.9f} for this state; the three"
-                      " corrected laws instead intersect pairwise at"
-                      " d^2 = 4 +/- 2 sqrt(2)",
-        max_abs_deviation=dev,
-        verdict=_verdict(dev, TYPO),
-        detail="exp(-2) units: F(2) = 4e-2, B(2) = 2e-2, Coh(2) = 3e-2"))
-
-    variance = summ.second_moment - summ.mean ** 2
-    dev = abs(variance - 4.0)
-    rows.append(DiscrepancyReport(
-        claim_id="variance-convention",
-        kind=_label(spec),
-        printed_form="Var(d) = 4 for every state of the family",
-        resolved_form="the state-independent quantity is the raw second"
-                      " moment E[d^2] = 4; the central variance is"
-                      " 4 - mean^2",
-        max_abs_deviation=dev,
-        verdict=CONVENTION if dev >= CONFIRM_TOL else CONFIRMED,
-        detail=f"E[d^2] = {summ.second_moment:.9f}"
-               f" (off 4 by {abs(summ.second_moment - 4.0):.3e});"
-               f" literal Var(d) = {variance:.9f}"))
-    return rows
+def _pairing(laws):
+    spec, extra = laws.spec, ""
+    if spec.kind == "bose-fock" and min(spec.n, spec.m) == 0:
+        extra = ("; the cross term carries the pairing mismatch and"
+                 " vanishes when one mode is empty")
+    elif spec.kind == "coherent":
+        extra = ("; under the reading rho1_a rho1_b = rho1 x rho1 of"
+                 " the full one-body density the product form is exact")
+    elif spec.kind in ("fermi-fock", "bose-fock"):
+        extra = ("; same-label pairing breaks rotation invariance of"
+                 " the one-quantum-per-mode state, the cross pairing"
+                 " restores it")
+    return (laws.sweep["dev_verbatim"],
+            f"sup over the resolution^4 pair grid{extra}")
 
 
-def _angle_rows(spec, state):
-    kind = printed_family(spec)
-    if kind is None:
-        return []
-    rows = []
-    if kind == "noon":
-        engine = two_angle_distribution(state,
-                                        n_points=CLAIM_TWO_ANGLE_POINTS)
-        angles, oracle_joint = oracle_two_angle_law(spec)
-        dev = float(np.max(np.abs(engine.values - oracle_joint)))
-        rows.append(DiscrepancyReport(
-            claim_id="two-angle-engine-vs-oracle",
-            kind=_label(spec),
-            printed_form="operator-engine joint angle density",
-            resolved_form="first-quantized joint angle density",
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, TYPO),
-            gating=True))
-        printed_shape = TWO_ANGLE_FORMS["noon"](engine.grid[:, None],
-                                                engine.grid[None, :])
-        dev = float(np.max(np.abs(engine.values - printed_shape)))
-        rows.append(DiscrepancyReport(
-            claim_id="two-angle-printed-form",
-            kind=_label(spec),
-            printed_form="D(theta, vartheta) = (2/pi) sin^2(theta"
-                         " + vartheta)",
-            resolved_form="joint density sin^2(theta + vartheta)"
-                          " / (2 pi^2); the printed coefficient matches"
-                          " the folded relative-angle normalization"
-                          " convention, the shape is confirmed",
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, CONVENTION)))
-        return rows
-
-    engine = angle_distribution(state, n_points=CLAIM_ANGLE_POINTS)
-    if kind in ("fermi-fock", "bose-fock"):
-        grid, oracle_vals = oracle_folded_angle_law(spec)
-        dev = float(np.max(np.abs(engine.values - oracle_vals)))
-        rows.append(DiscrepancyReport(
-            claim_id="angle-engine-vs-oracle",
-            kind=_label(spec),
-            printed_form="operator-engine folded relative-angle density",
-            resolved_form="first-quantized folded relative-angle density",
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, TYPO),
-            gating=True))
-        printed = _PRINTED_ANGLE_FORMS[kind](engine.grid)
-        corrected = ANGLE_FORMS[kind](engine.grid)
-        dev = float(np.max(np.abs(engine.values - printed)))
-        dev_corr = float(np.max(np.abs(engine.values - corrected)))
-        label = ("(2/pi) cos^2(dtheta)" if kind == "fermi-fock"
-                 else "(2/pi) sin^2(dtheta)")
-        resolved = ("(2/pi) sin^2(dtheta)" if kind == "fermi-fock"
-                    else "(2/pi) cos^2(dtheta)")
-        rows.append(DiscrepancyReport(
-            claim_id="angle-printed-labels",
-            kind=_label(spec),
-            printed_form=f"D(dtheta) = {label}",
-            resolved_form=f"D(dtheta) = {resolved}; deviation from the"
-                          f" swapped assignment {dev_corr:.3e}",
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, TYPO),
-            detail="the surrounding prose (fermions perpendicular, bosons"
-                   " aligned) matches the swapped assignment, so the"
-                   " printed labels appear interchanged"))
-    elif kind == "coherent":
-        dev = float(np.max(np.abs(engine.values - 1.0 / math.pi)))
-        rows.append(DiscrepancyReport(
-            claim_id="angle-uniform",
-            kind=_label(spec),
-            printed_form="D_Coh(dtheta) = cste (1/pi)",
-            resolved_form="uniform 1/pi on the folded half-turn",
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, TYPO)))
-    elif kind == "thermal":
-        reference = ANGLE_FORMS["thermal"](engine.grid)
-        dev = float(np.max(np.abs(engine.values - reference)))
-        rows.append(DiscrepancyReport(
-            claim_id="angle-derived-form",
-            kind=_label(spec),
-            printed_form="no printed closed form for the thermal"
-                         " relative-angle law",
-            resolved_form="derived (2/(3 pi)) (1 + cos^2(dtheta))",
-            max_abs_deviation=dev,
-            verdict=_verdict(dev, TYPO)))
-    return rows
+def _distance_form(laws):
+    kind, dist = laws.spec.kind, laws.distance
+    detail = ("corrected-form deviation"
+              f" {_gap(dist.values, DISTANCE_FORMS[kind](dist.grid)):.3e}")
+    if kind == "bose-fock":
+        detail += ("; the printed polynomial lacks the leading factor d"
+                   " and does not vanish at contact; the text's own"
+                   " small-distance statement D_B(d) ~ d matches the"
+                   " corrected form")
+    return (_gap(dist.values, _PRINTED_DISTANCE_FORMS[kind](dist.grid)),
+            detail)
 
 
-def _polar_row(spec, state):
-    dev = polar_separability_deviation(state)
-    return DiscrepancyReport(
-        claim_id="polar-separability",
-        kind=_label(spec),
-        printed_form="rho2(r, s, theta, vartheta) = 2 r^2 s^2"
-                     " exp(-r^2 - s^2) D(theta, vartheta) / pi^2",
-        resolved_form="r^2 s^2 exp(-r^2 - s^2) W(theta, vartheta) / pi^2"
-                      " with W independent of the radii and W = 2 D",
-        max_abs_deviation=dev,
-        verdict=_verdict(dev, TYPO),
-        detail="sup over radius pairs of the rescaled angular surface")
+def _distance_mean(laws):
+    printed = {"fermi-fock": FERMI_DISTANCE_MEAN,
+               "bose-fock": BOSE_DISTANCE_MEAN}[laws.spec.kind]
+    return abs(laws.summary.mean - printed), "", laws.summary.mean
+
+
+def _distance_maxima(laws):
+    exact = {"fermi-fock": (FERMI_DISTANCE_MODE,),
+             "bose-fock": BOSE_DISTANCE_MODES}[laws.spec.kind]
+    found = laws.summary.local_maxima
+    dev = (max(abs(a - b) for a, b in zip(sorted(found), exact))
+           if len(found) == len(exact) else math.inf)
+    return dev, "engine maxima " + _listed(found), _listed(exact)
+
+
+def _diameter(laws):
+    value = float(np.interp(2.0, laws.distance.grid, laws.distance.values))
+    return (abs(value - 3.0 * math.exp(-2.0)),
+            "exp(-2) units: F(2) = 4e-2, B(2) = 2e-2, Coh(2) = 3e-2", value)
+
+
+def _variance(laws):
+    mean, second = laws.summary.mean, laws.summary.second_moment
+    variance = second - mean ** 2
+    return (abs(variance - 4.0),
+            f"E[d^2] = {second:.9f} (off 4 by {abs(second - 4.0):.3e});"
+            f" literal Var(d) = {variance:.9f}")
+
+
+def _angle_labels(laws):
+    kind, law = laws.spec.kind, laws.angle
+    return (_gap(law.values, _PRINTED_ANGLE_FORMS[kind](law.grid)),
+            "the surrounding prose (fermions perpendicular, bosons aligned)"
+            " matches the swapped assignment, so the printed labels appear"
+            " interchanged",
+            _gap(law.values, ANGLE_FORMS[kind](law.grid)))
+
+
+def _angle_form(laws):
+    law = laws.angle
+    return _gap(law.values, ANGLE_FORMS[laws.spec.kind](law.grid)), ""
+
+
+def _family_identity(laws):
+    specs = [fermi_fock(), bose_fock(1, 1), thermal(1.0, 1.0), coherent(),
+             cothermal(), noon()]
+    px, py, _ = _plane_points(laws.resolution)
+    grids = [rho1(build_state(s), px, py) for s in specs]
+    return max(_gap(a, grids[0]) for a in grids[1:]), ""
+
+
+def _crossings(laws):
+    kinds = ("fermi-fock", "bose-fock", "coherent")
+    return (max(float(np.ptp([closed_form_distance(k, [d]) for k in kinds]))
+                for d in CROSSING_DISTANCES),
+            "max spread of the three laws at the two crossing radii")
+
+
+def _printed(*kinds):
+    """A claim on the printed configurations of `kinds` (printed_family)."""
+    return lambda spec: spec is not None and printed_family(spec) in kinds
+
+
+def _every_state(spec):
+    return spec is not None
+
+
+def _families(spec):
+    """A claim on the families together: one row per report."""
+    return spec is None
+
+
+_FAMILIES = ("fermi-fock", "bose-fock", "coherent", "thermal", "noon")
+
+
+@dataclass(frozen=True)
+class _Claim:
+    """One kind of verify row. `applies` takes a spec (None for the
+    family claims); the texts and `fallback` are strings or dicts keyed by
+    the spec's kind; `evaluate` maps the state's _Laws to (deviation,
+    detail, *values), and the values fill the resolved text's {} fields."""
+    claim_id: str
+    applies: object
+    printed: object
+    resolved: object
+    evaluate: object
+    fallback: object = TYPO
+    gating: bool = False
+
+
+# every claim, in report order
+_CLAIMS = (
+    _Claim("rho2-engine-vs-oracle", _every_state,
+           "operator-engine pair density",
+           {kind: f"independent {route} pair density"
+            for kind, route in ORACLE_ROUTES.items()},
+           _engine_vs_oracle, gating=True),
+    _Claim("rho2-printed-pairing",
+           lambda spec: spec is not None and spec.kind in _PAIR_FORMS,
+           _PAIR_FORMS, {
+        "fermi-fock": "|phi_a(r1) phi_b(r2) - phi_b(r1) phi_a(r2)|^2",
+        "bose-fock": "n m |phi_a(r1) phi_b(r2) + phi_b(r1) phi_a(r2)|^2"
+                     " + n(n-1)|phi_a phi_a'|^2 + m(m-1)|phi_b phi_b'|^2",
+        "coherent": "rho1(r1) rho1(r2) with the full one-body density",
+        "thermal": "printed direct + exchange sum (cross-paired,"
+                   " consistent)",
+    }, _pairing, {**dict.fromkeys(_PAIR_FORMS, TYPO), "coherent": CONVENTION}),
+    _Claim("distance-printed-form",
+           _printed("fermi-fock", "bose-fock", "coherent"), {
+               "fermi-fock": "D_F(d) = (1/2) d^3 exp(-d^2/2)",
+               "bose-fock": "D_B(d) = (1/8)(8 - 4d^2 + d^4) exp(-d^2/2)",
+               "coherent": "D_Coh(d) = (1/16) d (8 + d^4) exp(-d^2/2)",
+           }, {
+               "fermi-fock": "same form, engine-confirmed",
+               "bose-fock": "D_B(d) = (d/8)(8 - 4d^2 + d^4) exp(-d^2/2)",
+               "coherent": "same form, engine-confirmed",
+           }, _distance_form),
+    _Claim("distance-printed-mean", _printed("fermi-fock", "bose-fock"), {
+        "fermi-fock": "mean separation sqrt(9 pi/8)",
+        "bose-fock": "mean separation sqrt(121 pi/128)",
+    }, "engine mean {:.9f}", _distance_mean),
+    _Claim("distance-maxima", _printed("fermi-fock", "bose-fock"), {
+        "fermi-fock": "single peak at sqrt(3) ~ 1.73",
+        "bose-fock": "local maxima near 0.71 and 2.4",
+    }, "stationary points of the corrected law: {}", _distance_maxima),
+    _Claim("noon-distance-equals-coherent", _printed("noon"),
+           "the distribution of distances of uncorrelated particles,"
+           " D_Coh(d)", "engine NOON distance law vs D_Coh(d)",
+           lambda laws: (_gap(laws.distance.values,
+                              DISTANCE_FORMS["coherent"](laws.distance.grid)),
+                         "")),
+    _Claim("diameter-common-value", _printed(*_FAMILIES),
+           "all these states share the value 3/e^2 at d = 2",
+           "D(2) = {:.9f} for this state; the three corrected laws instead"
+           " intersect pairwise at d^2 = 4 +/- 2 sqrt(2)", _diameter),
+    _Claim("variance-convention", _printed(*_FAMILIES),
+           "Var(d) = 4 for every state of the family",
+           "the state-independent quantity is the raw second moment"
+           " E[d^2] = 4; the central variance is 4 - mean^2", _variance,
+           CONVENTION),
+    _Claim("two-angle-engine-vs-oracle", _printed("noon"),
+           "operator-engine joint angle density",
+           "first-quantized joint angle density",
+           lambda laws: (_gap(laws.angle.values, laws.oracle_angle), ""),
+           gating=True),
+    _Claim("two-angle-printed-form", _printed("noon"),
+           "D(theta, vartheta) = (2/pi) sin^2(theta + vartheta)",
+           "joint density sin^2(theta + vartheta) / (2 pi^2); the printed"
+           " coefficient matches the folded relative-angle normalization"
+           " convention, the shape is confirmed",
+           lambda laws: (_gap(laws.angle.values, TWO_ANGLE_FORMS["noon"](
+               laws.angle.grid[:, None], laws.angle.grid[None, :])), ""),
+           CONVENTION),
+    _Claim("angle-engine-vs-oracle", _printed("fermi-fock", "bose-fock"),
+           "operator-engine folded relative-angle density",
+           "first-quantized folded relative-angle density",
+           lambda laws: (_gap(laws.angle.values, laws.oracle_angle), ""),
+           gating=True),
+    _Claim("angle-printed-labels", _printed("fermi-fock", "bose-fock"), {
+        "fermi-fock": "D(dtheta) = (2/pi) cos^2(dtheta)",
+        "bose-fock": "D(dtheta) = (2/pi) sin^2(dtheta)",
+    }, {
+        "fermi-fock": "D(dtheta) = (2/pi) sin^2(dtheta); deviation from the"
+                      " swapped assignment {:.3e}",
+        "bose-fock": "D(dtheta) = (2/pi) cos^2(dtheta); deviation from the"
+                     " swapped assignment {:.3e}",
+    }, _angle_labels),
+    _Claim("angle-uniform", _printed("coherent"),
+           "D_Coh(dtheta) = cste (1/pi)",
+           "uniform 1/pi on the folded half-turn", _angle_form),
+    _Claim("angle-derived-form", _printed("thermal"),
+           "no printed closed form for the thermal relative-angle law",
+           "derived (2/(3 pi)) (1 + cos^2(dtheta))", _angle_form),
+    _Claim("polar-separability", _every_state,
+           "rho2(r, s, theta, vartheta) = 2 r^2 s^2 exp(-r^2 - s^2)"
+           " D(theta, vartheta) / pi^2",
+           "r^2 s^2 exp(-r^2 - s^2) W(theta, vartheta) / pi^2 with W"
+           " independent of the radii and W = 2 D",
+           lambda laws: (laws.polar, "sup over radius pairs of the rescaled"
+                                     " angular surface")),
+    _Claim("one-body-family-identity", _families,
+           "rho1 is the same donut for Fermi, Bose, coherent, thermal,"
+           " cothermal (and NOON) configurations",
+           "max pairwise sup deviation of the engine rho1 grids",
+           _family_identity, gating=True),
+    _Claim("distance-crossings", _families,
+           "(derived, not printed) the three corrected distance laws"
+           " intersect pairwise at shared points",
+           "common pairwise crossings at d^2 = 4 +/- 2 sqrt(2)", _crossings),
+)
 
 
 def _amplitude(z):
@@ -913,12 +936,36 @@ def _amplitude(z):
 
 
 def _label(spec):
+    if spec is None:
+        return "family"
     if spec.kind == "bose-fock" and (spec.n, spec.m) != (1, 1):
         return f"bose-fock({spec.n},{spec.m})"
     if spec.kind == "coherent" and spec != coherent():
         return (f"coherent({_amplitude(spec.alpha_a)},"
                 f"{_amplitude(spec.alpha_b)},{spec.basis})")
     return spec.kind
+
+
+def _pick(text, spec):
+    return text if isinstance(text, str) else text[spec.kind]
+
+
+def _report(claim, laws):
+    """The claim's row for the state of `laws`."""
+    deviation, detail, *values = claim.evaluate(laws)
+    spec = laws.spec
+    return DiscrepancyReport(
+        claim_id=claim.claim_id, kind=_label(spec),
+        printed_form=_pick(claim.printed, spec),
+        resolved_form=_pick(claim.resolved, spec).format(*values),
+        max_abs_deviation=deviation, gating=claim.gating, detail=detail,
+        verdict=_verdict(deviation, _pick(claim.fallback, spec)))
+
+
+def _rows(spec, resolution):
+    """The rows of every claim that applies to `spec`, in table order."""
+    laws = _Laws(spec, resolution)
+    return [_report(claim, laws) for claim in _CLAIMS if claim.applies(spec)]
 
 
 def cross_validate(kind_or_spec, resolution=DEFAULT_RESOLUTION):
@@ -930,55 +977,10 @@ def cross_validate(kind_or_spec, resolution=DEFAULT_RESOLUTION):
     if isinstance(kind_or_spec, StateSpec):
         spec = kind_or_spec.normalized()
     else:
-        spec = {
-            "fermi-fock": fermi_fock,
-            "bose-fock": bose_fock,
-            "coherent": coherent,
-            "thermal": thermal,
-            "cothermal": cothermal,
-            "noon": noon,
-        }[kind_or_spec]()
-    state = build_state(spec)
-    rows = _engine_vs_oracle_rows(spec, resolution)
-    rows.extend(_distance_rows(spec, state))
-    rows.extend(_angle_rows(spec, state))
-    rows.append(_polar_row(spec, state))
-    return rows
-
-
-def _family_identity_row(resolution):
-    specs = [fermi_fock(), bose_fock(1, 1), thermal(1.0, 1.0), coherent(),
-             cothermal(), noon()]
-    px, py, _ = _plane_points(resolution)
-    grids = [rho1(build_state(s), px, py) for s in specs]
-    dev = max(float(np.max(np.abs(a - grids[0]))) for a in grids[1:])
-    return DiscrepancyReport(
-        claim_id="one-body-family-identity",
-        kind="family",
-        printed_form="rho1 is the same donut for Fermi, Bose, coherent,"
-                     " thermal, cothermal (and NOON) configurations",
-        resolved_form="max pairwise sup deviation of the engine rho1 grids",
-        max_abs_deviation=dev,
-        verdict=_verdict(dev, TYPO),
-        gating=True)
-
-
-def _crossings_row():
-    kinds = ("fermi-fock", "bose-fock", "coherent")
-    dev = 0.0
-    for d in CROSSING_DISTANCES:
-        vals = [float(closed_form_distance(k, np.array([d]))[0])
-                for k in kinds]
-        dev = max(dev, max(vals) - min(vals))
-    return DiscrepancyReport(
-        claim_id="distance-crossings",
-        kind="family",
-        printed_form="(derived, not printed) the three corrected distance"
-                     " laws intersect pairwise at shared points",
-        resolved_form="common pairwise crossings at d^2 = 4 +/- 2 sqrt(2)",
-        max_abs_deviation=dev,
-        verdict=_verdict(dev, TYPO),
-        detail="max spread of the three laws at the two crossing radii")
+        spec = {"fermi-fock": fermi_fock, "bose-fock": bose_fock,
+                "coherent": coherent, "thermal": thermal,
+                "cothermal": cothermal, "noon": noon}[kind_or_spec]()
+    return _rows(spec, resolution)
 
 
 def full_report(resolution=DEFAULT_RESOLUTION):
@@ -986,12 +988,9 @@ def full_report(resolution=DEFAULT_RESOLUTION):
     and the family claims."""
     shipped = [fermi_fock(), bose_fock(1, 1), bose_fock(2, 0), coherent(),
                thermal(1.0, 1.0), cothermal(), noon(), TILTED_COHERENT]
-    rows = []
-    for spec in shipped:
-        rows.extend(cross_validate(spec, resolution))
-    rows.append(_family_identity_row(resolution))
-    rows.append(_crossings_row())
-    return rows
+    return [row for spec in shipped
+            for row in cross_validate(spec, resolution)] \
+        + _rows(None, resolution)
 
 
 def all_engine_checks_confirmed(reports):

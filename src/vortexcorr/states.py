@@ -184,9 +184,10 @@ def spec_to_dict(spec):
 
 def strict_cast(value, kind):
     """kind(value) for a value of the JSON type `kind` names: bool takes
-    only true and false, int and float no boolean, and int no fraction,
-    which int() would truncate."""
+    only true and false, str only strings, int and float neither a boolean
+    nor a string, and int no fraction, which int() would truncate."""
     if (kind is bool) != isinstance(value, bool) or (
+            kind is str) != isinstance(value, str) or (
             kind is int and isinstance(value, float)
             and not value.is_integer()):
         raise TypeError(f"{value!r} is not {kind.__name__}-valued")

@@ -810,6 +810,10 @@ _LOOSE_VALUES = [
      "nbar_a must be a number"),
     (["profile"], {"state": "coherent", "alpha_x": True},
      "cannot parse complex literal True"),
+    # numbers given as strings
+    (["frames"], {"count": "5", "seed": 1}, "bad value for count"),
+    (["profile"], {"step": "0.5"}, "bad value for step"),
+    (["pairdist"], {"state": "bose-fock", "n": "2"}, "n must be a number"),
 ]
 
 
@@ -824,6 +828,18 @@ def test_config_values_keep_their_json_type(tmp_path, capsys, argv, entry,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", [5, [1]], ids=json.dumps)
+def test_config_out_must_be_a_string(tmp_path, monkeypatch, capsys, out):
+    # no --out flag, which would override the entry: a directory named
+    # after the value would appear in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": out}))
+    assert main(["profile", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert "bad value for out" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_config_integers_may_be_written_as_whole_floats(tmp_path):

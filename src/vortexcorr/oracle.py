@@ -636,9 +636,10 @@ def _listed(values):
 
 
 class _Laws:
-    """What the claims read of one state (spec None: of the families),
-    each law computed on first use and shared by every claim that reads
-    it. The traced entry points are looked up by name at call time."""
+    """The engine laws that several claims read of one state (spec None:
+    of the families), each computed on first use. Laws and evaluators
+    call the traced entry points by their module names at call time, so
+    that instrumentation which swaps those names sees every call."""
 
     def __init__(self, spec, resolution):
         self.spec, self.resolution = spec, resolution
@@ -653,10 +654,6 @@ class _Laws:
                                include_verbatim=self.spec.kind in _PAIR_FORMS)
 
     @cached_property
-    def norm(self):
-        return wavefunction_norm(self.spec, self.resolution)
-
-    @cached_property
     def distance(self):
         return distance_distribution(self.state,
                                      n_points=CLAIM_DISTANCE_POINTS)
@@ -667,22 +664,12 @@ class _Laws:
 
     @cached_property
     def angle(self):
-        """The engine's folded relative-angle law; NOON's two-angle law."""
-        if self.spec.kind == "noon":
-            return two_angle_distribution(self.state,
-                                          n_points=CLAIM_TWO_ANGLE_POINTS)
         return angle_distribution(self.state, n_points=CLAIM_ANGLE_POINTS)
 
     @cached_property
-    def oracle_angle(self):
-        """The oracle's values of the law in `angle`."""
-        if self.spec.kind == "noon":
-            return oracle_two_angle_law(self.spec)[1]
-        return oracle_folded_angle_law(self.spec)[1]
-
-    @cached_property
-    def polar(self):
-        return polar_separability_deviation(self.state)
+    def two_angle(self):
+        return two_angle_distribution(self.state,
+                                      n_points=CLAIM_TWO_ANGLE_POINTS)
 
 
 # the printed pair densities, per family that has one
@@ -702,7 +689,8 @@ def _engine_vs_oracle(laws):
               f" {sweep['mass_engine']:.12f} vs oracle"
               f" {sweep['mass_oracle']:.12f}")
     if _first_quantized(laws.spec):
-        detail += f"; wavefunction norm {laws.norm:.12f}"
+        norm = wavefunction_norm(laws.spec, laws.resolution)
+        detail += f"; wavefunction norm {norm:.12f}"
     return sweep["dev_oracle"], detail
 
 
@@ -841,7 +829,8 @@ _CLAIMS = (
         "coherent": "rho1(r1) rho1(r2) with the full one-body density",
         "thermal": "printed direct + exchange sum (cross-paired,"
                    " consistent)",
-    }, _pairing, {**dict.fromkeys(_PAIR_FORMS, TYPO), "coherent": CONVENTION}),
+    }, _pairing, {"fermi-fock": TYPO, "bose-fock": TYPO,
+                  "coherent": CONVENTION, "thermal": TYPO}),
     _Claim("distance-printed-form",
            _printed("fermi-fock", "bose-fock", "coherent"), {
                "fermi-fock": "D_F(d) = (1/2) d^3 exp(-d^2/2)",
@@ -878,20 +867,23 @@ _CLAIMS = (
     _Claim("two-angle-engine-vs-oracle", _printed("noon"),
            "operator-engine joint angle density",
            "first-quantized joint angle density",
-           lambda laws: (_gap(laws.angle.values, laws.oracle_angle), ""),
+           lambda laws: (_gap(laws.two_angle.values,
+                              oracle_two_angle_law(laws.spec)[1]), ""),
            gating=True),
     _Claim("two-angle-printed-form", _printed("noon"),
            "D(theta, vartheta) = (2/pi) sin^2(theta + vartheta)",
            "joint density sin^2(theta + vartheta) / (2 pi^2); the printed"
            " coefficient matches the folded relative-angle normalization"
            " convention, the shape is confirmed",
-           lambda laws: (_gap(laws.angle.values, TWO_ANGLE_FORMS["noon"](
-               laws.angle.grid[:, None], laws.angle.grid[None, :])), ""),
+           lambda laws: (_gap(laws.two_angle.values, TWO_ANGLE_FORMS["noon"](
+               laws.two_angle.grid[:, None], laws.two_angle.grid[None, :])),
+                         ""),
            CONVENTION),
     _Claim("angle-engine-vs-oracle", _printed("fermi-fock", "bose-fock"),
            "operator-engine folded relative-angle density",
            "first-quantized folded relative-angle density",
-           lambda laws: (_gap(laws.angle.values, laws.oracle_angle), ""),
+           lambda laws: (_gap(laws.angle.values,
+                              oracle_folded_angle_law(laws.spec)[1]), ""),
            gating=True),
     _Claim("angle-printed-labels", _printed("fermi-fock", "bose-fock"), {
         "fermi-fock": "D(dtheta) = (2/pi) cos^2(dtheta)",
@@ -913,8 +905,9 @@ _CLAIMS = (
            " D(theta, vartheta) / pi^2",
            "r^2 s^2 exp(-r^2 - s^2) W(theta, vartheta) / pi^2 with W"
            " independent of the radii and W = 2 D",
-           lambda laws: (laws.polar, "sup over radius pairs of the rescaled"
-                                     " angular surface")),
+           lambda laws: (polar_separability_deviation(laws.state),
+                         "sup over radius pairs of the rescaled angular"
+                         " surface")),
     _Claim("one-body-family-identity", _families,
            "rho1 is the same donut for Fermi, Bose, coherent, thermal,"
            " cothermal (and NOON) configurations",
@@ -977,9 +970,14 @@ def cross_validate(kind_or_spec, resolution=DEFAULT_RESOLUTION):
     if isinstance(kind_or_spec, StateSpec):
         spec = kind_or_spec.normalized()
     else:
-        spec = {"fermi-fock": fermi_fock, "bose-fock": bose_fock,
-                "coherent": coherent, "thermal": thermal,
-                "cothermal": cothermal, "noon": noon}[kind_or_spec]()
+        spec = {
+            "fermi-fock": fermi_fock,
+            "bose-fock": bose_fock,
+            "coherent": coherent,
+            "thermal": thermal,
+            "cothermal": cothermal,
+            "noon": noon,
+        }[kind_or_spec]()
     return _rows(spec, resolution)
 
 
@@ -988,9 +986,10 @@ def full_report(resolution=DEFAULT_RESOLUTION):
     and the family claims."""
     shipped = [fermi_fock(), bose_fock(1, 1), bose_fock(2, 0), coherent(),
                thermal(1.0, 1.0), cothermal(), noon(), TILTED_COHERENT]
-    return [row for spec in shipped
-            for row in cross_validate(spec, resolution)] \
-        + _rows(None, resolution)
+    rows = []
+    for spec in shipped:
+        rows.extend(cross_validate(spec, resolution))
+    return rows + _rows(None, resolution)
 
 
 def all_engine_checks_confirmed(reports):

@@ -28,7 +28,7 @@ from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      EmptyFramesError, NoPairsError, PauliViolationError,
                      SamplerMethodError, UnsupportedStateError)
 from .io import provenance, write_csv, write_json
-from .oracle import (_CHUNK_TARGET, ANGLE_FORMS, CONFIRMED, DEFAULT_RESOLUTION,
+from .oracle import (ANGLE_FORMS, CONFIRMED, DEFAULT_RESOLUTION,
                      DISTANCE_FORMS, TWO_ANGLE_FORMS,
                      all_engine_checks_confirmed, full_report,
                      printed_family, rho1_closed)
@@ -169,12 +169,11 @@ SETTINGS = (
     Setting("bins", ("frames",),
             "histogram bins for --stats (default {default})", type=int,
             default=64, bounds=(4, 10 ** 5)),
-    # past its ceiling the pair sweep's chunk is stuck at one column of the
-    # resolution^2 plane, so its arrays grow as resolution^2
+    # the pair sweep's tiles bound its memory at any resolution; its time
+    # grows as resolution^4 (about 1.4 s at 61), so the ceiling bounds time
     Setting("resolution", ("verify",),
             "pair-grid points per axis (default {default})", type=int,
-            default=DEFAULT_RESOLUTION,
-            bounds=(8, math.isqrt(_CHUNK_TARGET))),
+            default=DEFAULT_RESOLUTION, bounds=(8, 1024)),
 )
 
 # the settings a JSON config file may give, per command

@@ -15,6 +15,7 @@ bookkeeping follows from that choice.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,12 @@ class QuantumState:
 
     def correlators(self):
         return self.corr
+
+    @cached_property
+    def _harmonics(self):
+        # the correlators of a state never change, so (m, M) is computed on
+        # first use and kept, read-only; a failed check caches nothing
+        return _real_harmonics(self.basis, self.correlators())
 
 
 def mean_number(state):
@@ -229,10 +236,14 @@ def harmonics(state):
     m_j = sum first[p, q] (A_j)_pq and M_jk = sum second[a, b, c, d]
     (A_j)_ad (A_k)_bc, rho1(x) = m . h(x) and rho2(x, x') = h(x)^T M h(x').
     An imaginary residue above 1e-12 of the largest entry of m or of M
-    raises AlgebraInconsistencyError.
+    raises AlgebraInconsistencyError. Computed once per state; the arrays
+    are read-only.
     """
-    a = _HARMONICS[state.basis]
-    corr = state.correlators()
+    return state._harmonics
+
+
+def _real_harmonics(basis, corr):
+    a = _HARMONICS[basis]
     raw = (np.einsum("pq,jpq->j", corr.first, a),
            np.einsum("abcd,jad,kbc->jk", corr.second, a, a))
     for part in raw:
@@ -240,7 +251,9 @@ def harmonics(state):
         if worst > 1e-12 * max(1.0, float(np.max(np.abs(part.real)))):
             raise AlgebraInconsistencyError(
                 f"correlators produced imaginary residue {worst:.3e}")
-    return raw[0].real, raw[1].real
+    m, matrix = raw[0].real, raw[1].real
+    m.flags.writeable = matrix.flags.writeable = False
+    return m, matrix
 
 
 def pair_isotropy_defect(state):

@@ -87,6 +87,47 @@ def test_oracle_routes_match_engine():
         assert abs(sweep["mass_oracle"] - pairs) < 5e-9
 
 
+def _tiled_sweep(monkeypatch, spec, resolution, edge):
+    monkeypatch.setattr(oracle, "_TILE_CELLS", edge * edge)
+    return pair_grid_sweep(spec, resolution=resolution)
+
+
+# tile edges, each checked against one tile for the whole grid: one pair
+# per tile, an edge that divides the 49 points, one that leaves a ragged
+# last tile; at resolution 31 the default edge (362) splits the 961 points
+# 3 x 3 with a ragged last tile
+@pytest.mark.parametrize("resolution, edges", [
+    (7, (1, 7, 10)), (31, (math.isqrt(oracle._TILE_CELLS),))])
+@pytest.mark.parametrize("spec", [fermi_fock(), thermal(1.0, 1.0)],
+                         ids=lambda s: s.kind)
+def test_sweep_is_independent_of_the_tiling(monkeypatch, spec, resolution,
+                                            edges):
+    whole = _tiled_sweep(monkeypatch, spec, resolution, resolution ** 2)
+    for edge in edges:
+        sweep = _tiled_sweep(monkeypatch, spec, resolution, edge)
+        # per-pair values do not depend on the tile, so neither do maxima
+        for key in ("dev_oracle", "dev_verbatim"):
+            assert sweep[key] == whole[key]
+        # the masses add one rounding per tile to the whole grid's sum
+        tiles = math.ceil(resolution ** 2 / edge) ** 2
+        for key in ("mass_engine", "mass_oracle"):
+            assert sweep[key] == pytest.approx(
+                whole[key], rel=tiles * np.finfo(float).eps, abs=0.0)
+
+
+@pytest.mark.parametrize("resolution", [61, 91])
+def test_sweep_memory_is_bounded_by_the_tile(resolution):
+    # full-height column slabs of up to 2^20 pairs peaked at 32.6 and
+    # 33.4 MB at these resolutions
+    tracemalloc.start()
+    try:
+        pair_grid_sweep(fermi_fock(), resolution=resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 def test_fermi_verdicts(fermi_rows):
     assert _row(fermi_rows, "rho2-engine-vs-oracle").gating
     assert _row(fermi_rows, "rho2-engine-vs-oracle").verdict == "Confirmed"
@@ -273,6 +314,22 @@ def test_full_report_rows_are_pinned():
     pinned = [[getattr(r, key) for key in _REPORT_FIELDS] for r in rows]
     digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
     assert digest == _REPORT_DIGEST
+
+
+# the same fields of full_report(31), plus the details of the rho2 rows:
+# their pair masses (12 decimals) and wavefunction norms move if a tile of
+# the 3 x 3 tiled pair sweep is lost or counted twice
+_TILED_REPORT_DIGEST = \
+    "9b839b0889488b584e01e9767f99bcedecd0050f602bfca46dfe95ab5533e6e7"
+
+
+def test_full_report_rows_are_pinned_across_tiles():
+    rows = oracle.full_report(resolution=31)
+    pinned = [[getattr(r, key) for key in _REPORT_FIELDS]
+              + ([r.detail] if r.claim_id.startswith("rho2-") else [])
+              for r in rows]
+    digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
+    assert digest == _TILED_REPORT_DIGEST
 
 
 def test_donut_detection_requires_quadrature_phase():

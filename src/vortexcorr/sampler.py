@@ -23,7 +23,6 @@ give the first radius, 2-3 the second, and rejection round k uses draws
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,6 +251,9 @@ def generate_frames(state_or_spec, count, seed, block=65536, threads=1):
 
     starts = range(0, count, block)
     if threads > 1 and len(starts) > 1:
+        # imported here: concurrent.futures pulls logging and queue into
+        # every process that imports the command line
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(min(threads, len(starts))) as pool:
             proposals = sum(pool.map(sample, starts))
     else:

@@ -32,6 +32,10 @@ MAX_CHART_POINTS = 1024
 
 # heatmap cell or colour bar step; the fill is a 0xRRGGBB integer
 _MAP_RECT = '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#%06x"/>'
+# _MAP_RECT in two parts: a heatmap column's x, ending in the '\0' that a
+# row's y, width and height replace, and that row part, ending in the fill
+_CELL_HEAD = '<rect x="%.2f" y="\0'
+_CELL_TAIL = '%.2f" width="%.2f" height="%.2f" fill="#%%06x"/>'
 
 
 def _px(v):
@@ -106,6 +110,17 @@ class _Canvas:
         if columns[0]:
             self.parts.append("\n".join([template] * len(columns[0])) % tuple(
                 itertools.chain.from_iterable(zip(*columns))))
+
+    def cells(self, xs, ys, width, height, fills):
+        """The _MAP_RECT elements of rows(_MAP_RECT, xs, ys[:, None],
+        width, height, fills) for 1-D `xs` and `ys` and fills[row, col],
+        with each x, each row's y, width and height formatted once; only
+        the fills are formatted per cell."""
+        row = "\n".join([_CELL_HEAD] * len(xs)) % tuple(xs.tolist())
+        size = (float(width), float(height))
+        self.parts.append("\n".join(
+            [row.replace("\0", _CELL_TAIL % (y, *size)) for y in ys.tolist()])
+            % tuple(fills.ravel().tolist()))
 
     def path(self, xs, ys, stroke, width=1.5):
         if len(xs) == 0:
@@ -226,7 +241,10 @@ def svg_chart(path, series, title="", xlabel="", ylabel="",
 
 def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
                 width=640, height=600, prov=None):
-    """Rectangular heatmap of values[iy, ix] over grid vectors x, y."""
+    """Rectangular heatmap of values[iy, ix] over grid vectors x, y, drawn
+    at the stride that keeps each axis within MAX_HEATMAP_CELLS cells.
+    Each column's x and each row's y is formatted once; only the cell
+    fills are formatted per cell."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -248,10 +266,10 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
     cell_w = (right - left) / len(x)
     cell_h = (bottom - top) / len(y)
     # y grid ascends upward while pixels ascend downward
-    canvas.rows(_MAP_RECT, _px(left + np.arange(len(x)) * cell_w),
-                _px(bottom - (np.arange(len(y)) + 1) * cell_h)[:, None],
-                _px(cell_w + 0.01), _px(cell_h + 0.01),
-                _colors((values - vmin) / span))
+    canvas.cells(_px(left + np.arange(len(x)) * cell_w),
+                 _px(bottom - (np.arange(len(y)) + 1) * cell_h),
+                 _px(cell_w + 0.01), _px(cell_h + 0.01),
+                 _colors((values - vmin) / span))
 
     for tick in _axis_ticks(float(x[0]), float(x[-1])):
         frac = (tick - x[0]) / (x[-1] - x[0]) if x[-1] > x[0] else 0.0

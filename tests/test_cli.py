@@ -156,7 +156,7 @@ def test_points_ceiling_checked_before_allocation(tmp_path, capsys):
 def test_resolution_ceiling_checked_before_allocation(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
-    for value in (1025, 10 ** 6):
+    for value in (201, 10 ** 6):
         cfg.write_text(json.dumps({"resolution": value}))
         for argv in (["verify", "--resolution", str(value)],
                      ["verify", "--config", str(cfg)]):
@@ -168,11 +168,11 @@ def test_resolution_ceiling_checked_before_allocation(tmp_path, capsys):
                 tracemalloc.stop()
             assert peak < 1 << 20, argv
             err = capsys.readouterr().err
-            assert "--resolution" in err and "1024" in err
+            assert "--resolution" in err and "200" in err
             assert "Traceback" not in err
             assert not out.exists()
-    args = build_parser().parse_args(["verify", "--resolution", "1024"])
-    assert resolve_config(args).resolution == 1024
+    args = build_parser().parse_args(["verify", "--resolution", "200"])
+    assert resolve_config(args).resolution == 200
 
 
 # (command and fixed flags, key, refused value, flag the message names)
@@ -661,6 +661,14 @@ def test_frames_stats_leaves_out_scipy(tmp_path):
 def test_cli_import_leaves_out_multiprocessing():
     loaded = _fresh_modules("import vortexcorr.cli")
     assert "multiprocessing" not in loaded
+    assert "vortexcorr" in loaded
+
+
+def test_cli_import_leaves_out_thread_pool():
+    # only frames with more than one thread needs concurrent.futures, which
+    # would bring logging and queue into every command
+    loaded = _fresh_modules("import vortexcorr.cli")
+    assert "concurrent" not in loaded and "logging" not in loaded
     assert "vortexcorr" in loaded
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from vortexcorr import io
+from vortexcorr.cli import main
 from vortexcorr.density import density_grid
 from vortexcorr.io import (canonical_json, format_block, parse_block,
                           write_csv)
@@ -147,7 +148,7 @@ def test_format_block_at_kernel_block_edges(cols):
 def test_write_csv_at_row_block_edges(tmp_path, monkeypatch, cols):
     # one row block less one row, one block and one row more, against one
     # Python %-format of the whole table; the file reads back bit for bit.
-    # A block of rows of 5 or more cells spans kernel passes.
+    # Every column is full, so each block formats all of its cells.
     monkeypatch.setattr(io, "_CSV_BLOCK", io._CELLS // 5 + 1)
     path = tmp_path / "blocks.csv"
     for rows in (io._CSV_BLOCK - 1, io._CSV_BLOCK, io._CSV_BLOCK + 1):
@@ -361,22 +362,98 @@ def test_broadcast_columns_run_in_c_order(tmp_path, monkeypatch, shape):
         (tmp_path / "whole.csv").read_bytes()
 
 
+def _assert_csv_table(path, values):
+    """The body of the CSV at `path` against a '%.17g' join of every cell
+    of the broadcast `values`, one at a time, and read back bit for bit."""
+    table = np.column_stack([a.ravel() for a in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in values))])
+    body = path.read_bytes().split(b"\n", 1)[1]
+    assert body == "".join(",".join("%.17g" % cell for cell in row) + "\n"
+                           for row in table.tolist()).encode()
+    back = parse_block(body, len(values))
+    assert back.shape == table.shape
+    nan = np.isnan(table)
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(back[~nan].view(np.uint64),
+                          table[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(8191, 1), (64, 128), (3, 2731),
+                                   (100, 200)],
+                         ids=["block-1", "block", "block+1", "ragged"])
+def test_write_csv_grid_axes_at_row_block_edges(tmp_path, shape):
+    # an (n, 1) and a (1, m) axis, formatted once and gathered per block,
+    # on tables of one row block less one row, one block, one row more,
+    # and blocks that start and end inside grid rows
+    assert math.prod(shape) - io._CSV_BLOCK in (-1, 0, 1, 20000 - 8192)
+    x = _varied_cells(shape[0], 1)[:, None]
+    y = _varied_cells(shape[1], 2)[None, :]
+    values = (x, y, _varied_cells(math.prod(shape), 3).reshape(shape))
+    write_csv(tmp_path / "grid.csv", ("x", "y", "v"), values)
+    _assert_csv_table(tmp_path / "grid.csv", values)
+
+
+_ODD_COLUMNS = {
+    "0-d": (np.arange(20.0), 0.5, np.float64(-0.0)),
+    "3-d": (np.arange(3.0)[:, None, None], _varied_cells(4, 5)[None, :, None],
+            _varied_cells(5, 6), _varied_cells(60, 7).reshape(3, 4, 5)),
+    # 9 cells, more than a block of 7 rows: formatted block by block
+    "long-axis": (_varied_cells(9, 8)[:, None], np.arange(3.0),
+                  _varied_cells(27, 9).reshape(9, 3)),
+    "special-axis": (np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324,
+                               1.0 + 2.0 ** -17, 1e300])[:, None],
+                     np.array([0.0, -0.0, math.nan])),
+    "empty": (np.zeros(0)[:, None], np.arange(3.0)[None, :]),
+    "empty-column": (np.zeros(0),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ODD_COLUMNS))
+def test_write_csv_odd_columns(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(io, "_CSV_BLOCK", 7)
+    values = _ODD_COLUMNS[name]
+    names = tuple(f"c{j}" for j in range(len(values)))
+    write_csv(tmp_path / "odd.csv", names, values)
+    _assert_csv_table(tmp_path / "odd.csv", values)
+    if name == "special-axis":
+        # all but the first cell of this axis are left to Python's %
+        assert _fallbacks(values[0]) == 6
+
+
+def test_profile_grid_formats_each_axis_once(tmp_path, monkeypatch):
+    # the default profile grid has 241 x 241 points: its density goes
+    # through the kernel cell by cell and x and y once each, 58081 + 482
+    # cells, not 3 x 58081; the radial cut is 121 rows of 3 full columns
+    counted = []
+    cells = io._cells
+
+    def counting(x, slots, sizes):
+        counted.append(x.size)
+        return cells(x, slots, sizes)
+
+    monkeypatch.setattr(io, "_cells", counting)
+    assert main(["profile", "--formats", "csv", "--out", str(tmp_path)]) == 0
+    assert sum(counted) == 241 * 241 + 2 * 241 + 3 * 121
+    assert (tmp_path / "profile_grid.csv").read_text().count("\n") == \
+        3 + 241 * 241
+
+
 def test_failure_midway_leaves_no_partial_file(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_CSV_BLOCK", 7)
     path = tmp_path / "out.csv"
     path.write_text("earlier run\n")
-    format_block = io.format_block
+    csv_block = io._csv_block
     blocks = []
 
-    def fails_on_third_block(table):
-        blocks.append(len(table))
+    def fails_on_third_block(full, axes, lo, hi, out):
+        blocks.append(hi - lo)
         if len(blocks) == 3:
             # two blocks went to the partial file before this one
             assert (tmp_path / "out.csv.part").exists()
             raise RuntimeError("formatter failed")
-        return format_block(table)
+        return csv_block(full, axes, lo, hi, out)
 
-    monkeypatch.setattr(io, "format_block", fails_on_third_block)
+    monkeypatch.setattr(io, "_csv_block", fails_on_third_block)
     with pytest.raises(RuntimeError):
         write_csv(path, ("i", "x"), (np.arange(20.0), 0.5))
     assert blocks == [7, 7, 6]

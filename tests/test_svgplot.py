@@ -179,6 +179,28 @@ def test_heatmap_cells_match_scalar_writer(tmp_path, name):
         _heatmap_rects(x, y, values)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 5),
+                                   (250, 130), (122, 121)],
+                         ids=["1x1", "1xn", "nx1", "odd", "strided",
+                              "strided-rows"])
+def test_heatmap_cells_match_generic_rows(tmp_path, monkeypatch, shape):
+    # the per-column and per-row text of _Canvas.cells against one
+    # %-format of all five fields of every cell; 250 x 130 and 122 x 121
+    # are drawn at a stride
+    values = np.random.default_rng(shape[0]).normal(size=shape)
+    y = np.linspace(-1.0, 1.0, shape[0]) ** 3
+    x = np.geomspace(1e-3, 7.0, shape[1])
+    svg_heatmap(tmp_path / "cells.svg", x, y, values)
+
+    def rows(canvas, xs, ys, width, height, fills):
+        canvas.rows(svgplot._MAP_RECT, xs, ys[:, None], width, height, fills)
+
+    monkeypatch.setattr(svgplot._Canvas, "cells", rows)
+    svg_heatmap(tmp_path / "rows.svg", x, y, values)
+    assert (tmp_path / "cells.svg").read_bytes() == \
+        (tmp_path / "rows.svg").read_bytes()
+
+
 def test_chart_bars_and_paths_match_scalar_writer(tmp_path):
     rng = np.random.default_rng(6)
     long_x = np.linspace(0.0, 8.0, 3001)       # strided to 1001 bars

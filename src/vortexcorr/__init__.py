@@ -15,8 +15,7 @@ from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      SamplerMethodError, UnsupportedStateError, VortexError)
 from .fock import (Basis, Correlators, QuantumState, Statistics,
                    change_basis, make_coherent, make_cothermal, make_fock,
-                   make_noon, make_thermal, mean_number, mode_occupations,
-                   pair_moment)
+                   make_noon, make_thermal)
 from .modes import (DIPOLE_PAIR, DIPOLE_X, DIPOLE_Y, VORTEX_CCW, VORTEX_CW,
                     VORTEX_PAIR, Mode, mode_eval)
 from .density import DensityField, density_grid, rho1, rho2
@@ -54,8 +53,7 @@ __all__ = [
     "density_grid", "distance_distribution", "empirical_pair_stats",
     "fermi_fock", "full_report", "generate_frames", "invert_radial_cdf",
     "load_frames", "make_coherent", "make_cothermal", "make_fock",
-    "make_noon", "make_thermal", "mean_number", "mode_eval",
-    "mode_occupations", "noon", "pair_angles", "pair_moment",
+    "make_noon", "make_thermal", "mode_eval", "noon", "pair_angles",
     "pair_separations", "parse_complex", "reference_rho2", "rho1",
     "rho1_closed", "rho2", "save_frames", "spec_from_dict",
     "spec_to_dict", "summarize", "thermal", "two_angle_distribution",

@@ -34,8 +34,8 @@ from .oracle import (ANGLE_FORMS, CONFIRMED, DEFAULT_RESOLUTION,
                      printed_family, rho1_closed)
 from .sampler import (chi_square_gof, empirical_pair_stats, generate_frames,
                       save_frames)
-from .states import (KINDS, SpecError, build_state, spec_from_dict,
-                     spec_to_dict, strict_cast)
+from .states import (KINDS, SpecError, build_state, canonical,
+                     spec_from_dict, spec_to_dict, strict_cast)
 from .svgplot import svg_chart, svg_heatmap
 from .version import VERSION
 
@@ -159,7 +159,7 @@ SETTINGS = (
     Setting("seed", ("frames",),
             "RNG seed; mandatory, there is no implicit entropy", type=int),
     # frames ceilings, checked before anything is allocated: at --count
-    # 10^7 `frames --stats --threads 2` peaks near 0.77 GB; at --bins 10^5
+    # 10^7 `frames --stats --threads 2` peaks near 0.74 GB; at --bins 10^5
     # the histograms and their charts stay under 0.1 GB (10^6 bins: 0.53 GB)
     Setting("count", ("frames",), "number of frames (default {default})",
             type=int, default=1000, bounds=(0, 10 ** 7)),
@@ -317,16 +317,10 @@ def _value(setting, value):
 
 
 def _build_spec(state):
+    """The state settings given, over the family's canonical spec."""
     data = {key: value for key, value in state.items() if value is not None}
-    data["kind"] = data.pop("state")
-    # canonical parameter defaults for the indefinite-number families
-    if data["kind"] == "coherent":
-        data.setdefault("alpha_x", "i")
-        data.setdefault("alpha_y", "1")
-    elif data["kind"] == "cothermal":
-        data.setdefault("alpha", math.sqrt(0.5))
-        data.setdefault("nbar", 0.5)
-    return spec_from_dict(data)
+    kind = data.pop("state")
+    return spec_from_dict({**spec_to_dict(canonical(kind)), **data})
 
 
 def resolve_config(args):
@@ -427,51 +421,68 @@ def cmd_profile(cfg):
     return EXIT_OK
 
 
-def _write_columns(path, comment, prov, **columns):
-    """CSV of the named column arrays in order, leaving out those that are
-    None (a closed form the state has none of)."""
-    columns = {k: v for k, v in columns.items() if v is not None}
-    write_csv(path, tuple(columns), tuple(columns.values()), prov=prov,
-              comments=(comment,))
+def _write_law(cfg, state, name, dist, forms, axes, summary, comment,
+               **labels):
+    """Write one law's files, as --formats asks: its table, `summary`
+    with the entries every law shares, and its chart. `axes` maps the
+    grid columns to their arrays: one axis for a distribution, with an
+    overlay chart, two broadcast ones for a surface, with a heatmap. The
+    closed form of the printed family in `forms`, where there is one, is
+    evaluated on them, written as the last column, overlaid and measured
+    in the summary."""
+    prov = cfg.prov(state)
+    law = forms.get(printed_family(cfg.spec))
+    closed = law(*axes.values()) if law else None
+    surface = len(axes) > 1
+    if "csv" in cfg.formats:
+        columns = {**axes, "density": dist.values}
+        if closed is not None:
+            columns["closed_form"] = closed
+        write_csv(_path(cfg, name + ("_surface.csv" if surface
+                                     else "_distribution.csv")),
+                  tuple(columns), tuple(columns.values()), prov=prov,
+                  comments=(comment,))
+    if "json" in cfg.formats:
+        summary.update(state=spec_to_dict(cfg.spec), points=cfg.points,
+                       provenance=prov)
+        if closed is not None:
+            summary["closed_form_sup_deviation"] = float(
+                np.max(np.abs(dist.values - closed)))
+        write_json(_path(cfg, name + "_summary.json"), summary)
+    if "svg" in cfg.formats and surface:
+        svg_heatmap(_path(cfg, name + "_heatmap.svg"),
+                    *(a.ravel() for a in axes.values()), dist.values.T,
+                    prov=prov, **labels)
+    elif "svg" in cfg.formats:
+        series = [{"label": "kernel", "x": dist.grid, "y": dist.values}]
+        if closed is not None:
+            series.append({"label": "closed form", "x": dist.grid,
+                           "y": closed})
+        svg_chart(_path(cfg, name + "_overlay.svg"), series, prov=prov,
+                  **labels)
+    return EXIT_OK
 
 
 def _two_angle_outputs(cfg):
     state = build_state(cfg.spec)
     dist = pairstats.two_angle_distribution(state, n_points=cfg.points)
-    prov = cfg.prov(state)
-    law = TWO_ANGLE_FORMS.get(printed_family(cfg.spec))
-    closed = law(dist.grid[:, None], dist.grid[None, :]) if law else None
-
-    if "csv" in cfg.formats:
-        _write_columns(_path(cfg, "two_angle_surface.csv"),
-                       "joint density of the two detection angles", prov,
-                       theta_1=dist.grid[:, None], theta_2=dist.grid[None, :],
-                       density=dist.values, closed_form=closed)
-    if "json" in cfg.formats:
-        payload = {
-            "state": spec_to_dict(cfg.spec),
-            "points": cfg.points,
-            "integral": dist.integral(),
-            "max_value": float(np.max(dist.values)),
-            "min_value": float(np.min(dist.values)),
-            "provenance": prov,
-        }
-        if closed is not None:
-            payload["closed_form_sup_deviation"] = float(
-                np.max(np.abs(dist.values - closed)))
-        write_json(_path(cfg, "two_angle_summary.json"), payload)
-    if "svg" in cfg.formats:
-        svg_heatmap(_path(cfg, "two_angle_heatmap.svg"), dist.grid,
-                    dist.grid, dist.values.T, title="joint angle density",
-                    xlabel="theta 1", ylabel="theta 2", prov=prov)
-    return EXIT_OK
+    return _write_law(
+        cfg, state, "two_angle", dist, TWO_ANGLE_FORMS,
+        {"theta_1": dist.grid[:, None], "theta_2": dist.grid[None, :]},
+        {"integral": dist.integral(),
+         "max_value": float(np.max(dist.values)),
+         "min_value": float(np.min(dist.values))},
+        "joint density of the two detection angles",
+        title="joint angle density", xlabel="theta 1", ylabel="theta 2")
 
 
-def _overlay_chart(cfg, name, dist, closed, prov, **labels):
-    series = [{"label": "kernel", "x": dist.grid, "y": dist.values}]
-    if closed is not None:
-        series.append({"label": "closed form", "x": dist.grid, "y": closed})
-    svg_chart(_path(cfg, name), series, prov=prov, **labels)
+def _moments(dist):
+    """The summary entries of a distance or relative-angle law."""
+    summary = pairstats.summarize(dist)
+    return {"mean": summary.mean, "second_moment": summary.second_moment,
+            "local_maxima": summary.local_maxima,
+            "bosonic_weight": summary.meta["bosonic_weight"],
+            "pair_normalization": dist.normalization}
 
 
 def cmd_pairdist(cfg):
@@ -479,40 +490,15 @@ def cmd_pairdist(cfg):
         return _two_angle_outputs(cfg)
     state = build_state(cfg.spec)
     dist = pairstats.distance_distribution(state, n_points=cfg.points)
-    summary = pairstats.summarize(dist)
-    prov = cfg.prov(state)
-    fam = printed_family(cfg.spec)
-    law = DISTANCE_FORMS.get(fam)
-    closed = law(dist.grid) if law else None
-
-    if "csv" in cfg.formats:
-        _write_columns(_path(cfg, "pairdist_distribution.csv"),
-                       "pair-distance density D(d)", prov, d=dist.grid,
-                       density=dist.values, closed_form=closed)
-    if "json" in cfg.formats:
-        payload = {
-            "state": spec_to_dict(cfg.spec),
-            "points": cfg.points,
-            "mean": summary.mean,
-            "second_moment": summary.second_moment,
-            "variance": summary.second_moment - summary.mean ** 2,
-            "local_maxima": summary.local_maxima,
-            "bosonic_weight": summary.meta["bosonic_weight"],
-            "pair_normalization": dist.normalization,
-            # the overlaid Bose closed form carries the restored leading
-            # d factor; the flag records that the corrected form is overlaid
-            "bose-form-corrected": fam == "bose-fock",
-            "provenance": prov,
-        }
-        if closed is not None:
-            payload["closed_form_sup_deviation"] = float(
-                np.max(np.abs(dist.values - closed)))
-        write_json(_path(cfg, "pairdist_summary.json"), payload)
-    if "svg" in cfg.formats:
-        _overlay_chart(cfg, "pairdist_overlay.svg", dist, closed, prov,
-                       title="pair-distance density", xlabel="d",
-                       ylabel="D(d)")
-    return EXIT_OK
+    summary = _moments(dist)
+    summary["variance"] = summary["second_moment"] - summary["mean"] ** 2
+    # the overlaid Bose closed form carries the restored leading d factor;
+    # the flag records that the corrected form is overlaid
+    summary["bose-form-corrected"] = printed_family(cfg.spec) == "bose-fock"
+    return _write_law(cfg, state, "pairdist", dist, DISTANCE_FORMS,
+                      {"d": dist.grid}, summary, "pair-distance density D(d)",
+                      title="pair-distance density", xlabel="d",
+                      ylabel="D(d)")
 
 
 def cmd_pairangle(cfg):
@@ -520,38 +506,14 @@ def cmd_pairangle(cfg):
         return _two_angle_outputs(cfg)
     state = build_state(cfg.spec)
     dist = pairstats.angle_distribution(state, n_points=cfg.points)
-    summary = pairstats.summarize(dist)
-    prov = cfg.prov(state)
-    law = ANGLE_FORMS.get(printed_family(cfg.spec))
-    closed = law(dist.grid) if law else None
-
-    if "csv" in cfg.formats:
-        _write_columns(_path(cfg, "pairangle_distribution.csv"),
-                       "relative-angle density on [0, pi)", prov,
-                       delta=dist.grid, density=dist.values,
-                       closed_form=closed)
-    if "json" in cfg.formats:
-        payload = {
-            "state": spec_to_dict(cfg.spec),
-            "points": cfg.points,
-            "mean": summary.mean,
-            "second_moment": summary.second_moment,
-            "local_maxima": summary.local_maxima,
-            "bosonic_weight": summary.meta["bosonic_weight"],
-            "max_value": float(np.max(dist.values)),
-            "min_value": float(np.min(dist.values)),
-            "pair_normalization": dist.normalization,
-            "provenance": prov,
-        }
-        if closed is not None:
-            payload["closed_form_sup_deviation"] = float(
-                np.max(np.abs(dist.values - closed)))
-        write_json(_path(cfg, "pairangle_summary.json"), payload)
-    if "svg" in cfg.formats:
-        _overlay_chart(cfg, "pairangle_overlay.svg", dist, closed, prov,
-                       title="relative-angle density", xlabel="delta",
-                       ylabel="D(delta)")
-    return EXIT_OK
+    summary = _moments(dist)
+    summary.update(max_value=float(np.max(dist.values)),
+                   min_value=float(np.min(dist.values)))
+    return _write_law(cfg, state, "pairangle", dist, ANGLE_FORMS,
+                      {"delta": dist.grid}, summary,
+                      "relative-angle density on [0, pi)",
+                      title="relative-angle density", xlabel="delta",
+                      ylabel="D(delta)")
 
 
 def _frame_references(cfg, state):

@@ -62,24 +62,6 @@ class QuantumState:
         return _real_harmonics(self.basis, self.correlators())
 
 
-def mean_number(state):
-    """<N> = sum_p <adag_p a_p>."""
-    return float(np.real(np.trace(state.correlators().first)))
-
-
-def pair_moment(state):
-    """<:N^2:> = sum_{p,p'} <adag_p adag_p' a_p' a_p>, the pair-counting
-    normalization of the two-body density."""
-    second = state.correlators().second
-    total = sum(second[p, pp, pp, p] for p in range(2) for pp in range(2))
-    return float(np.real(total))
-
-
-def mode_occupations(state):
-    first = state.correlators().first
-    return float(np.real(first[0, 0])), float(np.real(first[1, 1]))
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ state's flags, so a file can always be traced back to the exact run that
 produced it. All floats are printed with 17 significant digits (full
 round-trip precision); identical inputs produce byte-identical files.
 
-CSV cells are the bytes of C's `%.17g`, formatted by a numpy kernel a
-block at a time; the few cells it cannot decide exactly go through
-Python's own `%.17g` one at a time. A grid axis of a CSV table (the x of
-every row of a density grid) is formatted once per file, and its text
-is copied into each row. parse_block reads such text back the same way:
+write_rows is the one writer of CSV rows: write_csv calls it after its
+'#' head, and the frames file after its header line. Its cells are the
+bytes of C's `%.17g`, formatted by a numpy kernel a block of rows at a
+time; the few cells the kernel cannot decide exactly go through Python's
+own `%.17g` one at a time. A grid axis of a table (the x of every row of
+a density grid) is formatted once per file, and its text is copied into
+each row. parse_block reads such text back the same way:
 a numpy kernel turns each plain decimal cell into the nearest double,
 and the few cells it cannot decide, or that are not plain decimals, go
 through Python's float().
@@ -81,7 +83,7 @@ def whole_file(path):
 # '%.17g' one at a time. A cell's text, then ',', fills a slot of four
 # little-endian words: the sign, the "0.000" of fixed notation below 1,
 # the digits, those after the point shifted up a byte to make room for
-# it, and any "e+dd". format_block lays the slots end to end.
+# it, and any "e+dd". _csv_block lays the slots end to end.
 _CELLS = 16384  # cells per kernel pass, so that its arrays stay in cache
 _TINY, _HUGE = 1e-270, 1e280  # no split or product under- or overflows
 _NEAR_HALF = 0.5 - 2.0 ** -30
@@ -239,38 +241,77 @@ def _cells(x, slots, sizes):
     return slow.size
 
 
-def _store(out, end, slots, sizes, first, cols):
-    """Lay the text of the (n, 4) word `slots`, `sizes` bytes each, end to
-    end in the uint8 buffer `out` from byte `end`, the ',' of cells
-    `first`, `first + cols`, ... turned into a newline; returns the end
-    of the text."""
+def _axis(a, shape):
+    """The slots and sizes of the cells of grid axis `a`, and the index of
+    each table cell into them, broadcast to `shape` without a copy."""
+    slots = np.empty((a.size, 4), _WORD)
+    sizes = np.empty(a.size, np.int64)
+    _cells(a.ravel(), slots, sizes)
+    return slots, sizes, np.broadcast_to(
+        np.arange(a.size).reshape(a.shape), shape)
+
+
+def _csv_block(full, axes, lo, hi, out):
+    """Rows lo to hi of a table as CSV text, laid in `out` and returned as
+    the part of it the text fills: every cell's ',' ends at its slot's
+    size, and the last one of a row turns into a newline. `full` and
+    `axes` map the column numbers to full arrays and to grid axes as
+    _axis gives them."""
+    rows, cols = hi - lo, len(full) + len(axes)
+    slots = np.empty((rows, cols, 4), _WORD)
+    sizes = np.empty((rows, cols), np.int64)
+    if full:
+        # the full columns are stacked into one table that goes through
+        # the kernel in passes of _CELLS cells; with no grid axis the table
+        # is the block, and the kernel fills the block's slots directly
+        flat = np.column_stack([a.flat[lo:hi] for a in full.values()]).ravel()
+        table = (slots, sizes) if not axes else (
+            np.empty((rows, len(full), 4), _WORD),
+            np.empty((rows, len(full)), np.int64))
+        table_slots, table_sizes = table[0].reshape(-1, 4), table[1].ravel()
+        for p in range(0, flat.size, _CELLS):
+            _cells(flat[p:p + _CELLS], table_slots[p:p + _CELLS],
+                   table_sizes[p:p + _CELLS])
+        if axes:
+            slots[:, list(full)], sizes[:, list(full)] = table
+    for j, (axis_slots, axis_sizes, index) in axes.items():
+        at = index.flat[lo:hi]
+        # the index lies in range, so take need not check it
+        axis_slots.take(at, axis=0, out=slots[:, j], mode="clip")
+        axis_sizes.take(at, out=sizes[:, j], mode="clip")
+    # slots land at their offsets in overlapping 32-byte windows of `out`;
+    # numpy assigns a 1-D index in order, so the cells after a slot
+    # overwrite its bytes past the text
     window = np.ndarray((out.size - 31,), "V32", out, strides=(1,))
-    ends = np.cumsum(sizes) + end
-    # slots land at their offsets in overlapping 32-byte windows; numpy
-    # assigns a 1-D index in order, so the cells after a slot overwrite its
-    # bytes past the text
-    window[ends - sizes] = slots.view("V32").ravel()
-    out[ends[first::cols] - 1] = _NEWLINE
-    return ends[-1]
+    ends = np.cumsum(sizes.ravel())
+    window[ends - sizes.ravel()] = slots.view("V32").ravel()
+    out[ends[cols - 1::cols] - 1] = _NEWLINE
+    return out[:ends[-1]]
 
 
-def format_block(table):
-    """The rows of the 2-D float array `table` as CSV bytes: every cell as
-    C's %.17g (any NaN as nan), cells joined by ',' and each row ending
-    in a newline."""
-    table = np.asarray(table, dtype=np.float64)
-    flat, cols = table.ravel(), table.shape[1]
-    # no cell takes more than 25 bytes; the pages past the text stay
-    # untouched
-    out = np.empty(25 * flat.size + 32, np.uint8)
-    end = 0
-    for lo in range(0, flat.size, _CELLS):
-        cells = flat[lo:lo + _CELLS]
-        slots = np.empty((cells.size, 4), _WORD)
-        sizes = np.empty(cells.size, np.int64)
-        _cells(cells, slots, sizes)
-        end = _store(out, end, slots, sizes, (-1 - lo) % cols, cols)
-    return out[:end].tobytes()
+def write_rows(fh, values):
+    """Write the rows of the arrays `values` to the binary handle `fh` as
+    CSV text: the arrays broadcast against each other, the rows run over
+    their broadcast shape in C order, and every cell is C's %.17g (any
+    NaN as nan), cells joined by ',' and each row ending in a newline.
+
+    The text is made `_CSV_BLOCK` rows at a time. A column whose array
+    holds fewer cells than the table and no more than a block is a grid
+    axis (`x[:, None]`): its cells are formatted once, and each block
+    gathers their text through the broadcast index. The other columns
+    are formatted block by block.
+    """
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    size = math.prod(shape)
+    axes = {j: _axis(a, shape) for j, a in enumerate(arrays)
+            if a.size < size and a.size <= _CSV_BLOCK}
+    full = {j: np.broadcast_to(a, shape) for j, a in enumerate(arrays)
+            if j not in axes}
+    # no cell takes more than 25 bytes
+    out = np.empty(25 * len(arrays) * min(size, _CSV_BLOCK) + 32, np.uint8)
+    for lo in range(0, size, _CSV_BLOCK):
+        fh.write(_csv_block(full, axes, lo, min(lo + _CSV_BLOCK, size), out))
 
 
 # Reading a CSV block back: every cell equals Python's float() of it. A
@@ -354,7 +395,7 @@ def _cell(text):
 
 def parse_block(data, cols):
     """The rows of CSV `data`, bytes or text, as a (rows, cols) float
-    array, the inverse of format_block: every cell equals float() of it,
+    array, the inverse of write_rows: every cell equals float() of it,
     blank lines are skipped and the last line may lack its newline. A row
     of another number of cells, or a cell that is not a number, raises
     ValueError."""
@@ -415,74 +456,19 @@ def parse_block(data, cols):
     return x.reshape(-1, cols)
 
 
-def _axis(a, shape):
-    """The slots and sizes of the cells of grid axis `a`, and the index of
-    each table cell into them, broadcast to `shape` without a copy."""
-    slots = np.empty((a.size, 4), _WORD)
-    sizes = np.empty(a.size, np.int64)
-    _cells(a.ravel(), slots, sizes)
-    return slots, sizes, np.broadcast_to(
-        np.arange(a.size).reshape(a.shape), shape)
-
-
-def _csv_block(full, axes, lo, hi, out):
-    """Rows lo to hi of write_csv's table as CSV text, laid in `out` and
-    returned as the part of it the text fills. `full` and `axes` map the
-    column numbers to full arrays and to grid axes as _axis gives them."""
-    rows, cols = hi - lo, len(full) + len(axes)
-    slots = np.empty((rows, cols, 4), _WORD)
-    sizes = np.empty((rows, cols), np.int64)
-    if full:
-        # the full columns are stacked into one table and go through the
-        # kernel in passes of _CELLS cells, as in format_block
-        flat = np.column_stack([a.flat[lo:hi] for a in full.values()]).ravel()
-        table_slots = np.empty((flat.size, 4), _WORD)
-        table_sizes = np.empty(flat.size, np.int64)
-        for p in range(0, flat.size, _CELLS):
-            _cells(flat[p:p + _CELLS], table_slots[p:p + _CELLS],
-                   table_sizes[p:p + _CELLS])
-        slots[:, list(full)] = table_slots.reshape(rows, len(full), 4)
-        sizes[:, list(full)] = table_sizes.reshape(rows, len(full))
-    for j, (axis_slots, axis_sizes, index) in axes.items():
-        at = index.flat[lo:hi]
-        # the index lies in range, so take need not check it
-        axis_slots.take(at, axis=0, out=slots[:, j], mode="clip")
-        axis_sizes.take(at, out=sizes[:, j], mode="clip")
-    return out[:_store(out, 0, slots.reshape(-1, 4), sizes.ravel(),
-                       cols - 1, cols)]
-
-
 def write_csv(path, columns, values, prov=None, comments=()):
-    """CSV with '#'-prefixed provenance and comment lines before the header.
-
-    `values` holds one array per named column; the arrays broadcast against
-    each other and the rows run over their broadcast shape in C order.
-    Every cell is a float printed as %.17g. The text is made `_CSV_BLOCK`
-    rows at a time. A column whose array holds fewer cells than the table
-    and no more than a block is a grid axis (`x[:, None]`): its cells are
-    formatted once, and each block gathers their text through the
-    broadcast index. The other columns are formatted block by block.
-    """
+    """CSV with '#'-prefixed provenance and comment lines before the
+    header, then the rows of `values`, one array per named column, as
+    write_rows lays them out."""
     head = []
     if prov is not None:
         head.append("# provenance: " + canonical_json(prov))
     for comment in comments:
         head.append("# " + comment)
     head.append(",".join(columns))
-    arrays = [np.asarray(v, dtype=float) for v in values]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    size = math.prod(shape)
-    axes = {j: _axis(a, shape) for j, a in enumerate(arrays)
-            if a.size < size and a.size <= _CSV_BLOCK}
-    full = {j: np.broadcast_to(a, shape) for j, a in enumerate(arrays)
-            if j not in axes}
-    # no cell takes more than 25 bytes
-    out = np.empty(25 * len(arrays) * min(size, _CSV_BLOCK) + 32, np.uint8)
     with whole_file(path) as fh:
         fh.write(("\n".join(head) + "\n").encode("utf-8"))
-        for lo in range(0, size, _CSV_BLOCK):
-            fh.write(_csv_block(full, axes, lo, min(lo + _CSV_BLOCK, size),
-                                out))
+        write_rows(fh, values)
 
 
 def _strict(value):

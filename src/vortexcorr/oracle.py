@@ -7,8 +7,8 @@ densities, coherent states an amplitude factorization, and cothermal states
 Wick moment algebra. The |Psi|^2 quadratures assume only that Psi is
 bilinear in the two particles' mode amplitudes (2x2 Gram matrices); pair
 densities are sums of products of real per-particle factors. Only the
-modes' unit vectors and generic quadrature are shared with the rest of the
-library; the engine enters purely as the object under test.
+modes' unit vectors are shared with the rest of the library; the engine
+enters purely as the object under test.
 
 The module is also the one home of the paper's closed forms: the one-body
 density, the printed pair densities, and the distance, angle and
@@ -35,9 +35,8 @@ from .errors import UnsupportedStateError
 from .modes import DIPOLE_PAIR, VORTEX_PAIR
 from .pairstats import (angle_distribution, distance_distribution,
                         summarize, two_angle_distribution)
-from .quadrature import EXTENT, gauss_legendre
-from .states import (StateSpec, bose_fock, build_state, cothermal, coherent,
-                     fermi_fock, noon, thermal)
+from .states import (StateSpec, bose_fock, build_state, canonical,
+                     cothermal, coherent, fermi_fock, noon, thermal)
 
 CONFIRMED = "Confirmed"
 TYPO = "Typo-suspected"
@@ -51,6 +50,10 @@ CLAIM_TWO_ANGLE_POINTS = 180
 ORACLE_RADIAL_ORDER = 40
 ORACLE_MEAN_ANGLES = 64
 _TILE_CELLS = 1 << 17
+# the modes are numerically zero beyond this box (exp(-18) ~ 1.5e-8 on the
+# amplitude, squared in any density): [-EXTENT, EXTENT]^2 is the domain of
+# the Cartesian pair grid, and [0, EXTENT] that of the radial quadrature
+EXTENT = 6.0
 _SERIES_TAIL = 1e-16
 
 FERMI_DISTANCE_MEAN = math.sqrt(9.0 * math.pi / 8.0)
@@ -543,6 +546,13 @@ def wavefunction_norm(spec, resolution=DEFAULT_RESOLUTION):
 # ---------------------------------------------------------------------------
 
 
+def gauss_legendre(order, lo, hi):
+    """Nodes and weights of the Gauss-Legendre rule mapped to [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
+
+
 def _radial_gram(spec, cos, sin):
     """Gram matrices along the rays at angles (cos, sin): Gauss-Legendre
     radii with the polar Jacobian, one radius at a time."""
@@ -974,14 +984,7 @@ def cross_validate(kind_or_spec, resolution=DEFAULT_RESOLUTION):
     if isinstance(kind_or_spec, StateSpec):
         spec = kind_or_spec.normalized()
     else:
-        spec = {
-            "fermi-fock": fermi_fock,
-            "bose-fock": bose_fock,
-            "coherent": coherent,
-            "thermal": thermal,
-            "cothermal": cothermal,
-            "noon": noon,
-        }[kind_or_spec]()
+        spec = canonical(kind_or_spec)
     return _rows(spec, resolution)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (AlgebraInconsistencyError, EmptyFramesError,
                      SamplerMethodError)
 from .fock import harmonics
-from .io import format_block, parse_block, whole_file
+from .io import parse_block, whole_file, write_rows
 from .pairstats import (PairDistribution, PairVariable, angular_weight,
                         harmonic_weight, require_pairs)
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
@@ -76,12 +76,6 @@ def counter_uniforms(seed, frame_indices, draw_index):
 # ---------------------------------------------------------------------------
 # radial law
 # ---------------------------------------------------------------------------
-
-
-def radial_cdf(r):
-    """CDF of the ring marginal p(r) = 2 r^3 exp(-r^2)."""
-    r = np.asarray(r, dtype=float)
-    return 1.0 - (1.0 + r * r) * np.exp(-r * r)
 
 
 def invert_radial_cdf(u1, u2):
@@ -403,13 +397,12 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
 # ---------------------------------------------------------------------------
 
 _HEADER_PREFIX = "#vortexcorr-frames "
-_WRITE_ROWS = 16384
 _READ_BYTES = 1 << 18  # bytes of body per parse_block call
 
 
 def save_frames(frames, path, provenance=None):
     """Single-file format: one JSON header comment line, then a CSV body
-    of %.17g cells, written `_WRITE_ROWS` rows at a time.
+    of %.17g cells as write_rows lays them out.
     """
     if frames.spec is None:
         raise ValueError("FrameSet has no state descriptor; build it from "
@@ -426,16 +419,14 @@ def save_frames(frames, path, provenance=None):
     }
     if provenance:
         header["provenance"] = provenance
-    # blocks reach the disk as they are formatted; the frame index is a
-    # float, exact below 2**53, that %.17g prints as the integer
+    # the frame index is a float, exact below 2**53, that %.17g prints as
+    # the integer
     with whole_file(path) as fh:
         fh.write((_HEADER_PREFIX + json.dumps(
             header, sort_keys=True, separators=(",", ":"))
             + "\nframe_index,x1,y1,x2,y2\n").encode("utf-8"))
-        for lo in range(0, frames.count, _WRITE_ROWS):
-            points = frames.points[lo:lo + _WRITE_ROWS].reshape(-1, 4)
-            fh.write(format_block(np.column_stack(
-                [np.arange(lo, lo + len(points)), points])))
+        write_rows(fh, (np.arange(float(frames.count)),
+                        *frames.points.reshape(-1, 4).T))
 
 
 def load_frames(path):

@@ -100,6 +100,15 @@ def noon():
     return StateSpec(kind="noon").normalized()
 
 
+def canonical(kind):
+    """The spec of family `kind` at its constructor's defaults: the
+    family's canonical configuration."""
+    families = dict(zip(KINDS, (fermi_fock, bose_fock, coherent, thermal,
+                                cothermal, noon)))
+    # normalized() refuses an unknown kind
+    return families[StateSpec(kind=kind).normalized().kind]()
+
+
 def build_state(spec):
     """Construct the state a StateSpec describes; the state keeps the
     normalized spec as its `spec`."""

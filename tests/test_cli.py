@@ -17,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from vortexcorr import cli, sampler
+from vortexcorr import cli, io, sampler
 from vortexcorr.cli import (KEYS, SETTINGS, RunConfig, build_parser, main,
                             resolve_config)
 from vortexcorr.oracle import BOSE_DISTANCE_MEAN, BOSE_DISTANCE_MODES
@@ -619,7 +619,7 @@ def test_run_payloads_are_pinned(run):
 def test_frames_deterministic_and_thread_invariant(tmp_path, monkeypatch):
     # 1000-frame sampling and write blocks: --threads 2 and 3 sample in
     # threads, and the body is formatted in three blocks
-    monkeypatch.setattr(sampler, "_WRITE_ROWS", 1000)
+    monkeypatch.setattr(io, "_CSV_BLOCK", 1000)
     monkeypatch.setattr(cli, "generate_frames", functools.partial(
         sampler.generate_frames, block=1000))
     argv = ["frames", "--state", "fermi-fock", "--seed", "11",

@@ -182,7 +182,7 @@ def test_coherent_rho2_factorizes():
 
 def test_rho2_marginal_recovers_rho1():
     # integrating out one particle leaves (N-1) rho1 for two-quanta states
-    from vortexcorr.quadrature import gauss_legendre
+    from vortexcorr.oracle import gauss_legendre
     nodes, weights = gauss_legendre(64, -6.0, 6.0)
     w2 = weights[:, None] * weights[None, :]
     for spec in (fermi_fock(), bose_fock(1, 1)):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ import pytest
 from vortexcorr import io
 from vortexcorr.cli import main
 from vortexcorr.density import density_grid
-from vortexcorr.io import (canonical_json, format_block, parse_block,
-                          write_csv)
+from vortexcorr.io import (canonical_json, parse_block, write_csv,
+                          write_rows)
 from vortexcorr.states import build_state, fermi_fock
 
 
@@ -43,10 +44,17 @@ def _rows(count):
             for i, v in enumerate(values)]
 
 
+def _text(table):
+    """The CSV text write_rows makes of the rows of the 2-D `table`."""
+    fh = BytesIO()
+    write_rows(fh, tuple(np.asarray(table, dtype=float).T))
+    return fh.getvalue()
+
+
 def _assert_percent_rows(table):
-    """format_block against every cell through Python's %.17g, one at a
+    """write_rows against every cell through Python's %.17g, one at a
     time; a failure names the first rows that differ."""
-    got = format_block(table).decode("ascii").split("\n")
+    got = _text(table).decode("ascii").split("\n")
     want = [",".join("%.17g" % cell for cell in row)
             for row in table.tolist()] + [""]
     bad = [(g, w) for g, w in zip(got, want) if g != w]
@@ -54,9 +62,9 @@ def _assert_percent_rows(table):
 
 
 def _assert_reads_back(table):
-    """parse_block of format_block's text returns every cell bit for bit,
+    """parse_block of write_rows' text returns every cell bit for bit,
     NaN as NaN."""
-    got = parse_block(format_block(table), table.shape[1])
+    got = parse_block(_text(table), table.shape[1])
     nan = np.isnan(table)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64),
@@ -134,10 +142,11 @@ def _varied_cells(size, seed):
 
 
 @pytest.mark.parametrize("cols", range(1, 8))
-def test_format_block_at_kernel_block_edges(cols):
+def test_format_block_at_kernel_block_edges(monkeypatch, cols):
     # rows of one kernel pass of cells less one row, one pass and one row
-    # more; each pass lays its slots at their offsets in one assignment
+    # more, all in one row block; each pass fills its slots of the block
     block = -(-io._CELLS // cols)
+    monkeypatch.setattr(io, "_CSV_BLOCK", block + 1)
     for rows in (block - 1, block, block + 1):
         table = _varied_cells(rows * cols, rows).reshape(rows, cols)
         _assert_percent_rows(table)
@@ -167,15 +176,17 @@ def test_write_csv_at_row_block_edges(tmp_path, monkeypatch, cols):
 
 
 _DISPATCH_DIGEST = """
-import hashlib, sys
+import hashlib, io, sys
 import numpy as np
-from vortexcorr.io import format_block, parse_block
+from vortexcorr.io import parse_block, write_rows
 umath = getattr(np, "_core", None) or np.core
 features = umath._multiarray_umath.__cpu_features__
 digest = hashlib.sha256()
 for name in ("edge.npy", "bits.npy"):
     table = np.load(sys.argv[1] + "/" + name)
-    text = format_block(table)
+    fh = io.BytesIO()
+    write_rows(fh, tuple(table.T))
+    text = fh.getvalue()
     digest.update(text)
     digest.update(parse_block(text, table.shape[1]).tobytes())
 print(digest.hexdigest(), sorted(name for name, on in features.items() if on))
@@ -410,7 +421,10 @@ _ODD_COLUMNS = {
 
 @pytest.mark.parametrize("name", sorted(_ODD_COLUMNS))
 def test_write_csv_odd_columns(tmp_path, monkeypatch, name):
+    # kernel passes of 5 cells end inside the rows of 7-row blocks, with
+    # and without grid axes beside the full columns
     monkeypatch.setattr(io, "_CSV_BLOCK", 7)
+    monkeypatch.setattr(io, "_CELLS", 5)
     values = _ODD_COLUMNS[name]
     names = tuple(f"c{j}" for j in range(len(values)))
     write_csv(tmp_path / "odd.csv", names, values)

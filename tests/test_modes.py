@@ -7,7 +7,7 @@ import pytest
 
 from vortexcorr.modes import (DIPOLE_PAIR, DIPOLE_X, DIPOLE_Y, VORTEX_CCW,
                               VORTEX_CW, VORTEX_PAIR, mode_eval)
-from vortexcorr.quadrature import EXTENT, gauss_legendre
+from vortexcorr.oracle import EXTENT, gauss_legendre
 
 
 def _phi1d(n, x):

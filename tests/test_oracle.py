@@ -20,15 +20,16 @@ import pytest
 from vortexcorr import density, oracle
 from vortexcorr.modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
 from vortexcorr.oracle import (
+    EXTENT,
     all_engine_checks_confirmed,
     cross_validate,
+    gauss_legendre,
     oracle_folded_angle_law,
     oracle_two_angle_law,
     pair_grid_sweep,
     printed_family,
     wavefunction_norm,
 )
-from vortexcorr.quadrature import EXTENT, gauss_legendre
 from vortexcorr.states import (
     bose_fock,
     coherent,
@@ -194,7 +195,7 @@ def test_oracle_fermi_angle_law_at_right_angle():
 
 
 # what oracle.py takes from the rest of the package, name by name: the
-# mode pairs' unit vectors, quadrature, state descriptors and the engine
+# mode pairs' unit vectors, state descriptors and the engine
 # objects under test. A new engine name here could let an oracle route
 # lean on the engine it is meant to check; the oracle evaluates the modes
 # itself, so it shares no evaluation code with the engine.
@@ -204,9 +205,8 @@ _ORACLE_IMPORTS = {
     ".modes": {"DIPOLE_PAIR", "VORTEX_PAIR"},
     ".pairstats": {"angle_distribution", "distance_distribution",
                    "summarize", "two_angle_distribution"},
-    ".quadrature": {"EXTENT", "gauss_legendre"},
-    ".states": {"StateSpec", "bose_fock", "build_state", "cothermal",
-                "coherent", "fermi_fock", "noon", "thermal"},
+    ".states": {"StateSpec", "bose_fock", "build_state", "canonical",
+                "cothermal", "coherent", "fermi_fock", "noon", "thermal"},
 }
 
 

@@ -15,15 +15,15 @@ from vortexcorr.errors import (AlgebraInconsistencyError,
                                AnisotropicStateError, NoPairsError)
 from vortexcorr.fock import (Basis, Correlators, QuantumState, Statistics,
                              change_basis, harmonics,
-                             pair_isotropy_defect, pair_moment)
+                             pair_isotropy_defect)
 from vortexcorr.modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
 from vortexcorr.oracle import (_PRINTED_DISTANCE_FORMS, closed_form_angle,
-                               closed_form_distance, closed_form_two_angle)
+                               closed_form_distance, closed_form_two_angle,
+                               gauss_legendre)
 from vortexcorr.pairstats import (ISOTROPY_TOL, PairDistribution,
                                   PairVariable, angle_distribution,
                                   bosonic_weight, distance_distribution,
                                   summarize, two_angle_distribution)
-from vortexcorr.quadrature import gauss_legendre
 from vortexcorr import sampler
 from vortexcorr.sampler import ROUNDING_ALLOWANCE, AngularLaw
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
@@ -37,6 +37,11 @@ BOSE_MEAN = math.sqrt(121.0 * math.pi / 128.0)   # 1.7233069378059566
 FERMI_MODE = math.sqrt(3.0)
 # roots of the corrected-bose stationarity polynomial 8 - 20 d^2 + 9 d^4 - d^6
 BOSE_MODES = (0.7146407686312902, 2.4038421575174999)
+
+
+def pair_moment(state):
+    """<:N^2:>, the pair-counting normalization: M_00 of harmonics."""
+    return float(harmonics(state)[1][0, 0])
 
 
 @pytest.fixture(scope="module")

@@ -8,12 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vortexcorr import sampler
+from vortexcorr import io, sampler
 from vortexcorr.errors import EmptyFramesError, NoPairsError
 from vortexcorr.sampler import (chi_square_gof, counter_uniforms,
                                 empirical_pair_stats, generate_frames,
                                 invert_radial_cdf, load_frames, pair_angles,
-                                pair_separations, radial_cdf, save_frames)
+                                pair_separations, save_frames)
 from vortexcorr.oracle import closed_form_angle, closed_form_distance
 from vortexcorr.pairstats import (PairDistribution, PairVariable,
                                   bosonic_weight)
@@ -53,10 +53,19 @@ def test_counter_uniforms_statistics():
     assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 0.01
 
 
+def radial_cdf(r):
+    """Reference CDF of the ring marginal p(r) = 2 r^3 exp(-r^2)."""
+    r = np.asarray(r, dtype=float)
+    return 1.0 - (1.0 + r * r) * np.exp(-r * r)
+
+
 def test_radial_cdf_closed_form():
-    r = np.array([0.0, 0.7, 1.3, 3.0])
-    want = 1.0 - (1.0 + r * r) * np.exp(-r * r)
-    np.testing.assert_allclose(radial_cdf(r), want, atol=1e-15)
+    # the reference against a Gauss-Legendre integral of the ring marginal
+    x, w = np.polynomial.legendre.leggauss(40)
+    for r in (0.0, 0.7, 1.3, 3.0):
+        t = 0.5 * r * (x + 1.0)
+        mass = 0.5 * r * np.sum(w * 2.0 * t ** 3 * np.exp(-t * t))
+        assert radial_cdf(r) == pytest.approx(mass, abs=1e-14)
 
 
 def _gamma_radii(n, seed):
@@ -501,11 +510,12 @@ def _row_by_row_save(frames, path, provenance=None):
         fh.write("\n".join(lines) + "\n")
 
 
-# 65537 frames span several `_WRITE_ROWS` blocks and end in a one-row tail
+# 65537 frames span several `io._CSV_BLOCK` row blocks and end in a
+# one-row tail
 @pytest.mark.parametrize("count", [0, 1, 65537])
 def test_save_frames_matches_row_by_row_writer(tmp_path, count):
-    assert count <= 1 or (count > sampler._WRITE_ROWS
-                          and count % sampler._WRITE_ROWS == 1)
+    assert count <= 1 or (count > io._CSV_BLOCK
+                          and count % io._CSV_BLOCK == 1)
     frames = generate_frames(fermi_fock(), count, seed=29)
     want = tmp_path / "reference.csv"
     _row_by_row_save(frames, want, provenance={"note": "blocks"})
@@ -520,7 +530,7 @@ def test_frames_at_write_and_read_block_edges(tmp_path, monkeypatch,
     # one write block of rows less one row, one block and one row more;
     # read blocks that end one byte before, at and after a row end and the
     # end of the body load every point bit for bit
-    count = sampler._WRITE_ROWS + offset
+    count = io._CSV_BLOCK + offset
     frames = generate_frames(fermi_fock(), count, seed=31)
     want = tmp_path / "reference.csv"
     _row_by_row_save(frames, want)

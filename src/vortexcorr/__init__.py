@@ -2,12 +2,12 @@
 
 Core layers, bottom up: `modes` (the two-dimensional harmonic-oscillator
 mode pair in its vortex and dipole bases), `fock` (two-mode second
-quantization: states, correlators, basis changes), `density` (one- and
-two-particle position densities), `pairstats` (distance / angle laws of
-the detected pair), `sampler` (reproducible single-shot frames),
-`oracle` (independent reference implementation, the paper's closed forms
-and the claim cross-checks),
-`cli` (file-producing command line).
+quantization: states, correlators, basis changes), `states` (the family
+table behind StateSpec), `density` (one- and two-particle position
+densities), `pairstats` (distance / angle laws of the detected pair),
+`sampler` (reproducible single-shot frames), `oracle` (independent
+reference implementation, the paper's closed forms and the claim
+cross-checks), `cli` (file-producing command line).
 """
 
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,

@@ -44,7 +44,7 @@ class QuantumState:
     """A two-mode state, held as its normally ordered correlators.
 
     flags carries provenance markers such as "supplement-approximated";
-    spec is the normalized StateSpec build_state made it from, else None.
+    spec is the StateSpec build_state made it from, else None.
     """
     statistics: Statistics
     basis: Basis

@@ -164,7 +164,6 @@ def first_quantized_rho2(spec, x1, y1, x2, y2):
     factorization, or moment identities instead). Each point is a
     one-node Gram matrix of the |Psi|^2 quadratures below.
     """
-    spec = spec.normalized()
     return 2.0 * _psi_mass(spec, _gram(spec, [(1.0, x1, y1)]),
                            _gram(spec, [(1.0, x2, y2)]))
 
@@ -208,7 +207,6 @@ def geometric_mixture_rho2(spec, x1, y1, x2, y2):
     templates of fock_pair_density, so the mixture weights them by geometric
     factorial moments; the truncated series tails are below 1e-12.
     """
-    spec = spec.normalized()
     f1, g1 = _eval_pair(spec, x1, y1)
     f2, g2 = _eval_pair(spec, x2, y2)
     mean_a, fac_a = _geometric_factorial_moments(spec.nbar_a)
@@ -218,7 +216,6 @@ def geometric_mixture_rho2(spec, x1, y1, x2, y2):
 
 def factorized_coherent_rho2(spec, x1, y1, x2, y2):
     """Coherent pair density |A(r1)|^2 |A(r2)|^2 of the amplitude field."""
-    spec = spec.normalized()
     f1, g1 = _eval_pair(spec, x1, y1)
     f2, g2 = _eval_pair(spec, x2, y2)
     amp1 = spec.alpha_a * f1 + spec.alpha_b * g1
@@ -235,7 +232,6 @@ def wick_rho2(spec, x1, y1, x2, y2):
     (|A1|^2 + k11)(|A2|^2 + k22) + 2 Re(k12 conj(A2) A1) + |k12|^2 with
     k12 = nu (conj(f1) f2 + conj(g1) g2), expanded per particle.
     """
-    spec = spec.normalized()
     beta_a, beta_b = spec.alpha_a, -1.0j * spec.alpha_a
     nu = spec.nbar_a
 
@@ -254,7 +250,6 @@ def wick_rho2(spec, x1, y1, x2, y2):
 
 def reference_rho2(spec, x1, y1, x2, y2):
     """Oracle pair density along the independent route for this kind."""
-    spec = spec.normalized()
     if _first_quantized(spec):
         return first_quantized_rho2(spec, x1, y1, x2, y2)
     if spec.kind == "bose-fock":
@@ -302,7 +297,6 @@ def printed_family(spec):
 
 def rho1_closed(spec, x, y):
     """Closed-form one-body density of every family."""
-    spec = spec.normalized()
     fa, fb = _eval_pair(spec, x, y)
     if spec.kind in ("fermi-fock", "noon"):
         return np.abs(fa) ** 2 + np.abs(fb) ** 2
@@ -328,7 +322,6 @@ def printed_rho2(spec, x1, y1, x2, y2):
     c = a conj(b), e.g. |a1 a2 -+ b1 b2|^2 = |a1 a2|^2 + |b1 b2|^2 -+
     2 Re(c1 c2).
     """
-    spec = spec.normalized()
     a1, b1 = _eval_pair(spec, x1, y1)
     a2, b2 = _eval_pair(spec, x2, y2)
     if spec.kind == "coherent":
@@ -443,10 +436,9 @@ def _gap(values, reference, out=None):
     return float(np.max(np.abs(diff, out=diff)))
 
 
-def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION,
-                    include_verbatim=True):
-    """Engine vs oracle (and verbatim closed form) over all point pairs of
-    a resolution x resolution plane grid.
+def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION):
+    """Engine vs oracle (and the printed pair density of the families in
+    _PAIR_FORMS) over all point pairs of a resolution x resolution grid.
 
     The pairs are walked in square tiles of at most _TILE_CELLS pairs, so
     every array the sweep makes holds at most that many values (1 MB) at
@@ -455,8 +447,8 @@ def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION,
     (the Gaussian tails at the box edge make plain h^4 sums accurate far
     beyond the tolerances in play).
     """
-    spec = spec.normalized()
     state = build_state(spec)
+    verbatim = spec.kind in _PAIR_FORMS
     px, py, step = _plane_points(resolution)
     edge = math.isqrt(_TILE_CELLS)
     dev_oracle = dev_verbatim = 0.0
@@ -472,14 +464,14 @@ def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION,
             mass_engine += float(np.sum(eng))
             mass_oracle += float(np.sum(orc))
             dev_oracle = max(dev_oracle, _gap(orc, eng, out=orc))
-            if include_verbatim:
-                verbatim = printed_rho2(spec, x1, y1, x2, y2)
+            if verbatim:
+                printed = printed_rho2(spec, x1, y1, x2, y2)
                 dev_verbatim = max(dev_verbatim,
-                                   _gap(verbatim, eng, out=verbatim))
+                                   _gap(printed, eng, out=printed))
     h4 = step ** 4
     return {
         "dev_oracle": dev_oracle,
-        "dev_verbatim": dev_verbatim if include_verbatim else None,
+        "dev_verbatim": dev_verbatim if verbatim else None,
         "mass_engine": mass_engine * h4,
         "mass_oracle": mass_oracle * h4,
         "resolution": resolution,
@@ -535,7 +527,6 @@ def _psi_mass(spec, gram1, gram2):
 
 def wavefunction_norm(spec, resolution=DEFAULT_RESOLUTION):
     """Four-dimensional Riemann norm of the explicit two-particle Psi."""
-    spec = spec.normalized()
     px, py, step = _plane_points(resolution)
     gram = _gram(spec, [(step * step, px, py)]).sum(axis=-1)
     return float(_psi_mass(spec, gram, gram))
@@ -587,7 +578,6 @@ def oracle_folded_angle_law(spec, n_points=CLAIM_ANGLE_POINTS):
     every distinct ray still gets the full radial quadrature of the modes.
     """
     _check_grid(n_points)
-    spec = spec.normalized()
     grid = np.linspace(0.0, math.pi, n_points)
     count, span = ORACLE_MEAN_ANGLES, n_points - 1
     # delta_k = pi k' / span with k' = k on grid and k - 1 on grid + pi
@@ -611,7 +601,6 @@ def oracle_two_angle_law(spec, n_points=CLAIM_TWO_ANGLE_POINTS):
     """Joint (theta, vartheta) density from the first-quantized pair
     density, on the half-open periodic grid."""
     _check_grid(n_points)
-    spec = spec.normalized()
     angles = 2.0 * math.pi * np.arange(n_points) / n_points
     gram = _radial_gram(spec, np.cos(angles), np.sin(angles))
     joint = _psi_mass(spec, gram[..., :, None], gram[..., None, :])
@@ -664,8 +653,7 @@ class _Laws:
 
     @cached_property
     def sweep(self):
-        return pair_grid_sweep(self.spec, self.resolution,
-                               include_verbatim=self.spec.kind in _PAIR_FORMS)
+        return pair_grid_sweep(self.spec, self.resolution)
 
     @cached_property
     def distance(self):
@@ -981,10 +969,8 @@ def cross_validate(kind_or_spec, resolution=DEFAULT_RESOLUTION):
     Accepts a kind name (canonical donut configuration implied) or a full
     StateSpec. Verdicts depend only on (spec, resolution).
     """
-    if isinstance(kind_or_spec, StateSpec):
-        spec = kind_or_spec.normalized()
-    else:
-        spec = canonical(kind_or_spec)
+    spec = kind_or_spec if isinstance(kind_or_spec, StateSpec) \
+        else canonical(kind_or_spec)
     return _rows(spec, resolution)
 
 

@@ -39,6 +39,7 @@ from .version import GENERATOR_VERSION, VERSION
 MAX_ATTEMPT_ROUNDS = 512
 MAJORANT_NODES = 4096
 ROUNDING_ALLOWANCE = 2.0 ** -40
+_MIN_EXPECTED = 5.0  # chi_square_gof's fewest expected samples in a bin
 
 _U64 = np.uint64
 _GOLD = _U64(0x9E3779B97F4A7C15)
@@ -337,12 +338,11 @@ def _chi2_sf(x, dof):
                                for p in powers])
 
 
-def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
-                   min_expected=5.0):
+def chi_square_gof(samples, reference, bins=40, lo=None, hi=None):
     """Pearson chi-square of samples against a reference density.
 
     Bin probabilities come from fine trapezoid integrals of the reference;
-    bins with expected counts under `min_expected` merge rightward into
+    bins with expected counts under _MIN_EXPECTED merge rightward into
     their neighbor, deterministically.
     """
     samples = np.asarray(samples, dtype=float)
@@ -373,7 +373,7 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None,
     for c, p in zip(counts, probs):
         acc_c += c
         acc_p += p
-        if acc_p * n >= min_expected:
+        if acc_p * n >= _MIN_EXPECTED:
             merged_counts.append(acc_c)
             merged_probs.append(acc_p)
             acc_c, acc_p = 0.0, 0.0

@@ -1,34 +1,27 @@
 """Catalog of the shipped state families.
 
-A StateSpec is the plain-data description used by the CLI, the closed-form
-evaluators, the oracle and output provenance; build_state turns it into a
-state. Defaults follow the canonical configurations: the coherent
-state obeys alpha_x = i*alpha_y with unit intensity (ring-shaped one-body
-density) and thermal/cothermal default to unit mean occupancy per mode.
+One table, _FAMILIES, holds each family's canonical spec, constructor,
+default basis and config parameters. A StateSpec, the plain-data state
+description shared by the CLI, the evaluators, the oracle and provenance,
+checks itself against the table when it is made. The canonical coherent
+state obeys alpha_x = i*alpha_y with unit intensity (ring-shaped density).
 """
 
 import math
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 from .errors import VortexError
 from .fock import (Basis, Statistics, make_cothermal, make_coherent,
                    make_fock, make_noon, make_thermal)
-
-KINDS = ("fermi-fock", "bose-fock", "coherent", "thermal", "cothermal",
-         "noon")
-
-_DEFAULT_BASIS = {"coherent": "dipole", "cothermal": "dipole"}
 
 # Bound on n, m, nbar and |alpha|^2. A mode's largest moment is
 # <adag^2 a^2> <= 2 (|alpha|^2 + nbar)^2, or n (n - 1) for a Fock mode, so
 # every correlator stays below 1e301 and every law summed from them stays
 # finite.
 MAX_OCCUPATION = 1e150
-
-# config-file names of the fields, where they differ
-_PARAMETER_NAMES = {"coherent": {"alpha_a": "alpha_x", "alpha_b": "alpha_y"},
-                    "cothermal": {"alpha_a": "alpha", "nbar_a": "nbar"}}
 
 
 class SpecError(VortexError, ValueError):
@@ -44,21 +37,18 @@ class StateSpec:
     alpha_b: complex = 0.0j
     nbar_a: float = 1.0
     nbar_b: float = 1.0
-    basis: str = ""        # ""  -> per-kind default
+    basis: str = ""        # ""  -> the family's default
 
-    def normalized(self):
-        kind = self.kind
-        if kind not in KINDS:
-            raise SpecError(f"unknown state kind {kind!r}; expected one of "
-                            + ", ".join(KINDS))
-        basis = self.basis or _DEFAULT_BASIS.get(kind, "vortex")
+    def __post_init__(self):
+        family = _family(self.kind)
+        basis = self.basis or family.basis
         if basis not in ("vortex", "dipole"):
             raise SpecError(f"unknown basis {basis!r}")
         if not (0 <= self.n <= MAX_OCCUPATION
                 and 0 <= self.m <= MAX_OCCUPATION):
             raise SpecError(f"occupations must be in [0, {MAX_OCCUPATION:g}]"
                             f", got n={self.n}, m={self.m}")
-        names = _PARAMETER_NAMES.get(kind, {})
+        names = {field: key for key, field in family.parameters.items()}
         for name in ("nbar_a", "nbar_b"):
             value = getattr(self, name)
             if not 0.0 <= value <= MAX_OCCUPATION:
@@ -69,63 +59,81 @@ class StateSpec:
             if not abs(value) <= math.sqrt(MAX_OCCUPATION):
                 raise SpecError(f"|{names.get(name, name)}|^2 must be <= "
                                 f"{MAX_OCCUPATION:g}, got {value}")
-        return replace(self, basis=basis)
+        object.__setattr__(self, "basis", basis)
+
+
+_FIELD_TYPES = {f.name: f.type for f in fields(StateSpec)}
 
 
 def fermi_fock(basis=""):
-    return StateSpec(kind="fermi-fock", n=1, m=1, basis=basis).normalized()
+    return StateSpec(kind="fermi-fock", n=1, m=1, basis=basis)
 
 
 def bose_fock(n=1, m=1, basis=""):
-    return StateSpec(kind="bose-fock", n=n, m=m, basis=basis).normalized()
+    return StateSpec(kind="bose-fock", n=n, m=m, basis=basis)
 
 
 def coherent(alpha_a=1.0j, alpha_b=1.0 + 0.0j):
-    return StateSpec(kind="coherent", alpha_a=alpha_a,
-                     alpha_b=alpha_b).normalized()
+    return StateSpec(kind="coherent", alpha_a=alpha_a, alpha_b=alpha_b)
 
 
 def thermal(nbar_a=1.0, nbar_b=1.0):
-    return StateSpec(kind="thermal", nbar_a=nbar_a,
-                     nbar_b=nbar_b).normalized()
+    return StateSpec(kind="thermal", nbar_a=nbar_a, nbar_b=nbar_b)
 
 
 def cothermal(alpha=math.sqrt(0.5), nbar=0.5):
     # alpha_a is the displacement, nbar_a the thermal part of each mode
-    return StateSpec(kind="cothermal", alpha_a=alpha,
-                     nbar_a=nbar).normalized()
+    return StateSpec(kind="cothermal", alpha_a=alpha, nbar_a=nbar)
 
 
 def noon():
-    return StateSpec(kind="noon").normalized()
+    return StateSpec(kind="noon")
+
+
+# One row per family, in CLI-choice and verify order; `make` takes the
+# StateSpec fields that `parameters` maps config names to, then a Basis.
+_Family = namedtuple("_Family", "canonical make basis parameters")
+_FOCK = {"n": "n", "m": "m"}
+_FAMILIES = {
+    "fermi-fock": _Family(fermi_fock,
+                          partial(make_fock, statistics=Statistics.FERMI),
+                          "vortex", _FOCK),
+    "bose-fock": _Family(bose_fock,
+                         partial(make_fock, statistics=Statistics.BOSE),
+                         "vortex", _FOCK),
+    "coherent": _Family(coherent, make_coherent, "dipole",
+                        {"alpha_x": "alpha_a", "alpha_y": "alpha_b"}),
+    "thermal": _Family(thermal, make_thermal, "vortex",
+                       {"nbar_a": "nbar_a", "nbar_b": "nbar_b"}),
+    "cothermal": _Family(cothermal, make_cothermal, "dipole",
+                         {"alpha": "alpha_a", "nbar": "nbar_a"}),
+    "noon": _Family(noon, make_noon, "vortex", {}),
+}
+KINDS = tuple(_FAMILIES)
+
+# every family's config parameters; the basis belongs to all of them
+_PARAMETERS = {key for row in _FAMILIES.values() for key in row.parameters}
+
+
+def _family(kind):
+    # a dict lookup of an unhashable kind would raise TypeError
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise SpecError(f"unknown state kind {kind!r}; expected one of "
+                        + ", ".join(KINDS))
+    return _FAMILIES[kind]
 
 
 def canonical(kind):
-    """The spec of family `kind` at its constructor's defaults: the
-    family's canonical configuration."""
-    families = dict(zip(KINDS, (fermi_fock, bose_fock, coherent, thermal,
-                                cothermal, noon)))
-    # normalized() refuses an unknown kind
-    return families[StateSpec(kind=kind).normalized().kind]()
+    """The spec of family `kind` at its constructor's defaults."""
+    return _family(kind).canonical()
 
 
 def build_state(spec):
-    """Construct the state a StateSpec describes; the state keeps the
-    normalized spec as its `spec`."""
-    spec = spec.normalized()
-    basis = Basis(spec.basis)
-    if spec.kind == "fermi-fock":
-        state = make_fock(spec.n, spec.m, Statistics.FERMI, basis)
-    elif spec.kind == "bose-fock":
-        state = make_fock(spec.n, spec.m, Statistics.BOSE, basis)
-    elif spec.kind == "coherent":
-        state = make_coherent(spec.alpha_a, spec.alpha_b, basis)
-    elif spec.kind == "thermal":
-        state = make_thermal(spec.nbar_a, spec.nbar_b, basis)
-    elif spec.kind == "cothermal":
-        state = make_cothermal(spec.alpha_a, spec.nbar_a, basis)
-    else:   # noon: normalized() admits no other kind
-        state = make_noon(basis)
+    """The state a StateSpec describes, which keeps it as its `spec`."""
+    family = _FAMILIES[spec.kind]
+    state = family.make(*(getattr(spec, field)
+                          for field in family.parameters.values()),
+                        basis=Basis(spec.basis))
     return replace(state, spec=spec)
 
 
@@ -177,17 +185,11 @@ def format_complex(z):
 
 
 def spec_to_dict(spec):
-    spec = spec.normalized()
     out = {"kind": spec.kind, "basis": spec.basis}
-    if spec.kind in ("fermi-fock", "bose-fock"):
-        out.update(n=spec.n, m=spec.m)
-    elif spec.kind == "coherent":
-        out.update(alpha_x=format_complex(spec.alpha_a),
-                   alpha_y=format_complex(spec.alpha_b))
-    elif spec.kind == "thermal":
-        out.update(nbar_a=spec.nbar_a, nbar_b=spec.nbar_b)
-    elif spec.kind == "cothermal":
-        out.update(alpha=format_complex(spec.alpha_a), nbar=spec.nbar_a)
+    for key, field in _FAMILIES[spec.kind].parameters.items():
+        value = getattr(spec, field)
+        out[key] = (format_complex(value) if _FIELD_TYPES[field] is complex
+                    else value)
     return out
 
 
@@ -203,12 +205,14 @@ def strict_cast(value, kind):
     return kind(value)
 
 
-def _number(data, key, cast):
+def _cast(value, key, kind):
+    """A config value as a StateSpec field of type `kind`."""
+    if kind is complex:
+        return parse_complex(value)
     try:
-        return strict_cast(data[key], cast)
+        return strict_cast(value, kind)
     except (TypeError, ValueError, OverflowError):
-        raise SpecError(f"{key} must be a number, got {data[key]!r}") \
-            from None
+        raise SpecError(f"{key} must be a number, got {value!r}") from None
 
 
 def spec_from_dict(data):
@@ -216,22 +220,12 @@ def spec_from_dict(data):
         kind = data["kind"]
     except (KeyError, TypeError):
         raise SpecError("state description needs a 'kind' entry") from None
-    kwargs = {"kind": kind}
-    if "basis" in data:
-        kwargs["basis"] = data["basis"]
-    # other entries are ignored: older frames headers carry one more
-    for key in ("n", "m"):
-        if key in data:
-            kwargs[key] = _number(data, key, int)
-    if "alpha_x" in data:
-        kwargs["alpha_a"] = parse_complex(data["alpha_x"])
-    if "alpha_y" in data:
-        kwargs["alpha_b"] = parse_complex(data["alpha_y"])
-    if "alpha" in data:
-        kwargs["alpha_a"] = parse_complex(data["alpha"])
-    for key in ("nbar_a", "nbar_b"):
-        if key in data:
-            kwargs[key] = _number(data, key, float)
-    if "nbar" in data:
-        kwargs["nbar_a"] = _number(data, "nbar", float)
-    return StateSpec(**kwargs).normalized()
+    parameters = _family(kind).parameters
+    foreign = sorted((_PARAMETERS - set(parameters)).intersection(data))
+    if foreign:
+        raise SpecError(f"{kind} takes no {', '.join(foreign)} (its "
+                        f"parameters: {', '.join([*parameters, 'basis'])})")
+    # entries of no family are ignored: older frames headers carry cutoff
+    values = {field: _cast(data[key], key, _FIELD_TYPES[field])
+              for key, field in parameters.items() if key in data}
+    return StateSpec(kind=kind, basis=data.get("basis", ""), **values)

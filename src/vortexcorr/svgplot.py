@@ -21,6 +21,7 @@ _ANCHOR_T = np.linspace(0.0, 1.0, 5)
 _ANCHOR_RGB = np.array([(68, 1, 84), (59, 82, 139), (33, 145, 140),
                         (94, 201, 98), (253, 231, 37)], dtype=float)
 
+_CHART_SIZE, _HEATMAP_SIZE = (720, 480), (640, 600)  # width, height in px
 _MARGIN_L = 64.0
 _MARGIN_R = 18.0
 _MARGIN_T = 30.0
@@ -181,8 +182,7 @@ def _strided(values):
     return values[::max(1, int(np.ceil(len(values) / MAX_CHART_POINTS)))]
 
 
-def svg_chart(path, series, title="", xlabel="", ylabel="",
-              width=720, height=480, prov=None):
+def svg_chart(path, series, title="", xlabel="", ylabel="", prov=None):
     """Overlay of line and bar series.
 
     series: iterable of dicts with keys "label", "x", "y" and optional
@@ -201,7 +201,7 @@ def svg_chart(path, series, title="", xlabel="", ylabel="",
         yhi = ylo + 1.0
     yhi += 0.06 * (yhi - ylo)
 
-    canvas = _Canvas(width, height)
+    canvas = _Canvas(*_CHART_SIZE)
     if prov is not None:
         canvas.desc("provenance: " + canonical_json(prov))
     to_x, to_y = _frame_axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
@@ -228,7 +228,7 @@ def svg_chart(path, series, title="", xlabel="", ylabel="",
         else:
             canvas.path(to_x(x), to_y(y), color)
 
-    legend_x = width - _MARGIN_R - 10.0
+    legend_x = canvas.width - _MARGIN_R - 10.0
     legend_y = _MARGIN_T + 8.0
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
@@ -240,7 +240,7 @@ def svg_chart(path, series, title="", xlabel="", ylabel="",
 
 
 def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
-                width=640, height=600, prov=None):
+                prov=None):
     """Rectangular heatmap of values[iy, ix] over grid vectors x, y, drawn
     at the stride that keeps each axis within MAX_HEATMAP_CELLS cells.
     Each column's x and each row's y is formatted once; only the cell
@@ -258,11 +258,11 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
     vmin = float(min(values.min(), 0.0))
     span = vmax - vmin if vmax > vmin else 1.0
 
-    canvas = _Canvas(width, height)
+    canvas = _Canvas(*_HEATMAP_SIZE)
     if prov is not None:
         canvas.desc("provenance: " + canonical_json(prov))
-    left, right = _MARGIN_L, width - _MARGIN_R - 56.0
-    top, bottom = _MARGIN_T, height - _MARGIN_B
+    left, right = _MARGIN_L, canvas.width - _MARGIN_R - 56.0
+    top, bottom = _MARGIN_T, canvas.height - _MARGIN_B
     cell_w = (right - left) / len(x)
     cell_h = (bottom - top) / len(y)
     # y grid ascends upward while pixels ascend downward
@@ -296,9 +296,9 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
         canvas.text(bar_x + bar_w + 4, py + 3.5, _fmt_tick(vmin + frac * span))
 
     if title:
-        canvas.text(width / 2.0, 18, title, size=13, anchor="middle")
+        canvas.text(canvas.width / 2.0, 18, title, size=13, anchor="middle")
     if xlabel:
-        canvas.text((left + right) / 2.0, height - 10, xlabel, anchor="middle")
+        canvas.text((left + right) / 2.0, canvas.height - 10, xlabel, anchor="middle")
     if ylabel:
         canvas.text(16, (top + bottom) / 2.0, ylabel, anchor="middle", rotate=-90)
     with whole_file(path) as fh:

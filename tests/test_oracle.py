@@ -81,8 +81,11 @@ def test_oracle_routes_match_engine():
         (cothermal(), 1e-12, 5.5),
     ]
     for spec, tol, pairs in cases:
-        sweep = pair_grid_sweep(spec, resolution=RES, include_verbatim=False)
+        sweep = pair_grid_sweep(spec, resolution=RES)
         assert sweep["dev_oracle"] < tol
+        # only a family with a printed pair density has it graded
+        assert (sweep["dev_verbatim"] is None) == (
+            spec.kind not in oracle._PAIR_FORMS)
         # box Riemann mass of rho2 recovers <N(N-1)>
         assert abs(sweep["mass_engine"] - pairs) < 5e-9
         assert abs(sweep["mass_oracle"] - pairs) < 5e-9
@@ -626,8 +629,7 @@ def test_separable_routes_match_elementwise_formulas(spec):
 
 def test_sweep_sees_a_wrong_exchange_sign(monkeypatch):
     _give_fermions_the_bosonic_sign(monkeypatch)
-    sweep = pair_grid_sweep(fermi_fock(), resolution=15,
-                            include_verbatim=False)
+    sweep = pair_grid_sweep(fermi_fock(), resolution=15)
     assert sweep["dev_oracle"] > oracle.CONFIRM_TOL
 
 

@@ -27,7 +27,7 @@ def _env():
 # perfbench/tracing.py looks up every traced name by attribute and wraps
 # it; a name the package no longer has fails the whole traced job
 _TRACED_RUN = """
-import json, sys
+import contextlib, json, sys
 sys.path.insert(0, sys.argv[1])
 import vortexcorr.cli
 from tracing import Tracer
@@ -37,11 +37,14 @@ out = sys.argv[2]
 runs = (["pairdist", "--points", "41"], ["pairangle"],
         ["pairdist", "--state", "noon", "--two-angle"],
         ["profile", "--step", "0.5"],
-        ["frames", "--count", "200", "--seed", "1", "--stats"])
-codes = [vortexcorr.cli.main(argv + ["--out", out]) for argv in runs]
+        ["frames", "--count", "200", "--seed", "1", "--stats"],
+        ["verify", "--resolution", "8"])
+with contextlib.redirect_stdout(sys.stderr):     # verify prints its table
+    codes = [vortexcorr.cli.main(argv + ["--out", out]) for argv in runs]
 frames = vortexcorr.sampler.load_frames(out + "/frames.csv")
 print(json.dumps({"codes": codes, "frames": frames.count,
-                  "spans": sorted({span[1] for span in tracer.spans})}))
+                  "spans": sorted({span[1] for span in tracer.spans}),
+                  "counts": tracer.counts}))
 """
 
 
@@ -51,10 +54,13 @@ def test_traced_names_resolve(tmp_path):
          str(tmp_path)], env=_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
-    assert report["codes"] == [0] * 5
+    assert report["codes"] == [0] * 6
     assert report["frames"] == 200
     assert {"cli.main", "io.write_csv", "sampler.save_frames",
-            "sampler.load_frames"} <= set(report["spans"])
+            "sampler.load_frames", "oracle.full_report",
+            "oracle.pair_grid_sweep",
+            "oracle.reference_rho2"} <= set(report["spans"])
+    assert report["counts"]["oracle.reference_rho2.points"] > 0
 
 
 @pytest.mark.parametrize("demo", DEMOS)

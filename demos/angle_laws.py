@@ -2,10 +2,10 @@
 
 The folded angle between the two detections carries the whole exchange
 story: fermions suppress equal angles (sin^2), two bosons in opposite
-vortices enhance them (cos^2), a coherent ring is flat at 1/pi, and the
-two-boson superposition state has no orientation-free law at all - its
-joint angle density depends on theta_1 + theta_2, demonstrated here on
-the full torus.
+vortices enhance them (cos^2), and a coherent ring is flat at 1/pi. The
+two-boson superposition state (NOON) is flat too, yet it is correlated:
+its joint angle density depends on theta_1 + theta_2, which the folded
+law averages away, demonstrated here on the full torus.
 
 Run:  python demos/angle_laws.py  (writes demo_output/angle_laws.svg)
 """
@@ -16,7 +16,6 @@ import os
 import numpy as np
 
 from vortexcorr import (
-    AnisotropicStateError,
     angle_distribution,
     bose_fock,
     build_state,
@@ -51,10 +50,9 @@ def main():
     print("wrote demo_output/angle_laws.svg")
 
     state = build_state(noon())
-    try:
-        angle_distribution(state)
-    except AnisotropicStateError as exc:
-        print(f"\nnoon relative angle: {exc}")
+    flat = angle_distribution(state).values - 1.0 / math.pi
+    print("\nnoon relative angle: flat at 1/pi, sup "
+          f"{np.max(np.abs(flat)):.2e}")
     joint = two_angle_distribution(state, n_points=120)
     want = np.sin(joint.grid[:, None] + joint.grid[None, :]) ** 2 \
         / (2.0 * math.pi ** 2)

@@ -2,9 +2,9 @@
 
 Five subcommands: `profile` (one-body density grid), `pairdist` and
 `pairangle` (two-particle distance / relative-angle laws, with a joint
-two-angle mode for states that have no orientation-free angle law),
-`frames` (reproducible single-shot position frames), and `verify`
-(engine against the independent reference implementation).
+two-angle mode, which anisotropic states need), `frames` (reproducible
+single-shot position frames), and `verify` (engine against the
+independent reference implementation).
 
 Run configuration merges three layers: built-in defaults, then a JSON
 config file given with --config, then explicit flags (flags win). Exit
@@ -27,6 +27,7 @@ from .density import density_grid, rho1
 from .errors import (AlgebraInconsistencyError, AnisotropicStateError,
                      EmptyFramesError, NoPairsError, PauliViolationError,
                      SamplerMethodError, UnsupportedStateError)
+from .fock import harmonics, pair_isotropy_defect
 from .io import provenance, write_csv, write_json
 from .oracle import (ANGLE_FORMS, CONFIRMED, DEFAULT_RESOLUTION,
                      DISTANCE_FORMS, TWO_ANGLE_FORMS,
@@ -34,8 +35,8 @@ from .oracle import (ANGLE_FORMS, CONFIRMED, DEFAULT_RESOLUTION,
                      printed_family, rho1_closed)
 from .sampler import (chi_square_gof, empirical_pair_stats, generate_frames,
                       save_frames)
-from .states import (KINDS, SpecError, build_state, canonical,
-                     spec_from_dict, spec_to_dict, strict_cast)
+from .states import (KINDS, SpecError, build_state, spec_from_dict,
+                     spec_to_dict, strict_cast)
 from .svgplot import svg_chart, svg_heatmap
 from .version import VERSION
 
@@ -319,8 +320,7 @@ def _value(setting, value):
 def _build_spec(state):
     """The state settings given, over the family's canonical spec."""
     data = {key: value for key, value in state.items() if value is not None}
-    kind = data.pop("state")
-    return spec_from_dict({**spec_to_dict(canonical(kind)), **data})
+    return spec_from_dict({"kind": data.pop("state"), **data})
 
 
 def resolve_config(args):
@@ -505,6 +505,13 @@ def cmd_pairangle(cfg):
     if cfg.two_angle:
         return _two_angle_outputs(cfg)
     state = build_state(cfg.spec)
+    # every state has a folded law; pairangle publishes isotropic ones
+    pairstats.require_pairs(harmonics(state)[1])
+    defect = pair_isotropy_defect(state)
+    if defect > pairstats.ISOTROPY_TOL:
+        raise AnisotropicStateError(
+            f"pair density is not rotation invariant (defect {defect:.3e}); "
+            "use two_angle_distribution instead")
     dist = pairstats.angle_distribution(state, n_points=cfg.points)
     summary = _moments(dist)
     summary.update(max_value=float(np.max(dist.values)),
@@ -514,19 +521,6 @@ def cmd_pairangle(cfg):
                       "relative-angle density on [0, pi)",
                       title="relative-angle density", xlabel="delta",
                       ylabel="D(delta)")
-
-
-def _frame_references(cfg, state):
-    """Reference distance and angle laws of --stats. Built before any file
-    is written, so a state without an angle law leaves no output behind."""
-    d_ref = pairstats.distance_distribution(state)
-    a_closure = ANGLE_FORMS.get(printed_family(cfg.spec))
-    if a_closure is None:
-        return d_ref, pairstats.angle_distribution(state)
-    grid = np.linspace(0.0, math.pi, pairstats.DEFAULT_ANGLE_POINTS)
-    return d_ref, pairstats.PairDistribution(
-        pairstats.PairVariable.REL_ANGLE, grid, a_closure(grid),
-        closure=a_closure)
 
 
 def _mean_se_z(samples, reference):
@@ -539,7 +533,10 @@ def _mean_se_z(samples, reference):
     return mean, se, (mean - reference) / se if se > 0.0 else math.nan
 
 
-def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
+def _write_frame_stats(cfg, state, frames, prov):
+    """--stats: the frames' histograms and fits against the engine laws."""
+    d_ref = pairstats.distance_distribution(state)
+    a_ref = pairstats.angle_distribution(state)
     d_hist, a_hist = empirical_pair_stats(frames, bins=cfg.bins)
     distances = d_hist.meta["samples"]
     d_at = d_ref.value_at(d_hist.grid)
@@ -553,8 +550,7 @@ def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
     w_hat, se_w, z_w = _mean_se_z(
         0.5 + np.cos(2.0 * a_hist.meta["samples"]), weight)
     d_gof = chi_square_gof(distances, d_ref, bins=40)
-    a_gof = chi_square_gof(a_hist.meta["samples"], a_ref, bins=40, lo=0.0,
-                           hi=math.pi)
+    a_gof = chi_square_gof(a_hist.meta["samples"], a_ref, bins=40)
 
     outputs = (("distance", "d", d_hist, d_at, "pair distance",
                 "per-frame pair distances, histogram density"),
@@ -596,12 +592,11 @@ def _write_frame_stats(cfg, frames, prov, d_ref, a_ref):
 
 def cmd_frames(cfg):
     state = build_state(cfg.spec)
-    refs = _frame_references(cfg, state) if cfg.stats else None
     frames = generate_frames(state, cfg.count, cfg.seed, threads=cfg.threads)
     prov = cfg.prov(state)
     save_frames(frames, _path(cfg, "frames.csv"), provenance=prov)
     if cfg.stats:
-        _write_frame_stats(cfg, frames, prov, *refs)
+        _write_frame_stats(cfg, state, frames, prov)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ class PauliViolationError(VortexError, ValueError):
 
 
 class AlgebraInconsistencyError(VortexError, RuntimeError):
-    """A quantity that must be real came out with a large imaginary part."""
+    """A quantity that must be real or non-negative came out far from it."""
 
 
 class NoPairsError(VortexError, ValueError):
@@ -22,8 +22,8 @@ class NoPairsError(VortexError, ValueError):
 
 
 class AnisotropicStateError(VortexError, ValueError):
-    """Relative-angle reduction requested for a state whose pair density is
-    not rotation invariant; the two-angle surface is the meaningful object."""
+    """pairangle asked for the relative-angle law of an anisotropic state;
+    the two-angle surface is the meaningful object."""
 
 
 class EmptyFramesError(VortexError, ValueError):

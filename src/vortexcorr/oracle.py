@@ -276,10 +276,15 @@ def printed_family(spec):
     """Catalog key of the printed laws when `spec` is the canonical
     one-quantum-per-mode configuration they describe, else None.
 
-    Cothermal has no printed law, although its canonical configuration is
-    the same donut.
+    The Bose, coherent and NOON laws hold in the family's own basis only;
+    the Fermi and equal-occupation thermal states are the same state in
+    either basis. Cothermal has no printed law, although its canonical
+    configuration is the same donut.
     """
     kind = spec.kind
+    if (kind in ("bose-fock", "coherent", "noon")
+            and spec.basis != canonical(kind).basis):
+        return None
     if kind == "bose-fock":
         donut = (spec.n, spec.m) == (1, 1)
     elif kind == "thermal":

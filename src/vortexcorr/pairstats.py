@@ -38,11 +38,12 @@ and each radial integral int r dr r^2 exp(-r^2) / pi = 1/(2 pi) is a
 constant. Hence J(t, v) = W(t, v) / (4 pi^2 N2), and f(D) is the
 phi-average of W(phi, phi + D) over 2 pi N2. g has period pi, so
 f(D + pi) = f(D) and the law folded to [0, pi) is 2 f(D), three numbers:
-(M_00 + [(M_11 + M_22) cos 2D + (M_12 - M_21) sin 2D] / 2) / (pi N2). For
-a rotation-invariant state this folded law is (1 + (2w - 1) cos 2D) / pi
-with the same w, so one number summarises every distance and
-relative-angle law (see summarize). The paper's closed forms these laws
-are graded against live in oracle.py.
+(M_00 + [(M_11 + M_22) cos 2D + (M_12 - M_21) sin 2D] / 2) / (pi N2).
+rho2 is exchange symmetric, so M is symmetric, and for every state,
+isotropic or not, this folded law is (1 + (2w - 1) cos 2D) / pi with the
+same w: one number summarises every distance and relative-angle law (see
+summarize). The paper's closed forms these laws are graded against live
+in oracle.py.
 """
 
 import math
@@ -51,8 +52,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AnisotropicStateError, NoPairsError
-from .fock import harmonics, pair_isotropy_defect
+from .errors import AlgebraInconsistencyError, NoPairsError
+from .fock import harmonics
 
 DISTANCE_MAX = 8.0
 DEFAULT_DISTANCE_POINTS = 801
@@ -60,6 +61,7 @@ DEFAULT_ANGLE_POINTS = 361
 DEFAULT_TWO_ANGLE_POINTS = 180
 
 PAIR_WEIGHT_TOL = 1e-14
+# the pair_isotropy_defect above which pairangle refuses a state
 ISOTROPY_TOL = 1e-10
 
 
@@ -127,7 +129,7 @@ def _clip_noise(values):
     # round-off can leave ~ -1e-16 at exact zeros of the density
     floor = -1e-10 * max(1.0, float(np.max(values, initial=0.0)))
     if np.min(values, initial=0.0) < floor:
-        raise AnisotropicStateError(
+        raise AlgebraInconsistencyError(
             "distribution turned significantly negative; "
             "inconsistent correlator input")
     return np.maximum(values, 0.0)
@@ -190,19 +192,12 @@ def harmonic_weight(matrix, cos2t, sin2t, cos2v, sin2v):
 
 
 def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS):
-    """Density of the relative angle folded to [0, pi).
-
-    Requires a rotation-invariant pair density; anisotropic states (NOON)
-    have no orientation-free relative-angle law and are redirected to
-    two_angle_distribution.
+    """Density of the relative angle folded to [0, pi): the orientation
+    average of W. It exists for every state with pairs, anisotropic ones
+    (NOON) included; as M is symmetric it is (1 + (2w - 1) cos 2D) / pi.
     """
     m = harmonics(state)[1]
     norm = require_pairs(m)
-    defect = pair_isotropy_defect(state)
-    if defect > ISOTROPY_TOL:
-        raise AnisotropicStateError(
-            f"pair density is not rotation invariant (defect {defect:.3e}); "
-            "use two_angle_distribution instead")
     mean = m[0, 0]
     even = 0.5 * (m[1, 1] + m[2, 2])
     odd = 0.5 * (m[1, 2] - m[2, 1])

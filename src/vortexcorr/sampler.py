@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (AlgebraInconsistencyError, EmptyFramesError,
                      SamplerMethodError)
 from .fock import harmonics
-from .io import parse_block, whole_file, write_rows
+from .io import _CSV_BLOCK, parse_block, whole_file, write_rows
 from .pairstats import (PairDistribution, PairVariable, angular_weight,
                         harmonic_weight, require_pairs)
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
@@ -338,8 +338,9 @@ def _chi2_sf(x, dof):
                                for p in powers])
 
 
-def chi_square_gof(samples, reference, bins=40, lo=None, hi=None):
-    """Pearson chi-square of samples against a reference density.
+def chi_square_gof(samples, reference, bins=40):
+    """Pearson chi-square of samples against a reference density in `bins`
+    equal bins over its grid; samples outside it count in the end bins.
 
     Bin probabilities come from fine trapezoid integrals of the reference;
     bins with expected counts under _MIN_EXPECTED merge rightward into
@@ -349,10 +350,7 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None):
     n = samples.size
     if n == 0:
         raise EmptyFramesError("no samples for goodness of fit")
-    if lo is None:
-        lo = float(reference.grid[0])
-    if hi is None:
-        hi = float(reference.grid[-1])
+    lo, hi = float(reference.grid[0]), float(reference.grid[-1])
     edges = np.linspace(lo, hi, bins + 1)
     fine = 33
     probs = np.empty(bins)
@@ -398,6 +396,7 @@ def chi_square_gof(samples, reference, bins=40, lo=None, hi=None):
 
 _HEADER_PREFIX = "#vortexcorr-frames "
 _READ_BYTES = 1 << 18  # bytes of body per parse_block call
+_WRITE_SLICE = 8 * _CSV_BLOCK  # rows per write_rows call, whole blocks
 
 
 def save_frames(frames, path, provenance=None):
@@ -419,14 +418,16 @@ def save_frames(frames, path, provenance=None):
     }
     if provenance:
         header["provenance"] = provenance
-    # the frame index is a float, exact below 2**53, that %.17g prints as
-    # the integer
+    rows = frames.points.reshape(-1, 4)
     with whole_file(path) as fh:
         fh.write((_HEADER_PREFIX + json.dumps(
             header, sort_keys=True, separators=(",", ":"))
             + "\nframe_index,x1,y1,x2,y2\n").encode("utf-8"))
-        write_rows(fh, (np.arange(float(frames.count)),
-                        *frames.points.reshape(-1, 4).T))
+        for lo in range(0, frames.count, _WRITE_SLICE):
+            hi = min(lo + _WRITE_SLICE, frames.count)
+            # the frame index is a float, exact below 2**53, that %.17g
+            # prints as the integer
+            write_rows(fh, (np.arange(lo, hi, dtype=float), *rows[lo:hi].T))
 
 
 def load_frames(path):

@@ -216,6 +216,7 @@ def _cast(value, key, kind):
 
 
 def spec_from_dict(data):
+    """The StateSpec of `data`, laid over its family's canonical spec."""
     try:
         kind = data["kind"]
     except (KeyError, TypeError):
@@ -228,4 +229,4 @@ def spec_from_dict(data):
     # entries of no family are ignored: older frames headers carry cutoff
     values = {field: _cast(data[key], key, _FIELD_TYPES[field])
               for key, field in parameters.items() if key in data}
-    return StateSpec(kind=kind, basis=data.get("basis", ""), **values)
+    return replace(canonical(kind), basis=data.get("basis", ""), **values)

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from vortexcorr import cli, io, sampler, states
@@ -234,7 +235,9 @@ def test_memory_ceilings_accept_their_limits(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-# the laws whose CSV carries a closed_form column, per state family
+# the laws whose CSV carries a closed_form column, per state family in
+# its own basis; in the other basis only the Fermi and equal-occupation
+# thermal states are the same state and keep theirs
 _CLOSED_FORMS = {
     "fermi-fock": {"pairdist", "pairangle", "two-angle"},
     "bose-fock": {"pairdist", "pairangle"},
@@ -243,24 +246,33 @@ _CLOSED_FORMS = {
     "cothermal": set(),
     "noon": {"pairdist", "two-angle"},
 }
+_BASIS_FREE = {"fermi-fock", "thermal"}
+# the canonical specs whose pair density is not rotation invariant, by
+# basis: pairangle refuses them
+_ANISOTROPIC = {("noon", "vortex"), ("noon", "dipole"),
+                ("bose-fock", "dipole"), ("coherent", "vortex"),
+                ("cothermal", "vortex")}
 
 
 @pytest.mark.parametrize("kind", sorted(_CLOSED_FORMS))
 def test_closed_form_columns(tmp_path, kind):
-    for law, argv, name in (
-            ("pairdist", ["pairdist"], "pairdist_distribution.csv"),
-            ("pairangle", ["pairangle"], "pairangle_distribution.csv"),
-            ("two-angle", ["pairdist", "--two-angle"],
-             "two_angle_surface.csv")):
-        out = tmp_path / law
-        rc = main(argv + ["--state", kind, "--points", "16", "--formats",
-                          "csv", "--out", str(out)])
-        if (kind, law) == ("noon", "pairangle"):
-            assert rc == 4      # anisotropic: no relative-angle law
-            continue
-        assert rc == 0
-        header, _ = _data_rows(out / name)
-        assert ("closed_form" in header) == (law in _CLOSED_FORMS[kind])
+    for basis in ("vortex", "dipole"):
+        own = basis == states.canonical(kind).basis or kind in _BASIS_FREE
+        for law, argv, name in (
+                ("pairdist", ["pairdist"], "pairdist_distribution.csv"),
+                ("pairangle", ["pairangle"], "pairangle_distribution.csv"),
+                ("two-angle", ["pairdist", "--two-angle"],
+                 "two_angle_surface.csv")):
+            out = tmp_path / basis / law
+            rc = main(argv + ["--state", kind, "--basis", basis, "--points",
+                              "16", "--formats", "csv", "--out", str(out)])
+            if law == "pairangle" and (kind, basis) in _ANISOTROPIC:
+                assert rc == 4      # anisotropic: use --two-angle
+                continue
+            assert rc == 0
+            header, _ = _data_rows(out / name)
+            assert ("closed_form" in header) == (
+                own and law in _CLOSED_FORMS[kind]), (basis, law)
 
 
 def test_flag_overrides_config_per_key(tmp_path):
@@ -394,17 +406,28 @@ def test_frames_stats_refuses_zero_count(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["frames.csv"]
 
 
-def test_frames_stats_refuses_anisotropic_state_up_front(tmp_path, capsys):
-    out = tmp_path / "out"
-    argv = ["frames", "--state", "coherent", "--alpha-x", "2", "--alpha-y",
-            "0", "--seed", "1", "--count", "100"]
-    assert main(argv + ["--stats", "--out", str(out)]) == 4
-    assert "--two-angle" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(argv + ["--out", str(out)]) == 0
-    # canonical NOON has a printed angle law to compare against
-    assert main(["frames", "--state", "noon", "--seed", "1", "--count",
-                 "100", "--stats", "--out", str(tmp_path / "noon")]) == 0
+@pytest.mark.parametrize("state", [
+    ["--state", "coherent", "--alpha-x", "2", "--alpha-y", "0"],
+    ["--state", "bose-fock", "--basis", "dipole"],
+    ["--state", "noon"]], ids=["coherent-2-0", "bose-fock-dipole", "noon"])
+def test_frames_stats_grades_anisotropic_states_by_the_engine_law(tmp_path,
+                                                                  state):
+    # the folded relative-angle law of every state is
+    # (1 + (2w - 1) cos 2 delta) / pi, anisotropic states included
+    count = 20000 if "bose-fock" in state else 1000
+    assert main(["frames", *state, "--seed", "1", "--count", str(count),
+                 "--stats", "--out", str(tmp_path)]) == 0
+    stats = json.loads((tmp_path / "frames_stats.json").read_text())
+    w = stats["bosonic_weight"]
+    _, rows = _data_rows(tmp_path / "frames_angle_hist.csv")
+    delta, reference = (np.array([float(r[j]) for r in rows]) for j in (0, 2))
+    np.testing.assert_allclose(
+        reference, (1.0 + (2.0 * w - 1.0) * np.cos(2.0 * delta)) / math.pi,
+        rtol=0, atol=1e-15)
+    if "bose-fock" in state:
+        # NOON turned by 45 degrees: w = 1/2, not the vortex donut's 1
+        assert abs(w - 0.5) < 1e-12
+        assert stats["angle_gof"]["pvalue"] > 1e-3
 
 
 def test_frames_has_no_method_option(tmp_path, capsys):
@@ -552,13 +575,13 @@ _PINNED_DIGESTS = {
     "frames-fermi/frames_angle.svg":
         "50b26c14285341eb43834e82cb45e8206e86f2ae3e04f30b068d23246551bab8",
     "frames-fermi/frames_angle_hist.csv":
-        "93896a06b3f9a3a504f8c659e484737826372f04d83292ce095201c8ae4529ad",
+        "b3001f920ea5dbddf098cdf1d91ee103682d66719765c626fcec06a8ec6f4692",
     "frames-fermi/frames_distance.svg":
         "caa0c57353570cf7510249b27209e42c7b9d83c5af67da5b34b2736c00040da5",
     "frames-fermi/frames_distance_hist.csv":
         "0770f53be840cfa55b3d220aa89bf82f75a4db6ae92ecb4052d5da261f3aa944",
     "frames-fermi/frames_stats.json":
-        "e50a0e9fafdd76b143076857caed7beea33afb1518da17482dc9a1b7df832e49",
+        "78fd843aea248ab401e1cfc7045b56efb8c85cde985a99ce0fcd7b9f6b28aa47",
 }
 
 

@@ -347,6 +347,21 @@ def test_donut_detection_requires_quadrature_phase():
     assert printed_family(cothermal()) is None
 
 
+def test_printed_laws_hold_in_the_family_basis():
+    # the Bose, coherent and NOON laws describe the family's own basis;
+    # in the other one the same numbers are another state
+    assert printed_family(bose_fock(basis="dipole")) is None
+    assert printed_family(replace(coherent(), basis="vortex")) is None
+    assert printed_family(replace(noon(), basis="dipole")) is None
+    # the Fermi and equal-occupation thermal states are basis-free
+    assert printed_family(fermi_fock(basis="dipole")) == "fermi-fock"
+    assert printed_family(replace(thermal(), basis="dipole")) == "thermal"
+    rows = cross_validate(bose_fock(basis="dipole"), 15)
+    assert all_engine_checks_confirmed(rows)
+    assert not {r.claim_id for r in rows} & {"angle-engine-vs-oracle",
+                                              "distance-printed-form"}
+
+
 # ---------------------------------------------------------------------------
 # order^2 references for the Gram-matrix quadratures: Psi evaluated at
 # every (r, s, angles) node and every plane point pair

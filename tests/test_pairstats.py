@@ -11,20 +11,19 @@ import numpy as np
 import pytest
 
 from vortexcorr.density import rho1, rho2
-from vortexcorr.errors import (AlgebraInconsistencyError,
-                               AnisotropicStateError, NoPairsError)
+from vortexcorr.errors import AlgebraInconsistencyError, NoPairsError
 from vortexcorr.fock import (Basis, Correlators, QuantumState, Statistics,
                              change_basis, harmonics,
                              pair_isotropy_defect)
 from vortexcorr.modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
-from vortexcorr.oracle import (_PRINTED_DISTANCE_FORMS, closed_form_angle,
-                               closed_form_distance, closed_form_two_angle,
-                               gauss_legendre)
+from vortexcorr.oracle import (_PRINTED_DISTANCE_FORMS, ANGLE_FORMS,
+                               closed_form_angle, closed_form_distance,
+                               closed_form_two_angle, gauss_legendre)
 from vortexcorr.pairstats import (ISOTROPY_TOL, PairDistribution,
                                   PairVariable, angle_distribution,
                                   bosonic_weight, distance_distribution,
                                   summarize, two_angle_distribution)
-from vortexcorr import sampler
+from vortexcorr import pairstats, sampler
 from vortexcorr.sampler import ROUNDING_ALLOWANCE, AngularLaw
 from vortexcorr.states import (bose_fock, build_state, coherent, cothermal,
                                fermi_fock, noon, thermal)
@@ -126,10 +125,6 @@ def test_angle_laws_match_profile_quadrature(spec, basis):
         two.value_at(off_grid[:, None], off_grid[None, :] + 2.0),
         _two_angle_reference(state, off_grid, off_grid + 2.0),
         rtol=0, atol=1e-13)
-    if pair_isotropy_defect(state) > ISOTROPY_TOL:
-        with pytest.raises(AnisotropicStateError):
-            angle_distribution(state)
-        return
     rel = angle_distribution(state)
     np.testing.assert_allclose(rel.values, _angle_reference(state, rel.grid),
                                rtol=0, atol=1e-13)
@@ -144,8 +139,6 @@ def test_angle_closures_equal_tables(spec):
     two = two_angle_distribution(state, n_points=64)
     np.testing.assert_array_equal(
         two.value_at(two.grid[:, None], two.grid[None, :]), two.values)
-    if pair_isotropy_defect(state) > ISOTROPY_TOL:
-        return
     rel = angle_distribution(state, n_points=101)
     np.testing.assert_array_equal(rel.value_at(rel.grid), rel.values)
 
@@ -247,8 +240,6 @@ def test_laws_follow_from_bosonic_weight():
         np.testing.assert_allclose(dist.value_at(d),
                                    w * bose + (1.0 - w) * fermi,
                                    rtol=0, atol=1e-14)
-        if pair_isotropy_defect(state) > ISOTROPY_TOL:
-            return
         rel = angle_distribution(state, n_points=91)
         assert rel.meta["bosonic_weight"] == w
         np.testing.assert_allclose(
@@ -275,8 +266,6 @@ def test_harmonic_matrix_closed_form_laws():
         assert abs(m[0, 0] - norm) <= 1e-12 * norm
         amplitude = 0.5 * math.hypot(m[1, 1] + m[2, 2], m[1, 2] - m[2, 1])
         assert m[0, 0] - amplitude >= -1e-12 * m[0, 0]
-        if pair_isotropy_defect(state) > ISOTROPY_TOL:
-            return
         contrast = 2.0 * bosonic_weight(state) - 1.0
         assert abs((m[1, 1] + m[2, 2]) / (2.0 * m[0, 0]) - contrast) <= 1e-12
 
@@ -487,8 +476,6 @@ def test_distance_maxima_through_bimodal_transition():
 @pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.kind)
 def test_angle_summary_is_exact(spec):
     state = build_state(spec)
-    if pair_isotropy_defect(state) > ISOTROPY_TOL:
-        return
     dist = angle_distribution(state)
     w = dist.meta["bosonic_weight"]
     summary = summarize(dist)
@@ -577,9 +564,18 @@ def test_angle_law_normalizations():
         assert abs(dist.integral() - 1.0) < 1e-9, spec.kind
 
 
-def test_noon_angle_needs_two_angles():
-    with pytest.raises(AnisotropicStateError):
-        angle_distribution(build_state(noon()))
+def test_noon_angle_law_is_flat():
+    # anisotropic, yet its folded law exists: the orientation average of W
+    dist = angle_distribution(build_state(noon()))
+    np.testing.assert_allclose(dist.values, ANGLE_FORMS["noon"](dist.grid),
+                               rtol=0, atol=1e-15)
+
+
+def test_negative_law_is_inconsistent_input():
+    with pytest.raises(AlgebraInconsistencyError, match="negative"):
+        pairstats._clip_noise(np.array([1.0, 0.5, -1e-9]))
+    np.testing.assert_array_equal(
+        pairstats._clip_noise(np.array([1.0, -1e-16])), [1.0, 0.0])
 
 
 def test_noon_two_angle_law():

@@ -274,11 +274,10 @@ def test_chi_square_gof_calibration():
     grid = np.linspace(0.0, 1.0, 101)
     uniform = PairDistribution(PairVariable.DISTANCE, grid, np.ones(101),
                                closure=lambda x: np.ones_like(np.asarray(x)))
-    good = chi_square_gof(rng.random(50000), uniform, bins=20, lo=0.0, hi=1.0)
+    good = chi_square_gof(rng.random(50000), uniform, bins=20)
     assert good.pvalue > 1e-3
     assert good.dof == good.bins - 1
-    biased = chi_square_gof(rng.random(50000) ** 1.15, uniform, bins=20,
-                            lo=0.0, hi=1.0)
+    biased = chi_square_gof(rng.random(50000) ** 1.15, uniform, bins=20)
     assert biased.pvalue < 1e-6
 
 
@@ -300,7 +299,7 @@ def test_chi_square_gof_too_few_samples():
     uniform = PairDistribution(PairVariable.DISTANCE, grid, np.ones(101),
                                closure=lambda x: np.ones_like(np.asarray(x)))
     # no bin reaches 5 expected counts: everything lands in one bin
-    gof = chi_square_gof([0.2, 0.7], uniform, bins=20, lo=0.0, hi=1.0)
+    gof = chi_square_gof([0.2, 0.7], uniform, bins=20)
     assert (gof.bins, gof.dof, gof.statistic) == (1, 0, 0.0)
     assert math.isnan(gof.pvalue)
 
@@ -336,6 +335,18 @@ def test_load_frames_ignores_old_cutoff_entry(tmp_path):
     back = load_frames(path)
     assert back.spec == frames.spec
     np.testing.assert_array_equal(back.points, frames.points)
+
+
+def test_load_frames_fills_a_left_out_amplitude_canonically(tmp_path):
+    frames = generate_frames(coherent(), 20, seed=8)
+    path = tmp_path / "frames.csv"
+    save_frames(frames, path)
+    first, rest = path.read_text().split("\n", 1)
+    header = json.loads(first[len(sampler._HEADER_PREFIX):])
+    del header["state"]["alpha_x"]
+    path.write_text(sampler._HEADER_PREFIX
+                    + json.dumps(header, sort_keys=True) + "\n" + rest)
+    assert load_frames(path).spec == coherent()
 
 
 @pytest.mark.parametrize("entry", [{"n": 1.5}, {"m": True}])
@@ -527,24 +538,26 @@ def test_save_frames_matches_row_by_row_writer(tmp_path, count):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_frames_at_write_and_read_block_edges(tmp_path, monkeypatch,
                                               offset):
-    # one write block of rows less one row, one block and one row more;
-    # read blocks that end one byte before, at and after a row end and the
-    # end of the body load every point bit for bit
-    count = io._CSV_BLOCK + offset
-    frames = generate_frames(fermi_fock(), count, seed=31)
-    want = tmp_path / "reference.csv"
-    _row_by_row_save(frames, want)
-    path = tmp_path / "blocks.csv"
-    save_frames(frames, path)
-    assert path.read_bytes() == want.read_bytes()
-    body = path.read_bytes().split(b"frame_index,x1,y1,x2,y2\n")[1]
-    row_end = body.index(b"\n", len(body) // 2) + 1
-    for size in (sampler._READ_BYTES, row_end - 1, row_end, row_end + 1,
-                 len(body) - 1, len(body), len(body) + 1):
-        monkeypatch.setattr(sampler, "_READ_BYTES", size)
-        points = load_frames(path).points
-        assert np.array_equal(points.view(np.uint64),
-                              frames.points.view(np.uint64)), size
+    # one write block, and one slice of write_rows calls, of rows less one
+    # row, one block or slice and one row more; read blocks that end one
+    # byte before, at and after a row end and the end of the body load
+    # every point bit for bit
+    assert sampler._WRITE_SLICE % io._CSV_BLOCK == 0
+    for rows in (io._CSV_BLOCK, sampler._WRITE_SLICE):
+        frames = generate_frames(fermi_fock(), rows + offset, seed=31)
+        want = tmp_path / "reference.csv"
+        _row_by_row_save(frames, want)
+        path = tmp_path / "blocks.csv"
+        save_frames(frames, path)
+        assert path.read_bytes() == want.read_bytes()
+        body = path.read_bytes().split(b"frame_index,x1,y1,x2,y2\n")[1]
+        row_end = body.index(b"\n", len(body) // 2) + 1
+        for size in (sampler._READ_BYTES, row_end - 1, row_end, row_end + 1,
+                     len(body) - 1, len(body), len(body) + 1):
+            monkeypatch.setattr(sampler, "_READ_BYTES", size)
+            points = load_frames(path).points
+            assert np.array_equal(points.view(np.uint64),
+                                  frames.points.view(np.uint64)), size
 
 
 def test_chi2_sf_matches_scipy():

@@ -56,8 +56,9 @@ def test_traced_names_resolve(tmp_path):
     report = json.loads(run.stdout)
     assert report["codes"] == [0] * 6
     assert report["frames"] == 200
-    assert {"cli.main", "io.write_csv", "sampler.save_frames",
-            "sampler.load_frames", "oracle.full_report",
+    assert {"cli.main", "io.write_csv", "pairstats.angle_distribution",
+            "sampler.save_frames", "sampler.load_frames",
+            "sampler.chi_square_gof", "oracle.full_report",
             "oracle.pair_grid_sweep",
             "oracle.reference_rho2"} <= set(report["spans"])
     assert report["counts"]["oracle.reference_rho2.points"] > 0

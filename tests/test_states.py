@@ -95,6 +95,11 @@ def test_entries_of_no_family_are_ignored(kind):
     assert spec_from_dict(plain) == canonical(kind)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_left_out_parameters_are_canonical(kind):
+    assert spec_from_dict({"kind": kind}) == canonical(kind)
+
+
 @pytest.mark.parametrize("kind", ["squeezed", "", [1], {"a": 1}, 3, None])
 def test_unknown_kind_is_refused(kind):
     with pytest.raises(SpecError, match="unknown state kind"):

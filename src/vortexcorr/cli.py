@@ -55,11 +55,11 @@ _STATE_ERRORS = (AnisotropicStateError, NoPairsError, UnsupportedStateError)
 _FORMATS = ("csv", "json", "svg")
 
 # --points ceilings, checked before anything is allocated: at them the
-# relative-angle law peaks near 0.09 GB and the joint law near 0.2 GB
+# relative-angle law peaks near 0.08 GB and the joint law near 0.17 GB
 _MAX_POINTS = 10 ** 6
 _MAX_TWO_ANGLE_POINTS = 2048
 # profile grid points per axis, round(2 extent / step) + 1: at the ceiling
-# the grid, its mode amplitudes and the CSV blocks peak near 0.42 GB
+# the grid, filled and written a block at a time, peaks near 0.07 GB
 _MAX_PROFILE_AXIS = 2048
 
 

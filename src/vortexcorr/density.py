@@ -59,14 +59,15 @@ class DensityField:
 
 
 def density_grid(state, extent=6.0, step=0.05):
-    """Tabulate rho1 on [-extent, extent]^2.
-
-    The trapezoid total is effectively exact here because the integrand
-    decays like a Gaussian well inside the box.
-    """
+    """Tabulate rho1 on [-extent, extent]^2, a block of at most 2^14 grid
+    points at a time. The trapezoid total is effectively exact here
+    because the integrand decays like a Gaussian well inside the box."""
     n = int(round(2.0 * extent / step)) + 1
     x = -extent + step * np.arange(n)
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    values = rho1(state, xx, yy)
-    total = float(np.trapezoid(np.trapezoid(values, x, axis=1), x))
-    return DensityField(x=x, y=x, values=values, total=total)
+    values, rows = np.empty((n, n)), np.empty(n)  # rows: integrals over y
+    per = max(1, (1 << 14) // n)
+    for lo in range(0, n, per):
+        values[lo:lo + per] = rho1(state, x[lo:lo + per, None], x)
+        rows[lo:lo + per] = np.trapezoid(values[lo:lo + per], x, axis=1)
+    return DensityField(x=x, y=x, values=values,
+                        total=float(np.trapezoid(rows, x)))

@@ -30,9 +30,6 @@ import numpy as np
 from .version import GENERATOR_VERSION, VERSION
 
 TOOL_NAME = "vortexcorr"
-# CSV rows per block: a block's stacked columns, slots and text stay
-# within a few MB
-_CSV_BLOCK = 8192
 
 
 def canonical_json(payload):
@@ -84,7 +81,7 @@ def whole_file(path):
 # little-endian words: the sign, the "0.000" of fixed notation below 1,
 # the digits, those after the point shifted up a byte to make room for
 # it, and any "e+dd". _csv_block lays the slots end to end.
-_CELLS = 16384  # cells per kernel pass, so that its arrays stay in cache
+_CELLS = 16384  # cells per kernel pass and CSV block, kept in cache
 _TINY, _HUGE = 1e-270, 1e280  # no split or product under- or overflows
 _NEAR_HALF = 0.5 - 2.0 ** -30
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
@@ -251,27 +248,23 @@ def _axis(a, shape):
         np.arange(a.size).reshape(a.shape), shape)
 
 
-def _csv_block(full, axes, lo, hi, out):
-    """Rows lo to hi of a table as CSV text, laid in `out` and returned as
-    the part of it the text fills: every cell's ',' ends at its slot's
-    size, and the last one of a row turns into a newline. `full` and
-    `axes` map the column numbers to full arrays and to grid axes as
-    _axis gives them."""
+def _csv_block(full, axes, lo, hi, block):
+    """Rows lo to hi of a table as CSV text, laid in the text buffer of
+    `block` and returned as the part of it the text fills: every cell's
+    ',' ends at its slot's size, and the last one of a row turns into a
+    newline. `full` and `axes` map the column numbers to full arrays and
+    to grid axes as _axis gives them; every block reuses the buffers of
+    `block`, which write_rows allocates once."""
     rows, cols = hi - lo, len(full) + len(axes)
-    slots = np.empty((rows, cols, 4), _WORD)
-    sizes = np.empty((rows, cols), np.int64)
+    slots, sizes, out = block[0][:rows], block[1][:rows], block[2]
     if full:
         # the full columns are stacked into one table that goes through
-        # the kernel in passes of _CELLS cells; with no grid axis the table
-        # is the block, and the kernel fills the block's slots directly
+        # the kernel in one pass; with no grid axis the table is the
+        # block, and the kernel fills the block's slots directly
         flat = np.column_stack([a.flat[lo:hi] for a in full.values()]).ravel()
-        table = (slots, sizes) if not axes else (
-            np.empty((rows, len(full), 4), _WORD),
-            np.empty((rows, len(full)), np.int64))
-        table_slots, table_sizes = table[0].reshape(-1, 4), table[1].ravel()
-        for p in range(0, flat.size, _CELLS):
-            _cells(flat[p:p + _CELLS], table_slots[p:p + _CELLS],
-                   table_sizes[p:p + _CELLS])
+        table = (slots, sizes) if not axes else (block[3][:rows],
+                                                 block[4][:rows])
+        _cells(flat, table[0].reshape(-1, 4), table[1].ravel())
         if axes:
             slots[:, list(full)], sizes[:, list(full)] = table
     for j, (axis_slots, axis_sizes, index) in axes.items():
@@ -295,23 +288,31 @@ def write_rows(fh, values):
     their broadcast shape in C order, and every cell is C's %.17g (any
     NaN as nan), cells joined by ',' and each row ending in a newline.
 
-    The text is made `_CSV_BLOCK` rows at a time. A column whose array
-    holds fewer cells than the table and no more than a block is a grid
-    axis (`x[:, None]`): its cells are formatted once, and each block
-    gathers their text through the broadcast index. The other columns
-    are formatted block by block.
+    The text is made in blocks of at most `_CELLS` cells (one row when a
+    row is wider), each one kernel pass. A column whose array holds fewer
+    cells than the table and no more than `_CELLS` is a grid axis
+    (`x[:, None]`): its cells are formatted once, and each block gathers
+    their text through the broadcast index. The other columns are
+    formatted block by block.
     """
     arrays = [np.asarray(v, dtype=float) for v in values]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     size = math.prod(shape)
+    cols = len(arrays)
+    rows = max(1, min(size, _CELLS // cols))  # per block
     axes = {j: _axis(a, shape) for j, a in enumerate(arrays)
-            if a.size < size and a.size <= _CSV_BLOCK}
+            if a.size < size and a.size <= _CELLS}
     full = {j: np.broadcast_to(a, shape) for j, a in enumerate(arrays)
             if j not in axes}
-    # no cell takes more than 25 bytes
-    out = np.empty(25 * len(arrays) * min(size, _CSV_BLOCK) + 32, np.uint8)
-    for lo in range(0, size, _CSV_BLOCK):
-        fh.write(_csv_block(full, axes, lo, min(lo + _CSV_BLOCK, size), out))
+    # no cell takes more than 25 bytes; with grid axes the full columns
+    # get slots and sizes of their own, which the kernel fills
+    block = (np.empty((rows, cols, 4), _WORD),
+             np.empty((rows, cols), np.int64),
+             np.empty(25 * cols * rows + 32, np.uint8),
+             *((np.empty((rows, len(full), 4), _WORD),
+                np.empty((rows, len(full)), np.int64)) if axes else ()))
+    for lo in range(0, size, rows):
+        fh.write(_csv_block(full, axes, lo, min(lo + rows, size), block))
 
 
 # Reading a CSV block back: every cell equals Python's float() of it. A

@@ -936,14 +936,18 @@ def _amplitude(z):
 
 
 def _label(spec):
+    """The kind, then what sets the spec apart from its family's canonical
+    one: bose-fock's (n, m), coherent amplitudes, or the other basis."""
     if spec is None:
         return "family"
+    args = []
     if spec.kind == "bose-fock" and (spec.n, spec.m) != (1, 1):
-        return f"bose-fock({spec.n},{spec.m})"
+        args = [spec.n, spec.m]
     if spec.kind == "coherent" and spec != coherent():
-        return (f"coherent({_amplitude(spec.alpha_a)},"
-                f"{_amplitude(spec.alpha_b)},{spec.basis})")
-    return spec.kind
+        args = [_amplitude(spec.alpha_a), _amplitude(spec.alpha_b), spec.basis]
+    elif spec.basis != canonical(spec.kind).basis:
+        args.append(spec.basis)
+    return f"{spec.kind}({','.join(map(str, args))})" if args else spec.kind
 
 
 def _pick(text, spec):

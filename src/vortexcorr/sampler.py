@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (AlgebraInconsistencyError, EmptyFramesError,
                      SamplerMethodError)
 from .fock import harmonics
-from .io import _CSV_BLOCK, parse_block, whole_file, write_rows
+from .io import _CELLS, parse_block, whole_file, write_rows
 from .pairstats import (PairDistribution, PairVariable, angular_weight,
                         harmonic_weight, require_pairs)
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
@@ -396,7 +396,7 @@ def chi_square_gof(samples, reference, bins=40):
 
 _HEADER_PREFIX = "#vortexcorr-frames "
 _READ_BYTES = 1 << 18  # bytes of body per parse_block call
-_WRITE_SLICE = 8 * _CSV_BLOCK  # rows per write_rows call, whole blocks
+_WRITE_SLICE = 20 * (_CELLS // 5)  # rows per write_rows call, whole blocks
 
 
 def save_frames(frames, path, provenance=None):

@@ -116,12 +116,12 @@ class _Canvas:
         """The _MAP_RECT elements of rows(_MAP_RECT, xs, ys[:, None],
         width, height, fills) for 1-D `xs` and `ys` and fills[row, col],
         with each x, each row's y, width and height formatted once; only
-        the fills are formatted per cell."""
+        the fills are formatted per cell, one part per row."""
         row = "\n".join([_CELL_HEAD] * len(xs)) % tuple(xs.tolist())
         size = (float(width), float(height))
-        self.parts.append("\n".join(
-            [row.replace("\0", _CELL_TAIL % (y, *size)) for y in ys.tolist()])
-            % tuple(fills.ravel().tolist()))
+        for y, row_fills in zip(ys.tolist(), fills.tolist()):
+            self.parts.append(row.replace("\0", _CELL_TAIL % (y, *size))
+                              % tuple(row_fills))
 
     def path(self, xs, ys, stroke, width=1.5):
         if len(xs) == 0:
@@ -142,8 +142,10 @@ class _Canvas:
             'font-size="%.2f" text-anchor="%s" fill="%s"%s>%s</text>'
             % (x, y, _px(size), anchor, fill, extra, _esc(content)))
 
-    def render(self):
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+    def write(self, path):
+        """The document, written to `path` one part at a time."""
+        with whole_file(path) as fh:
+            fh.writelines((p + "\n").encode() for p in self.parts + ["</svg>"])
 
 
 def _frame_axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, title):
@@ -235,8 +237,7 @@ def svg_chart(path, series, title="", xlabel="", ylabel="", prov=None):
         y_pos = legend_y + 16.0 * idx
         canvas.line(legend_x - 28, y_pos - 3.5, legend_x - 10, y_pos - 3.5, color, 3.0)
         canvas.text(legend_x - 34, y_pos, s["label"], anchor="end")
-    with whole_file(path) as fh:
-        fh.write(canvas.render().encode("utf-8"))
+    canvas.write(path)
 
 
 def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
@@ -301,5 +302,4 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
         canvas.text((left + right) / 2.0, canvas.height - 10, xlabel, anchor="middle")
     if ylabel:
         canvas.text(16, (top + bottom) / 2.0, ylabel, anchor="middle", rotate=-90)
-    with whole_file(path) as fh:
-        fh.write(canvas.render().encode("utf-8"))
+    canvas.write(path)

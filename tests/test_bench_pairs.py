@@ -1,0 +1,108 @@
+"""The pure parts of tools/bench_pairs.py, on synthetic perfbench records:
+the run order, the pairing, quartiles, the split by run order and the
+BENCH file layout."""
+
+import importlib.util
+import json
+import os
+
+import numpy as np
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _record(offset, failed=0, passes=1):
+    """A perfbench/run.py record whose four metrics are offset + i."""
+    return {"attempted": 7, "failed": failed, "detail": {"passes": passes},
+            "machine": {"nproc": 2, "seed": 1},
+            "metrics": {name: offset + i for i, name
+                        in enumerate(bench_pairs.METRICS)}}
+
+
+def _pairs(parent, change):
+    return [{"seed": 3201 + k, "first": bench_pairs.first_side(k),
+             "parent": _record(p), "change": _record(c, failed=k % 2)}
+            for k, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_sides_alternate_and_share_seeds():
+    assert [bench_pairs.first_side(k) for k in range(5)] == [
+        "parent", "change", "parent", "change", "parent"]
+    assert bench_pairs.seeds(0, 3, 3200) == [3201, 3202, 3203]
+    assert bench_pairs.seeds(2, 2, 3200) == [3401, 3402]
+
+
+def test_quartiles_follow_numpy_percentile():
+    values = [5.0, 1.0, 4.0, 2.0, 3.0, 10.0]
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    assert bench_pairs.quartiles(values) == {
+        "median": median, "q1": q1, "q3": q3}
+    assert bench_pairs.quartiles([2.0]) == {"median": 2.0, "q1": 2.0,
+                                           "q3": 2.0}
+
+
+def test_pairs_are_won_by_a_lower_figure_and_ties_count_for_neither():
+    assert bench_pairs.pairs_won([3.0, 2.0, 1.0, 5.0],
+                                 [2.0, 2.0, 1.5, 4.0]) == 2
+
+
+def test_order_split_separates_the_side_run_first():
+    parent, change = [1.0, 1.0, 1.0, 1.0], [0.9, 1.3, 0.7, 1.1]
+    order = ["parent", "change", "parent", "change"]
+    assert bench_pairs.order_split(parent, change, order) == {
+        "parent_first": pytest.approx(-0.2), "change_first": 0.2}
+    assert bench_pairs.order_split([1.0], [2.0], ["parent"]) == {
+        "parent_first": 1.0, "change_first": None}
+
+
+def test_summary_pairs_runs_by_seed():
+    entry = bench_pairs.summarize(_pairs([10.0, 11.0, 12.0], [9.0, 12.0,
+                                                             11.0]))
+    assert entry["seeds"] == [3201, 3202, 3203]
+    assert entry["order"] == ["parent", "change", "parent"]
+    assert entry["failed_jobs"] == {"parent": 0, "change": 1}
+    assert entry["attempted_jobs"] == {"parent": 21, "change": 21}
+    assert entry["passes"] == {"parent": [1, 1, 1], "change": [1, 1, 1]}
+    wall = entry["metrics"]["wall_s"]
+    assert wall["runs"] == {"parent": [10.0, 11.0, 12.0],
+                            "change": [9.0, 12.0, 11.0]}
+    assert wall["pairs_won"] == 2
+    assert wall["parent"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
+    # the i-th metric of a record is offset + i
+    assert entry["metrics"]["setup_s"]["runs"]["parent"] == [13.0, 14.0,
+                                                             15.0]
+
+
+def test_document_keeps_the_layout_of_bench_25():
+    with open(os.path.join(ROOT, "BENCH_25.json"), encoding="utf-8") as fh:
+        old = json.load(fh)
+    workloads = {name: bench_pairs.summarize(_pairs([1.0, 2.0], [0.5, 2.5]))
+                 for name in old["workloads"]}
+    tier1 = {"command": bench_pairs.TIER1, "unit": "s", "source": "",
+             "parent": {"tests": 1, "runs_s": [1.0]},
+             "change": {"tests": 1, "runs_s": [1.0]}}
+    doc = bench_pairs.document("a" * 40, "b" * 40, workloads,
+                               {**old["machine"], **bench_pairs.cpu_dispatch()},
+                               tier1)
+    # every key of BENCH_25.json's own records is there, at the same depth
+    keys = {"benchmark", "method", "parent_commit", "change_commit",
+            "machine", "tier1", "workloads"}
+    assert keys <= set(doc) and keys <= set(old)
+    assert set(old["machine"]) <= set(doc["machine"])
+    assert set(old["tier1"]) <= set(doc["tier1"])
+    for name, entry in old["workloads"].items():
+        assert set(entry) <= set(doc["workloads"][name])
+        for metric, figures in entry["metrics"].items():
+            ours = doc["workloads"][name]["metrics"][metric]
+            assert set(figures) <= set(ours)
+            assert set(figures["parent"]) == set(ours["parent"])
+            assert set(figures["runs"]) == set(ours["runs"])
+    dispatch = doc["machine"]["numpy_cpu_dispatch"]
+    assert dispatch and all(isinstance(t, str) for t in dispatch)
+    assert "numpy_cpu_features" in doc["machine"]
+    assert json.loads(json.dumps(doc)) == doc

@@ -640,9 +640,10 @@ def test_run_payloads_are_pinned(run):
 
 
 def test_frames_deterministic_and_thread_invariant(tmp_path, monkeypatch):
-    # 1000-frame sampling and write blocks: --threads 2 and 3 sample in
-    # threads, and the body is formatted in three blocks
-    monkeypatch.setattr(io, "_CSV_BLOCK", 1000)
+    # 1000-frame sampling and write blocks (5000 cells of 5 columns):
+    # --threads 2 and 3 sample in threads, and the body is formatted in
+    # three blocks
+    monkeypatch.setattr(io, "_CELLS", 5000)
     monkeypatch.setattr(cli, "generate_frames", functools.partial(
         sampler.generate_frames, block=1000))
     argv = ["frames", "--state", "fermi-fock", "--seed", "11",

@@ -2,6 +2,7 @@
 normalization."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +193,38 @@ def test_rho2_marginal_recovers_rho1():
             marginal = float(np.sum(w2 * vals))
             want = float(rho1(state, x1, y1))
             assert marginal == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.7, 0.0125])
+def test_density_grid_blocks_match_one_whole_grid_call(step):
+    # 241, 18 and 961 points per axis: blocks of 67, 18 and 17 rows, the
+    # last of them partial at 241 and 961
+    state = build_state(bose_fock(2, 0))
+    fld = density_grid(state, step=step)
+    xx, yy = np.meshgrid(fld.x, fld.x, indexing="ij")
+    whole = rho1(state, xx, yy)
+    assert fld.values.tobytes() == whole.tobytes()
+    assert fld.total == float(np.trapezoid(
+        np.trapezoid(whole, fld.x, axis=1), fld.x))
+
+
+def test_density_grid_memory_is_bounded_by_the_block():
+    # apart from the returned grid, blocks of at most 2^14 points keep the
+    # peak near 1 MB at 241 and at 961 points per axis; one rho1 call on
+    # the whole grid peaked at 4.9 and 77.5 MB
+    state = build_state(fermi_fock())
+    peaks = []
+    for step in (0.05, 0.0125):
+        tracemalloc.start()
+        try:
+            fld = density_grid(state, step=step)
+            peaks.append(tracemalloc.get_traced_memory()[1]
+                         - fld.values.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert len(fld.x) == 961
+    assert peaks[1] < peaks[0] + 2 ** 18
+    assert max(peaks) < 2 * 2 ** 20
 
 
 def test_polar_factorization():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from io import BytesIO
 
 import numpy as np
@@ -142,11 +143,11 @@ def _varied_cells(size, seed):
 
 
 @pytest.mark.parametrize("cols", range(1, 8))
-def test_format_block_at_kernel_block_edges(monkeypatch, cols):
-    # rows of one kernel pass of cells less one row, one pass and one row
-    # more, all in one row block; each pass fills its slots of the block
-    block = -(-io._CELLS // cols)
-    monkeypatch.setattr(io, "_CSV_BLOCK", block + 1)
+def test_format_block_at_kernel_block_edges(cols):
+    # rows of one kernel pass of the shipped _CELLS cells less one row,
+    # one pass and one row more; a pass holds the whole rows that fit in
+    # it, so it is exactly full only where cols divides _CELLS
+    block = io._CELLS // cols
     for rows in (block - 1, block, block + 1):
         table = _varied_cells(rows * cols, rows).reshape(rows, cols)
         _assert_percent_rows(table)
@@ -157,10 +158,12 @@ def test_format_block_at_kernel_block_edges(monkeypatch, cols):
 def test_write_csv_at_row_block_edges(tmp_path, monkeypatch, cols):
     # one row block less one row, one block and one row more, against one
     # Python %-format of the whole table; the file reads back bit for bit.
-    # Every column is full, so each block formats all of its cells.
-    monkeypatch.setattr(io, "_CSV_BLOCK", io._CELLS // 5 + 1)
+    # Every column is full, so each block formats all of its cells; a
+    # prime _CELLS leaves part of every block empty for cols 2 to 7.
+    monkeypatch.setattr(io, "_CELLS", 4099)
     path = tmp_path / "blocks.csv"
-    for rows in (io._CSV_BLOCK - 1, io._CSV_BLOCK, io._CSV_BLOCK + 1):
+    block = io._CELLS // cols
+    for rows in (block - 1, block, block + 1):
         table = _varied_cells(rows * cols, cols).reshape(rows, cols)
         names = ",".join(f"c{j}" for j in range(cols))
         write_csv(path, names.split(","), tuple(table.T))
@@ -345,7 +348,7 @@ def test_parse_block_lines():
 @pytest.mark.parametrize("count", [0, 1, 7, 50, 70000])
 def test_block_stream_matches_whole_file_writer(tmp_path, monkeypatch, count):
     if count < 1000:
-        monkeypatch.setattr(io, "_CSV_BLOCK", 7)
+        monkeypatch.setattr(io, "_CELLS", 28)  # blocks of 7 rows
     rows = _rows(count)
     columns = tuple(np.array(rows, dtype=float).reshape(count, 4).T)
     args = (("i", "x", "y", "edge"),)
@@ -360,7 +363,7 @@ def test_block_stream_matches_whole_file_writer(tmp_path, monkeypatch, count):
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (9, 4)])
 def test_broadcast_columns_run_in_c_order(tmp_path, monkeypatch, shape):
     # blocks of 7 rows start and end inside the rows of the grid
-    monkeypatch.setattr(io, "_CSV_BLOCK", 7)
+    monkeypatch.setattr(io, "_CELLS", 21)
     x = np.linspace(-1.0, 1.0, shape[0])
     y = np.geomspace(1e-3, 1e3, shape[1])
     values = np.random.default_rng(2).normal(size=shape)
@@ -389,14 +392,15 @@ def _assert_csv_table(path, values):
                           table[~nan].view(np.uint64))
 
 
-@pytest.mark.parametrize("shape", [(8191, 1), (64, 128), (3, 2731),
+@pytest.mark.parametrize("shape", [(5460, 1), (43, 127), (2, 2731),
                                    (100, 200)],
                          ids=["block-1", "block", "block+1", "ragged"])
 def test_write_csv_grid_axes_at_row_block_edges(tmp_path, shape):
     # an (n, 1) and a (1, m) axis, formatted once and gathered per block,
-    # on tables of one row block less one row, one block, one row more,
-    # and blocks that start and end inside grid rows
-    assert math.prod(shape) - io._CSV_BLOCK in (-1, 0, 1, 20000 - 8192)
+    # on tables of one row block (_CELLS // 3 rows) less one row, one
+    # block, one row more, and blocks that start and end inside grid rows
+    block = io._CELLS // 3
+    assert math.prod(shape) - block in (-1, 0, 1, 20000 - block)
     x = _varied_cells(shape[0], 1)[:, None]
     y = _varied_cells(shape[1], 2)[None, :]
     values = (x, y, _varied_cells(math.prod(shape), 3).reshape(shape))
@@ -404,11 +408,32 @@ def test_write_csv_grid_axes_at_row_block_edges(tmp_path, shape):
     _assert_csv_table(tmp_path / "grid.csv", values)
 
 
+def test_write_rows_memory_does_not_grow_with_the_table():
+    # two grid axes and two full columns, 2^16 and 2^18 rows: apart from
+    # the arrays passed in, one block of at most _CELLS cells is what
+    # write_rows holds
+    peaks = []
+    with open(os.devnull, "wb") as fh:
+        write_rows(fh, (np.arange(3.0), 0.5))  # builds the slot tables
+        for n in (256, 512):
+            x = np.linspace(-1.0, 1.0, n)[:, None]
+            y = np.geomspace(1e-3, 1e3, n)[None, :]
+            a, b = np.random.default_rng(n).normal(size=(2, n, n))
+            tracemalloc.start()
+            try:
+                write_rows(fh, (x, y, a, b))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2 ** 18
+    assert max(peaks) < 4 * 2 ** 20
+
+
 _ODD_COLUMNS = {
     "0-d": (np.arange(20.0), 0.5, np.float64(-0.0)),
     "3-d": (np.arange(3.0)[:, None, None], _varied_cells(4, 5)[None, :, None],
             _varied_cells(5, 6), _varied_cells(60, 7).reshape(3, 4, 5)),
-    # 9 cells, more than a block of 7 rows: formatted block by block
+    # 9 cells, more than a kernel pass of 7: formatted block by block
     "long-axis": (_varied_cells(9, 8)[:, None], np.arange(3.0),
                   _varied_cells(27, 9).reshape(9, 3)),
     "special-axis": (np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324,
@@ -421,10 +446,9 @@ _ODD_COLUMNS = {
 
 @pytest.mark.parametrize("name", sorted(_ODD_COLUMNS))
 def test_write_csv_odd_columns(tmp_path, monkeypatch, name):
-    # kernel passes of 5 cells end inside the rows of 7-row blocks, with
-    # and without grid axes beside the full columns
-    monkeypatch.setattr(io, "_CSV_BLOCK", 7)
-    monkeypatch.setattr(io, "_CELLS", 5)
+    # blocks of one kernel pass of 7 cells, 1 to 7 rows, end inside the
+    # rows of the grid, with and without grid axes beside the full columns
+    monkeypatch.setattr(io, "_CELLS", 7)
     values = _ODD_COLUMNS[name]
     names = tuple(f"c{j}" for j in range(len(values)))
     write_csv(tmp_path / "odd.csv", names, values)
@@ -453,7 +477,7 @@ def test_profile_grid_formats_each_axis_once(tmp_path, monkeypatch):
 
 
 def test_failure_midway_leaves_no_partial_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(io, "_CSV_BLOCK", 7)
+    monkeypatch.setattr(io, "_CELLS", 14)  # blocks of 7 rows of 2 cells
     path = tmp_path / "out.csv"
     path.write_text("earlier run\n")
     csv_block = io._csv_block

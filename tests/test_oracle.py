@@ -335,6 +335,27 @@ def test_full_report_rows_are_pinned_across_tiles():
     assert digest == _TILED_REPORT_DIGEST
 
 
+def test_row_labels_name_a_basis_other_than_the_family_default(bose_rows):
+    # a spec in the other basis no longer shares its rows' kind with the
+    # canonical spec; full_report's labels are pinned above
+    rows = cross_validate(bose_fock(basis="dipole"), resolution=RES)
+    assert {r.kind for r in rows} == {"bose-fock(dipole)"}
+    assert {r.kind for r in bose_rows} == {"bose-fock"}
+    labels = {
+        bose_fock(basis="vortex"): "bose-fock",
+        bose_fock(2, 0): "bose-fock(2,0)",
+        bose_fock(2, 0, basis="dipole"): "bose-fock(2,0,dipole)",
+        fermi_fock(basis="dipole"): "fermi-fock(dipole)",
+        replace(thermal(), basis="dipole"): "thermal(dipole)",
+        replace(cothermal(), basis="vortex"): "cothermal(vortex)",
+        noon(): "noon",
+        replace(coherent(), basis="dipole"): "coherent",
+        replace(coherent(), basis="vortex"): "coherent(1i,1,vortex)",
+        oracle.TILTED_COHERENT: "coherent(1,0.5i,vortex)",
+    }
+    assert {spec: oracle._label(spec) for spec in labels} == labels
+
+
 def test_donut_detection_requires_quadrature_phase():
     assert printed_family(coherent()) == "coherent"
     assert printed_family(thermal(1.0, 1.0)) == "thermal"

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vortexcorr import io, sampler
+from vortexcorr import io, oracle, sampler
 from vortexcorr.errors import EmptyFramesError, NoPairsError
 from vortexcorr.sampler import (chi_square_gof, counter_uniforms,
                                 empirical_pair_stats, generate_frames,
@@ -17,8 +17,8 @@ from vortexcorr.sampler import (chi_square_gof, counter_uniforms,
 from vortexcorr.oracle import closed_form_angle, closed_form_distance
 from vortexcorr.pairstats import (PairDistribution, PairVariable,
                                   bosonic_weight)
-from vortexcorr.states import (SpecError, bose_fock, build_state, coherent,
-                               cothermal, fermi_fock, noon, thermal)
+from vortexcorr.states import (SpecError, StateSpec, bose_fock, build_state,
+                               coherent, cothermal, fermi_fock, noon, thermal)
 
 MASK = (1 << 64) - 1
 GOLD = 0x9E3779B97F4A7C15
@@ -304,6 +304,59 @@ def test_chi_square_gof_too_few_samples():
     assert math.isnan(gof.pvalue)
 
 
+def _oracle_angle_cells(spec, k):
+    """Probabilities of the k x k cells of (theta1, theta2) in [0, 2 pi)^2
+    from the oracle's own pair density, never from AngularLaw. On the
+    first shell rho2 is e^{-u-v} times a polynomial of degree <= 1 in u =
+    r^2 and in v = s^2, so a 2-node Gauss-Laguerre rule in each gives the
+    joint angle density exactly; it is a trigonometric polynomial of
+    degree <= 2 in each angle, so 8 periodic nodes give its Fourier
+    coefficients exactly, and each cell integrates in closed form."""
+    u, w = np.polynomial.laguerre.laggauss(2)
+    r = np.sqrt(u)[:, None, None, None]
+    s = np.sqrt(u)[None, :, None, None]
+    phi = 2.0 * math.pi * np.arange(8) / 8.0
+    rho = oracle.reference_rho2(spec, r * np.cos(phi)[:, None],
+                                r * np.sin(phi)[:, None],
+                                s * np.cos(phi), s * np.sin(phi))
+    # r dr = du / 2, and the rule's weight e^{-u} is in rho already
+    weight = w * np.exp(u) / 2.0
+    joint = np.einsum("a,b,abij->ij", weight, weight, rho)
+    coef = np.fft.fft2(joint) / joint.size
+    p = np.fft.fftfreq(8, 1.0 / 8.0)[:, None]
+    edges = 2.0 * math.pi * np.arange(k + 1) / k
+    ends = np.exp(1j * p * edges)
+    cell = np.where(p == 0, 2.0 * math.pi / k,
+                    (ends[:, 1:] - ends[:, :-1]) / (1j * np.where(p, p, 1)))
+    probs = (cell.T @ coef @ cell).real
+    return probs / probs.sum()
+
+
+# states whose angle law couples sin 2 theta, so that a sampler drawing
+# the mirror image of the law (the sign of the sin 2 theta row and column
+# of M flipped) sees a different joint law
+_TILTED_STATES = {
+    "tilted-coherent": oracle.TILTED_COHERENT,
+    "dipole-coherent": StateSpec(kind="coherent", alpha_a=1.0, alpha_b=0.6,
+                                 basis="dipole"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TILTED_STATES))
+def test_sampled_joint_angles_follow_the_oracle(name):
+    spec = _TILTED_STATES[name]
+    k, count = 8, 40000
+    probs = _oracle_angle_cells(spec, k)
+    assert np.all(probs > 0.0)
+    points = generate_frames(spec, count, seed=5).points
+    theta = np.arctan2(points[..., 1], points[..., 0]) % (2.0 * math.pi)
+    edges = 2.0 * math.pi * np.arange(k + 1) / k
+    counts = np.histogram2d(theta[:, 0], theta[:, 1], bins=[edges, edges])[0]
+    expected = probs * count
+    statistic = float(np.sum((counts - expected) ** 2 / expected))
+    assert sampler._chi2_sf(statistic, k * k - 1) > 1e-3, statistic
+
+
 def test_save_load_round_trip(tmp_path):
     frames = generate_frames(bose_fock(1, 1), 250, seed=33)
     path = tmp_path / "frames.csv"
@@ -521,12 +574,13 @@ def _row_by_row_save(frames, path, provenance=None):
         fh.write("\n".join(lines) + "\n")
 
 
-# 65537 frames span several `io._CSV_BLOCK` row blocks and end in a
-# one-row tail
+# 65537 frames span two `sampler._WRITE_SLICE` slices of write_rows
+# calls, the second of them a partial row block
 @pytest.mark.parametrize("count", [0, 1, 65537])
 def test_save_frames_matches_row_by_row_writer(tmp_path, count):
-    assert count <= 1 or (count > io._CSV_BLOCK
-                          and count % io._CSV_BLOCK == 1)
+    block = io._CELLS // 5
+    assert count <= 1 or (count > sampler._WRITE_SLICE
+                          and count % sampler._WRITE_SLICE < block)
     frames = generate_frames(fermi_fock(), count, seed=29)
     want = tmp_path / "reference.csv"
     _row_by_row_save(frames, want, provenance={"note": "blocks"})
@@ -542,8 +596,9 @@ def test_frames_at_write_and_read_block_edges(tmp_path, monkeypatch,
     # row, one block or slice and one row more; read blocks that end one
     # byte before, at and after a row end and the end of the body load
     # every point bit for bit
-    assert sampler._WRITE_SLICE % io._CSV_BLOCK == 0
-    for rows in (io._CSV_BLOCK, sampler._WRITE_SLICE):
+    block = io._CELLS // 5  # rows of one write block of 5 columns
+    assert sampler._WRITE_SLICE % block == 0
+    for rows in (block, sampler._WRITE_SLICE):
         frames = generate_frames(fermi_fock(), rows + offset, seed=31)
         want = tmp_path / "reference.csv"
         _row_by_row_save(frames, want)

@@ -478,16 +478,12 @@ def _two_angle_outputs(cfg):
 
 def _moments(dist):
     """The summary entries of a distance or relative-angle law."""
-    summary = pairstats.summarize(dist)
-    return {"mean": summary.mean, "second_moment": summary.second_moment,
-            "local_maxima": summary.local_maxima,
-            "bosonic_weight": summary.meta["bosonic_weight"],
+    return {**asdict(pairstats.summarize(dist)),
+            "bosonic_weight": dist.meta["bosonic_weight"],
             "pair_normalization": dist.normalization}
 
 
 def cmd_pairdist(cfg):
-    if cfg.two_angle:
-        return _two_angle_outputs(cfg)
     state = build_state(cfg.spec)
     dist = pairstats.distance_distribution(state, n_points=cfg.points)
     summary = _moments(dist)
@@ -502,8 +498,6 @@ def cmd_pairdist(cfg):
 
 
 def cmd_pairangle(cfg):
-    if cfg.two_angle:
-        return _two_angle_outputs(cfg)
     state = build_state(cfg.spec)
     # every state has a folded law; pairangle publishes isotropic ones
     pairstats.require_pairs(harmonics(state)[1])
@@ -539,8 +533,6 @@ def _write_frame_stats(cfg, state, frames, prov):
     a_ref = pairstats.angle_distribution(state)
     d_hist, a_hist = empirical_pair_stats(frames, bins=cfg.bins)
     distances = d_hist.meta["samples"]
-    d_at = d_ref.value_at(d_hist.grid)
-    a_at = a_ref.value_at(a_hist.grid)
     d_summary = pairstats.summarize(d_ref)
 
     mean_d, se_d, z_d = _mean_se_z(distances, d_summary.mean)
@@ -552,16 +544,24 @@ def _write_frame_stats(cfg, state, frames, prov):
     d_gof = chi_square_gof(distances, d_ref, bins=40)
     a_gof = chi_square_gof(a_hist.meta["samples"], a_ref, bins=40)
 
-    outputs = (("distance", "d", d_hist, d_at, "pair distance",
+    outputs = (("distance", "d", d_hist, d_ref, "pair distance",
                 "per-frame pair distances, histogram density"),
-               ("angle", "delta", a_hist, a_at, "relative angle",
+               ("angle", "delta", a_hist, a_ref, "relative angle",
                 "per-frame relative angles folded to [0, pi)"))
-    for name, x, hist, at, _, comment in outputs:
+    for name, x, hist, ref, title, comment in outputs:
+        at = ref.value_at(hist.grid)
         if "csv" in cfg.formats:
             write_csv(_path(cfg, f"frames_{name}_hist.csv"),
                       (x, "density", "reference"),
                       (hist.grid, hist.values, at), prov=prov,
                       comments=(comment,))
+        if "svg" in cfg.formats:
+            svg_chart(_path(cfg, f"frames_{name}.svg"),
+                      [{"label": "frames", "x": hist.grid,
+                        "y": hist.values, "style": "bar"},
+                       {"label": "reference", "x": hist.grid, "y": at}],
+                      title="empirical " + title, xlabel=x,
+                      ylabel=f"D({x})", prov=prov)
     if "json" in cfg.formats:
         write_json(_path(cfg, "frames_stats.json"), {
             "state": spec_to_dict(cfg.spec),
@@ -580,14 +580,6 @@ def _write_frame_stats(cfg, state, frames, prov):
             "angle_gof": asdict(a_gof),
             "provenance": prov,
         })
-    for name, x, hist, at, title, _ in outputs:
-        if "svg" in cfg.formats:
-            svg_chart(_path(cfg, f"frames_{name}.svg"),
-                      [{"label": "frames", "x": hist.grid,
-                        "y": hist.values, "style": "bar"},
-                       {"label": "reference", "x": hist.grid, "y": at}],
-                      title="empirical " + title, xlabel=x,
-                      ylabel=f"D({x})", prov=prov)
 
 
 def cmd_frames(cfg):
@@ -642,6 +634,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
+        if getattr(cfg, "two_angle", False):  # pairdist and pairangle
+            return _two_angle_outputs(cfg)
         return _HANDLERS[args.command](cfg)
     except _CONFIG_ERRORS as exc:
         print(f"vortexcorr: configuration error: {exc}", file=sys.stderr)

@@ -104,17 +104,24 @@ def _power_of_ten(p):
     return hh, h - hh, (num * d - n * den) / (den * d)
 
 
+def _product(a, hh, hl):
+    """a (hh + hl) as hi + lo, with hi the rounded product and lo its
+    error from Dekker's two-product (hh and hl: halves of _power_of_ten)."""
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    hi = a * (hh + hl)
+    return hi, (((ah * hh - hi) + ah * hl) + al * hh) + al * hl
+
+
 def _scaled(a, k):
     """a 10**(16 - k) as the unevaluated sum hi + lo."""
     k0 = int(k.min())
     powers = np.array([_power_of_ten(16 - j)
                        for j in range(k0, int(k.max()) + 1)]).T
     hh, hl, low = powers.take(k - k0, axis=1)
-    c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    hi = a * (hh + hl)
-    return hi, (((ah * hh - hi) + ah * hl) + al * hh) + al * hl + a * low
+    hi, lo = _product(a, hh, hl)
+    return hi, lo + a * low
 
 
 @functools.cache
@@ -439,13 +446,8 @@ def parse_block(data, cols):
     mh = m.astype(np.float64)
     ml = (m - mh.astype(_U)).view(np.int64).astype(np.float64)
     hh, hl, low = powers.take(code, axis=1)
-    c = _SPLIT * mh
-    ah = c - (c - mh)
-    al = mh - ah
-    p = hh + hl
-    hi = mh * p
-    lo = ((((ah * hh - hi) + ah * hl) + al * hh) + al * hl
-          + (mh * low + ml * p))
+    hi, lo = _product(mh, hh, hl)
+    lo = lo + (mh * low + ml * (hh + hl))
     # the cell is certain when both ends of hi + lo +- 2**-60 hi round alike
     e = hi * 2.0 ** -60
     x = hi + (lo - e)

@@ -87,22 +87,11 @@ class DiscrepancyReport:
         return asdict(self)
 
 
-def _verdict(deviation, fallback):
-    return CONFIRMED if deviation < CONFIRM_TOL else fallback
-
-
 # ---------------------------------------------------------------------------
 # oracle-side pair densities
 # ---------------------------------------------------------------------------
 
-ORACLE_ROUTES = {
-    "fermi-fock": "first-quantized",
-    "bose-fock": "first-quantized",
-    "noon": "first-quantized",
-    "thermal": "geometric-mixture",
-    "coherent": "amplitude-factorization",
-    "cothermal": "wick-moments",
-}
+_FOCK = ("fermi-fock", "bose-fock")
 
 
 def _pair_modes(spec):
@@ -130,54 +119,48 @@ def _intensities(f, g):
 
 
 def _two_particle_psi(spec, f1, g1, f2, g2):
-    """Symmetrized two-particle wavefunction from mode amplitude arrays."""
+    """Symmetrized two-particle wavefunction from mode amplitude arrays,
+    for the specs that oracle_route takes down the first-quantized route."""
+    if oracle_route(spec)[0] != "first-quantized":
+        raise UnsupportedStateError(
+            f"{_label(spec)} has no definite two-particle wavefunction")
     root2 = math.sqrt(2.0)
-    if spec.kind == "fermi-fock":
-        return (f1 * g2 - g1 * f2) / root2
     if spec.kind == "noon":
         return (f1 * f2 - g1 * g2) / root2
-    if spec.kind == "bose-fock":
-        if (spec.n, spec.m) == (1, 1):
-            return (f1 * g2 + g1 * f2) / root2
-        if (spec.n, spec.m) == (2, 0):
-            return f1 * f2
-        if (spec.n, spec.m) == (0, 2):
-            return g1 * g2
-        raise UnsupportedStateError(
-            "explicit wavefunction is limited to two-particle Fock states")
-    raise UnsupportedStateError(
-        f"kind {spec.kind!r} has no definite two-particle wavefunction")
-
-
-def _first_quantized(spec):
-    """True for the two-particle kinds with an explicit wavefunction."""
-    return spec.kind in ("fermi-fock", "noon") or (
-        spec.kind == "bose-fock" and spec.n + spec.m == 2)
+    if (spec.n, spec.m) == (2, 0):
+        return f1 * f2
+    if (spec.n, spec.m) == (0, 2):
+        return g1 * g2
+    if spec.kind == "fermi-fock":
+        return (f1 * g2 - g1 * f2) / root2
+    return (f1 * g2 + g1 * f2) / root2
 
 
 def first_quantized_rho2(spec, x1, y1, x2, y2):
     """Pair density 2|Psi|^2 of a definite two-particle state.
 
-    Supports the Fock-sector kinds with exactly two particles; states with
-    indefinite particle number have no first-quantized wavefunction and
-    raise UnsupportedStateError (they are cross-checked through mixture,
-    factorization, or moment identities instead). Each point is a
-    one-node Gram matrix of the |Psi|^2 quadratures below.
+    Supports NOON and the Fock states of exactly two particles; every
+    other spec has no definite two-particle wavefunction and raises
+    UnsupportedStateError (it is cross-checked through the permanent
+    expansion, mixture, factorization, or moment identities instead). Each
+    point is a one-node Gram matrix of the |Psi|^2 quadratures below.
     """
     return 2.0 * _psi_mass(spec, _gram(spec, [(1.0, x1, y1)]),
                            _gram(spec, [(1.0, x2, y2)]))
 
 
-def fock_pair_density(cross, same_a, same_b, f1, g1, f2, g2):
-    """Bosonic pair density from mode amplitude arrays.
+def fock_pair_density(weights, spec, x1, y1, x2, y2):
+    """Bosonic pair density of the mode amplitudes at the point pairs.
 
     Reduction of the permanent expansion over an orthonormal mode pair:
     only the symmetrized cross pair and the same-mode pairs survive, which
-    |n, m> weights by n m, n(n-1) and m(m-1). With c = f conj(g),
+    |n, m> weights by n m, n(n-1) and m(m-1), the three `weights`. With
+    c = f conj(g),
     |f1 g2 + g1 f2|^2 = |f1|^2 |g2|^2 + |g1|^2 |f2|^2 + 2 Re(c1 conj(c2)).
     """
-    ff1, gg1, c1 = _intensities(f1, g1)
-    ff2, gg2, c2 = _intensities(f2, g2)
+    cross, same_a, same_b = weights
+    ff1, gg1, c1 = _intensities(*_eval_pair(spec, x1, y1))
+    ff2, gg2, c2 = _intensities(*_eval_pair(spec, x2, y2))
     return _pair_sum([same_a * ff1 + cross * gg1, cross * ff1 + same_b * gg1,
                       2.0 * cross * c1.real, 2.0 * cross * c1.imag],
                      [ff2, gg2, c2.real, c2.imag])
@@ -207,11 +190,10 @@ def geometric_mixture_rho2(spec, x1, y1, x2, y2):
     templates of fock_pair_density, so the mixture weights them by geometric
     factorial moments; the truncated series tails are below 1e-12.
     """
-    f1, g1 = _eval_pair(spec, x1, y1)
-    f2, g2 = _eval_pair(spec, x2, y2)
     mean_a, fac_a = _geometric_factorial_moments(spec.nbar_a)
     mean_b, fac_b = _geometric_factorial_moments(spec.nbar_b)
-    return fock_pair_density(mean_a * mean_b, fac_a, fac_b, f1, g1, f2, g2)
+    return fock_pair_density((mean_a * mean_b, fac_a, fac_b),
+                             spec, x1, y1, x2, y2)
 
 
 def factorized_coherent_rho2(spec, x1, y1, x2, y2):
@@ -248,23 +230,31 @@ def wick_rho2(spec, x1, y1, x2, y2):
                      factors(x2, y2))
 
 
+def permanent_rho2(spec, x1, y1, x2, y2):
+    """Fock pair density from the occupations; every weight, and so the
+    density, is exactly 0 for fewer than two fermions."""
+    n, m = spec.n, spec.m
+    return fock_pair_density((n * m, n * (n - 1), m * (m - 1)),
+                             spec, x1, y1, x2, y2)
+
+
+def oracle_route(spec):
+    """The name and pair-density function of the oracle's route for `spec`.
+    A Fock state of two particles (n + m = 2; for fermions (1, 1)) has an
+    explicit wavefunction, like NOON; other occupations take the permanent
+    expansion."""
+    if spec.kind == "noon" or spec.kind in _FOCK and spec.n + spec.m == 2:
+        return "first-quantized", first_quantized_rho2
+    return {"fermi-fock": ("permanent-expansion", permanent_rho2),
+            "bose-fock": ("permanent-expansion", permanent_rho2),
+            "thermal": ("geometric-mixture", geometric_mixture_rho2),
+            "coherent": ("amplitude-factorization", factorized_coherent_rho2),
+            "cothermal": ("wick-moments", wick_rho2)}[spec.kind]
+
+
 def reference_rho2(spec, x1, y1, x2, y2):
-    """Oracle pair density along the independent route for this kind."""
-    if _first_quantized(spec):
-        return first_quantized_rho2(spec, x1, y1, x2, y2)
-    if spec.kind == "bose-fock":
-        f1, g1 = _eval_pair(spec, x1, y1)
-        f2, g2 = _eval_pair(spec, x2, y2)
-        n, m = spec.n, spec.m
-        return fock_pair_density(n * m, n * (n - 1), m * (m - 1),
-                                 f1, g1, f2, g2)
-    if spec.kind == "thermal":
-        return geometric_mixture_rho2(spec, x1, y1, x2, y2)
-    if spec.kind == "coherent":
-        return factorized_coherent_rho2(spec, x1, y1, x2, y2)
-    if spec.kind == "cothermal":
-        return wick_rho2(spec, x1, y1, x2, y2)
-    raise UnsupportedStateError(f"no oracle route for kind {spec.kind!r}")
+    """Oracle pair density along the independent route for this spec."""
+    return oracle_route(spec)[1](spec, x1, y1, x2, y2)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +275,7 @@ def printed_family(spec):
     if (kind in ("bose-fock", "coherent", "noon")
             and spec.basis != canonical(kind).basis):
         return None
-    if kind == "bose-fock":
+    if kind in _FOCK:
         donut = (spec.n, spec.m) == (1, 1)
     elif kind == "thermal":
         donut = spec.nbar_a == spec.nbar_b == 1.0
@@ -296,25 +286,22 @@ def printed_family(spec):
         donut = (abs(abs(a) - 1.0) < 1e-12
                  and (abs(a - 1j * b) < 1e-12 or abs(a + 1j * b) < 1e-12))
     else:
-        donut = kind in ("fermi-fock", "noon")
+        donut = kind == "noon"
     return kind if donut else None
 
 
 def rho1_closed(spec, x, y):
-    """Closed-form one-body density of every family."""
+    """Closed-form one-body density of every family; the Fock, NOON and
+    thermal states hold mean occupations n_a and n_b of the two modes."""
     fa, fb = _eval_pair(spec, x, y)
-    if spec.kind in ("fermi-fock", "noon"):
-        return np.abs(fa) ** 2 + np.abs(fb) ** 2
-    if spec.kind == "bose-fock":
-        return spec.n * np.abs(fa) ** 2 + spec.m * np.abs(fb) ** 2
     if spec.kind == "coherent":
         return np.abs(spec.alpha_a * fa + spec.alpha_b * fb) ** 2
-    if spec.kind == "thermal":
-        return spec.nbar_a * np.abs(fa) ** 2 + spec.nbar_b * np.abs(fb) ** 2
     if spec.kind == "cothermal":
         coh = np.abs(spec.alpha_a * fa - 1.0j * spec.alpha_a * fb) ** 2
         return coh + spec.nbar_a * (np.abs(fa) ** 2 + np.abs(fb) ** 2)
-    raise ValueError(f"no closed rho1 for kind {spec.kind!r}")
+    n_a, n_b = {"noon": (1, 1), "thermal": (spec.nbar_a, spec.nbar_b)}.get(
+        spec.kind, (spec.n, spec.m))
+    return n_a * np.abs(fa) ** 2 + n_b * np.abs(fb) ** 2
 
 
 def printed_rho2(spec, x1, y1, x2, y2):
@@ -442,8 +429,8 @@ def _gap(values, reference, out=None):
 
 
 def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION):
-    """Engine vs oracle (and the printed pair density of the families in
-    _PAIR_FORMS) over all point pairs of a resolution x resolution grid.
+    """Engine vs oracle (and the printed pair density, where _pairing_applies)
+    over all point pairs of a resolution x resolution grid.
 
     The pairs are walked in square tiles of at most _TILE_CELLS pairs, so
     every array the sweep makes holds at most that many values (1 MB) at
@@ -453,7 +440,7 @@ def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION):
     beyond the tolerances in play).
     """
     state = build_state(spec)
-    verbatim = spec.kind in _PAIR_FORMS
+    verbatim = _pairing_applies(spec)
     px, py, step = _plane_points(resolution)
     edge = math.isqrt(_TILE_CELLS)
     dev_oracle = dev_verbatim = 0.0
@@ -690,15 +677,22 @@ _PAIR_FORMS = {
 }
 
 
+def _pairing_applies(spec):
+    """The Fermi pair density is printed for (1, 1) only; the Bose,
+    coherent and thermal ones take the state's parameters."""
+    return spec is not None and spec.kind in _PAIR_FORMS and (
+        spec.kind != "fermi-fock" or printed_family(spec) is not None)
+
+
 def _engine_vs_oracle(laws):
-    sweep = laws.sweep
-    detail = (f"route={ORACLE_ROUTES[laws.spec.kind]}; pair mass engine"
+    sweep, route = laws.sweep, oracle_route(laws.spec)[0]
+    detail = (f"route={route}; pair mass engine"
               f" {sweep['mass_engine']:.12f} vs oracle"
               f" {sweep['mass_oracle']:.12f}")
-    if _first_quantized(laws.spec):
+    if route == "first-quantized":
         norm = wavefunction_norm(laws.spec, laws.resolution)
         detail += f"; wavefunction norm {norm:.12f}"
-    return sweep["dev_oracle"], detail
+    return sweep["dev_oracle"], detail, route
 
 
 def _pairing(laws):
@@ -823,13 +817,9 @@ class _Claim:
 # every claim, in report order
 _CLAIMS = (
     _Claim("rho2-engine-vs-oracle", _every_state,
-           "operator-engine pair density",
-           {kind: f"independent {route} pair density"
-            for kind, route in ORACLE_ROUTES.items()},
+           "operator-engine pair density", "independent {} pair density",
            _engine_vs_oracle, gating=True),
-    _Claim("rho2-printed-pairing",
-           lambda spec: spec is not None and spec.kind in _PAIR_FORMS,
-           _PAIR_FORMS, {
+    _Claim("rho2-printed-pairing", _pairing_applies, _PAIR_FORMS, {
         "fermi-fock": "|phi_a(r1) phi_b(r2) - phi_b(r1) phi_a(r2)|^2",
         "bose-fock": "n m |phi_a(r1) phi_b(r2) + phi_b(r1) phi_a(r2)|^2"
                      " + n(n-1)|phi_a phi_a'|^2 + m(m-1)|phi_b phi_b'|^2",
@@ -927,9 +917,19 @@ _CLAIMS = (
 )
 
 
-def _amplitude(z):
-    """1, 0.5i or 1+0.5i."""
-    z = complex(z)
+# the StateSpec fields that set a spec apart within its family; coherent
+# amplitudes are those of the basis's modes, so its basis is one of them
+_PARAMETERS = {"fermi-fock": ("n", "m"), "bose-fock": ("n", "m"),
+               "coherent": ("alpha_a", "alpha_b", "basis"),
+               "thermal": ("nbar_a", "nbar_b"),
+               "cothermal": ("alpha_a", "nbar_a"), "noon": ()}
+
+
+def _argument(value):
+    """A basis or an occupation as it is; a number as 1, 0.5i or 1+0.5i."""
+    if isinstance(value, (str, int)):
+        return str(value)
+    z = complex(value)
     if z.imag == 0.0:
         return f"{z.real:g}"
     return f"{z.real:g}{z.imag:+g}i" if z.real else f"{z.imag:g}i"
@@ -937,17 +937,18 @@ def _amplitude(z):
 
 def _label(spec):
     """The kind, then what sets the spec apart from its family's canonical
-    one: bose-fock's (n, m), coherent amplitudes, or the other basis."""
+    one: all its family parameters where any of them differs, then the
+    basis where it differs."""
     if spec is None:
         return "family"
-    args = []
-    if spec.kind == "bose-fock" and (spec.n, spec.m) != (1, 1):
-        args = [spec.n, spec.m]
-    if spec.kind == "coherent" and spec != coherent():
-        args = [_amplitude(spec.alpha_a), _amplitude(spec.alpha_b), spec.basis]
-    elif spec.basis != canonical(spec.kind).basis:
+    base, names = canonical(spec.kind), _PARAMETERS[spec.kind]
+    args = [getattr(spec, name) for name in names]
+    if args == [getattr(base, name) for name in names]:
+        args = []
+    if spec.basis != base.basis and "basis" not in names:
         args.append(spec.basis)
-    return f"{spec.kind}({','.join(map(str, args))})" if args else spec.kind
+    return (f"{spec.kind}({','.join(map(_argument, args))})" if args
+            else spec.kind)
 
 
 def _pick(text, spec):
@@ -963,7 +964,8 @@ def _report(claim, laws):
         printed_form=_pick(claim.printed, spec),
         resolved_form=_pick(claim.resolved, spec).format(*values),
         max_abs_deviation=deviation, gating=claim.gating, detail=detail,
-        verdict=_verdict(deviation, _pick(claim.fallback, spec)))
+        verdict=(CONFIRMED if deviation < CONFIRM_TOL
+                 else _pick(claim.fallback, spec)))
 
 
 def _rows(spec, resolution):

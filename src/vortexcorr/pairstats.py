@@ -76,9 +76,9 @@ class PairDistribution:
     """Normalized density over d, folded relative angle, or the angle pair.
 
     values is 1D for DISTANCE / REL_ANGLE and 2D (grid x grid) for
-    TWO_ANGLE. closure, when present, is the analytic density and takes
-    precedence in value_at. The engine's distance and relative-angle laws
-    carry meta["bosonic_weight"], which summarize reads.
+    TWO_ANGLE. closure is the analytic density of an engine law, which
+    value_at evaluates; a histogram has none. The engine's distance and
+    relative-angle laws carry meta["bosonic_weight"], which summarize reads.
     """
     variable: PairVariable
     grid: np.ndarray
@@ -88,11 +88,7 @@ class PairDistribution:
     meta: dict = field(default_factory=dict)
 
     def value_at(self, x, y=None):
-        if self.closure is None:
-            return np.interp(x, self.grid, self.values)
-        if self.variable is PairVariable.TWO_ANGLE:
-            return self.closure(x, y)
-        return self.closure(x)
+        return self.closure(x) if y is None else self.closure(x, y)
 
     def integral(self):
         """Mass of the tabulated values over the domain."""
@@ -108,7 +104,6 @@ class DistSummary:
     mean: float
     second_moment: float
     local_maxima: list
-    meta: dict = field(default_factory=dict)
 
 
 def require_pairs(matrix):
@@ -283,5 +278,4 @@ def summarize(dist):
         else:
             maxima = [0.5 * math.pi]
 
-    return DistSummary(mean=mean, second_moment=second, local_maxima=maxima,
-                       meta=dict(dist.meta))
+    return DistSummary(mean=mean, second_moment=second, local_maxima=maxima)

@@ -30,9 +30,9 @@ import numpy as np
 from .errors import (AlgebraInconsistencyError, EmptyFramesError,
                      SamplerMethodError)
 from .fock import harmonics
-from .io import _CELLS, parse_block, whole_file, write_rows
-from .pairstats import (PairDistribution, PairVariable, angular_weight,
-                        harmonic_weight, require_pairs)
+from .io import _CELLS, canonical_json, parse_block, whole_file, write_rows
+from .pairstats import (DISTANCE_MAX, PairDistribution, PairVariable,
+                        angular_weight, harmonic_weight, require_pairs)
 from .states import StateSpec, build_state, spec_from_dict, spec_to_dict
 from .version import GENERATOR_VERSION, VERSION
 
@@ -290,8 +290,8 @@ def _density_histogram(variable, samples, hi, bins):
     counts, _ = np.histogram(samples, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     values = counts / (samples.size * (edges[1] - edges[0]))
-    meta = {"bins": bins, "count": samples.size, "samples": samples}
-    return PairDistribution(variable, centers, values, meta=meta)
+    return PairDistribution(variable, centers, values,
+                            meta={"samples": samples})
 
 
 def empirical_pair_stats(frames, bins=64):
@@ -303,7 +303,7 @@ def empirical_pair_stats(frames, bins=64):
     per-frame samples (pair_separations, pair_angles) as meta["samples"].
     """
     return (_density_histogram(PairVariable.DISTANCE,
-                               pair_separations(frames), 8.0, bins),
+                               pair_separations(frames), DISTANCE_MAX, bins),
             _density_histogram(PairVariable.REL_ANGLE, pair_angles(frames),
                                math.pi, bins))
 
@@ -395,6 +395,7 @@ def chi_square_gof(samples, reference, bins=40):
 # ---------------------------------------------------------------------------
 
 _HEADER_PREFIX = "#vortexcorr-frames "
+_COLUMNS = "frame_index,x1,y1,x2,y2"
 _READ_BYTES = 1 << 18  # bytes of body per parse_block call
 _WRITE_SLICE = 20 * (_CELLS // 5)  # rows per write_rows call, whole blocks
 
@@ -420,9 +421,8 @@ def save_frames(frames, path, provenance=None):
         header["provenance"] = provenance
     rows = frames.points.reshape(-1, 4)
     with whole_file(path) as fh:
-        fh.write((_HEADER_PREFIX + json.dumps(
-            header, sort_keys=True, separators=(",", ":"))
-            + "\nframe_index,x1,y1,x2,y2\n").encode("utf-8"))
+        fh.write(f"{_HEADER_PREFIX}{canonical_json(header)}\n{_COLUMNS}\n"
+                 .encode("utf-8"))
         for lo in range(0, frames.count, _WRITE_SLICE):
             hi = min(lo + _WRITE_SLICE, frames.count)
             # the frame index is a float, exact below 2**53, that %.17g
@@ -441,7 +441,7 @@ def load_frames(path):
             raise ValueError(f"{path} is not a frames file")
         header = json.loads(first[len(_HEADER_PREFIX):])
         columns = fh.readline().decode("utf-8").strip()
-        if columns != "frame_index,x1,y1,x2,y2":
+        if columns != _COLUMNS:
             raise ValueError(f"unexpected column header {columns!r}")
         count = header["count"]
         if not isinstance(count, int) or count < 0:

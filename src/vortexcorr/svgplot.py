@@ -84,7 +84,7 @@ def _axis_ticks(lo, hi, count=5):
 
 
 class _Canvas:
-    def __init__(self, width, height):
+    def __init__(self, width, height, prov=None):
         self.width = float(width)
         self.height = float(height)
         self.parts = [
@@ -92,9 +92,9 @@ class _Canvas:
             'viewBox="0 0 %d %d">' % (width, height, width, height),
             '<rect width="%d" height="%d" fill="#ffffff"/>' % (width, height),
         ]
-
-    def desc(self, text):
-        self.parts.insert(1, "<desc>%s</desc>" % _esc(text))
+        if prov is not None:
+            self.parts.insert(1, "<desc>provenance: %s</desc>"
+                              % _esc(canonical_json(prov)))
 
     def line(self, x1, y1, x2, y2, stroke, width=1.0):
         self.parts.append(
@@ -132,15 +132,15 @@ class _Canvas:
             '<path d="%s" fill="none" stroke="%s" stroke-width="%.2f"/>'
             % (d, stroke, _px(width)))
 
-    def text(self, x, y, content, size=11, anchor="start", rotate=None, fill="#333333"):
+    def text(self, x, y, content, size=11, anchor="start", rotate=None):
         x, y = _px([x, y])
         extra = ""
         if rotate is not None:
             extra = ' transform="rotate(%.2f %.2f %.2f)"' % (_px(rotate), x, y)
         self.parts.append(
             '<text x="%.2f" y="%.2f" font-family="sans-serif" '
-            'font-size="%.2f" text-anchor="%s" fill="%s"%s>%s</text>'
-            % (x, y, _px(size), anchor, fill, extra, _esc(content)))
+            'font-size="%.2f" text-anchor="%s" fill="#333333"%s>%s</text>'
+            % (x, y, _px(size), anchor, extra, _esc(content)))
 
     def write(self, path):
         """The document, written to `path` one part at a time."""
@@ -203,9 +203,7 @@ def svg_chart(path, series, title="", xlabel="", ylabel="", prov=None):
         yhi = ylo + 1.0
     yhi += 0.06 * (yhi - ylo)
 
-    canvas = _Canvas(*_CHART_SIZE)
-    if prov is not None:
-        canvas.desc("provenance: " + canonical_json(prov))
+    canvas = _Canvas(*_CHART_SIZE, prov)
     to_x, to_y = _frame_axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
 
     order = sorted(range(len(series)),
@@ -259,9 +257,7 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
     vmin = float(min(values.min(), 0.0))
     span = vmax - vmin if vmax > vmin else 1.0
 
-    canvas = _Canvas(*_HEATMAP_SIZE)
-    if prov is not None:
-        canvas.desc("provenance: " + canonical_json(prov))
+    canvas = _Canvas(*_HEATMAP_SIZE, prov)
     left, right = _MARGIN_L, canvas.width - _MARGIN_R - 56.0
     top, bottom = _MARGIN_T, canvas.height - _MARGIN_B
     cell_w = (right - left) / len(x)

@@ -1,6 +1,6 @@
 """The pure parts of tools/bench_pairs.py, on synthetic perfbench records:
-the run order, the pairing, quartiles, the split by run order and the
-BENCH file layout."""
+the run order, the pairing, quartiles, the split by run order, the
+verdicts and the BENCH file layout."""
 
 import importlib.util
 import json
@@ -62,7 +62,8 @@ def test_order_split_separates_the_side_run_first():
 
 def test_summary_pairs_runs_by_seed():
     entry = bench_pairs.summarize(_pairs([10.0, 11.0, 12.0], [9.0, 12.0,
-                                                             11.0]))
+                                                             11.0]),
+                                  bench_pairs.read_bounds())
     assert entry["seeds"] == [3201, 3202, 3203]
     assert entry["order"] == ["parent", "change", "parent"]
     assert entry["failed_jobs"] == {"parent": 0, "change": 1}
@@ -81,7 +82,8 @@ def test_summary_pairs_runs_by_seed():
 def test_document_keeps_the_layout_of_bench_25():
     with open(os.path.join(ROOT, "BENCH_25.json"), encoding="utf-8") as fh:
         old = json.load(fh)
-    workloads = {name: bench_pairs.summarize(_pairs([1.0, 2.0], [0.5, 2.5]))
+    workloads = {name: bench_pairs.summarize(_pairs([1.0, 2.0], [0.5, 2.5]),
+                                             bench_pairs.read_bounds())
                  for name in old["workloads"]}
     tier1 = {"command": bench_pairs.TIER1, "unit": "s", "source": "",
              "parent": {"tests": 1, "runs_s": [1.0]},
@@ -106,3 +108,44 @@ def test_document_keeps_the_layout_of_bench_25():
     assert dispatch and all(isinstance(t, str) for t in dispatch)
     assert "numpy_cpu_features" in doc["machine"]
     assert json.loads(json.dumps(doc)) == doc
+
+
+_PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+
+
+@pytest.mark.parametrize("change, want", [
+    # 10 of 10 pairs, and the median 0.2 below, far beyond the spread
+    ([p - 0.2 for p in _PARENT], "gain"),
+    # 9 of 10 pairs still make a gain
+    ([p - 0.2 for p in _PARENT[:9]] + [_PARENT[9] + 0.1], "gain"),
+    # 8 of 10 pairs do not, however far the median falls
+    ([p - 0.2 for p in _PARENT[:8]] + [p + 0.1 for p in _PARENT[8:]],
+     "unchanged"),
+    # every pair won, by less than the parent's quartile spread (0.02)
+    ([p - 0.01 for p in _PARENT], "unchanged"),
+    # the median 26 % above the parent's
+    ([p + 0.26 for p in _PARENT], "regression"),
+    # 24 % above: within the bound
+    ([p + 0.24 for p in _PARENT], "unchanged"),
+])
+def test_verdict_on_synthetic_pairs(change, want):
+    assert bench_pairs.verdict(_PARENT, change, 0.25) == want
+
+
+def test_verdict_is_unresolved_when_the_parent_spreads_beyond_the_bound():
+    parent = [1.0, 0.6, 1.4, 0.7, 1.3, 1.0, 0.65, 1.35, 1.0, 1.0]
+    assert bench_pairs.verdict(parent, parent, 0.25) == "unresolved"
+    # a worse median beyond the bound is a regression all the same
+    assert bench_pairs.verdict(parent, [p + 0.3 for p in parent],
+                               0.25) == "regression"
+    assert bench_pairs.verdict(parent, [p - 0.5 for p in parent],
+                               0.25) == "gain"
+
+
+def test_summary_gives_each_metric_its_verdict():
+    bounds = bench_pairs.read_bounds()
+    assert set(bounds) == set(bench_pairs.METRICS)
+    entry = bench_pairs.summarize(
+        _pairs(_PARENT, [p + 2.0 for p in _PARENT]), bounds)
+    assert {m: f["verdict"] for m, f in entry["metrics"].items()} == {
+        m: "regression" for m in bench_pairs.METRICS}

@@ -62,6 +62,19 @@ def test_profile_outputs(tmp_path):
     assert len(rows) == 31 * 31
 
 
+@pytest.mark.parametrize("occupations", [("1", "0"), ("0", "1"), ("0", "0")],
+                         ids="-".join)
+def test_profile_closed_form_follows_the_fermi_occupations(tmp_path,
+                                                           occupations):
+    n, m = occupations
+    assert main(["profile", "--state", "fermi-fock", "--n", n, "--m", m,
+                 "--step", "0.3", "--formats", "json",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "profile_summary.json").read_text())
+    assert summary["radial_cut_vs_closed_form_sup"] <= 1e-12
+    assert abs(summary["total"] - (int(n) + int(m))) < 1e-6
+
+
 def test_pairdist_bose_summary(tmp_path):
     rc = main(["pairdist", "--state", "bose-fock", "--n", "1", "--m", "1",
                "--points", "201", "--out", str(tmp_path)])

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from vortexcorr import density, oracle
+from vortexcorr.errors import UnsupportedStateError
 from vortexcorr.modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
 from vortexcorr.oracle import (
     EXTENT,
@@ -31,7 +32,9 @@ from vortexcorr.oracle import (
     wavefunction_norm,
 )
 from vortexcorr.states import (
+    StateSpec,
     bose_fock,
+    build_state,
     coherent,
     cothermal,
     fermi_fock,
@@ -219,10 +222,14 @@ def _called_names(tree):
 
 
 def _reachable(funcs, start):
-    """Module functions called from `start`, directly or through others."""
+    """Module functions called from `start`, directly or through others,
+    and those it holds as values (a route table) and what they reach."""
     seen, todo = set(), [start]
     while todo:
-        for name in _called_names(funcs[todo.pop()]) - seen:
+        tree = funcs[todo.pop()]
+        held = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in funcs}
+        for name in (_called_names(tree) | held) - seen:
             seen.add(name)
             if name in funcs:
                 todo.append(name)
@@ -352,8 +359,73 @@ def test_row_labels_name_a_basis_other_than_the_family_default(bose_rows):
         replace(coherent(), basis="dipole"): "coherent",
         replace(coherent(), basis="vortex"): "coherent(1i,1,vortex)",
         oracle.TILTED_COHERENT: "coherent(1,0.5i,vortex)",
+        # every family names its parameters where they differ
+        thermal(2.0, 0.5): "thermal(2,0.5)",
+        replace(thermal(2.0, 0.5), basis="dipole"): "thermal(2,0.5,dipole)",
+        cothermal(0.6 + 0.4j, 0.3): "cothermal(0.6+0.4i,0.3)",
+        cothermal(nbar=0.3): "cothermal(0.707107,0.3)",
+        replace(cothermal(0.6 + 0.4j, 0.3), basis="vortex"):
+            "cothermal(0.6+0.4i,0.3,vortex)",
     }
     assert {spec: oracle._label(spec) for spec in labels} == labels
+    rows = cross_validate(thermal(2.0, 0.5), resolution=15)
+    assert {r.kind for r in rows} == {"thermal(2,0.5)"}
+
+
+def test_one_route_function_names_and_computes_each_route():
+    routes = {
+        fermi_fock(): "first-quantized",
+        fermi_fock(basis="dipole"): "first-quantized",
+        bose_fock(1, 1): "first-quantized",
+        bose_fock(2, 0): "first-quantized",
+        bose_fock(0, 2, basis="dipole"): "first-quantized",
+        noon(): "first-quantized",
+        bose_fock(3, 1): "permanent-expansion",
+        bose_fock(1, 0): "permanent-expansion",
+        StateSpec("fermi-fock", n=1, m=0): "permanent-expansion",
+        thermal(): "geometric-mixture",
+        coherent(): "amplitude-factorization",
+        oracle.TILTED_COHERENT: "amplitude-factorization",
+        cothermal(): "wick-moments",
+    }
+    assert {spec: oracle.oracle_route(spec)[0] for spec in routes} == routes
+    x = np.array([0.3, -1.1, 0.8])
+    for spec in routes:
+        np.testing.assert_array_equal(
+            oracle.reference_rho2(spec, x, x[::-1], -x, x),
+            oracle.oracle_route(spec)[1](spec, x, x[::-1], -x, x))
+    # the verify row names the route the sweep took
+    row = _row(cross_validate(bose_fock(3, 1), resolution=15),
+               "rho2-engine-vs-oracle")
+    assert row.resolved_form == "independent permanent-expansion pair density"
+    assert row.detail.startswith("route=permanent-expansion; ")
+    assert "wavefunction norm" not in row.detail
+    assert not hasattr(oracle, "ORACLE_ROUTES")
+
+
+@pytest.mark.parametrize("occupations", [(1, 0), (0, 1), (0, 0)],
+                         ids=lambda nm: "%d-%d" % nm)
+def test_fermi_states_with_fewer_fermions(occupations):
+    # fewer than two fermions have no pairs: the permanent expansion is
+    # exactly 0, like the engine, and no printed law describes the state
+    n, m = occupations
+    spec = StateSpec("fermi-fock", n=n, m=m)
+    assert printed_family(spec) is None
+    x = np.linspace(-2.0, 2.0, 9)
+    assert not np.any(oracle.reference_rho2(spec, x[:, None], x[:, None],
+                                            x[None, :], -x[None, :]))
+    with pytest.raises(UnsupportedStateError):
+        oracle.first_quantized_rho2(spec, x, x, x, x)
+    rows = cross_validate(spec, resolution=15)
+    assert {r.kind for r in rows} == {f"fermi-fock({n},{m})"}
+    assert all_engine_checks_confirmed(rows)
+    assert any(r.gating for r in rows)
+    assert not [r.claim_id for r in rows if "printed" in r.claim_id]
+    # the closed one-body density is n |phi_a|^2 + m |phi_b|^2
+    state = build_state(spec)
+    np.testing.assert_allclose(oracle.rho1_closed(spec, x, -0.5 * x),
+                               density.rho1(state, x, -0.5 * x),
+                               rtol=0, atol=1e-15)
 
 
 def test_donut_detection_requires_quadrature_phase():

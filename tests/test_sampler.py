@@ -210,6 +210,9 @@ _FRAME_PINS = {
                   "68e7728abe0589237ab34c0ccafa5571", 2518),
     "noon": (noon(), "8ff9a79bcf98a129b28c95bb66182fc4"
              "4c6d004124cf4da41b47e8075efd184a", 3937),
+    # the one pinned state whose M couples sin 2 theta (M_01, M_02)
+    "tilted-coherent": (oracle.TILTED_COHERENT, "e752a20e3996a102df0bf5c2"
+                        "4e4f977803b39aba459ec0357c078b029c93b19d", 6789),
 }
 
 
@@ -339,7 +342,26 @@ _TILTED_STATES = {
     "tilted-coherent": oracle.TILTED_COHERENT,
     "dipole-coherent": StateSpec(kind="coherent", alpha_a=1.0, alpha_b=0.6,
                                  basis="dipole"),
+    # off its canonical amplitude: M_02 = -2.33
+    "tilted-cothermal": StateSpec("cothermal", alpha_a=0.6 + 0.4j,
+                                  nbar_a=0.3, basis="vortex"),
 }
+
+
+@pytest.mark.parametrize("name", sorted(_TILTED_STATES))
+def test_angular_law_is_the_oracle_pair_density_on_rings(name):
+    # rho2 = r^2 s^2 exp(-r^2 - s^2) W(theta, vartheta) / pi^2 on the
+    # rings r and s, so W is the oracle's own pair density rescaled
+    spec = _TILTED_STATES[name]
+    law = sampler.AngularLaw(build_state(spec))
+    angles = 2.0 * math.pi * np.arange(8) / 8.0
+    theta, vartheta = angles[:, None], angles[None, :]
+    r, s = 0.9, 1.4
+    rho = oracle.reference_rho2(spec, r * np.cos(theta), r * np.sin(theta),
+                                s * np.cos(vartheta), s * np.sin(vartheta))
+    want = math.pi ** 2 * math.exp(r * r + s * s) * rho / (r * s) ** 2
+    got = law(theta, vartheta)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", sorted(_TILTED_STATES))

@@ -14,8 +14,10 @@ of workload i uses seed `100 pr + 100 i + k + 1` on both sides; the
 parent runs first in even pairs and the change in odd ones, and the
 order is recorded. All four end-to-end metrics are lower-is-better; a
 pair is won when the change's figure is lower, ties counting for neither
-side. Last, Tier-1 runs once in each checkout, and the file is written
-as BENCH_<pr>.json in the current directory.
+side. Each workload and metric gets a verdict (see `verdict`) against
+the metric's bound in BENCHMARK.json, which is only read. Last, Tier-1
+runs once in each checkout, and the file is written as BENCH_<pr>.json
+in the current directory.
 """
 
 import argparse
@@ -40,6 +42,14 @@ PAIRS = 10
 BENCHMARK = ("python3 perfbench/run.py --workload W --seed S "
              f"--seconds {SECONDS} --trace 0")
 TIER1 = "PYTHONPATH=src python -m pytest -q -p no:cacheprovider"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def read_bounds():
+    """Each end-to-end metric's bound in BENCHMARK.json: the fraction by
+    which the change's median may exceed the parent's."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
 
 
 def first_side(pair):
@@ -64,6 +74,23 @@ def pairs_won(parent, change):
     return sum(c < p for p, c in zip(parent, change))
 
 
+def verdict(parent, change, bound):
+    """`gain` when the change wins at least 9 in 10 pairs and its median
+    beats the parent's by more than the parent's quartile spread;
+    `regression` when its median is worse than the parent's by more than
+    the fraction `bound`; `unresolved` when the parent's quartile spread
+    exceeds that fraction of its median; else `unchanged`."""
+    q1, median, q3 = np.percentile(np.asarray(parent, dtype=float),
+                                   [25, 50, 75])
+    ours = float(np.median(change))
+    if (10 * pairs_won(parent, change) >= 9 * len(parent)
+            and median - ours > q3 - q1):
+        return "gain"
+    if ours > median * (1.0 + bound):
+        return "regression"
+    return "unresolved" if q3 - q1 > bound * median else "unchanged"
+
+
 def order_split(parent, change, order):
     """Median change - parent over the pairs in which each side ran
     first, so that a verdict that follows the run order shows."""
@@ -75,10 +102,10 @@ def order_split(parent, change, order):
     return split
 
 
-def summarize(pairs):
+def summarize(pairs, bounds):
     """A workload's entry of the BENCH file from its pairs, each a dict
     with its "seed", the side that ran "first", and the "parent" and
-    "change" records of perfbench/run.py."""
+    "change" records of perfbench/run.py; `bounds` as read_bounds."""
     order = [p["first"] for p in pairs]
     entry = {
         "seeds": [p["seed"] for p in pairs],
@@ -98,6 +125,8 @@ def summarize(pairs):
         entry["metrics"][name] = {
             **{s: quartiles(runs[s]) for s in SIDES},
             "pairs_won": pairs_won(runs["parent"], runs["change"]),
+            "verdict": verdict(runs["parent"], runs["change"],
+                               bounds[name]),
             "by_order": order_split(runs["parent"], runs["change"], order),
             "runs": runs,
         }
@@ -130,7 +159,12 @@ def document(parent, change, workloads, machine, tier1):
             "lower; `by_order` is the median change - parent over the pairs "
             "each side ran first; runs lists each side's run medians in "
             "seed order; wall_s sits on the harness's 50 ms wait grid, so "
-            "speed claims use command_s"),
+            "speed claims use command_s; verdict: gain when the change wins "
+            ">= 9 in 10 pairs and its median beats the parent's by more than "
+            "the parent's quartile spread, regression when its median is "
+            "worse by more than the metric's BENCHMARK.json bound (a "
+            "fraction of the parent's median), unresolved when the parent's "
+            "quartile spread exceeds that bound, else unchanged"),
         "parent_commit": parent,
         "change_commit": change,
         "machine": machine,
@@ -207,7 +241,7 @@ def main(argv=None):
     try:
         roots = {s: os.path.join(work, s) for s in SIDES}
         commits = {s: checkout(getattr(args, s), roots[s]) for s in SIDES}
-        workloads, machine = {}, None
+        workloads, machine, bounds = {}, None, read_bounds()
         for i, workload in enumerate(WORKLOADS):
             pairs = []
             for k, seed in enumerate(seeds(i, PAIRS, 100 * args.pr)):
@@ -220,7 +254,7 @@ def main(argv=None):
                                      for m in METRICS), flush=True)
                 pairs.append(pair)
                 machine = machine or pair["parent"]["machine"]
-            workloads[workload] = summarize(pairs)
+            workloads[workload] = summarize(pairs, bounds)
         tier1 = {"command": TIER1, "unit": "s",
                  "source": "wall time of one run per checkout, "
                            "PYTHONDONTWRITEBYTECODE=1",

@@ -377,6 +377,10 @@ def resolve_config(args):
 
 
 def _path(cfg, name):
+    """Where output `name` goes, or None when --formats leaves out the
+    format its suffix names (.csv, .json or .svg)."""
+    if name.rsplit(".", 1)[1] not in cfg.formats:
+        return None
     out = cfg.out.rstrip("/")
     if out in ("", "."):
         return name
@@ -384,44 +388,50 @@ def _path(cfg, name):
     return out + "/" + name
 
 
-def cmd_profile(cfg):
-    state = build_state(cfg.spec)
+def _write(cfg, name, writer, *args, **kwargs):
+    """writer(path, *args, **kwargs) for output `name`, as _path decides."""
+    path = _path(cfg, name)
+    if path is not None:
+        writer(path, *args, **kwargs)
+
+
+def _write_summary(cfg, name, payload, prov):
+    """JSON output `name`: `payload` with the run's provenance and, for
+    every command that takes a state, the state."""
+    state = {} if cfg.spec is None else {"state": spec_to_dict(cfg.spec)}
+    _write(cfg, name, write_json, {**payload, **state, "provenance": prov})
+
+
+def cmd_profile(cfg, state, prov):
     fld = density_grid(state, extent=cfg.extent, step=cfg.step)
-    prov = cfg.prov(state)
 
     r_axis = np.arange(0.0, cfg.extent + 0.5 * cfg.step, cfg.step)
     cut = rho1(state, r_axis, np.zeros_like(r_axis))
     closed_cut = rho1_closed(cfg.spec, r_axis, np.zeros_like(r_axis))
 
-    if "csv" in cfg.formats:
-        # values[i, j] sits at (x[i], y[j]); rows run over j within i
-        write_csv(_path(cfg, "profile_grid.csv"), ("x", "y", "density"),
-                  (fld.x[:, None], fld.y[None, :], fld.values), prov=prov,
-                  comments=("one-body density rho1(x, y) on a uniform grid",))
-        write_csv(_path(cfg, "profile_radial_cut.csv"),
-                  ("r", "density", "closed_form"), (r_axis, cut, closed_cut),
-                  prov=prov, comments=("cut along the radius at angle 0",))
-    if "json" in cfg.formats:
-        imax = int(np.argmax(cut))
-        write_json(_path(cfg, "profile_summary.json"), {
-            "state": spec_to_dict(cfg.spec),
-            "grid": {"extent": cfg.extent, "step": cfg.step,
-                     "points_per_axis": len(fld.x)},
-            "total": fld.total,
-            "center_value": float(rho1(state, 0.0, 0.0)),
-            "max_value": float(np.max(fld.values)),
-            "peak_radius": float(r_axis[imax]),
-            "radial_cut_vs_closed_form_sup": float(
-                np.max(np.abs(cut - closed_cut))),
-            "provenance": prov,
-        })
-    if "svg" in cfg.formats:
-        svg_heatmap(_path(cfg, "profile_heatmap.svg"), fld.x, fld.y,
-                    fld.values.T, title="one-body density", prov=prov)
+    # values[i, j] sits at (x[i], y[j]); rows run over j within i
+    _write(cfg, "profile_grid.csv", write_csv, ("x", "y", "density"),
+           (fld.x[:, None], fld.y[None, :], fld.values), prov=prov,
+           comments=("one-body density rho1(x, y) on a uniform grid",))
+    _write(cfg, "profile_radial_cut.csv", write_csv,
+           ("r", "density", "closed_form"), (r_axis, cut, closed_cut),
+           prov=prov, comments=("cut along the radius at angle 0",))
+    _write_summary(cfg, "profile_summary.json", {
+        "grid": {"extent": cfg.extent, "step": cfg.step,
+                 "points_per_axis": len(fld.x)},
+        "total": fld.total,
+        "center_value": float(rho1(state, 0.0, 0.0)),
+        "max_value": float(np.max(fld.values)),
+        "peak_radius": float(r_axis[int(np.argmax(cut))]),
+        "radial_cut_vs_closed_form_sup": float(
+            np.max(np.abs(cut - closed_cut))),
+    }, prov)
+    _write(cfg, "profile_heatmap.svg", svg_heatmap, fld.x, fld.y,
+           fld.values.T, title="one-body density", prov=prov)
     return EXIT_OK
 
 
-def _write_law(cfg, state, name, dist, forms, axes, summary, comment,
+def _write_law(cfg, prov, name, dist, forms, axes, summary, comment,
                **labels):
     """Write one law's files, as --formats asks: its table, `summary`
     with the entries every law shares, and its chart. `axes` maps the
@@ -430,44 +440,37 @@ def _write_law(cfg, state, name, dist, forms, axes, summary, comment,
     closed form of the printed family in `forms`, where there is one, is
     evaluated on them, written as the last column, overlaid and measured
     in the summary."""
-    prov = cfg.prov(state)
     law = forms.get(printed_family(cfg.spec))
     closed = law(*axes.values()) if law else None
     surface = len(axes) > 1
-    if "csv" in cfg.formats:
-        columns = {**axes, "density": dist.values}
-        if closed is not None:
-            columns["closed_form"] = closed
-        write_csv(_path(cfg, name + ("_surface.csv" if surface
-                                     else "_distribution.csv")),
-                  tuple(columns), tuple(columns.values()), prov=prov,
-                  comments=(comment,))
-    if "json" in cfg.formats:
-        summary.update(state=spec_to_dict(cfg.spec), points=cfg.points,
-                       provenance=prov)
-        if closed is not None:
-            summary["closed_form_sup_deviation"] = float(
-                np.max(np.abs(dist.values - closed)))
-        write_json(_path(cfg, name + "_summary.json"), summary)
-    if "svg" in cfg.formats and surface:
-        svg_heatmap(_path(cfg, name + "_heatmap.svg"),
-                    *(a.ravel() for a in axes.values()), dist.values.T,
-                    prov=prov, **labels)
-    elif "svg" in cfg.formats:
+    columns = {**axes, "density": dist.values}
+    summary["points"] = cfg.points
+    if closed is not None:
+        columns["closed_form"] = closed
+        summary["closed_form_sup_deviation"] = float(
+            np.max(np.abs(dist.values - closed)))
+    _write(cfg, name + ("_surface.csv" if surface else "_distribution.csv"),
+           write_csv, tuple(columns), tuple(columns.values()), prov=prov,
+           comments=(comment,))
+    _write_summary(cfg, name + "_summary.json", summary, prov)
+    if surface:
+        _write(cfg, name + "_heatmap.svg", svg_heatmap,
+               *(a.ravel() for a in axes.values()), dist.values.T,
+               prov=prov, **labels)
+    else:
         series = [{"label": "kernel", "x": dist.grid, "y": dist.values}]
         if closed is not None:
             series.append({"label": "closed form", "x": dist.grid,
                            "y": closed})
-        svg_chart(_path(cfg, name + "_overlay.svg"), series, prov=prov,
-                  **labels)
+        _write(cfg, name + "_overlay.svg", svg_chart, series, prov=prov,
+               **labels)
     return EXIT_OK
 
 
-def _two_angle_outputs(cfg):
-    state = build_state(cfg.spec)
+def _two_angle_outputs(cfg, state, prov):
     dist = pairstats.two_angle_distribution(state, n_points=cfg.points)
     return _write_law(
-        cfg, state, "two_angle", dist, TWO_ANGLE_FORMS,
+        cfg, prov, "two_angle", dist, TWO_ANGLE_FORMS,
         {"theta_1": dist.grid[:, None], "theta_2": dist.grid[None, :]},
         {"integral": dist.integral(),
          "max_value": float(np.max(dist.values)),
@@ -483,22 +486,20 @@ def _moments(dist):
             "pair_normalization": dist.normalization}
 
 
-def cmd_pairdist(cfg):
-    state = build_state(cfg.spec)
+def cmd_pairdist(cfg, state, prov):
     dist = pairstats.distance_distribution(state, n_points=cfg.points)
     summary = _moments(dist)
     summary["variance"] = summary["second_moment"] - summary["mean"] ** 2
     # the overlaid Bose closed form carries the restored leading d factor;
     # the flag records that the corrected form is overlaid
     summary["bose-form-corrected"] = printed_family(cfg.spec) == "bose-fock"
-    return _write_law(cfg, state, "pairdist", dist, DISTANCE_FORMS,
+    return _write_law(cfg, prov, "pairdist", dist, DISTANCE_FORMS,
                       {"d": dist.grid}, summary, "pair-distance density D(d)",
                       title="pair-distance density", xlabel="d",
                       ylabel="D(d)")
 
 
-def cmd_pairangle(cfg):
-    state = build_state(cfg.spec)
+def cmd_pairangle(cfg, state, prov):
     # every state has a folded law; pairangle publishes isotropic ones
     pairstats.require_pairs(harmonics(state)[1])
     defect = pair_isotropy_defect(state)
@@ -510,7 +511,7 @@ def cmd_pairangle(cfg):
     summary = _moments(dist)
     summary.update(max_value=float(np.max(dist.values)),
                    min_value=float(np.min(dist.values)))
-    return _write_law(cfg, state, "pairangle", dist, ANGLE_FORMS,
+    return _write_law(cfg, prov, "pairangle", dist, ANGLE_FORMS,
                       {"delta": dist.grid}, summary,
                       "relative-angle density on [0, pi)",
                       title="relative-angle density", xlabel="delta",
@@ -550,59 +551,49 @@ def _write_frame_stats(cfg, state, frames, prov):
                 "per-frame relative angles folded to [0, pi)"))
     for name, x, hist, ref, title, comment in outputs:
         at = ref.value_at(hist.grid)
-        if "csv" in cfg.formats:
-            write_csv(_path(cfg, f"frames_{name}_hist.csv"),
-                      (x, "density", "reference"),
-                      (hist.grid, hist.values, at), prov=prov,
-                      comments=(comment,))
-        if "svg" in cfg.formats:
-            svg_chart(_path(cfg, f"frames_{name}.svg"),
-                      [{"label": "frames", "x": hist.grid,
-                        "y": hist.values, "style": "bar"},
-                       {"label": "reference", "x": hist.grid, "y": at}],
-                      title="empirical " + title, xlabel=x,
-                      ylabel=f"D({x})", prov=prov)
-    if "json" in cfg.formats:
-        write_json(_path(cfg, "frames_stats.json"), {
-            "state": spec_to_dict(cfg.spec),
-            "count": frames.count,
-            "method": frames.method,
-            "acceptance_rate": frames.acceptance_rate,
-            "mean_distance": mean_d,
-            "mean_distance_se": se_d,
-            "reference_mean_distance": d_summary.mean,
-            "mean_distance_z": z_d,
-            "bosonic_weight": weight,
-            "bosonic_weight_estimate": w_hat,
-            "bosonic_weight_estimate_se": se_w,
-            "bosonic_weight_z": z_w,
-            "distance_gof": asdict(d_gof),
-            "angle_gof": asdict(a_gof),
-            "provenance": prov,
-        })
+        _write(cfg, f"frames_{name}_hist.csv", write_csv,
+               (x, "density", "reference"), (hist.grid, hist.values, at),
+               prov=prov, comments=(comment,))
+        _write(cfg, f"frames_{name}.svg", svg_chart,
+               [{"label": "frames", "x": hist.grid, "y": hist.values,
+                 "style": "bar"},
+                {"label": "reference", "x": hist.grid, "y": at}],
+               title="empirical " + title, xlabel=x, ylabel=f"D({x})",
+               prov=prov)
+    _write_summary(cfg, "frames_stats.json", {
+        "count": frames.count,
+        "method": frames.method,
+        "acceptance_rate": frames.acceptance_rate,
+        "mean_distance": mean_d,
+        "mean_distance_se": se_d,
+        "reference_mean_distance": d_summary.mean,
+        "mean_distance_z": z_d,
+        "bosonic_weight": weight,
+        "bosonic_weight_estimate": w_hat,
+        "bosonic_weight_estimate_se": se_w,
+        "bosonic_weight_z": z_w,
+        "distance_gof": asdict(d_gof),
+        "angle_gof": asdict(a_gof),
+    }, prov)
 
 
-def cmd_frames(cfg):
-    state = build_state(cfg.spec)
+def cmd_frames(cfg, state, prov):
     frames = generate_frames(state, cfg.count, cfg.seed, threads=cfg.threads)
-    prov = cfg.prov(state)
-    save_frames(frames, _path(cfg, "frames.csv"), provenance=prov)
+    _write(cfg, "frames.csv",
+           lambda path: save_frames(frames, path, provenance=prov))
     if cfg.stats:
         _write_frame_stats(cfg, state, frames, prov)
     return EXIT_OK
 
 
-def cmd_verify(cfg):
+def cmd_verify(cfg, state, prov):
     reports = full_report(resolution=cfg.resolution)
     ok = all_engine_checks_confirmed(reports)
-    prov = cfg.prov()
-    if "json" in cfg.formats:
-        write_json(_path(cfg, "verify_report.json"), {
-            "resolution": cfg.resolution,
-            "all_engine_checks_confirmed": ok,
-            "reports": [r.as_dict() for r in reports],
-            "provenance": prov,
-        })
+    _write_summary(cfg, "verify_report.json", {
+        "resolution": cfg.resolution,
+        "all_engine_checks_confirmed": ok,
+        "reports": [r.as_dict() for r in reports],
+    }, prov)
 
     widths = (max(len(r.kind) for r in reports),
               max(len(r.claim_id) for r in reports))
@@ -634,9 +625,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if getattr(cfg, "two_angle", False):  # pairdist and pairangle
-            return _two_angle_outputs(cfg)
-        return _HANDLERS[args.command](cfg)
+        # every command but verify works on one state, built here once;
+        # pairdist and pairangle share the --two-angle outputs
+        state = None if cfg.spec is None else build_state(cfg.spec)
+        handler = (_two_angle_outputs if getattr(cfg, "two_angle", False)
+                   else _HANDLERS[args.command])
+        return handler(cfg, state, cfg.prov(state))
     except _CONFIG_ERRORS as exc:
         print(f"vortexcorr: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -696,6 +696,9 @@ def _engine_vs_oracle(laws):
 
 
 def _pairing(laws):
+    """A vortex Fock state, like the two-fermion state in either basis, is
+    rotation invariant. Dipole modes pair like x and y: x x' + y y' is
+    invariant, x y' + y x' is not, and x^2 x'^2 or y^2 y'^2 terms are not."""
     spec, extra = laws.spec, ""
     if spec.kind == "bose-fock" and min(spec.n, spec.m) == 0:
         extra = ("; the cross term carries the pairing mismatch and"
@@ -703,10 +706,20 @@ def _pairing(laws):
     elif spec.kind == "coherent":
         extra = ("; under the reading rho1_a rho1_b = rho1 x rho1 of"
                  " the full one-body density the product form is exact")
-    elif spec.kind in ("fermi-fock", "bose-fock"):
-        extra = ("; same-label pairing breaks rotation invariance of"
-                 " the one-quantum-per-mode state, the cross pairing"
-                 " restores it")
+    elif spec.kind in _FOCK:
+        one_each = (spec.n, spec.m) == (1, 1)
+        if spec.kind == "fermi-fock" or spec.basis == "vortex":
+            extra = ("; same-label pairing breaks rotation invariance of the "
+                     + ("one-quantum-per-mode state" if one_each
+                        else "vortex-mode Fock state")
+                     + ", the cross pairing restores it")
+        elif one_each:
+            extra = ("; same-label pairing is rotation invariant, the cross"
+                     " pairing of the one-quantum-per-mode dipole state is"
+                     " not")
+        else:
+            extra = ("; neither pairing of this dipole-mode Fock state is"
+                     " rotation invariant")
     return (laws.sweep["dev_verbatim"],
             f"sup over the resolution^4 pair grid{extra}")
 
@@ -926,13 +939,16 @@ _PARAMETERS = {"fermi-fock": ("n", "m"), "bose-fock": ("n", "m"),
 
 
 def _argument(value):
-    """A basis or an occupation as it is; a number as 1, 0.5i or 1+0.5i."""
+    """A basis or an occupation as it is; a number as 1, 0.5i or 1+0.5i,
+    each part the shortest repr that reads back, less a trailing .0."""
     if isinstance(value, (str, int)):
         return str(value)
     z = complex(value)
+    real, imag = (repr(x).removesuffix(".0") for x in (z.real, z.imag))
     if z.imag == 0.0:
-        return f"{z.real:g}"
-    return f"{z.real:g}{z.imag:+g}i" if z.real else f"{z.imag:g}i"
+        return real
+    sign = "" if imag.startswith("-") else "+"
+    return f"{real}{sign}{imag}i" if z.real else f"{imag}i"
 
 
 def _label(spec):

@@ -37,10 +37,11 @@ so all angular physics sits in the nine real numbers of M,
 and each radial integral int r dr r^2 exp(-r^2) / pi = 1/(2 pi) is a
 constant. Hence J(t, v) = W(t, v) / (4 pi^2 N2), and f(D) is the
 phi-average of W(phi, phi + D) over 2 pi N2. g has period pi, so
-f(D + pi) = f(D) and the law folded to [0, pi) is 2 f(D), three numbers:
+f(D + pi) = f(D) and the law folded to [0, pi) is 2 f(D),
 (M_00 + [(M_11 + M_22) cos 2D + (M_12 - M_21) sin 2D] / 2) / (pi N2).
-rho2 is exchange symmetric, so M is symmetric, and for every state,
-isotropic or not, this folded law is (1 + (2w - 1) cos 2D) / pi with the
+rho2 is exchange symmetric, so M is symmetric and the sin 2D term is 0:
+for every state, isotropic or not, the folded law is
+(N2 - (t/2) cos 2D) / (pi N2) = (1 + (2w - 1) cos 2D) / pi with the
 same w: one number summarises every distance and relative-angle law (see
 summarize). The paper's closed forms these laws are graded against live
 in oracle.py.
@@ -131,19 +132,20 @@ def _clip_noise(values):
 
 
 def _distance_kernel(state):
-    """(N2, s, t): the distance law is
-    D(d) = d exp(-d^2/2) [s (1 + d^4/8) + t d^2] / (4 N2)."""
+    """(N2, s, t, w) from the state's M: the distance law is
+    D(d) = d exp(-d^2/2) [s (1 + d^4/8) + t d^2] / (4 N2), and
+    w = s / (4 N2) is its bosonic weight."""
     matrix = harmonics(state)[1]
     norm = require_pairs(matrix)
     trace = float(matrix[1, 1] + matrix[2, 2])
-    return norm, 2.0 * norm + trace, -trace
+    s = 2.0 * norm + trace
+    return norm, s, -trace, s / (4.0 * norm)
 
 
 def bosonic_weight(state):
     """w = s / (4 N2): the weight of the two-boson law in the state's
     distance law D = w D_B + (1 - w) D_F."""
-    norm, s, _ = _distance_kernel(state)
-    return s / (4.0 * norm)
+    return _distance_kernel(state)[3]
 
 
 def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
@@ -151,7 +153,7 @@ def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
 
     The closure evaluates the law anywhere; values tabulates it on the grid.
     """
-    norm, s, t = _distance_kernel(state)
+    norm, s, t, w = _distance_kernel(state)
 
     def closure(d):
         d = np.asarray(d, dtype=float)
@@ -163,7 +165,7 @@ def distance_distribution(state, n_points=DEFAULT_DISTANCE_POINTS):
     grid = np.linspace(0.0, DISTANCE_MAX, n_points)
     return PairDistribution(PairVariable.DISTANCE, grid, closure(grid),
                             normalization=norm, closure=closure,
-                            meta={"bosonic_weight": s / (4.0 * norm)})
+                            meta={"bosonic_weight": w})
 
 
 def angular_weight(matrix, theta, vartheta):
@@ -191,22 +193,18 @@ def angle_distribution(state, n_points=DEFAULT_ANGLE_POINTS):
     average of W. It exists for every state with pairs, anisotropic ones
     (NOON) included; as M is symmetric it is (1 + (2w - 1) cos 2D) / pi.
     """
-    m = harmonics(state)[1]
-    norm = require_pairs(m)
-    mean = m[0, 0]
-    even = 0.5 * (m[1, 1] + m[2, 2])
-    odd = 0.5 * (m[1, 2] - m[2, 1])
+    norm, _, t, w = _distance_kernel(state)
 
     def closure(delta):
         delta = 2.0 * np.asarray(delta, dtype=float)
         # folded: f(D) + f(D + pi) = 2 f(D), since the modes are odd
-        return _clip_noise((mean + even * np.cos(delta) + odd * np.sin(delta))
+        return _clip_noise((norm - 0.5 * t * np.cos(delta))
                            / (math.pi * norm))
 
     grid = np.linspace(0.0, math.pi, n_points)
     return PairDistribution(PairVariable.REL_ANGLE, grid, closure(grid),
                             normalization=norm, closure=closure,
-                            meta={"bosonic_weight": bosonic_weight(state)})
+                            meta={"bosonic_weight": w})
 
 
 def two_angle_distribution(state, n_points=DEFAULT_TWO_ANGLE_POINTS):

@@ -31,10 +31,9 @@ MAX_HEATMAP_CELLS = 121
 # vertices or bars per chart series; longer series are drawn at a stride
 MAX_CHART_POINTS = 1024
 
-# heatmap cell or colour bar step; the fill is a 0xRRGGBB integer
-_MAP_RECT = '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#%06x"/>'
-# _MAP_RECT in two parts: a heatmap column's x, ending in the '\0' that a
-# row's y, width and height replace, and that row part, ending in the fill
+# a heatmap cell or colour bar step, a rect filled with a 0xRRGGBB integer,
+# in two parts: a column's x, ending in the '\0' that a row's y, width and
+# height replace, and that row part, ending in the fill
 _CELL_HEAD = '<rect x="%.2f" y="\0'
 _CELL_TAIL = '%.2f" width="%.2f" height="%.2f" fill="#%%06x"/>'
 
@@ -77,12 +76,6 @@ def _colors(t):
     return rgb @ np.array([1 << 16, 1 << 8, 1])
 
 
-def _axis_ticks(lo, hi, count=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, count)
-
-
 class _Canvas:
     def __init__(self, width, height, prov=None):
         self.width = float(width)
@@ -113,8 +106,7 @@ class _Canvas:
                 itertools.chain.from_iterable(zip(*columns))))
 
     def cells(self, xs, ys, width, height, fills):
-        """The _MAP_RECT elements of rows(_MAP_RECT, xs, ys[:, None],
-        width, height, fills) for 1-D `xs` and `ys` and fills[row, col],
+        """One rect per cell, fills[row, col], at the 1-D `xs` and `ys`,
         with each x, each row's y, width and height formatted once; only
         the fills are formatted per cell, one part per row."""
         row = "\n".join([_CELL_HEAD] * len(xs)) % tuple(xs.tolist())
@@ -148,40 +140,57 @@ class _Canvas:
             fh.writelines((p + "\n").encode() for p in self.parts + ["</svg>"])
 
 
-def _frame_axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, title):
-    left, right = _MARGIN_L, canvas.width - _MARGIN_R
-    top, bottom = _MARGIN_T, canvas.height - _MARGIN_B
+def _frame(canvas, right, xlo, xhi, ylo, yhi, grid=False):
+    """The ticks, tick labels and axis lines of the plot box from the
+    margins to `right`, with grid lines where `grid`. Returns the maps from
+    data to pixels; an axis with hi <= lo maps everything to its low
+    edge, and its five ticks run from lo to lo + 1."""
+    left, top, bottom = _MARGIN_L, _MARGIN_T, canvas.height - _MARGIN_B
+
+    def ticks(lo, hi):
+        return np.linspace(lo, hi if hi > lo else lo + 1.0, 5)
+
+    def frac(v, lo, hi):
+        return (v - lo) / (hi - lo) if hi > lo else 0.0 * v
 
     def to_x(v):
-        return left + (v - xlo) / (xhi - xlo) * (right - left)
+        return left + frac(v, xlo, xhi) * (right - left)
 
     def to_y(v):
-        return bottom - (v - ylo) / (yhi - ylo) * (bottom - top)
+        return bottom - frac(v, ylo, yhi) * (bottom - top)
 
-    for tick in _axis_ticks(xlo, xhi):
+    for tick in ticks(xlo, xhi):
         px = to_x(tick)
-        canvas.line(px, bottom, px, top, "#e0e0e0", 0.5)
+        if grid:
+            canvas.line(px, bottom, px, top, "#e0e0e0", 0.5)
         canvas.line(px, bottom, px, bottom + 4, "#333333", 1.0)
         canvas.text(px, bottom + 16, _fmt_tick(tick), anchor="middle")
-    for tick in _axis_ticks(ylo, yhi):
+    for tick in ticks(ylo, yhi):
         py = to_y(tick)
-        canvas.line(left, py, right, py, "#e0e0e0", 0.5)
+        if grid:
+            canvas.line(left, py, right, py, "#e0e0e0", 0.5)
         canvas.line(left - 4, py, left, py, "#333333", 1.0)
         canvas.text(left - 7, py + 3.5, _fmt_tick(tick), anchor="end")
     canvas.line(left, bottom, right, bottom, "#333333", 1.0)
     canvas.line(left, bottom, left, top, "#333333", 1.0)
-    if title:
-        canvas.text(canvas.width / 2.0, 18, title, size=13, anchor="middle")
-    if xlabel:
-        canvas.text(canvas.width / 2.0, canvas.height - 10, xlabel, anchor="middle")
-    if ylabel:
-        canvas.text(16, (top + bottom) / 2.0, ylabel, anchor="middle", rotate=-90)
     return to_x, to_y
 
 
-def _strided(values):
+def _labels(canvas, title, xlabel, ylabel, xlabel_x):
+    """The title, the x label centred at `xlabel_x` and the y label."""
+    if title:
+        canvas.text(canvas.width / 2.0, 18, title, size=13, anchor="middle")
+    if xlabel:
+        canvas.text(xlabel_x, canvas.height - 10, xlabel, anchor="middle")
+    if ylabel:
+        canvas.text(16, (_MARGIN_T + canvas.height - _MARGIN_B) / 2.0,
+                    ylabel, anchor="middle", rotate=-90)
+
+
+def _strided(values, cap=MAX_CHART_POINTS):
+    """`values` at the stride that leaves at most `cap` of them."""
     values = np.asarray(values, dtype=float)
-    return values[::max(1, int(np.ceil(len(values) / MAX_CHART_POINTS)))]
+    return values[::max(1, int(np.ceil(len(values) / cap)))]
 
 
 def svg_chart(path, series, title="", xlabel="", ylabel="", prov=None):
@@ -204,7 +213,9 @@ def svg_chart(path, series, title="", xlabel="", ylabel="", prov=None):
     yhi += 0.06 * (yhi - ylo)
 
     canvas = _Canvas(*_CHART_SIZE, prov)
-    to_x, to_y = _frame_axes(canvas, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
+    to_x, to_y = _frame(canvas, canvas.width - _MARGIN_R, xlo, xhi, ylo,
+                        yhi, grid=True)
+    _labels(canvas, title, xlabel, ylabel, canvas.width / 2.0)
 
     order = sorted(range(len(series)),
                    key=lambda i: 0 if series[i].get("style") == "bar" else 1)
@@ -244,14 +255,10 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
     at the stride that keeps each axis within MAX_HEATMAP_CELLS cells.
     Each column's x and each row's y is formatted once; only the cell
     fills are formatted per cell."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    values = np.asarray(values, dtype=float)
-    sx = max(1, int(np.ceil(len(x) / MAX_HEATMAP_CELLS)))
-    sy = max(1, int(np.ceil(len(y) / MAX_HEATMAP_CELLS)))
-    x = x[::sx]
-    y = y[::sy]
-    values = values[::sy, ::sx]
+    x = _strided(x, MAX_HEATMAP_CELLS)
+    y = _strided(y, MAX_HEATMAP_CELLS)
+    values = _strided(_strided(values, MAX_HEATMAP_CELLS).T,
+                      MAX_HEATMAP_CELLS).T
 
     vmax = float(values.max())
     vmin = float(min(values.min(), 0.0))
@@ -267,35 +274,18 @@ def svg_heatmap(path, x, y, values, title="", xlabel="x", ylabel="y",
                  _px(bottom - (np.arange(len(y)) + 1) * cell_h),
                  _px(cell_w + 0.01), _px(cell_h + 0.01),
                  _colors((values - vmin) / span))
+    _frame(canvas, right, float(x[0]), float(x[-1]), float(y[0]),
+           float(y[-1]))
 
-    for tick in _axis_ticks(float(x[0]), float(x[-1])):
-        frac = (tick - x[0]) / (x[-1] - x[0]) if x[-1] > x[0] else 0.0
-        px = left + frac * (right - left)
-        canvas.line(px, bottom, px, bottom + 4, "#333333", 1.0)
-        canvas.text(px, bottom + 16, _fmt_tick(tick), anchor="middle")
-    for tick in _axis_ticks(float(y[0]), float(y[-1])):
-        frac = (tick - y[0]) / (y[-1] - y[0]) if y[-1] > y[0] else 0.0
-        py = bottom - frac * (bottom - top)
-        canvas.line(left - 4, py, left, py, "#333333", 1.0)
-        canvas.text(left - 7, py + 3.5, _fmt_tick(tick), anchor="end")
-    canvas.line(left, bottom, right, bottom, "#333333", 1.0)
-    canvas.line(left, bottom, left, top, "#333333", 1.0)
-
-    bar_x = right + 14.0
-    bar_w = 14.0
-    steps = 64
+    # the colour bar: one column of 64 steps
+    bar_x, bar_w, steps = right + 14.0, 14.0, 64
     k = np.arange(steps)
-    canvas.rows(_MAP_RECT, _px(bar_x),
-                _px(bottom - (k + 1) / steps * (bottom - top)), _px(bar_w),
-                _px((bottom - top) / steps + 0.01), _colors(k / (steps - 1.0)))
+    canvas.cells(_px([bar_x]), _px(bottom - (k + 1) / steps * (bottom - top)),
+                 _px(bar_w), _px((bottom - top) / steps + 0.01),
+                 _colors(k / (steps - 1.0))[:, None])
     for frac in (0.0, 0.5, 1.0):
         py = bottom - frac * (bottom - top)
         canvas.text(bar_x + bar_w + 4, py + 3.5, _fmt_tick(vmin + frac * span))
 
-    if title:
-        canvas.text(canvas.width / 2.0, 18, title, size=13, anchor="middle")
-    if xlabel:
-        canvas.text((left + right) / 2.0, canvas.height - 10, xlabel, anchor="middle")
-    if ylabel:
-        canvas.text(16, (top + bottom) / 2.0, ylabel, anchor="middle", rotate=-90)
+    _labels(canvas, title, xlabel, ylabel, (left + right) / 2.0)
     canvas.write(path)

@@ -24,10 +24,14 @@ def _record(offset, failed=0, passes=1):
                         in enumerate(bench_pairs.METRICS)}}
 
 
-def _pairs(parent, change):
+def _pairs(parent, change, passes=None):
+    """Pairs of records; `passes` gives each pair's (parent, change) pass
+    counts, 1 each by default."""
+    passes = passes or [(1, 1)] * len(parent)
     return [{"seed": 3201 + k, "first": bench_pairs.first_side(k),
-             "parent": _record(p), "change": _record(c, failed=k % 2)}
-            for k, (p, c) in enumerate(zip(parent, change))]
+             "parent": _record(p, passes=n), "change": _record(
+                 c, failed=k % 2, passes=m)}
+            for k, (p, c, (n, m)) in enumerate(zip(parent, change, passes))]
 
 
 def test_sides_alternate_and_share_seeds():
@@ -77,6 +81,39 @@ def test_summary_pairs_runs_by_seed():
     # the i-th metric of a record is offset + i
     assert entry["metrics"]["setup_s"]["runs"]["parent"] == [13.0, 14.0,
                                                              15.0]
+
+
+def test_summary_adds_setup_and_command_without_a_verdict():
+    entry = bench_pairs.summarize(_pairs([10.0, 11.0, 12.0], [9.0, 12.0,
+                                                             11.0]),
+                                  bench_pairs.read_bounds())
+    # command_s is offset + 1 and setup_s offset + 3, so the sum is
+    # 2 offset + 4
+    total = entry["setup_plus_command_s"]
+    assert total["runs"] == {"parent": [24.0, 26.0, 28.0],
+                             "change": [22.0, 28.0, 26.0]}
+    assert total["pairs_won"] == 2
+    assert total["parent"] == {"median": 26.0, "q1": 25.0, "q3": 27.0}
+    assert total["change"] == {"median": 26.0, "q1": 24.0, "q3": 27.0}
+    assert total["by_order"] == {"parent_first": -2.0, "change_first": 2.0}
+    assert "verdict" not in total
+    assert "setup_plus_command_s" not in entry["metrics"]
+
+
+@pytest.mark.parametrize("passes, differ", [
+    ([(3, 3), (3, 3), (3, 3)], False),
+    # the medians agree although one pair does not
+    ([(3, 3), (3, 4), (3, 3)], False),
+    ([(3, 4), (3, 4), (3, 3)], True),
+    ([(9, 8), (8, 8), (8, 7)], False),
+    ([(9, 7), (8, 8), (8, 7)], True),
+])
+def test_summary_marks_workloads_whose_median_passes_differ(passes, differ):
+    entry = bench_pairs.summarize(_pairs([1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
+                                         passes), bench_pairs.read_bounds())
+    assert entry["passes"] == {"parent": [n for n, _ in passes],
+                               "change": [m for _, m in passes]}
+    assert entry["passes_differ"] is differ
 
 
 def test_document_keeps_the_layout_of_bench_25():

@@ -540,6 +540,54 @@ def test_formats_filter(tmp_path):
     assert not any(n.endswith(".json") or n.endswith(".svg") for n in names)
 
 
+# each command's small run and every file it writes at the default formats
+_OUTPUT_RUNS = {
+    "profile": (["profile", "--step", "0.5", "--extent", "2"],
+                {"profile_grid.csv", "profile_radial_cut.csv",
+                 "profile_summary.json", "profile_heatmap.svg"}),
+    "pairdist": (["pairdist", "--points", "16"],
+                 {"pairdist_distribution.csv", "pairdist_summary.json",
+                  "pairdist_overlay.svg"}),
+    "pairangle": (["pairangle", "--points", "16"],
+                  {"pairangle_distribution.csv", "pairangle_summary.json",
+                   "pairangle_overlay.svg"}),
+    "two-angle": (["pairdist", "--state", "noon", "--two-angle", "--points",
+                   "8"],
+                  {"two_angle_surface.csv", "two_angle_summary.json",
+                   "two_angle_heatmap.svg"}),
+    "frames": (["frames", "--seed", "1", "--count", "50", "--stats"],
+               {"frames.csv", "frames_distance_hist.csv",
+                "frames_angle_hist.csv", "frames_stats.json",
+                "frames_distance.svg", "frames_angle.svg"}),
+    "verify": (["verify", "--resolution", "8"], {"verify_report.json"}),
+}
+
+
+@pytest.mark.parametrize("formats", [None, "csv", "json", "svg", "csv,svg"])
+@pytest.mark.parametrize("run", sorted(_OUTPUT_RUNS))
+def test_each_file_is_written_when_its_suffix_is_selected(tmp_path, capsys,
+                                                          run, formats):
+    argv, written = _OUTPUT_RUNS[run]
+    if formats is not None:
+        argv = argv + ["--formats", formats]
+        written = {name for name in written
+                   if name.rsplit(".", 1)[1] in formats.split(",")}
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    out = tmp_path / "out"
+    found = {p.name for p in out.iterdir()} if out.exists() else set()
+    assert found == written
+
+
+def test_frames_formats_govern_frames_csv(tmp_path):
+    assert main(["frames", "--seed", "1", "--formats", "json", "--out",
+                 str(tmp_path)]) == 0
+    assert not any(tmp_path.iterdir())
+    assert main(["frames", "--seed", "1", "--stats", "--formats", "svg",
+                 "--out", str(tmp_path)]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {"frames_distance.svg",
+                                                    "frames_angle.svg"}
+
+
 # Runs whose every output file is pinned by its sha256 in _PINNED_DIGESTS.
 # Every file's provenance carries GENERATOR_VERSION, so all of them were
 # re-pinned at ring-sampler-3; outside the frames-fermi run the files differ

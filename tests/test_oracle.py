@@ -363,13 +363,60 @@ def test_row_labels_name_a_basis_other_than_the_family_default(bose_rows):
         thermal(2.0, 0.5): "thermal(2,0.5)",
         replace(thermal(2.0, 0.5), basis="dipole"): "thermal(2,0.5,dipole)",
         cothermal(0.6 + 0.4j, 0.3): "cothermal(0.6+0.4i,0.3)",
-        cothermal(nbar=0.3): "cothermal(0.707107,0.3)",
+        cothermal(nbar=0.3): "cothermal(0.7071067811865476,0.3)",
         replace(cothermal(0.6 + 0.4j, 0.3), basis="vortex"):
             "cothermal(0.6+0.4i,0.3,vortex)",
     }
     assert {spec: oracle._label(spec) for spec in labels} == labels
     rows = cross_validate(thermal(2.0, 0.5), resolution=15)
     assert {r.kind for r in rows} == {"thermal(2,0.5)"}
+
+
+def test_labels_tell_apart_parameters_past_six_digits():
+    # each number is its shortest repr that reads back, less a trailing .0
+    first, second = thermal(1.0000001, 1.0), thermal(1.0000002, 1.0)
+    assert oracle._label(first) == "thermal(1.0000001,1)"
+    assert oracle._label(second) == "thermal(1.0000002,1)"
+    assert oracle._label(coherent(1.0 + 1e-9j, -0.5j)) == \
+        "coherent(1+1e-09i,-0.5i,dipole)"
+    assert oracle._label(cothermal(-1e16, 2.5)) == "cothermal(-1e+16,2.5)"
+
+
+def _rotation_spread(rho2, spec):
+    """The largest spread of `rho2` over rotations of a point pair, over
+    six pairs, relative to the pair's largest value."""
+    pairs = np.random.default_rng(12).normal(scale=0.8, size=(6, 4))
+    angles = np.linspace(0.0, math.pi, 13)
+    cos, sin = np.cos(angles), np.sin(angles)
+    spread = 0.0
+    for x1, y1, x2, y2 in pairs:
+        values = rho2(spec, cos * x1 - sin * y1, sin * x1 + cos * y1,
+                      cos * x2 - sin * y2, sin * x2 + cos * y2)
+        spread = max(spread, np.ptp(values) / np.max(np.abs(values)))
+    return spread
+
+
+@pytest.mark.parametrize("spec", [
+    bose_fock(1, 1), bose_fock(1, 1, "dipole"), bose_fock(3, 1),
+    bose_fock(3, 1, "dipole"), fermi_fock("dipole")],
+    ids=["bose-vortex", "bose-dipole", "bose-3-1", "bose-3-1-dipole",
+         "fermi-dipole"])
+def test_pairing_detail_says_which_pairing_is_rotation_invariant(spec):
+    # the sentence of the rho2-printed-pairing row against the rotation
+    # spread of the oracle's pair density and of the printed one
+    detail = _row(cross_validate(spec, resolution=8),
+                  "rho2-printed-pairing").detail
+    invariant = {
+        "breaks rotation invariance": (True, False),
+        "same-label pairing is rotation invariant": (False, True),
+        "neither pairing": (False, False),
+    }
+    said = [flags for words, flags in invariant.items() if words in detail]
+    assert len(said) == 1, detail
+    assert (bool(_rotation_spread(oracle.reference_rho2, spec) < 1e-12),
+            bool(_rotation_spread(oracle.printed_rho2, spec) < 1e-12)) \
+        == said[0]
+    assert ("one-quantum-per-mode" in detail) == ((spec.n, spec.m) == (1, 1))
 
 
 def test_one_route_function_names_and_computes_each_route():

@@ -364,19 +364,37 @@ def test_angular_law_is_the_oracle_pair_density_on_rings(name):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("name", sorted(_TILTED_STATES))
-def test_sampled_joint_angles_follow_the_oracle(name):
-    spec = _TILTED_STATES[name]
-    k, count = 8, 40000
-    probs = _oracle_angle_cells(spec, k)
-    assert np.all(probs > 0.0)
-    points = generate_frames(spec, count, seed=5).points
+def _joint_angle_pvalue(spec, probs, count, seed):
+    """The chi-square p-value of the (theta1, theta2) cells of `count`
+    frames of `spec` drawn with `seed` against the cell probabilities."""
+    k = len(probs)
+    points = generate_frames(spec, count, seed=seed).points
     theta = np.arctan2(points[..., 1], points[..., 0]) % (2.0 * math.pi)
     edges = 2.0 * math.pi * np.arange(k + 1) / k
     counts = np.histogram2d(theta[:, 0], theta[:, 1], bins=[edges, edges])[0]
     expected = probs * count
     statistic = float(np.sum((counts - expected) ** 2 / expected))
-    assert sampler._chi2_sf(statistic, k * k - 1) > 1e-3, statistic
+    return sampler._chi2_sf(statistic, k * k - 1)
+
+
+@pytest.mark.parametrize("name", sorted(_TILTED_STATES))
+def test_sampled_joint_angles_follow_the_oracle(name):
+    spec = _TILTED_STATES[name]
+    probs = _oracle_angle_cells(spec, 8)
+    assert np.all(probs > 0.0)
+    assert _joint_angle_pvalue(spec, probs, 40000, 5) > 1e-3
+
+
+@pytest.mark.parametrize("name", sorted(_TILTED_STATES))
+def test_joint_angle_pvalues_over_seeds_are_uniform(name):
+    # a calibrated sampler gives uniform p-values over seeds: a KS test of
+    # the p-values of 24 seeds, 4000 frames each, does not reject that
+    stats = pytest.importorskip("scipy.stats")
+    spec = _TILTED_STATES[name]
+    probs = _oracle_angle_cells(spec, 8)
+    pvalues = [_joint_angle_pvalue(spec, probs, 4000, seed)
+               for seed in range(100, 124)]
+    assert stats.kstest(pvalues, "uniform").pvalue > 1e-3, pvalues
 
 
 def test_save_load_round_trip(tmp_path):

@@ -179,6 +179,11 @@ def test_heatmap_cells_match_scalar_writer(tmp_path, name):
         _heatmap_rects(x, y, values)
 
 
+# one heatmap cell or colour bar step, all five fields in one template
+_GENERIC_RECT = ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f"'
+                 ' fill="#%06x"/>')
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 5),
                                    (250, 130), (122, 121)],
                          ids=["1x1", "1xn", "nx1", "odd", "strided",
@@ -193,7 +198,7 @@ def test_heatmap_cells_match_generic_rows(tmp_path, monkeypatch, shape):
     svg_heatmap(tmp_path / "cells.svg", x, y, values)
 
     def rows(canvas, xs, ys, width, height, fills):
-        canvas.rows(svgplot._MAP_RECT, xs, ys[:, None], width, height, fills)
+        canvas.rows(_GENERIC_RECT, xs, ys[:, None], width, height, fills)
 
     monkeypatch.setattr(svgplot._Canvas, "cells", rows)
     svg_heatmap(tmp_path / "rows.svg", x, y, values)

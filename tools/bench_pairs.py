@@ -15,7 +15,9 @@ parent runs first in even pairs and the change in odd ones, and the
 order is recorded. All four end-to-end metrics are lower-is-better; a
 pair is won when the change's figure is lower, ties counting for neither
 side. Each workload and metric gets a verdict (see `verdict`) against
-the metric's bound in BENCHMARK.json, which is only read. Last, Tier-1
+the metric's bound in BENCHMARK.json, which is only read. Beside them
+each workload reports setup_s + command_s per run, with no verdict, and
+marks whether its sides' median pass counts differ. Last, Tier-1
 runs once in each checkout, and the file is written as BENCH_<pr>.json
 in the current directory.
 """
@@ -102,11 +104,26 @@ def order_split(parent, change, order):
     return split
 
 
+def _figures(runs, order):
+    """Quartiles per side, pairs won, the split by run order and the runs
+    of one figure, `runs` mapping each side to its runs in pair order."""
+    return {**{s: quartiles(runs[s]) for s in SIDES},
+            "pairs_won": pairs_won(runs["parent"], runs["change"]),
+            "by_order": order_split(runs["parent"], runs["change"], order),
+            "runs": runs}
+
+
 def summarize(pairs, bounds):
     """A workload's entry of the BENCH file from its pairs, each a dict
     with its "seed", the side that ran "first", and the "parent" and
-    "change" records of perfbench/run.py; `bounds` as read_bounds."""
+    "change" records of perfbench/run.py; `bounds` as read_bounds.
+
+    Beside the gated metrics it gives setup_s + command_s, without a
+    verdict: where the garbage collector runs moves time between the two.
+    `passes_differ` marks a workload whose sides' median pass counts
+    differ, so that their per-pass figures are not alike."""
     order = [p["first"] for p in pairs]
+    passes = {s: [p[s]["detail"]["passes"] for p in pairs] for s in SIDES}
     entry = {
         "seeds": [p["seed"] for p in pairs],
         "pairs": len(pairs),
@@ -115,21 +132,22 @@ def summarize(pairs, bounds):
                         for s in SIDES},
         "attempted_jobs": {s: sum(p[s]["attempted"] for p in pairs)
                            for s in SIDES},
-        "passes": {s: [p[s]["detail"]["passes"] for p in pairs]
-                   for s in SIDES},
+        "passes": passes,
+        "passes_differ": (statistics.median(passes["parent"])
+                          != statistics.median(passes["change"])),
         "metrics": {},
     }
     for name in METRICS:
         runs = {s: [round(float(p[s]["metrics"][name]), 6) for p in pairs]
                 for s in SIDES}
         entry["metrics"][name] = {
-            **{s: quartiles(runs[s]) for s in SIDES},
-            "pairs_won": pairs_won(runs["parent"], runs["change"]),
+            **_figures(runs, order),
             "verdict": verdict(runs["parent"], runs["change"],
-                               bounds[name]),
-            "by_order": order_split(runs["parent"], runs["change"], order),
-            "runs": runs,
-        }
+                               bounds[name])}
+    entry["setup_plus_command_s"] = _figures(
+        {s: [round(float(p[s]["metrics"]["setup_s"])
+                   + float(p[s]["metrics"]["command_s"]), 6) for p in pairs]
+         for s in SIDES}, order)
     return entry
 
 
@@ -158,7 +176,10 @@ def document(parent, change, workloads, machine, tier1):
             "numpy.percentile; a pair is won when the change's figure is "
             "lower; `by_order` is the median change - parent over the pairs "
             "each side ran first; runs lists each side's run medians in "
-            "seed order; wall_s sits on the harness's 50 ms wait grid, so "
+            "seed order; setup_plus_command_s is setup_s + command_s per "
+            "run, with no verdict, since the garbage collector moves time "
+            "between the two; passes_differ marks a workload whose sides' "
+            "median pass counts differ; wall_s sits on the harness's 50 ms wait grid, so "
             "speed claims use command_s; verdict: gain when the change wins "
             ">= 9 in 10 pairs and its median beats the parent's by more than "
             "the parent's quartile spread, regression when its median is "

@@ -143,29 +143,39 @@ def _varied_cells(size, seed):
 
 
 @pytest.mark.parametrize("cols", range(1, 8))
+def test_format_block_at_kernel_block_edges(cols):
+    # rows of one kernel pass of the shipped _CELLS cells less one row,
+    # one pass and one row more; a pass holds the whole rows that fit in
+    # it, so it is exactly full only where cols divides _CELLS
+    block = io._CELLS // cols
+    for rows in (block - 1, block, block + 1):
+        table = _varied_cells(rows * cols, rows).reshape(rows, cols)
+        _assert_percent_rows(table)
+        _assert_reads_back(table)
+
+
+@pytest.mark.parametrize("cols", range(1, 8))
 def test_write_csv_at_row_block_edges(tmp_path, monkeypatch, cols):
     # one row block less one row, one block and one row more, against one
     # Python %-format of the whole table; the file reads back bit for bit.
-    # A block holds the whole rows that fit in _CELLS cells, so with the
-    # shipped _CELLS it is exactly full only where cols divides it; a prime
-    # _CELLS leaves part of every block empty for cols 2 to 7.
+    # Every column is full, so each block formats all of its cells; a
+    # prime _CELLS leaves part of every block empty for cols 2 to 7.
+    monkeypatch.setattr(io, "_CELLS", 4099)
     path = tmp_path / "blocks.csv"
-    names = ",".join(f"c{j}" for j in range(cols))
-    row = ",".join(["%.17g"] * cols) + "\n"
-    for cells in (io._CELLS, 4099):
-        monkeypatch.setattr(io, "_CELLS", cells)
-        block = cells // cols
-        for rows in (block - 1, block, block + 1):
-            table = _varied_cells(rows * cols, rows).reshape(rows, cols)
-            write_csv(path, names.split(","), tuple(table.T))
-            text = path.read_bytes()
-            assert text == (names + "\n" + row * rows
-                            % tuple(table.ravel().tolist())).encode()
-            back = parse_block(text.split(b"\n", 1)[1], cols)
-            nan = np.isnan(table)
-            assert np.array_equal(np.isnan(back), nan)
-            assert np.array_equal(back[~nan].view(np.uint64),
-                                  table[~nan].view(np.uint64))
+    block = io._CELLS // cols
+    for rows in (block - 1, block, block + 1):
+        table = _varied_cells(rows * cols, cols).reshape(rows, cols)
+        names = ",".join(f"c{j}" for j in range(cols))
+        write_csv(path, names.split(","), tuple(table.T))
+        row = ",".join(["%.17g"] * cols) + "\n"
+        text = path.read_bytes()
+        assert text == (names + "\n" + row * rows
+                        % tuple(table.ravel().tolist())).encode()
+        back = parse_block(text.split(b"\n", 1)[1], cols)
+        nan = np.isnan(table)
+        assert np.array_equal(np.isnan(back), nan)
+        assert np.array_equal(back[~nan].view(np.uint64),
+                              table[~nan].view(np.uint64))
 
 
 _DISPATCH_DIGEST = """

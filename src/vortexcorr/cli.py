@@ -381,11 +381,11 @@ def _path(cfg, name):
     format its suffix names (.csv, .json or .svg)."""
     if name.rsplit(".", 1)[1] not in cfg.formats:
         return None
-    out = cfg.out.rstrip("/")
+    out = cfg.out.rstrip("/") or cfg.out[:1]  # "/" and "//" stay the root
     if out in ("", "."):
         return name
     os.makedirs(out, exist_ok=True)
-    return out + "/" + name
+    return os.path.join(out, name)
 
 
 def _write(cfg, name, writer, *args, **kwargs):

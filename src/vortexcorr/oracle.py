@@ -49,6 +49,7 @@ CLAIM_ANGLE_POINTS = 361
 CLAIM_TWO_ANGLE_POINTS = 180
 ORACLE_RADIAL_ORDER = 40
 ORACLE_MEAN_ANGLES = 64
+_RAY_COLUMNS = 64  # relative-angle columns of the folded law per gather
 _TILE_CELLS = 1 << 17
 # the modes are numerically zero beyond this box (exp(-18) ~ 1.5e-8 on the
 # amplitude, squared in any density): [-EXTENT, EXTENT]^2 is the domain of
@@ -579,9 +580,15 @@ def oracle_folded_angle_law(spec, n_points=CLAIM_ANGLE_POINTS):
     distinct, ray = np.unique(units, return_inverse=True)
     angles = math.pi * distinct / (count * span)
     table = _radial_gram(spec, np.cos(angles), np.sin(angles))
-    gram2 = table[:, :, ray.reshape(units.shape)]
-    # column k = 0 is delta = 0, the ray of particle 1 itself
-    raw = _psi_mass(spec, gram2[..., :1], gram2).sum(axis=0) \
+    ray = ray.reshape(units.shape)
+    # column k = 0 is delta = 0, the ray of particle 1 itself. The rays are
+    # gathered a chunk of columns at a time; each column is still summed
+    # over all mean angles at once, so its sum and bits do not depend on
+    # the chunk
+    gram1 = table[:, :, ray[:, :1]]
+    raw = np.concatenate([
+        _psi_mass(spec, gram1, table[:, :, ray[:, k0:k0 + _RAY_COLUMNS]])
+        .sum(axis=0) for k0 in range(0, ray.shape[1], _RAY_COLUMNS)]) \
         * (2.0 * math.pi / count)
     mass = np.trapezoid(raw[:n_points], grid) \
         + np.trapezoid(raw[n_points:], grid + math.pi)

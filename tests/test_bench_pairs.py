@@ -1,6 +1,6 @@
 """The pure parts of tools/bench_pairs.py, on synthetic perfbench records:
 the run order, the pairing, quartiles, the split by run order, the
-verdicts and the BENCH file layout."""
+verdicts, the per-pass figures and the BENCH file layout."""
 
 import importlib.util
 import json
@@ -16,9 +16,21 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
-def _record(offset, failed=0, passes=1):
-    """A perfbench/run.py record whose four metrics are offset + i."""
-    return {"attempted": 7, "failed": failed, "detail": {"passes": passes},
+def _jobs(walls, metrics=("a_s", "b_s")):
+    """detail.jobs of a record: one pass per entry of `walls`, each pass
+    one job per metric, the pass's walls in order."""
+    return [{"job": j, "metric": m, "argv": None, "wall_s": w,
+             "problems": []}
+            for pass_walls in walls
+            for j, (m, w) in enumerate(zip(metrics, pass_walls))]
+
+
+def _record(offset, failed=0, passes=1, walls=None):
+    """A perfbench/run.py record whose four metrics are offset + i; each
+    pass's jobs take `walls`, (offset, 1) by default."""
+    walls = walls or [(offset, 1.0)] * passes
+    return {"attempted": 7, "failed": failed,
+            "detail": {"passes": passes, "jobs": _jobs(walls)},
             "machine": {"nproc": 2, "seed": 1},
             "metrics": {name: offset + i for i, name
                         in enumerate(bench_pairs.METRICS)}}
@@ -98,6 +110,39 @@ def test_summary_adds_setup_and_command_without_a_verdict():
     assert total["by_order"] == {"parent_first": -2.0, "change_first": 2.0}
     assert "verdict" not in total
     assert "setup_plus_command_s" not in entry["metrics"]
+
+
+def test_pass_walls_start_a_pass_at_job_zero():
+    record = {"detail": {"jobs": _jobs(
+        [(0.5, 0.25, 2.0), (0.75, 0.5, 1.0)], ("x_s", "x_s", "y_s"))}}
+    assert bench_pairs.pass_walls(record) == [
+        {"wall_s": 2.75, "x_s": 0.75, "y_s": 2.0},
+        {"wall_s": 2.25, "x_s": 1.25, "y_s": 1.0}]
+
+
+def test_per_pass_medians_pool_every_pass_of_every_run():
+    # the parent takes one slow pass a run, the change three fast ones;
+    # the run medians would weigh each change run's passes as one
+    parent = [_record(1.0, walls=[(4.0, 1.0)]),
+              _record(1.0, walls=[(6.0, 1.0)])]
+    change = [_record(1.0, passes=3, walls=[(1.0, 1.0), (2.0, 1.0),
+                                            (9.0, 1.0)]),
+              _record(1.0, passes=1, walls=[(3.0, 2.0)])]
+    pairs = [{"seed": 1 + k, "first": bench_pairs.first_side(k),
+              "parent": p, "change": c}
+             for k, (p, c) in enumerate(zip(parent, change))]
+    figures = bench_pairs.per_pass(pairs)
+    assert figures["passes_pooled"] == {"parent": 2, "change": 4}
+    assert figures["a_s"]["parent"] == {"median": 5.0, "q1": 4.5, "q3": 5.5}
+    assert figures["a_s"]["change"] == {"median": 2.5, "q1": 1.75,
+                                        "q3": 4.5}
+    assert figures["b_s"]["change"] == {"median": 1.0, "q1": 1.0,
+                                        "q3": 1.25}
+    assert figures["wall_s"]["change"] == {"median": 4.0, "q1": 2.75,
+                                           "q3": 6.25}
+    entry = bench_pairs.summarize(pairs, bench_pairs.read_bounds())
+    assert entry["per_pass"] == figures
+    assert "verdict" not in figures["wall_s"]
 
 
 @pytest.mark.parametrize("passes, differ", [

@@ -7,6 +7,7 @@ subprocesses.
 
 import functools
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -540,6 +542,16 @@ def test_formats_filter(tmp_path):
     assert not any(n.endswith(".json") or n.endswith(".svg") for n in names)
 
 
+@pytest.mark.parametrize("out, path", [
+    ("/", "/x.csv"), ("//", "/x.csv"), (".", "x.csv"), ("./", "x.csv"),
+    ("out", "out/x.csv"), ("out/", "out/x.csv"), ("out//", "out/x.csv")])
+def test_out_directory_keeps_the_root(tmp_path, monkeypatch, out, path):
+    # only the path is asked for; "/" exists, so nothing is made there
+    monkeypatch.chdir(tmp_path)
+    cfg = types.SimpleNamespace(out=out, formats=("csv",))
+    assert cli._path(cfg, "x.csv") == path
+
+
 # each command's small run and every file it writes at the default formats
 _OUTPUT_RUNS = {
     "profile": (["profile", "--step", "0.5", "--extent", "2"],
@@ -755,6 +767,24 @@ def test_cli_import_leaves_out_thread_pool():
     loaded = _fresh_modules("import vortexcorr.cli")
     assert "concurrent" not in loaded and "logging" not in loaded
     assert "vortexcorr" in loaded
+
+
+def test_config_hash_leaves_out_openssl(tmp_path):
+    # hashlib would load OpenSSL's libcrypto for one small digest
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("no built-in SHA-256 module in this Python")
+    loaded = _fresh_modules(
+        "from vortexcorr.cli import main; "
+        "assert main(['pairdist', '--points', '64', '--formats', 'json', "
+        f"'--out', {str(tmp_path)!r}]) == 0")
+    assert "_hashlib" not in loaded
+    assert "vortexcorr" in loaded
+    summary = json.loads((tmp_path / "pairdist_summary.json").read_text())
+    payload = {"command": "pairdist", "state": _FERMI, "points": 64,
+               "two_angle": False}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert summary["provenance"]["config_sha256"] == hashlib.sha256(
+        text.encode("utf-8")).hexdigest()
 
 
 def test_long_series_charts_stay_small(tmp_path):

@@ -608,6 +608,19 @@ def test_folded_law_evaluates_each_distinct_ray_once(monkeypatch):
     assert sum(points) <= (2880 + 64) * oracle.ORACLE_RADIAL_ORDER
 
 
+@pytest.mark.parametrize("spec", [fermi_fock(), bose_fock()],
+                         ids=["fermi-fock", "bose-fock"])
+def test_folded_law_memory_is_bounded_by_the_column_chunk(spec):
+    # gathering all 64 x 722 rays' Gram matrices at once peaked at 5.5 MB
+    tracemalloc.start()
+    try:
+        oracle_folded_angle_law(spec, n_points=oracle.CLAIM_ANGLE_POINTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20
+
+
 @pytest.mark.parametrize("law, n_points", [
     (oracle_folded_angle_law, 1), (oracle_folded_angle_law, 2),
     (oracle_two_angle_law, 0), (oracle_two_angle_law, 1),

@@ -16,8 +16,9 @@ order is recorded. All four end-to-end metrics are lower-is-better; a
 pair is won when the change's figure is lower, ties counting for neither
 side. Each workload and metric gets a verdict (see `verdict`) against
 the metric's bound in BENCHMARK.json, which is only read. Beside them
-each workload reports setup_s + command_s per run, with no verdict, and
-marks whether its sides' median pass counts differ. Last, Tier-1
+each workload reports setup_s + command_s per run, with no verdict,
+marks whether its sides' median pass counts differ, and gives per-pass
+medians of the job walls, pooled over every pass of every run. Last, Tier-1
 runs once in each checkout, and the file is written as BENCH_<pr>.json
 in the current directory.
 """
@@ -104,6 +105,32 @@ def order_split(parent, change, order):
     return split
 
 
+def pass_walls(record):
+    """Each pass's figures from a perfbench record's detail.jobs: the
+    summed job walls as wall_s and per command metric. A pass starts at
+    job 0."""
+    passes = []
+    for job in record["detail"]["jobs"]:
+        if job["job"] == 0:
+            passes.append({"wall_s": 0.0})
+        figures = passes[-1]
+        figures["wall_s"] += job["wall_s"]
+        metric = job["metric"]
+        figures[metric] = figures.get(metric, 0.0) + job["wall_s"]
+    return passes
+
+
+def per_pass(pairs):
+    """Quartiles per side of each pass figure, pooled over all passes of
+    all runs: a run's median hides how many passes it took, and the two
+    sides of a pair may take different counts."""
+    pooled = {s: [f for p in pairs for f in pass_walls(p[s])] for s in SIDES}
+    return {"passes_pooled": {s: len(pooled[s]) for s in SIDES},
+            **{name: {s: quartiles([f[name] for f in pooled[s]])
+                      for s in SIDES}
+               for name in sorted(pooled["parent"][0])}}
+
+
 def _figures(runs, order):
     """Quartiles per side, pairs won, the split by run order and the runs
     of one figure, `runs` mapping each side to its runs in pair order."""
@@ -121,7 +148,8 @@ def summarize(pairs, bounds):
     Beside the gated metrics it gives setup_s + command_s, without a
     verdict: where the garbage collector runs moves time between the two.
     `passes_differ` marks a workload whose sides' median pass counts
-    differ, so that their per-pass figures are not alike."""
+    differ, so that their per-pass figures are not alike; `per_pass`
+    gives those figures' medians over the pooled passes."""
     order = [p["first"] for p in pairs]
     passes = {s: [p[s]["detail"]["passes"] for p in pairs] for s in SIDES}
     entry = {
@@ -148,6 +176,7 @@ def summarize(pairs, bounds):
         {s: [round(float(p[s]["metrics"]["setup_s"])
                    + float(p[s]["metrics"]["command_s"]), 6) for p in pairs]
          for s in SIDES}, order)
+    entry["per_pass"] = per_pass(pairs)
     return entry
 
 
@@ -179,13 +208,16 @@ def document(parent, change, workloads, machine, tier1):
             "seed order; setup_plus_command_s is setup_s + command_s per "
             "run, with no verdict, since the garbage collector moves time "
             "between the two; passes_differ marks a workload whose sides' "
-            "median pass counts differ; wall_s sits on the harness's 50 ms wait grid, so "
-            "speed claims use command_s; verdict: gain when the change wins "
-            ">= 9 in 10 pairs and its median beats the parent's by more than "
-            "the parent's quartile spread, regression when its median is "
-            "worse by more than the metric's BENCHMARK.json bound (a "
-            "fraction of the parent's median), unresolved when the parent's "
-            "quartile spread exceeds that bound, else unchanged"),
+            "median pass counts differ; per_pass gives quartiles of each "
+            "pass's summed job walls (wall_s and per command metric), "
+            "pooled over every pass of every run of a side, from each "
+            "record's detail.jobs; wall_s sits on the harness's 50 ms wait "
+            "grid, so speed claims use command_s; verdict: gain when the "
+            "change wins >= 9 in 10 pairs and its median beats the parent's "
+            "by more than the parent's quartile spread, regression when its "
+            "median is worse by more than the metric's BENCHMARK.json bound "
+            "(a fraction of the parent's median), unresolved when the "
+            "parent's quartile spread exceeds that bound, else unchanged"),
         "parent_commit": parent,
         "change_commit": change,
         "machine": machine,

@@ -5,7 +5,11 @@ definite two-particle states get explicit (anti)symmetrized first-quantized
 wavefunctions, thermal states a convex geometric mixture of Fock pair
 densities, coherent states an amplitude factorization, and cothermal states
 Wick moment algebra. The |Psi|^2 quadratures assume only that Psi is
-bilinear in the two particles' mode amplitudes (2x2 Gram matrices); pair
+bilinear in the two particles' mode amplitudes (2x2 Gram matrices), and
+they are exact (Golub and Welsch 1969): every mode is (v . x) exp(-|x|^2/2),
+so along a ray the integrand is u exp(-u) in u = r^2, which one
+Gauss-Laguerre node integrates, and in the mean angle a trigonometric
+polynomial of degree at most 4, which 5 periodic nodes integrate. Pair
 densities are sums of products of real per-particle factors. Only the
 modes' unit vectors are shared with the rest of the library; the engine
 enters purely as the object under test.
@@ -47,13 +51,12 @@ DEFAULT_RESOLUTION = 61
 CLAIM_DISTANCE_POINTS = 401
 CLAIM_ANGLE_POINTS = 361
 CLAIM_TWO_ANGLE_POINTS = 180
-ORACLE_RADIAL_ORDER = 40
-ORACLE_MEAN_ANGLES = 64
-_RAY_COLUMNS = 64  # relative-angle columns of the folded law per gather
+# the smallest periodic rule exact for the mean angle's degree-4 integrand
+ORACLE_MEAN_ANGLES = 5
 _TILE_CELLS = 1 << 17
 # the modes are numerically zero beyond this box (exp(-18) ~ 1.5e-8 on the
 # amplitude, squared in any density): [-EXTENT, EXTENT]^2 is the domain of
-# the Cartesian pair grid, and [0, EXTENT] that of the radial quadrature
+# the Cartesian pair grid
 EXTENT = 6.0
 _SERIES_TAIL = 1e-16
 
@@ -146,8 +149,8 @@ def first_quantized_rho2(spec, x1, y1, x2, y2):
     expansion, mixture, factorization, or moment identities instead). Each
     point is a one-node Gram matrix of the |Psi|^2 quadratures below.
     """
-    return 2.0 * _psi_mass(spec, _gram(spec, [(1.0, x1, y1)]),
-                           _gram(spec, [(1.0, x2, y2)]))
+    return 2.0 * _psi_mass(spec, _gram(spec, 1.0, x1, y1),
+                           _gram(spec, 1.0, x2, y2))
 
 
 def fock_pair_density(weights, spec, x1, y1, x2, y2):
@@ -479,10 +482,7 @@ def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION):
 # each particle's 2x2 Gram matrix M[a, c] = sum_nodes w u_a conj(u_c):
 #     sum w1 w2 |Psi|^2 = sum_abcd C[a, b] conj(C[c, d]) M1[a, c] M2[b, d].
 # That is the only structure assumed; modes are still evaluated at every
-# node, and no correlator, ring factorization or engine call enters. The
-# folded angle law's rays share their angles (all are whole multiples of
-# one grid unit), so it takes one Gram per distinct angle and gathers them
-# back per ray: exact grid bookkeeping, no property of the state.
+# node, and no correlator, ring factorization or engine call enters.
 
 
 def _psi_coefficients(spec):
@@ -492,17 +492,11 @@ def _psi_coefficients(spec):
                       for b in range(2)] for a in range(2)], dtype=complex)
 
 
-def _gram(spec, nodes):
-    """M[a, c] = sum w u_a conj(u_c) over the (weight, x, y) node blocks,
-    one block at a time; M carries the blocks' common node shape."""
-    gram = [[0.0, 0.0], [0.0, 0.0]]
-    for w, x, y in nodes:
-        u = _eval_pair(spec, x, y)
-        for a in range(2):
-            wu = w * u[a]
-            for c in range(2):
-                gram[a][c] += wu * np.conj(u[c])
-    return np.array(gram)
+def _gram(spec, w, x, y):
+    """M[a, c] = w u_a conj(u_c) at the nodes (x, y) of weight w; M carries
+    their node shape, which the caller sums or keeps."""
+    u = _eval_pair(spec, x, y)
+    return np.array([[w * ua * np.conj(uc) for uc in u] for ua in u])
 
 
 def _psi_mass(spec, gram1, gram2):
@@ -518,31 +512,29 @@ def _psi_mass(spec, gram1, gram2):
                       gram2[0, 1].imag])
 
 
-def wavefunction_norm(spec, resolution=DEFAULT_RESOLUTION):
-    """Four-dimensional Riemann norm of the explicit two-particle Psi."""
-    px, py, step = _plane_points(resolution)
-    gram = _gram(spec, [(step * step, px, py)]).sum(axis=-1)
+def _radial_gram(spec, cos, sin):
+    """Gram matrices along the rays at angles (cos, sin), integrated over
+    the radius exactly: with u = r^2 the polar measure r dr is du / 2 and
+    every entry is u exp(-u) times a factor of the ray, so the one-node
+    Gauss-Laguerre rule in u takes weight w e^u / 2 at r = sqrt(u)."""
+    (u,), (w,) = np.polynomial.laguerre.laggauss(1)
+    r = math.sqrt(u)
+    return _gram(spec, 0.5 * w * math.exp(u), r * cos, r * sin)
+
+
+def wavefunction_norm(spec):
+    """Norm of the explicit two-particle Psi, exact: each particle's Gram
+    matrix is the ray rule summed over the periodic mean angles, in which
+    its entries have degree 2."""
+    phi = 2.0 * math.pi * np.arange(ORACLE_MEAN_ANGLES) / ORACLE_MEAN_ANGLES
+    gram = _radial_gram(spec, np.cos(phi), np.sin(phi)).sum(axis=-1) \
+        * (2.0 * math.pi / ORACLE_MEAN_ANGLES)
     return float(_psi_mass(spec, gram, gram))
 
 
 # ---------------------------------------------------------------------------
 # oracle angle laws (polar quadrature of the explicit wavefunction)
 # ---------------------------------------------------------------------------
-
-
-def gauss_legendre(order, lo, hi):
-    """Nodes and weights of the Gauss-Legendre rule mapped to [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
-
-
-def _radial_gram(spec, cos, sin):
-    """Gram matrices along the rays at angles (cos, sin): Gauss-Legendre
-    radii with the polar Jacobian, one radius at a time."""
-    nodes, weights = gauss_legendre(ORACLE_RADIAL_ORDER, 0.0, EXTENT)
-    return _gram(spec, ((w * r, r * cos, r * sin)
-                        for r, w in zip(nodes, weights)))
 
 
 def _check_grid(n_points):
@@ -558,38 +550,21 @@ def oracle_folded_angle_law(spec, n_points=CLAIM_ANGLE_POINTS):
     """Folded relative-angle density from the first-quantized pair density.
 
     Polar integration of |Psi|^2 through Gram matrices (a bilinear Psi is
-    the only assumption): radii by Gauss-Legendre, the mean angle by a
-    periodic trapezoid rule, exact for the trigonometric polynomials here.
-
-    Particle 2 sits on the rays phi_i - delta_k for the M mean angles
-    phi_i = 2 pi i / M and the 2 n relative angles delta_k of grid and
-    grid + pi. Each ray is a whole number of units pi / (M (n - 1)), so
-    the M x 2n rays repeat few distinct angles (2880 of 46208 at the
-    default grid): the Gram matrices are taken once per distinct angle,
-    formed exactly from its integer unit count, and gathered back per ray.
-    This is bookkeeping of the grid, not an assumption about the state:
-    every distinct ray still gets the full radial quadrature of the modes.
+    the only assumption), exact in both variables: the radii by the ray
+    rule of _radial_gram, and the mean angle phi_i of particle 1 by the
+    ORACLE_MEAN_ANGLES-node periodic rule, since |Psi|^2 is a
+    trigonometric polynomial of degree at most 4 in it. Particle 2 sits on
+    the rays phi_i - delta_k for the 2 n relative angles delta_k of grid
+    and grid + pi.
     """
     _check_grid(n_points)
     grid = np.linspace(0.0, math.pi, n_points)
-    count, span = ORACLE_MEAN_ANGLES, n_points - 1
-    # delta_k = pi k' / span with k' = k on grid and k - 1 on grid + pi
-    k = np.concatenate([np.arange(n_points), np.arange(n_points) + span])
-    units = (2 * span * np.arange(count)[:, None] - count * k[None, :]) \
-        % (2 * count * span)
-    distinct, ray = np.unique(units, return_inverse=True)
-    angles = math.pi * distinct / (count * span)
-    table = _radial_gram(spec, np.cos(angles), np.sin(angles))
-    ray = ray.reshape(units.shape)
-    # column k = 0 is delta = 0, the ray of particle 1 itself. The rays are
-    # gathered a chunk of columns at a time; each column is still summed
-    # over all mean angles at once, so its sum and bits do not depend on
-    # the chunk
-    gram1 = table[:, :, ray[:, :1]]
-    raw = np.concatenate([
-        _psi_mass(spec, gram1, table[:, :, ray[:, k0:k0 + _RAY_COLUMNS]])
-        .sum(axis=0) for k0 in range(0, ray.shape[1], _RAY_COLUMNS)]) \
-        * (2.0 * math.pi / count)
+    phi = 2.0 * math.pi * np.arange(ORACLE_MEAN_ANGLES) / ORACLE_MEAN_ANGLES
+    second = phi[:, None] - np.concatenate([grid, grid + math.pi])[None, :]
+    gram1 = _radial_gram(spec, np.cos(phi), np.sin(phi))[..., None]
+    gram2 = _radial_gram(spec, np.cos(second), np.sin(second))
+    raw = _psi_mass(spec, gram1, gram2).sum(axis=0) \
+        * (2.0 * math.pi / ORACLE_MEAN_ANGLES)
     mass = np.trapezoid(raw[:n_points], grid) \
         + np.trapezoid(raw[n_points:], grid + math.pi)
     folded = (raw[:n_points] + raw[n_points:]) / mass
@@ -598,7 +573,8 @@ def oracle_folded_angle_law(spec, n_points=CLAIM_ANGLE_POINTS):
 
 def oracle_two_angle_law(spec, n_points=CLAIM_TWO_ANGLE_POINTS):
     """Joint (theta, vartheta) density from the first-quantized pair
-    density, on the half-open periodic grid."""
+    density, on the half-open periodic grid; both radii are integrated
+    exactly by the ray rule of _radial_gram."""
     _check_grid(n_points)
     angles = 2.0 * math.pi * np.arange(n_points) / n_points
     gram = _radial_gram(spec, np.cos(angles), np.sin(angles))
@@ -697,7 +673,7 @@ def _engine_vs_oracle(laws):
               f" {sweep['mass_engine']:.12f} vs oracle"
               f" {sweep['mass_oracle']:.12f}")
     if route == "first-quantized":
-        norm = wavefunction_norm(laws.spec, laws.resolution)
+        norm = wavefunction_norm(laws.spec)
         detail += f"; wavefunction norm {norm:.12f}"
     return sweep["dev_oracle"], detail, route
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from quadrature import gauss_legendre
 from vortexcorr.density import density_grid, rho1, rho2
 from vortexcorr.errors import AlgebraInconsistencyError
 from vortexcorr.fock import (Basis, Correlators, QuantumState, Statistics,
@@ -183,7 +184,6 @@ def test_coherent_rho2_factorizes():
 
 def test_rho2_marginal_recovers_rho1():
     # integrating out one particle leaves (N-1) rho1 for two-quanta states
-    from vortexcorr.oracle import gauss_legendre
     nodes, weights = gauss_legendre(64, -6.0, 6.0)
     w2 = weights[:, None] * weights[None, :]
     for spec in (fermi_fock(), bose_fock(1, 1)):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from quadrature import gauss_legendre
 from vortexcorr.modes import (DIPOLE_PAIR, DIPOLE_X, DIPOLE_Y, VORTEX_CCW,
                               VORTEX_CW, VORTEX_PAIR, mode_eval)
-from vortexcorr.oracle import EXTENT, gauss_legendre
+from vortexcorr.oracle import EXTENT
 
 
 def _phi1d(n, x):

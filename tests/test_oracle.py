@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quadrature import gauss_legendre
 from vortexcorr import density, oracle
 from vortexcorr.errors import UnsupportedStateError
 from vortexcorr.modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
@@ -24,7 +25,6 @@ from vortexcorr.oracle import (
     EXTENT,
     all_engine_checks_confirmed,
     cross_validate,
-    gauss_legendre,
     oracle_folded_angle_law,
     oracle_two_angle_law,
     pair_grid_sweep,
@@ -67,10 +67,10 @@ def _row(rows, claim_id):
 
 
 def test_two_particle_wavefunctions_normalized():
-    # Riemann sums on a Gaussian-decaying integrand are exponentially
-    # accurate, so the norm defect measures the wavefunction itself
+    # the polar rule is exact, so the norm defect measures the
+    # wavefunction itself, up to rounding
     for spec in (fermi_fock(), bose_fock(1, 1), bose_fock(2, 0), noon()):
-        assert abs(wavefunction_norm(spec, resolution=41) - 1.0) < 1e-12
+        assert abs(wavefunction_norm(spec) - 1.0) < 1e-14
 
 
 def test_oracle_routes_match_engine():
@@ -326,9 +326,9 @@ def test_full_report_rows_are_pinned():
     assert digest == _REPORT_DIGEST
 
 
-# the same fields of full_report(31), plus the details of the rho2 rows:
-# their pair masses (12 decimals) and wavefunction norms move if a tile of
-# the 3 x 3 tiled pair sweep is lost or counted twice
+# the same fields of full_report(31), plus the details of the rho2 rows,
+# which carry the wavefunction norms: their pair masses (12 decimals) move
+# if a tile of the 3 x 3 tiled pair sweep is lost or counted twice
 _TILED_REPORT_DIGEST = \
     "9b839b0889488b584e01e9767f99bcedecd0050f602bfca46dfe95ab5533e6e7"
 
@@ -504,8 +504,12 @@ def test_printed_laws_hold_in_the_family_basis():
 
 # ---------------------------------------------------------------------------
 # order^2 references for the Gram-matrix quadratures: Psi evaluated at
-# every (r, s, angles) node and every plane point pair
+# every (r, s, angles) node and every plane point pair. The radii are a
+# dense Gauss-Legendre rule on [0, EXTENT], independent of the oracle's
+# one-node Gauss-Laguerre rule
 # ---------------------------------------------------------------------------
+
+_REFERENCE_RADIAL_ORDER = 40
 
 FIRST_QUANTIZED = [fermi_fock(), bose_fock(1, 1), bose_fock(2, 0),
                    bose_fock(0, 2), noon(), bose_fock(2, 0, basis="dipole")]
@@ -525,7 +529,7 @@ def _reference_radial_sums(spec, r_jac, f1, g1, f2, g2):
 
 
 def _reference_radial_rule():
-    nodes, weights = gauss_legendre(oracle.ORACLE_RADIAL_ORDER, 0.0, EXTENT)
+    nodes, weights = gauss_legendre(_REFERENCE_RADIAL_ORDER, 0.0, EXTENT)
     return nodes, weights * nodes
 
 
@@ -583,19 +587,18 @@ def test_gram_angle_laws_match_node_by_node_reference(spec):
 @pytest.mark.parametrize("spec", FIRST_QUANTIZED,
                          ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
 def test_folded_ray_table_matches_node_by_node_reference(spec, n_points):
-    # the reference evaluates Psi on every ray phi_i - delta_k, each angle
-    # formed in floating point; the law takes one Gram per distinct ray
-    # (13 points are compared in the test above)
+    # the reference evaluates Psi at every radius pair of every ray
+    # phi_i - delta_k; the law takes one Gram per ray from its one radial
+    # node (13 points are compared in the test above)
     grid, folded = oracle_folded_angle_law(spec, n_points=n_points)
     ref_grid, ref_folded = _reference_folded_angle_law(spec, n_points)
     assert np.array_equal(grid, ref_grid)
     assert np.max(np.abs(folded - ref_folded)) <= 1e-15
 
 
-def test_folded_law_evaluates_each_distinct_ray_once(monkeypatch):
-    # the default grid's 64 x 722 rays hold 2880 distinct angles; the
-    # first particle's 64 rays are among them, so a law that evaluates
-    # the modes per ray again (46208 rays) fails the budget
+def test_folded_law_evaluates_the_modes_once_per_ray(monkeypatch):
+    # one radial node per ray: the mean angles' rays of particle 1, and
+    # the rays phi_i - delta_k of particle 2 for the 2 n relative angles
     points = []
     original = oracle._eval_pair
 
@@ -605,20 +608,47 @@ def test_folded_law_evaluates_each_distinct_ray_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_eval_pair", counting)
     oracle_folded_angle_law(fermi_fock())
-    assert sum(points) <= (2880 + 64) * oracle.ORACLE_RADIAL_ORDER
+    rays = (2 * oracle.CLAIM_ANGLE_POINTS + 1) * oracle.ORACLE_MEAN_ANGLES
+    assert sum(points) == rays == 3615
 
 
 @pytest.mark.parametrize("spec", [fermi_fock(), bose_fock()],
                          ids=["fermi-fock", "bose-fock"])
-def test_folded_law_memory_is_bounded_by_the_column_chunk(spec):
-    # gathering all 64 x 722 rays' Gram matrices at once peaked at 5.5 MB
+def test_folded_law_memory_is_bounded_by_its_rays(spec):
+    # the 5 x 722 rays' Gram matrices; the former 64 x 722-ray quadrature
+    # peaked at 5.5 MB at once and at 2.2 MB in column chunks
     tracemalloc.start()
     try:
         oracle_folded_angle_law(spec, n_points=oracle.CLAIM_ANGLE_POINTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 2 ** 20
+    assert peak <= 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("spec", FIRST_QUANTIZED,
+                         ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
+def test_mean_angle_rule_is_exact_at_its_degree_bound(monkeypatch, spec):
+    # |Psi|^2 has degree 4 in the mean angle and the norm's Gram entries
+    # degree 2: 5 periodic nodes are exact for both, so larger rules move
+    # nothing but rounding. 4 nodes alias the degree-4 harmonic, which
+    # NOON (sin^2(2 phi - delta)) and the dipole modes carry; a vortex
+    # Fock state is rotation invariant and has none
+    def rule():
+        return oracle_folded_angle_law(spec)[1], wavefunction_norm(spec)
+
+    law, norm = rule()
+    for count in (6, 8, 16, 64):
+        monkeypatch.setattr(oracle, "ORACLE_MEAN_ANGLES", count)
+        other_law, other_norm = rule()
+        assert np.max(np.abs(other_law - law)) <= 2e-15
+        assert abs(other_norm - norm) <= 2e-15
+    monkeypatch.setattr(oracle, "ORACLE_MEAN_ANGLES", 4)
+    aliased = np.max(np.abs(rule()[0] - law))
+    if spec.kind == "noon" or spec.basis == "dipole":
+        assert aliased > 0.1
+    else:
+        assert aliased <= 2e-15
 
 
 @pytest.mark.parametrize("law, n_points", [
@@ -643,7 +673,7 @@ def test_angle_laws_normalise_exactly_on_the_smallest_grid():
 @pytest.mark.parametrize("spec", FIRST_QUANTIZED,
                          ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
 def test_gram_norm_matches_point_pair_reference(spec):
-    assert abs(wavefunction_norm(spec, resolution=31)
+    assert abs(wavefunction_norm(spec)
                - _reference_wavefunction_norm(spec, 31)) <= 1e-14
 
 

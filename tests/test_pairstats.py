@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from quadrature import gauss_legendre
 from vortexcorr.density import rho1, rho2
 from vortexcorr.errors import AlgebraInconsistencyError, NoPairsError
 from vortexcorr.fock import (Basis, Correlators, QuantumState, Statistics,
@@ -18,7 +19,7 @@ from vortexcorr.fock import (Basis, Correlators, QuantumState, Statistics,
 from vortexcorr.modes import DIPOLE_PAIR, VORTEX_PAIR, mode_eval
 from vortexcorr.oracle import (_PRINTED_DISTANCE_FORMS, ANGLE_FORMS,
                                closed_form_angle, closed_form_distance,
-                               closed_form_two_angle, gauss_legendre)
+                               closed_form_two_angle)
 from vortexcorr.pairstats import (ISOTROPY_TOL, PairDistribution,
                                   PairVariable, angle_distribution,
                                   bosonic_weight, distance_distribution,

@@ -38,15 +38,15 @@ def rho1(state, x, y):
     return np.asarray(np.einsum("j,j...->...", m, shell_harmonics(x, y)))
 
 
-def rho2(state, x1, y1, x2, y2):
+def rho2(state, x1, y1, x2, y2, out=None):
     """Two-body density h(x1)^T M h(x2) at Cartesian point pairs
     (vectorized); the point pairs meet only in one real three-term
-    broadcast sum."""
+    broadcast sum, written to `out` if given."""
     matrix = harmonics(state)[1]
     h1 = shell_harmonics(x1, y1)
     h2 = shell_harmonics(x2, y2)
     left = (matrix.T @ h1.reshape(3, -1)).reshape(h1.shape)
-    return np.asarray(np.einsum("k...,k...->...", left, h2))
+    return np.asarray(np.einsum("k...,k...->...", left, h2, out=out))
 
 
 @dataclass

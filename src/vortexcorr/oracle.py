@@ -111,10 +111,20 @@ def _eval_pair(spec, x, y):
                  for vx, vy in (mode.v for mode in _pair_modes(spec)))
 
 
-def _pair_sum(first, second):
+def _pair_sum(first, second, out=None):
     """sum_k A_k(r1) B_k(r2) over real per-particle factors: the one
     contraction of a pair density that spans all point pairs."""
-    return np.einsum("k...,k...->...", np.stack(first), np.stack(second))
+    return np.einsum("k...,k...->...", first, second, out=out)
+
+
+def _pair_density(factors):
+    """The pair density sum_k A_k(r1) B_k(r2) of factors(spec, x, y, first)."""
+    def density(spec, x1, y1, x2, y2):
+        return _pair_sum(factors(spec, x1, y1, True),
+                         factors(spec, x2, y2, False))
+    density.__name__, density.__doc__ = factors.__name__, factors.__doc__
+    density.factors = factors
+    return density
 
 
 def _intensities(f, g):
@@ -140,21 +150,21 @@ def _two_particle_psi(spec, f1, g1, f2, g2):
     return (f1 * g2 + g1 * f2) / root2
 
 
-def first_quantized_rho2(spec, x1, y1, x2, y2):
+@_pair_density
+def first_quantized_rho2(spec, x, y, first):
     """Pair density 2|Psi|^2 of a definite two-particle state.
 
     Supports NOON and the Fock states of exactly two particles; every
     other spec has no definite two-particle wavefunction and raises
     UnsupportedStateError (it is cross-checked through the permanent
     expansion, mixture, factorization, or moment identities instead). Each
-    point is a one-node Gram matrix of the |Psi|^2 quadratures below.
+    point is a one-node Gram matrix, of weight 2 (exact) for particle 1.
     """
-    return 2.0 * _psi_mass(spec, _gram(spec, 1.0, x1, y1),
-                           _gram(spec, 1.0, x2, y2))
+    return _psi_factors(spec, _gram(spec, 2.0 if first else 1.0, x, y), first)
 
 
-def fock_pair_density(weights, spec, x1, y1, x2, y2):
-    """Bosonic pair density of the mode amplitudes at the point pairs.
+def _fock_factors(weights, spec, x, y, first):
+    """Per-particle factors of the bosonic pair density of the modes.
 
     Reduction of the permanent expansion over an orthonormal mode pair:
     only the symmetrized cross pair and the same-mode pairs survive, which
@@ -163,11 +173,11 @@ def fock_pair_density(weights, spec, x1, y1, x2, y2):
     |f1 g2 + g1 f2|^2 = |f1|^2 |g2|^2 + |g1|^2 |f2|^2 + 2 Re(c1 conj(c2)).
     """
     cross, same_a, same_b = weights
-    ff1, gg1, c1 = _intensities(*_eval_pair(spec, x1, y1))
-    ff2, gg2, c2 = _intensities(*_eval_pair(spec, x2, y2))
-    return _pair_sum([same_a * ff1 + cross * gg1, cross * ff1 + same_b * gg1,
-                      2.0 * cross * c1.real, 2.0 * cross * c1.imag],
-                     [ff2, gg2, c2.real, c2.imag])
+    ff, gg, c = _intensities(*_eval_pair(spec, x, y))
+    if first:
+        return [same_a * ff + cross * gg, cross * ff + same_b * gg,
+                2.0 * cross * c.real, 2.0 * cross * c.imag]
+    return [ff, gg, c.real, c.imag]
 
 
 def _geometric_factorial_moments(nbar):
@@ -187,29 +197,28 @@ def _geometric_factorial_moments(nbar):
     return s1, s2
 
 
-def geometric_mixture_rho2(spec, x1, y1, x2, y2):
+@_pair_density
+def geometric_mixture_rho2(spec, x, y, first):
     """Thermal pair density as a convex mixture of Fock pair densities.
 
     The double sum over occupations factorizes over the three spatial
-    templates of fock_pair_density, so the mixture weights them by geometric
+    templates of _fock_factors, so the mixture weights them by geometric
     factorial moments; the truncated series tails are below 1e-12.
     """
     mean_a, fac_a = _geometric_factorial_moments(spec.nbar_a)
     mean_b, fac_b = _geometric_factorial_moments(spec.nbar_b)
-    return fock_pair_density((mean_a * mean_b, fac_a, fac_b),
-                             spec, x1, y1, x2, y2)
+    return _fock_factors((mean_a * mean_b, fac_a, fac_b), spec, x, y, first)
 
 
-def factorized_coherent_rho2(spec, x1, y1, x2, y2):
+@_pair_density
+def factorized_coherent_rho2(spec, x, y, first):
     """Coherent pair density |A(r1)|^2 |A(r2)|^2 of the amplitude field."""
-    f1, g1 = _eval_pair(spec, x1, y1)
-    f2, g2 = _eval_pair(spec, x2, y2)
-    amp1 = spec.alpha_a * f1 + spec.alpha_b * g1
-    amp2 = spec.alpha_a * f2 + spec.alpha_b * g2
-    return _pair_sum([np.abs(amp1) ** 2], [np.abs(amp2) ** 2])
+    f, g = _eval_pair(spec, x, y)
+    return [np.abs(spec.alpha_a * f + spec.alpha_b * g) ** 2]
 
 
-def wick_rho2(spec, x1, y1, x2, y2):
+@_pair_density
+def wick_rho2(spec, x, y, first):
     """Cothermal pair density from Wick moments of the displaced field.
 
     A(r) is the displacement field, kappa(r, r') the thermal coherence
@@ -220,26 +229,23 @@ def wick_rho2(spec, x1, y1, x2, y2):
     """
     beta_a, beta_b = spec.alpha_a, -1.0j * spec.alpha_a
     nu = spec.nbar_a
-
-    def factors(x, y):
-        f, g = _eval_pair(spec, x, y)
-        amp = beta_a * f + beta_b * g
-        ff, gg, c = _intensities(f, g)
-        pf, pg = amp * np.conj(f), amp * np.conj(g)
-        return [np.abs(amp) ** 2 + nu * (ff + gg), pf.real, pf.imag,
-                pg.real, pg.imag, ff, gg, c.real, c.imag]
-
+    f, g = _eval_pair(spec, x, y)
+    amp = beta_a * f + beta_b * g
+    ff, gg, c = _intensities(f, g)
+    pf, pg = amp * np.conj(f), amp * np.conj(g)
+    factors = [np.abs(amp) ** 2 + nu * (ff + gg), pf.real, pf.imag,
+               pg.real, pg.imag, ff, gg, c.real, c.imag]
     weights = (1.0,) + (2.0 * nu,) * 4 + (nu * nu,) * 2 + (2.0 * nu * nu,) * 2
-    return _pair_sum([w * a for w, a in zip(weights, factors(x1, y1))],
-                     factors(x2, y2))
+    return [w * a for w, a in zip(weights, factors)] if first else factors
 
 
-def permanent_rho2(spec, x1, y1, x2, y2):
+@_pair_density
+def permanent_rho2(spec, x, y, first):
     """Fock pair density from the occupations; every weight, and so the
     density, is exactly 0 for fewer than two fermions."""
     n, m = spec.n, spec.m
-    return fock_pair_density((n * m, n * (n - 1), m * (m - 1)),
-                             spec, x1, y1, x2, y2)
+    return _fock_factors((n * m, n * (n - 1), m * (m - 1)), spec, x, y,
+                         first)
 
 
 def oracle_route(spec):
@@ -308,7 +314,8 @@ def rho1_closed(spec, x, y):
     return n_a * np.abs(fa) ** 2 + n_b * np.abs(fb) ** 2
 
 
-def printed_rho2(spec, x1, y1, x2, y2):
+@_pair_density
+def printed_rho2(spec, x, y, first):
     """The pair densities as printed, for the families in _PAIR_FORMS.
 
     Fermi and Bose pair each mode with itself across the two particles
@@ -318,27 +325,23 @@ def printed_rho2(spec, x1, y1, x2, y2):
     c = a conj(b), e.g. |a1 a2 -+ b1 b2|^2 = |a1 a2|^2 + |b1 b2|^2 -+
     2 Re(c1 c2).
     """
-    a1, b1 = _eval_pair(spec, x1, y1)
-    a2, b2 = _eval_pair(spec, x2, y2)
+    if spec.kind not in _PAIR_FORMS:
+        raise ValueError(f"no printed rho2 for kind {spec.kind!r}")
+    a, b = _eval_pair(spec, x, y)
     if spec.kind == "coherent":
-        return _pair_sum([np.abs(spec.alpha_a * a1) ** 2],
-                         [np.abs(spec.alpha_b * b2) ** 2])
-    aa1, bb1, c1 = _intensities(a1, b1)
-    aa2, bb2, c2 = _intensities(a2, b2)
-    right = [aa2, bb2, c2.real, c2.imag]
+        return [np.abs(spec.alpha_a * a if first else spec.alpha_b * b) ** 2]
+    aa, bb, c = _intensities(a, b)
+    na, nb, n, m = spec.nbar_a, spec.nbar_b, spec.n, spec.m
+    if not first:
+        head = [na * aa + nb * bb] if spec.kind == "thermal" else []
+        return head + [aa, bb, c.real, c.imag]
     if spec.kind == "fermi-fock":
-        return _pair_sum([aa1, bb1, -2.0 * c1.real, 2.0 * c1.imag], right)
+        return [aa, bb, -2.0 * c.real, 2.0 * c.imag]
     if spec.kind == "bose-fock":
-        n, m = spec.n, spec.m
-        return _pair_sum([n * (m + n - 1) * aa1, m * (n + m - 1) * bb1,
-                          2.0 * n * m * c1.real, -2.0 * n * m * c1.imag],
-                         right)
-    if spec.kind == "thermal":
-        na, nb = spec.nbar_a, spec.nbar_b
-        return _pair_sum([na * aa1 + nb * bb1, na * na * aa1, nb * nb * bb1,
-                          2.0 * na * nb * c1.real, 2.0 * na * nb * c1.imag],
-                         [na * aa2 + nb * bb2] + right)
-    raise ValueError(f"no printed rho2 for kind {spec.kind!r}")
+        return [n * (m + n - 1) * aa, m * (n + m - 1) * bb,
+                2.0 * n * m * c.real, -2.0 * n * m * c.imag]
+    return [na * aa + nb * bb, na * na * aa, nb * nb * bb,
+            2.0 * na * nb * c.real, 2.0 * na * nb * c.imag]
 
 
 def _flat_angle(delta):
@@ -427,7 +430,7 @@ def _plane_points(resolution):
 
 
 def _gap(values, reference, out=None):
-    """max |values - reference|; the difference goes to `out` if given."""
+    """max |values - reference| (NaN if any); the difference goes to out."""
     diff = np.subtract(values, reference, out=out)
     return float(np.max(np.abs(diff, out=diff)))
 
@@ -436,38 +439,45 @@ def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION):
     """Engine vs oracle (and the printed pair density, where _pairing_applies)
     over all point pairs of a resolution x resolution grid.
 
-    The pairs are walked in square tiles of at most _TILE_CELLS pairs, so
-    every array the sweep makes holds at most that many values (1 MB) at
-    any resolution, and each tile's row and column points stay in cache.
-    Returns a dict with the sup deviations and the Riemann pair masses
-    (the Gaussian tails at the box edge make plain h^4 sums accurate far
-    beyond the tolerances in play).
+    The pairs are walked in square tiles of at most _TILE_CELLS pairs; the
+    routes' per-particle factors are evaluated once per row and column of
+    tiles, and the engine value, then each route's, fill two reused tile
+    buffers. Each row's contact pairs also go through reference_rho2.
+    Returns a dict with the sup deviations (NaN if any pair is) and the
+    Riemann pair masses (the Gaussian tails at the box edge make plain h^4
+    sums accurate far beyond the tolerances in play).
     """
     state = build_state(spec)
-    verbatim = _pairing_applies(spec)
+    factors = [oracle_route(spec)[1].factors]
+    if _pairing_applies(spec):
+        factors.append(printed_rho2.factors)
     px, py, step = _plane_points(resolution)
-    edge = math.isqrt(_TILE_CELLS)
-    dev_oracle = dev_verbatim = 0.0
-    mass_engine = mass_oracle = 0.0
-    for i0 in range(0, px.size, edge):
-        x1 = px[i0:i0 + edge, None]
-        y1 = py[i0:i0 + edge, None]
-        for j0 in range(0, px.size, edge):
-            x2 = px[None, j0:j0 + edge]
-            y2 = py[None, j0:j0 + edge]
-            eng = rho2(state, x1, y1, x2, y2)
-            orc = reference_rho2(spec, x1, y1, x2, y2)
+    edge = min(math.isqrt(_TILE_CELLS), px.size)
+    rows = [(px[i:i + edge, None], py[i:i + edge, None])
+            for i in range(0, px.size, edge)]
+    columns = [(x.T, y.T, [np.stack(f(spec, x.T, y.T, False))
+                           for f in factors]) for x, y in rows]
+    engine_tile, route_tile = np.empty((2, edge * edge))
+    devs, mass_engine, mass_oracle = [0.0] * len(factors), 0.0, 0.0
+    for x1, y1 in rows:
+        firsts = [np.stack(f(spec, x1, y1, True)) for f in factors]
+        contact = (x1, y1, x1, y1)
+        devs[0] = np.maximum(devs[0], _gap(reference_rho2(spec, *contact),
+                                           rho2(state, *contact)))
+        for x2, y2, seconds in columns:
+            eng, value = (tile[:x1.size * x2.size].reshape(x1.size, x2.size)
+                          for tile in (engine_tile, route_tile))
+            eng = rho2(state, x1, y1, x2, y2, out=eng)
             mass_engine += float(np.sum(eng))
-            mass_oracle += float(np.sum(orc))
-            dev_oracle = max(dev_oracle, _gap(orc, eng, out=orc))
-            if verbatim:
-                printed = printed_rho2(spec, x1, y1, x2, y2)
-                dev_verbatim = max(dev_verbatim,
-                                   _gap(printed, eng, out=printed))
+            for k, (first, second) in enumerate(zip(firsts, seconds)):
+                _pair_sum(first, second, out=value)
+                if k == 0:
+                    mass_oracle += float(np.sum(value))
+                devs[k] = np.maximum(devs[k], _gap(value, eng, out=value))
     h4 = step ** 4
     return {
-        "dev_oracle": dev_oracle,
-        "dev_verbatim": dev_verbatim if verbatim else None,
+        "dev_oracle": float(devs[0]),
+        "dev_verbatim": float(devs[1]) if len(factors) > 1 else None,
         "mass_engine": mass_engine * h4,
         "mass_oracle": mass_oracle * h4,
         "resolution": resolution,
@@ -499,17 +509,22 @@ def _gram(spec, w, x, y):
     return np.array([[w * ua * np.conj(uc) for uc in u] for ua in u])
 
 
-def _psi_mass(spec, gram1, gram2):
-    """Quadrature of |Psi|^2 from both particles' Gram matrices; their
-    trailing axes broadcast and label the unsummed nodes."""
+def _psi_factors(spec, gram, first):
+    """Per-particle factors of |Psi|^2: T = C^T M1 conj(C) meets M2, both
+    Hermitian, as T00 M2_00 + T11 M2_11 + 2 Re(T01 M2_01)."""
+    if not first:
+        return [gram[0, 0].real, gram[1, 1].real, gram[0, 1].real,
+                gram[0, 1].imag]
     c = _psi_coefficients(spec)
-    # T[b, d] = sum_ac C[a, b] M1[a, c] conj(C[c, d]), then T meets M2; both
-    # are Hermitian, so sum_bd T M2 = T00 M00 + T11 M11 + 2 Re(T01 M01)
-    t = np.einsum("ab,ac...,cd->bd...", c, gram1, np.conj(c))
-    return _pair_sum([t[0, 0].real, t[1, 1].real, 2.0 * t[0, 1].real,
-                      -2.0 * t[0, 1].imag],
-                     [gram2[0, 0].real, gram2[1, 1].real, gram2[0, 1].real,
-                      gram2[0, 1].imag])
+    t = np.einsum("ab,ac...,cd->bd...", c, gram, np.conj(c))
+    return [t[0, 0].real, t[1, 1].real, 2.0 * t[0, 1].real,
+            -2.0 * t[0, 1].imag]
+
+
+def _psi_mass(spec, gram1, gram2):
+    """|Psi|^2 quadrature; the Gram matrices' node axes broadcast."""
+    return _pair_sum(_psi_factors(spec, gram1, True),
+                     _psi_factors(spec, gram2, False))
 
 
 def _radial_gram(spec, cos, sin):
@@ -601,7 +616,7 @@ def polar_separability_deviation(state):
         dens = rho2(state, x1, y1, x2, y2)
         scale = math.pi ** 2 * math.exp(r * r + s * s) / (r * s) ** 2
         surfaces.append(dens * scale)
-    return max(_gap(w, surfaces[0]) for w in surfaces[1:])
+    return float(np.max([_gap(w, surfaces[0]) for w in surfaces[1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +783,7 @@ def _family_identity(laws):
              cothermal(), noon()]
     px, py, _ = _plane_points(laws.resolution)
     grids = [rho1(build_state(s), px, py) for s in specs]
-    return max(_gap(a, grids[0]) for a in grids[1:]), ""
+    return float(np.max([_gap(a, grids[0]) for a in grids[1:]])), ""
 
 
 def _crossings(laws):

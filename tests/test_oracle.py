@@ -125,14 +125,113 @@ def test_sweep_is_independent_of_the_tiling(monkeypatch, spec, resolution,
 @pytest.mark.parametrize("resolution", [61, 91])
 def test_sweep_memory_is_bounded_by_the_tile(resolution):
     # full-height column slabs of up to 2^20 pairs peaked at 32.6 and
-    # 33.4 MB at these resolutions
-    tracemalloc.start()
-    try:
-        pair_grid_sweep(fermi_fock(), resolution=resolution)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+    # 33.4 MB at these resolutions, fresh 1 MB temporaries per tile at
+    # 4.2 MB; two reused tile buffers and particle 2's factors stay under
+    # 3 MB, also for the widest factor lists (thermal with its printed
+    # form, cothermal)
+    for spec in (fermi_fock(), thermal(1.0, 1.0), cothermal()):
+        tracemalloc.start()
+        try:
+            pair_grid_sweep(spec, resolution=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20, spec.kind
+
+
+def _sweep_tiles(monkeypatch, spec, resolution):
+    """(x1, y1, x2, y2, values, engine) of every route value the sweep
+    compares with the engine, tile by tile in the sweep's order."""
+    gaps = []
+    original = oracle._gap
+
+    def recording(values, reference, out=None):
+        if out is not None:
+            gaps.append((values.copy(), reference.copy()))
+        return original(values, reference, out=out)
+
+    monkeypatch.setattr(oracle, "_gap", recording)
+    pair_grid_sweep(spec, resolution=resolution)
+    px, py, _ = oracle._plane_points(resolution)
+    edge = math.isqrt(oracle._TILE_CELLS)
+    routes = 2 if oracle._pairing_applies(spec) else 1
+    tiles = [(px[i:i + edge, None], py[i:i + edge, None],
+              px[None, j:j + edge], py[None, j:j + edge])
+             for i in range(0, px.size, edge)
+             for j in range(0, px.size, edge)]
+    assert len(gaps) == routes * len(tiles)
+    return [(tile, gaps[routes * n:routes * (n + 1)])
+            for n, tile in enumerate(tiles)]
+
+
+# every oracle route in both bases: first-quantized, permanent expansion
+# (fermi(1, 0) with all weights 0), geometric mixture, factorization, Wick
+@pytest.mark.parametrize("spec", [
+    replace(spec, basis=basis)
+    for spec in (fermi_fock(), noon(), bose_fock(2, 0), bose_fock(2, 1),
+                 StateSpec("fermi-fock", n=1, m=0), thermal(), coherent(),
+                 cothermal())
+    for basis in ("vortex", "dipole")],
+    ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
+def test_sweep_contracts_the_public_routes_bit_for_bit(monkeypatch, spec):
+    # per-point factors evaluated once over the grid, contracted into
+    # reused tile buffers, are the public densities on the tile's points
+    state = build_state(spec)
+    for tile, compared in _sweep_tiles(monkeypatch, spec, 31):
+        engine = density.rho2(state, *tile)
+        routes = [oracle.reference_rho2, oracle.printed_rho2]
+        for route, (values, reference) in zip(routes, compared):
+            assert np.array_equal(values, route(spec, *tile)), route
+            assert np.array_equal(reference, engine)
+
+
+def test_a_nan_engine_pair_fails_the_gating_row(monkeypatch):
+    # one NaN pair in the middle tile of the 3 x 3 tiles at resolution
+    # 31: max(dev, nan) is dev, so a running Python max dropped it
+    px = oracle._plane_points(31)[0]
+    edge = math.isqrt(oracle._TILE_CELLS)
+    original = oracle.rho2
+
+    def one_nan(state, x1, y1, x2, y2, out=None):
+        values = original(state, x1, y1, x2, y2, out=out)
+        if np.shape(x1) == (edge, 1) and x1[0, 0] == px[edge] \
+                and np.shape(x2) == (1, edge) and x2[0, 0] == px[edge]:
+            values[5, 7] = math.nan
+        return values
+
+    monkeypatch.setattr(oracle, "rho2", one_nan)
+    rows = cross_validate(fermi_fock(), resolution=31)
+    row = _row(rows, "rho2-engine-vs-oracle")
+    assert math.isnan(row.max_abs_deviation)
+    assert row.verdict != "Confirmed"
+    assert not all_engine_checks_confirmed(rows)
+    assert math.isnan(_row(rows, "rho2-printed-pairing").max_abs_deviation)
+
+
+def test_a_nan_keeps_the_engine_surface_rows_unconfirmed(monkeypatch):
+    # the polar surfaces and the rho1 family grids take their maxima
+    # with NaN kept as well
+    rho1, rho2 = oracle.rho1, oracle.rho2
+    calls = []
+
+    def nan_once(original):
+        def evaluate(state, *args):
+            values = np.array(original(state, *args))
+            calls.append(None)
+            if len(calls) == 3:
+                values.flat[3] = math.nan
+            return values
+        return evaluate
+
+    monkeypatch.setattr(oracle, "rho2", nan_once(rho2))
+    assert math.isnan(oracle.polar_separability_deviation(
+        build_state(fermi_fock())))
+    calls.clear()
+    monkeypatch.setattr(oracle, "rho1", nan_once(rho1))
+    rows = oracle._rows(None, 15)
+    row = _row(rows, "one-body-family-identity")
+    assert math.isnan(row.max_abs_deviation)
+    assert not all_engine_checks_confirmed(rows)
 
 
 def test_fermi_verdicts(fermi_rows):

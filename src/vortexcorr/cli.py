@@ -172,7 +172,7 @@ SETTINGS = (
             default=64, bounds=(4, 10 ** 5)),
     # the pair sweep holds two tiles and per-point factors (5.6 MB traced at
     # 200); its time grows as resolution^4, so the ceiling bounds time: on
-    # a 2-core VM verify took about 1.4 s at 61 and 142 s at 200
+    # a 2-core VM verify took about 0.9 s at 61 and 72 s at 200
     Setting("resolution", ("verify",),
             "pair-grid points per axis (default {default})", type=int,
             default=DEFAULT_RESOLUTION, bounds=(8, 200)),

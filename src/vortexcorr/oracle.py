@@ -3,13 +3,15 @@
 Everything on the checking side is built without the operator engine:
 definite two-particle states get explicit (anti)symmetrized first-quantized
 wavefunctions, thermal states a convex geometric mixture of Fock pair
-densities, coherent states an amplitude factorization, and cothermal states
-Wick moment algebra. The |Psi|^2 quadratures assume only that Psi is
-bilinear in the two particles' mode amplitudes (2x2 Gram matrices), and
-they are exact (Golub and Welsch 1969): every mode is (v . x) exp(-|x|^2/2),
-so along a ray the integrand is u exp(-u) in u = r^2, which one
-Gauss-Laguerre node integrates, and in the mean angle a trigonometric
-polynomial of degree at most 4, which 5 periodic nodes integrate. Pair
+densities (weighted by factorial moments of the geometric law, read off its
+generating function), coherent states an amplitude factorization, and
+cothermal states Wick moment algebra. The |Psi|^2 quadratures assume only
+that Psi is bilinear in the two particles' mode amplitudes (2x2 Gram
+matrices), and they are exact (Golub and Welsch 1969): every mode is
+(v . x) exp(-|x|^2/2), so along a ray the integrand is u exp(-u) in
+u = r^2, which one Gauss-Laguerre node integrates, and in the mean angle a
+trigonometric polynomial of degree at most 4, which 5 periodic nodes
+integrate. Pair
 densities are sums of products of real per-particle factors. Only the
 modes' unit vectors are shared with the rest of the library; the engine
 enters purely as the object under test.
@@ -58,7 +60,6 @@ _TILE_CELLS = 1 << 17
 # amplitude, squared in any density): [-EXTENT, EXTENT]^2 is the domain of
 # the Cartesian pair grid
 EXTENT = 6.0
-_SERIES_TAIL = 1e-16
 
 FERMI_DISTANCE_MEAN = math.sqrt(9.0 * math.pi / 8.0)
 BOSE_DISTANCE_MEAN = math.sqrt(121.0 * math.pi / 128.0)
@@ -180,34 +181,19 @@ def _fock_factors(weights, spec, x, y, first):
     return [ff, gg, c.real, c.imag]
 
 
-def _geometric_factorial_moments(nbar):
-    """(E[n], E[n(n-1)]) under the geometric distribution, by direct
-    summation truncated when terms fall below 1e-16 relative."""
-    if nbar <= 0.0:
-        return 0.0, 0.0
-    tau = nbar / (1.0 + nbar)
-    weight = 1.0 / (1.0 + nbar)
-    s1 = s2 = 0.0
-    for n in range(100000):
-        s1 += weight * n
-        s2 += weight * n * (n - 1)
-        if n > 4 and weight * n * n < _SERIES_TAIL * max(s1, 1.0):
-            break
-        weight *= tau
-    return s1, s2
-
-
 @_pair_density
 def geometric_mixture_rho2(spec, x, y, first):
     """Thermal pair density as a convex mixture of Fock pair densities.
 
     The double sum over occupations factorizes over the three spatial
-    templates of _fock_factors, so the mixture weights them by geometric
-    factorial moments; the truncated series tails are below 1e-12.
+    templates of _fock_factors, so the mixture weights them by factorial
+    moments of the geometric law. Its generating function
+    G(z) = E[z^n] = 1 / (1 + nbar (1 - z)) gives them exactly, at any
+    nbar: E[n] = G'(1) = nbar and E[n(n-1)] = G''(1) = 2 nbar^2.
     """
-    mean_a, fac_a = _geometric_factorial_moments(spec.nbar_a)
-    mean_b, fac_b = _geometric_factorial_moments(spec.nbar_b)
-    return _fock_factors((mean_a * mean_b, fac_a, fac_b), spec, x, y, first)
+    nbar_a, nbar_b = spec.nbar_a, spec.nbar_b
+    return _fock_factors((nbar_a * nbar_b, 2.0 * nbar_a * nbar_a,
+                          2.0 * nbar_b * nbar_b), spec, x, y, first)
 
 
 @_pair_density
@@ -530,11 +516,10 @@ def _psi_mass(spec, gram1, gram2):
 def _radial_gram(spec, cos, sin):
     """Gram matrices along the rays at angles (cos, sin), integrated over
     the radius exactly: with u = r^2 the polar measure r dr is du / 2 and
-    every entry is u exp(-u) times a factor of the ray, so the one-node
-    Gauss-Laguerre rule in u takes weight w e^u / 2 at r = sqrt(u)."""
-    (u,), (w,) = np.polynomial.laguerre.laggauss(1)
-    r = math.sqrt(u)
-    return _gram(spec, 0.5 * w * math.exp(u), r * cos, r * sin)
+    every entry is u exp(-u) times a factor of the ray. The one-node
+    Gauss-Laguerre rule, node u = 1 and weight 1, is exact for u exp(-u);
+    in r it is the node r = 1 of weight e^u / 2 = e / 2."""
+    return _gram(spec, 0.5 * math.e, cos, sin)
 
 
 def wavefunction_norm(spec):

@@ -396,6 +396,8 @@ def chi_square_gof(samples, reference, bins=40):
 
 _HEADER_PREFIX = "#vortexcorr-frames "
 _COLUMNS = "frame_index,x1,y1,x2,y2"
+_HEADER_KEYS = {"state", "seed", "count", "method", "acceptance_rate",
+                "generator"}
 _READ_BYTES = 1 << 18  # bytes of body per parse_block call
 _WRITE_SLICE = 20 * (_CELLS // 5)  # rows per write_rows call, whole blocks
 
@@ -443,9 +445,16 @@ def load_frames(path):
         columns = fh.readline().decode("utf-8").strip()
         if columns != _COLUMNS:
             raise ValueError(f"unexpected column header {columns!r}")
-        count = header["count"]
-        if not isinstance(count, int) or count < 0:
+        if not isinstance(header, dict) or not _HEADER_KEYS <= header.keys():
+            raise ValueError(f"frames header is not an object with the keys "
+                             f"{', '.join(sorted(_HEADER_KEYS))}")
+        count, seed = header["count"], header["seed"]
+        if type(count) is not int or count < 0:
             raise ValueError(f"frame count {count!r} is not an integer >= 0")
+        if type(seed) is not int or not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed {seed!r} is not an integer in [0, 2**64)")
+        if type(header["acceptance_rate"]) not in (int, float):
+            raise ValueError("acceptance_rate is not a number")
         # a row takes at least 10 bytes, the last one 9
         if 10 * count > os.fstat(fh.fileno()).st_size - fh.tell() + 1:
             raise ValueError("frame count exceeds what the body can hold")
@@ -472,7 +481,7 @@ def load_frames(path):
     if row != count:
         raise ValueError("frame count mismatch between header and body")
     return FrameSet(spec=spec_from_dict(header["state"]),
-                    seed=int(header["seed"]), points=points,
+                    seed=seed, points=points,
                     method=header["method"],
                     acceptance_rate=float(header["acceptance_rate"]),
                     meta={"generator_version": header["generator"]})

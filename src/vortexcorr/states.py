@@ -143,7 +143,7 @@ def build_state(spec):
 
 _COMPLEX_RE = re.compile(
     r"^\s*(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"\s*(?P<im>[+-]\s*(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?\s*"
+    r"\s*(?P<im>[+-]\s*(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?)?\s*"
     r"(?P<unit>[ij])?\s*$")
 
 

@@ -333,6 +333,9 @@ def test_exit_codes(tmp_path, capsys):
     # unparseable complex amplitude
     assert main(["profile", "--state", "coherent", "--alpha-x", "nope"]
                 + out) == 2
+    # an imaginary part with an exponent but no mantissa
+    assert main(["profile", "--state", "coherent", "--alpha-x", "1+e5i"]
+                + out) == 2
     # negative occupation, and thermal occupancies that are negative or not
     # finite
     assert main(["profile", "--state", "bose-fock", "--n", "-1"] + out) == 2
@@ -787,6 +790,22 @@ def test_config_hash_leaves_out_openssl(tmp_path):
         text.encode("utf-8")).hexdigest()
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile"], ["pairdist"], ["pairangle"],
+    ["frames", "--seed", "1", "--count", "1000"],
+    ["verify", "--resolution", "8"]], ids=lambda argv: argv[0])
+def test_commands_leave_out_numpy_polynomial(tmp_path, argv):
+    # numpy.polynomial is nine modules; the oracle's one-node radial rule
+    # needs two constants from it
+    code = ("import json, sys; from vortexcorr.cli import main; "
+            f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('numpy.polynomial'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == []
+
+
 def test_long_series_charts_stay_small(tmp_path):
     # charts draw a series longer than the cap at a stride, so their size
     # does not grow with --points or --bins
@@ -937,6 +956,8 @@ _LOOSE_VALUES = [
      "nbar_a must be a number"),
     (["profile"], {"state": "coherent", "alpha_x": True},
      "cannot parse complex literal True"),
+    (["profile"], {"state": "coherent", "alpha_x": "1+e5i"},
+     "cannot parse complex literal '1+e5i'"),
     # numbers given as strings
     (["frames"], {"count": "5", "seed": 1}, "bad value for count"),
     (["profile"], {"step": "0.5"}, "bad value for step"),

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -377,6 +378,33 @@ def test_coherent_and_thermal_verdicts():
     rows_t = cross_validate("thermal", resolution=RES)
     assert _row(rows_t, "rho2-printed-pairing").verdict == "Confirmed"
     assert _row(rows_t, "angle-derived-form").verdict == "Confirmed"
+
+
+def _geometric_series_moments(nbar, terms=20000):
+    """(E[n], E[n(n-1)]) of the geometric law nbar^n / (1 + nbar)^(n+1),
+    summed term by term; up to nbar = 100 the terms past `terms` add
+    less than 1e-70."""
+    n = np.arange(terms, dtype=float)
+    p = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
+    return math.fsum(p * n), math.fsum(p * n * (n - 1.0))
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.5, 1.0, 7.0, 100.0])
+def test_thermal_weights_equal_the_direct_series(nbar):
+    # the thermal route weights its Fock templates by nbar_a nbar_b and
+    # 2 nbar^2, the factorial moments read off the generating function
+    mean, factorial = _geometric_series_moments(nbar)
+    assert mean == pytest.approx(nbar, rel=1e-13, abs=1e-300)
+    assert factorial == pytest.approx(2.0 * nbar ** 2, rel=1e-13,
+                                      abs=1e-300)
+
+
+def test_thermal_row_holds_at_high_occupation():
+    # a direct series needs some 10^5 terms to reach E[n(n-1)] within
+    # the row's tolerance here; the generating function's weights are
+    # exact at any occupation
+    rows = cross_validate(thermal(1e4, 3e3), resolution=RES)
+    assert _row(rows, "rho2-engine-vs-oracle").verdict == "Confirmed"
 
 
 def test_gating_summary(fermi_rows, bose_rows, noon_rows):
@@ -776,6 +804,18 @@ def test_gram_norm_matches_point_pair_reference(spec):
                - _reference_wavefunction_norm(spec, 31)) <= 1e-14
 
 
+@pytest.mark.parametrize("e", [2.7, math.e * (1.0 + 1e-12)])
+def test_norm_checks_see_a_wrong_radial_weight(monkeypatch, e):
+    # e / 2 is the ray rule's one radial weight; the angle laws divide it
+    # out, so only the norms can see it, and the norm carries its square
+    monkeypatch.setattr(oracle, "math",
+                        types.SimpleNamespace(**{**vars(math), "e": e}))
+    for spec in FIRST_QUANTIZED:
+        norm = wavefunction_norm(spec)
+        assert abs(norm - 1.0) > 1e-14
+        assert abs(norm - _reference_wavefunction_norm(spec, 31)) > 1e-14
+
+
 @pytest.mark.parametrize("spec", FIRST_QUANTIZED,
                          ids=lambda s: f"{s.kind}-{s.n}{s.m}-{s.basis}")
 def test_psi_is_bilinear_in_mode_amplitudes(spec):
@@ -858,9 +898,9 @@ def _reference_rho2(spec, x1, y1, x2, y2):
         return _reference_fock(n * m, n * (n - 1), m * (m - 1),
                                f1, g1, f2, g2)
     if kind == "thermal":
-        mean_a, fac_a = oracle._geometric_factorial_moments(spec.nbar_a)
-        mean_b, fac_b = oracle._geometric_factorial_moments(spec.nbar_b)
-        return _reference_fock(mean_a * mean_b, fac_a, fac_b, f1, g1, f2, g2)
+        nbar_a, nbar_b = spec.nbar_a, spec.nbar_b
+        return _reference_fock(nbar_a * nbar_b, 2.0 * nbar_a ** 2,
+                               2.0 * nbar_b ** 2, f1, g1, f2, g2)
     if kind == "coherent":
         amp1 = spec.alpha_a * f1 + spec.alpha_b * g1
         amp2 = spec.alpha_a * f2 + spec.alpha_b * g2

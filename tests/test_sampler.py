@@ -567,7 +567,8 @@ def test_load_frames_checks_the_frame_index(tmp_path, change):
         load_frames(path)
 
 
-@pytest.mark.parametrize("count", [10 ** 12, 2.5, "x", -1, None])
+@pytest.mark.parametrize("count", [10 ** 12, 2.5, "x", -1, None, True,
+                                   False])
 def test_load_frames_checks_count_before_allocation(tmp_path, count):
     path = _frames_file(tmp_path, "\n".join(_ROWS) + "\n", count)
     tracemalloc.start()
@@ -578,6 +579,45 @@ def test_load_frames_checks_count_before_allocation(tmp_path, count):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _with_header(tmp_path, change):
+    """A two-frame file whose header object went through `change`."""
+    save_frames(generate_frames(fermi_fock(), 2, seed=8),
+                tmp_path / "frames.csv")
+    first, rest = (tmp_path / "frames.csv").read_text().split("\n", 1)
+    header = change(json.loads(first[len(sampler._HEADER_PREFIX):]))
+    (tmp_path / "frames.csv").write_text(
+        sampler._HEADER_PREFIX + json.dumps(header) + "\n" + rest)
+    return tmp_path / "frames.csv"
+
+
+_BAD_HEADERS = {
+    "list": lambda h: [h], "null": lambda h: None, "number": lambda h: 5,
+    **{f"no-{key}": lambda h, key=key: {k: v for k, v in h.items()
+                                        if k != key}
+       for key in sorted(sampler._HEADER_KEYS)},
+    **{f"seed-{json.dumps(seed)}": lambda h, seed=seed: {**h, "seed": seed}
+       for seed in (-5, "7", 7.9, 2 ** 64, 2 ** 70, True, None)},
+    **{f"rate-{json.dumps(rate)}":
+       lambda h, rate=rate: {**h, "acceptance_rate": rate}
+       for rate in (None, "0.5", True, [0.5])},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_HEADERS))
+def test_load_frames_checks_its_header(tmp_path, name):
+    # FORMATS.md: a header that is not an object with every key, a seed
+    # outside the integers in [0, 2**64) or a rate that is not a number
+    # raises ValueError
+    with pytest.raises(ValueError, match="header|seed|acceptance_rate"):
+        load_frames(_with_header(tmp_path, _BAD_HEADERS[name]))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_load_frames_reads_seeds_at_both_ends(tmp_path, seed):
+    path = _with_header(tmp_path, lambda h: {**h, "seed": seed})
+    assert load_frames(path).seed == seed
 
 
 def test_save_zero_frames(tmp_path):

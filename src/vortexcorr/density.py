@@ -38,15 +38,19 @@ def rho1(state, x, y):
     return np.asarray(np.einsum("j,j...->...", m, shell_harmonics(x, y)))
 
 
-def rho2(state, x1, y1, x2, y2, out=None):
+def rho2_factors(state, x, y, first):
+    """One particle's factors of rho2 = sum_k A_k(x1) B_k(x2) at Cartesian
+    points, shape (3, ...): A = M^T h(x1) if `first`, else B = h(x2)."""
+    h = shell_harmonics(x, y)
+    return np.tensordot(harmonics(state)[1], h, (0, 0)) if first else h
+
+
+def rho2(state, x1, y1, x2, y2):
     """Two-body density h(x1)^T M h(x2) at Cartesian point pairs
-    (vectorized); the point pairs meet only in one real three-term
-    broadcast sum, written to `out` if given."""
-    matrix = harmonics(state)[1]
-    h1 = shell_harmonics(x1, y1)
-    h2 = shell_harmonics(x2, y2)
-    left = (matrix.T @ h1.reshape(3, -1)).reshape(h1.shape)
-    return np.asarray(np.einsum("k...,k...->...", left, h2, out=out))
+    (vectorized): one real three-term broadcast sum of rho2_factors."""
+    return np.asarray(np.einsum("k...,k...->...",
+                                rho2_factors(state, x1, y1, True),
+                                rho2_factors(state, x2, y2, False)))
 
 
 @dataclass

@@ -11,10 +11,9 @@ matrices), and they are exact (Golub and Welsch 1969): every mode is
 (v . x) exp(-|x|^2/2), so along a ray the integrand is u exp(-u) in
 u = r^2, which one Gauss-Laguerre node integrates, and in the mean angle a
 trigonometric polynomial of degree at most 4, which 5 periodic nodes
-integrate. Pair
-densities are sums of products of real per-particle factors. Only the
-modes' unit vectors are shared with the rest of the library; the engine
-enters purely as the object under test.
+integrate. Pair densities are sums of products of real per-particle
+factors. Only the modes' unit vectors are shared with the rest of the
+library; the engine enters purely as the object under test.
 
 The module is also the one home of the paper's closed forms: the one-body
 density, the printed pair densities, and the distance, angle and
@@ -36,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import density
 from .density import rho1, rho2
 from .errors import UnsupportedStateError
 from .modes import DIPOLE_PAIR, VORTEX_PAIR
@@ -55,7 +55,7 @@ CLAIM_ANGLE_POINTS = 361
 CLAIM_TWO_ANGLE_POINTS = 180
 # the smallest periodic rule exact for the mean angle's degree-4 integrand
 ORACLE_MEAN_ANGLES = 5
-_TILE_CELLS = 1 << 17
+_BLOCK_POINTS = 1 << 11
 # the modes are numerically zero beyond this box (exp(-18) ~ 1.5e-8 on the
 # amplitude, squared in any density): [-EXTENT, EXTENT]^2 is the domain of
 # the Cartesian pair grid
@@ -112,20 +112,20 @@ def _eval_pair(spec, x, y):
                  for vx, vy in (mode.v for mode in _pair_modes(spec)))
 
 
-def _pair_sum(first, second, out=None):
+def _pair_sum(first, second):
     """sum_k A_k(r1) B_k(r2) over real per-particle factors: the one
     contraction of a pair density that spans all point pairs."""
-    return np.einsum("k...,k...->...", first, second, out=out)
+    return np.einsum("k...,k...->...", first, second)
 
 
 def _pair_density(factors):
     """The pair density sum_k A_k(r1) B_k(r2) of factors(spec, x, y, first)."""
-    def density(spec, x1, y1, x2, y2):
+    def route(spec, x1, y1, x2, y2):
         return _pair_sum(factors(spec, x1, y1, True),
                          factors(spec, x2, y2, False))
-    density.__name__, density.__doc__ = factors.__name__, factors.__doc__
-    density.factors = factors
-    return density
+    route.__name__, route.__doc__ = factors.__name__, factors.__doc__
+    route.factors = factors
+    return route
 
 
 def _intensities(f, g):
@@ -415,57 +415,63 @@ def _plane_points(resolution):
     return gx.ravel(), gy.ravel(), axis[1] - axis[0]
 
 
-def _gap(values, reference, out=None):
-    """max |values - reference| (NaN if any); the difference goes to out."""
-    diff = np.subtract(values, reference, out=out)
-    return float(np.max(np.abs(diff, out=diff)))
+def _gap(values, reference):
+    """max |values - reference| (NaN if any)."""
+    return float(np.max(np.abs(np.subtract(values, reference))))
+
+
+def _fold(r, rows):
+    """The R factor of the thin QR of [r; rows] (of rows where r is None)."""
+    return np.linalg.qr(rows if r is None else np.vstack([r, rows]), mode="r")
 
 
 def pair_grid_sweep(spec, resolution=DEFAULT_RESOLUTION):
     """Engine vs oracle (and the printed pair density, where _pairing_applies)
-    over all point pairs of a resolution x resolution grid.
+    over all point pairs of a resolution x resolution grid, never formed.
 
-    The pairs are walked in square tiles of at most _TILE_CELLS pairs; the
-    routes' per-particle factors are evaluated once per row and column of
-    tiles, and the engine value, then each route's, fill two reused tile
-    buffers. Each row's contact pairs also go through reference_rho2.
-    Returns a dict with the sup deviations (NaN if any pair is) and the
-    Riemann pair masses (the Gaussian tails at the box edge make plain h^4
-    sums accurate far beyond the tolerances in play).
+    On the grid a route's gap to the engine is G = U V^T, U = [-M^T h, A]
+    and V = [h, B] per point (density.rho2_factors, looked up at call
+    time). Each block of points' factors, while all are finite, is folded
+    into the R of the thin QR [U V] = Q R (blockwise TSQR, Demmel,
+    Grigori, Hoemmen and Langou 2012): the core R_U R_V^T has G's 2- and
+    Frobenius norms, and ||G||_2 bounds its sup. Each block's contact and
+    neighbour pairs also meet in reference_rho2 and rho2. Returns
+    max(||G||_2, their sup) over the largest |reference_rho2| there where
+    that exceeds 1 (rounding grows with the density's scale), the printed
+    form's ||G||_F over the engine's ||rho2||_F (or 1), and the pair
+    masses, the factor sums' dot products times h^4 (Riemann sums: the
+    Gaussian tails at the box edge are negligible).
     """
     state = build_state(spec)
-    factors = [oracle_route(spec)[1].factors]
-    if _pairing_applies(spec):
-        factors.append(printed_rho2.factors)
+    routes = [oracle_route(spec)[1].factors] + (
+        [printed_rho2.factors] if _pairing_applies(spec) else [])
     px, py, step = _plane_points(resolution)
-    edge = min(math.isqrt(_TILE_CELLS), px.size)
-    rows = [(px[i:i + edge, None], py[i:i + edge, None])
-            for i in range(0, px.size, edge)]
-    columns = [(x.T, y.T, [np.stack(f(spec, x.T, y.T, False))
-                           for f in factors]) for x, y in rows]
-    engine_tile, route_tile = np.empty((2, edge * edge))
-    devs, mass_engine, mass_oracle = [0.0] * len(factors), 0.0, 0.0
-    for x1, y1 in rows:
-        firsts = [np.stack(f(spec, x1, y1, True)) for f in factors]
-        contact = (x1, y1, x1, y1)
-        devs[0] = np.maximum(devs[0], _gap(reference_rho2(spec, *contact),
-                                           rho2(state, *contact)))
-        for x2, y2, seconds in columns:
-            eng, value = (tile[:x1.size * x2.size].reshape(x1.size, x2.size)
-                          for tile in (engine_tile, route_tile))
-            eng = rho2(state, x1, y1, x2, y2, out=eng)
-            mass_engine += float(np.sum(eng))
-            for k, (first, second) in enumerate(zip(firsts, seconds)):
-                _pair_sum(first, second, out=value)
-                if k == 0:
-                    mass_oracle += float(np.sum(value))
-                devs[k] = np.maximum(devs[k], _gap(value, eng, out=value))
-    h4 = step ** 4
+    r, sums, public, scale = None, 0.0, 0.0, 1.0
+    for start in range(0, px.size, _BLOCK_POINTS):
+        x, y = px[start:start + _BLOCK_POINTS], py[start:start + _BLOCK_POINTS]
+        first, second = ([sign * density.rho2_factors(state, x, y, side)]
+                         + [f(spec, x, y, side) for f in routes]
+                         for sign, side in ((-1.0, True), (1.0, False)))
+        rows = np.vstack(first + second).T
+        sums = sums + rows.sum(axis=0)  # non-finite for good once a factor is
+        r = _fold(r, rows) if np.isfinite(sums).all() else None
+        for pairs in ((x, y, x, y), (x, y, np.roll(x, 1), np.roll(y, 1))):
+            reference = reference_rho2(spec, *pairs)
+            public = np.maximum(public, _gap(reference, rho2(state, *pairs)))
+            scale = max(scale, float(np.max(np.abs(reference))))
+    width, split = sums.size // 2, 3 + len(first[1])
+    gap, printed, engine = (
+        np.full((1, 1), math.nan) if r is None else r[:, c] @ r[:, c + width].T
+        for c in (np.arange(split), np.r_[0:3, split:width], np.arange(3)))
+    bound = math.nan if r is None else np.linalg.norm(gap, 2)
     return {
-        "dev_oracle": float(devs[0]),
-        "dev_verbatim": float(devs[1]) if len(factors) > 1 else None,
-        "mass_engine": mass_engine * h4,
-        "mass_oracle": mass_oracle * h4,
+        "dev_oracle": float(np.maximum(bound, public)) / scale,
+        "dev_verbatim": (float(np.linalg.norm(printed)
+                               / (np.linalg.norm(engine) or 1.0))
+                         if len(routes) > 1 else None),
+        "mass_engine": -float(sums[:3] @ sums[width:width + 3]) * step ** 4,
+        "mass_oracle": float(sums[3:split] @ sums[width + 3:width + split])
+        * step ** 4,
         "resolution": resolution,
     }
 
@@ -591,16 +597,10 @@ def polar_separability_deviation(state):
     much the empirically extracted W actually depends on the radii.
     """
     angles = 2.0 * math.pi * np.arange(24) / 24.0
-    pairs = [(1.0, 1.0), (0.8, 1.3), (1.6, 0.7), (2.2, 1.1)]
-    surfaces = []
-    for r, s in pairs:
-        x1 = (r * np.cos(angles))[:, None]
-        y1 = (r * np.sin(angles))[:, None]
-        x2 = (s * np.cos(angles))[None, :]
-        y2 = (s * np.sin(angles))[None, :]
-        dens = rho2(state, x1, y1, x2, y2)
-        scale = math.pi ** 2 * math.exp(r * r + s * s) / (r * s) ** 2
-        surfaces.append(dens * scale)
+    c, d = np.cos(angles), np.sin(angles)
+    surfaces = [rho2(state, r * c[:, None], r * d[:, None], s * c, s * d)
+                * (math.pi ** 2 * math.exp(r * r + s * s) / (r * s) ** 2)
+                for r, s in [(1.0, 1.0), (0.8, 1.3), (1.6, 0.7), (2.2, 1.1)]]
     return float(np.max([_gap(w, surfaces[0]) for w in surfaces[1:]]))
 
 
@@ -673,8 +673,7 @@ def _engine_vs_oracle(laws):
               f" {sweep['mass_engine']:.12f} vs oracle"
               f" {sweep['mass_oracle']:.12f}")
     if route == "first-quantized":
-        norm = wavefunction_norm(laws.spec)
-        detail += f"; wavefunction norm {norm:.12f}"
+        detail += f"; wavefunction norm {wavefunction_norm(laws.spec):.12f}"
     return sweep["dev_oracle"], detail, route
 
 
@@ -704,7 +703,8 @@ def _pairing(laws):
             extra = ("; neither pairing of this dipole-mode Fock state is"
                      " rotation invariant")
     return (laws.sweep["dev_verbatim"],
-            f"sup over the resolution^4 pair grid{extra}")
+            "Frobenius norm of the gap to the engine's density over the"
+            f" resolution^4 pair grid, relative to that density's{extra}")
 
 
 def _distance_form(laws):
@@ -979,20 +979,16 @@ def cross_validate(kind_or_spec, resolution=DEFAULT_RESOLUTION):
     Accepts a kind name (canonical donut configuration implied) or a full
     StateSpec. Verdicts depend only on (spec, resolution).
     """
-    spec = kind_or_spec if isinstance(kind_or_spec, StateSpec) \
-        else canonical(kind_or_spec)
-    return _rows(spec, resolution)
+    return _rows(kind_or_spec if isinstance(kind_or_spec, StateSpec)
+                 else canonical(kind_or_spec), resolution)
 
 
 def full_report(resolution=DEFAULT_RESOLUTION):
     """Cross-check rows for every shipped state, the tilted coherent state
-    and the family claims."""
-    shipped = [fermi_fock(), bose_fock(1, 1), bose_fock(2, 0), coherent(),
-               thermal(1.0, 1.0), cothermal(), noon(), TILTED_COHERENT]
-    rows = []
-    for spec in shipped:
-        rows.extend(cross_validate(spec, resolution))
-    return rows + _rows(None, resolution)
+    and the family claims (spec None)."""
+    specs = [fermi_fock(), bose_fock(1, 1), bose_fock(2, 0), coherent(),
+             thermal(1.0, 1.0), cothermal(), noon(), TILTED_COHERENT, None]
+    return [row for spec in specs for row in _rows(spec, resolution)]
 
 
 def all_engine_checks_confirmed(reports):

@@ -433,10 +433,11 @@ def save_frames(frames, path, provenance=None):
 
 
 def load_frames(path):
-    """The FrameSet of a frames file. The body is read `_READ_BYTES` at a
-    time into points allocated once from the header's count, every cell
-    as Python's float() reads it; the frame_index column must count 0, 1,
-    2, ... row by row."""
+    """The FrameSet of a frames file. The whole header is checked, and its
+    state built, before the body is read `_READ_BYTES` at a time into
+    points allocated once from the header's count, every cell as Python's
+    float() reads it; the frame_index column must count 0, 1, 2, ... row
+    by row."""
     with open(path, "rb") as fh:
         first = fh.readline().decode("utf-8")
         if not first.startswith(_HEADER_PREFIX):
@@ -455,6 +456,13 @@ def load_frames(path):
             raise ValueError(f"seed {seed!r} is not an integer in [0, 2**64)")
         if type(header["acceptance_rate"]) not in (int, float):
             raise ValueError("acceptance_rate is not a number")
+        if header["method"] not in ("ring", "cartesian"):
+            raise ValueError(f"method {header['method']!r} is not 'ring' or "
+                             "'cartesian'")
+        if type(header["generator"]) is not str:
+            raise ValueError(f"generator {header['generator']!r} is not a "
+                             "string")
+        spec = spec_from_dict(header["state"])
         # a row takes at least 10 bytes, the last one 9
         if 10 * count > os.fstat(fh.fileno()).st_size - fh.tell() + 1:
             raise ValueError("frame count exceeds what the body can hold")
@@ -480,8 +488,7 @@ def load_frames(path):
                 break
     if row != count:
         raise ValueError("frame count mismatch between header and body")
-    return FrameSet(spec=spec_from_dict(header["state"]),
-                    seed=seed, points=points,
+    return FrameSet(spec=spec, seed=seed, points=points,
                     method=header["method"],
                     acceptance_rate=float(header["acceptance_rate"]),
                     meta={"generator_version": header["generator"]})

@@ -602,16 +602,37 @@ _BAD_HEADERS = {
     **{f"rate-{json.dumps(rate)}":
        lambda h, rate=rate: {**h, "acceptance_rate": rate}
        for rate in (None, "0.5", True, [0.5])},
+    "state-5": lambda h: {**h, "state": 5},
+    "method-3": lambda h: {**h, "method": 3},
+    "generator-[1]": lambda h: {**h, "generator": [1]},
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_HEADERS))
 def test_load_frames_checks_its_header(tmp_path, name):
     # FORMATS.md: a header that is not an object with every key, a seed
-    # outside the integers in [0, 2**64) or a rate that is not a number
-    # raises ValueError
-    with pytest.raises(ValueError, match="header|seed|acceptance_rate"):
+    # outside the integers in [0, 2**64), a rate that is not a number, a
+    # method other than ring or cartesian, a generator that is not a
+    # string or a state that is no state description raises ValueError
+    with pytest.raises(ValueError, match="header|seed|acceptance_rate|"
+                                         "method|generator|state description"):
         load_frames(_with_header(tmp_path, _BAD_HEADERS[name]))
+
+
+def test_load_frames_checks_the_state_before_the_body(tmp_path):
+    # the whole header is checked before the body is read: a bad state in
+    # front of an out-of-sequence body is the error raised
+    path = _with_header(tmp_path, lambda h: {**h, "state": 5})
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = "7" + lines[2][1:]
+    path.write_text("".join(lines))
+    with pytest.raises(SpecError, match="state description"):
+        load_frames(path)
+
+
+def test_load_frames_reads_older_cartesian_files(tmp_path):
+    path = _with_header(tmp_path, lambda h: {**h, "method": "cartesian"})
+    assert load_frames(path).method == "cartesian"
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])

@@ -12,7 +12,6 @@ codes are stable API: 0 success, 1 verification failure, 2 configuration
 error, 3 numerical failure, 4 wrong tool for the requested state.
 """
 
-import argparse
 import json
 import math
 import os
@@ -89,8 +88,9 @@ class Setting:
     """One row of the settings table. The flag is `name` with dashes;
     {default} in `help` stands for `default`. `group` titles the flag's
     help section, and the command's own settings (None) are what
-    provenance hashes. `type` is the flag's argparse type and the config
-    value's JSON type (bool: a switch); other casters apply as they are.
+    provenance hashes. `type` is the config value's JSON type, and int
+    and float flags are converted by it (bool: a switch); other casters
+    apply as they are. `choices` are listed in the flag's help.
     `bounds` (lo, hi) give the message for a value outside; hi may be None."""
     name: str
     commands: tuple
@@ -204,9 +204,11 @@ class RunConfig(SimpleNamespace):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and config resolution
+# reading argv by the settings table, and config resolution
 # ---------------------------------------------------------------------------
 
+_PROG = "vortexcorr"
+_HELP_TEXT = "show this help and exit"
 _TWO_ANGLE_OUTPUTS = ("\nwith --two-angle:\n"
                       "  two_angle_surface.csv  theta_1,theta_2,density"
                       "[,closed_form]\n"
@@ -251,34 +253,133 @@ _COMMANDS = {
 }
 
 
+def _invocation(setting):
+    """The flag of `setting` as help shows it, with its value's name."""
+    if setting.type is bool:
+        return setting.flag
+    value = ("{" + ",".join(setting.choices) + "}" if setting.choices
+             else setting.metavar or setting.name.upper())
+    return f"{setting.flag} {value}"
+
+
+def _section(title, rows):
+    """A help section: `title`, then one line per (invocation, text) row,
+    the texts aligned; a long invocation puts its text on the next line."""
+    lines = [title + ":"]
+    for left, text in rows:
+        lines += (["  " + left, " " * 24 + text] if len(left) > 20
+                  else [f"  {left:<20}  {text}"])
+    return "\n".join(lines)
+
+
+def _help(command):
+    """The --help text of `command`, or of the program for None."""
+    if command is None:
+        return "\n\n".join((
+            _usage(None),
+            "Spatial one- and two-particle correlations of two-mode vortex "
+            "states. CSV columns and file layouts are documented in "
+            "FORMATS.md.",
+            _section("commands", [(c, blurb)
+                                  for c, (blurb, _) in _COMMANDS.items()]),
+            _section("options", [("-h, --help", _HELP_TEXT),
+                                 ("--version", "show the version and exit")])))
+    blurb, outputs = _COMMANDS[command]
+    groups = {None: [("-h, --help", _HELP_TEXT)]}
+    for s in SETTINGS:
+        if command in s.commands:
+            groups.setdefault(s.group, []).append(
+                (_invocation(s), s.help.format(default=s.default)))
+    return "\n\n".join((_usage(command), blurb,
+                         *(_section(title or "options", rows)
+                           for title, rows in groups.items()), outputs))
+
+
+def _usage(command):
+    """The usage line of `command`, or of the program for None."""
+    if command is None:
+        return (f"usage: {_PROG} [-h] [--version] "
+                "{" + ",".join(_COMMANDS) + "} ...")
+    return f"usage: {_PROG} {command} [-h] [--flag VALUE | --switch]..."
+
+
+def _refuse(command, message):
+    """A usage error: the usage line and the message on stderr, then exit
+    status 2."""
+    prog = _PROG if command is None else f"{_PROG} {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _flag(command, token, flags):
+    """The one of `flags` that `token` names, in full or by a prefix no
+    other flag shares; -h stands for --help."""
+    name = "--help" if token == "-h" else token.partition("=")[0]
+    if name in flags:
+        return name
+    hits = [f for f in flags if f.startswith(name)] if (
+        name.startswith("--") and len(name) > 2) else []
+    if len(hits) > 1:
+        _refuse(command, f"ambiguous option: {name} could match "
+                + ", ".join(hits))
+    if not hits:
+        _refuse(command, f"unrecognized arguments: {token}")
+    return hits[0]
+
+
+def _read_argv(argv=None):
+    """The command and one attribute per setting of it, None where no
+    flag gives it, read from `argv` (default sys.argv[1:]) by the
+    settings table. A flag takes its value as the next token, whatever
+    it starts with, or after '='; int and float flags are converted by
+    int() and float(), and every other check is resolve_config's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0].startswith("-"):
+        if _flag(None, argv[0], ("--help", "--version")) == "--version":
+            print(f"{_PROG} {VERSION}")
+        else:
+            print(_help(None))
+        raise SystemExit(EXIT_OK)
+    if not argv:
+        _refuse(None, "the following arguments are required: command")
+    command = argv[0]
+    if command not in _COMMANDS:
+        _refuse(None, f"argument command: invalid choice: {command!r} "
+                "(choose from " + ", ".join(map(repr, _COMMANDS)) + ")")
+    rows = {s.flag: s for s in SETTINGS if command in s.commands}
+    args = SimpleNamespace(command=command,
+                           **{s.name: None for s in rows.values()})
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = _flag(command, token, (*rows, "--help"))
+        if flag == "--help":
+            print(_help(command))
+            raise SystemExit(EXIT_OK)
+        s = rows[flag]
+        _, given, value = token.partition("=")
+        if s.type is bool:
+            if given:
+                _refuse(command, f"argument {flag}: ignored explicit "
+                        f"argument {value!r}")
+            value = True
+        elif not given:
+            value = next(tokens, None)
+            if value is None:
+                _refuse(command, f"argument {flag}: expected one argument")
+        if s.type in (int, float):
+            try:
+                value = s.type(value)
+            except ValueError:
+                _refuse(command, f"argument {flag}: invalid "
+                        f"{s.type.__name__} value: {value!r}")
+        setattr(args, s.name, value)
+    return args
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="vortexcorr",
-        description="Spatial one- and two-particle correlations of "
-                    "two-mode vortex states. CSV columns and file layouts "
-                    "are documented in FORMATS.md.")
-    parser.add_argument("--version", action="version",
-                        version="vortexcorr " + VERSION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (blurb, epilog) in _COMMANDS.items():
-        sp = sub.add_parser(
-            command, help=blurb, epilog=epilog,
-            formatter_class=argparse.RawDescriptionHelpFormatter)
-        groups = {None: sp}
-        for s in SETTINGS:
-            if command not in s.commands:
-                continue
-            if s.group not in groups:
-                groups[s.group] = sp.add_argument_group(s.group)
-            # every flag defaults to None, so that it overrides a config
-            # file only where it is given
-            kind = ({"action": "store_true"} if s.type is bool else
-                    {"type": s.type if s.type in (int, float) else None,
-                     "metavar": s.metavar, "choices": s.choices})
-            groups[s.group].add_argument(
-                s.flag, default=None, help=s.help.format(default=s.default),
-                **kind)
-    return parser
+    """The command line parser, kept for its callers: its parse_args(argv)
+    is _read_argv."""
+    return SimpleNamespace(parse_args=_read_argv)
 
 
 def _load_config_file(path):
@@ -620,8 +721,7 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read_argv(argv)
     try:
         cfg = resolve_config(args)
         # every command but verify works on one state, built here once;

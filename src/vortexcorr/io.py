@@ -17,9 +17,10 @@ write_rows is the one writer of CSV rows: write_csv calls it after its
 '#' head, and the frames file after its header line. Its cells are the
 bytes of C's `%.17g`, formatted by a numpy kernel a block of rows at a
 time; the few cells the kernel cannot decide exactly go through Python's
-own `%.17g` one at a time. A grid axis of a table (the x of every row of
-a density grid) is formatted once per file, and its text is copied into
-each row. parse_block reads such text back the same way:
+own `%.17g` one at a time, and so does every cell of a table too small
+to repay the kernel's layout tables. A grid axis of a table (the x of
+every row of a density grid) is formatted once per file, and its text is
+copied into each row. parse_block reads such text back the same way:
 a numpy kernel turns each plain decimal cell into the nearest double,
 and the few cells it cannot decide, or that are not plain decimals, go
 through Python's float().
@@ -184,7 +185,7 @@ def _slot_tables():
     return (np.concatenate([per_k, signed], 1), words[:6].copy(),
             np.concatenate([words[6:], np.reshape(wide_fills, (3, -1))], 1),
             np.concatenate([size.ravel() + 1, (size[0] + 5 + (three > 0))
-                            .ravel()]))
+                            .ravel()]).astype(_U))
 
 
 def _digits8(v):
@@ -251,7 +252,7 @@ def _cells(x, slots, sizes):
     np.bitwise_or(b0 >> back, b1 << shift, out=slots[:, 1])
     np.bitwise_or(b1 >> back, b2 << shift, out=slots[:, 2])
     np.right_shift(b2, back, out=slots[:, 3])
-    np.add(lengths.take(row), shift >> _U(3), out=sizes, casting="unsafe")
+    np.add(lengths.take(row), shift >> _U(3), out=sizes.view(_U))
     text = ["%.17g," % v for v in x[slow].tolist()]
     sizes[slow] = [len(t) for t in text]
     slots[slow] = np.frombuffer("".join(t.ljust(32, "\0") for t in text)
@@ -309,17 +310,27 @@ def write_rows(fh, values):
     their broadcast shape in C order, and every cell is C's %.17g (any
     NaN as nan), cells joined by ',' and each row ending in a newline.
 
-    The text is made in blocks of at most `_CELLS` cells (one row when a
-    row is wider), each one kernel pass. A column whose array holds fewer
-    cells than the table and no more than `_CELLS` is a grid axis
-    (`x[:, None]`): its cells are formatted once, and each block gathers
-    their text through the broadcast index. The other columns are
-    formatted block by block.
+    A table of at most `_CELLS // 8` cells is printed by Python's %.17g
+    directly. A larger one is made in blocks of at most `_CELLS` cells
+    (one row when a row is wider), each one kernel pass. A column whose
+    array holds fewer cells than the table and no more than `_CELLS` is
+    a grid axis (`x[:, None]`): its cells are formatted once, and each
+    block gathers their text through the broadcast index. The other
+    columns are formatted block by block.
     """
     arrays = [np.asarray(v, dtype=float) for v in values]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     size = math.prod(shape)
     cols = len(arrays)
+    if size * cols <= _CELLS // 8:
+        # % takes ~0.6 us a cell, and a process's first kernel pass ~1.5 ms
+        # more to build the layout tables: on a 2-core Xeon VM a fresh
+        # process writes a table faster through % up to 2000-3000 cells.
+        # The kernel leaves the cells it cannot decide to this same %
+        cells = np.stack(np.broadcast_arrays(*arrays), -1).ravel().tolist()
+        row = ",".join(["%.17g"] * cols) + "\n"
+        fh.write((row * size % tuple(cells)).encode("ascii"))
+        return
     rows = max(1, min(size, _CELLS // cols))  # per block
     axes = {j: _axis(a, shape) for j, a in enumerate(arrays)
             if a.size < size and a.size <= _CELLS}

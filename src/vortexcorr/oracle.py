@@ -30,7 +30,7 @@ All verdicts are deterministic functions of (state, resolution).
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -89,7 +89,7 @@ class DiscrepancyReport:
     detail: str = ""
 
     def as_dict(self):
-        return asdict(self)
+        return dict(vars(self))  # the fields hold no container to copy
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from vortexcorr import cli, io, sampler, states
-from vortexcorr.cli import (KEYS, SETTINGS, RunConfig, build_parser, main,
-                            resolve_config)
+from vortexcorr.cli import (_COMMANDS, KEYS, SETTINGS, RunConfig,
+                            build_parser, main, resolve_config)
 from vortexcorr.oracle import BOSE_DISTANCE_MEAN, BOSE_DISTANCE_MODES
 from vortexcorr.states import KINDS, SpecError, build_state
 
@@ -363,6 +363,18 @@ def test_exit_codes(tmp_path, capsys):
     # relative-angle marginal is not defined for an anisotropic state
     assert main(["pairangle", "--state", "noon"] + out) == 4
     assert "--two-angle" in capsys.readouterr().err
+    # a flag's value is the next token, even one starting with '-': the
+    # tilted coherent state runs, and is as anisotropic as with '='
+    for amplitude in (["--alpha-x", "-1+2i"], ["--alpha-x=-1+2i"]):
+        assert main(["pairangle", "--state", "coherent", *amplitude]
+                    + out) == 4
+        assert "--two-angle" in capsys.readouterr().err
+    assert main(["pairdist", "--state", "cothermal", "--alpha", "-i"]
+                + out) == 0
+    # and a negative occupancy reaches the bound that names it
+    assert main(["pairdist", "--state", "thermal", "--nbar-a", "-1e-3"]
+                + out) == 2
+    assert "nbar_a must be in [0, 1e+150]" in capsys.readouterr().err
 
 
 def test_no_cutoff_option(tmp_path, capsys):
@@ -804,6 +816,78 @@ def test_commands_leave_out_numpy_polynomial(tmp_path, argv):
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out.splitlines()[-1]) == []
+
+
+def test_light_commands_leave_out_argparse_and_the_slot_tables(tmp_path):
+    # argv is read from the settings table, and a table of a few hundred
+    # cells is printed by % without the kernel's layout tables
+    code = ("import json, sys; from vortexcorr import io; "
+            "from vortexcorr.cli import main; "
+            f"assert main(['pairdist', '--points', '64', '--out', "
+            f"{str(tmp_path)!r}]) == 0; "
+            "tables = io._slot_tables.cache_info().currsize; "
+            f"assert main(['verify', '--resolution', '8', '--out', "
+            f"{str(tmp_path)!r}]) == 0; "
+            "print(json.dumps([tables, [m for m in ('argparse', 'gettext', "
+            "'locale') if m in sys.modules]]))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, []]
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_lists_every_flag(capsys, command):
+    argv = [] if command is None else [command]
+    for flag in ("--help", "-h", "--he"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        if command is None:
+            assert all(c in text for c in _COMMANDS) and "--version" in text
+        else:
+            flags = {s.flag for s in SETTINGS if command in s.commands}
+            assert {w for w in text.split() if w in flags} == flags
+            assert "outputs:" in text
+
+
+def test_flag_forms(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"vortexcorr {cli.VERSION}\n"
+    parse = build_parser().parse_args
+    # --flag=value, a unique prefix, a value after '=' that holds '='
+    args = parse(["pairdist", "--points=16", "--stat", "thermal",
+                  "--out=a=b", "--two"])
+    assert (args.points, args.state, args.out, args.two_angle) == (
+        16, "thermal", "a=b", True)
+    assert args.nbar_a is None and args.command == "pairdist"
+    # an exact flag wins over the longer flags it prefixes
+    assert parse(["pairdist", "--alpha", "1"]).alpha == "1"
+    assert parse(["profile", "--step", "-0.5"]).step == -0.5
+    monkeypatch.chdir(tmp_path)
+    # usage errors exit 2 before any work: an ambiguous prefix, an unknown
+    # flag or token, a missing value, a number that does not parse, a
+    # value given to a switch, a missing or unknown command
+    for argv, message in (
+            (["pairdist", "--alph", "1"], "ambiguous option: --alph"),
+            (["pairdist", "--n-", "1"], "unrecognized arguments: --n-"),
+            (["pairdist", "5"], "unrecognized arguments: 5"),
+            (["pairdist", "-p", "5"], "unrecognized arguments: -p"),
+            (["pairdist", "--points"], "expected one argument"),
+            (["pairdist", "--points", "1.5"], "invalid int value: '1.5'"),
+            (["profile", "--step=x"], "invalid float value: 'x'"),
+            (["pairdist", "--two-angle=yes"], "ignored explicit argument"),
+            ([], "required: command"),
+            (["pair"], "invalid choice: 'pair'"),
+            (["--bogus"], "unrecognized arguments: --bogus")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vortexcorr") and message in err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_long_series_charts_stay_small(tmp_path):

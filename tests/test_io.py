@@ -103,9 +103,12 @@ def test_format_block_edge_table(cols):
     _assert_reads_back(table)
 
 
-def test_format_block_matches_percent_formatting():
+def test_format_block_matches_percent_formatting(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
+    # kernel passes of 3 cells (one row when a row is wider): no table is
+    # small enough for write_rows to leave it to %
+    monkeypatch.setattr(io, "_CELLS", 3)
 
     @hypothesis.settings(max_examples=400, deadline=None)
     @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=60),
@@ -152,6 +155,46 @@ def test_format_block_at_kernel_block_edges(cols):
         table = _varied_cells(rows * cols, rows).reshape(rows, cols)
         _assert_percent_rows(table)
         _assert_reads_back(table)
+
+
+def test_small_tables_print_the_kernel_bytes(monkeypatch):
+    # a table of at most _CELLS // 8 cells goes through % and a larger one
+    # through the kernel: at the edge, the text of the first n - 1 and n
+    # cells of a column opens the kernel's text of n + 1 cells
+    calls = []
+    cells = io._cells
+
+    def counting(x, slots, sizes):
+        calls.append(x.size)
+        return cells(x, slots, sizes)
+
+    monkeypatch.setattr(io, "_cells", counting)
+    n = io._CELLS // 8
+    column = _varied_cells(n + 1, 12)
+    column[:12] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-270,
+                   1e280, 1.0 + 2.0 ** -17, 0.5 + 2.0 ** -53,
+                   9.99999999999999995e15, -1e-270, -1e280]
+    texts = []
+    for size in (n - 1, n, n + 1):
+        calls.clear()
+        texts.append(_text(column[:size, None]))
+        assert calls == ([size] if size > n else []), size
+        assert texts[-1] == "".join("%.17g\n" % v for v in
+                                    column[:size].tolist()).encode()
+    assert texts[2].startswith(texts[1]) and texts[1].startswith(texts[0])
+    # two grid axes beside a full column, 16 x 42 rows of 3 cells: %
+    calls.clear()
+    x, y = _varied_cells(16, 13)[:, None], _varied_cells(42, 14)[None, :]
+    v = _varied_cells(16 * 42, 15).reshape(16, 42)
+    small = _text(np.column_stack([a.ravel() for a in
+                                   np.broadcast_arrays(x, y, v)]))
+    fh = BytesIO()
+    write_rows(fh, (x, y, v))
+    assert calls == [] and fh.getvalue() == small
+    monkeypatch.setattr(io, "_CELLS", 64)  # the kernel's, axes gathered
+    fh = BytesIO()
+    write_rows(fh, (x, y, v))
+    assert calls and fh.getvalue() == small
 
 
 @pytest.mark.parametrize("cols", range(1, 8))
@@ -414,7 +457,7 @@ def test_write_rows_memory_does_not_grow_with_the_table():
     # write_rows holds
     peaks = []
     with open(os.devnull, "wb") as fh:
-        write_rows(fh, (np.arange(3.0), 0.5))  # builds the slot tables
+        io._slot_tables()  # built once per process, outside the trace
         for n in (256, 512):
             x = np.linspace(-1.0, 1.0, n)[:, None]
             y = np.geomspace(1e-3, 1e3, n)[None, :]
@@ -461,7 +504,8 @@ def test_write_csv_odd_columns(tmp_path, monkeypatch, name):
 def test_profile_grid_formats_each_axis_once(tmp_path, monkeypatch):
     # the default profile grid has 241 x 241 points: its density goes
     # through the kernel cell by cell and x and y once each, 58081 + 482
-    # cells, not 3 x 58081; the radial cut is 121 rows of 3 full columns
+    # cells, not 3 x 58081; the radial cut, 121 rows of 3 full columns,
+    # is a small table that % prints without the kernel
     counted = []
     cells = io._cells
 
@@ -471,7 +515,7 @@ def test_profile_grid_formats_each_axis_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(io, "_cells", counting)
     assert main(["profile", "--formats", "csv", "--out", str(tmp_path)]) == 0
-    assert sum(counted) == 241 * 241 + 2 * 241 + 3 * 121
+    assert sum(counted) == 241 * 241 + 2 * 241
     assert (tmp_path / "profile_grid.csv").read_text().count("\n") == \
         3 + 241 * 241
 
